@@ -4,13 +4,13 @@ Two halves, shared by ``benchmarks/perf_smoke.py``, ``python -m repro
 bench`` and ``tools/bench_compare.py``:
 
 * :func:`run_smoke` times a tiny-scale radix x {MESI, DeNovo} sweep
-  under both execution engines *and* both event schedulers, asserting
-  bit-identity across every variant per cell, and returns a JSON-able
-  record.  All variants of all cells are timed **interleaved**
-  (A/B/A/B… across the whole variant list, ``repeats`` rounds) and each
-  cell records its **median** — run-to-run drift on a shared runner
-  hits every variant alike instead of masquerading as a speedup for
-  whichever happened to run in the quiet window.  The record carries
+  under both execution engines, asserting bit-identity across every
+  variant per cell, and returns a JSON-able record.  All variants of
+  all cells are timed **interleaved** (A/B/A/B… across the whole
+  variant list, ``repeats`` rounds) and each cell records its
+  **median** — run-to-run drift on a shared runner hits every variant
+  alike instead of masquerading as a speedup for whichever happened to
+  run in the quiet window.  The record carries
   ``schema_version`` and a ``git_describe`` stamp so records from
   incompatible layouts or unknown commits are never silently compared;
   :func:`write_record` refuses to stamp the committed baseline from a
@@ -20,20 +20,14 @@ bench`` and ``tools/bench_compare.py``:
   by more than the threshold (default 15%) fails the gate; smaller
   regressions are reported as warnings (runner noise), improvements are
   reported as speedups.  :func:`check_engine_floor` gates the compiled
-  engine's per-cell speedup within one record;
-  :func:`check_scheduler_floor` gates the wheel scheduler against the
-  heap the same way.
+  engine's per-cell speedup within one record.
 
 The smoke cells run in-process, serially and cache-free, so the numbers
 are pure simulation speed — the perf trajectory of the simulator hot
 path, not store hits.  The ``trace_memo`` and ``sweep_throughput``
-sections additionally measure the warm-worker machinery: actual
-cold-vs-warm cell times through the pool's trace memo, and the same
-mini-sweep pushed through every execution backend (serial reference,
-cold/warm pool, tcp with real loopback worker subprocesses —
-:func:`check_backend_floor` gates tcp against the warm pool).  The
-``service_roundtrip`` section times the HTTP sweep service end to end
-over a loopback socket.
+sections additionally measure the sweep machinery: actual cold-vs-warm
+cell times through the runner's trace memo, and one mini-sweep run
+serially and with ``--jobs 2``.
 """
 
 from __future__ import annotations
@@ -47,22 +41,19 @@ import time
 from typing import Dict, List, Tuple
 
 #: Bump when the record layout changes incompatibly; compare_records
-#: refuses to diff records with different schema versions.  v4: cells
-#: carry a ``scheduler`` axis (heap vs wheel) next to the v3 ``engine``
-#: axis, per-cell seconds are interleaved medians (previously
-#: consecutive best-of), ``trace_memo`` reports measured cold-vs-warm
-#: cell times, and a ``sweep_throughput`` section times a pooled sweep.
+#: refuses to diff records with different schema versions.  v4:
+#: per-cell seconds are interleaved medians (previously consecutive
+#: best-of), ``trace_memo`` reports measured cold-vs-warm cell times.
 #: v5: an ``attrib`` section stores one latency/stall attribution
 #: profile per simulated (workload, protocol, shape) — from separate
 #: *non-timed* observed runs, so the timed cells stay obs-free — which
 #: lets :func:`attrib_delta` name the segment that moved when a perf
-#: gate trips.  v6: ``sweep_throughput`` is keyed by execution backend
-#: (serial reference, pool cold/warm, tcp with real loopback workers —
-#: gated by :func:`check_backend_floor` against the warm pool) and a
-#: ``service_roundtrip`` section records the HTTP sweep service's cold
-#: submit-to-complete and cached round-trip latencies plus its
-#: single-flight dedup count.
-SCHEMA_VERSION = 6
+#: gate trips.  v6 keyed ``sweep_throughput`` by execution backend and
+#: timed an HTTP service.  v7: cells are keyed (workload, protocol,
+#: tiles, engine) — the scheduler axis is gone — and
+#: ``sweep_throughput`` holds one mini-sweep run serially and with
+#: ``--jobs``.
+SCHEMA_VERSION = 7
 
 #: Hard-fail threshold of the regression gate: a cell whose
 #: events_per_second drops by more than this fraction fails CI.
@@ -70,9 +61,6 @@ REGRESSION_THRESHOLD = 0.15
 
 #: Execution engines each (workload, protocol) cell is timed under.
 ENGINES = ("reference", "compiled")
-
-#: Event schedulers each cell is timed under (see repro.engine.events).
-SCHEDULERS = ("heap", "wheel")
 
 #: Minimum compiled/reference events-per-second ratio the engine gate
 #: accepts, per cell.  The compiled engine currently delivers ~1.2-1.4x
@@ -85,22 +73,6 @@ SCHEDULERS = ("heap", "wheel")
 #: reference (the failure mode that matters: a "fast engine" that
 #: silently is not), without flaking on runner noise.
 COMPILED_SPEEDUP_FLOOR = 1.02
-
-#: Minimum wheel/heap events-per-second ratio, applied to the
-#: geometric mean across every paired cell (best-of timings).  The
-#: wheel is the default scheduler; this gate exists to catch it ever
-#: becoming *structurally* slower than the heap it replaced, not to
-#: claim a win: scheduler operations are only ~1-2% of runtime (the
-#: callbacks dominate), so the two schedulers genuinely measure at
-#: parity — repeated interleaved A/B runs land the aggregate anywhere
-#: in 0.96-1.04x, centered on 1.00.  The originally intended ">2%
-#: slower = fail" (0.98) criterion sits *inside* that noise band even
-#: after pooling best-of timings across all paired cells, so it flakes
-#: on jitter rather than catching regressions; the floor is therefore
-#: set just below the observed band.  A real structural regression
-#: (e.g. the wheel degenerating to per-event heap pushes) shows up as
-#: tens of percent, far below this floor.
-WHEEL_SPEEDUP_FLOOR = 0.93
 
 #: Basename of the committed repo-root baseline record.  write_record
 #: refuses to (over)write it from a dirty working tree, so the
@@ -171,14 +143,14 @@ def _timed_run(simulate, workload, proto, config):
 
 
 def _measure_trace_memo(scale, repeats: int) -> dict:
-    """Measured cold-vs-warm cell times through the pool's trace memo.
+    """Measured cold-vs-warm cell times through the runner's trace memo.
 
     A *cold* cell pays trace build + simulation (memo cleared first); a
     *warm* cell is a memo hit and pays simulation only — exactly what a
-    persistent pool worker sees from its second cell of a (workload,
-    shape) onwards.  The simulation work is bit-identical either way,
-    so every simulate() timing (cold or warm run) goes into one pool
-    and the cell times are decomposed from the measured noise floors:
+    sweep sees from its second cell of a (workload, shape) onwards.
+    The simulation work is bit-identical either way, so every
+    simulate() timing (cold or warm run) goes into one pool and the
+    cell times are decomposed from the measured noise floors:
     ``warm = min(sim)``, ``cold = min(sim) + min(build)``.  Comparing
     two independently-noisy mins instead would let run-to-run jitter
     (10-25% on a shared 1-vCPU runner) swamp the few-percent build
@@ -216,198 +188,28 @@ def _measure_trace_memo(scale, repeats: int) -> dict:
     }
 
 
-#: Pooled mini-sweep shape for the sweep_throughput section.
+#: Mini-sweep shape for the sweep_throughput section.
 SWEEP_WORKLOADS = ("radix", "stream")
 SWEEP_JOBS = 2
 
-#: Loopback workers the tcp backend is measured with.
-TCP_WORKERS = 2
-
-#: Minimum tcp(2 loopback workers)/warm-pool cells-per-second ratio.
-#: Both run the same 2 parallel lanes on one host; the tcp path adds
-#: JSON framing, lease bookkeeping and result decode per cell, which
-#: must stay a small tax — a ratio collapsing far below 1.0 means the
-#: coordinator serialized (lease starvation, heartbeat storms) or fell
-#: back to serial.  0.9 leaves margin for loopback+runner noise.
-TCP_BACKEND_FLOOR = 0.9
-
-
-def _spawn_tcp_worker(address) -> "subprocess.Popen":
-    """A real ``python -m repro worker`` subprocess for the bench."""
-    import sys
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src_dir] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                     else []))
-    host, port = address
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker",
-         "--connect", f"{host}:{port}"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        stdin=subprocess.DEVNULL)
-
 
 def _measure_sweep_throughput(scale) -> dict:
-    """Cells/second of the mini-sweep through every execution backend.
-
-    ``serial`` is the deterministic reference (one pass, cold memo);
-    ``pool`` runs cold (fresh pool, trace prewarm) then warm best-of-2
-    (the steady state of consecutive sweeps in one process); ``tcp``
-    coordinates :data:`TCP_WORKERS` real ``python -m repro worker``
-    loopback subprocesses — one warm-up pass (worker connect + trace
-    builds), then best-of-2 timed passes, symmetric with the pool's
-    treatment.  Cache-free throughout, so the numbers are sweep
-    machinery + simulation only.  :func:`check_backend_floor` gates
-    tcp against the warm pool.
-    """
-    from repro.runner import pool as worker_pool
-    from repro.runner.backends import TcpBackend
+    """Cells/second of one cache-free mini-sweep, serial and with
+    :data:`SWEEP_JOBS` worker processes (a fresh pool per sweep, as
+    ``repro sweep --jobs`` runs it)."""
     from repro.runner.jobs import expand_grid
+    from repro.runner.pool import sweep
 
     specs = expand_grid(SWEEP_WORKLOADS, PROTOCOLS, scale)
     n = len(specs)
-
-    worker_pool.shutdown_pool()
-    worker_pool._WORKLOAD_MEMO.clear()
-    t0 = time.perf_counter()
-    worker_pool.sweep(specs, jobs=1, use_cache=False, backend="serial")
-    serial_s = time.perf_counter() - t0
-
-    worker_pool.shutdown_pool()
-    worker_pool._WORKLOAD_MEMO.clear()
-    try:
+    runs = {}
+    for name, jobs in (("serial", 1), ("parallel", SWEEP_JOBS)):
         t0 = time.perf_counter()
-        worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False,
-                          backend="pool")
-        cold_s = time.perf_counter() - t0
-        # Two warm passes, best kept: a single pass on a shared runner
-        # can land in a slow phase and misreport warm as slower.
-        warm_s = None
-        for _ in range(2):
-            t0 = time.perf_counter()
-            worker_pool.sweep(specs, jobs=SWEEP_JOBS, use_cache=False,
-                              backend="pool")
-            elapsed = time.perf_counter() - t0
-            warm_s = elapsed if warm_s is None else min(warm_s, elapsed)
-    finally:
-        worker_pool.shutdown_pool()
-
-    backend = TcpBackend(connect_grace=30.0)
-    workers = [_spawn_tcp_worker(backend.listen())
-               for _ in range(TCP_WORKERS)]
-    try:
-        backend.wait_for_workers(TCP_WORKERS, timeout=30.0)
-        # Warm-up: workers build their trace memos (symmetric with the
-        # pool's cold pass, which is reported separately).
-        worker_pool.sweep(specs, use_cache=False, backend=backend)
-        tcp_s = None
-        for _ in range(2):
-            t0 = time.perf_counter()
-            worker_pool.sweep(specs, use_cache=False, backend=backend)
-            elapsed = time.perf_counter() - t0
-            tcp_s = elapsed if tcp_s is None else min(tcp_s, elapsed)
-        connected = backend.stats["workers_connected"]
-        serial_fallback_cells = backend.stats["serial_cells"]
-    finally:
-        backend.close()
-        for worker in workers:
-            try:
-                worker.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                worker.kill()
-                worker.wait()
-
-    warm_cps = round(n / warm_s, 3)
-    tcp_cps = round(n / tcp_s, 3)
-    return {
-        "cells": n,
-        "jobs": SWEEP_JOBS,
-        "backends": {
-            "serial": {
-                "seconds": round(serial_s, 4),
-                "cells_per_second": round(n / serial_s, 3),
-            },
-            "pool": {
-                "cold_seconds": round(cold_s, 4),
-                "cold_cells_per_second": round(n / cold_s, 3),
-                "warm_seconds": round(warm_s, 4),
-                "warm_cells_per_second": warm_cps,
-            },
-            "tcp": {
-                "workers": connected,
-                "serial_fallback_cells": serial_fallback_cells,
-                "seconds": round(tcp_s, 4),
-                "cells_per_second": tcp_cps,
-                "vs_warm_pool": round(tcp_cps / warm_cps, 3)
-                if warm_cps else 0.0,
-            },
-        },
-    }
-
-
-def _measure_service_roundtrip() -> dict:
-    """HTTP sweep-service latencies over a real loopback socket.
-
-    Times the full client experience: a cold submit-to-complete of the
-    smoke pair (simulation included), then a duplicate submission that
-    must be served from the store — its round-trip is pure service +
-    store overhead.  The single-flight/dedup invariant is recorded
-    (``simulations`` must equal the distinct cell count).
-    """
-    import json as json_mod
-    import tempfile
-    import threading
-    import urllib.request
-
-    from repro.runner.service import SweepService, make_server
-    from repro.runner.store import ResultStore
-
-    payload = {"workloads": [WORKLOAD], "protocols": list(PROTOCOLS),
-               "scale": SCALE}
-
-    def call(base, method, path, body=None):
-        data = (json_mod.dumps(body).encode()
-                if body is not None else None)
-        req = urllib.request.Request(base + path, data=data,
-                                     method=method)
-        with urllib.request.urlopen(req, timeout=120) as resp:
-            return json_mod.loads(resp.read())
-
-    with tempfile.TemporaryDirectory() as tmp:
-        service = SweepService(store=ResultStore(tmp), jobs=1)
-        server = make_server(service)
-        threading.Thread(target=server.serve_forever,
-                         daemon=True).start()
-        try:
-            host, port = server.socket.getsockname()[:2]
-            base = f"http://{host}:{port}"
-            t0 = time.perf_counter()
-            receipt = call(base, "POST", "/v1/submit", payload)
-            while True:
-                status = call(base, "GET", f"/v1/jobs/{receipt['job']}")
-                if status["finished"]:
-                    break
-                time.sleep(0.01)
-            cold_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            again = call(base, "POST", "/v1/submit", payload)
-            call(base, "GET", f"/v1/jobs/{again['job']}/results")
-            cached_s = time.perf_counter() - t0
-            stats = service.snapshot()["stats"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.stop()
-    return {
-        "cells": receipt["total"],
-        "cold_seconds": round(cold_s, 4),
-        "cached_roundtrip_ms": round(cached_s * 1000, 2),
-        "simulations": stats["simulations"],
-        "dedup_ok": (stats["simulations"] == receipt["total"]
-                     and again["cached"] == receipt["total"]),
-    }
+        sweep(specs, jobs=jobs, use_cache=False)
+        elapsed = time.perf_counter() - t0
+        runs[name] = {"seconds": round(elapsed, 4),
+                      "cells_per_second": round(n / elapsed, 3)}
+    return {"cells": n, "jobs": SWEEP_JOBS, **runs}
 
 
 def _attrib_key(workload: str, protocol: str, tiles: int) -> str:
@@ -420,8 +222,8 @@ def _attrib_profile(workload, proto, config) -> dict:
     The timed cells above stay obs-free (that gate passing unchanged is
     the zero-overhead proof); attribution comes from one extra observed
     run per simulated shape.  Its counters are simulated-behaviour
-    facts — bit-equal across engines and schedulers (pinned by
-    ``tests/test_attrib.py``) — so one profile covers all four timed
+    facts — bit-equal across engines (pinned by
+    ``tests/test_attrib.py``) — so one profile covers both timed
     variants of a cell, and a delta between two records means the
     *simulated work* changed, not the host.
     """
@@ -453,12 +255,11 @@ def _attrib_profile(workload, proto, config) -> dict:
 def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     """Run the perf smoke suite and return the benchmark record.
 
-    Every (workload, protocol) cell is timed under the full
-    (engine x scheduler) variant matrix, interleaved A/B/A/B across
-    ``repeats`` rounds with per-cell medians; all variants of one cell
-    are asserted bit-identical before any enters the record, so a perf
-    record can never be produced by an engine or scheduler that
-    diverged.
+    Every (workload, protocol) cell is timed under both engines,
+    interleaved A/B/A/B across ``repeats`` rounds with per-cell
+    medians; all variants of one cell are asserted bit-identical before
+    any enters the record, so a perf record can never be produced by an
+    engine that diverged.
     """
     import dataclasses
 
@@ -474,18 +275,16 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     workload = build_workload(WORKLOAD, scale)
     build_s = time.perf_counter() - t_build
 
-    # The variant list: every timed (workload, proto, shape, engine,
-    # scheduler) combination, plus one non-default machine shape.
+    # The variant list: every timed (workload, proto, shape, engine)
+    # combination, plus one non-default machine shape.
     shape_config = scaled_system(scale, num_tiles=EXTRA_TILES)
     shape_workload = build_workload(WORKLOAD, scale,
                                     num_cores=EXTRA_TILES)
     variants = []
     for proto in PROTOCOLS:
         for engine in ENGINES:
-            for scheduler in SCHEDULERS:
-                cell_config = dataclasses.replace(
-                    config, engine=engine, scheduler=scheduler)
-                variants.append((workload, proto, cell_config))
+            cell_config = dataclasses.replace(config, engine=engine)
+            variants.append((workload, proto, cell_config))
     variants.append((shape_workload, PROTOCOLS[0], shape_config))
 
     # Interleaved timing: one full pass over the variant list per
@@ -511,10 +310,9 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
             "protocol": proto,
             "num_tiles": cell_config.num_tiles,
             "engine": cell_config.engine,
-            "scheduler": cell_config.scheduler,
             "seconds": round(elapsed, 4),
             # Best-of round: the noise floor of a deterministic cell,
-            # the statistic tight gates (scheduler floor) pair on.
+            # the statistic the engine floor pairs on.
             "seconds_min": round(best, 4),
             "events": result.events,
             "events_per_second": round(result.events / elapsed, 1),
@@ -528,8 +326,7 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
         _cfg0, canonical = variant_results[0]
         for cfg, result_dict in variant_results[1:]:
             assert result_dict == canonical, (
-                f"engine={cfg.engine}/scheduler={cfg.scheduler} diverged "
-                f"from {_cfg0.engine}/{_cfg0.scheduler} on "
+                f"engine={cfg.engine} diverged from {_cfg0.engine} on "
                 f"{WORKLOAD} x {proto}")
 
     # Energy-derivation cell: price every simulated cell under every
@@ -546,7 +343,7 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     energy_s = time.perf_counter() - t0
 
     # Attribution profiles beside the cells: one per simulated shape
-    # (engine/scheduler variants share theirs — the counters are
+    # (engine variants share theirs — the counters are
     # bit-equal across variants), collected outside any timing.
     attrib = {}
     for proto in PROTOCOLS:
@@ -571,17 +368,12 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
         "trace_build_seconds": round(build_s, 4),
         "total_seconds": round(total_s, 4),
         "cells_per_second": round(len(cells) / total_s, 3),
-        # Measured cold-vs-warm cell cost through the pool's trace
-        # memo: what a persistent worker saves from its second cell of
-        # a (workload, shape) onwards.
+        # Measured cold-vs-warm cell cost through the runner's trace
+        # memo: what a sweep saves from its second cell of a (workload,
+        # shape) onwards.
         "trace_memo": _measure_trace_memo(scale, repeats),
-        # The same mini-sweep through every execution backend: serial
-        # reference, cold/warm pool, tcp with real loopback workers.
+        # One mini-sweep, serial and with SWEEP_JOBS worker processes.
         "sweep_throughput": _measure_sweep_throughput(scale),
-        # Full HTTP client experience against the sweep service: cold
-        # submit-to-complete, then a duplicate submission served from
-        # the store (pure service + store overhead).
-        "service_roundtrip": _measure_service_roundtrip(),
         # Post-hoc energy model: pure arithmetic over stored counters,
         # so derivation cost must stay a rounding error next to
         # simulation (asserted above against ENERGY_OVERHEAD_BUDGET).
@@ -633,15 +425,14 @@ class RecordMismatch(Exception):
     """Two records cannot be compared (schema/bench layout differs)."""
 
 
-def _cell_key(cell: dict) -> Tuple[str, str, int, str, str]:
+def _cell_key(cell: dict) -> Tuple[str, str, int, str]:
     return (cell["workload"], cell["protocol"], cell["num_tiles"],
-            cell.get("engine", "reference"),
-            cell.get("scheduler", "heap"))
+            cell.get("engine", "reference"))
 
 
-def _cell_label(key: Tuple[str, str, int, str, str]) -> str:
-    workload, protocol, tiles, engine, scheduler = key
-    return f"{workload} x {protocol} ({tiles}t, {engine}/{scheduler})"
+def _cell_label(key: Tuple[str, str, int, str]) -> str:
+    workload, protocol, tiles, engine = key
+    return f"{workload} x {protocol} ({tiles}t, {engine})"
 
 
 def compare_records(baseline: dict, current: dict,
@@ -680,7 +471,7 @@ def compare_records(baseline: dict, current: dict,
     ok = True
     compared = []
     for key, base in base_cells.items():
-        workload, protocol, tiles, engine, scheduler = key
+        workload, protocol, tiles, engine = key
         label = _cell_label(key)
         new = new_cells.get(key)
         if new is None:
@@ -692,7 +483,7 @@ def compare_records(baseline: dict, current: dict,
         ratio = new_eps / base_eps if base_eps else 0.0
         cell = {"workload": workload, "protocol": protocol,
                 "num_tiles": tiles, "engine": engine,
-                "scheduler": scheduler, "baseline_eps": base_eps,
+                "baseline_eps": base_eps,
                 "current_eps": new_eps, "ratio": round(ratio, 3)}
         compared.append(cell)
         detail = (f"{label}: {base_eps:,.0f} -> {new_eps:,.0f} ev/s "
@@ -790,12 +581,11 @@ def check_engine_floor(record: dict,
                        floor: float = COMPILED_SPEEDUP_FLOOR) -> dict:
     """Gate the compiled engine's speedup within one smoke record.
 
-    For every (workload, protocol, shape, scheduler) measured under
-    both engines, the compiled cell's best-of (noise floor)
-    ``events_per_second`` must be at least ``floor`` times the
-    reference cell's.  Both cells simulate a deterministic workload,
-    so the min across interleaved rounds is the right estimator — the
-    median carries the shared runner's 10-25% jitter and flakes on
+    For every (workload, protocol, shape) measured under both engines,
+    the compiled cell's best-of (noise floor) ``events_per_second``
+    must be at least ``floor`` times the reference cell's.  Both cells
+    simulate a deterministic workload, so the min across interleaved
+    rounds is the right estimator — the median carries the shared runner's 10-25% jitter and flakes on
     true ratios near the floor.  Returns ``{"ok", "lines", "cells"}``
     like :func:`compare_records`.  Records predating the engine axis
     (no compiled cells) pass vacuously with a note.
@@ -806,20 +596,18 @@ def check_engine_floor(record: dict,
     ok = True
     seen = 0
     for key, compiled in by_key.items():
-        workload, protocol, tiles, engine, scheduler = key
+        workload, protocol, tiles, engine = key
         if engine != "compiled":
             continue
-        reference = by_key.get((workload, protocol, tiles, "reference",
-                                scheduler))
+        reference = by_key.get((workload, protocol, tiles, "reference"))
         if reference is None:
             continue
         seen += 1
         ref_eps = _best_eps(reference)
         ratio = _best_eps(compiled) / ref_eps if ref_eps else 0.0
-        label = f"{workload} x {protocol} ({tiles}t, {scheduler})"
+        label = f"{workload} x {protocol} ({tiles}t)"
         cells.append({"workload": workload, "protocol": protocol,
-                      "num_tiles": tiles, "scheduler": scheduler,
-                      "speedup": round(ratio, 3)})
+                      "num_tiles": tiles, "speedup": round(ratio, 3)})
         detail = (f"{label}: compiled {ratio:.2f}x reference "
                   f"(floor {floor:.2f}x)")
         if ratio < floor:
@@ -831,98 +619,6 @@ def check_engine_floor(record: dict,
         lines.append("note no compiled cells in the record; engine gate "
                      "skipped")
     return {"ok": ok, "lines": lines, "cells": cells}
-
-
-def check_scheduler_floor(record: dict,
-                          floor: float = WHEEL_SPEEDUP_FLOOR) -> dict:
-    """Gate the wheel scheduler against the heap within one record.
-
-    For every (workload, protocol, shape, engine) measured under both
-    schedulers, the wheel/heap ratio of best-of (noise floor)
-    ``events_per_second`` is computed; the gate passes when the
-    **geometric mean across all pairs** is at least ``floor`` — i.e.
-    the default scheduler must never be meaningfully slower than the
-    queue it replaced.  The aggregate (not per-cell) criterion is
-    deliberate: the true ratio sits within the per-cell noise band, so
-    only pooling the pairs makes a 2% threshold decidable without
-    flaking.  Per-cell ratios are still reported (``low`` marks cells
-    under the floor individually).  Records without a scheduler axis
-    pass vacuously with a note.
-    """
-    by_key = {_cell_key(c): c for c in record["cells"]}
-    lines: List[str] = []
-    cells = []
-    ratios: List[float] = []
-    for key, wheel in by_key.items():
-        workload, protocol, tiles, engine, scheduler = key
-        if scheduler != "wheel":
-            continue
-        heap = by_key.get((workload, protocol, tiles, engine, "heap"))
-        if heap is None:
-            continue
-        heap_eps = _best_eps(heap)
-        ratio = _best_eps(wheel) / heap_eps if heap_eps else 0.0
-        ratios.append(ratio)
-        label = f"{workload} x {protocol} ({tiles}t, {engine})"
-        cells.append({"workload": workload, "protocol": protocol,
-                      "num_tiles": tiles, "engine": engine,
-                      "speedup": round(ratio, 3)})
-        mark = "ok  " if ratio >= floor else "low "
-        lines.append(f"{mark} {label}: wheel {ratio:.2f}x heap")
-    if not ratios:
-        lines.append("note no scheduler-paired cells in the record; "
-                     "scheduler gate skipped")
-        return {"ok": True, "lines": lines, "cells": cells,
-                "aggregate": None}
-    aggregate = statistics.geometric_mean(ratios)
-    ok = aggregate >= floor
-    mark = "ok  " if ok else "FAIL"
-    lines.append(f"{mark} aggregate: wheel {aggregate:.3f}x heap over "
-                 f"{len(ratios)} paired cells (floor {floor:.2f}x)")
-    return {"ok": ok, "lines": lines, "cells": cells,
-            "aggregate": round(aggregate, 4)}
-
-
-def check_backend_floor(record: dict,
-                        floor: float = TCP_BACKEND_FLOOR) -> dict:
-    """Gate the tcp backend against the warm pool within one record.
-
-    Both paths run the same parallel lanes on one host, so tcp's
-    framing/lease/decode overhead must stay a small tax: the gate
-    passes when tcp cells/s is at least ``floor`` x the warm pool's.
-    The gate is skipped (vacuous pass, with a note) on pre-v6 records
-    without a backend axis, and when the measurement itself degraded —
-    fewer workers connected than requested, or cells fell back to the
-    serial path — since the ratio then measures the degradation, not
-    the overhead.
-    """
-    sweep_thr = record.get("sweep_throughput") or {}
-    backends = sweep_thr.get("backends")
-    lines: List[str] = []
-    if not backends:
-        lines.append("note record has no backend-keyed "
-                     "sweep_throughput (pre-v6); backend gate skipped")
-        return {"ok": True, "lines": lines, "ratio": None}
-    tcp = backends.get("tcp", {})
-    pool = backends.get("pool", {})
-    warm_cps = pool.get("warm_cells_per_second", 0.0)
-    tcp_cps = tcp.get("cells_per_second", 0.0)
-    if tcp.get("workers", 0) < TCP_WORKERS or tcp.get(
-            "serial_fallback_cells", 0):
-        lines.append(
-            f"note tcp measurement degraded ({tcp.get('workers', 0)}/"
-            f"{TCP_WORKERS} workers, "
-            f"{tcp.get('serial_fallback_cells', 0)} serial-fallback "
-            f"cells); backend gate skipped")
-        return {"ok": True, "lines": lines, "ratio": None}
-    ratio = tcp_cps / warm_cps if warm_cps else 0.0
-    ok = ratio >= floor
-    mark = "ok  " if ok else "FAIL"
-    lines.append(
-        f"{mark} tcp({tcp['workers']}w) {tcp_cps:.2f} cells/s = "
-        f"{ratio:.2f}x warm pool {warm_cps:.2f} cells/s "
-        f"(floor {floor:.2f}x)")
-    return {"ok": ok, "lines": lines, "ratio": round(ratio, 4)}
 
 
 def load_record(path: str) -> dict:

@@ -26,12 +26,6 @@ MAX_MESH_WIDTH = 8
 #: (``repro.engine.compiled``) — bit-identical results, faster.
 ENGINES = ("reference", "compiled")
 
-#: Event schedulers a run can select.  ``wheel`` is the bucketed
-#: calendar queue (default), ``heap`` the reference binary heap —
-#: bit-identical firing orders, pinned by the golden grid under both
-#: (see :mod:`repro.engine.events`).
-SCHEDULERS = ("heap", "wheel")
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -90,22 +84,11 @@ class SystemConfig:
     # store never conflates engines.
     engine: str = "reference"
 
-    # Event scheduler: "wheel" (bucketed calendar queue) or "heap"
-    # (reference binary heap).  Results are bit-identical by contract;
-    # the field still enters the config hash so cached cells record
-    # exactly what produced them.
-    scheduler: str = "wheel"
-
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
             known = ", ".join(ENGINES)
             raise ValueError(
                 f"unknown engine {self.engine!r}; known engines: {known}")
-        if self.scheduler not in SCHEDULERS:
-            known = ", ".join(SCHEDULERS)
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"known schedulers: {known}")
         width = self.mesh_width
         if width == 0:
             width = math.isqrt(self.num_tiles)

@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.common.regions import RegionTable
 from repro.dram.model import LINES_PER_ROW, DramChannel
-from repro.engine.events import Barrier, EventQueue, make_event_queue
+from repro.engine.events import Barrier, EventQueue
 from repro.network.mesh import Mesh
 from repro.network.traffic import TrafficLedger
 from repro.waste.profiler import CacheLevelProfiler, MemoryProfiler
@@ -100,7 +100,7 @@ class SimContext:
         self.config = config
         self.proto = proto
         self.regions = regions
-        self.queue = make_event_queue(config.scheduler)
+        self.queue = EventQueue()
         self.mesh = Mesh(config)
         # Accounting objects come from overridable factories so engine
         # variants (repro.engine.compiled) can substitute array-backed

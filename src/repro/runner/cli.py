@@ -10,10 +10,6 @@ Subcommands::
     python -m repro scaling --tiles 4,16,64 --workloads radix
     python -m repro energy  --preset 22nm --workloads radix
     python -m repro bench   --out BENCH_new.json --compare BENCH_sweep.json
-    python -m repro backends
-    python -m repro sweep   --backend tcp --workloads radix
-    python -m repro worker  --connect 127.0.0.1:7421
-    python -m repro serve   --port 8517 --jobs 4
     python -m repro clean-cache
 
 ``list`` prints every registered workload and protocol (including
@@ -30,13 +26,7 @@ breakdown and EDP table post hoc from stored results (cells already in
 the result store are never re-simulated) under one technology preset
 (``--preset``; default: every registered preset).  Protocol and preset
 names resolve through their registries; a misspelled ``--protocols`` or
-``--preset`` entry reports near-miss suggestions.  Every grid command
-also takes ``--backend`` (``serial``/``pool``/``tcp``; see ``python -m
-repro backends``) selecting *where* cells execute — results are
-bit-identical across backends, so the axis never enters store keys.
-``--backend tcp`` coordinates remote ``python -m repro worker
---connect HOST:PORT`` processes over work-stealing leases; ``serve``
-runs the long-lived HTTP sweep service with single-flight dedup.  ``bench`` runs the
+``--preset`` entry reports near-miss suggestions.  ``bench`` runs the
 perf-smoke suite (the hot-path trend record CI gates on) and, with
 ``--compare``, diffs the fresh record against a baseline with the same
 gate as ``tools/bench_compare.py``.
@@ -53,16 +43,13 @@ from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.common.config import (
-    ENERGY_MODELS, ENGINES, SCHEDULERS, ScaleConfig,
-    registered_energy_models, scaled_system)
-from repro.engine.events import DEFAULT_SCHEDULER
+    ENERGY_MODELS, ENGINES, ScaleConfig, registered_energy_models,
+    scaled_system)
 from repro.common.registry import (
     paper_ladder, protocol as protocol_by_name, registered_protocols)
-from repro.runner.backends import BACKEND_NAMES, validate_backend
 from repro.runner.jobs import DEFAULT_SEED, expand_grid
 from repro.runner.pool import JobOutcome, sweep, sweep_grid, sweep_shapes
 from repro.runner.store import ResultStore
-from repro.runner.worker import parse_endpoint
 from repro.workloads import GENERATORS, WORKLOAD_ORDER, canonical_workload
 
 SCALES = {
@@ -72,7 +59,8 @@ SCALES = {
 }
 
 def _resolve_jobs(jobs: int) -> int:
-    if jobs <= 0:
+    """``--jobs`` as a worker count: 0 means one per CPU."""
+    if jobs == 0:
         return os.cpu_count() or 1
     return jobs
 
@@ -133,52 +121,19 @@ def _grid_progress(ns: argparse.Namespace, store: ResultStore, out):
     return telemetry.printer(out), finish
 
 
-def _backend_for(ns: argparse.Namespace, out):
-    """Resolve ``--backend``/``--bind`` to ``(sweep backend, cleanup)``.
-
-    ``serial``/``pool`` pass through as names — the sweep resolves and
-    owns them.  ``tcp`` is constructed here so the coordinator's bound
-    (possibly ephemeral) port can be announced before the sweep starts;
-    the returned ``cleanup`` closes it.
-    """
-    name = getattr(ns, "backend", None)
-    if not name:
-        return None, lambda: None
-    if name != "tcp":
-        return name, lambda: None
-    from repro.runner.backends import TcpBackend
-    bind = getattr(ns, "bind", None)
-    host, port = parse_endpoint(bind) if bind else ("127.0.0.1", 0)
-    backend = TcpBackend(host=host, port=port)
-    bhost, bport = backend.listen()
-    print(f"tcp: coordinating on {bhost}:{bport} — start workers with "
-          f"`python -m repro worker --connect {bhost}:{bport}`; with no "
-          f"workers after {backend.connect_grace:.0f}s the sweep "
-          f"degrades to serial", file=out, flush=True)
-    return backend, backend.close
-
-
 def _with_engine(config, ns: argparse.Namespace):
-    """``config`` with the ``--engine``/``--scheduler`` selections
-    applied (both axes are bit-identical result-wise, so they share the
-    threading path)."""
+    """``config`` with the ``--engine`` selection applied."""
     engine = getattr(ns, "engine", None) or "reference"
-    scheduler = getattr(ns, "scheduler", None) or config.scheduler
-    changes = {}
-    if config.engine != engine:
-        changes["engine"] = engine
-    if config.scheduler != scheduler:
-        changes["scheduler"] = scheduler
-    return replace(config, **changes) if changes else config
+    if config.engine == engine:
+        return config
+    return replace(config, engine=engine)
 
 
 def _single_shape_config(ns: argparse.Namespace, scale: ScaleConfig):
     """System config for one-shape commands (figures/report)."""
     tiles = _parse_tiles(ns)
     if tiles is None:
-        engine = getattr(ns, "engine", None) or "reference"
-        scheduler = getattr(ns, "scheduler", None)
-        if engine == "reference" and scheduler in (None, DEFAULT_SCHEDULER):
+        if (getattr(ns, "engine", None) or "reference") == "reference":
             return None
         return _with_engine(scaled_system(scale), ns)
     if len(tiles) != 1:
@@ -189,14 +144,13 @@ def _single_shape_config(ns: argparse.Namespace, scale: ScaleConfig):
     return _with_engine(scaled_system(scale, num_tiles=tiles[0]), ns)
 
 
-def _grid(ns: argparse.Namespace, store: ResultStore, progress=None,
-          backend=None):
+def _grid(ns: argparse.Namespace, store: ResultStore, progress=None):
     scale = SCALES[ns.scale]()
     return sweep_grid(
         workloads=ns.workloads, protocols=ns.protocols,
         scale=scale, config=_single_shape_config(ns, scale), seed=ns.seed,
         jobs=_resolve_jobs(ns.jobs), store=store,
-        use_cache=not ns.fresh, progress=progress, backend=backend)
+        use_cache=not ns.fresh, progress=progress)
 
 
 # ----------------------------------------------------------------------
@@ -220,13 +174,9 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
           file=out, flush=True)
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, out)
-    backend, backend_cleanup = _backend_for(ns, out)
     start = time.perf_counter()
-    try:
-        sweep(specs, jobs=jobs, store=store, use_cache=not ns.fresh,
-              progress=progress, backend=backend)
-    finally:
-        backend_cleanup()
+    sweep(specs, jobs=jobs, store=store, use_cache=not ns.fresh,
+          progress=progress)
     elapsed = time.perf_counter() - start
     finish()
     print(f"sweep: {len(specs)} cells in {elapsed:.2f}s "
@@ -242,17 +192,12 @@ def cmd_scaling(ns: argparse.Namespace, out=None) -> int:
     workloads = tuple(ns.workloads) if ns.workloads else ("radix",)
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, sys.stderr)
-    backend, backend_cleanup = _backend_for(ns, sys.stderr)
     scale = SCALES[ns.scale]()
-    try:
-        shapes = sweep_shapes(
-            tiles, workloads=workloads, protocols=ns.protocols,
-            scale=scale, config=_with_engine(scaled_system(scale), ns),
-            seed=ns.seed,
-            jobs=_resolve_jobs(ns.jobs), store=store,
-            use_cache=not ns.fresh, progress=progress, backend=backend)
-    finally:
-        backend_cleanup()
+    shapes = sweep_shapes(
+        tiles, workloads=workloads, protocols=ns.protocols,
+        scale=scale, config=_with_engine(scaled_system(scale), ns),
+        seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=store,
+        use_cache=not ns.fresh, progress=progress)
     finish()
     print(figure_scaling(shapes).render(), file=out)
     return 0
@@ -266,15 +211,11 @@ def cmd_energy(ns: argparse.Namespace, out=None) -> int:
     config = _single_shape_config(ns, scale) or scaled_system(scale)
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, sys.stderr)
-    backend, backend_cleanup = _backend_for(ns, sys.stderr)
-    try:
-        grid = sweep_grid(
-            workloads=ns.workloads, protocols=ns.protocols,
-            scale=scale, config=config, seed=ns.seed,
-            jobs=_resolve_jobs(ns.jobs), store=store,
-            use_cache=not ns.fresh, progress=progress, backend=backend)
-    finally:
-        backend_cleanup()
+    grid = sweep_grid(
+        workloads=ns.workloads, protocols=ns.protocols,
+        scale=scale, config=config, seed=ns.seed,
+        jobs=_resolve_jobs(ns.jobs), store=store,
+        use_cache=not ns.fresh, progress=progress)
     finish()
     presets = [ns.preset] if ns.preset else list(registered_energy_models())
     for preset in presets:
@@ -293,16 +234,12 @@ def cmd_figures(ns: argparse.Namespace, out=None) -> int:
     scale = SCALES[ns.scale]()
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, sys.stderr)
-    backend, backend_cleanup = _backend_for(ns, sys.stderr)
-    try:
-        figures = figures_from_store(
-            ns.figures, jobs=_resolve_jobs(ns.jobs),
-            workloads=ns.workloads, protocols=ns.protocols,
-            scale=scale, config=_single_shape_config(ns, scale),
-            seed=ns.seed, store=store,
-            use_cache=not ns.fresh, progress=progress, backend=backend)
-    finally:
-        backend_cleanup()
+    figures = figures_from_store(
+        ns.figures, jobs=_resolve_jobs(ns.jobs),
+        workloads=ns.workloads, protocols=ns.protocols,
+        scale=scale, config=_single_shape_config(ns, scale),
+        seed=ns.seed, store=store,
+        use_cache=not ns.fresh, progress=progress)
     finish()
     for figure in figures:
         print(figure.render(), file=out)
@@ -316,11 +253,7 @@ def cmd_report(ns: argparse.Namespace, out=None) -> int:
     scale = SCALES[ns.scale]()
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, sys.stderr)
-    backend, backend_cleanup = _backend_for(ns, sys.stderr)
-    try:
-        grid = _grid(ns, store, progress=progress, backend=backend)
-    finally:
-        backend_cleanup()
+    grid = _grid(ns, store, progress=progress)
     finish()
     config = _single_shape_config(ns, scale) or scaled_system(scale)
     print(report.generate(grid, energy_config=config), file=out)
@@ -406,7 +339,7 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     else:
         print(figure_stalls(profiles, config.num_tiles).render(), file=out)
     print(f"stalls: {len(profiles)} rung(s) of {ns.workload} @ "
-          f"{config.num_tiles}t ({config.engine}/{config.scheduler}) "
+          f"{config.num_tiles}t ({config.engine}) "
           f"in {elapsed:.2f}s", file=out, flush=True)
     if ns.json:
         import json
@@ -414,7 +347,6 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
                    else ns.workload,
                    "num_tiles": config.num_tiles,
                    "engine": config.engine,
-                   "scheduler": config.scheduler,
                    "seed": ns.seed,
                    "profiles": profiles}
         with open(ns.json, "w") as fh:
@@ -459,8 +391,7 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
     """Run the perf-smoke suite; optionally gate against a baseline."""
     out = out if out is not None else sys.stdout
     from repro.bench import (
-        DirtyBaseline, RecordMismatch, check_backend_floor,
-        check_engine_floor, check_scheduler_floor, compare_records,
+        DirtyBaseline, RecordMismatch, check_engine_floor, compare_records,
         load_record, run_smoke, write_record)
     record = run_smoke()
     try:
@@ -471,7 +402,6 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
     for cell in record["cells"]:
         print(f"{cell['workload']:<10s} {cell['protocol']:<8s} "
               f"{cell['num_tiles']:3d}t  {cell['engine']:<10s} "
-              f"{cell.get('scheduler', 'heap'):<6s} "
               f"{cell['seconds']:8.3f}s  "
               f"{cell['events_per_second']:12,.0f} ev/s", file=out)
     memo = record["trace_memo"]
@@ -479,22 +409,11 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
           f"{memo['warm_cell_seconds']:.3f}s per cell "
           f"({memo['speedup_per_memoized_cell']:.2f}x)", file=out)
     sweep_thr = record["sweep_throughput"]
-    serial = sweep_thr["backends"]["serial"]
-    pool = sweep_thr["backends"]["pool"]
-    tcp = sweep_thr["backends"]["tcp"]
-    print(f"sweep backends ({sweep_thr['cells']} cells): "
-          f"serial {serial['cells_per_second']:.2f} | "
-          f"pool({sweep_thr['jobs']}j) cold "
-          f"{pool['cold_cells_per_second']:.2f} -> warm "
-          f"{pool['warm_cells_per_second']:.2f} | "
-          f"tcp({tcp['workers']}w) {tcp['cells_per_second']:.2f} "
-          f"cells/s ({tcp['vs_warm_pool']:.2f}x warm pool)", file=out)
-    svc = record["service_roundtrip"]
-    print(f"service round-trip: cold {svc['cold_seconds']:.2f}s for "
-          f"{svc['cells']} cells, cached "
-          f"{svc['cached_roundtrip_ms']:.1f}ms, "
-          f"{svc['simulations']} simulation(s), dedup "
-          f"{'ok' if svc['dedup_ok'] else 'FAILED'}", file=out)
+    print(f"sweep ({sweep_thr['cells']} cells): serial "
+          f"{sweep_thr['serial']['cells_per_second']:.2f} | "
+          f"--jobs {sweep_thr['jobs']} "
+          f"{sweep_thr['parallel']['cells_per_second']:.2f} cells/s",
+          file=out)
     print(f"wrote {ns.out} ({record['git_describe']})", file=out)
     engine_gate = check_engine_floor(record)
     for line in engine_gate["lines"]:
@@ -502,20 +421,6 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
     if not engine_gate["ok"]:
         print("bench: compiled engine fell below its speedup floor "
               "vs the reference engine", file=sys.stderr)
-        return 1
-    scheduler_gate = check_scheduler_floor(record)
-    for line in scheduler_gate["lines"]:
-        print(line, file=out)
-    if not scheduler_gate["ok"]:
-        print("bench: wheel scheduler fell below its speedup floor "
-              "vs the heap scheduler", file=sys.stderr)
-        return 1
-    backend_gate = check_backend_floor(record)
-    for line in backend_gate["lines"]:
-        print(line, file=out)
-    if not backend_gate["ok"]:
-        print("bench: tcp backend fell below its throughput floor "
-              "vs the warm pool", file=sys.stderr)
         return 1
     if not ns.compare:
         return 0
@@ -532,39 +437,6 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
               f"{ns.threshold:.0%} vs {ns.compare}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_backends(ns: argparse.Namespace, out=None) -> int:
-    """Print the execution-backend matrix (the ``--backend`` axis)."""
-    out = out if out is not None else sys.stdout
-    from repro.runner.backends import backend_matrix
-    print("backends (results are bit-identical across all of them; the "
-          "axis never enters store keys):", file=out)
-    for name, parallelism, detail in backend_matrix():
-        print(f"  {name:<8s} parallelism: {parallelism}", file=out)
-        print(f"  {'':<8s} {detail}", file=out)
-    return 0
-
-
-def cmd_worker(ns: argparse.Namespace, out=None) -> int:
-    """Join a tcp-backend coordinator as a remote sweep worker."""
-    from repro.runner.worker import main as worker_main
-    return worker_main(ns.connect, out=out)
-
-
-def cmd_serve(ns: argparse.Namespace, out=None) -> int:
-    """Run the long-lived HTTP sweep service daemon."""
-    out = out if out is not None else sys.stdout
-    from repro.runner.service import run_service
-    jobs = _resolve_jobs(ns.jobs)
-    backend, backend_cleanup = _backend_for(ns, out)
-    try:
-        return run_service(
-            ns.host, ns.port, store=_make_store(ns), backend=backend,
-            jobs=jobs, quota=ns.quota,
-            allow_shutdown=ns.allow_shutdown, out=out)
-    finally:
-        backend_cleanup()
 
 
 def cmd_clean_cache(ns: argparse.Namespace, out=None) -> int:
@@ -615,24 +487,8 @@ def build_parser() -> argparse.ArgumentParser:
              f"{', '.join(ENGINES)}); results are bit-identical, "
              f"`compiled` runs the table-compiled fast engine")
     grid_flags.add_argument(
-        "--scheduler", metavar="S",
-        help=f"event scheduler (default: {DEFAULT_SCHEDULER}; known: "
-             f"{', '.join(SCHEDULERS)}); results are bit-identical, "
-             f"`heap` is the reference binary-heap queue, `wheel` the "
-             f"bucketed event wheel")
-    grid_flags.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parallel worker processes; 0 = one per CPU (default: 1)")
-    grid_flags.add_argument(
-        "--backend", metavar="B",
-        help=f"execution backend (known: {', '.join(BACKEND_NAMES)}; "
-             f"default: serial, or pool when --jobs > 1); results are "
-             f"bit-identical across backends — see `python -m repro "
-             f"backends`")
-    grid_flags.add_argument(
-        "--bind", metavar="HOST:PORT",
-        help="with --backend tcp: coordinator bind address (default: "
-             "127.0.0.1 on an ephemeral port, announced at startup)")
     grid_flags.add_argument(
         "--cache-dir", metavar="DIR",
         help="result-store directory (default: $REPRO_CACHE_DIR "
@@ -718,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="reference", metavar="E",
                    help=f"execution engine (default: reference; known: "
                         f"{', '.join(ENGINES)})")
-    p.add_argument("--scheduler", metavar="S",
-                   help=f"event scheduler (default: {DEFAULT_SCHEDULER}; "
-                        f"known: {', '.join(SCHEDULERS)})")
     p.add_argument("--sample-interval", type=int, default=5000,
                    metavar="CYCLES",
                    help="metric-sampling period in simulated cycles "
@@ -758,9 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", default="reference", metavar="E",
                    help=f"execution engine (default: reference; known: "
                         f"{', '.join(ENGINES)})")
-    p.add_argument("--scheduler", metavar="S",
-                   help=f"event scheduler (default: {DEFAULT_SCHEDULER}; "
-                        f"known: {', '.join(SCHEDULERS)})")
     p.add_argument("--json", metavar="FILE",
                    help="also write the attribution profiles (segments, "
                         "stall causes, conservation audits) as JSON")
@@ -772,50 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list",
                        help="print registered workloads and protocols")
     p.set_defaults(func=cmd_list)
-
-    p = sub.add_parser(
-        "backends",
-        help="print the execution-backend matrix (the --backend axis)")
-    p.set_defaults(func=cmd_backends)
-
-    p = sub.add_parser(
-        "worker",
-        help="join a `--backend tcp` coordinator as a remote sweep "
-             "worker (steals leases, heartbeats, streams results back)")
-    p.add_argument("--connect", required=True, metavar="HOST:PORT",
-                   help="coordinator endpoint printed by the sweep "
-                        "(e.g. 127.0.0.1:7421)")
-    p.set_defaults(func=cmd_worker)
-
-    p = sub.add_parser(
-        "serve",
-        help="run the HTTP sweep service: submit grids, poll/stream "
-             "per-cell results, single-flight dedup on store keys")
-    p.add_argument("--host", default="127.0.0.1", metavar="HOST",
-                   help="HTTP bind host (default: 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0, metavar="PORT",
-                   help="HTTP bind port (default: 0 = ephemeral, "
-                        "announced at startup)")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="parallel worker processes for queued cells; "
-                        "0 = one per CPU (default: 1)")
-    p.add_argument("--backend", metavar="B",
-                   help=f"execution backend draining the queue (known: "
-                        f"{', '.join(BACKEND_NAMES)}; default: serial, "
-                        f"or pool when --jobs > 1)")
-    p.add_argument("--bind", metavar="HOST:PORT",
-                   help="with --backend tcp: coordinator bind address "
-                        "for remote workers")
-    p.add_argument("--quota", type=int, default=256, metavar="CELLS",
-                   help="per-client cap on not-yet-finished cells; "
-                        "over-quota submissions get 429 (default: 256)")
-    p.add_argument("--cache-dir", metavar="DIR",
-                   help="result-store directory served (default: "
-                        "$REPRO_CACHE_DIR or ./.repro_cache)")
-    p.add_argument("--allow-shutdown", action="store_true",
-                   help="enable clean remote stop via POST /v1/shutdown "
-                        "(403 otherwise)")
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("clean-cache",
                        help="delete every stored result")
@@ -847,41 +653,9 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
         hint = f"; did you mean {close[0]!r}?" if close else ""
         return (f"unknown engine {engine!r}; known engines: "
                 f"{', '.join(ENGINES)}{hint}")
-    # Schedulers: same treatment (the config would reject these too,
-    # but only after argument parsing has scattered into a sweep).
-    scheduler = getattr(ns, "scheduler", None)
-    if scheduler and scheduler not in SCHEDULERS:
-        close = difflib.get_close_matches(scheduler, SCHEDULERS, n=1,
-                                          cutoff=0.4)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        return (f"unknown scheduler {scheduler!r}; known schedulers: "
-                f"{', '.join(SCHEDULERS)}{hint}")
-    # Backends: the difflib near-miss treatment lives in the registry.
-    backend = getattr(ns, "backend", None)
-    if backend:
-        try:
-            validate_backend(backend)
-        except KeyError as exc:
-            return str(exc.args[0])
-    bind = getattr(ns, "bind", None)
-    if bind:
-        if backend != "tcp":
-            return ("--bind selects the tcp coordinator address; it "
-                    "requires --backend tcp")
-        try:
-            parse_endpoint(bind)
-        except ValueError as exc:
-            return str(exc)
-    if ns.command == "worker":
-        try:
-            parse_endpoint(ns.connect)
-        except ValueError as exc:
-            return str(exc)
-    if ns.command == "serve":
-        if ns.quota <= 0:
-            return "--quota must be a positive cell count"
-        if not 0 <= ns.port <= 65535:
-            return "--port must be in [0, 65535]"
+    jobs = getattr(ns, "jobs", None)
+    if jobs is not None and jobs < 0:
+        return "--jobs must be >= 0 (0 = one per CPU)"
     # Energy presets resolve the same way.
     if getattr(ns, "preset", None):
         try:

@@ -25,7 +25,7 @@ Key derivation is shared with the durable result store: every cell has
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.common.config import (
@@ -45,8 +45,10 @@ DEFAULT_SEED = 12345
 #: scheduler joined the config (``scheduler``) — results are
 #: bit-identical across schedulers by contract, but the hash payload
 #: changed shape, so v7 keys are retired; old cache files are simply
-#: re-simulated on first use.
-GRID_VERSION = 8
+#: re-simulated on first use.  v9: the scheduler field left the
+#: config again (one heap scheduler), so the payload changed shape
+#: once more.
+GRID_VERSION = 9
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:
@@ -100,40 +102,6 @@ class JobSpec:
 
     def label(self) -> str:
         return f"{self.workload} x {self.protocol} @ {self.num_tiles}t"
-
-
-def spec_to_dict(spec: JobSpec) -> dict:
-    """JSON-able payload of one spec, for shipping across a socket.
-
-    The wire twin of the pickle path pool workers use: the frozen
-    dataclasses become plain dicts, round-tripped exactly by
-    :func:`spec_from_dict`.  Both scale and system configs are flat
-    primitive-field dataclasses, so ``asdict`` loses nothing.
-    """
-    return {
-        "workload": spec.workload,
-        "protocol": spec.protocol,
-        "scale": asdict(spec.scale),
-        "config": asdict(spec.config),
-        "seed": spec.seed,
-    }
-
-
-def spec_from_dict(data: dict) -> JobSpec:
-    """Rebuild a :class:`JobSpec` from :func:`spec_to_dict` output.
-
-    The dataclass constructors re-validate every field (mesh shape,
-    engine, scheduler, workload and protocol names), so a corrupt or
-    hostile payload fails loudly on the receiving side instead of
-    simulating garbage.
-    """
-    return JobSpec(
-        workload=data["workload"],
-        protocol=data["protocol"],
-        scale=ScaleConfig(**data["scale"]),
-        config=SystemConfig(**data["config"]),
-        seed=data["seed"],
-    )
 
 
 def expand_grid(workloads: Optional[Sequence[str]] = None,

@@ -13,9 +13,8 @@ Properties the sweep runner relies on:
 * **Corrupt-file tolerance** — any unreadable, truncated or
   wrong-schema file loads as ``None``; callers fall back to
   re-simulation and the next save repairs the file.
-* **Versioned schema** — files carry a ``schema_version``; the legacy
-  bare-payload format written by the old ``analysis.persist`` module
-  (schema 0) is still readable so existing caches keep working.
+* **Versioned schema** — files carry a ``schema_version``; a file with
+  any other version (or none) loads as ``None`` and is re-simulated.
 * **Relocatable** — the directory defaults to ``.repro_cache/`` under
   the current directory and is overridden by ``$REPRO_CACHE_DIR``.
 """
@@ -32,37 +31,16 @@ from typing import Iterator, Optional
 from repro.core.stats import RunResult
 from repro.waste.profiler import Category
 
-#: Current on-disk schema.  0 = legacy bare result dict (read-only).
+#: Current on-disk schema.
 SCHEMA_VERSION = 1
 
-#: Registered sidecar filenames: non-result files that live next to the
-#: cells (sweep telemetry, the service's queue state) and are excluded
-#: from :meth:`ResultStore.entries`, so ``clear``/``__len__`` and any
-#: cache accounting never mistake them for cells.  Subsystems register
-#: theirs via :func:`register_sidecar` (``sidecar_path`` registers
-#: automatically).
-_SIDECARS = {"telemetry.json"}
+#: The sweep-telemetry sidecar: a non-result file that lives next to
+#: the cells and is excluded from :meth:`ResultStore.entries`, so
+#: ``clear``/``__len__`` and any cache accounting never mistake it for
+#: a cell.
+TELEMETRY_SIDECAR = "telemetry.json"
 
 _tmp_counter = itertools.count()
-
-
-def register_sidecar(name: str) -> str:
-    """Register ``name`` as a known sidecar filename; returns it.
-
-    Sidecars must be plain ``.json`` filenames (no path separators) so
-    they can never shadow a result cell's atomic-write temp files.
-    """
-    if os.sep in name or (os.altsep and os.altsep in name):
-        raise ValueError(f"sidecar name {name!r} must not contain a path")
-    if not name.endswith(".json"):
-        raise ValueError(f"sidecar name {name!r} must end in .json")
-    _SIDECARS.add(name)
-    return name
-
-
-def registered_sidecars() -> frozenset:
-    """The current set of registered sidecar filenames."""
-    return frozenset(_SIDECARS)
 
 
 def default_cache_dir() -> Path:
@@ -128,15 +106,10 @@ class ResultStore:
     def path_for(self, workload: str, protocol: str, key: str) -> Path:
         return self.directory / f"{workload}_{protocol}_{key}.json"
 
-    def sidecar_path(self, name: str = "telemetry.json") -> Path:
-        """Path for a non-result sidecar file (e.g. sweep telemetry).
-
-        Sidecars live next to the cells but are not cells: the name is
-        registered (see :func:`register_sidecar`) and excluded from
-        :meth:`entries`, so ``clear``/``__len__`` and any cache
-        accounting ignore them.
-        """
-        return self.directory / register_sidecar(name)
+    def sidecar_path(self) -> Path:
+        """Path of the sweep-telemetry sidecar next to the cells (not a
+        cell: :meth:`entries` excludes it)."""
+        return self.directory / TELEMETRY_SIDECAR
 
     def save(self, result: RunResult, key: str) -> Path:
         """Atomically persist one result; returns the cell's path."""
@@ -165,14 +138,10 @@ class ResultStore:
             raw = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
-        if not isinstance(raw, dict):
+        if (not isinstance(raw, dict)
+                or raw.get("schema_version") != SCHEMA_VERSION):
             return None
-        if "schema_version" in raw:
-            if raw.get("schema_version") != SCHEMA_VERSION:
-                return None
-            payload = raw.get("result")
-        else:
-            payload = raw          # legacy analysis.persist format
+        payload = raw.get("result")
         if not isinstance(payload, dict):
             return None
         try:
@@ -188,7 +157,7 @@ class ResultStore:
         return iter(sorted(
             p for p in self.directory.iterdir()
             if (p.suffix == ".json" or p.name.endswith(".tmp"))
-            and p.name not in _SIDECARS))
+            and p.name != TELEMETRY_SIDECAR))
 
     def clear(self) -> int:
         """Delete every stored cell; returns the number removed."""

@@ -6,22 +6,18 @@ import pytest
 
 from repro.bench import (
     COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, SCHEMA_VERSION,
-    TCP_BACKEND_FLOOR, TCP_WORKERS, WHEEL_SPEEDUP_FLOOR, DirtyBaseline,
-    RecordMismatch, check_backend_floor, check_engine_floor,
-    check_scheduler_floor, compare_records, write_record)
+    DirtyBaseline, RecordMismatch, check_engine_floor, compare_records,
+    write_record)
 
 
 def _cell(key, eps):
     # Cell keys are (workload, protocol, tiles) — legacy pre-engine
-    # shape — (workload, protocol, tiles, engine), or the full
-    # (workload, protocol, tiles, engine, scheduler).
+    # shape — or (workload, protocol, tiles, engine).
     cell = {"workload": key[0], "protocol": key[1], "num_tiles": key[2],
             "seconds": 1.0, "events": int(eps),
             "events_per_second": eps, "exec_cycles": 1}
-    if len(key) >= 4:
+    if len(key) == 4:
         cell["engine"] = key[3]
-    if len(key) == 5:
-        cell["scheduler"] = key[4]
     return cell
 
 
@@ -124,26 +120,6 @@ class TestCompareRecords:
         assert outcome["ok"]
         assert len(outcome["cells"]) == 1
 
-    def test_scheduler_keyed_cells_compare_independently(self):
-        # A regression in the wheel cell must not hide behind a healthy
-        # heap cell for the same (workload, proto, shape, engine).
-        base = {("radix", "MESI", 16, "reference", "heap"): 50_000.0,
-                ("radix", "MESI", 16, "reference", "wheel"): 51_000.0}
-        current = dict(base)
-        current[("radix", "MESI", 16, "reference", "wheel")] = 30_000.0
-        outcome = compare_records(_record(base), _record(current))
-        assert not outcome["ok"]
-        failed = [l for l in outcome["lines"] if l.startswith("FAIL")]
-        assert len(failed) == 1
-        assert "wheel" in failed[0]
-
-    def test_legacy_cells_default_to_heap_scheduler(self):
-        stamped = {("radix", "MESI", 16, "reference", "heap"): 50_000.0}
-        legacy = {("radix", "MESI", 16, "reference"): 50_000.0}
-        outcome = compare_records(_record(legacy), _record(stamped))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-
 
 ENGINE_CELLS = {("radix", "MESI", 16, "reference"): 50_000.0,
                 ("radix", "MESI", 16, "compiled"): 65_000.0,
@@ -182,134 +158,6 @@ class TestEngineFloor:
         outcome = check_engine_floor(_record(orphan))
         assert outcome["ok"]
         assert not outcome["cells"]
-
-    def test_pairs_within_one_scheduler_only(self):
-        # A compiled/wheel cell must gate against reference/wheel, not
-        # reference/heap.
-        cells = {("radix", "MESI", 16, "reference", "heap"): 80_000.0,
-                 ("radix", "MESI", 16, "reference", "wheel"): 50_000.0,
-                 ("radix", "MESI", 16, "compiled", "wheel"): 65_000.0}
-        outcome = check_engine_floor(_record(cells))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-        assert outcome["cells"][0]["speedup"] == 1.3
-
-
-SCHEDULER_CELLS = {
-    ("radix", "MESI", 16, "reference", "heap"): 50_000.0,
-    ("radix", "MESI", 16, "reference", "wheel"): 50_500.0,
-    ("radix", "MESI", 16, "compiled", "heap"): 65_000.0,
-    ("radix", "MESI", 16, "compiled", "wheel"): 66_300.0,
-}
-
-
-class TestSchedulerFloor:
-    def test_wheel_at_parity_passes(self):
-        outcome = check_scheduler_floor(_record(SCHEDULER_CELLS))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 2
-        assert all(c["speedup"] >= WHEEL_SPEEDUP_FLOOR
-                   for c in outcome["cells"])
-
-    def test_wheel_below_floor_fails_on_aggregate(self):
-        slow = dict(SCHEDULER_CELLS)
-        slow[("radix", "MESI", 16, "compiled", "wheel")] = 48_000.0
-        outcome = check_scheduler_floor(_record(slow))
-        assert not outcome["ok"]
-        assert outcome["aggregate"] < WHEEL_SPEEDUP_FLOOR
-        # The offending cell is marked individually, the verdict is
-        # the pooled aggregate line.
-        assert any(l.startswith("low") and "compiled" in l
-                   for l in outcome["lines"])
-        assert any(l.startswith("FAIL") and "aggregate" in l
-                   for l in outcome["lines"])
-
-    def test_single_noisy_cell_does_not_flip_a_healthy_aggregate(self):
-        # One cell dips just under the floor while the rest sit above:
-        # the pooled ratio stays >= floor, so the gate holds (per-cell
-        # gating at this threshold would flake on exactly this shape).
-        noisy = dict(SCHEDULER_CELLS)
-        noisy[("radix", "MESI", 16, "reference", "wheel")] = 46_000.0
-        outcome = check_scheduler_floor(_record(noisy))
-        assert outcome["ok"]
-        assert any(l.startswith("low") for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_scheduler_floor(_record(SCHEDULER_CELLS),
-                                        floor=1.5)
-        assert not outcome["ok"]
-
-    def test_no_scheduler_pairs_is_vacuous_pass(self):
-        outcome = check_scheduler_floor(_record(ENGINE_CELLS))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-        assert any(l.startswith("note") for l in outcome["lines"])
-
-    def test_wheel_cell_without_heap_is_skipped(self):
-        orphan = {("radix", "MESI", 16, "reference", "wheel"): 50_000.0}
-        outcome = check_scheduler_floor(_record(orphan))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-
-
-def _backend_record(tcp_cps, warm_cps=2.0, workers=TCP_WORKERS,
-                    fallback=0):
-    record = _record(CELLS)
-    record["sweep_throughput"] = {
-        "cells": 4, "jobs": 2,
-        "backends": {
-            "serial": {"seconds": 4.0, "cells_per_second": 1.0},
-            "pool": {"cold_seconds": 3.0, "cold_cells_per_second": 1.33,
-                     "warm_seconds": 4 / warm_cps,
-                     "warm_cells_per_second": warm_cps},
-            "tcp": {"workers": workers,
-                    "serial_fallback_cells": fallback,
-                    "seconds": 4 / tcp_cps,
-                    "cells_per_second": tcp_cps,
-                    "vs_warm_pool": round(tcp_cps / warm_cps, 3)},
-        },
-    }
-    return record
-
-
-class TestBackendFloor:
-    def test_tcp_at_parity_passes(self):
-        outcome = check_backend_floor(_backend_record(tcp_cps=2.0))
-        assert outcome["ok"]
-        assert outcome["ratio"] == 1.0
-
-    def test_tcp_below_floor_fails(self):
-        slow = _backend_record(tcp_cps=2.0 * (TCP_BACKEND_FLOOR - 0.05))
-        outcome = check_backend_floor(slow)
-        assert not outcome["ok"]
-        assert any(l.startswith("FAIL") for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_backend_floor(_backend_record(tcp_cps=2.0),
-                                      floor=1.5)
-        assert not outcome["ok"]
-
-    def test_pre_v6_record_is_vacuous_pass(self):
-        # Old records carry the flat pool-only shape (or nothing).
-        record = _record(CELLS)
-        record["sweep_throughput"] = {"cells": 4, "jobs": 2,
-                                      "warm_cells_per_second": 2.0}
-        outcome = check_backend_floor(record)
-        assert outcome["ok"] and outcome["ratio"] is None
-        assert any("pre-v6" in l for l in outcome["lines"])
-        outcome = check_backend_floor(_record(CELLS))
-        assert outcome["ok"] and outcome["ratio"] is None
-
-    def test_degraded_measurement_skips_not_fails(self):
-        # A worker that failed to connect (or serial fallback) makes
-        # the ratio meaningless — skip with a note, don't fail.
-        outcome = check_backend_floor(
-            _backend_record(tcp_cps=0.1, workers=TCP_WORKERS - 1))
-        assert outcome["ok"] and outcome["ratio"] is None
-        assert any("degraded" in l for l in outcome["lines"])
-        outcome = check_backend_floor(
-            _backend_record(tcp_cps=0.1, fallback=2))
-        assert outcome["ok"] and outcome["ratio"] is None
 
 
 class TestWriteRecord:

@@ -1,12 +1,8 @@
 """Unit tests for the discrete-event engine and barrier."""
 
-import random
-
 import pytest
 
-from repro.engine.events import (
-    _WHEEL_SIZE, DEFAULT_SCHEDULER, SCHEDULERS, Barrier, EventQueue,
-    WheelEventQueue, make_event_queue)
+from repro.engine.events import Barrier, EventQueue
 
 
 class TestEventQueue:
@@ -77,6 +73,65 @@ class TestEventQueue:
         q.run()
         assert q.pending == 0
         assert q.events_run == 2
+
+    def test_exception_consumes_only_the_raising_event(self):
+        # A raising callback counts as consumed; the unfired same-cycle
+        # events survive, and a later run() drains them normally.
+        q = EventQueue()
+        log = []
+
+        def boom():
+            log.append("boom")
+            raise RuntimeError("handler bug")
+
+        for i in range(2):
+            q.schedule_call(5, log.append, f"pre{i}")
+        q.schedule_call(5, boom)
+        for i in range(2):
+            q.schedule_call(5, log.append, f"post{i}")
+        q.schedule_call(9, log.append, "later")
+        with pytest.raises(RuntimeError, match="handler bug"):
+            q.run()
+        assert log == ["pre0", "pre1", "boom"]
+        assert q.pending == 3
+        assert q.events_run == 3
+        assert q.run() == 9
+        assert log == ["pre0", "pre1", "boom", "post0", "post1", "later"]
+        assert q.pending == 0
+        assert q.events_run == 6
+
+    def test_budget_exhausted_mid_cycle_keeps_the_remainder(self):
+        # The budget stops the drain exactly at max_events, even inside
+        # one cycle's batch; the rest of that cycle fires, in order, on
+        # the next run.
+        q = EventQueue()
+        log = []
+        for i in range(6):
+            q.schedule_call(2, log.append, i)
+        with pytest.raises(RuntimeError, match="livelock"):
+            q.run(max_events=4)
+        assert log == [0, 1, 2, 3]
+        assert q.events_run == 4
+        assert q.pending == 2
+        q.run()
+        assert log == [0, 1, 2, 3, 4, 5]
+        assert q.events_run == 6
+
+    def test_pending_is_exact_inside_a_callback(self):
+        # The phase sampler re-arms off ``pending``: read from inside a
+        # callback it must count exactly the events still waiting, the
+        # running one excluded, even mid-cycle.
+        q = EventQueue()
+        observed = []
+
+        def tick():
+            observed.append(q.pending)
+
+        q.schedule_call(4, tick)
+        q.schedule_call(4, tick)
+        q.schedule_call(7, tick)
+        q.run()
+        assert observed == [2, 1, 0]
 
 
 class TestScheduleCall:
@@ -164,196 +219,6 @@ class TestScheduleCall:
         q.run()   # max_events=None: the unbounded path
         assert len(hits) == 100
         assert q.events_run == 100
-
-
-class TestSchedulerFactory:
-    def test_known_schedulers(self):
-        assert isinstance(make_event_queue("heap"), EventQueue)
-        assert isinstance(make_event_queue("wheel"), WheelEventQueue)
-        assert set(SCHEDULERS) == {"heap", "wheel"}
-        assert DEFAULT_SCHEDULER in SCHEDULERS
-
-    def test_unknown_scheduler_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            make_event_queue("fifo")
-
-
-def _run_script(q, seed, initial=40, max_rearms=400):
-    """Drive ``q`` with a seeded, self-rearming event script.
-
-    Returns the complete firing log ``[(label, cycle), ...]``.  The
-    RNG is consumed inside callbacks, so two queue implementations
-    produce identical logs *iff* they fire events in the same order —
-    any divergence (ordering, timing, lost or duplicated events)
-    derails the logs immediately.  Delay classes cover the wheel's
-    interesting regimes: same-cycle re-arms, short in-window hops,
-    window-edge delays, and far-future overflow entries (several
-    window wraps out).
-    """
-    rng = random.Random(seed)
-    log = []
-    rearms = [0]
-
-    def fire(label):
-        log.append((label, q.now))
-        if rearms[0] >= max_rearms:
-            return
-        roll = rng.random()
-        if roll < 0.2:
-            delay = 0                                    # same cycle
-        elif roll < 0.5:
-            delay = rng.randrange(1, 8)                  # short hop
-        elif roll < 0.7:
-            delay = rng.randrange(8, _WHEEL_SIZE)        # in-window
-        elif roll < 0.85:
-            delay = _WHEEL_SIZE + rng.randrange(0, 3)    # window edge
-        else:
-            delay = rng.randrange(_WHEEL_SIZE,           # deep overflow
-                                  4 * _WHEEL_SIZE)
-        rearms[0] += 1
-        q.schedule_call(q.now + delay, fire, f"{label}.{rearms[0]}")
-
-    for i in range(initial):
-        q.schedule_call(rng.randrange(0, 3 * _WHEEL_SIZE), fire, f"e{i}")
-    q.run()
-    return log
-
-
-class TestWheelMatchesHeap:
-    """Differential determinism: the wheel must reproduce the heap's
-    exact firing order on adversarial schedules (the golden grid pins
-    the real workloads; this pins the corner cases)."""
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_schedules_fire_identically(self, seed):
-        heap_log = _run_script(EventQueue(), seed)
-        wheel_log = _run_script(WheelEventQueue(), seed)
-        assert len(heap_log) > 100
-        assert wheel_log == heap_log
-
-    def test_same_cycle_rearm_chain(self):
-        # A callback re-arming at the *current* cycle repeatedly, with
-        # unrelated same-cycle events interleaved: the wheel's
-        # detached-bucket drain must match the heap's seq order.
-        def drive(q):
-            log = []
-
-            def chain(depth):
-                log.append((f"chain{depth}", q.now))
-                if depth < 5:
-                    q.schedule_call(q.now, chain, depth + 1)
-
-            q.schedule_call(3, chain, 0)
-            for i in range(3):
-                q.schedule_call(3, lambda i=i: log.append((f"flat{i}",
-                                                           q.now)))
-            q.run()
-            return log
-
-        assert drive(WheelEventQueue()) == drive(EventQueue())
-
-    def test_overflow_promotion_keeps_seq_order(self):
-        # Two far-future events for one cycle scheduled out of seq
-        # order relative to an in-window event for the same cycle once
-        # the window advances: promotion must preserve (when, seq).
-        def drive(q):
-            log = []
-            target = 2 * _WHEEL_SIZE + 17
-            q.schedule_call(target, log.append, "overflow-a")
-
-            def mid():
-                # Now in-window for target (scheduled later => later seq).
-                q.schedule_call(target, log.append, "in-window-b")
-
-            q.schedule_call(target - _WHEEL_SIZE + 1, mid)
-            q.schedule_call(target, log.append, "overflow-c")
-            q.run()
-            return log
-
-        expected = drive(EventQueue())
-        assert drive(WheelEventQueue()) == expected
-        # Seq order: a and c were scheduled before the run (seqs 0, 2),
-        # b only from inside mid() (seq 3) — so c fires before b.
-        assert expected == ["overflow-a", "overflow-c", "in-window-b"]
-
-    def test_exception_consumes_only_fired_events(self):
-        # A raising callback counts as consumed; unfired same-cycle
-        # events must survive for a later run() on both schedulers.
-        def drive(q):
-            log = []
-
-            def boom():
-                log.append("boom")
-                raise RuntimeError("handler bug")
-
-            for i in range(2):
-                q.schedule_call(5, lambda i=i: log.append(f"pre{i}"))
-            q.schedule_call(5, boom)
-            for i in range(2):
-                q.schedule_call(5, lambda i=i: log.append(f"post{i}"))
-            with pytest.raises(RuntimeError, match="handler bug"):
-                q.run()
-            survivors = q.pending
-            q.run()
-            return log, survivors, q.pending, q.events_run
-
-        assert drive(WheelEventQueue()) == drive(EventQueue())
-
-    def test_budget_mid_bucket_preserves_remainder(self):
-        def drive(q):
-            log = []
-            for i in range(6):
-                q.schedule_call(2, log.append, i)
-            with pytest.raises(RuntimeError, match="livelock"):
-                q.run(max_events=4)
-            budgeted = list(log)
-            q.run()
-            return budgeted, log, q.events_run
-
-        assert drive(WheelEventQueue()) == drive(EventQueue())
-
-
-class TestWheelEventQueue:
-    """Wheel-specific edges not reachable through the shared tests."""
-
-    def test_far_future_event_lands_exactly(self):
-        q = WheelEventQueue()
-        seen = []
-        when = 10 * _WHEEL_SIZE + 123
-        q.schedule_call(when, lambda: seen.append(q.now))
-        assert q.pending == 1
-        q.run()
-        assert seen == [when]
-        assert q.pending == 0
-
-    def test_window_boundary_goes_to_overflow_and_back(self):
-        q = WheelEventQueue()
-        seen = []
-        q.schedule_call(0, lambda: q.schedule_call(
-            _WHEEL_SIZE, lambda: seen.append(q.now)))   # == now+SIZE
-        q.run()
-        assert seen == [_WHEEL_SIZE]
-
-    def test_rejects_past_in_window(self):
-        q = WheelEventQueue()
-        q.schedule_call(10, lambda: None)
-        q.run()
-        with pytest.raises(ValueError):
-            q.schedule_call(9, lambda: None)
-
-    def test_pending_is_exact_during_drain(self):
-        # PhaseSampler-style self-rearm: the tick sees pending==0 when
-        # it is the last live event, even mid-bucket.
-        q = WheelEventQueue()
-        observed = []
-
-        def tick():
-            observed.append(q.pending)
-
-        q.schedule_call(4, tick)
-        q.schedule_call(4, tick)
-        q.run()
-        assert observed == [1, 0]
 
 
 class TestBarrier:

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis import persist
 from repro.analysis.experiments import (
     average_exec_time_reduction, average_traffic_reduction, clear_cache,
     exec_time_reduction, run_grid, traffic_reduction)
@@ -72,12 +71,11 @@ class TestRunGrid:
         assert set(grid) == {"LU"}
         assert set(grid["LU"]) == {"MESI", "DeNovo"}
         # Cached on disk, under the runner's shape-tagged store key.
-        from repro.runner import JobSpec
+        from repro.runner import JobSpec, ResultStore, config_key
         key = JobSpec(workload="LU", protocol="MESI", scale=scale,
                       config=scaled_system(scale)).store_key()
-        assert key.startswith(persist.config_key(scale,
-                                                 scaled_system(scale)))
-        assert persist.load_result("LU", "MESI", key) is not None
+        assert key.startswith(config_key(scale, scaled_system(scale)))
+        assert ResultStore().load("LU", "MESI", key) is not None
         # Second call is served from cache (no simulation): just verify
         # it returns equal numbers.
         clear_cache()

@@ -31,9 +31,7 @@ def store(tmp_path):
 
 @pytest.fixture(scope="module")
 def radix_result():
-    from repro.runner.pool import execute_job
-    result, _elapsed = execute_job(spec())
-    return result
+    return run_jobs([spec()])[0].result
 
 
 # ----------------------------------------------------------------------
@@ -56,17 +54,23 @@ class TestJobSpec:
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-8 keys (the event-scheduler axis landed:
-        ``SystemConfig.scheduler`` entered the config hash payload,
-        deliberately retiring the v7 keys, which predate the field).
+        the GRID_VERSION-9 keys (the event-scheduler axis was removed:
+        ``SystemConfig.scheduler`` left the config hash payload,
+        deliberately retiring the v8 keys).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "d3e5d4b8ec90250d"
-        assert spec().store_key() == "cf3759003e50eaa9-t16"
+            scaled_system(DEFAULT_SCALE)) == "e0948c08805c3f50"
+        assert spec().store_key() == "614c3f264dd1abea-t16"
+
+    def test_config_key_differs_by_scale_and_system(self):
+        base = config_key(ScaleConfig(), SystemConfig())
+        assert base == config_key(ScaleConfig(), SystemConfig())
+        assert base != config_key(TINY, SystemConfig())
+        assert base != config_key(ScaleConfig(), SystemConfig(l1_kb=64))
 
     def test_store_key_includes_non_default_seed(self):
         assert spec(seed=7).store_key() != spec().store_key()
@@ -143,14 +147,20 @@ class TestResultStore:
         path.write_text(json.dumps(envelope))
         assert store.load("radix", "MESI", "k") is None
 
-    def test_legacy_bare_payload_still_loads(self, store, radix_result):
-        """Files written by the pre-runner analysis.persist module."""
+    def test_bare_payload_without_envelope_is_none(self, store,
+                                                   radix_result):
+        """A result dict without the schema envelope is not a cell."""
         path = store.path_for("radix", "MESI", "k")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(result_to_dict(radix_result)))
+        assert store.load("radix", "MESI", "k") is None
+
+    def test_loaded_waste_keys_are_categories(self, store, radix_result):
+        from repro.waste.profiler import Category
+        store.save(radix_result, "k")
         loaded = store.load("radix", "MESI", "k")
-        assert loaded is not None
-        assert loaded.traffic == radix_result.traffic
+        for waste in (loaded.l1_waste, loaded.l2_waste, loaded.mem_waste):
+            assert all(isinstance(k, Category) for k in waste)
 
     def test_concurrent_writers_never_tear(self, store, radix_result):
         """Many writers racing on one cell: readers always see a whole
@@ -276,39 +286,60 @@ class TestSweep:
 # run_grid delegation and the bounded in-process LRU
 # ----------------------------------------------------------------------
 
-class TestForkPrewarm:
-    def test_two_workload_sweep_prewarms_both_traces(self, monkeypatch):
-        """Fork-time prewarm must count *distinct* memo keys, not
-        scanned specs: a workload-major list (every protocol rung of
-        workload A before workload B) used to exhaust the scan budget
-        on A's duplicate keys and fork workers cold for B."""
+class TestExecution:
+    def test_serial_rungs_share_one_trace_build(self, monkeypatch):
+        """A workload's protocol rungs reuse one memoized trace, and the
+        memo is released once the sweep ends."""
         from repro.runner import pool as pool_mod
-        monkeypatch.setattr(pool_mod, "_WORKLOAD_MEMO", {})
-        # Paper ladder: 9 rungs per workload, > _WORKLOAD_MEMO_MAX (8)
-        # specs of radix alone — the shape of the regression.
-        specs = expand_grid(["radix", "stream"], None, TINY, TINY_SYSTEM)
-        assert len(specs) > pool_mod._WORKLOAD_MEMO_MAX
-        built = pool_mod._prewarm_traces(specs)
-        assert built == 2
-        warmed = {key[0] for key in pool_mod._WORKLOAD_MEMO}
-        assert warmed == {"radix", "stream"}
+        builds = []
+        build = pool_mod.build_workload
 
-    def test_prewarm_stops_at_memo_capacity(self, monkeypatch):
-        from repro.runner import pool as pool_mod
-        monkeypatch.setattr(pool_mod, "_WORKLOAD_MEMO", {})
-        monkeypatch.setattr(pool_mod, "_WORKLOAD_MEMO_MAX", 1)
-        specs = expand_grid(["radix", "stream"], ["MESI"], TINY,
-                            TINY_SYSTEM)
-        assert pool_mod._prewarm_traces(specs) == 1
-        assert len(pool_mod._WORKLOAD_MEMO) == 1
+        def counting_build(*args, **kwargs):
+            builds.append(args[0])
+            return build(*args, **kwargs)
 
-    def test_prewarm_skips_already_memoized(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "build_workload", counting_build)
+        specs = expand_grid(["stream"], ["MESI", "DeNovo", "DBypL2"], TINY)
+        outcomes = run_jobs(specs, jobs=1)
+        assert builds == ["stream"]
+        assert [o.attempts for o in outcomes] == [1, 1, 1]
+        assert pool_mod._WORKLOAD_MEMO == {}
+
+    @pytest.mark.skipif(
+        "fork" not in __import__("multiprocessing").get_all_start_methods(),
+        reason="injects the crash through fork-inherited module state")
+    def test_dead_workers_retry_then_fall_back_to_serial(self, monkeypatch):
+        """Every pool worker dies mid-cell: each cell is retried once in
+        a fresh pool, then runs in the parent and still completes."""
         from repro.runner import pool as pool_mod
-        monkeypatch.setattr(pool_mod, "_WORKLOAD_MEMO", {})
-        specs = expand_grid(["radix"], ["MESI", "DeNovo"], TINY,
-                            TINY_SYSTEM)
-        assert pool_mod._prewarm_traces(specs) == 1
-        assert pool_mod._prewarm_traces(specs) == 0
+        parent = os.getpid()
+        simulate = pool_mod.simulate
+
+        def dies_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(pool_mod, "simulate", dies_in_workers)
+        specs = expand_grid(["stream"], ["MESI", "DeNovo"], TINY)
+        outcomes = run_jobs(specs, jobs=2, retries=1)
+        assert [o.spec for o in outcomes] == list(specs)
+        assert [o.attempts for o in outcomes] == [3, 3]
+        serial = run_jobs(specs, jobs=1)
+        for a, b in zip(outcomes, serial):
+            assert result_to_dict(a.result) == result_to_dict(b.result)
+
+    def test_deterministic_error_surfaces_from_the_parent(self,
+                                                          monkeypatch):
+        from repro.runner import pool as pool_mod
+
+        def broken(*args, **kwargs):
+            raise ValueError("protocol bug")
+
+        monkeypatch.setattr(pool_mod, "simulate", broken)
+        specs = expand_grid(["stream"], ["MESI", "DeNovo"], TINY)
+        with pytest.raises(ValueError, match="protocol bug"):
+            run_jobs(specs, jobs=2, retries=1)
 
 
 class TestRunGridLRU:
@@ -467,40 +498,22 @@ class TestCLI:
         assert "removed" in capsys.readouterr().out
         assert len(ResultStore(tmp_path)) == 0
 
-    def test_sweep_backend_flag_serial(self, tmp_path, capsys):
-        rc = cli_main(["sweep", "--workloads", "stream",
-                       "--protocols", "MESI", "--scale", "tiny",
-                       "--backend", "serial",
-                       "--cache-dir", str(tmp_path)])
-        assert rc == 0
-        assert len(ResultStore(tmp_path)) == 1
-
-    def test_unknown_backend_suggests_near_miss(self, capsys):
-        rc = cli_main(["sweep", "--backend", "seriall", "--scale", "tiny"])
+    def test_negative_jobs_rejected(self, capsys):
+        rc = cli_main(["sweep", "--scale", "tiny", "--workloads", "radix",
+                       "--protocols", "MESI", "--jobs", "-7"])
         assert rc == 2
-        err = capsys.readouterr().err
-        assert "seriall" in err
-        assert "did you mean 'serial'" in err
+        assert ("--jobs must be >= 0 (0 = one per CPU)"
+                in capsys.readouterr().err)
 
-    def test_bind_requires_tcp_backend(self, capsys):
-        rc = cli_main(["sweep", "--backend", "pool",
-                       "--bind", "127.0.0.1:7421", "--scale", "tiny"])
-        assert rc == 2
-        assert "requires --backend tcp" in capsys.readouterr().err
-
-    def test_backends_subcommand_prints_matrix(self, capsys):
-        rc = cli_main(["backends"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        for name in ("serial", "pool", "tcp"):
-            assert name in out
-        assert "bit-identical" in out
-        assert "python -m repro worker" in out
-
-    def test_worker_bad_endpoint_is_a_clean_cli_error(self, capsys):
-        rc = cli_main(["worker", "--connect", "nonsense"])
-        assert rc == 2
-        assert "HOST:PORT" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["backends"], ["serve"], ["worker", "--connect", "127.0.0.1:1"],
+        ["sweep", "--scheduler", "heap"], ["sweep", "--backend", "pool"],
+        ["sweep", "--bind", "127.0.0.1:7421"]])
+    def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_module_entry_point(self, tmp_path):
         """python -m repro works as an installed-style entry point."""

@@ -9,10 +9,8 @@ committed repo-root ``BENCH_sweep.json``) and a freshly measured one:
 * smaller regressions print a non-blocking warning (runner noise);
 * records with a missing or different ``schema_version``, or from a
   different bench suite, are refused outright (exit 2);
-* a backend section diffs per-backend sweep throughput (serial, warm
-  pool, tcp) between the records and gates the current record's tcp
-  backend against its warm pool (``--backend-floor``, default 0.9x) —
-  skipped with a note when either record predates the backend axis;
+* the current record's compiled engine must stay at least
+  ``--engine-floor`` times faster than its reference engine, per cell;
 * with ``--attrib-delta``, a failed gate additionally prints the top
   attribution movers (lifecycle segments, stall causes, compute) so
   the failure names *which* part of the simulated work changed — or
@@ -30,37 +28,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, TCP_BACKEND_FLOOR,
-    WHEEL_SPEEDUP_FLOOR, RecordMismatch, attrib_delta,
-    check_backend_floor, check_engine_floor, check_scheduler_floor,
-    compare_records, load_record)
-
-
-def _backend_cps(record: dict) -> dict:
-    """{backend: cells_per_second} from a record, {} when pre-v6."""
-    backends = (record.get("sweep_throughput") or {}).get("backends")
-    if not backends:
-        return {}
-    return {
-        "serial": backends["serial"].get("cells_per_second", 0.0),
-        "pool(warm)": backends["pool"].get("warm_cells_per_second", 0.0),
-        "tcp": backends["tcp"].get("cells_per_second", 0.0),
-    }
-
-
-def backend_section(baseline: dict, current: dict) -> list:
-    """Per-backend sweep-throughput deltas between the two records."""
-    base_cps, cur_cps = _backend_cps(baseline), _backend_cps(current)
-    if not base_cps or not cur_cps:
-        return ["note backend throughput delta skipped (a record "
-                "predates the backend axis)"]
-    lines = ["backend sweep throughput (cells/s, baseline -> current):"]
-    for name, cur in cur_cps.items():
-        base = base_cps.get(name, 0.0)
-        ratio = cur / base if base else 0.0
-        lines.append(f"  {name:<10s} {base:8.2f} -> {cur:8.2f} "
-                     f"({ratio:.2f}x)")
-    return lines
+    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, RecordMismatch,
+    attrib_delta, check_engine_floor, compare_records, load_record)
 
 
 def main(argv=None) -> int:
@@ -75,14 +44,6 @@ def main(argv=None) -> int:
                         default=COMPILED_SPEEDUP_FLOOR,
                         help="minimum compiled/reference speedup per cell "
                              f"(default: {COMPILED_SPEEDUP_FLOOR})")
-    parser.add_argument("--scheduler-floor", type=float,
-                        default=WHEEL_SPEEDUP_FLOOR,
-                        help="minimum wheel/heap speedup per cell "
-                             f"(default: {WHEEL_SPEEDUP_FLOOR})")
-    parser.add_argument("--backend-floor", type=float,
-                        default=TCP_BACKEND_FLOOR,
-                        help="minimum tcp/warm-pool sweep throughput "
-                             f"ratio (default: {TCP_BACKEND_FLOOR})")
     parser.add_argument("--attrib-delta", action="store_true",
                         help="when a gate fails, diff the records' "
                              "attribution profiles and print the top "
@@ -105,19 +66,6 @@ def main(argv=None) -> int:
     engine_gate = check_engine_floor(current, floor=ns.engine_floor)
     for line in engine_gate["lines"]:
         print(line)
-    # Scheduler gate: the default wheel scheduler must never fall
-    # meaningfully behind the heap it replaced.
-    scheduler_gate = check_scheduler_floor(current,
-                                           floor=ns.scheduler_floor)
-    for line in scheduler_gate["lines"]:
-        print(line)
-    # Backend section: per-backend throughput deltas, plus the tcp
-    # vs warm-pool floor on the current record.
-    for line in backend_section(baseline, current):
-        print(line)
-    backend_gate = check_backend_floor(current, floor=ns.backend_floor)
-    for line in backend_gate["lines"]:
-        print(line)
     failed = False
     if not outcome["ok"]:
         print(f"bench_compare: events_per_second regressed by more than "
@@ -126,14 +74,6 @@ def main(argv=None) -> int:
     if not engine_gate["ok"]:
         print(f"bench_compare: compiled engine fell below "
               f"{ns.engine_floor:.2f}x the reference", file=sys.stderr)
-        failed = True
-    if not scheduler_gate["ok"]:
-        print(f"bench_compare: wheel scheduler fell below "
-              f"{ns.scheduler_floor:.2f}x the heap", file=sys.stderr)
-        failed = True
-    if not backend_gate["ok"]:
-        print(f"bench_compare: tcp backend fell below "
-              f"{ns.backend_floor:.2f}x the warm pool", file=sys.stderr)
         failed = True
     if ns.attrib_delta and failed:
         # Attribute the failure: did the simulated work move, or is
