@@ -7,7 +7,7 @@ regressions in the simulator itself are visible.
 
 import random
 
-from repro.bloom.filters import H3Hash, SliceFilterBank
+from repro.bloom.filters import H3Hash, L1FilterShadow, SliceFilterBank
 from repro.cache.sa_cache import SetAssocCache
 from repro.common.config import SystemConfig
 from repro.dram.model import DramChannel
@@ -58,6 +58,20 @@ def test_bloom_filter_bank(benchmark):
         return hits
 
     assert benchmark(run) == 500
+
+
+def test_bloom_construction(benchmark):
+    """One DBypFull machine's Bloom state: a bank per slice and a shadow
+    per L1, the shadows reusing the banks' hashes."""
+    def run():
+        banks = [SliceFilterBank(CFG.bloom_filters_per_slice,
+                                 CFG.bloom_entries, CFG.bloom_hashes,
+                                 seed=tile + 1)
+                 for tile in range(CFG.num_tiles)]
+        shadows = [L1FilterShadow(banks) for _ in range(CFG.num_tiles)]
+        return len(banks) + len(shadows)
+
+    assert benchmark(run) == 2 * CFG.num_tiles
 
 
 def test_cache_allocate_lookup(benchmark):

@@ -131,11 +131,11 @@ class DenovoSystem(CoherenceKernel):
                                 cfg.bloom_entries, cfg.bloom_hashes,
                                 seed=tile + 1)
                 for tile in range(cfg.num_tiles)]
-            # Every L1 shadows every slice's filters with the same hash
-            # seeds, so projections can be unioned bit-for-bit.
+            # Every L1 shadows every slice's filters with that slice's
+            # hash objects, so projections union bit for bit.
             self.l1_blooms = [
-                _ShadowArray(cfg, tile)
-                for tile in range(cfg.num_tiles)]
+                L1FilterShadow(self.slice_blooms)
+                for _ in range(cfg.num_tiles)]
         else:
             self.slice_blooms = []
             self.l1_blooms = []
@@ -1243,54 +1243,3 @@ class DenovoSystem(CoherenceKernel):
             self.slice_blooms[home].remove(line_addr)
             entry.in_bloom = False
 
-
-class _ShadowArray(L1FilterShadow):
-    """Per-core shadow of all slices' filters, seeded to match each slice."""
-
-    def __init__(self, cfg, core: int) -> None:
-        # Seeds must match SliceFilterBank(seed=tile + 1) per slice; the
-        # L1FilterShadow base uses one seed for all slices, so build one
-        # shadow per slice seed instead.
-        self._cfg = cfg
-        self._shadows = [
-            L1FilterShadow(1, cfg.bloom_filters_per_slice,
-                           cfg.bloom_entries, cfg.bloom_hashes,
-                           seed=tile + 1)
-            for tile in range(cfg.num_tiles)]
-
-    def has_copy(self, slice_id: int, line_addr: int) -> bool:
-        return self._shadows[slice_id].has_copy(0, line_addr)
-
-    def filter_index(self, line_addr: int) -> int:
-        raise NotImplementedError("use the slice bank's filter_index")
-
-    def install(self, slice_id: int, filter_index: int, bits) -> None:
-        self._shadows[slice_id].install(0, filter_index, bits)
-
-    def note_writeback(self, slice_id: int, line_addr: int) -> None:
-        self._shadows[slice_id].note_writeback(0, line_addr)
-
-    def may_contain(self, slice_id: int, line_addr: int) -> bool:
-        return self._shadows[slice_id].may_contain(0, line_addr)
-
-    def clear(self) -> None:
-        for shadow in self._shadows:
-            shadow.clear()
-
-    # Energy counters aggregate over the per-slice shadows (this class
-    # never runs the base __init__, so the base counters don't exist).
-    @property
-    def stat_checks(self) -> int:
-        return sum(s.stat_checks for s in self._shadows)
-
-    @property
-    def stat_inserts(self) -> int:
-        return sum(s.stat_inserts for s in self._shadows)
-
-    @property
-    def stat_installs(self) -> int:
-        return sum(s.stat_installs for s in self._shadows)
-
-    def reset_energy_counters(self) -> None:
-        for shadow in self._shadows:
-            shadow.reset_energy_counters()

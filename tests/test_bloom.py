@@ -1,11 +1,17 @@
 """Unit tests for the Bloom filter structures (paper Section 4.4)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bloom import filters
 from repro.bloom.filters import (
     BloomFilter, CountingBloomFilter, H3Hash, L1FilterShadow,
     SliceFilterBank)
+from repro.common.config import ScaleConfig, SystemConfig, protocol
+from repro.core.system import System
+from repro.workloads import build_workload
 
 line_addrs = st.integers(min_value=0, max_value=2**34)
 
@@ -34,6 +40,42 @@ class TestH3Hash:
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError):
             H3Hash(0, seed=1)
+
+
+def xor_of_rows(rows, value):
+    """The H3 definition: XOR of ``rows[i]`` for every set bit i."""
+    acc = 0
+    for i, row in enumerate(rows):
+        if value >> i & 1:
+            acc ^= row
+    return acc
+
+
+class TestH3Tables:
+    """The byte tables and ``__call__`` against the per-bit definition."""
+
+    SEEDS = (0, 1, 7, 1997, 16 * 1000 + 997)
+    SIZES = (2, 128, 256, 512, 997)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_byte_tables_match_per_bit_xor(self, seed):
+        h = H3Hash(512, seed)
+        assert len(h._byte_tables) == H3Hash.KEY_BITS // 8
+        for b, table in enumerate(h._byte_tables):
+            rows = h._rows[b * 8:(b + 1) * 8]
+            assert table == tuple(xor_of_rows(rows, v) for v in range(256))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_call_matches_per_bit_xor(self, seed, size):
+        h = H3Hash(size, seed)
+        rng = random.Random(seed * 31 + size)
+        keys = [0, 1, 255, 256, 2**48 - 1, 0xA5A5A5A5A5A5, 1 << 47]
+        keys += [0xFF << (8 * b) for b in range(6)]
+        keys += [rng.getrandbits(48) | 1 << 40 for _ in range(200)]
+        assert any(key >> 40 for key in keys)
+        for key in keys:
+            assert h(key) == xor_of_rows(h._rows, key) % size
 
 
 class TestBloomFilter:
@@ -85,6 +127,16 @@ class TestCountingBloomFilter:
         assert f.may_contain(42)
         f.remove(42)
         assert not f.may_contain(42)
+
+    def test_bit_projection_is_one_bit_per_entry(self):
+        f = CountingBloomFilter(512, hashes())
+        for _ in range(CountingBloomFilter.COUNTER_MAX + 10):
+            f.insert(42)
+        f.insert(7)
+        projection = f.bit_projection()
+        assert len(projection) == 512
+        assert sum(projection) == 2
+        assert list(projection) == [1 if c else 0 for c in f._counters]
 
     def test_remove_at_zero_is_safe(self):
         f = CountingBloomFilter(512, hashes())
@@ -139,10 +191,8 @@ class TestSliceFilterBank:
 class TestL1FilterShadow:
     def make_pair(self):
         bank = SliceFilterBank(32, 512, 1, seed=5)
-        shadow = L1FilterShadow(num_slices=1, num_filters=32, entries=512,
-                                num_hashes=1, seed=5)
+        shadow = L1FilterShadow([bank])
         return bank, shadow
-
     def test_copy_semantics(self):
         bank, shadow = self.make_pair()
         bank.insert(42)
@@ -187,3 +237,61 @@ class TestL1FilterShadow:
                 copied.add(idx)
         for line in lines:
             assert shadow.may_contain(0, line)
+
+    def test_two_slices_with_different_seeds(self):
+        """Each slice's shadow indexes and hashes like that slice's bank."""
+        banks = [SliceFilterBank(32, 512, 1, seed=s) for s in (1, 2)]
+        shadow = L1FilterShadow(banks)
+        lines = range(0, 4000, 7)
+        assert any(banks[0].filter_index(line) != banks[1].filter_index(line)
+                   for line in lines)
+        for slice_id, bank in enumerate(banks):
+            for line in lines:
+                assert (shadow.filter_index(slice_id, line)
+                        == bank.filter_index(line))
+        banks[1].insert(42)
+        idx = banks[1].filter_index(42)
+        shadow.install(1, idx, banks[1].bit_projection(idx))
+        assert shadow.has_copy(1, 42)
+        assert shadow.may_contain(1, 42)
+        assert not shadow.has_copy(0, 42)
+        shadow.note_writeback(0, 42)
+        idx = banks[0].filter_index(42)
+        shadow.install(0, idx, banks[0].bit_projection(idx))
+        assert shadow.may_contain(0, 42)
+
+    def test_clear_wipes_bits(self):
+        bank, shadow = self.make_pair()
+        idx = bank.filter_index(42)
+        shadow.note_writeback(0, 42)
+        shadow.clear()
+        shadow.install(0, idx, bank.bit_projection(idx))
+        assert not shadow.may_contain(0, 42)
+
+
+@pytest.mark.parametrize("engine", ["reference", "compiled"])
+def test_dbypfull_builds_hashes_once_per_slice(monkeypatch, engine):
+    """A DBypFull machine builds (hashes + select) per slice, no more, and
+    every L1 shadow reuses its slice bank's hash objects."""
+    built = []
+    original = H3Hash.__init__
+
+    def counting_init(self, table_size, seed):
+        built.append(self)
+        original(self, table_size, seed)
+
+    config = SystemConfig(engine=engine)
+    workload = build_workload("stream", ScaleConfig.tiny(),
+                              num_cores=config.num_tiles)
+    monkeypatch.setattr(filters.H3Hash, "__init__", counting_init)
+    system = System(workload, protocol("DBypFull"), config)
+    assert len(built) == config.num_tiles * (config.bloom_hashes + 1)
+    proto_sys = system.proto_sys
+    banks = proto_sys.slice_blooms
+    assert len(banks) == len(proto_sys.l1_blooms) == config.num_tiles
+    for shadow in proto_sys.l1_blooms:
+        for s, bank in enumerate(banks):
+            assert shadow._selects[s] is bank.select
+            for f in shadow._filters[s]:
+                assert len(f._hashes) == len(bank.hashes)
+                assert all(a is b for a, b in zip(f._hashes, bank.hashes))
