@@ -4,9 +4,8 @@
 Thin script wrapper around :mod:`repro.bench` (also reachable as
 ``python -m repro bench``).  Runs the smoke cells in-process, serially
 and cache-free (so the numbers are pure simulation speed, not store
-hits), timing each cell under both execution engines — interleaved,
-with per-cell medians and full bit-identity asserted — and writes a
-``BENCH_new.json`` record carrying ``schema_version`` and a
+hits), timing the cells interleaved with per-cell medians, and writes
+a ``BENCH_new.json`` record carrying ``schema_version`` and a
 ``git_describe`` stamp.  CI compares the fresh
 record against the committed repo-root baseline with
 ``tools/bench_compare.py`` and uploads it as a workflow artifact.

@@ -109,10 +109,10 @@ def test_profiler_churn(benchmark):
 def test_traffic_ledger_data_words(benchmark):
     def run():
         prof = MemoryProfiler()
-        ledger = TrafficLedger()
+        ledger = TrafficLedger(verdicts=prof.pools.mem_cat)
         for i in range(200):
-            entries = [prof.fetch(i * 16 + w, False) for w in range(16)]
-            ledger.add_data_words(LD, DEST_L1, hops=3, entries=entries)
+            handles = [prof.fetch(i * 16 + w, False) for w in range(16)]
+            ledger.add_data_words(LD, DEST_L1, hops=3, handles=handles)
         prof.finalize()
         ledger.finalize()
         return ledger.total()

@@ -4,13 +4,12 @@ Two halves, shared by ``benchmarks/perf_smoke.py``, ``python -m repro
 bench`` and ``tools/bench_compare.py``:
 
 * :func:`run_smoke` times a tiny-scale radix x {MESI, DeNovo} sweep
-  under both execution engines, asserting bit-identity across every
-  variant per cell, and returns a JSON-able record.  All variants of
-  all cells are timed **interleaved** (A/B/A/B… across the whole
-  variant list, ``repeats`` rounds) and each cell records its
-  **median** — run-to-run drift on a shared runner hits every variant
-  alike instead of masquerading as a speedup for whichever happened to
-  run in the quiet window.  The record carries
+  plus one 4-tile cell and returns a JSON-able record.  All cells are
+  timed **interleaved** (A/B/A/B… across the whole cell list,
+  ``repeats`` rounds) and each cell records its **median** — run-to-run
+  drift on a shared runner hits every cell alike instead of
+  masquerading as a speedup for whichever happened to run in the quiet
+  window.  The record carries
   ``schema_version`` and a ``git_describe`` stamp so records from
   incompatible layouts or unknown commits are never silently compared;
   :func:`write_record` refuses to stamp the committed baseline from a
@@ -19,8 +18,7 @@ bench`` and ``tools/bench_compare.py``:
   ``events_per_second`` and classifies the outcome: any cell regressing
   by more than the threshold (default 15%) fails the gate; smaller
   regressions are reported as warnings (runner noise), improvements are
-  reported as speedups.  :func:`check_engine_floor` gates the compiled
-  engine's per-cell speedup within one record.
+  reported as speedups.
 
 The smoke cells run in-process, serially and cache-free, so the numbers
 are pure simulation speed — the perf trajectory of the simulator hot
@@ -52,27 +50,13 @@ from typing import Dict, List, Tuple
 #: timed an HTTP service.  v7: cells are keyed (workload, protocol,
 #: tiles, engine) — the scheduler axis is gone — and
 #: ``sweep_throughput`` holds one mini-sweep run serially and with
-#: ``--jobs``.
-SCHEMA_VERSION = 7
+#: ``--jobs``.  v8: one execution engine, so cells are keyed
+#: (workload, protocol, tiles).
+SCHEMA_VERSION = 8
 
 #: Hard-fail threshold of the regression gate: a cell whose
 #: events_per_second drops by more than this fraction fails CI.
 REGRESSION_THRESHOLD = 0.15
-
-#: Execution engines each (workload, protocol) cell is timed under.
-ENGINES = ("reference", "compiled")
-
-#: Minimum compiled/reference events-per-second ratio the engine gate
-#: accepts, per cell.  The compiled engine currently delivers ~1.2-1.4x
-#: over the (already allocation-light) reference on CPython 3.11 —
-#: short of the 2.5-3x the table-compilation work aimed for, because
-#: the shared floors (trace interpretation, cache lookups, event
-#: dispatch) dominate once the protocol handlers and the network walk
-#: are fused.  The floor is set with margin below the achieved ratio so
-#: CI catches the compiled engine ever becoming slower than the
-#: reference (the failure mode that matters: a "fast engine" that
-#: silently is not), without flaking on runner noise.
-COMPILED_SPEEDUP_FLOOR = 1.02
 
 #: Basename of the committed repo-root baseline record.  write_record
 #: refuses to (over)write it from a dirty working tree, so the
@@ -89,10 +73,10 @@ EXTRA_TILES = 4
 #: sweep's simulation wall time (it is pure arithmetic over counters).
 ENERGY_OVERHEAD_BUDGET = 0.05
 
-#: Timing rounds over the interleaved variant list; each cell keeps its
+#: Timing rounds over the interleaved cell list; each cell keeps its
 #: median.  Shared runners are noisy and simulation is deterministic,
-#: so the median of interleaved rounds is the fairest cross-variant
-#: comparison (a quiet window helps every variant equally).
+#: so the median of interleaved rounds is the fairest cross-record
+#: comparison (a quiet window helps every cell equally).
 DEFAULT_REPEATS = 5
 
 
@@ -222,10 +206,9 @@ def _attrib_profile(workload, proto, config) -> dict:
     The timed cells above stay obs-free (that gate passing unchanged is
     the zero-overhead proof); attribution comes from one extra observed
     run per simulated shape.  Its counters are simulated-behaviour
-    facts — bit-equal across engines (pinned by
-    ``tests/test_attrib.py``) — so one profile covers both timed
-    variants of a cell, and a delta between two records means the
-    *simulated work* changed, not the host.
+    facts — an observed run is bit-identical to an unobserved one
+    (pinned by ``tests/test_attrib.py``) — so a delta between two
+    records means the *simulated work* changed, not the host.
     """
     from repro.core.simulator import simulate
     from repro.obs import ObsSession
@@ -255,14 +238,9 @@ def _attrib_profile(workload, proto, config) -> dict:
 def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     """Run the perf smoke suite and return the benchmark record.
 
-    Every (workload, protocol) cell is timed under both engines,
-    interleaved A/B/A/B across ``repeats`` rounds with per-cell
-    medians; all variants of one cell are asserted bit-identical before
-    any enters the record, so a perf record can never be produced by an
-    engine that diverged.
+    Every cell is timed interleaved A/B/A/B across ``repeats`` rounds
+    and keeps its median.
     """
-    import dataclasses
-
     from repro.common.config import (
         ScaleConfig, registered_energy_models, scaled_system)
     from repro.core.simulator import simulate
@@ -275,33 +253,28 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
     workload = build_workload(WORKLOAD, scale)
     build_s = time.perf_counter() - t_build
 
-    # The variant list: every timed (workload, proto, shape, engine)
-    # combination, plus one non-default machine shape.
+    # The cell list: every timed (workload, proto) combination, plus
+    # one non-default machine shape.
     shape_config = scaled_system(scale, num_tiles=EXTRA_TILES)
     shape_workload = build_workload(WORKLOAD, scale,
                                     num_cores=EXTRA_TILES)
-    variants = []
-    for proto in PROTOCOLS:
-        for engine in ENGINES:
-            cell_config = dataclasses.replace(config, engine=engine)
-            variants.append((workload, proto, cell_config))
-    variants.append((shape_workload, PROTOCOLS[0], shape_config))
+    timed_cells = [(workload, proto, config) for proto in PROTOCOLS]
+    timed_cells.append((shape_workload, PROTOCOLS[0], shape_config))
 
-    # Interleaved timing: one full pass over the variant list per
-    # round, so slow-machine phases hit every variant alike.
-    times: List[List[float]] = [[] for _ in variants]
-    var_results = [None] * len(variants)
+    # Interleaved timing: one full pass over the cell list per round,
+    # so slow-machine phases hit every cell alike.
+    times: List[List[float]] = [[] for _ in timed_cells]
+    cell_results = [None] * len(timed_cells)
     for _round in range(repeats):
-        for i, (wl, proto, cell_config) in enumerate(variants):
+        for i, (wl, proto, cell_config) in enumerate(timed_cells):
             result, elapsed = _timed_run(simulate, wl, proto, cell_config)
             times[i].append(elapsed)
-            var_results[i] = result
+            cell_results[i] = result
 
     cells = []
     results = []
-    by_proto: dict = {}
     for (wl, proto, cell_config), cell_times, result in zip(
-            variants, times, var_results):
+            timed_cells, times, cell_results):
         elapsed = statistics.median(cell_times)
         best = min(cell_times)
         results.append((result, cell_config))
@@ -309,25 +282,14 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
             "workload": WORKLOAD,
             "protocol": proto,
             "num_tiles": cell_config.num_tiles,
-            "engine": cell_config.engine,
             "seconds": round(elapsed, 4),
-            # Best-of round: the noise floor of a deterministic cell,
-            # the statistic the engine floor pairs on.
+            # Best-of round: the noise floor of a deterministic cell.
             "seconds_min": round(best, 4),
             "events": result.events,
             "events_per_second": round(result.events / elapsed, 1),
             "events_per_second_best": round(result.events / best, 1),
             "exec_cycles": result.exec_cycles,
         })
-        if cell_config.num_tiles == config.num_tiles:
-            by_proto.setdefault(proto, []).append(
-                (cell_config, dataclasses.asdict(result)))
-    for proto, variant_results in by_proto.items():
-        _cfg0, canonical = variant_results[0]
-        for cfg, result_dict in variant_results[1:]:
-            assert result_dict == canonical, (
-                f"engine={cfg.engine} diverged from {_cfg0.engine} on "
-                f"{WORKLOAD} x {proto}")
 
     # Energy-derivation cell: price every simulated cell under every
     # registered preset, post hoc.  This must be cheap — it is the whole
@@ -342,9 +304,8 @@ def run_smoke(repeats: int = DEFAULT_REPEATS) -> dict:
             derivations += 1
     energy_s = time.perf_counter() - t0
 
-    # Attribution profiles beside the cells: one per simulated shape
-    # (engine variants share theirs — the counters are
-    # bit-equal across variants), collected outside any timing.
+    # Attribution profiles beside the cells: one per simulated shape,
+    # collected outside any timing.
     attrib = {}
     for proto in PROTOCOLS:
         attrib[_attrib_key(WORKLOAD, proto, config.num_tiles)] = (
@@ -425,14 +386,13 @@ class RecordMismatch(Exception):
     """Two records cannot be compared (schema/bench layout differs)."""
 
 
-def _cell_key(cell: dict) -> Tuple[str, str, int, str]:
-    return (cell["workload"], cell["protocol"], cell["num_tiles"],
-            cell.get("engine", "reference"))
+def _cell_key(cell: dict) -> Tuple[str, str, int]:
+    return (cell["workload"], cell["protocol"], cell["num_tiles"])
 
 
-def _cell_label(key: Tuple[str, str, int, str]) -> str:
-    workload, protocol, tiles, engine = key
-    return f"{workload} x {protocol} ({tiles}t, {engine})"
+def _cell_label(key: Tuple[str, str, int]) -> str:
+    workload, protocol, tiles = key
+    return f"{workload} x {protocol} ({tiles}t)"
 
 
 def compare_records(baseline: dict, current: dict,
@@ -471,7 +431,7 @@ def compare_records(baseline: dict, current: dict,
     ok = True
     compared = []
     for key, base in base_cells.items():
-        workload, protocol, tiles, engine = key
+        workload, protocol, tiles = key
         label = _cell_label(key)
         new = new_cells.get(key)
         if new is None:
@@ -482,8 +442,7 @@ def compare_records(baseline: dict, current: dict,
         new_eps = new["events_per_second"]
         ratio = new_eps / base_eps if base_eps else 0.0
         cell = {"workload": workload, "protocol": protocol,
-                "num_tiles": tiles, "engine": engine,
-                "baseline_eps": base_eps,
+                "num_tiles": tiles, "baseline_eps": base_eps,
                 "current_eps": new_eps, "ratio": round(ratio, 3)}
         compared.append(cell)
         detail = (f"{label}: {base_eps:,.0f} -> {new_eps:,.0f} ev/s "
@@ -569,56 +528,6 @@ def attrib_delta(baseline: dict, current: dict, top: int = 3) -> dict:
         lines.append("note attribution identical: a tripped perf gate "
                      "is host/runner-side, not a workload change")
     return {"changed": changed, "lines": lines}
-
-
-def _best_eps(cell: dict) -> float:
-    """Noise-floor events/second of a cell (median as fallback)."""
-    return cell.get("events_per_second_best",
-                    cell["events_per_second"])
-
-
-def check_engine_floor(record: dict,
-                       floor: float = COMPILED_SPEEDUP_FLOOR) -> dict:
-    """Gate the compiled engine's speedup within one smoke record.
-
-    For every (workload, protocol, shape) measured under both engines,
-    the compiled cell's best-of (noise floor) ``events_per_second``
-    must be at least ``floor`` times the reference cell's.  Both cells
-    simulate a deterministic workload, so the min across interleaved
-    rounds is the right estimator — the median carries the shared runner's 10-25% jitter and flakes on
-    true ratios near the floor.  Returns ``{"ok", "lines", "cells"}``
-    like :func:`compare_records`.  Records predating the engine axis
-    (no compiled cells) pass vacuously with a note.
-    """
-    by_key = {_cell_key(c): c for c in record["cells"]}
-    lines: List[str] = []
-    cells = []
-    ok = True
-    seen = 0
-    for key, compiled in by_key.items():
-        workload, protocol, tiles, engine = key
-        if engine != "compiled":
-            continue
-        reference = by_key.get((workload, protocol, tiles, "reference"))
-        if reference is None:
-            continue
-        seen += 1
-        ref_eps = _best_eps(reference)
-        ratio = _best_eps(compiled) / ref_eps if ref_eps else 0.0
-        label = f"{workload} x {protocol} ({tiles}t)"
-        cells.append({"workload": workload, "protocol": protocol,
-                      "num_tiles": tiles, "speedup": round(ratio, 3)})
-        detail = (f"{label}: compiled {ratio:.2f}x reference "
-                  f"(floor {floor:.2f}x)")
-        if ratio < floor:
-            lines.append(f"FAIL {detail}")
-            ok = False
-        else:
-            lines.append(f"ok   {detail}")
-    if not seen:
-        lines.append("note no compiled cells in the record; engine gate "
-                     "skipped")
-    return {"ok": ok, "lines": lines, "cells": cells}
 
 
 def load_record(path: str) -> dict:

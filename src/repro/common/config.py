@@ -20,12 +20,6 @@ from repro.common.registry import (
 MIN_MESH_WIDTH = 2
 MAX_MESH_WIDTH = 8
 
-#: Execution engines a run can select.  ``reference`` is the OO
-#: coherence kernel (``repro.coherence``); ``compiled`` executes the
-#: same protocols through flat transition tables and array-backed state
-#: (``repro.engine.compiled``) — bit-identical results, faster.
-ENGINES = ("reference", "compiled")
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -78,17 +72,7 @@ class SystemConfig:
     bloom_filters_per_slice: int = 32
     bloom_hashes: int = 1
 
-    # Execution engine: "reference" (OO coherence kernel) or "compiled"
-    # (flat transition tables + array-backed state).  A first-class
-    # sweep axis — it enters every JobSpec/store key, so the result
-    # store never conflates engines.
-    engine: str = "reference"
-
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            known = ", ".join(ENGINES)
-            raise ValueError(
-                f"unknown engine {self.engine!r}; known engines: {known}")
         width = self.mesh_width
         if width == 0:
             width = math.isqrt(self.num_tiles)

@@ -19,7 +19,7 @@ the hottest loop in the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.common.regions import RegionTable
@@ -27,7 +27,8 @@ from repro.dram.model import LINES_PER_ROW, DramChannel
 from repro.engine.events import Barrier, EventQueue
 from repro.network.mesh import Mesh
 from repro.network.traffic import TrafficLedger
-from repro.waste.profiler import CacheLevelProfiler, MemoryProfiler
+from repro.waste.profiler import (
+    CacheLevelProfiler, MemoryProfiler, WastePools)
 
 
 #: Fixed L2 slice lookup latency (cycles) and per-request occupancy.
@@ -102,13 +103,10 @@ class SimContext:
         self.regions = regions
         self.queue = EventQueue()
         self.mesh = Mesh(config)
-        # Accounting objects come from overridable factories so engine
-        # variants (repro.engine.compiled) can substitute array-backed
-        # implementations with identical observable behaviour.
-        self.ledger = self._make_ledger()
-        self.l1_prof = self._make_cache_profiler("L1")
-        self.l2_prof = self._make_cache_profiler("L2")
-        self.mem_prof = self._make_memory_profiler()
+        # Word-instance storage for the whole run; the profilers and the
+        # ledger over it belong to one measurement window.
+        self.pools = WastePools()
+        self._open_window()
         # Memory-controller tiles: the paper's four corners by default,
         # generalized by the config for other shapes/controller counts.
         self.mc_tiles = config.mc_placement()
@@ -133,20 +131,16 @@ class SimContext:
         self._latency = self.mesh.latency
         self._traverse = self.mesh.traverse
         self._schedule_call = self.queue.schedule_call
-        self._bind_ledger()
 
-    # -- accounting factories (overridden by engine variants) -----------
-    def _make_ledger(self) -> TrafficLedger:
-        return TrafficLedger(self.config.words_per_flit)
-
-    def _make_cache_profiler(self, level: str) -> CacheLevelProfiler:
-        return CacheLevelProfiler(level)
-
-    def _make_memory_profiler(self) -> MemoryProfiler:
-        return MemoryProfiler()
-
-    def _bind_ledger(self) -> None:
-        ledger = self.ledger
+    def _open_window(self) -> None:
+        """Fresh traffic and waste accounting over the run's pools."""
+        pools = self.pools
+        ledger = self.ledger = TrafficLedger(self.config.words_per_flit,
+                                             pools.cache_cat)
+        self.l1_prof = CacheLevelProfiler("L1", pools)
+        self.l2_prof = CacheLevelProfiler("L2", pools)
+        self.mem_prof = MemoryProfiler(pools)
+        # The send helpers call the live window's ledger methods.
         self._add_request_ctl = ledger.add_request_ctl
         self._add_response_ctl = ledger.add_response_ctl
         self._add_data_words = ledger.add_data_words
@@ -203,17 +197,17 @@ class SimContext:
         return arrive
 
     def send_data(self, major: str, dest_level: str, src: int, dst: int,
-                  at: int, entries: List[object],
+                  at: int, handles: Sequence[int],
                   handler: Callable, *args) -> int:
-        """Response carrying ``len(entries)`` data words plus a header flit.
+        """Response carrying ``len(handles)`` data words plus a header flit.
 
-        ``entries`` are waste-profiler entries for the delivered words (at
-        the destination level); their verdicts decide Used vs Waste at
-        finalize time.
+        ``handles`` are the waste-profiler handles of the delivered words
+        (at the destination level); their verdicts decide Used vs Waste
+        at finalize time.
         """
         hops = self._hops(src, dst)
         self._add_response_ctl(major, hops)  # header flit
-        data_flits = self._add_data_words(major, dest_level, hops, entries)
+        data_flits = self._add_data_words(major, dest_level, hops, handles)
         total_flits = 1 + int(data_flits)
         arrive = at + self._latency(src, dst, total_flits, at)
         self._schedule_call(arrive, handler, *args, arrive)
@@ -245,16 +239,14 @@ class SimContext:
     def reset_stats(self) -> None:
         """Swap in fresh traffic/waste accounting after the warm-up period.
 
-        Cache contents and protocol state are untouched; words brought in
-        during warm-up keep their references to the old profilers, so any
-        later verdicts on them land in the discarded warm-up counters, as
-        the paper's measurement methodology intends.
+        Cache contents and protocol state are untouched.  The pools stay,
+        so every warm-up handle remains resolvable; the fresh cache
+        profilers start with no active words, so later events on words
+        brought in during warm-up find nothing to classify, while a
+        warm-up memory instance still held on chip is classified, and
+        counted, by the live memory profiler when its verdict comes.
         """
-        self.ledger = self._make_ledger()
-        self._bind_ledger()
-        self.l1_prof = self._make_cache_profiler("L1")
-        self.l2_prof = self._make_cache_profiler("L2")
-        self.mem_prof = self._make_memory_profiler()
+        self._open_window()
         # Energy counters follow the same measurement window as the
         # ledger: NoC flit-hops must reconcile with the post-warm-up
         # traffic totals, and DRAM/MC energy events with the window's

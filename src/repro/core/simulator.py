@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.common.config import (
@@ -30,7 +31,13 @@ def simulate(workload: Workload,
     """
     if isinstance(proto, str):
         proto = protocol_by_name(proto)
-    return System(workload, proto, config, obs=obs).run()
+    result = System(workload, proto, config, obs=obs).run()
+    # The finished machine is one large reference cycle (cores, protocol
+    # handlers and barrier callbacks point at each other).  Free it now,
+    # not whenever the collector next reaches its oldest generation, so
+    # a sweep of many cells holds one machine at a time.
+    gc.collect()
+    return result
 
 
 def simulate_all_protocols(

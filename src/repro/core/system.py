@@ -14,8 +14,6 @@ from repro.coherence import build_protocol_system
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.core.context import SimContext
 from repro.core.core import Core
-from repro.engine.compiled import (
-    CompiledSimContext, build_compiled_protocol_system, core_class)
 from repro.core.stats import RunResult, TimeStats
 from repro.engine.events import Barrier
 from repro.workloads.trace import Workload
@@ -48,26 +46,10 @@ class System:
         # Clone the region table: phase updates mutate annotations and the
         # same workload object is reused across protocol runs.
         self.regions = workload.regions.clone()
-        # Engine selection (SystemConfig.engine): the compiled engine
-        # substitutes an array-backed context (pooled accounting) and a
-        # table-driven core; the protocol controllers are shared between
-        # engines, which is what keeps results bit-identical.
-        if self.config.engine == "compiled":
-            # ``observed`` keeps the traverse-calling send helpers so the
-            # obs session's mesh wrapper sees every packet; unobserved
-            # runs get the fused network fast path.
-            self.ctx: SimContext = CompiledSimContext(
-                self.config, proto, self.regions, observed=obs is not None)
-            core_cls = core_class(self.ctx)
-            # Fused protocol cores where the compiler knows the family;
-            # reference cores (over pooled accounting) otherwise.
-            self.proto_sys = build_compiled_protocol_system(self.ctx)
-        else:
-            self.ctx = SimContext(self.config, proto, self.regions)
-            core_cls = Core
-            # The protocol core comes from the kind registry (see
-            # repro.coherence.PROTOCOL_CORES), not a hard-coded if/else.
-            self.proto_sys = build_protocol_system(self.ctx)
+        self.ctx = SimContext(self.config, proto, self.regions)
+        # The protocol core comes from the kind registry (see
+        # repro.coherence.PROTOCOL_CORES), not a hard-coded if/else.
+        self.proto_sys = build_protocol_system(self.ctx)
         self.barrier = Barrier(self.ctx.queue, workload.num_cores,
                                release_cost=self.config.barrier_release_cost)
         self.ctx.barrier = self.barrier
@@ -75,8 +57,8 @@ class System:
         self._finished = 0
         self._measure_start = 0
         self.cores = [
-            core_cls(i, workload.traces[i], self.proto_sys, self.ctx,
-                     self.barrier, self._core_finished)
+            Core(i, workload.traces[i], self.proto_sys, self.ctx,
+                 self.barrier, self._core_finished)
             for i in range(workload.num_cores)
         ]
         # Observability attaches last so it can see the fully wired

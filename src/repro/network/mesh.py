@@ -143,8 +143,6 @@ class Mesh:
         return hops, time - now
 
     def reset_contention(self) -> None:
-        # In place: the compiled context prebinds this list for its
-        # fused send helpers and must observe the reset.
         self._link_free[:] = [0] * (self._num_tiles * self._num_tiles)
 
     def count_packet(self, hops: int, total_flits: int = 1) -> None:

@@ -11,13 +11,16 @@ The paper's Figures 5.1a-d break network traffic into:
 
 Whether a delivered data word was Used or Waste is only known once the
 waste profiler classifies it (possibly at end of simulation), so data
-flit-hops are recorded against profile entries and resolved by
-:meth:`TrafficLedger.finalize`.
+flit-hops are recorded against the words' profiler handles and resolved
+through the cache-level verdict pool by :meth:`TrafficLedger.finalize`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from array import array
+from typing import Dict, List, Optional, Sequence
+
+from repro.waste.profiler import C_USED
 
 #: Major traffic categories.
 LD = "LD"
@@ -90,18 +93,25 @@ def split_flit_hops(breakdown: Dict[str, Dict[str, float]]):
 
 
 # Deferred data-word deliveries awaiting a used/waste verdict are stored
-# as (entries, per_word_flit_hops, major, dest) tuples — one element per
-# data *message*, referencing the payload's profile entries, so the
+# as (handles, per_word_flit_hops, major, dest) tuples — one element per
+# data *message*, referencing the payload's profiler handles, so the
 # hot path allocates nothing per word.  finalize() still resolves and
 # accumulates word by word, in arrival order, so the floating-point
 # bucket totals are bit-identical to the old one-tuple-per-word scheme.
 
 
 class TrafficLedger:
-    """Accumulates flit-hops per (major, bucket) with deferred data verdicts."""
+    """Accumulates flit-hops per (major, bucket) with deferred data verdicts.
 
-    def __init__(self, words_per_flit: int = 4) -> None:
+    ``verdicts`` is the cache-level verdict pool
+    (:attr:`repro.waste.profiler.WastePools.cache_cat`) that the data
+    words' handles index.
+    """
+
+    def __init__(self, words_per_flit: int = 4,
+                 verdicts: Optional[array] = None) -> None:
         self.words_per_flit = words_per_flit
+        self._verdicts = verdicts if verdicts is not None else array("b")
         self._buckets: Dict[str, Dict[str, float]] = {
             LD: {b: 0.0 for b in LDST_BUCKETS},
             ST: {b: 0.0 for b in LDST_BUCKETS},
@@ -134,11 +144,11 @@ class TrafficLedger:
 
     # -- data traffic ---------------------------------------------------
     def add_data_words(self, major: str, dest: str, hops: int,
-                       entries: List[object]) -> float:
-        """Record a data payload of ``len(entries)`` words over ``hops``.
+                       handles: Sequence[int]) -> float:
+        """Record a data payload of ``len(handles)`` words over ``hops``.
 
         Each word is charged ``hops / words_per_flit`` flit-hops against
-        its profile entry; the unfilled remainder of the last flit is
+        its profiler handle; the unfilled remainder of the last flit is
         charged to response control (per paper Section 5.2).  Returns the
         number of data flits in the payload (for latency computation).
         """
@@ -146,15 +156,15 @@ class TrafficLedger:
             self._check(major, (LD, ST))
         if dest not in (DEST_L1, DEST_L2):
             raise ValueError(f"data destination must be l1/l2, got {dest!r}")
-        n_words = len(entries)
+        n_words = len(handles)
         if n_words == 0:
             return 0
         words_per_flit = self.words_per_flit
         data_flits = -(-n_words // words_per_flit)
         per_word = hops / words_per_flit
-        # One deferred record per message; the entries list is freshly
-        # built by every caller and never mutated afterwards.
-        self._deferred.append((entries, per_word, major, dest))
+        # One deferred record per message; the handle sequence is
+        # freshly built by every caller and never mutated afterwards.
+        self._deferred.append((handles, per_word, major, dest))
         slack_words = data_flits * words_per_flit - n_words
         if slack_words:
             self._buckets[major][RESP_CTL] += slack_words * per_word
@@ -183,20 +193,19 @@ class TrafficLedger:
 
     # -- resolution ------------------------------------------------------
     def finalize(self) -> None:
-        """Resolve deferred data verdicts from the waste profiler entries."""
-        from repro.waste.profiler import Category
-        used_cat = Category.USED
+        """Resolve deferred data verdicts through the verdict pool."""
+        verdicts = self._verdicts
         buckets = self._buckets
-        for entries, flit_hops, major, dest in self._deferred:
+        for handles, flit_hops, major, dest in self._deferred:
             major_bucket = buckets[major]
             if dest == DEST_L1:
                 used_key, waste_key = RESP_L1_USED, RESP_L1_WASTE
             else:
                 used_key, waste_key = RESP_L2_USED, RESP_L2_WASTE
-            for entry in entries:
-                # entry.category is the storage behind ProfileEntry.is_used;
-                # the direct check skips a property call per data word.
-                key = (used_key if entry.category is used_cat
+            # Word by word, in arrival order: the float bucket totals
+            # depend on the accumulation order.
+            for handle in handles:
+                key = (used_key if verdicts[handle] == C_USED
                        else waste_key)
                 major_bucket[key] += flit_hops
         self._deferred.clear()

@@ -109,8 +109,8 @@ class AttribCollector:
             "stall_cycles", "per-core stall cycles by cause")
         self._retry_counter = hub.counter(
             "miss_retries", "NACK/masked retries per request kind")
-        # Exact-integer accumulators: the engine-parity tests compare
-        # these bit-for-bit, and the conservation audits run over them.
+        # Exact-integer accumulators: bench records compare these
+        # bit-for-bit, and the conservation audits run over them.
         self.seg_count: Dict[str, Dict[str, int]] = {
             op: dict.fromkeys(SEGMENTS, 0) for op in OPS}
         self.seg_sum: Dict[str, Dict[str, int]] = {
@@ -134,8 +134,7 @@ class AttribCollector:
 
         The cores and the MESI store-grant handler are fetched by
         instance-attribute lookup on every call, so per-instance
-        wrappers cover both engines (the compiled cores inherit the
-        reference handlers) with no hot-path branches.
+        wrappers cover them with no hot-path branches.
         """
         self._system = system
         self.stalls = [dict.fromkeys(STALL_CAUSES, 0)
@@ -359,7 +358,7 @@ class AttribCollector:
 
     # -- reporting ---------------------------------------------------------
     def segment_totals(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Exact-integer segment counts/sums (engine-parity contract)."""
+        """Exact-integer segment counts/sums."""
         return {op: {seg: {"count": self.seg_count[op][seg],
                            "cycles": self.seg_sum[op][seg]}
                      for seg in SEGMENTS if self.seg_count[op][seg]}

@@ -35,15 +35,13 @@ gate as ``tools/bench_compare.py``.
 from __future__ import annotations
 
 import argparse
-import difflib
 import os
 import sys
 import time
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.common.config import (
-    ENERGY_MODELS, ENGINES, ScaleConfig, registered_energy_models,
+    ENERGY_MODELS, ScaleConfig, registered_energy_models,
     scaled_system)
 from repro.common.registry import (
     paper_ladder, protocol as protocol_by_name, registered_protocols)
@@ -121,27 +119,17 @@ def _grid_progress(ns: argparse.Namespace, store: ResultStore, out):
     return telemetry.printer(out), finish
 
 
-def _with_engine(config, ns: argparse.Namespace):
-    """``config`` with the ``--engine`` selection applied."""
-    engine = getattr(ns, "engine", None) or "reference"
-    if config.engine == engine:
-        return config
-    return replace(config, engine=engine)
-
-
 def _single_shape_config(ns: argparse.Namespace, scale: ScaleConfig):
     """System config for one-shape commands (figures/report)."""
     tiles = _parse_tiles(ns)
     if tiles is None:
-        if (getattr(ns, "engine", None) or "reference") == "reference":
-            return None
-        return _with_engine(scaled_system(scale), ns)
+        return None
     if len(tiles) != 1:
         raise ValueError(
             f"{ns.command} renders one machine shape at a time; pass a "
             f"single --tiles value (use `sweep`/`scaling` for a shape "
             f"axis)")
-    return _with_engine(scaled_system(scale, num_tiles=tiles[0]), ns)
+    return scaled_system(scale, num_tiles=tiles[0])
 
 
 def _grid(ns: argparse.Namespace, store: ResultStore, progress=None):
@@ -165,7 +153,7 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     scale = SCALES[ns.scale]()
     specs = expand_grid(workloads, protocols, scale,
-                        config=_with_engine(scaled_system(scale), ns),
+                        config=scaled_system(scale),
                         seed=ns.seed, tiles=tiles)
     shapes = (f" x {len(tiles)} shapes ({','.join(map(str, tiles))} tiles)"
               if tiles else "")
@@ -195,7 +183,7 @@ def cmd_scaling(ns: argparse.Namespace, out=None) -> int:
     scale = SCALES[ns.scale]()
     shapes = sweep_shapes(
         tiles, workloads=workloads, protocols=ns.protocols,
-        scale=scale, config=_with_engine(scaled_system(scale), ns),
+        scale=scale, config=scaled_system(scale),
         seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=store,
         use_cache=not ns.fresh, progress=progress)
     finish()
@@ -285,7 +273,6 @@ def cmd_trace(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
               else scaled_system(scale))
-    config = _with_engine(config, ns)
     workload = build_workload(ns.workload, scale,
                               num_cores=config.num_tiles, seed=ns.seed)
     protocol = _canonical_protocol(ns.protocol)
@@ -327,7 +314,6 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     tiles = _parse_tiles(ns)
     config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
               else scaled_system(scale))
-    config = _with_engine(config, ns)
     protocols = [_canonical_protocol(p)
                  for p in (ns.protocols or paper_ladder())]
     start = time.perf_counter()
@@ -339,14 +325,12 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     else:
         print(figure_stalls(profiles, config.num_tiles).render(), file=out)
     print(f"stalls: {len(profiles)} rung(s) of {ns.workload} @ "
-          f"{config.num_tiles}t ({config.engine}) "
-          f"in {elapsed:.2f}s", file=out, flush=True)
+          f"{config.num_tiles}t in {elapsed:.2f}s", file=out, flush=True)
     if ns.json:
         import json
         payload = {"workload": profiles[0]["workload"] if profiles
                    else ns.workload,
                    "num_tiles": config.num_tiles,
-                   "engine": config.engine,
                    "seed": ns.seed,
                    "profiles": profiles}
         with open(ns.json, "w") as fh:
@@ -372,17 +356,12 @@ def cmd_list(ns: argparse.Namespace, out=None) -> int:
         tag = "paper" if name in paper_workloads else "extra"
         print(f"  {name:<14s} {tag}", file=out)
     print("protocols:", file=out)
-    from repro.engine.compiled import compile_status
     ladder = set(paper_ladder())
     for name in registered_protocols():
         proto = protocol_by_name(name)
         tag = "paper-ladder" if name in ladder else "extra"
         flags = ", ".join(proto.enabled_flags()) or "-"
-        status = compile_status(proto)
-        engine_tag = "compiled" if status["compiled"] else "reference-only"
-        print(f"  {name:<12s} {proto.kind:<7s} {tag:<13s} "
-              f"{engine_tag:<14s} {flags}", file=out)
-        print(f"  {'':<12s} {'':<7s} {'':<13s} -> {status['detail']}",
+        print(f"  {name:<12s} {proto.kind:<7s} {tag:<13s} {flags}",
               file=out)
     return 0
 
@@ -391,8 +370,8 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
     """Run the perf-smoke suite; optionally gate against a baseline."""
     out = out if out is not None else sys.stdout
     from repro.bench import (
-        DirtyBaseline, RecordMismatch, check_engine_floor, compare_records,
-        load_record, run_smoke, write_record)
+        DirtyBaseline, RecordMismatch, compare_records, load_record,
+        run_smoke, write_record)
     record = run_smoke()
     try:
         write_record(record, ns.out)
@@ -401,7 +380,7 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
         return 2
     for cell in record["cells"]:
         print(f"{cell['workload']:<10s} {cell['protocol']:<8s} "
-              f"{cell['num_tiles']:3d}t  {cell['engine']:<10s} "
+              f"{cell['num_tiles']:3d}t  "
               f"{cell['seconds']:8.3f}s  "
               f"{cell['events_per_second']:12,.0f} ev/s", file=out)
     memo = record["trace_memo"]
@@ -415,13 +394,6 @@ def cmd_bench(ns: argparse.Namespace, out=None) -> int:
           f"{sweep_thr['parallel']['cells_per_second']:.2f} cells/s",
           file=out)
     print(f"wrote {ns.out} ({record['git_describe']})", file=out)
-    engine_gate = check_engine_floor(record)
-    for line in engine_gate["lines"]:
-        print(line, file=out)
-    if not engine_gate["ok"]:
-        print("bench: compiled engine fell below its speedup floor "
-              "vs the reference engine", file=sys.stderr)
-        return 1
     if not ns.compare:
         return 0
     try:
@@ -481,11 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
              "space-separated square numbers, e.g. `--tiles 4,16,64` "
              "(default: the paper's 16-tile 4x4 mesh; sweep/scaling "
              "accept several shapes, figures/report exactly one)")
-    grid_flags.add_argument(
-        "--engine", default="reference", metavar="E",
-        help=f"execution engine (default: reference; known: "
-             f"{', '.join(ENGINES)}); results are bit-identical, "
-             f"`compiled` runs the table-compiled fast engine")
     grid_flags.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parallel worker processes; 0 = one per CPU (default: 1)")
@@ -571,9 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", nargs="+", metavar="N",
                    help="machine shape (one square tile count; "
                         "default: the paper's 16)")
-    p.add_argument("--engine", default="reference", metavar="E",
-                   help=f"execution engine (default: reference; known: "
-                        f"{', '.join(ENGINES)})")
     p.add_argument("--sample-interval", type=int, default=5000,
                    metavar="CYCLES",
                    help="metric-sampling period in simulated cycles "
@@ -608,9 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tiles", nargs="+", metavar="N",
                    help="machine shape (one square tile count; "
                         "default: the paper's 16)")
-    p.add_argument("--engine", default="reference", metavar="E",
-                   help=f"execution engine (default: reference; known: "
-                        f"{', '.join(ENGINES)})")
     p.add_argument("--json", metavar="FILE",
                    help="also write the attribution profiles (segments, "
                         "stall causes, conservation audits) as JSON")
@@ -645,14 +606,6 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
             protocol_by_name(name)
         except KeyError as exc:
             return str(exc.args[0])
-    # Engines: near-miss suggestions, like protocols and presets.
-    engine = getattr(ns, "engine", None)
-    if engine and engine not in ENGINES:
-        close = difflib.get_close_matches(engine, ENGINES, n=1,
-                                          cutoff=0.4)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        return (f"unknown engine {engine!r}; known engines: "
-                f"{', '.join(ENGINES)}{hint}")
     jobs = getattr(ns, "jobs", None)
     if jobs is not None and jobs < 0:
         return "--jobs must be >= 0 (0 = one per CPU)"

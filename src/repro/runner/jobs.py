@@ -47,8 +47,9 @@ DEFAULT_SEED = 12345
 #: changed shape, so v7 keys are retired; old cache files are simply
 #: re-simulated on first use.  v9: the scheduler field left the
 #: config again (one heap scheduler), so the payload changed shape
-#: once more.
-GRID_VERSION = 9
+#: once more.  v10: the engine field left the config too (one
+#: execution engine); results are unchanged, the payload shape is not.
+GRID_VERSION = 10
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:

@@ -15,14 +15,19 @@ instances with an on-chip reference count (Figure 4.3), plus an **Excess**
 category for words read out of DRAM but dropped at the memory controller by
 L2-Flex filtering.
 
-Classification is *first event wins*: entries start pending and receive
-exactly one terminal category.  Traffic accounting holds references to the
-entries and reads :attr:`ProfileEntry.is_used` after finalization.
+Classification is *first event wins*: a word instance starts pending and
+receives exactly one terminal category.  Each instance is an integer
+**handle** into the run-lifetime :class:`WastePools`, one byte of verdict
+per handle (plus a reference count and an address for memory instances),
+so a tiny-grid cell's hundred thousand word instances cost no object
+each.  Traffic accounting keeps the handles of every delivered data word
+and resolves them through the pool after finalization.
 """
 
 from __future__ import annotations
 
 import enum
+from array import array
 from typing import Dict, List, Optional, Set
 
 from repro.common.addressing import WORDS_PER_LINE
@@ -44,133 +49,134 @@ CATEGORY_ORDER = (
     Category.EVICT, Category.UNEVICTED, Category.EXCESS,
 )
 
-#: Dense index per category for hot-path list counters.
+#: Verdict codes stored in the pools: 0 is pending, otherwise the
+#: category's position in ``Category`` plus one.  The profilers' counter
+#: lists are indexed by the same codes.
 _CATEGORIES = tuple(Category)
-_CAT_INDEX = {cat: i for i, cat in enumerate(_CATEGORIES)}
-_USED_INDEX = _CAT_INDEX[Category.USED]
-# Per-category index constants so the hot FSM transitions do a plain
-# list increment instead of an enum-keyed dict lookup.
-_USED_I = _CAT_INDEX[Category.USED]
-_WRITE_I = _CAT_INDEX[Category.WRITE]
-_FETCH_I = _CAT_INDEX[Category.FETCH]
-_INVALIDATE_I = _CAT_INDEX[Category.INVALIDATE]
-_EVICT_I = _CAT_INDEX[Category.EVICT]
-_UNEVICTED_I = _CAT_INDEX[Category.UNEVICTED]
-_EXCESS_I = _CAT_INDEX[Category.EXCESS]
+_CODE = {cat: code for code, cat in enumerate(_CATEGORIES, 1)}
+_BY_CODE = (None,) + _CATEGORIES
+PENDING = 0
+C_USED = _CODE[Category.USED]
+C_WRITE = _CODE[Category.WRITE]
+C_FETCH = _CODE[Category.FETCH]
+C_INVALIDATE = _CODE[Category.INVALIDATE]
+C_EVICT = _CODE[Category.EVICT]
+C_UNEVICTED = _CODE[Category.UNEVICTED]
+C_EXCESS = _CODE[Category.EXCESS]
+
+_LINE_PENDING = array("b", bytes(WORDS_PER_LINE))
+_LINE_NO_REFS = array("i", [0] * WORDS_PER_LINE)
 
 
-class ProfileEntry:
-    """One word-instance at one level, awaiting or holding its verdict.
+class WastePools:
+    """Run-lifetime storage behind every word-instance handle.
 
-    One entry is allocated per delivered data word and lives until
-    ``finalize``, so the class stays fully slotted; the bulk creation
-    sites below construct via ``__new__`` + an explicit ``category``
-    store to skip the initializer call.
+    ``cache_cat`` holds the verdict of each cache-level handle (L1 and L2
+    share it); ``mem_cat``/``mem_refs``/``mem_addr`` hold each memory
+    instance's verdict, on-chip copy count and word address.  The pools
+    outlive the profilers: ``SimContext.reset_stats()`` swaps in fresh
+    profilers at the end of warm-up but keeps the pools, so a handle
+    allocated during warm-up stays resolvable, and a verdict reached
+    after the reset is counted by the profiler that settles it.
     """
 
-    __slots__ = ("category",)
+    __slots__ = ("cache_cat", "mem_cat", "mem_refs", "mem_addr")
 
     def __init__(self) -> None:
-        self.category: Optional[Category] = None
-
-    @property
-    def is_pending(self) -> bool:
-        return self.category is None
-
-    @property
-    def is_used(self) -> bool:
-        return self.category is Category.USED
-
-    def classify(self, category: Category) -> None:
-        """Set the terminal category; later events are ignored."""
-        if self.category is None:
-            self.category = category
+        self.cache_cat = array("b")
+        self.mem_cat = array("b")
+        self.mem_refs = array("i")
+        self.mem_addr = array("q")
 
 
 class CacheLevelProfiler:
     """Implements the L1 (Figure 4.1) and L2 (Figure 4.2) waste FSMs.
 
     One profiler instance covers every cache unit of a level; the *active*
-    entry for each ``(unit, word)`` is the most recent pending arrival.
+    handle for each ``(unit, word)`` is the most recent pending arrival.
     """
 
-    def __init__(self, level: str) -> None:
+    def __init__(self, level: str,
+                 pools: Optional[WastePools] = None) -> None:
         if level not in ("L1", "L2"):
             raise ValueError("level must be 'L1' or 'L2'")
         self.level = level
-        # Active entries are stored per cache *line*: the key is
+        self.pools = pools if pools is not None else WastePools()
+        self._cat = self.pools.cache_cat
+        # Active handles are stored per cache *line*: the key is
         # ``(line << 6) | unit`` (unit ids fit in 6 bits, <= 64 tiles)
-        # and the value a 16-slot row of per-word entries.  Line-granular
+        # and the value a 16-slot row of per-word handles.  Line-granular
         # protocol events then cost one dict operation per line instead
         # of 16, and an int key hashes for free where a tuple would be
         # allocated and hashed on every FSM event.
-        self._active: Dict[int, List[Optional[ProfileEntry]]] = {}
-        self._counts: List[int] = [0] * len(_CATEGORIES)
+        self._active: Dict[int, List[Optional[int]]] = {}
+        self._counts: List[int] = [0] * len(_BY_CODE)
         self._total = 0
-        self._finalized = False
 
-    def _row_for(self, line_key: int) -> List[Optional[ProfileEntry]]:
+    def _row_for(self, line_key: int) -> List[Optional[int]]:
         row = self._active.get(line_key)
         if row is None:
             row = self._active[line_key] = [None] * WORDS_PER_LINE
         return row
 
     # -- FSM events --------------------------------------------------------
-    def on_arrival(self, unit: int, word: int, already_present: bool) -> ProfileEntry:
+    def on_arrival(self, unit: int, word: int, already_present: bool) -> int:
         """A word arrived at cache ``unit`` in a response or fill.
 
-        Returns the entry that traffic accounting should reference.  If the
-        word was already present the new copy is immediately Fetch waste
-        and the previously active entry (if any) stays active.
+        Returns the handle that traffic accounting should reference.  If
+        the word was already present the new copy is immediately Fetch
+        waste and the previously active handle (if any) stays active.
         """
-        entry = ProfileEntry()
+        cat = self._cat
+        handle = len(cat)
         self._total += 1
         if already_present:
-            entry.category = Category.FETCH
-            self._counts[_FETCH_I] += 1
-            return entry
+            cat.append(C_FETCH)
+            self._counts[C_FETCH] += 1
+            return handle
+        cat.append(PENDING)
         row = self._row_for(((word >> 4) << 6) | unit)
         slot = word & 15
         old = row[slot]
-        if old is not None and old.category is None:
+        if old is not None and cat[old] == PENDING:
             # Defensive: an unclassified copy being silently replaced by a
             # new fill counts as Fetch waste for the old copy.
-            old.category = Category.FETCH
-            self._counts[_FETCH_I] += 1
-        row[slot] = entry
-        return entry
+            cat[old] = C_FETCH
+            self._counts[C_FETCH] += 1
+        row[slot] = handle
+        return handle
 
     def on_use(self, unit: int, word: int) -> None:
         """The word was read (L1) or returned in a response (L2)."""
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        entry = row[word & 15]
-        if entry is not None and entry.category is None:
-            entry.category = Category.USED
-            self._counts[_USED_I] += 1
+        handle = row[word & 15]
+        if handle is not None and self._cat[handle] == PENDING:
+            self._cat[handle] = C_USED
+            self._counts[C_USED] += 1
 
     def on_write(self, unit: int, word: int) -> None:
         """The word was overwritten before being used."""
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        entry = row[word & 15]
-        if entry is not None and entry.category is None:
-            entry.category = Category.WRITE
-            self._counts[_WRITE_I] += 1
+        handle = row[word & 15]
+        if handle is not None and self._cat[handle] == PENDING:
+            self._cat[handle] = C_WRITE
+            self._counts[C_WRITE] += 1
 
     def on_evict(self, unit: int, word: int) -> None:
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
         slot = word & 15
-        entry = row[slot]
-        if entry is None:
+        handle = row[slot]
+        if handle is None:
             return
-        if entry.category is None:
-            entry.category = Category.EVICT
-            self._counts[_EVICT_I] += 1
+        if self._cat[handle] == PENDING:
+            self._cat[handle] = C_EVICT
+            self._counts[C_EVICT] += 1
         row[slot] = None
 
     def on_invalidate(self, unit: int, word: int) -> None:
@@ -180,12 +186,12 @@ class CacheLevelProfiler:
         if row is None:
             return
         slot = word & 15
-        entry = row[slot]
-        if entry is None:
+        handle = row[slot]
+        if handle is None:
             return
-        if entry.category is None:
-            entry.category = Category.INVALIDATE
-            self._counts[_INVALIDATE_I] += 1
+        if self._cat[handle] == PENDING:
+            self._cat[handle] = C_INVALIDATE
+            self._counts[C_INVALIDATE] += 1
         row[slot] = None
 
     # -- bulk line-granular events --------------------------------------
@@ -194,49 +200,46 @@ class CacheLevelProfiler:
     # ``words_of_line`` (the line protocols do exactly that on every
     # fill/eviction/invalidation, so this was the hottest profiler cost).
 
-    def arrivals_line(self, unit: int, base: int) -> List[ProfileEntry]:
-        """``on_arrival(unit, word, False)`` for one full line's words."""
-        counts = self._counts
-        cat_fetch = Category.FETCH
-        # __new__ + explicit category store: same slotted object, no
-        # initializer call per word.
-        new = ProfileEntry.__new__
-        cls = ProfileEntry
+    def arrivals_line(self, unit: int, base: int) -> range:
+        """``on_arrival(unit, word, False)`` for one full line's words.
+
+        The handles of one line are consecutive, so they are returned as
+        a ``range``; the active row is a separate list whose slots the
+        later events clear.
+        """
+        cat = self._cat
+        h0 = len(cat)
+        cat.extend(_LINE_PENDING)
         self._total += WORDS_PER_LINE
         line_key = (base << 2) | unit
         old_row = self._active.get(line_key)
-        entries = []
-        for _ in range(WORDS_PER_LINE):
-            entry = new(cls)
-            entry.category = None
-            entries.append(entry)
         if old_row is not None:
+            counts = self._counts
             for old in old_row:
-                if old is not None and old.category is None:
-                    old.category = cat_fetch
-                    counts[_FETCH_I] += 1
-        self._active[line_key] = list(entries)
-        return entries
+                if old is not None and cat[old] == PENDING:
+                    cat[old] = C_FETCH
+                    counts[C_FETCH] += 1
+        handles = range(h0, h0 + WORDS_PER_LINE)
+        self._active[line_key] = list(handles)
+        return handles
 
-    def arrivals_words(self, unit: int, words, present_flags) -> List[ProfileEntry]:
+    def arrivals_words(self, unit: int, words, present_flags) -> List[int]:
         """``on_arrival(unit, w, flag)`` over parallel word/flag lists."""
+        cat = self._cat
         counts = self._counts
-        cat_fetch = Category.FETCH
-        new = ProfileEntry.__new__
-        cls = ProfileEntry
         active = self._active
-        entries = []
-        append = entries.append
+        handles = []
+        append = handles.append
         self._total += len(words)
         last_key = -1
         row = None
         for word, present in zip(words, present_flags):
-            entry = new(cls)
-            entry.category = None
+            handle = len(cat)
             if present:
-                entry.category = cat_fetch
-                counts[_FETCH_I] += 1
+                cat.append(C_FETCH)
+                counts[C_FETCH] += 1
             else:
+                cat.append(PENDING)
                 line_key = ((word >> 4) << 6) | unit
                 if line_key != last_key:
                     row = active.get(line_key)
@@ -245,18 +248,18 @@ class CacheLevelProfiler:
                     last_key = line_key
                 slot = word & 15
                 old = row[slot]
-                if old is not None and old.category is None:
-                    old.category = cat_fetch
-                    counts[_FETCH_I] += 1
-                row[slot] = entry
-            append(entry)
-        return entries
+                if old is not None and cat[old] == PENDING:
+                    cat[old] = C_FETCH
+                    counts[C_FETCH] += 1
+                row[slot] = handle
+            append(handle)
+        return handles
 
     def on_use_words(self, unit: int, words) -> None:
         """``on_use(unit, w)`` for every word in ``words``."""
+        cat = self._cat
         active = self._active
         counts = self._counts
-        cat_used = Category.USED
         last_key = -1
         row = None
         for word in words:
@@ -266,231 +269,224 @@ class CacheLevelProfiler:
                 last_key = line_key
             if row is None:
                 continue
-            entry = row[word & 15]
-            if entry is not None and entry.category is None:
-                entry.category = cat_used
-                counts[_USED_I] += 1
+            handle = row[word & 15]
+            if handle is not None and cat[handle] == PENDING:
+                cat[handle] = C_USED
+                counts[C_USED] += 1
 
     def on_use_line(self, unit: int, base: int) -> None:
         """``on_use`` over one full line's words."""
         row = self._active.get((base << 2) | unit)
-        if row is None:
-            return
-        counts = self._counts
-        cat_used = Category.USED
-        for entry in row:
-            if entry is not None and entry.category is None:
-                entry.category = cat_used
-                counts[_USED_I] += 1
+        if row is not None:
+            self._settle_row(row, C_USED)
 
     def on_evict_line(self, unit: int, base: int) -> None:
         """``on_evict`` over one full line's words."""
         row = self._active.pop((base << 2) | unit, None)
-        if row is None:
-            return
-        counts = self._counts
-        cat_evict = Category.EVICT
-        for entry in row:
-            if entry is not None and entry.category is None:
-                entry.category = cat_evict
-                counts[_EVICT_I] += 1
+        if row is not None:
+            self._settle_row(row, C_EVICT)
 
     def on_invalidate_line(self, unit: int, base: int) -> None:
         """``on_invalidate`` over one full line's words."""
         if self.level == "L2":
             raise RuntimeError("the L2 FSM has no invalidate transition")
         row = self._active.pop((base << 2) | unit, None)
-        if row is None:
-            return
-        counts = self._counts
-        cat_inval = Category.INVALIDATE
-        for entry in row:
-            if entry is not None and entry.category is None:
-                entry.category = cat_inval
-                counts[_INVALIDATE_I] += 1
+        if row is not None:
+            self._settle_row(row, C_INVALIDATE)
 
     def finalize(self) -> None:
         """Classify all still-resident pending words as Unevicted."""
         for row in self._active.values():
-            for entry in row:
-                if entry is not None and entry.category is None:
-                    self._settle(entry, Category.UNEVICTED)
+            self._settle_row(row, C_UNEVICTED)
         self._active.clear()
-        self._finalized = True
 
     # -- queries -------------------------------------------------------------
+    def category(self, handle: int) -> Optional[Category]:
+        """The verdict of ``handle`` (None while it is pending)."""
+        return _BY_CODE[self._cat[handle]]
+
     def count(self, category: Category) -> int:
-        return self._counts[_CAT_INDEX[category]]
+        return self._counts[_CODE[category]]
 
     def counts(self) -> Dict[Category, int]:
-        return {cat: self._counts[i] for i, cat in enumerate(_CATEGORIES)}
+        return {cat: self._counts[code] for cat, code in _CODE.items()}
 
     def total_words(self) -> int:
         return self._total
 
     def waste_words(self) -> int:
-        return self._total - self._counts[_USED_INDEX]
+        return self._total - self._counts[C_USED]
 
     # -- internals -------------------------------------------------------------
-    def _settle(self, entry: ProfileEntry, category: Category) -> None:
-        if entry.category is None:
-            entry.category = category
-            self._counts[_CAT_INDEX[category]] += 1
-
-
-class MemInstance(ProfileEntry):
-    """A word fetched from memory, identified by ``(address, identifier)``."""
-
-    __slots__ = ("addr", "refs")
-
-    def __init__(self, addr: int) -> None:
-        self.category = None
-        self.addr = addr
-        self.refs = 0
+    def _settle_row(self, row: List[Optional[int]], code: int) -> None:
+        """Classify every pending handle of an active row as ``code``."""
+        cat = self._cat
+        settled = 0
+        for handle in row:
+            if handle is not None and cat[handle] == PENDING:
+                cat[handle] = code
+                settled += 1
+        self._counts[code] += settled
 
 
 class MemoryProfiler:
     """Implements the memory-level FSM of Figure 4.3.
 
     Every word read out of DRAM and sent on-chip becomes an instance with a
-    unique identifier.  Instances are classified Used on the first load of
-    any on-chip copy; Write when *any* L1 stores to the address (all
-    pending instances of that address become Write waste, since coherence
-    would invalidate or overwrite every copy); Evict/Invalidate when the
-    last on-chip copy disappears; Excess when the memory controller drops
-    the word before it ever reaches the network.
+    unique identifier (its handle).  Instances are classified Used on the
+    first load of any on-chip copy; Write when *any* L1 stores to the
+    address (all pending instances of that address become Write waste,
+    since coherence would invalidate or overwrite every copy);
+    Evict/Invalidate when the last on-chip copy disappears; Excess when
+    the memory controller drops the word before it ever reaches the
+    network.
+
+    Verdicts, copy counts and addresses live in the shared pools
+    (instance identity); the pending-by-address index and the counters
+    belong to this profiler, i.e. to one measurement window.
     """
 
-    def __init__(self) -> None:
-        self._counts: List[int] = [0] * len(_CATEGORIES)
-        self._pending_by_addr: Dict[int, Set[MemInstance]] = {}
+    def __init__(self, pools: Optional[WastePools] = None) -> None:
+        self.pools = pools if pools is not None else WastePools()
+        self._cat = self.pools.mem_cat
+        self._refs = self.pools.mem_refs
+        self._addr = self.pools.mem_addr
+        self._counts: List[int] = [0] * len(_BY_CODE)
+        self._pending_by_addr: Dict[int, Set[int]] = {}
         self._total = 0
-        self._finalized = False
 
     # -- FSM events --------------------------------------------------------
-    def fetch(self, addr: int, l2_has_addr: bool) -> MemInstance:
+    def fetch(self, addr: int, l2_has_addr: bool) -> int:
         """A word at ``addr`` was fetched from memory and sent on-chip."""
-        instance = MemInstance(addr)
+        cat = self._cat
+        handle = len(cat)
+        self._refs.append(0)
+        self._addr.append(addr)
         self._total += 1
         if l2_has_addr:
             # Figure 4.3: address already present in the L2 => Fetch waste.
-            instance.category = Category.FETCH
-            self._counts[_FETCH_I] += 1
-            return instance
+            cat.append(C_FETCH)
+            self._counts[C_FETCH] += 1
+            return handle
+        cat.append(PENDING)
         by_addr = self._pending_by_addr
         pending = by_addr.get(addr)
         if pending is None:
             by_addr[addr] = pending = set()
-        pending.add(instance)
-        return instance
+        pending.add(handle)
+        return handle
 
-    def fetch_excess(self, addr: int) -> MemInstance:
+    def fetch_excess(self, addr: int) -> int:
         """A word read out of DRAM but dropped at the memory controller."""
-        instance = MemInstance(addr)
+        handle = len(self._cat)
+        self._cat.append(C_EXCESS)
+        self._refs.append(0)
+        self._addr.append(addr)
         self._total += 1
-        instance.category = Category.EXCESS
-        self._counts[_EXCESS_I] += 1
-        return instance
+        self._counts[C_EXCESS] += 1
+        return handle
 
-    def install_copy(self, instance: MemInstance) -> None:
+    def install_copy(self, handle: int) -> None:
         """A cache installed a copy of this instance."""
-        instance.refs += 1
+        self._refs[handle] += 1
 
-    def drop_copy(self, instance: MemInstance, *, invalidated: bool) -> None:
+    def drop_copy(self, handle: int, *, invalidated: bool) -> None:
         """A cache lost its copy (eviction or invalidation)."""
-        instance.refs -= 1
-        if instance.refs <= 0 and instance.category is None:
-            if invalidated:
-                self._settle_pending(instance, Category.INVALIDATE,
-                                     _INVALIDATE_I)
-            else:
-                self._settle_pending(instance, Category.EVICT, _EVICT_I)
+        refs = self._refs
+        refs[handle] -= 1
+        if refs[handle] <= 0 and self._cat[handle] == PENDING:
+            self._settle_pending(
+                handle, C_INVALIDATE if invalidated else C_EVICT)
 
-    def on_load(self, instance: MemInstance) -> None:
-        if instance.category is None:
-            self._settle_pending(instance, Category.USED, _USED_I)
+    def on_load(self, handle: int) -> None:
+        if self._cat[handle] == PENDING:
+            self._settle_pending(handle, C_USED)
 
     def on_store_addr(self, addr: int) -> None:
         """Any L1 stored to ``addr``: all pending instances become Write."""
         pending = self._pending_by_addr.pop(addr, None)
         if not pending:
             return
+        cat = self._cat
         counts = self._counts
-        for instance in pending:
-            if instance.category is None:
-                instance.category = Category.WRITE
-                counts[_WRITE_I] += 1
+        for handle in pending:
+            if cat[handle] == PENDING:
+                cat[handle] = C_WRITE
+                counts[C_WRITE] += 1
 
     # -- bulk line-granular events --------------------------------------
 
-    def fetch_line(self, base: int) -> List[MemInstance]:
+    def fetch_line(self, base: int) -> range:
         """``fetch(word, False)`` for one full line's words."""
-        by_addr = self._pending_by_addr
-        new_instance = MemInstance
-        out = []
-        append = out.append
+        cat = self._cat
+        h0 = len(cat)
+        cat.extend(_LINE_PENDING)
+        self._refs.extend(_LINE_NO_REFS)
+        self._addr.extend(range(base, base + WORDS_PER_LINE))
         self._total += WORDS_PER_LINE
-        for addr in range(base, base + WORDS_PER_LINE):
-            instance = new_instance(addr)
+        by_addr = self._pending_by_addr
+        handles = range(h0, h0 + WORDS_PER_LINE)
+        for handle, addr in zip(handles, range(base, base + WORDS_PER_LINE)):
             pending = by_addr.get(addr)
             if pending is None:
                 by_addr[addr] = pending = set()
-            pending.add(instance)
-            append(instance)
-        return out
+            pending.add(handle)
+        return handles
 
-    def install_copies(self, insts) -> None:
-        """``install_copy`` for every non-None instance in ``insts``."""
-        for inst in insts:
-            if inst is not None:
-                inst.refs += 1
+    def install_copies(self, handles) -> None:
+        """``install_copy`` for every non-None handle in ``handles``."""
+        refs = self._refs
+        for handle in handles:
+            if handle is not None:
+                refs[handle] += 1
 
-    def drop_copies(self, insts, *, invalidated: bool) -> None:
-        """``drop_copy`` for every non-None instance in ``insts``."""
-        if invalidated:
-            category, idx = Category.INVALIDATE, _INVALIDATE_I
-        else:
-            category, idx = Category.EVICT, _EVICT_I
+    def drop_copies(self, handles, *, invalidated: bool) -> None:
+        """``drop_copy`` for every non-None handle in ``handles``."""
+        code = C_INVALIDATE if invalidated else C_EVICT
+        cat = self._cat
+        refs = self._refs
         settle = self._settle_pending
-        for inst in insts:
-            if inst is None:
+        for handle in handles:
+            if handle is None:
                 continue
-            inst.refs -= 1
-            if inst.refs <= 0 and inst.category is None:
-                settle(inst, category, idx)
+            refs[handle] -= 1
+            if refs[handle] <= 0 and cat[handle] == PENDING:
+                settle(handle, code)
 
     def finalize(self) -> None:
+        cat = self._cat
+        counts = self._counts
         for pending in self._pending_by_addr.values():
-            for instance in pending:
-                self._settle(instance, Category.UNEVICTED)
+            for handle in pending:
+                if cat[handle] == PENDING:
+                    cat[handle] = C_UNEVICTED
+                    counts[C_UNEVICTED] += 1
         self._pending_by_addr.clear()
-        self._finalized = True
 
     # -- queries ---------------------------------------------------------
+    def category(self, handle: int) -> Optional[Category]:
+        """The verdict of ``handle`` (None while it is pending)."""
+        return _BY_CODE[self._cat[handle]]
+
     def count(self, category: Category) -> int:
-        return self._counts[_CAT_INDEX[category]]
+        return self._counts[_CODE[category]]
 
     def counts(self) -> Dict[Category, int]:
-        return {cat: self._counts[i] for i, cat in enumerate(_CATEGORIES)}
+        return {cat: self._counts[code] for cat, code in _CODE.items()}
 
     def total_words(self) -> int:
         return self._total
 
     # -- internals ------------------------------------------------------------
-    def _settle_pending(self, instance: MemInstance, category: Category,
-                        cat_index: int) -> None:
-        """Classify a still-pending instance (callers check ``category
-        is None`` first, so the verdict always lands)."""
+    def _settle_pending(self, handle: int, code: int) -> None:
+        """Classify a still-pending instance (callers check that it is
+        pending first, so the verdict always lands)."""
+        addr = self._addr[handle]
         by_addr = self._pending_by_addr
-        pending = by_addr.get(instance.addr)
+        pending = by_addr.get(addr)
         if pending is not None:
-            pending.discard(instance)
+            pending.discard(handle)
             if not pending:
-                del by_addr[instance.addr]
-        instance.category = category
-        self._counts[cat_index] += 1
-
-    def _settle(self, instance: MemInstance, category: Category) -> None:
-        if instance.category is None:
-            instance.category = category
-            self._counts[_CAT_INDEX[category]] += 1
+                del by_addr[addr]
+        self._cat[handle] = code
+        self._counts[code] += 1

@@ -5,20 +5,15 @@ import json
 import pytest
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, SCHEMA_VERSION,
-    DirtyBaseline, RecordMismatch, check_engine_floor, compare_records,
-    write_record)
+    REGRESSION_THRESHOLD, SCHEMA_VERSION, DirtyBaseline, RecordMismatch,
+    compare_records, write_record)
 
 
 def _cell(key, eps):
-    # Cell keys are (workload, protocol, tiles) — legacy pre-engine
-    # shape — or (workload, protocol, tiles, engine).
-    cell = {"workload": key[0], "protocol": key[1], "num_tiles": key[2],
+    # Cell keys are (workload, protocol, tiles).
+    return {"workload": key[0], "protocol": key[1], "num_tiles": key[2],
             "seconds": 1.0, "events": int(eps),
             "events_per_second": eps, "exec_cycles": 1}
-    if len(key) == 4:
-        cell["engine"] = key[3]
-    return cell
 
 
 def _record(eps_by_cell, schema_version=SCHEMA_VERSION,
@@ -97,67 +92,6 @@ class TestCompareRecords:
         lax = compare_records(_record(CELLS), _record(slower),
                               threshold=0.2)
         assert lax["ok"]
-
-    def test_engine_keyed_cells_compare_independently(self):
-        # A regression in the compiled cell must not hide behind a
-        # healthy reference cell for the same (workload, proto, shape).
-        base = {("radix", "MESI", 16, "reference"): 50_000.0,
-                ("radix", "MESI", 16, "compiled"): 65_000.0}
-        current = dict(base)
-        current[("radix", "MESI", 16, "compiled")] = 30_000.0
-        outcome = compare_records(_record(base), _record(current))
-        assert not outcome["ok"]
-        failed = [l for l in outcome["lines"] if l.startswith("FAIL")]
-        assert len(failed) == 1
-        assert "compiled" in failed[0]
-
-    def test_legacy_cells_default_to_reference_engine(self):
-        # Pre-engine records (no "engine" key) keep comparing against
-        # engine-stamped reference cells.
-        stamped = {("radix", "MESI", 16, "reference"): 50_000.0}
-        legacy = {("radix", "MESI", 16): 50_000.0}
-        outcome = compare_records(_record(legacy), _record(stamped))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 1
-
-
-ENGINE_CELLS = {("radix", "MESI", 16, "reference"): 50_000.0,
-                ("radix", "MESI", 16, "compiled"): 65_000.0,
-                ("radix", "DeNovo", 16, "reference"): 30_000.0,
-                ("radix", "DeNovo", 16, "compiled"): 37_000.0}
-
-
-class TestEngineFloor:
-    def test_compiled_above_floor_passes(self):
-        outcome = check_engine_floor(_record(ENGINE_CELLS))
-        assert outcome["ok"]
-        assert len(outcome["cells"]) == 2
-        assert all(c["speedup"] > COMPILED_SPEEDUP_FLOOR
-                   for c in outcome["cells"])
-
-    def test_compiled_below_floor_fails(self):
-        slow = dict(ENGINE_CELLS)
-        slow[("radix", "MESI", 16, "compiled")] = 45_000.0
-        outcome = check_engine_floor(_record(slow))
-        assert not outcome["ok"]
-        assert any(l.startswith("FAIL") and "MESI" in l
-                   for l in outcome["lines"])
-
-    def test_custom_floor(self):
-        outcome = check_engine_floor(_record(ENGINE_CELLS), floor=1.5)
-        assert not outcome["ok"]
-
-    def test_no_compiled_cells_is_vacuous_pass(self):
-        outcome = check_engine_floor(_record(CELLS))
-        assert outcome["ok"]
-        assert not outcome["cells"]
-        assert any(l.startswith("note") for l in outcome["lines"])
-
-    def test_compiled_cell_without_reference_is_skipped(self):
-        orphan = {("radix", "MESI", 16, "compiled"): 65_000.0}
-        outcome = check_engine_floor(_record(orphan))
-        assert outcome["ok"]
-        assert not outcome["cells"]
 
 
 class TestWriteRecord:

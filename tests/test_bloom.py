@@ -269,8 +269,7 @@ class TestL1FilterShadow:
         assert not shadow.may_contain(0, 42)
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled"])
-def test_dbypfull_builds_hashes_once_per_slice(monkeypatch, engine):
+def test_dbypfull_builds_hashes_once_per_slice(monkeypatch):
     """A DBypFull machine builds (hashes + select) per slice, no more, and
     every L1 shadow reuses its slice bank's hash objects."""
     built = []
@@ -280,7 +279,7 @@ def test_dbypfull_builds_hashes_once_per_slice(monkeypatch, engine):
         built.append(self)
         original(self, table_size, seed)
 
-    config = SystemConfig(engine=engine)
+    config = SystemConfig()
     workload = build_workload("stream", ScaleConfig.tiny(),
                               num_cores=config.num_tiles)
     monkeypatch.setattr(filters.H3Hash, "__init__", counting_init)

@@ -2,25 +2,46 @@
 
 import pytest
 
+from repro.network import traffic as T
 from repro.waste.profiler import (
-    CacheLevelProfiler, Category, MemoryProfiler, ProfileEntry)
+    CacheLevelProfiler, Category, MemoryProfiler, WastePools)
 
 
 class TestProfileEntry:
+    """A profile entry is a handle into the run's verdict pool."""
+
     def test_first_classification_wins(self):
-        e = ProfileEntry()
-        assert e.is_pending
-        e.classify(Category.USED)
-        e.classify(Category.EVICT)
-        assert e.category is Category.USED
-        assert e.is_used
+        p = CacheLevelProfiler("L1")
+        h = p.on_arrival(0, 100, already_present=False)
+        assert p.category(h) is None
+        p.on_use(0, 100)
+        p.on_evict(0, 100)
+        assert p.category(h) is Category.USED
+        assert p.count(Category.EVICT) == 0
 
     def test_waste_categories_not_used(self):
-        for cat in (Category.WRITE, Category.FETCH, Category.EVICT,
-                    Category.INVALIDATE, Category.UNEVICTED):
-            e = ProfileEntry()
-            e.classify(cat)
-            assert not e.is_used
+        """Every waste verdict resolves as waste in the traffic ledger."""
+        pools = WastePools()
+        p = CacheLevelProfiler("L1", pools)
+        handles = [
+            p.on_arrival(0, 0, already_present=True),       # Fetch
+            p.on_arrival(0, 1, already_present=False),      # Write
+            p.on_arrival(0, 2, already_present=False),      # Evict
+            p.on_arrival(0, 3, already_present=False),      # Invalidate
+            p.on_arrival(0, 4, already_present=False),      # Unevicted
+        ]
+        p.on_write(0, 1)
+        p.on_evict(0, 2)
+        p.on_invalidate(0, 3)
+        p.finalize()
+        assert [p.category(h) for h in handles] == [
+            Category.FETCH, Category.WRITE, Category.EVICT,
+            Category.INVALIDATE, Category.UNEVICTED]
+        ledger = T.TrafficLedger(4, pools.cache_cat)
+        ledger.add_data_words(T.LD, T.DEST_L1, 4, handles)
+        ledger.finalize()
+        assert ledger.bucket(T.LD, T.RESP_L1_USED) == 0
+        assert ledger.bucket(T.LD, T.RESP_L1_WASTE) == 5
 
 
 class TestL1Fsm:
@@ -164,7 +185,8 @@ class TestMemoryFsm:
         other = p.fetch(200, l2_has_addr=False)
         p.on_store_addr(100)
         assert p.count(Category.WRITE) == 2
-        assert other.is_pending
+        assert p.category(a) is p.category(b) is Category.WRITE
+        assert p.category(other) is None
 
     def test_store_does_not_reclassify_used(self):
         p = MemoryProfiler()
@@ -180,7 +202,7 @@ class TestMemoryFsm:
         p.install_copy(inst)   # L2 copy
         p.install_copy(inst)   # L1 copy
         p.drop_copy(inst, invalidated=False)
-        assert inst.is_pending            # one copy still on-chip
+        assert p.category(inst) is None   # one copy still on-chip
         p.drop_copy(inst, invalidated=False)
         assert p.count(Category.EVICT) == 1
 
@@ -220,3 +242,41 @@ class TestMemoryFsm:
         p.on_store_addr(2)
         p.finalize()
         assert sum(p.counts().values()) == p.total_words() == 4
+
+
+class TestWarmupCrossing:
+    """The pools outlive ``SimContext.reset_stats()``; profilers do not."""
+
+    def test_handle_settled_after_reset_counts_in_live_window(self):
+        from repro.common.config import SystemConfig, protocol
+        from repro.common.regions import RegionTable
+        from repro.core.context import SimContext
+
+        ctx = SimContext(SystemConfig(num_tiles=4), protocol("MESI"),
+                         RegionTable())
+        warm_mem = ctx.mem_prof
+        inst = warm_mem.fetch(100, l2_has_addr=False)
+        warm_mem.install_copy(inst)
+        used = ctx.l1_prof.on_arrival(0, 100, already_present=False)
+        ctx.l1_prof.on_use(0, 100)
+        pending = ctx.l1_prof.on_arrival(0, 200, already_present=False)
+
+        ctx.reset_stats()
+        assert ctx.mem_prof is not warm_mem
+        # The warm-up instance is settled by, and counted in, the live
+        # window's profiler only.
+        ctx.mem_prof.on_load(inst)
+        assert ctx.mem_prof.count(Category.USED) == 1
+        assert warm_mem.count(Category.USED) == 0
+        assert ctx.mem_prof.category(inst) is Category.USED
+        # The live cache profiler holds no warm-up words.
+        ctx.l1_prof.on_use(0, 200)
+        assert ctx.l1_prof.count(Category.USED) == 0
+
+        # The live ledger still resolves warm-up handles through the pool.
+        ctx.ledger.add_data_words(T.LD, T.DEST_L1, 2, [used, pending])
+        ctx.finalize()
+        assert sum(ctx.mem_prof.counts().values()) == 1
+        assert ctx.mem_prof.total_words() == 0
+        assert ctx.ledger.bucket(T.LD, T.RESP_L1_USED) == 0.5
+        assert ctx.ledger.bucket(T.LD, T.RESP_L1_WASTE) == 0.5

@@ -54,17 +54,17 @@ class TestJobSpec:
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-9 keys (the event-scheduler axis was removed:
-        ``SystemConfig.scheduler`` left the config hash payload,
-        deliberately retiring the v8 keys).
+        the GRID_VERSION-10 keys (the execution-engine axis was removed:
+        ``SystemConfig.engine`` left the config hash payload,
+        deliberately retiring the v9 keys).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "e0948c08805c3f50"
-        assert spec().store_key() == "614c3f264dd1abea-t16"
+            scaled_system(DEFAULT_SCALE)) == "58a28c1bdaa29f66"
+        assert spec().store_key() == "0a93056dc1d5f228-t16"
 
     def test_config_key_differs_by_scale_and_system(self):
         base = config_key(ScaleConfig(), SystemConfig())
@@ -508,7 +508,8 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["backends"], ["serve"], ["worker", "--connect", "127.0.0.1:1"],
         ["sweep", "--scheduler", "heap"], ["sweep", "--backend", "pool"],
-        ["sweep", "--bind", "127.0.0.1:7421"]])
+        ["sweep", "--bind", "127.0.0.1:7421"],
+        ["sweep", "--engine", "compiled"]])
     def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.config import (
-    ScaleConfig, SystemConfig, corner_tiles, mc_tile_placement,
-    reshape_system, scaled_system)
+    PROTOCOL_ORDER, ScaleConfig, SystemConfig, corner_tiles,
+    mc_tile_placement, reshape_system, scaled_system)
 from repro.core.simulator import simulate
 from repro.network.mesh import Mesh
 from repro.workloads import build_workload, core_grid
@@ -267,18 +267,20 @@ class TestEndToEndShapes:
 
     def test_shape_sweep_through_runner_is_deterministic(self, tmp_path):
         """sweep_shapes returns every (shape, workload, protocol) cell
-        and reruns bit-identically."""
+        and reruns bit-identically — every rung, on the 2x2, 4x4 and
+        odd-width 5x5 meshes."""
         from repro.runner import result_to_dict, sweep_shapes
-        kwargs = dict(workloads=("stream",), protocols=("MESI", "DeNovo"),
+        tiles_axis = (4, 16, 25)
+        kwargs = dict(workloads=("stream",), protocols=PROTOCOL_ORDER,
                       scale=ScaleConfig.tiny(), use_cache=False)
-        first = sweep_shapes((4, 16), **kwargs)
-        assert sorted(first) == [4, 16]
+        first = sweep_shapes(tiles_axis, **kwargs)
+        assert sorted(first) == list(tiles_axis)
         for tiles, grid in first.items():
             assert list(grid) == ["stream"]
-            assert list(grid["stream"]) == ["MESI", "DeNovo"]
-        second = sweep_shapes((4, 16), **kwargs)
-        for tiles in (4, 16):
-            for proto in ("MESI", "DeNovo"):
+            assert list(grid["stream"]) == list(PROTOCOL_ORDER)
+        second = sweep_shapes(tiles_axis, **kwargs)
+        for tiles in tiles_axis:
+            for proto in PROTOCOL_ORDER:
                 assert (result_to_dict(first[tiles]["stream"][proto])
                         == result_to_dict(second[tiles]["stream"][proto]))
 

@@ -3,19 +3,35 @@
 import pytest
 
 from repro.network import traffic as T
-from repro.waste.profiler import Category, ProfileEntry
+from repro.waste.profiler import CacheLevelProfiler, WastePools
 
 
-def used_entry():
-    e = ProfileEntry()
-    e.classify(Category.USED)
-    return e
+class Words:
+    """Cache-level handles with chosen verdicts, plus a ledger over
+    their verdict pool."""
 
+    def __init__(self):
+        self.pools = WastePools()
+        self.prof = CacheLevelProfiler("L1", self.pools)
+        self._next = 0
 
-def waste_entry(cat=Category.EVICT):
-    e = ProfileEntry()
-    e.classify(cat)
-    return e
+    def ledger(self):
+        return T.TrafficLedger(4, self.pools.cache_cat)
+
+    def pending(self):
+        word = self._next
+        self._next += 1
+        return self.prof.on_arrival(0, word, already_present=False), word
+
+    def used(self):
+        handle, word = self.pending()
+        self.prof.on_use(0, word)
+        return handle
+
+    def waste(self):
+        handle, word = self.pending()
+        self.prof.on_evict(0, word)
+        return handle
 
 
 class TestControlTraffic:
@@ -50,36 +66,40 @@ class TestControlTraffic:
 
 class TestDataTraffic:
     def test_full_flit_all_used(self):
-        led = T.TrafficLedger()
-        entries = [used_entry() for _ in range(4)]
-        flits = led.add_data_words(T.LD, T.DEST_L1, hops=2, entries=entries)
+        words = Words()
+        led = words.ledger()
+        handles = [words.used() for _ in range(4)]
+        flits = led.add_data_words(T.LD, T.DEST_L1, hops=2, handles=handles)
         assert flits == 1
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(2.0)
         assert led.bucket(T.LD, T.RESP_L1_WASTE) == 0
 
     def test_mixed_verdicts_split_fractionally(self):
-        led = T.TrafficLedger()
-        entries = [used_entry(), used_entry(), waste_entry(), waste_entry()]
-        led.add_data_words(T.ST, T.DEST_L2, hops=4, entries=entries)
+        words = Words()
+        led = words.ledger()
+        handles = [words.used(), words.used(), words.waste(), words.waste()]
+        led.add_data_words(T.ST, T.DEST_L2, hops=4, handles=handles)
         led.finalize()
         assert led.bucket(T.ST, T.RESP_L2_USED) == pytest.approx(2.0)
         assert led.bucket(T.ST, T.RESP_L2_WASTE) == pytest.approx(2.0)
 
     def test_unfilled_tail_goes_to_resp_ctl(self):
         """5 words over 2 hops: 2 data flits; 3 unfilled slots -> resp ctl."""
-        led = T.TrafficLedger()
+        words = Words()
+        led = words.ledger()
         led.add_data_words(T.LD, T.DEST_L1, hops=2,
-                           entries=[used_entry() for _ in range(5)])
+                           handles=[words.used() for _ in range(5)])
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(5 * 0.5)
         assert led.bucket(T.LD, T.RESP_CTL) == pytest.approx(3 * 0.5)
 
     def test_data_plus_slack_equals_flits_times_hops(self):
-        led = T.TrafficLedger()
+        words = Words()
+        led = words.ledger()
         n, hops = 7, 3
         flits = led.add_data_words(T.LD, T.DEST_L1, hops=hops,
-                                   entries=[used_entry()] * n)
+                                   handles=[words.used()] * n)
         led.finalize()
         total = (led.bucket(T.LD, T.RESP_L1_USED)
                  + led.bucket(T.LD, T.RESP_CTL))
@@ -90,11 +110,12 @@ class TestDataTraffic:
         assert led.add_data_words(T.LD, T.DEST_L1, 3, []) == 0
 
     def test_verdict_resolved_at_finalize(self):
-        """Entries classified after send still resolve correctly."""
-        led = T.TrafficLedger()
-        entry = ProfileEntry()
-        led.add_data_words(T.LD, T.DEST_L1, hops=1, entries=[entry] * 4)
-        entry.classify(Category.USED)
+        """Handles classified after send still resolve correctly."""
+        words = Words()
+        led = words.ledger()
+        handle, word = words.pending()
+        led.add_data_words(T.LD, T.DEST_L1, hops=1, handles=[handle] * 4)
+        words.prof.on_use(0, word)
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(1.0)
 
@@ -134,10 +155,11 @@ class TestFinalization:
             led.total()
 
     def test_totals(self):
-        led = T.TrafficLedger()
+        words = Words()
+        led = words.ledger()
         led.add_request_ctl(T.LD, 3)
         led.add_response_ctl(T.LD, 3)
-        led.add_data_words(T.LD, T.DEST_L1, 3, [used_entry()] * 4)
+        led.add_data_words(T.LD, T.DEST_L1, 3, [words.used()] * 4)
         led.add_overhead(T.OVH_ACK, 1)
         led.finalize()
         assert led.total() == pytest.approx(3 + 3 + 3 + 1)

@@ -9,8 +9,6 @@ committed repo-root ``BENCH_sweep.json``) and a freshly measured one:
 * smaller regressions print a non-blocking warning (runner noise);
 * records with a missing or different ``schema_version``, or from a
   different bench suite, are refused outright (exit 2);
-* the current record's compiled engine must stay at least
-  ``--engine-floor`` times faster than its reference engine, per cell;
 * with ``--attrib-delta``, a failed gate additionally prints the top
   attribution movers (lifecycle segments, stall causes, compute) so
   the failure names *which* part of the simulated work changed — or
@@ -28,8 +26,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench import (
-    COMPILED_SPEEDUP_FLOOR, REGRESSION_THRESHOLD, RecordMismatch,
-    attrib_delta, check_engine_floor, compare_records, load_record)
+    REGRESSION_THRESHOLD, RecordMismatch, attrib_delta, compare_records,
+    load_record)
 
 
 def main(argv=None) -> int:
@@ -40,10 +38,6 @@ def main(argv=None) -> int:
                         default=REGRESSION_THRESHOLD,
                         help="hard-fail events/second regression fraction "
                              f"(default: {REGRESSION_THRESHOLD})")
-    parser.add_argument("--engine-floor", type=float,
-                        default=COMPILED_SPEEDUP_FLOOR,
-                        help="minimum compiled/reference speedup per cell "
-                             f"(default: {COMPILED_SPEEDUP_FLOOR})")
     parser.add_argument("--attrib-delta", action="store_true",
                         help="when a gate fails, diff the records' "
                              "attribution profiles and print the top "
@@ -61,20 +55,10 @@ def main(argv=None) -> int:
         return 2
     for line in outcome["lines"]:
         print(line)
-    # Engine gate: the compiled engine must stay faster than the
-    # reference in the *current* record, independent of the baseline.
-    engine_gate = check_engine_floor(current, floor=ns.engine_floor)
-    for line in engine_gate["lines"]:
-        print(line)
-    failed = False
-    if not outcome["ok"]:
+    failed = not outcome["ok"]
+    if failed:
         print(f"bench_compare: events_per_second regressed by more than "
               f"{ns.threshold:.0%}", file=sys.stderr)
-        failed = True
-    if not engine_gate["ok"]:
-        print(f"bench_compare: compiled engine fell below "
-              f"{ns.engine_floor:.2f}x the reference", file=sys.stderr)
-        failed = True
     if ns.attrib_delta and failed:
         # Attribute the failure: did the simulated work move, or is
         # the host to blame?  (Profiles are deterministic per commit.)
