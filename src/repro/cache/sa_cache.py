@@ -8,7 +8,8 @@ line class is parameterized so each protocol can attach its own fields.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, List, Optional, Tuple, TypeVar
+from typing import (
+    Callable, Dict, Generic, Iterable, List, Optional, Tuple, TypeVar)
 
 from repro.common.addressing import WORDS_PER_LINE
 
@@ -122,6 +123,29 @@ class SetAssocCache(Generic[LineT]):
                 order.remove(line_addr)
                 order.insert(0, line_addr)
         return line
+
+    def can_claim(self, line_addr: int, pinned: Iterable[int]) -> bool:
+        """Whether a fill of ``line_addr`` can take a way now.
+
+        True when the line is resident, or when fewer than ``assoc``
+        resident lines of its set are in ``pinned`` (lines that must not
+        be evicted).  Probes count as one lookup of ``line_addr`` plus
+        one per pinned line in the same set.
+        """
+        self.stat_probes += 1
+        lines = self._lines
+        if line_addr in lines:
+            return True
+        shift = self._index_shift
+        num_sets = self._num_sets
+        idx = (line_addr >> shift) % num_sets
+        held = 0
+        for pinned_addr in pinned:
+            if (pinned_addr >> shift) % num_sets == idx:
+                self.stat_probes += 1
+                if pinned_addr in lines:
+                    held += 1
+        return held < self._assoc
 
     def victim_for(self, line_addr: int) -> Optional[LineT]:
         """Line that would be evicted to make room for ``line_addr``.

@@ -69,6 +69,10 @@ class WriteCombineEntry:
         return self.word_mask == (1 << WORDS_PER_LINE) - 1
 
 
+def _created_at(entry: WriteCombineEntry) -> int:
+    return entry.created_at
+
+
 class WriteCombineTable:
     """DeNovo write-combining unit (32 entries, 10,000-cycle timeout).
 
@@ -78,7 +82,8 @@ class WriteCombineTable:
     the structure itself never silently drops requests.
     """
 
-    __slots__ = ("_capacity", "_timeout", "_entries")
+    __slots__ = ("_capacity", "_timeout", "_entries", "_in_order",
+                 "_newest")
 
     def __init__(self, capacity: int, timeout: int) -> None:
         if capacity <= 0:
@@ -86,6 +91,13 @@ class WriteCombineTable:
         self._capacity = capacity
         self._timeout = timeout
         self._entries: Dict[int, WriteCombineEntry] = {}
+        # One core's stores arrive at non-decreasing times, so entries
+        # are normally created in time order and the first one (dict
+        # order) is the oldest.  ``_in_order`` says whether that held
+        # since the table was last empty; ``_newest`` is the latest
+        # creation time seen in that span.
+        self._in_order = True
+        self._newest = 0
 
     @property
     def capacity(self) -> int:
@@ -119,6 +131,11 @@ class WriteCombineTable:
         if entry is None:
             if len(entries) >= self._capacity:
                 raise RuntimeError("write-combine table overflow; flush first")
+            if not entries:
+                self._in_order = True
+            elif now < self._newest:
+                self._in_order = False
+            self._newest = now
             entry = WriteCombineEntry(line_addr=line_addr, created_at=now)
             entries[line_addr] = entry
         entry.word_mask |= 1 << (word_addr & OFFSET_MASK)
@@ -129,9 +146,13 @@ class WriteCombineTable:
         return self._entries.pop(line_addr, None)
 
     def oldest(self) -> Optional[WriteCombineEntry]:
-        if not self._entries:
+        """The entry created first (ties: the first inserted)."""
+        entries = self._entries
+        if not entries:
             return None
-        return min(self._entries.values(), key=lambda e: e.created_at)
+        if self._in_order:
+            return next(iter(entries.values()))
+        return min(entries.values(), key=_created_at)
 
     def expired(self, now: int) -> List[WriteCombineEntry]:
         """Entries whose timeout elapsed; removed from the table."""
@@ -143,9 +164,10 @@ class WriteCombineTable:
 
     def next_deadline(self) -> Optional[int]:
         """Earliest cycle at which some entry will time out."""
-        if not self._entries:
+        oldest = self.oldest()
+        if oldest is None:
             return None
-        return min(e.created_at for e in self._entries.values()) + self._timeout
+        return oldest.created_at + self._timeout
 
     def drain(self) -> List[WriteCombineEntry]:
         """Remove and return every entry (release instruction / barrier)."""

@@ -70,6 +70,65 @@ L2W_INVALID = 0
 L2W_VALID = 1
 L2W_REG = 2    # some L1 owns the word; L2 data (if any) is stale
 
+# A data response carries either words of one line in offset order (a
+# whole line when it has all 16) or, under Flex, a word list that may
+# span lines.  A whole line goes through the profilers' line calls and
+# installs by slice assignment; partial lines and Flex lists go word by
+# word.  Both cache levels code Invalid as 0 and Valid as 1, so the
+# helpers below serve L1 and L2 lines alike.
+_ALL_VALID = (W_VALID,) * WORDS_PER_LINE
+
+
+def _whole_line(words: List[int]) -> int:
+    """The line ``words`` fill whole and in offset order, or -1."""
+    if len(words) == WORDS_PER_LINE:
+        base = words[0]
+        if not base & 15 and words == list(
+                range(base, base + WORDS_PER_LINE)):
+            return base >> 4
+    return -1
+
+
+def _arrivals(prof, unit: int, line: Optional[CacheLine], words):
+    """Profile one line's ``words`` arriving at cache ``unit``.
+
+    ``line`` is the unit's copy of that line, or None.  A whole line
+    the unit holds none of costs one ``arrivals_line`` call; otherwise
+    each word is flagged by whether the unit already holds it.
+    """
+    if line is None or not any(line.word_state):
+        if len(words) == WORDS_PER_LINE:
+            return prof.arrivals_line(unit, words[0])
+        return prof.arrivals_words(unit, words, [False] * len(words))
+    state = line.word_state
+    return prof.arrivals_words(unit, words,
+                               [state[w & 15] != W_INVALID for w in words])
+
+
+def _install(line: CacheLine, words, insts, mem_prof) -> None:
+    """Install one line's ``words`` where ``line`` holds them Invalid.
+
+    A whole line landing on an all-Invalid line is three slice
+    assignments.  Otherwise only the Invalid words fill: a line that a
+    store write-validated while the fill was in flight keeps its
+    Registered words.
+    """
+    state = line.word_state
+    if len(words) == WORDS_PER_LINE and not any(state):
+        state[:] = _ALL_VALID
+        line.mem_inst[:] = insts
+        mem_prof.install_copies(insts)
+        return
+    mem_inst = line.mem_inst
+    install = mem_prof.install_copy
+    for word, inst in zip(words, insts):
+        off = word & 15
+        if state[off] == W_INVALID:
+            state[off] = W_VALID
+            mem_inst[off] = inst
+            if inst is not None:
+                install(inst)
+
 
 class DenovoL1Line(CacheLine):
     __slots__ = ()
@@ -120,11 +179,6 @@ class DenovoSystem(CoherenceKernel):
         self.stat_bloom_copies = 0
         self.stat_self_invalidated_words = 0
         self._bypass_response = self.policies.bypass.response_enabled
-        # Non-Flex rungs move whole lines: every response payload sits
-        # on the requested line, which unlocks the line-granular fast
-        # paths below (identical events, one line resolution per call).
-        self._line_granular = not (self.policies.transfer.flex_l1
-                                   or self.policies.transfer.flex_l2)
         if self.policies.bypass.request_enabled:
             self.slice_blooms = [
                 SliceFilterBank(cfg.bloom_filters_per_slice,
@@ -484,32 +538,20 @@ class DenovoSystem(CoherenceKernel):
     def _fetch_fw_dram_done(self, entry: DenovoL2Line, home: int, mc: int,
                             tt: int) -> None:
         ctx = self.ctx
-        line_addr = entry.line_addr
-        word_state = entry.word_state
-        l2_on_arrival = ctx.l2_prof.on_arrival
-        fetch = ctx.mem_prof.fetch
-        insts = []
-        l2_entries = []
-        offsets = []
-        for off, word in enumerate(words_of_line(line_addr)):
-            already = word_state[off] != L2W_INVALID
-            l2_entries.append(l2_on_arrival(home, word, already))
-            insts.append(fetch(word, already))
-            offsets.append(off)
+        words = words_of_line(entry.line_addr)
+        l2_entries = _arrivals(ctx.l2_prof, home, entry, words)
+        if any(entry.word_state):
+            fetch = ctx.mem_prof.fetch
+            insts = [fetch(word, state != L2W_INVALID)
+                     for word, state in zip(words, entry.word_state)]
+        else:
+            insts = ctx.mem_prof.fetch_line(words[0])
         self._send_data(T.ST, T.DEST_L2, mc, home, tt, l2_entries,
-                        self._fetch_fw_at_l2, entry, offsets, insts)
+                        self._fetch_fw_at_l2, entry, insts)
 
-    def _fetch_fw_at_l2(self, entry: DenovoL2Line, offsets: List[int],
-                        insts: List, _t3: int) -> None:
-        ctx = self.ctx
-        word_state = entry.word_state
-        mem_inst = entry.mem_inst
-        install = ctx.mem_prof.install_copy
-        for off, inst in zip(offsets, insts):
-            if word_state[off] == L2W_INVALID:
-                word_state[off] = L2W_VALID
-                mem_inst[off] = inst
-                install(inst)
+    def _fetch_fw_at_l2(self, entry: DenovoL2Line, insts, _t3: int) -> None:
+        _install(entry, words_of_line(entry.line_addr), insts,
+                 self.ctx.mem_prof)
 
     # ------------------------------------------------------------------
     # Load path: L2 handling
@@ -551,84 +593,112 @@ class DenovoSystem(CoherenceKernel):
                          home: int, t: int) -> None:
         """L2 hit: respond with the line's valid words (or Flex subset)."""
         ctx = self.ctx
-        words = self._gather_l2_words(req.addr, home)
+        line_addr, words = self._gather_l2_words(req.addr, home)
         core = req.core
-        l1 = self.l1[core]
         l2 = self.l2[home]
-        n = len(words)
-        flags = []
-        insts = []
-        if not self.policies.transfer.flex_l1:
-            # Line-granular fast path: every word is on the requested
-            # line, the source line is ``entry`` itself, and the scalar
-            # path would re-probe both caches once per delivered word.
-            if n:
-                l1_line = l1.lookup(req.addr >> 4, False)
-                l1.stat_probes += n - 1
-                l2.stat_probes += n
-                if l1_line is None:
-                    flags = [False] * n
-                else:
-                    state = l1_line.word_state
-                    flags = [state[w & 15] != W_INVALID for w in words]
-                mem_inst = entry.mem_inst
-                insts = [mem_inst[w & 15] for w in words]
+        if line_addr >= 0:
+            # Words of the requested line, so ``entry`` is their source.
+            if len(words) == WORDS_PER_LINE:
+                ctx.l2_prof.on_use_line(home, words[0])
+            else:
+                ctx.l2_prof.on_use_words(home, words)
+            l1_entries, insts = self._line_sources(core, l2, entry,
+                                                   line_addr, words)
         else:
-            # Flex gather may span lines: resolve each cache's line once
-            # per run of words and batch-charge the skipped probes (the
-            # counters stay identical to one lookup per word).
-            l1_addr = l2_addr = -1
-            l1_line = src_line = None
-            l1_probes = l2_probes = 0
-            for word in words:
-                wline = word >> 4
-                if wline == l1_addr:
-                    l1_probes += 1
-                else:
-                    l1_line = l1.lookup(wline, False)
-                    l1_addr = wline
-                flags.append(l1_line is not None
-                             and l1_line.word_state[word & 15]
-                             != W_INVALID)
-                if wline == l2_addr:
-                    l2_probes += 1
-                else:
-                    src_line = l2.lookup(wline, False)
-                    l2_addr = wline
-                insts.append(src_line.mem_inst[word & 15]
-                             if src_line is not None else None)
-            l1.stat_probes += l1_probes
-            l2.stat_probes += l2_probes
-        ctx.l2_prof.on_use_words(home, words)
-        l1_entries = ctx.l1_prof.arrivals_words(core, words, flags)
-        payload = list(zip(words, l1_entries, insts))
+            flags, insts = self._word_sources(self.l1[core], l2, words)
+            ctx.l2_prof.on_use_words(home, words)
+            l1_entries = ctx.l1_prof.arrivals_words(core, words, flags)
         req.served_by = SERVED_L2
         req.t_fill_send = t
         self._send_data(
             T.LD, T.DEST_L1, home, core, t, l1_entries,
-            self._l1_load_fill, req, payload, True)
+            self._l1_load_fill, req, line_addr, words, insts, True)
 
-    def _gather_l2_words(self, addr: int, home: int) -> List[int]:
-        """Words an L2 response carries: Flex subset or valid line words."""
+    def _line_sources(self, core: int, src_cache, src_line: CacheLine,
+                      line_addr: int, words: List[int]):
+        """One-line path of a cache-sourced response.
+
+        Profiles the words' arrival at ``core``'s L1 and returns their
+        handles with the memory instances of ``src_line``'s copies.  One
+        lookup per cache; the probes still count one per word.
+        """
+        l1 = self.l1[core]
+        n = len(words)
+        l1_line = l1.lookup(line_addr, False)
+        l1.stat_probes += n - 1
+        src_cache.stat_probes += n
+        if n == WORDS_PER_LINE:
+            insts = src_line.mem_inst[:]
+        else:
+            mem_inst = src_line.mem_inst
+            insts = [mem_inst[w & 15] for w in words]
+        return _arrivals(self.ctx.l1_prof, core, l1_line, words), insts
+
+    @staticmethod
+    def _word_sources(l1, src_cache, words: List[int]):
+        """Word path of a cache-sourced response.
+
+        Returns whether the requestor's ``l1`` already holds each word
+        and the memory instance of each word's copy in ``src_cache``.
+        Each cache's line is resolved once per run of same-line words
+        and the skipped probes are charged, so the counters match one
+        lookup per word.
+        """
+        flags = []
+        insts = []
+        l1_addr = src_addr = -1
+        l1_line = src_line = None
+        l1_probes = src_probes = 0
+        for word in words:
+            wline = word >> 4
+            if wline == l1_addr:
+                l1_probes += 1
+            else:
+                l1_line = l1.lookup(wline, False)
+                l1_addr = wline
+            flags.append(l1_line is not None
+                         and l1_line.word_state[word & 15] != W_INVALID)
+            if wline == src_addr:
+                src_probes += 1
+            else:
+                src_line = src_cache.lookup(wline, False)
+                src_addr = wline
+            insts.append(src_line.mem_inst[word & 15]
+                         if src_line is not None else None)
+        l1.stat_probes += l1_probes
+        src_cache.stat_probes += src_probes
+        return flags, insts
+
+    def _gather_l2_words(self, addr: int,
+                         home: int) -> Tuple[int, List[int]]:
+        """Words an L2 response carries, and their line.
+
+        Without a Flex region the words are the valid words of
+        ``addr``'s line, in offset order.  A Flex subset reports its
+        line only when it is that whole line in offset order; any other
+        subset reports -1 and takes the word path.
+        """
         l2 = self.l2[home]
-        if not self.policies.transfer.flex_l1:
-            # Line-granular fast path: all candidates are on addr's own
-            # line (whose slice is ``home``), one probe per word.
+        transfer = self.policies.transfer
+        region = transfer.cache_region(addr)
+        if region is None:
+            # ``addr``'s own line (whose slice is ``home``): one probe
+            # per candidate word.
             line_addr = addr >> 4
             lentry = l2.lookup(line_addr, False)
             l2.stat_probes += WORDS_PER_LINE - 1
             if lentry is None:
-                return []
+                return -1, []
             base = line_addr << 4
             state = lentry.word_state
-            return [base + off for off in range(WORDS_PER_LINE)
-                    if state[off] == L2W_VALID]
+            return line_addr, [base + off for off in range(WORDS_PER_LINE)
+                               if state[off] == L2W_VALID]
         home_tile = self._home_tile
         out = []
         last_addr = -1
         lentry = None
         probes = 0
-        for word in self.policies.transfer.cache_candidates(addr):
+        for word in transfer.region_words(region, addr):
             wline = word >> 4
             if home_tile(wline) != home:
                 continue   # the slice can only gather its own lines
@@ -642,12 +712,7 @@ class DenovoSystem(CoherenceKernel):
             if lentry.word_state[word & 15] == L2W_VALID:
                 out.append(word)
         l2.stat_probes += probes
-        return out
-
-    def _l1_has_word(self, core: int, word: int) -> bool:
-        line = self.l1[core].lookup(word >> 4, touch=False)
-        return (line is not None
-                and line.word_state[word & 15] != W_INVALID)
+        return _whole_line(out), out
 
     def _forward_to_owner(self, req: LoadRequest, entry: DenovoL2Line,
                           home: int, t: int) -> None:
@@ -680,77 +745,45 @@ class DenovoSystem(CoherenceKernel):
                 T.OVH_NACK, owner, req.core, tt,
                 self._retry_gets, req)
             return
-        words = self._gather_owner_words(owner, req.addr)
+        line_addr, words = self._gather_owner_words(owner, req.addr)
         core = req.core
-        l1_req = self.l1[core]
         l1_owner = self.l1[owner]
-        n = len(words)
-        flags = []
-        insts = []
-        if not self.policies.transfer.flex_l1:
-            # Line-granular fast path: every word is on the requested
-            # line, sourced from ``oline`` resolved above.
-            if n:
-                req_line = l1_req.lookup(req.addr >> 4, False)
-                l1_req.stat_probes += n - 1
-                l1_owner.stat_probes += n
-                if req_line is None:
-                    flags = [False] * n
-                else:
-                    state = req_line.word_state
-                    flags = [state[w & 15] != W_INVALID for w in words]
-                mem_inst = oline.mem_inst
-                insts = [mem_inst[w & 15] for w in words]
+        if line_addr >= 0:
+            # Words of the requested line: their source is ``oline``.
+            l1_entries, insts = self._line_sources(core, l1_owner, oline,
+                                                   line_addr, words)
         else:
-            req_addr = own_addr = -1
-            req_line = src = None
-            req_probes = own_probes = 0
-            for word in words:
-                wline = word >> 4
-                if wline == req_addr:
-                    req_probes += 1
-                else:
-                    req_line = l1_req.lookup(wline, False)
-                    req_addr = wline
-                flags.append(req_line is not None
-                             and req_line.word_state[word & 15]
-                             != W_INVALID)
-                if wline == own_addr:
-                    own_probes += 1
-                else:
-                    src = l1_owner.lookup(wline, False)
-                    own_addr = wline
-                insts.append(src.mem_inst[word & 15]
-                             if src is not None else None)
-            l1_req.stat_probes += req_probes
-            l1_owner.stat_probes += own_probes
-        l1_entries = ctx.l1_prof.arrivals_words(core, words, flags)
-        payload = list(zip(words, l1_entries, insts))
+            flags, insts = self._word_sources(self.l1[core], l1_owner,
+                                              words)
+            l1_entries = ctx.l1_prof.arrivals_words(core, words, flags)
         req.served_by = SERVED_REMOTE_L1
         req.t_fill_send = tt
         self._send_data(
             T.LD, T.DEST_L1, owner, core, tt, l1_entries,
-            self._l1_load_fill, req, payload, True)
+            self._l1_load_fill, req, line_addr, words, insts, True)
 
-    def _gather_owner_words(self, owner: int, addr: int) -> List[int]:
-        """Words a cache-to-cache response carries from the owner L1."""
+    def _gather_owner_words(self, owner: int,
+                            addr: int) -> Tuple[int, List[int]]:
+        """Words a cache-to-cache response carries from the owner L1,
+        with their line as in :meth:`_gather_l2_words`."""
         l1_owner = self.l1[owner]
-        if not self.policies.transfer.flex_l1:
-            # Line-granular fast path: all candidates on addr's line.
+        transfer = self.policies.transfer
+        region = transfer.cache_region(addr)
+        if region is None:
             line_addr = addr >> 4
             line = l1_owner.lookup(line_addr, False)
             l1_owner.stat_probes += WORDS_PER_LINE - 1
             if line is None:
-                return []
+                return -1, []
             base = line_addr << 4
             state = line.word_state
-            return [base + off for off in range(WORDS_PER_LINE)
-                    if state[off] != W_INVALID]
+            return line_addr, [base + off for off in range(WORDS_PER_LINE)
+                               if state[off] != W_INVALID]
         out = []
         last_addr = -1
         line = None
         probes = 0
-        for word in self.policies.transfer.cache_candidates(addr):
+        for word in transfer.region_words(region, addr):
             wline = word >> 4
             if wline == last_addr:
                 probes += 1
@@ -762,7 +795,7 @@ class DenovoSystem(CoherenceKernel):
             if line.word_state[word & 15] != W_INVALID:
                 out.append(word)
         l1_owner.stat_probes += probes
-        return out
+        return _whole_line(out), out
 
     def _retry_gets(self, req: LoadRequest, at: int) -> None:
         req.retries += 1
@@ -880,7 +913,7 @@ class DenovoSystem(CoherenceKernel):
                                                           line_addr))
         else:
             lines = [line_addr]
-            wanted_set = set(words_of_line(line_addr))
+            wanted_set = None    # the whole line
         masked = {base_word(line_addr) + off for off in dirty_offsets}
 
         # One response message per fetched line, sent as soon as that
@@ -888,27 +921,28 @@ class DenovoSystem(CoherenceKernel):
         # whole multi-line Flex gather would penalize the critical load).
         # The critical line's response carries the requested word and
         # completes the load; prefetch-line responses just install.
-        is_flex = flex_region is not None
         for fetched_line in lines:
             dram.read(fetched_line, self._mc_respond_line, req, home, mc,
-                      fill_l2, is_flex, wanted_set, masked, line_addr,
-                      fetched_line)
+                      fill_l2, wanted_set, masked, line_addr, fetched_line)
 
     def _mc_respond_line(self, req: LoadRequest, home: int, mc: int,
-                         fill_l2: bool, is_flex: bool, wanted_set: Set[int],
+                         fill_l2: bool, wanted_set: Optional[Set[int]],
                          masked: Set[int], line_addr: int,
                          fetched_line: int, t: int) -> None:
-        ctx = self.ctx
-        send_words: List[int] = []
-        fetch_excess = ctx.mem_prof.fetch_excess
-        for word in words_of_line(fetched_line):
-            if word in masked:
-                continue
-            if word in wanted_set:
-                send_words.append(word)
-            elif is_flex:
-                # Read out of DRAM, dropped at the controller.
-                fetch_excess(word)
+        words = words_of_line(fetched_line)
+        if wanted_set is None:
+            send_words = [word for word in words if word not in masked]
+        else:
+            send_words = []
+            fetch_excess = self.ctx.mem_prof.fetch_excess
+            for word in words:
+                if word in masked:
+                    continue
+                if word in wanted_set:
+                    send_words.append(word)
+                else:
+                    # Read out of DRAM, dropped at the controller.
+                    fetch_excess(word)
         completes = fetched_line == line_addr
         if completes:
             req.t_leave_mc = t
@@ -937,181 +971,135 @@ class DenovoSystem(CoherenceKernel):
                 # Everything was masked (dirty on-chip): retry via L2.
                 self._retry_gets(req, t)
             return
+        # A memory response carries words of one fetched line, in
+        # offset order.
+        line_addr = words[0] >> 4
+        l2_cache = self.l2[self._home_tile(line_addr)]
+        entry = l2_cache.lookup(line_addr, False)
+        l2_cache.stat_probes += len(words) - 1
         fetch = ctx.mem_prof.fetch
-        home_tile = self._home_tile
-        insts = {}
-        last_addr = -1
-        l2_cache = entry = None
-        for word in words:
-            wline = word >> 4
-            if wline == last_addr:
-                l2_cache.stat_probes += 1
-            else:
-                l2_cache = self.l2[home_tile(wline)]
-                entry = l2_cache.lookup(wline, False)
-                last_addr = wline
-            has = (entry is not None
-                   and entry.word_state[word & 15] != L2W_INVALID)
-            insts[word] = fetch(word, has)
+        if entry is not None and any(entry.word_state):
+            state = entry.word_state
+            insts = [fetch(word, state[word & 15] != L2W_INVALID)
+                     for word in words]
+        elif len(words) == WORDS_PER_LINE:
+            insts = ctx.mem_prof.fetch_line(words[0])
+        else:
+            insts = [fetch(word, False) for word in words]
 
         if not fill_l2:
-            self._send_l1_leg(req, words, insts, completes, mc, t)
+            self._send_l1_leg(req, line_addr, words, insts, completes, mc,
+                              t)
         elif self.policies.mem_transfer.direct_to_l1:
             # Parallel transfer to the L1 and the L2.
-            self._send_l1_leg(req, words, insts, completes, mc, t)
-            self._send_l2_leg(req, words, insts, home, mc, completes,
-                              False, t)
+            self._send_l1_leg(req, line_addr, words, insts, completes, mc,
+                              t)
+            self._send_l2_leg(req, line_addr, words, insts, home, mc,
+                              completes, False, t)
         else:
             # Baseline: memory -> L2 -> L1.
-            self._send_l2_leg(req, words, insts, home, mc, completes,
-                              True, t)
+            self._send_l2_leg(req, line_addr, words, insts, home, mc,
+                              completes, True, t)
 
-    def _send_l1_leg(self, req: LoadRequest, words: List[int], insts: Dict,
-                     completes: bool, src: int, at: int) -> None:
-        """The L1 leg of a memory response (registers inflight fills)."""
-        ctx = self.ctx
+    def _send_l1_leg(self, req: LoadRequest, line_addr: int,
+                     words: List[int], insts, completes: bool, src: int,
+                     at: int) -> None:
+        """The L1 leg of a memory response (registers the inflight fill)."""
         if completes:
             req.t_fill_send = at
         core = req.core
         l1 = self.l1[core]
-        fill_lines = set()
-        last_addr = -1
-        line = None
-        probes = 0
-        flags = []
-        for word in words:
-            wline = word >> 4
-            if wline == last_addr:
-                probes += 1
-            else:
-                line = l1.lookup(wline, False)
-                last_addr = wline
-            flags.append(line is not None
-                         and line.word_state[word & 15] != W_INVALID)
-            fill_lines.add(wline)
-        l1.stat_probes += probes
-        l1_entries = ctx.l1_prof.arrivals_words(core, words, flags)
-        payload = [(word, wentry, insts[word])
-                   for word, wentry in zip(words, l1_entries)]
-        inflight = self._inflight_fills[core]
-        for fl in fill_lines:
-            inflight.setdefault(fl, [])
+        line = l1.lookup(line_addr, False)
+        l1.stat_probes += len(words) - 1
+        l1_entries = _arrivals(self.ctx.l1_prof, core, line, words)
+        self._inflight_fills[core].setdefault(line_addr, [])
         self._send_data(T.LD, T.DEST_L1, src, core, at, l1_entries,
-                        self._on_l1_fill, req, payload, completes,
-                        fill_lines)
+                        self._on_l1_fill, req, line_addr, words, insts,
+                        completes)
 
-    def _on_l1_fill(self, req: LoadRequest, payload: List,
-                    completes: bool, fill_lines: Set[int],
+    def _on_l1_fill(self, req: LoadRequest, line_addr: int,
+                    words: List[int], insts, completes: bool,
                     tt: int) -> None:
-        self._l1_load_fill(req, payload, completes, tt)
-        inflight = self._inflight_fills[req.core]
-        queue = self._queue
-        now = queue.now
-        when = tt if tt >= now else now
-        schedule_call = queue.schedule_call
-        for fl in fill_lines:
-            for waiter in inflight.pop(fl, ()):
-                schedule_call(when, waiter, tt)
+        self._l1_load_fill(req, line_addr, words, insts, completes, tt)
+        waiters = self._inflight_fills[req.core].pop(line_addr, ())
+        if waiters:
+            queue = self._queue
+            now = queue.now
+            when = tt if tt >= now else now
+            for waiter in waiters:
+                queue.schedule_call(when, waiter, tt)
 
-    def _send_l2_leg(self, req: LoadRequest, words: List[int], insts: Dict,
-                     home: int, mc: int, completes: bool,
-                     l1_after: bool, at: int) -> None:
-        """The L2 leg of a memory response (baseline chains the L1 leg)."""
-        ctx = self.ctx
-        l2_on_arrival = ctx.l2_prof.on_arrival
-        home_tile = self._home_tile
-        l2_entries = []
-        last_addr = -1
-        home_w = -1
-        l2_cache = entry = None
-        for word in words:
-            wline = word >> 4
-            if wline == last_addr:
-                l2_cache.stat_probes += 1
-            else:
-                home_w = home_tile(wline)
-                l2_cache = self.l2[home_w]
-                entry = l2_cache.lookup(wline, False)
-                last_addr = wline
-            already = (entry is not None
-                       and entry.word_state[word & 15] != L2W_INVALID)
-            l2_entries.append(l2_on_arrival(home_w, word, already))
+    def _send_l2_leg(self, req: LoadRequest, line_addr: int,
+                     words: List[int], insts, home: int, mc: int,
+                     completes: bool, l1_after: bool, at: int) -> None:
+        """The L2 leg of a memory response (baseline chains the L1 leg).
+
+        The words are profiled and installed at their own line's slice,
+        which differs from ``home`` for Flex prefetch lines.
+        """
+        line_home = self._home_tile(line_addr)
+        l2_cache = self.l2[line_home]
+        entry = l2_cache.lookup(line_addr, False)
+        l2_cache.stat_probes += len(words) - 1
+        l2_entries = _arrivals(self.ctx.l2_prof, line_home, entry, words)
         self._send_data(T.LD, T.DEST_L2, mc, home, at, l2_entries,
-                        self._on_l2_fill, req, words, insts, home,
-                        completes, l1_after)
+                        self._on_l2_fill, req, line_addr, words, insts,
+                        home, completes, l1_after)
 
-    def _on_l2_fill(self, req: LoadRequest, words: List[int], insts: Dict,
-                    home: int, completes: bool, l1_after: bool,
-                    tt: int) -> None:
-        self._fill_l2_words(words, insts)
+    def _on_l2_fill(self, req: LoadRequest, line_addr: int,
+                    words: List[int], insts, home: int, completes: bool,
+                    l1_after: bool, tt: int) -> None:
+        line_home = self._home_tile(line_addr)
+        l2_cache = self.l2[line_home]
+        entry = l2_cache.lookup(line_addr)
+        if entry is None:
+            entry = self._reserve_l2(line_home, line_addr)
+        # The other words' lookups would find the same MRU line.
+        l2_cache.stat_probes += len(words) - 1
+        _install(entry, words, insts, self.ctx.mem_prof)
         if l1_after:
-            self._send_l1_leg(req, words, insts, completes, home, tt)
-
-    def _l2_has_word(self, word: int) -> bool:
-        home = self._home_tile(word >> 4)
-        entry = self.l2[home].lookup(word >> 4, touch=False)
-        return (entry is not None
-                and entry.word_state[word & 15] != L2W_INVALID)
-
-    def _fill_l2_words(self, words: List[int], insts: Dict[int, object]) -> None:
-        ctx = self.ctx
-        home_tile = self._home_tile
-        install = ctx.mem_prof.install_copy
-        last_addr = -1
-        home = -1
-        l2_cache = entry = None
-        for word in words:
-            wline = word >> 4
-            if wline == last_addr:
-                # Same line: already resolved and at MRU, so the touch
-                # the scalar path would do is a no-op; charge the probe.
-                l2_cache.stat_probes += 1
-            else:
-                home = home_tile(wline)
-                l2_cache = self.l2[home]
-                entry = l2_cache.lookup(wline)
-                last_addr = wline
-            if entry is None:
-                entry = self._reserve_l2(home, wline)
-            off = word & 15
-            if entry.word_state[off] == L2W_INVALID:
-                entry.word_state[off] = L2W_VALID
-                entry.mem_inst[off] = insts[word]
-                install(insts[word])
+            self._send_l1_leg(req, line_addr, words, insts, completes, home,
+                              tt)
 
     # ------------------------------------------------------------------
     # L1 fill and completion
     # ------------------------------------------------------------------
 
-    def _l1_load_fill(self, req: LoadRequest,
-                      payload: List[Tuple[int, object, object]],
-                      completes: bool, t: int) -> None:
+    def _l1_load_fill(self, req: LoadRequest, line_addr: int,
+                      words: List[int], insts, completes: bool,
+                      t: int) -> None:
         """Install delivered words into the requestor's L1; when this is
-        the response carrying the requested word, finish the load."""
+        the response carrying the requested word, finish the load.
+
+        ``line_addr`` is the line of a one-line payload, or -1 for a
+        Flex word list (which may span lines).
+        """
         ctx = self.ctx
         core = req.core
         l1 = self.l1[core]
         req_line = req.addr >> 4
-        install = ctx.mem_prof.install_copy
-        if self._line_granular and payload:
-            # Fast path: the whole payload is on the requested line.
-            line = l1.lookup(req_line, False)
-            l1.stat_probes += len(payload) - 1
+        if line_addr >= 0:
+            line = l1.lookup(line_addr, False)
+            l1.stat_probes += len(words) - 1
             if line is None:
-                line = self._allocate_l1(core, req_line)
-            word_state = line.word_state
-            mem_inst = line.mem_inst
-            for word, _entry, inst in payload:
-                off = word & 15
-                if word_state[off] == W_INVALID:
-                    word_state[off] = W_VALID
-                    mem_inst[off] = inst
-                    if inst is not None:
-                        install(inst)
+                if line_addr == req_line:
+                    line = self._allocate_l1(core, line_addr)
+                else:
+                    probes = l1.stat_probes
+                    if self._can_reserve(core, line_addr):
+                        line = self._allocate_l1(core, line_addr)
+                    else:
+                        # A prefetched line with no room is dropped; the
+                        # word loop checks the room once per word.
+                        l1.stat_probes += ((l1.stat_probes - probes)
+                                           * (len(words) - 1))
+            if line is not None:
+                _install(line, words, insts, ctx.mem_prof)
         else:
+            install = ctx.mem_prof.install_copy
             last_addr = -1
             line = None
-            for word, _entry, inst in payload:
+            for word, inst in zip(words, insts):
                 wline = word >> 4
                 if wline == last_addr:
                     l1.stat_probes += 1
@@ -1133,9 +1121,8 @@ class DenovoSystem(CoherenceKernel):
                         install(inst)
         if not completes:
             return
-        line_addr = req_line
-        self._protected[core].discard(line_addr)
-        line = l1.lookup(line_addr, touch=False)
+        self._protected[core].discard(req_line)
+        line = l1.lookup(req_line, touch=False)
         if line is None or line.word_state[req.addr & 15] == W_INVALID:
             # The needed word did not arrive (e.g. masked at the memory
             # controller because it was dirty on-chip): retry through L2.

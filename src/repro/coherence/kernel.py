@@ -178,17 +178,7 @@ class CoherenceKernel:
 
     def _can_reserve(self, core: int, line_addr: int) -> bool:
         """Whether an L1 fill for ``line_addr`` can claim a way now."""
-        cache = self.l1[core]
-        if cache.lookup(line_addr, touch=False) is not None:
-            return True
-        set_index = cache.set_index
-        lookup = cache.lookup
-        idx = set_index(line_addr)
-        protected_in_set = 0
-        for la in self._protected[core]:
-            if set_index(la) == idx and lookup(la, touch=False) is not None:
-                protected_in_set += 1
-        return protected_in_set < cache.assoc
+        return self.l1[core].can_claim(line_addr, self._protected[core])
 
     def _allocate_l1(self, core: int, line_addr: int):
         """Insert ``line_addr`` into the L1, evicting an unprotected way.

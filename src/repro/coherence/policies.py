@@ -92,9 +92,14 @@ class TransferPolicy:
         self.flex_l1 = flex_l1
         self.flex_l2 = flex_l2
 
+    def cache_region(self, addr: int):
+        """The Flex region steering a cache-sourced response, or None
+        (the response then gathers ``addr``'s own line)."""
+        return self.regions.flex_region_for(addr) if self.flex_l1 else None
+
     def cache_candidates(self, addr: int) -> List[int]:
         """Candidate words for a cache-sourced response around ``addr``."""
-        region = self.regions.flex_region_for(addr) if self.flex_l1 else None
+        region = self.cache_region(addr)
         if region is None:
             return list(words_of_line(line_of(addr)))
         return self.region_words(region, addr)

@@ -29,7 +29,9 @@ class _Bank:
     busy_until: int = 0
 
 
-@dataclass(slots=True)
+# Compared by identity: every request has a unique ``seq``, so queue
+# removal finds the same entry without a field-by-field ``__eq__``.
+@dataclass(slots=True, eq=False)
 class _Request:
     line_addr: int
     is_write: bool

@@ -40,6 +40,71 @@ class TestWriteValidate:
         assert result.mem_waste[Category.WRITE] >= 0
 
 
+class TestLineFill:
+    def test_whole_line_fill_keeps_write_validated_words(self):
+        """A whole-line fill that lands on a line a store write-validated
+        while the fill was in flight fills only the Invalid words."""
+        from repro.coherence.denovo import W_REG, W_VALID
+        from repro.common.config import protocol
+        from repro.core.system import System
+        from tests.conftest import micro_workload
+
+        system = System(micro_workload({9: [(OP_LOAD, 80)]}),
+                        protocol("DeNovo"), TINY_SYSTEM)
+        proto = system.proto_sys
+        fill = proto._l1_load_fill
+        seen = []
+
+        def store_then_fill(req, line_addr, words, insts, completes, t):
+            proto.store(req.core, 83, t)
+            fill(req, line_addr, words, insts, completes, t)
+            line = proto.l1[req.core].lookup(5, touch=False)
+            seen.append((list(words), list(line.word_state),
+                         list(line.mem_inst), list(insts)))
+
+        proto._l1_load_fill = store_then_fill
+        result = system.run()
+        assert result.protocol_stats["registrations"] == 1
+        [(words, state, mem_inst, insts)] = seen
+        assert words == list(range(80, 96))    # one whole line
+        assert state == [W_VALID] * 3 + [W_REG] + [W_VALID] * 12
+        assert mem_inst[3] is None         # the stored word has no copy
+        assert mem_inst[:3] + mem_inst[4:] == list(insts[:3]) + list(
+            insts[4:])
+        # The fill's copy of word 83 lost to the store: Write waste.
+        assert result.l1_waste[Category.WRITE] == 1
+
+    @pytest.mark.parametrize("offsets", [range(16), (0, 3, 5)])
+    def test_dropped_prefetch_line_probes_like_the_word_path(self, offsets):
+        """A Flex prefetch line with no free way is dropped; the one-line
+        fill charges the probes the word-list fill charges."""
+        from repro.common.config import protocol
+        from repro.core.context import LoadRequest
+        from repro.core.system import System
+        from tests.conftest import micro_workload
+
+        system = System(micro_workload({}), protocol("DFlexL2"), TINY_SYSTEM)
+        proto = system.proto_sys
+        l1 = proto.l1[0]
+        # Pin every way of set 0; the prefetched line maps there too.
+        for way in range(l1.assoc):
+            proto._allocate_l1(0, way * l1.num_sets)
+            proto._protected[0].add(way * l1.num_sets)
+        prefetched = l1.assoc * l1.num_sets
+        req = LoadRequest(core=0, addr=0, t_issue=0, on_done=None)
+        words = [prefetched * 16 + off for off in offsets]
+        charged = []
+        for line_addr in (prefetched, -1):        # one-line, word list
+            before = l1.stat_probes
+            proto._l1_load_fill(req, line_addr, words, [None] * len(words),
+                                False, 0)
+            charged.append(l1.stat_probes - before)
+            assert l1.lookup(prefetched, touch=False) is None
+        # Per word: one lookup, then the reservation check (one probe
+        # for the line, one per pinned line of its set).
+        assert charged == [len(words) * (2 + l1.assoc)] * 2
+
+
 class TestRegistration:
     def test_store_sends_registration(self):
         result, sys = run_micro({9: [(OP_STORE, 80)]}, proto="DeNovo")

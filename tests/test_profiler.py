@@ -280,3 +280,119 @@ class TestWarmupCrossing:
         assert ctx.mem_prof.total_words() == 0
         assert ctx.ledger.bucket(T.LD, T.RESP_L1_USED) == 0.5
         assert ctx.ledger.bucket(T.LD, T.RESP_L1_WASTE) == 0.5
+
+
+class TestBulkEqualsScalar:
+    """Each line-granular bulk call equals its scalar loop: the same
+    handles, verdict pool, counters and active rows."""
+
+    BASE = 37 << 4          # first word of line 37
+    UNIT = 3
+
+    def _cache_profiler(self, older: bool) -> CacheLevelProfiler:
+        p = CacheLevelProfiler("L1")
+        # A neighbouring line's row must stay untouched.
+        p.on_arrival(self.UNIT, self.BASE + 16, already_present=False)
+        if older:
+            # An older row on the line: pending, used and empty slots.
+            for off in (2, 5, 9):
+                p.on_arrival(self.UNIT, self.BASE + off,
+                             already_present=False)
+            p.on_use(self.UNIT, self.BASE + 5)
+        return p
+
+    @staticmethod
+    def _cache_state(p: CacheLevelProfiler):
+        # The scalar evict/invalidate leave an emptied row where the
+        # line calls drop it; no event tells the two apart.
+        return (list(p.pools.cache_cat), list(p._counts), p._total,
+                {key: list(row) for key, row in p._active.items()
+                 if any(handle is not None for handle in row)})
+
+    @pytest.mark.parametrize("older", [False, True])
+    @pytest.mark.parametrize("bulk, scalar", [
+        ("arrivals_line", lambda p, unit, word: p.on_arrival(unit, word,
+                                                             False)),
+        ("on_use_line", lambda p, unit, word: p.on_use(unit, word)),
+        ("on_evict_line", lambda p, unit, word: p.on_evict(unit, word)),
+        ("on_invalidate_line",
+         lambda p, unit, word: p.on_invalidate(unit, word)),
+    ])
+    def test_cache_line_calls(self, bulk, scalar, older):
+        bulk_p = self._cache_profiler(older)
+        scalar_p = self._cache_profiler(older)
+        got = getattr(bulk_p, bulk)(self.UNIT, self.BASE)
+        want = [scalar(scalar_p, self.UNIT, word)
+                for word in range(self.BASE, self.BASE + 16)]
+        if bulk == "arrivals_line":
+            assert list(got) == want
+        assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+        # Later events see the same rows.
+        for p in (bulk_p, scalar_p):
+            p.on_use(self.UNIT, self.BASE + 9)
+            p.finalize()
+        assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+
+    def _memory_profiler(self, older: bool):
+        p = MemoryProfiler()
+        handles = [p.fetch(self.BASE + 16, False)]
+        if older:
+            # Older pending instances of the same words, one of them
+            # with two on-chip copies and one already used.
+            handles += [p.fetch(word, False)
+                        for word in range(self.BASE, self.BASE + 16)]
+            for handle in handles:
+                p.install_copy(handle)
+            p.install_copy(handles[3])
+            p.on_load(handles[5])
+        return p, handles
+
+    @staticmethod
+    def _memory_state(p: MemoryProfiler):
+        return (list(p.pools.mem_cat), list(p.pools.mem_refs),
+                list(p.pools.mem_addr), list(p._counts), p._total,
+                {addr: set(hs) for addr, hs in p._pending_by_addr.items()})
+
+    @pytest.mark.parametrize("older", [False, True])
+    def test_fetch_line(self, older):
+        bulk_p, _ = self._memory_profiler(older)
+        scalar_p, _ = self._memory_profiler(older)
+        got = bulk_p.fetch_line(self.BASE)
+        want = [scalar_p.fetch(word, False)
+                for word in range(self.BASE, self.BASE + 16)]
+        assert list(got) == want
+        assert self._memory_state(bulk_p) == self._memory_state(scalar_p)
+        for p in (bulk_p, scalar_p):
+            p.on_store_addr(self.BASE + 4)
+            p.finalize()
+        assert self._memory_state(bulk_p) == self._memory_state(scalar_p)
+
+    @pytest.mark.parametrize("older", [False, True])
+    @pytest.mark.parametrize("invalidated", [None, False, True])
+    def test_install_and_drop_copies(self, older, invalidated):
+        """``invalidated=None`` checks ``install_copies``, otherwise
+        ``drop_copies``; None slots (locally written words) are
+        skipped."""
+        states = []
+        for bulk in (True, False):
+            p, _ = self._memory_profiler(older)
+            line = list(p.fetch_line(self.BASE))
+            p.install_copies(line)
+            slots = line[:]
+            slots[7] = None
+            if invalidated is None:
+                if bulk:
+                    p.install_copies(slots)
+                else:
+                    for handle in slots:
+                        if handle is not None:
+                            p.install_copy(handle)
+            elif bulk:
+                p.drop_copies(slots, invalidated=invalidated)
+            else:
+                for handle in slots:
+                    if handle is not None:
+                        p.drop_copy(handle, invalidated=invalidated)
+            p.finalize()
+            states.append(self._memory_state(p))
+        assert states[0] == states[1]

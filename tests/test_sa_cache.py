@@ -84,6 +84,54 @@ class TestBasics:
         assert line.extra == 42
 
 
+class TestCanClaim:
+    def test_result_and_probes(self):
+        c = SetAssocCache(num_sets=4, assoc=2)
+        for addr in (1, 5, 2):
+            c.allocate(addr)            # set 1 holds 1 and 5; set 2 holds 2
+        c.stat_probes = 0
+        # Resident: one probe, the pinned lines are not examined.
+        assert c.can_claim(5, {1, 2, 9})
+        assert c.stat_probes == 1
+        c.stat_probes = 0
+        # Set 1 is full of pinned lines: one probe for 9, one for each
+        # pinned line of set 1 (2 lives in set 2 and costs nothing).
+        assert not c.can_claim(9, {1, 5, 2})
+        assert c.stat_probes == 3
+        c.stat_probes = 0
+        # 13 maps to set 1 but is not resident: probed, not counted.
+        assert c.can_claim(9, {1, 13, 2})
+        assert c.stat_probes == 3
+        c.stat_probes = 0
+        assert c.can_claim(9, set())
+        assert c.stat_probes == 1
+
+    @settings(max_examples=50)
+    @given(st.lists(st.integers(min_value=0, max_value=40), max_size=30),
+           st.sets(st.integers(min_value=0, max_value=40), max_size=10),
+           st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=2))
+    def test_matches_lookup_reference(self, addrs, pinned, line_addr,
+                                      shift):
+        """Same answer and probes as one ``lookup`` of the line plus one
+        per pinned line in its set."""
+        c = SetAssocCache(4, 2, index_shift=shift)
+        for addr in addrs:
+            c.allocate(addr)
+        c.stat_probes = 0
+        if c.lookup(line_addr, touch=False) is not None:
+            expected = True
+        else:
+            idx = c.set_index(line_addr)
+            held = sum(1 for la in pinned if c.set_index(la) == idx
+                       and c.lookup(la, touch=False) is not None)
+            expected = held < c.assoc
+        reference_probes = c.stat_probes
+        c.stat_probes = 0
+        assert c.can_claim(line_addr, pinned) is expected
+        assert c.stat_probes == reference_probes
+
+
 class TestCacheLine:
     def test_fresh_line_state(self):
         line = CacheLine(5)

@@ -1,6 +1,7 @@
 """Unit tests for the store buffer and write-combining table."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cache.writebuffer import StoreBuffer, WriteCombineTable
 from repro.common.addressing import WORDS_PER_LINE
@@ -68,6 +69,21 @@ class TestWriteCombineTable:
         wct.add_store(0, now=2)
         assert wct.oldest().line_addr == 0
 
+        # In-order inserts (one core's stores): the oldest stays right
+        # through pops (a tie goes to the first inserted) and a drain.
+        wct = WriteCombineTable(4, 100)
+        for line_addr, now in ((4, 1), (2, 3), (3, 3), (1, 7)):
+            wct.add_store(line_addr * WORDS_PER_LINE, now=now)
+        assert wct.oldest().line_addr == 4
+        wct.pop(4)
+        assert wct.oldest().line_addr == 2
+        wct.pop(2)
+        assert wct.oldest().line_addr == 3
+        assert len(wct.drain()) == 2
+        assert wct.oldest() is None
+        wct.add_store(5 * WORDS_PER_LINE, now=0)
+        assert wct.oldest().line_addr == 5
+
     def test_expiry(self):
         wct = WriteCombineTable(4, timeout=100)
         wct.add_store(0, now=0)
@@ -83,6 +99,20 @@ class TestWriteCombineTable:
         wct.add_store(0, now=30)
         wct.add_store(16, now=10)
         assert wct.next_deadline() == 110
+
+        # In-order inserts, then pops and a drain.
+        wct = WriteCombineTable(4, timeout=100)
+        for line_addr, now in ((0, 10), (1, 20), (2, 20)):
+            wct.add_store(line_addr * WORDS_PER_LINE, now=now)
+        assert wct.next_deadline() == 110
+        wct.pop(0)
+        assert wct.next_deadline() == 120
+        wct.pop(1)
+        assert wct.next_deadline() == 120
+        wct.drain()
+        assert wct.next_deadline() is None
+        wct.add_store(0, now=5)
+        assert wct.next_deadline() == 105
 
     def test_drain(self):
         wct = WriteCombineTable(4, 100)
@@ -104,3 +134,34 @@ class TestWriteCombineTable:
         wct.add_store(0, now=0)
         wct.add_store(1, now=90)    # same line, later word
         assert [e.line_addr for e in wct.expired(now=100)] == [0]
+
+
+class TestOldestProperty:
+    @settings(max_examples=60)
+    @given(st.lists(st.tuples(st.sampled_from(["add", "pop", "drain"]),
+                              st.integers(min_value=0, max_value=7),
+                              st.integers(min_value=0, max_value=40)),
+                    max_size=80))
+    def test_oldest_matches_min_scan(self, ops):
+        """``oldest``/``next_deadline`` equal a scan for the minimum,
+        in or out of time order."""
+        wct = WriteCombineTable(4, timeout=100)
+        created = {}
+        for op, line_addr, now in ops:
+            if op == "add" and (wct.has(line_addr) or not wct.is_full()):
+                wct.add_store(line_addr * WORDS_PER_LINE, now=now)
+                created.setdefault(line_addr, now)
+            elif op == "pop":
+                wct.pop(line_addr)
+                created.pop(line_addr, None)
+            elif op == "drain":
+                wct.drain()
+                created.clear()
+            if not created:
+                assert wct.oldest() is None
+                assert wct.next_deadline() is None
+                continue
+            # min() keeps the first of equal keys: insertion order.
+            expected = min(created, key=created.get)
+            assert wct.oldest().line_addr == expected
+            assert wct.next_deadline() == created[expected] + 100
