@@ -91,9 +91,6 @@ class BloomFilter:
                          | int.from_bytes(bytes(bits), "little")
                          ).to_bytes(n, "little")
 
-    def popcount(self) -> int:
-        return sum(self._bits)
-
     @property
     def size(self) -> int:
         return len(self._bits)

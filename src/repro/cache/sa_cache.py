@@ -103,10 +103,6 @@ class SetAssocCache(Generic[LineT]):
     def assoc(self) -> int:
         return self._assoc
 
-    @property
-    def capacity_lines(self) -> int:
-        return self._num_sets * self._assoc
-
     def set_index(self, line_addr: int) -> int:
         return (line_addr >> self._index_shift) % self._num_sets
 

@@ -58,9 +58,6 @@ class WriteCombineEntry:
     word_mask: int = 0          # bit i set => word i has a pending request
     created_at: int = 0
 
-    def add_word(self, offset: int) -> None:
-        self.word_mask |= 1 << offset
-
     def offsets(self) -> List[int]:
         return [i for i in range(WORDS_PER_LINE) if self.word_mask >> i & 1]
 

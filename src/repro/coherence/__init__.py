@@ -18,8 +18,7 @@ The layer is split in three:
 :func:`build_protocol_system` is the factory ``core.system.System``
 uses.  A new protocol *rung* normally needs no new core — register a
 new ``ProtocolConfig`` (see ``repro.common.registry``) whose flags
-resolve to the right policies.  A new protocol *family* registers a
-core class here via :func:`register_protocol_core`.
+resolve to the right policies.
 """
 
 from repro.coherence.denovo import DenovoSystem
@@ -42,15 +41,6 @@ PROTOCOL_CORES = {
 }
 
 
-def register_protocol_core(kind: str, core_cls, replace: bool = False):
-    """Register a protocol-core class for a ``ProtocolConfig.kind``."""
-    if kind in PROTOCOL_CORES and not replace:
-        raise ValueError(f"protocol core for kind {kind!r} already "
-                         f"registered; pass replace=True to override")
-    PROTOCOL_CORES[kind] = core_cls
-    return core_cls
-
-
 def build_protocol_system(ctx) -> CoherenceKernel:
     """Instantiate the protocol core for ``ctx.proto.kind``."""
     kind = ctx.proto.kind
@@ -67,5 +57,5 @@ __all__ = [
     "BypassPolicy", "CoherenceKernel", "DenovoSystem", "GranularityPolicy",
     "MemTransferPolicy", "MesiSystem", "PROTOCOL_CORES", "PolicySet",
     "TransferPolicy", "WritebackPolicy", "build_protocol_system",
-    "register_protocol_core", "resolve_policies",
+    "resolve_policies",
 ]

@@ -142,10 +142,6 @@ class DenovoL2Line(CacheLine):
         self.owners: List[Optional[int]] = [None] * WORDS_PER_LINE
         self.in_bloom = False
 
-    def has_dirty_or_reg(self) -> bool:
-        return any(self.word_dirty) or any(
-            s == L2W_REG for s in self.word_state)
-
     def dirty_mask_offsets(self) -> List[int]:
         """Words the memory controller must not return from DRAM."""
         return [i for i in range(WORDS_PER_LINE)

@@ -109,8 +109,8 @@ class AttribCollector:
             "stall_cycles", "per-core stall cycles by cause")
         self._retry_counter = hub.counter(
             "miss_retries", "NACK/masked retries per request kind")
-        # Exact-integer accumulators: bench records compare these
-        # bit-for-bit, and the conservation audits run over them.
+        # Exact-integer accumulators: the benchmark's stalls pins digest
+        # them bit-for-bit, and the conservation audits run over them.
         self.seg_count: Dict[str, Dict[str, int]] = {
             op: dict.fromkeys(SEGMENTS, 0) for op in OPS}
         self.seg_sum: Dict[str, Dict[str, int]] = {

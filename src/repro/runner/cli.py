@@ -9,7 +9,6 @@ Subcommands::
     python -m repro report
     python -m repro scaling --tiles 4,16,64 --workloads radix
     python -m repro energy  --preset 22nm --workloads radix
-    python -m repro bench   --out BENCH_new.json --compare BENCH_sweep.json
     python -m repro clean-cache
 
 ``list`` prints every registered workload and protocol (including
@@ -26,10 +25,7 @@ breakdown and EDP table post hoc from stored results (cells already in
 the result store are never re-simulated) under one technology preset
 (``--preset``; default: every registered preset).  Protocol and preset
 names resolve through their registries; a misspelled ``--protocols`` or
-``--preset`` entry reports near-miss suggestions.  ``bench`` runs the
-perf-smoke suite (the hot-path trend record CI gates on) and, with
-``--compare``, diffs the fresh record against a baseline with the same
-gate as ``tools/bench_compare.py``.
+``--preset`` entry reports near-miss suggestions.
 """
 
 from __future__ import annotations
@@ -366,51 +362,6 @@ def cmd_list(ns: argparse.Namespace, out=None) -> int:
     return 0
 
 
-def cmd_bench(ns: argparse.Namespace, out=None) -> int:
-    """Run the perf-smoke suite; optionally gate against a baseline."""
-    out = out if out is not None else sys.stdout
-    from repro.bench import (
-        DirtyBaseline, RecordMismatch, compare_records, load_record,
-        run_smoke, write_record)
-    record = run_smoke()
-    try:
-        write_record(record, ns.out)
-    except DirtyBaseline as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 2
-    for cell in record["cells"]:
-        print(f"{cell['workload']:<10s} {cell['protocol']:<8s} "
-              f"{cell['num_tiles']:3d}t  "
-              f"{cell['seconds']:8.3f}s  "
-              f"{cell['events_per_second']:12,.0f} ev/s", file=out)
-    memo = record["trace_memo"]
-    print(f"trace memo: cold {memo['cold_cell_seconds']:.3f}s vs warm "
-          f"{memo['warm_cell_seconds']:.3f}s per cell "
-          f"({memo['speedup_per_memoized_cell']:.2f}x)", file=out)
-    sweep_thr = record["sweep_throughput"]
-    print(f"sweep ({sweep_thr['cells']} cells): serial "
-          f"{sweep_thr['serial']['cells_per_second']:.2f} | "
-          f"--jobs {sweep_thr['jobs']} "
-          f"{sweep_thr['parallel']['cells_per_second']:.2f} cells/s",
-          file=out)
-    print(f"wrote {ns.out} ({record['git_describe']})", file=out)
-    if not ns.compare:
-        return 0
-    try:
-        outcome = compare_records(load_record(ns.compare), record,
-                                  threshold=ns.threshold)
-    except RecordMismatch as exc:
-        print(f"bench: refusing to compare: {exc}", file=sys.stderr)
-        return 2
-    for line in outcome["lines"]:
-        print(line, file=out)
-    if not outcome["ok"]:
-        print(f"bench: events_per_second regressed by more than "
-              f"{ns.threshold:.0%} vs {ns.compare}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_clean_cache(ns: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     store = _make_store(ns)
@@ -501,24 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"technology preset (default: all; known: "
              f"{', '.join(registered_energy_models())})")
     p.set_defaults(func=cmd_energy)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the perf-smoke suite and write a BENCH_sweep.json "
-             "record; --compare gates it against a baseline record")
-    from repro.bench import REGRESSION_THRESHOLD
-    # The default deliberately differs from the committed repo-root
-    # BENCH_sweep.json baseline so a bare `bench` run cannot clobber it.
-    p.add_argument("--out", default="BENCH_new.json", metavar="FILE",
-                   help="output record path (default: BENCH_new.json)")
-    p.add_argument("--compare", metavar="BASELINE",
-                   help="baseline record to diff against (fails on a "
-                        ">threshold events/second regression)")
-    p.add_argument("--threshold", type=float,
-                   default=REGRESSION_THRESHOLD, metavar="FRAC",
-                   help="hard-fail regression fraction (default: "
-                        f"{REGRESSION_THRESHOLD})")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "trace",

@@ -9,10 +9,7 @@ The load-bearing guarantees:
 * **conservation** — the three audits hold exactly on every rung:
   lifecycle segments sum to end-to-end latency, per-core
   ``compute + stalls == TimeStats.total()``, and the observed DRAM
-  commands reconcile with the channels' ``window_commands()``;
-* **delta attribution** — ``repro.bench.attrib_delta`` names the
-  buckets that moved between two records and stays tolerant of pre-v5
-  records.
+  commands reconcile with the channels' ``window_commands()``.
 """
 
 import json
@@ -21,7 +18,6 @@ from typing import Dict
 
 import pytest
 
-from repro.bench import attrib_delta
 from repro.common.config import PROTOCOL_ORDER, ScaleConfig, scaled_system
 from repro.core.simulator import simulate
 from repro.obs import AttribCollector, MetricsHub, ObsSession, SEGMENTS
@@ -140,39 +136,3 @@ class TestSegmentChain:
                   home_depart=60, arrive_mc=None, leave_mc=None,
                   fill_send=None, served_by=0, retries=0)
         assert c.nonmonotonic == 1
-
-
-# ----------------------------------------------------------------------
-# Bench-record attribution deltas
-# ----------------------------------------------------------------------
-
-def _record_with(profile):
-    return {"attrib": {"radix x MESI (16t)": profile}}
-
-
-class TestAttribDelta:
-    PROFILE = {"segments": {"load.dram": 1000, "load.req_noc": 200},
-               "stall_cycles": {"barrier": 5000},
-               "compute_cycles": 300, "miss_cycles": 1200,
-               "misses": 10, "audits_ok": True}
-
-    def test_identical_records_report_host_noise(self):
-        delta = attrib_delta(_record_with(self.PROFILE),
-                             _record_with(dict(self.PROFILE)))
-        assert not delta["changed"]
-        assert any("host" in line for line in delta["lines"])
-
-    def test_top_mover_named_with_magnitude(self):
-        moved = json.loads(json.dumps(self.PROFILE))
-        moved["segments"]["load.dram"] = 2000
-        delta = attrib_delta(_record_with(self.PROFILE),
-                             _record_with(moved))
-        assert delta["changed"]
-        mover = next(l for l in delta["lines"] if l.startswith("moved"))
-        assert "seg load.dram" in mover
-        assert "+100.0%" in mover
-
-    def test_pre_v5_record_tolerated(self):
-        delta = attrib_delta({}, _record_with(self.PROFILE))
-        assert not delta["changed"]
-        assert "pre-v5" in delta["lines"][0]

@@ -489,6 +489,25 @@ class TestCLI:
         assert rc == 2
         assert "MESI" in capsys.readouterr().err
 
+    def test_energy_over_filled_store_simulates_nothing(self, tmp_path,
+                                                        monkeypatch, capsys):
+        """`energy` derives from stored results post hoc: once the store
+        holds the grid, it renders every preset without simulating."""
+        grid = ["--workloads", "radix", "--protocols", "MESI", "DBypFull",
+                "--scale", "tiny", "--cache-dir", str(tmp_path)]
+        assert cli_main(["sweep", *grid]) == 0
+        capsys.readouterr()
+        from repro.runner import pool as pool_mod
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("energy re-simulated a stored cell")
+
+        monkeypatch.setattr(pool_mod, "simulate", no_simulation)
+        rc = cli_main(["energy", *grid])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "Figure E.1 [45nm]" in out and "Figure E.1 [22nm]" in out
+
     def test_clean_cache(self, tmp_path, capsys):
         cli_main(["sweep", "--workloads", "stream", "--protocols", "MESI",
                   "--scale", "tiny", "--cache-dir", str(tmp_path)])
@@ -509,7 +528,7 @@ class TestCLI:
         ["backends"], ["serve"], ["worker", "--connect", "127.0.0.1:1"],
         ["sweep", "--scheduler", "heap"], ["sweep", "--backend", "pool"],
         ["sweep", "--bind", "127.0.0.1:7421"],
-        ["sweep", "--engine", "compiled"]])
+        ["sweep", "--engine", "compiled"], ["bench"]])
     def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
