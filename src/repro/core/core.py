@@ -13,7 +13,7 @@ Stall cycles are attributed to the paper's Figure 5.2 buckets: ``busy``
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.core.context import LoadRequest, SimContext
 from repro.core.stats import TimeStats
@@ -28,7 +28,7 @@ BATCH_LIMIT = 64
 class Core:
     """One in-order core driving its trace through the protocol."""
 
-    def __init__(self, core_id: int, trace: List, protocol_system,
+    def __init__(self, core_id: int, trace: Sequence, protocol_system,
                  ctx: SimContext, barrier: Barrier,
                  on_finish: Callable[[int, int], None]) -> None:
         self.core_id = core_id
@@ -50,69 +50,75 @@ class Core:
 
     def _run(self, at: int) -> None:
         # The hottest loop in the simulator: bind the per-op lookups
-        # (trace, program counter, time stats, protocol entry points,
-        # trace length) to locals so each op skips repeated attribute
-        # chains; re-entry and continuations go through the closure-free
-        # scheduler (bound method + args, no lambda per yield).
+        # (trace, program counter, protocol entry points, trace length,
+        # the load continuation) to locals so each op skips repeated
+        # attribute chains, and test the op kinds in trace frequency
+        # order (loads, then stores, then computes).  Busy cycles sum in
+        # a local that every exit adds to ``time.busy``; samplers and
+        # the warm-up reset run as separate events, so they always see
+        # the flushed total.  Re-entry and continuations go through the
+        # closure-free scheduler (bound method + args, no lambda per
+        # yield).
         queue = self.ctx.queue
-        schedule_call = queue.schedule_call
         now = queue.now
         t = at if at >= now else now
         batch = 0
+        busy = 0
         trace = self.trace
         trace_len = len(trace)
-        time = self.time
         core_id = self.core_id
         proto_load = self.proto.load
         proto_store = self.proto.store
+        load_done = self._load_done
         pc = self.pc
         while pc < trace_len:
             kind, arg = trace[pc]
-            if kind == OP_COMPUTE:
-                time.busy += arg
-                t += arg
-                pc += 1
-                batch += 1
-                if arg > BATCH_LIMIT:
-                    self.pc = pc
-                    schedule_call(t, self._run, t)
-                    return
-            elif kind == OP_LOAD:
-                time.busy += 1
-                self.pc = pc
-                done = proto_load(core_id, arg, t, self._load_done)
+            if kind == OP_LOAD:
+                busy += 1
+                done = proto_load(core_id, arg, t, load_done)
                 if done is None:
+                    self.pc = pc
+                    self.time.busy += busy
                     self._wait_start = t
                     return
                 t = done
-                pc = self.pc = pc + 1
-                batch += 1
             elif kind == OP_STORE:
-                accepted = proto_store(core_id, arg, t)
-                if not accepted:
+                if not proto_store(core_id, arg, t):
                     self.pc = pc
+                    self.time.busy += busy
                     self._wait_start = t
                     self.proto.on_retire(core_id, self._store_stall_resume)
                     return
-                time.busy += 1
+                busy += 1
                 t += 1
-                pc += 1
-                batch += 1
+            elif kind == OP_COMPUTE:
+                busy += arg
+                t += arg
+                if arg > BATCH_LIMIT:
+                    self.pc = pc + 1
+                    self.time.busy += busy
+                    queue.schedule_call(t, self._run, t)
+                    return
             elif kind == OP_BARRIER:
                 self.pc = pc + 1
+                self.time.busy += busy
                 self._wait_start = t
-                self.proto.drain_barrier(self.core_id, t, self._drain_done)
+                self.proto.drain_barrier(core_id, t, self._drain_done)
                 return
             else:
                 raise ValueError(f"unknown op kind {kind}")
+            pc += 1
+            batch += 1
             if batch >= BATCH_LIMIT:
                 self.pc = pc
-                schedule_call(t, self._run, t)
+                self.time.busy += busy
+                queue.schedule_call(t, self._run, t)
                 return
         self.pc = pc
+        self.time.busy += busy
         self.finished = True
         self.finish_time = t
-        self.on_finish(self.core_id, t)
+        self.on_finish(core_id, t)
 
     # ------------------------------------------------------------------
 

@@ -6,10 +6,11 @@ callback (``progress(outcome, done, total)``) and turns the stream of
 dropped after collection — into
 
 * a **live progress line** (``printer``): done/total, per-cell wall
-  time, cache-hit markers, retry markers and a wall-clock ETA;
+  time, cache-hit and reuse markers, retry markers and a wall-clock ETA;
 * a **telemetry sidecar** (``write``): one JSON record per cell
   (workload, protocol, shape, store key, simulation seconds, attempts,
-  cache hit, wall-clock completion offset) plus fleet summary totals,
+  cache hit, the rung a reused result came from, wall-clock completion
+  offset) plus fleet summary totals,
   persisted next to the results as ``telemetry.json`` in the result
   store — so bench/perf comparisons can attribute a regression to the
   specific cells that slowed down.
@@ -69,6 +70,8 @@ class SweepTelemetry:
             "elapsed_s": round(outcome.elapsed, 4),
             "attempts": outcome.attempts,
             "from_cache": outcome.from_cache,
+            # Duck-typed outcomes may not carry the field.
+            "reused_from": getattr(outcome, "reused_from", None),
             "wall_s": round(self._clock() - self._start, 4),
         }
         self.cells.append(cell)
@@ -82,8 +85,7 @@ class SweepTelemetry:
         """A ``ProgressFn`` that collects *and* prints a live line."""
         def progress(outcome, done: int, total: int) -> None:
             cell = self.record(outcome, done, total)
-            status = ("cached" if cell["from_cache"]
-                      else f"{cell['elapsed_s']:.2f}s")
+            status = outcome.status()
             retried = (f"  (attempt {cell['attempts']})"
                        if cell["attempts"] > 1 else "")
             eta = self.eta_seconds()

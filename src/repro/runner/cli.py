@@ -80,12 +80,11 @@ def _parse_tiles(ns: argparse.Namespace) -> Optional[Tuple[int, ...]]:
 def _progress_printer(out):
     def progress(outcome: JobOutcome, done: int, total: int) -> None:
         spec = outcome.spec
-        status = ("cached" if outcome.from_cache
-                  else f"{outcome.elapsed:.2f}s")
         retried = (f"  (attempt {outcome.attempts})"
                    if outcome.attempts > 1 else "")
         print(f"[{done:3d}/{total}] {spec.workload:<14s} "
-              f"{spec.protocol:<12s} {spec.num_tiles:3d}t {status}{retried}",
+              f"{spec.protocol:<12s} {spec.num_tiles:3d}t "
+              f"{outcome.status()}{retried}",
               file=out, flush=True)
     return progress
 

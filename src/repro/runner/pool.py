@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import ScaleConfig, SystemConfig
-from repro.core.simulator import simulate
+from repro.core.simulator import reused_from, simulate
 from repro.core.stats import RunResult
 from repro.runner.jobs import DEFAULT_SEED, JobSpec, expand_grid
 from repro.runner.store import ResultStore
@@ -52,6 +52,18 @@ class JobOutcome:
     elapsed: float        # seconds spent simulating (0.0 if from cache)
     attempts: int         # executions consumed (0 if from cache)
     from_cache: bool
+    #: the rung whose result ``simulate()`` copied, None if simulated
+    reused_from: Optional[str] = None
+
+    def status(self) -> str:
+        """How the cell was served, for progress lines: ``cached``,
+        ``= <rung>`` for a copied result (its time is not a simulation),
+        else the simulation seconds."""
+        if self.from_cache:
+            return "cached"
+        if self.reused_from is not None:
+            return f"= {self.reused_from}"
+        return f"{self.elapsed:.2f}s"
 
 
 # ----------------------------------------------------------------------
@@ -87,13 +99,17 @@ def _timed_workload(name: str, scale: ScaleConfig, num_cores: int,
     return workload, time.perf_counter() - start
 
 
-def _execute_timed(spec: JobSpec) -> Tuple[RunResult, float, float]:
-    """Simulate one cell; returns (result, sim_seconds, build_seconds)."""
+def _execute_timed(spec: JobSpec
+                   ) -> Tuple[RunResult, float, float, Optional[str]]:
+    """Simulate one cell; returns (result, sim_seconds, build_seconds,
+    reused_from).  A workload's rungs share the memoized build, so a
+    rung may reuse another's result (see :func:`simulate`)."""
     workload, build_s = _timed_workload(spec.workload, spec.scale,
                                         spec.config.num_tiles, spec.seed)
+    source = reused_from(workload, spec.protocol, spec.config)
     start = time.perf_counter()
     result = simulate(workload, spec.protocol, spec.config)
-    return result, time.perf_counter() - start, build_s
+    return result, time.perf_counter() - start, build_s, source
 
 
 def _pool_context():
@@ -151,9 +167,10 @@ def run_jobs(specs: Sequence[JobSpec],
     attempts = [0] * len(specs)
 
     def finish(index: int, timed: tuple) -> None:
-        result, elapsed, _build_s = timed
+        result, elapsed, _build_s, source = timed
         outcomes[index] = JobOutcome(specs[index], result, elapsed,
-                                     attempts[index], from_cache=False)
+                                     attempts[index], from_cache=False,
+                                     reused_from=source)
         if notify is not None:
             notify(index, outcomes[index])
 

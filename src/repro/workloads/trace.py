@@ -1,7 +1,8 @@
 """Memory-access trace representation.
 
-Workload generators emit one trace per core.  A trace is a flat list of
-ops encoded as tuples for speed:
+Workload generators emit one trace per core.  A trace is a flat
+sequence of ops encoded as tuples for speed (a ``Workload`` stores each
+trace as a tuple):
 
 * ``(OP_LOAD, word_addr)`` — a load; blocks the core on a miss;
 * ``(OP_STORE, word_addr)`` — a store; non-blocking up to buffer limits;
@@ -41,35 +42,49 @@ class RegionUpdate:
     bypass_l2: Optional[bool] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Workload:
-    """A complete multi-core workload: traces plus software metadata."""
+    """A complete multi-core workload: traces plus software metadata.
+
+    A workload cannot change after construction (its fields cannot be
+    reassigned and its traces are tuples), so the results
+    ``simulate()`` keeps in ``results`` always describe this workload.
+    Build a variant with ``dataclasses.replace``; the copy starts with
+    no stored results.
+    """
 
     name: str
     regions: RegionTable
-    traces: List[List[Op]]
+    traces: Tuple[Tuple[Op, ...], ...]
     #: regions written during the phase that ends at barrier *i* — DeNovo
     #: self-invalidates valid words of these regions at that barrier.
-    phase_written_regions: List[FrozenSet[int]] = field(default_factory=list)
+    phase_written_regions: Tuple[FrozenSet[int], ...] = ()
     #: annotation updates applied when barrier *i* releases.
     phase_region_updates: Dict[int, List[RegionUpdate]] = field(
         default_factory=dict)
     #: barriers to treat as the end of warm-up (stats reset); 0 disables.
     warmup_barriers: int = 0
     description: str = ""
+    num_barriers: int = field(init=False, repr=False, compare=False)
+    #: unobserved run results by behaviour key, kept by
+    #: :func:`repro.core.simulator.simulate` for reuse across rungs.
+    results: Dict[tuple, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.traces:
             raise ValueError("workload needs at least one core trace")
-        counts = {self._barrier_count(t) for t in self.traces}
+        traces = tuple(tuple(t) for t in self.traces)
+        counts = {self._barrier_count(t) for t in traces}
         if len(counts) != 1:
             raise ValueError(f"cores disagree on barrier count: {counts}")
-        self.num_barriers = counts.pop()
-        if len(self.phase_written_regions) < self.num_barriers:
-            # Pad with empty sets: phases with no writes invalidate nothing.
-            missing = self.num_barriers - len(self.phase_written_regions)
-            self.phase_written_regions = (list(self.phase_written_regions)
-                                          + [frozenset()] * missing)
+        num_barriers = counts.pop()
+        # Pad with empty sets: phases with no writes invalidate nothing.
+        written = tuple(self.phase_written_regions)
+        written += (frozenset(),) * (num_barriers - len(written))
+        object.__setattr__(self, "traces", traces)
+        object.__setattr__(self, "num_barriers", num_barriers)
+        object.__setattr__(self, "phase_written_regions", written)
 
     @staticmethod
     def _barrier_count(trace: Sequence[Op]) -> int:

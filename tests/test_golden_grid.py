@@ -7,6 +7,12 @@ current code reproduces every cell bit-for-bit — traffic flit-hops,
 waste taxonomies, per-bucket times, exec cycles, protocol stats, energy
 counters and the event count.
 
+``tools/gen_golden_grid.py`` simulates every cell on its own freshly
+built workload, while these tests run a kernel's nine rungs on one
+workload, where ``simulate()`` returns a lower rung's result for rungs
+the kernel's annotations never exercise.  So the snapshot also checks
+every reused result against an independent simulation.
+
 The per-cell event count additionally gets its own dedicated assertion:
 the hot-path engine rework (closure-free ``schedule_call``, same-cycle
 batch draining) must provably schedule the *identical event stream*,

@@ -1,5 +1,7 @@
 """End-to-end system tests: invariants that must hold for every run."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import (
@@ -81,16 +83,14 @@ class TestWarmupReset:
         no traffic even though warm-up moved data."""
         ops = {0: [(OP_LOAD, 80), (OP_LOAD, 96), (OP_BARRIER, 0),
                    (OP_BARRIER, 0)]}
-        w = micro_workload(ops)
-        w.warmup_barriers = 1
+        w = dataclasses.replace(micro_workload(ops), warmup_barriers=1)
         result = System(w, protocol("MESI"), TINY_SYSTEM).run()
         # All load traffic happened before the warm-up barrier.
         assert result.traffic_major(T.LD) == 0
 
     def test_measured_phase_counted(self):
         ops = {0: [(OP_BARRIER, 0), (OP_LOAD, 80), (OP_BARRIER, 0)]}
-        w = micro_workload(ops)
-        w.warmup_barriers = 1
+        w = dataclasses.replace(micro_workload(ops), warmup_barriers=1)
         result = System(w, protocol("MESI"), TINY_SYSTEM).run()
         assert result.traffic_major(T.LD) > 0
 

@@ -8,6 +8,11 @@ the current code reproduces these snapshots bit-for-bit, so regenerate
 the file only when a change is *supposed* to alter simulation results
 (and say so in the commit message).
 
+Every cell gets a freshly built workload, so ``simulate()`` never reuses
+another rung's result here: each snapshot is an independent simulation,
+and the golden test, which runs a kernel's rungs on one workload,
+checks every reused result against it.
+
 Run:  PYTHONPATH=src python tools/gen_golden_grid.py
 """
 
@@ -30,8 +35,8 @@ def build_grid() -> dict:
     config = scaled_system(scale)
     grid: dict = {}
     for workload_name in WORKLOAD_ORDER:
-        workload = build_workload(workload_name, scale)
         for proto in PROTOCOL_ORDER:
+            workload = build_workload(workload_name, scale)
             result = simulate(workload, proto, config)
             grid.setdefault(workload_name, {})[proto] = result_to_dict(result)
             print(f"  {workload_name:<14s} {proto:<12s} "
