@@ -109,18 +109,20 @@ def collect_stall_profiles(workload: str, scale, protocols, config,
 
     Observed runs are never cached (the result store holds plain
     ``RunResult`` cells), so this simulates each rung; use the tiny
-    scale for interactive turnaround.
+    scale for interactive turnaround.  One trace build serves every
+    rung: a ``Workload`` cannot change, and an observed run neither
+    stores nor reuses a result on it.
     """
     from repro.core.simulator import simulate
     from repro.obs import ObsSession
     from repro.workloads import build_workload
 
+    kwargs = {"num_cores": config.num_tiles}
+    if seed is not None:
+        kwargs["seed"] = seed
+    built = build_workload(workload, scale, **kwargs)
     profiles = []
     for protocol in protocols:
-        kwargs = {"num_cores": config.num_tiles}
-        if seed is not None:
-            kwargs["seed"] = seed
-        built = build_workload(workload, scale, **kwargs)
         obs = ObsSession(trace=False)
         simulate(built, protocol, config, obs=obs)
         profiles.append(obs.attrib.report())

@@ -498,7 +498,7 @@ class DenovoSystem(CoherenceKernel):
         ctx = self.ctx
         hops = ctx.mesh.hops(home, owner)
         ctx.ledger.add_request_ctl(T.ST, hops)
-        arrive = t + ctx.mesh.latency(home, owner, 1, t)
+        arrive = t + ctx._latency(home, owner, 1, t)
         ctx.queue.schedule_call(arrive, self._invalidate_word_at_owner,
                                 owner, word, arrive)
 

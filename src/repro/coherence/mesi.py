@@ -827,11 +827,9 @@ class MesiSystem(CoherenceKernel):
                 entry.dir_state = DIR_IDLE
             entry.sharers.discard(core)
         # Writeback ack (control, WB category); fire-and-forget, so the
-        # mesh never sees it through latency() — count it explicitly to
+        # mesh never sees it through traverse() — count it explicitly to
         # keep the energy-model flit-hop counter ledger-exact.
-        hops = ctx.mesh.hops(home, core)
-        ctx.ledger.add_wb_control(hops)
-        ctx.mesh.count_packet(hops)
+        ctx.ledger.add_wb_control(ctx._count_packet(home, core))
 
     def _dir_clean_wb(self, line_addr: int, core: int, t: int) -> None:
         home = self._home_tile(line_addr)

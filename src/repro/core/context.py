@@ -130,6 +130,7 @@ class SimContext:
         self._hops = self.mesh.hops
         self._latency = self.mesh.latency
         self._traverse = self.mesh.traverse
+        self._count_packet = self.mesh.count_packet
         self._schedule_call = self.queue.schedule_call
 
     def _open_window(self) -> None:

@@ -145,16 +145,18 @@ class Mesh:
     def reset_contention(self) -> None:
         self._link_free[:] = [0] * (self._num_tiles * self._num_tiles)
 
-    def count_packet(self, hops: int, total_flits: int = 1) -> None:
+    def count_packet(self, src: int, dst: int, total_flits: int = 1) -> int:
         """Count a packet whose delivery is not latency-simulated.
 
         Fire-and-forget messages (e.g. MESI's writeback ack) are charged
-        to the traffic ledger but never pass through :meth:`latency`;
+        to the traffic ledger but never pass through :meth:`traverse`;
         this keeps the energy-model flit-hop counter reconciled with the
-        ledger.
+        ledger.  Returns the packet's hop count.
         """
+        hops = self._hops[src * self._num_tiles + dst]
         self.stat_packets += 1
         self.stat_flit_hops += total_flits * hops
+        return hops
 
     def reset_energy_counters(self) -> None:
         """Zero the observational counters (end of measurement warm-up)."""

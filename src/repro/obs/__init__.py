@@ -18,7 +18,7 @@ Three coordinated parts, all opt-in and zero-overhead when unused:
 
 from repro.obs.attrib import (
     SEGMENT_LABELS, SEGMENTS, STALL_CAUSES, STALL_LABELS, AttribCollector)
-from repro.obs.metrics import Histogram, Metric, MetricsHub
+from repro.obs.metrics import Histogram, Metric, MetricsHub, label_key
 from repro.obs.sampler import PhaseSampler
 from repro.obs.session import ObsSession
 from repro.obs.telemetry import SIDECAR_NAME, SweepTelemetry, load_telemetry
@@ -38,5 +38,6 @@ __all__ = [
     "STALL_LABELS",
     "SimTrace",
     "SweepTelemetry",
+    "label_key",
     "load_telemetry",
 ]

@@ -49,10 +49,10 @@ counts serviced commands, which must equal the channel's
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.context import (
-    SERVED_L2, SERVED_MEMORY, SERVED_NONE, SERVED_REMOTE_L1)
+from repro.core.context import SERVED_L2, SERVED_NONE, SERVED_REMOTE_L1
+from repro.obs.metrics import LabelKey, label_key
 
 #: Lifecycle segments in chain order (see module docstring).
 SEGMENTS = ("req_noc", "home", "fwd_owner", "to_mc", "dram",
@@ -109,6 +109,14 @@ class AttribCollector:
             "stall_cycles", "per-core stall cycles by cause")
         self._retry_counter = hub.counter(
             "miss_retries", "NACK/masked retries per request kind")
+        # Series keys, built once: the hot pushes below use the ``*_at``
+        # calls.  Stall keys are built per core as each cause occurs.
+        self._seg_keys: Dict[str, Dict[str, LabelKey]] = {
+            op: {seg: label_key(op=op, segment=seg) for seg in SEGMENTS}
+            for op in OPS}
+        self._op_keys: Dict[str, LabelKey] = {
+            op: label_key(op=op) for op in OPS}
+        self._stall_keys: List[Dict[str, LabelKey]] = []
         # Exact-integer accumulators: the benchmark's stalls pins digest
         # them bit-for-bit, and the conservation audits run over them.
         self.seg_count: Dict[str, Dict[str, int]] = {
@@ -139,6 +147,7 @@ class AttribCollector:
         self._system = system
         self.stalls = [dict.fromkeys(STALL_CAUSES, 0)
                        for _ in system.cores]
+        self._stall_keys = [{} for _ in system.cores]
         for core in system.cores:
             self._wrap_core(core)
         proto = system.proto_sys
@@ -160,40 +169,41 @@ class AttribCollector:
                 core=core.core_id)
 
     def _wrap_core(self, core) -> None:
-        acct = self.stalls[core.core_id]
+        core_id = core.core_id
 
-        def load_done(t, req, _inner=core._load_done, _core=core,
-                      _acct=acct):
+        def load_done(t, req, _inner=core._load_done, _core=core):
             wait_start = _core._wait_start
             _inner(t, req)
-            self._on_load_done(t, req, wait_start, _acct)
+            self._on_load_done(t, req, wait_start)
 
-        def store_resume(t, _inner=core._store_stall_resume, _core=core,
-                         _acct=acct):
+        def store_resume(t, _inner=core._store_stall_resume, _core=core):
             wait_start = _core._wait_start
             _inner(t)
             stall = t - wait_start
             if stall > 0:
-                _acct["write_buffer"] += stall
-                self._stall_counter.inc(stall, cause="write_buffer",
-                                        core=_core.core_id)
+                self._add_stall(core_id, "write_buffer", stall)
 
-        def barrier_release(t, _inner=core._barrier_release, _core=core,
-                            _acct=acct):
+        def barrier_release(t, _inner=core._barrier_release, _core=core):
             wait_start = _core._wait_start
             _inner(t)
             stall = t - wait_start
             if stall > 0:
-                _acct["barrier"] += stall
-                self._stall_counter.inc(stall, cause="barrier",
-                                        core=_core.core_id)
+                self._add_stall(core_id, "barrier", stall)
 
         core._load_done = load_done
         core._store_stall_resume = store_resume
         core._barrier_release = barrier_release
 
+    def _add_stall(self, core, cause, stall) -> None:
+        self.stalls[core][cause] += stall
+        keys = self._stall_keys[core]
+        key = keys.get(cause)
+        if key is None:
+            key = keys[cause] = label_key(cause=cause, core=core)
+        self._stall_counter.inc_at(key, stall)
+
     # -- load completion ------------------------------------------------
-    def _on_load_done(self, t, req, wait_start, acct) -> None:
+    def _on_load_done(self, t, req, wait_start) -> None:
         # Mirror Core._load_done's arithmetic exactly so that per core
         # compute + sum(stalls) == TimeStats.total() (audit 2).
         if req.went_to_memory and req.t_arrive_mc is not None:
@@ -211,8 +221,7 @@ class AttribCollector:
             else:
                 cause = "l1_wait"
         if stall > 0:
-            acct[cause] += stall
-            self._stall_counter.inc(stall, cause=cause, core=req.core)
+            self._add_stall(req.core, cause, stall)
         # The coherence kernel's hit-after-retry dummies never entered
         # the protocol; they have no lifecycle to decompose.
         if (req.t_home_arrive is not None or req.went_to_memory
@@ -226,71 +235,79 @@ class AttribCollector:
     def _record(self, op, core, t_issue, t_done, home_arrive, home_depart,
                 arrive_mc, leave_mc, fill_send, served_by,
                 retries) -> None:
-        segs = []
+        seg_count = self.seg_count[op]
+        seg_sum = self.seg_sum[op]
+        keys = self._seg_keys[op]
+        observe = self._seg_hist.observe_at
+        # (name, start, duration) per segment, kept only for the trace's
+        # flow-linked spans: loads only (one outstanding blocking load
+        # per core keeps its track overlap-free), up to the span budget.
+        spans = ([] if op == "load" and self.trace is not None
+                 and self._flow_budget > 0 else None)
+        if arrive_mc is not None:
+            fill_name = "fill_stage"
+        elif served_by == SERVED_REMOTE_L1:
+            fill_name = "fwd_owner"
+        else:
+            fill_name = "home"
+        total = 0
         prev = t_issue
         for name, ts in (("req_noc", home_arrive), ("home", home_depart),
-                         ("to_mc", arrive_mc), ("dram", leave_mc)):
+                         ("to_mc", arrive_mc), ("dram", leave_mc),
+                         (fill_name, fill_send)):
             if ts is None:
                 continue
             if ts < prev:
                 self.nonmonotonic += 1
                 continue
             if ts > prev:
-                segs.append((name, prev, ts - prev))
+                dur = ts - prev
+                total += dur
+                seg_count[name] += 1
+                seg_sum[name] += dur
+                observe(keys[name], dur)
+                if spans is not None:
+                    spans.append((name, prev, dur))
             prev = ts
-        if fill_send is not None:
-            if arrive_mc is not None:
-                name = "fill_stage"
-            elif served_by == SERVED_REMOTE_L1:
-                name = "fwd_owner"
-            else:
-                name = "home"
-            if fill_send < prev:
-                self.nonmonotonic += 1
-            else:
-                if fill_send > prev:
-                    segs.append((name, prev, fill_send - prev))
-                prev = fill_send
         if t_done > prev:
-            segs.append(("fill_noc", prev, t_done - prev))
+            dur = t_done - prev
+            total += dur
+            seg_count["fill_noc"] += 1
+            seg_sum["fill_noc"] += dur
+            observe(keys["fill_noc"], dur)
+            if spans is not None:
+                spans.append(("fill_noc", prev, dur))
         e2e = t_done - t_issue
-        if sum(dur for _, _, dur in segs) != e2e:
+        if total != e2e:
             self.unbalanced += 1
-        seg_count = self.seg_count[op]
-        seg_sum = self.seg_sum[op]
-        seg_hist = self._seg_hist
-        for name, _, dur in segs:
-            seg_count[name] += 1
-            seg_sum[name] += dur
-            seg_hist.observe(dur, op=op, segment=name)
         self.e2e_count[op] += 1
         self.e2e_sum[op] += e2e
-        self._e2e_hist.observe(e2e, op=op)
+        op_key = self._op_keys[op]
+        self._e2e_hist.observe_at(op_key, e2e)
         if retries:
             self.retries[op] += retries
-            self._retry_counter.inc(retries, op=op)
-        # Flow-linked spans in the trace: loads only (one outstanding
-        # blocking load per core keeps its track overlap-free).
-        if (op == "load" and self.trace is not None
-                and self._flow_budget > 0 and len(segs) > 1):
+            self._retry_counter.inc_at(op_key, retries)
+        if spans is not None and len(spans) > 1:
             self._flow_budget -= 1
             flow_id = self._flow_next = self._flow_next + 1
             track = f"core{core} miss"
-            last = len(segs) - 1
-            for i, (name, start, dur) in enumerate(segs):
+            last = len(spans) - 1
+            for i, (name, start, dur) in enumerate(spans):
                 self.trace.complete(name, "miss", start, dur, track=track)
                 phase = "s" if i == 0 else ("f" if i == last else "t")
                 self.trace.flow(op, "miss", start, flow_id, track=track,
                                 phase=phase)
 
     # -- DRAM hook (driven by ObsSession._on_dram_service) ---------------
-    def on_dram_service(self, tile, is_write, arrival, start,
+    def on_dram_service(self, mc_key, is_write, arrival, start,
                         done) -> None:
+        """One serviced DRAM command; ``mc_key`` is its controller's
+        ``label_key(mc=tile)``."""
         self.dram_observed["writes" if is_write else "reads"] += 1
         wait = start - arrival
         self.dram_queue_wait_sum += wait
         self.dram_service_sum += done - start
-        self._queue_hist.observe(wait, mc=tile)
+        self._queue_hist.observe_at(mc_key, wait)
 
     # -- measurement window ----------------------------------------------
     def on_measure_reset(self) -> None:
@@ -306,11 +323,7 @@ class AttribCollector:
         self.e2e_count = dict.fromkeys(OPS, 0)
         self.e2e_sum = dict.fromkeys(OPS, 0)
         self.retries = dict.fromkeys(OPS, 0)
-        # The stall wrappers hold references to these dicts — clear in
-        # place, never replace, or post-reset stalls would vanish.
-        for per_core in self.stalls:
-            for cause in STALL_CAUSES:
-                per_core[cause] = 0
+        self.stalls = [dict.fromkeys(STALL_CAUSES, 0) for _ in self.stalls]
         self.nonmonotonic = 0
         self.unbalanced = 0
         self.dram_observed = {"reads": 0, "writes": 0}

@@ -32,7 +32,9 @@ which is what the parity tests compare against the legacy
 from __future__ import annotations
 
 import difflib
+from bisect import bisect_left
 from collections import OrderedDict
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Metric kinds.  Counters are monotonically non-decreasing event
@@ -45,6 +47,15 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def label_key(**labels) -> LabelKey:
+    """The canonical series key of a label set, for the ``*_at`` pushes.
+
+    Independent of keyword order; a hot caller builds its keys once and
+    passes them to :meth:`Metric.inc_at` / :meth:`Histogram.observe_at`.
+    """
+    return _label_key(labels)
 
 
 def _label_str(key: LabelKey) -> str:
@@ -68,12 +79,16 @@ class Metric:
     # -- push ----------------------------------------------------------
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add to a counter (negative increments are rejected)."""
+        self.inc_at(_label_key(labels), amount)
+
+    def inc_at(self, key: LabelKey, amount: float = 1.0) -> None:
+        """:meth:`inc` for a prebuilt :func:`label_key`."""
         if self.kind != "counter":
             raise TypeError(f"{self.name} is a {self.kind}, not a counter")
         if amount < 0:
             raise ValueError("counters only go up")
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0.0) + amount
+        series = self._series
+        series[key] = series.get(key, 0.0) + amount
 
     def set(self, value: float, **labels) -> None:
         """Set a gauge's current level."""
@@ -112,7 +127,10 @@ class Histogram(Metric):
 
     Buckets are upper-bound-inclusive cumulative counts, Prometheus
     style, with an implicit ``+Inf`` bucket; ``total()`` reports the
-    observation count so hub-wide summaries stay scalar.
+    observation count so hub-wide summaries stay scalar.  An observation
+    adds to one bin (the first bucket whose bound it does not exceed,
+    or the trailing ``+Inf`` bin); :meth:`snapshot` accumulates the
+    bins into the cumulative counts.
     """
 
     __slots__ = ("buckets", "_hists")
@@ -130,16 +148,17 @@ class Histogram(Metric):
         self._hists: Dict[LabelKey, List[float]] = OrderedDict()
 
     def observe(self, value: float, **labels) -> None:
-        key = _label_key(labels)
+        self.observe_at(_label_key(labels), value)
+
+    def observe_at(self, key: LabelKey, value: float) -> None:
+        """:meth:`observe` for a prebuilt :func:`label_key`."""
         hist = self._hists.get(key)
         if hist is None:
-            # [count, sum, bucket_0, ..., bucket_n]
-            hist = self._hists[key] = [0.0, 0.0] + [0.0] * len(self.buckets)
+            # [count, sum, bin_0, ..., bin_n, bin_+Inf]
+            hist = self._hists[key] = [0.0] * (len(self.buckets) + 3)
         hist[0] += 1
         hist[1] += value
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                hist[2 + i] += 1
+        hist[2 + bisect_left(self.buckets, value)] += 1
 
     def clear(self) -> None:
         """Drop observations (measurement-window reset)."""
@@ -153,7 +172,8 @@ class Histogram(Metric):
             _label_str(key): {
                 "count": hist[0],
                 "sum": hist[1],
-                "buckets": dict(zip(map(str, self.buckets), hist[2:])),
+                "buckets": dict(zip(map(str, self.buckets),
+                                    accumulate(hist[2:]))),
             }
             for key, hist in self._hists.items()
         }

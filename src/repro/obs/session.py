@@ -27,14 +27,39 @@ scheduler events are subtracted from the event count by ``System``).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import partial
 from typing import Dict, List, Optional
 
 from repro.obs.attrib import AttribCollector
-from repro.obs.metrics import MetricsHub
+from repro.obs.metrics import MetricsHub, label_key
 from repro.obs.sampler import PhaseSampler
 from repro.obs.trace import SimTrace
 from repro.waste.profiler import CATEGORY_ORDER
+
+
+class TileFlits(Sequence):
+    """Flits forwarded by each tile's router (link-source attribution).
+
+    The mesh wrappers count flits per (src, dst) pair; a tile's value is
+    computed on read, as the flits of every pair whose XY route leaves
+    that tile (a route crosses each tile at most once).
+    """
+
+    def __init__(self, pair_flits: List[int], links_table,
+                 num_tiles: int) -> None:
+        self._pair_flits = pair_flits
+        self._tile_pairs: List[List[int]] = [[] for _ in range(num_tiles)]
+        for pair, links in enumerate(links_table):
+            for link in links:
+                self._tile_pairs[link // num_tiles].append(pair)
+
+    def __len__(self) -> int:
+        return len(self._tile_pairs)
+
+    def __getitem__(self, tile: int) -> int:
+        pair_flits = self._pair_flits
+        return sum(pair_flits[pair] for pair in self._tile_pairs[tile])
 
 
 class ObsSession:
@@ -52,9 +77,10 @@ class ObsSession:
         #: it off; the run stays bit-identical either way).
         self.attrib: Optional[AttribCollector] = (
             AttribCollector(self.hub, self.trace) if attrib else None)
-        #: Flits forwarded per tile (link-source attribution), filled by
-        #: the mesh wrapper installed in :meth:`attach`.
-        self.tile_flits: List[int] = []
+        #: Flits forwarded per tile (link-source attribution), a
+        #: :class:`TileFlits` over the mesh wrappers' counts once
+        #: :meth:`attach` has run.
+        self.tile_flits: Sequence = []
         self.meta: Dict[str, object] = {}
         self._phase_start = 0
         self._phases = 0
@@ -128,14 +154,13 @@ class ObsSession:
                 "DRAM request service latency (service start to data out)")
             for tile, dram in sorted(ctx.drams.items()):
                 dram.on_service = partial(self._on_dram_service, tile,
-                                          service_hist)
+                                          label_key(mc=tile), service_hist)
 
     def _wrap_mesh(self, ctx) -> None:
-        mesh = ctx.mesh
         num_tiles = ctx.config.num_tiles
-        self.tile_flits = [0] * num_tiles
-        tile_flits = self.tile_flits
-        links_table = mesh._links
+        pair_flits = [0] * (num_tiles * num_tiles)
+        self.tile_flits = tile_flits = TileFlits(pair_flits,
+                                                 ctx.mesh._links, num_tiles)
         for tile in range(num_tiles):
             self.hub.add_pull("tile_link_flits",
                               lambda f=tile_flits, t=tile: f[t],
@@ -143,28 +168,32 @@ class ObsSession:
                                    "(link-source attribution)",
                               tile=tile)
 
+        # Each wrapper adds the packet's flits to its (src, dst) pair;
+        # TileFlits expands the pairs over their routes when read.
         real_traverse = ctx._traverse
 
-        def traverse(src, dst, total_flits, now,
-                     _real=real_traverse, _links=links_table,
-                     _n=num_tiles, _flits=tile_flits):
-            if src != dst:
-                for link in _links[src * _n + dst]:
-                    _flits[link // _n] += total_flits
+        def traverse(src, dst, total_flits, now, _real=real_traverse,
+                     _pairs=pair_flits, _n=num_tiles):
+            _pairs[src * _n + dst] += total_flits
             return _real(src, dst, total_flits, now)
 
         real_latency = ctx._latency
 
-        def latency(src, dst, total_flits, now,
-                    _real=real_latency, _links=links_table,
-                    _n=num_tiles, _flits=tile_flits):
-            if src != dst:
-                for link in _links[src * _n + dst]:
-                    _flits[link // _n] += total_flits
+        def latency(src, dst, total_flits, now, _real=real_latency,
+                    _pairs=pair_flits, _n=num_tiles):
+            _pairs[src * _n + dst] += total_flits
             return _real(src, dst, total_flits, now)
+
+        real_count = ctx._count_packet
+
+        def count_packet(src, dst, total_flits=1, _real=real_count,
+                         _pairs=pair_flits, _n=num_tiles):
+            _pairs[src * _n + dst] += total_flits
+            return _real(src, dst, total_flits)
 
         ctx._traverse = traverse
         ctx._latency = latency
+        ctx._count_packet = count_packet
 
     # -- trace hooks ----------------------------------------------------
     def _on_barrier(self, queue) -> None:
@@ -175,11 +204,11 @@ class ObsSession:
         self._phases += 1
         self._phase_start = now
 
-    def _on_dram_service(self, tile, hist, line_addr, is_write, bank,
-                         row_hit, arrival, start, done) -> None:
-        hist.observe(done - start, mc=tile)
+    def _on_dram_service(self, tile, mc_key, hist, line_addr, is_write,
+                         bank, row_hit, arrival, start, done) -> None:
+        hist.observe_at(mc_key, done - start)
         if self.attrib is not None:
-            self.attrib.on_dram_service(tile, is_write, arrival, start,
+            self.attrib.on_dram_service(mc_key, is_write, arrival, start,
                                         done)
         if self.trace is not None:
             self.trace.complete(

@@ -89,6 +89,35 @@ def test_report_shape_and_stalls_figure():
     assert "pass" in section
 
 
+def test_stall_profiles_share_one_trace_build(monkeypatch):
+    """``repro stalls`` builds the workload once for all its rungs, and
+    the profiles equal those of a fresh build per rung."""
+    import repro.workloads as workloads
+    from repro.analysis.stalls import collect_stall_profiles
+    protocols = ["MESI", "DeNovo", "DBypFull"]
+    config = scaled_system(SCALE)
+    fresh = []
+    for proto in protocols:
+        obs = ObsSession(trace=False)
+        simulate(build_workload("radix", SCALE,
+                                num_cores=config.num_tiles),
+                 proto, config, obs=obs)
+        fresh.append(obs.attrib.report())
+    builds = []
+    real_build = workloads.build_workload
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(workloads, "build_workload", counting_build)
+    shared = collect_stall_profiles("radix", SCALE, protocols, config)
+    assert len(builds) == 1
+    assert [p["protocol"] for p in shared] == protocols
+    for got, want in zip(shared, fresh):
+        assert got == want
+
+
 # ----------------------------------------------------------------------
 # Segment-chain unit behaviour (no simulation)
 # ----------------------------------------------------------------------

@@ -18,12 +18,13 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.config import ScaleConfig, scaled_system
 from repro.core.simulator import simulate
 from repro.obs import (
     Histogram, MetricsHub, ObsSession, PhaseSampler, SimTrace,
-    SweepTelemetry, load_telemetry)
+    SweepTelemetry, label_key, load_telemetry)
 from repro.workloads import build_workload
 
 
@@ -57,6 +58,8 @@ class TestMetricsHub:
         hub = MetricsHub()
         with pytest.raises(ValueError):
             hub.counter("n").inc(-1)
+        with pytest.raises(ValueError):
+            hub.counter("n").inc_at(label_key(tile=0), -1)
 
     def test_kind_conflicts_rejected(self):
         hub = MetricsHub()
@@ -90,6 +93,53 @@ class TestMetricsHub:
         assert snap["sum"] == 5055
         assert snap["buckets"] == {"10": 1.0, "100": 2.0}
         assert h.total() == 3            # observation count, scalar
+
+    @given(bounds=st.sets(st.integers(-50, 50), min_size=1, max_size=8),
+           values=st.lists(st.integers(-60, 60), max_size=40))
+    def test_histogram_bins_match_cumulative_loop(self, bounds, values):
+        # Drawing values from a wider range than the bounds covers values
+        # below the first bound, above the last and equal to a bound.
+        h = Histogram("lat", buckets=bounds)
+        for v in values:
+            h.observe(v)
+        expected = {}
+        for bound in h.buckets:
+            n = 0
+            for v in values:
+                if v <= bound:
+                    n += 1
+            expected[str(bound)] = float(n)
+        if values:
+            snap = h.snapshot()[""]
+            assert snap["buckets"] == expected
+            assert all(type(n) is float for n in snap["buckets"].values())
+            assert snap["count"] == len(values)
+            assert snap["sum"] == sum(values)
+        else:
+            assert h.snapshot() == {}
+
+    def test_keys_do_not_depend_on_label_order(self):
+        hub = MetricsHub()
+        stalls = hub.counter("stall_cycles")
+        stalls.inc(5, cause="dram", core=3)
+        stalls.inc_at(label_key(core=3, cause="dram"), 7)
+        assert stalls.snapshot() == {"cause=dram,core=3": 12.0}
+        lat = hub.histogram("lat", buckets=(10, 100))
+        lat.observe(5, op="load", segment="dram")
+        lat.observe_at(label_key(segment="dram", op="load"), 50)
+        snap = lat.snapshot()
+        assert list(snap) == ["op=load,segment=dram"]
+        assert snap["op=load,segment=dram"]["count"] == 2
+        # The measurement reset clears pushed state; a later keyed push
+        # starts a fresh series.
+        stalls.clear()
+        lat.clear()
+        stalls.inc_at(label_key(cause="dram", core=3), 2)
+        lat.observe_at(label_key(op="load", segment="dram"), 500)
+        assert stalls.snapshot() == {"cause=dram,core=3": 2.0}
+        assert lat.snapshot()["op=load,segment=dram"] == {
+            "count": 1.0, "sum": 500.0,
+            "buckets": {"10": 0.0, "100": 0.0}}
 
 
 # ----------------------------------------------------------------------
@@ -238,6 +288,55 @@ class TestPhaseSampler:
                   in obs.sampler.series("engine_events")]
         assert len(cycles) > 1
         assert all(b - a <= interval for a, b in zip(cycles, cycles[1:]))
+
+
+# ----------------------------------------------------------------------
+# Per-tile link flits
+# ----------------------------------------------------------------------
+
+class _LinkCountingSession(ObsSession):
+    """Also counts flits per directed link, one route link at a time."""
+
+    def attach(self, system):
+        super().attach(system)
+        ctx = system.ctx
+        n = ctx.config.num_tiles
+        links = ctx.mesh._links
+        self.link_flits = link_flits = [0] * (n * n)
+
+        def per_link(real):
+            def wrapped(src, dst, total_flits=1, *rest):
+                for link in links[src * n + dst]:
+                    link_flits[link] += total_flits
+                return real(src, dst, total_flits, *rest)
+            return wrapped
+
+        ctx._traverse = per_link(ctx._traverse)
+        ctx._latency = per_link(ctx._latency)
+        ctx._count_packet = per_link(ctx._count_packet)
+
+
+@pytest.mark.parametrize("proto", ["MESI", "DeNovo", "DBypFull"])
+@pytest.mark.parametrize("name", ["radix", "FFT", "LU"])
+def test_tile_link_flits_cover_every_flit_hop(name, proto):
+    """Every flit-hop is credited to the tile whose router forwards it.
+
+    Warm-up is off so the mesh's counter and the session's per-tile
+    counts cover the same window.
+    """
+    scale = ScaleConfig.tiny()
+    workload = dataclasses.replace(build_workload(name, scale),
+                                   warmup_barriers=0)
+    obs = _LinkCountingSession(sample_interval=10 ** 9, trace=False,
+                               attrib=False)
+    result = simulate(workload, proto, scaled_system(scale), obs=obs)
+    tiles = list(obs.tile_flits)
+    assert sum(tiles) == result.energy_counters["noc_flit_hops"] > 0
+    n = len(tiles)
+    assert tiles == [sum(obs.link_flits[tile * n:(tile + 1) * n])
+                     for tile in range(n)]
+    assert obs.hub.get("tile_link_flits").snapshot() == {
+        f"tile={tile}": value for tile, value in enumerate(tiles)}
 
 
 # ----------------------------------------------------------------------
