@@ -11,7 +11,9 @@ Two ways to feed a metric:
 * **push** — ``hub.counter("retries").inc()`` /
   ``hub.gauge("queue_depth").set(n)`` / ``hub.histogram(...).observe(x)``
   from code that runs only when observability is enabled (telemetry
-  collectors, trace hooks);
+  collectors, trace hooks); a caller that pushes per event builds each
+  series key once with :func:`label_key` and pushes through
+  :meth:`Metric.inc_at` / :meth:`Histogram.observe_at`;
 * **pull** — ``hub.add_pull(name, fn, **labels)`` registers a
   zero-argument callable read at snapshot time.  This is the default
   for the simulator layers: they already keep observational ``stat_*``
