@@ -13,8 +13,9 @@ Run:  python examples/core_scaling.py [workload] [tiles ...]
 
 import sys
 
-from repro.analysis.scaling import figure_scaling, run_scaling
+from repro.analysis.scaling import figure_scaling
 from repro.common.config import ScaleConfig
+from repro.runner import sweep_shapes
 
 
 def main(argv) -> None:
@@ -23,9 +24,8 @@ def main(argv) -> None:
     protocols = ("MESI", "DeNovo", "DBypFull")
     print(f"sweeping {workload} x {protocols} across "
           f"{', '.join(f'{t} tiles' for t in tiles)} (tiny scale)...")
-    shapes = run_scaling(workloads=(workload,), protocols=protocols,
-                         tiles=tiles, scale=ScaleConfig.tiny(),
-                         use_cache=False)
+    shapes = sweep_shapes(tiles, workloads=(workload,), protocols=protocols,
+                          scale=ScaleConfig.tiny(), use_cache=False)
     print()
     print(figure_scaling(shapes).render())
     print()

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""Walk every registered protocol rung on one workload.
+"""Walk every protocol rung on one workload.
 
 Reproduces, for a single benchmark, the x-axis of every figure in the
 paper — MESI -> MMemL1 -> DeNovo -> DFlexL1 -> DValidateL2 -> DMemL1 ->
 DFlexL2 -> DBypL2 -> DBypFull — and then continues through the
-beyond-paper rungs in the protocol registry (MDirtyWB, DWordHybrid,
-plus anything you register yourself), printing normalized traffic
-(split into the paper's LD/ST/WB/overhead categories), execution time,
-and the word-level waste taxonomy.
+beyond-paper rungs of ``repro.PROTOCOLS`` (MDirtyWB, DWordHybrid),
+printing normalized traffic (split into the paper's LD/ST/WB/overhead
+categories), execution time, and the word-level waste taxonomy.
 
 Run:  python examples/protocol_ladder.py [workload]
       (default kD-tree; any of: fluidanimate LU FFT radix barnes kD-tree)
@@ -15,8 +14,7 @@ Run:  python examples/protocol_ladder.py [workload]
 
 import sys
 
-from repro import (
-    ScaleConfig, build_workload, registered_protocols, simulate)
+from repro import PROTOCOLS, ScaleConfig, build_workload, simulate
 from repro.common.config import scaled_system
 from repro.network import traffic as T
 from repro.waste.profiler import CATEGORY_ORDER, Category
@@ -32,10 +30,10 @@ def main() -> None:
           f"{'WB':>6s} {'OVH':>6s} {'exec':>6s}   waste breakdown "
           f"(L1 words)")
 
-    # Registry order: the paper ladder first (MESI leads and is the
-    # normalization baseline), then any beyond-paper rungs.
+    # Table order: the paper ladder first (MESI leads and is the
+    # normalization baseline), then the beyond-paper rungs.
     baseline = None
-    for proto in registered_protocols():
+    for proto in PROTOCOLS:
         result = simulate(workload, proto, config)
         if baseline is None:
             baseline = result

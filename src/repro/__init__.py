@@ -26,14 +26,8 @@ from repro.common.config import (
     energy_model,
     mc_tile_placement,
     protocol,
-    registered_energy_models,
     reshape_system,
     scaled_system,
-)
-from repro.common.registry import (
-    paper_ladder,
-    register_protocol,
-    registered_protocols,
 )
 from repro.core.simulator import simulate, simulate_all_protocols
 from repro.core.stats import RunResult
@@ -47,8 +41,6 @@ __all__ = [
     "PROTOCOLS", "PROTOCOL_ORDER", "ProtocolConfig", "RunResult",
     "ScaleConfig", "SystemConfig", "WORKLOAD_ORDER", "build_all",
     "build_workload", "compute_energy", "energy_model",
-    "mc_tile_placement", "paper_ladder", "protocol",
-    "register_protocol", "registered_energy_models",
-    "registered_protocols", "reshape_system",
+    "mc_tile_placement", "protocol", "reshape_system",
     "scaled_system", "simulate", "simulate_all_protocols", "__version__",
 ]

@@ -5,9 +5,7 @@ from repro.analysis.experiments import (
     average_overhead_fraction,
     average_traffic_reduction,
     average_waste_fraction,
-    clear_cache,
     exec_time_reduction,
-    run_grid,
     traffic_reduction,
 )
 from repro.analysis.figures import (
@@ -32,7 +30,6 @@ from repro.analysis.energy import (
 from repro.analysis.scaling import (
     ScalingFigure,
     figure_scaling,
-    run_scaling,
 )
 
 __all__ = [
@@ -40,9 +37,8 @@ __all__ = [
     "figure_5_1a", "figure_5_1b", "figure_5_1c", "figure_5_1d",
     "figure_5_2", "figure_5_3a", "figure_5_3b", "figure_5_3c",
     "figure_energy", "edp_table", "energy_grid",
-    "figure_scaling", "run_scaling",
+    "figure_scaling",
     "table_4_1", "table_4_2",
-    "run_grid", "clear_cache",
     "traffic_reduction", "average_traffic_reduction",
     "exec_time_reduction", "average_exec_time_reduction",
     "average_overhead_fraction", "average_waste_fraction",

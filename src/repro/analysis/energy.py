@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.analysis.figures import FigureTable, _normalize_grid
 from repro.common.config import (
-    EnergyModelConfig, SystemConfig, registered_energy_models)
+    ENERGY_MODELS, EnergyModelConfig, SystemConfig)
 from repro.core.stats import RunResult
 from repro.energy import (
     COMPONENT_LABELS, COMPONENTS, EnergyStats, compute_energy,
@@ -117,7 +117,7 @@ def report_section(grid: Grid,
                    models: Optional[Sequence[ModelLike]] = None,
                    config: Optional[SystemConfig] = None) -> str:
     """The markdown report section, rendered for every preset."""
-    names = list(models) if models else list(registered_energy_models())
+    names = list(models) if models else list(ENERGY_MODELS)
     parts = ["## Energy and EDP (beyond the paper)\n",
              "Counter-driven post-hoc energy model "
              "(`repro.energy`): per-event CACTI/McPAT-style costs over "

@@ -1,71 +1,17 @@
-"""Experiment runner: build the full (workload x protocol) result grid.
+"""Headline aggregates over a ``grid[workload][protocol] -> RunResult``
+result grid (paper Section 5.1).
 
-The grid drives every figure of the paper's evaluation.  Execution is
-delegated to the :mod:`repro.runner` subsystem — durable on-disk result
-store plus optional process-pool sharding (``jobs > 1``) — and grids are
-additionally memoized in-process (bounded LRU) so benchmarks
-regenerating several figures reuse one sweep.
+Grids come from :func:`repro.runner.sweep_grid`, which simulates missing
+cells through the durable result store.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict
 
-from repro.common.config import ScaleConfig, SystemConfig
-from repro.common.hashing import stable_hash
 from repro.core.stats import RunResult
-from repro.runner import expand_grid, sweep
 
 Grid = Dict[str, Dict[str, RunResult]]
-
-#: In-process grid memo, keyed on the sweep's job keys.  LRU-bounded:
-#: a long interactive session sweeping many configurations must not
-#: grow memory without limit.
-_GRID_CACHE: "OrderedDict[str, Grid]" = OrderedDict()
-GRID_CACHE_MAX_ENTRIES = 8
-
-
-def run_grid(workloads: Optional[Sequence[str]] = None,
-             protocols: Optional[Sequence[str]] = None,
-             scale: Optional[ScaleConfig] = None,
-             config: Optional[SystemConfig] = None,
-             use_cache: bool = True,
-             jobs: int = 1,
-             num_tiles: Optional[int] = None) -> Grid:
-    """Simulate every (workload, protocol) pair.
-
-    Returns ``grid[workload][protocol] -> RunResult`` in paper order.
-    ``protocols`` defaults to the registry's paper ladder (beyond-paper
-    rungs run when named explicitly).  ``scale`` defaults to the fast
-    ``small`` inputs with proportionally shrunk caches (see
-    ``repro.common.config.scaled_system``).  ``num_tiles`` re-shapes
-    the machine (tile count/mesh/MC placement, total L2 preserved) —
-    one shape per grid; sweep a shape axis with
-    :func:`repro.runner.sweep_shapes`.  ``jobs`` shards the missing
-    cells across that many worker processes; the serial ``jobs=1`` path
-    simulates in-process exactly as before.
-    """
-    specs = expand_grid(workloads, protocols, scale, config,
-                        tiles=(num_tiles,) if num_tiles else None)
-    key = stable_hash([spec.job_key() for spec in specs])
-    if use_cache and key in _GRID_CACHE:
-        _GRID_CACHE.move_to_end(key)
-        return _GRID_CACHE[key]
-
-    grid: Grid = {}
-    for outcome in sweep(specs, jobs=jobs, use_cache=use_cache):
-        grid.setdefault(outcome.spec.workload, {})[
-            outcome.spec.protocol] = outcome.result
-    if use_cache:
-        _GRID_CACHE[key] = grid
-        while len(_GRID_CACHE) > GRID_CACHE_MAX_ENTRIES:
-            _GRID_CACHE.popitem(last=False)
-    return grid
-
-
-def clear_cache() -> None:
-    _GRID_CACHE.clear()
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Figure and table regeneration (paper Section 5).
 
 Every renderer takes the ``{workload: {protocol: RunResult}}`` grid
-produced by :func:`repro.analysis.experiments.run_grid` and returns both a
+produced by :func:`repro.runner.sweep_grid` and returns both a
 structured table (rows of floats, suitable for assertions and plotting)
 and a formatted text rendition mirroring the paper's figure.
 
@@ -250,9 +250,9 @@ def figures_from_store(which: Optional[Sequence[str]] = None,
     Missing grid cells are simulated first (sharded across ``jobs``
     worker processes); ``grid_kwargs`` are forwarded to
     :func:`repro.runner.sweep_grid` (workloads, protocols, scale, ...).
-    When no protocols are named, the sweep defaults to the registry's
-    paper ladder (see ``repro.runner.jobs.expand_grid``), so figures
-    keep the paper's x-axis even when extra rungs are registered.
+    When no protocols are named, the sweep defaults to the paper ladder
+    (see ``repro.runner.jobs.expand_grid``), so figures keep the paper's
+    x-axis; beyond-paper rungs appear only when named.
     """
     from repro.runner import sweep_grid
     grid = sweep_grid(jobs=jobs, **grid_kwargs)

@@ -1,9 +1,8 @@
 """Generate the paper-vs-measured experiment report.
 
-``python -m repro report`` (or the legacy
-``python -m repro.analysis.report``) prints the full EXPERIMENTS.md
-content: every figure's regenerated table plus the headline
-paper-vs-measured comparison.  The grid comes from the runner
+``python -m repro report`` prints the full EXPERIMENTS.md content:
+every figure's regenerated table, the headline paper-vs-measured
+comparison and the energy/EDP section.  The grid comes from the runner
 subsystem's durable result store, simulating missing cells first —
 shard that across cores with ``python -m repro report --jobs 8``.
 """
@@ -12,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from repro.analysis.energy import report_section as energy_section
 from repro.analysis.experiments import (
     average_exec_time_reduction, average_overhead_fraction,
     average_traffic_reduction, average_waste_fraction,
@@ -61,27 +61,14 @@ def per_app_table(grid) -> str:
     return "\n".join(lines)
 
 
-def generate(grid=None, jobs: int = 1, scaling=None, energy: bool = True,
-             energy_config=None, stalls=None, stalls_tiles: int = 16) -> str:
-    """Full report text (the body of EXPERIMENTS.md).
+def generate(grid, energy_config=None) -> str:
+    """Full report text (the body of EXPERIMENTS.md) for ``grid``.
 
-    ``scaling``, when given, is a swept shape grid
-    (``repro.analysis.scaling.run_scaling`` output); its core-count
-    scaling figure is appended as a beyond-the-paper section.
-
-    ``energy`` (default on) appends the counter-driven energy/EDP
-    section, rendered for every registered technology preset;
-    ``energy_config`` supplies the machine shape when the grid was swept
-    on a non-default one (it defaults to the paper's 16-tile machine).
-
-    ``stalls``, when given, is a list of attribution profiles
-    (``repro.analysis.stalls.collect_stall_profiles`` output); the
-    latency & stall attribution section is appended for the
-    ``stalls_tiles``-tile shape they were collected on.
+    The counter-driven energy/EDP section closes the report, rendered
+    for every technology preset; ``energy_config`` supplies the machine
+    shape when the grid was swept on a non-default one (it defaults to
+    the paper's 16-tile machine).
     """
-    if grid is None:
-        from repro.runner import sweep_grid
-        grid = sweep_grid(jobs=jobs)
     parts: List[str] = []
     parts.append("## Headline comparison (paper Section 5.1)\n")
     parts.append(headline_table(grid))
@@ -94,17 +81,5 @@ def generate(grid=None, jobs: int = 1, scaling=None, energy: bool = True,
         fig = builder(grid)
         parts.append(f"\n## {fig.figure_id}: {fig.title}\n")
         parts.append("```\n" + fig.render() + "\n```")
-    if energy:
-        from repro.analysis.energy import report_section as energy_section
-        parts.append("\n" + energy_section(grid, config=energy_config))
-    if scaling:
-        from repro.analysis.scaling import report_section
-        parts.append("\n" + report_section(scaling))
-    if stalls:
-        from repro.analysis.stalls import report_section as stalls_section
-        parts.append("\n" + stalls_section(stalls, stalls_tiles))
+    parts.append("\n" + energy_section(grid, config=energy_config))
     return "\n".join(parts)
-
-
-if __name__ == "__main__":
-    print(generate())

@@ -5,24 +5,21 @@ The paper evaluates every protocol rung on exactly one machine — a
 this module asks the natural follow-up question: how does the nine-rung
 coherence ladder behave as the core count grows?
 
-:func:`run_scaling` sweeps a (workload x shape x protocol) grid through
-the runner subsystem; :func:`figure_scaling` turns the swept results
-into the scaling figure — execution time and flit-hop network traffic
-vs. tile count, one line per protocol rung — and
-:func:`report_section` renders the markdown section
-``repro.analysis.report`` embeds.
+:func:`repro.runner.sweep_shapes` sweeps a (workload x shape x protocol)
+grid; :func:`figure_scaling` turns the swept results into the scaling
+figure — execution time, flit-hop network traffic and energy vs. tile
+count, one line per protocol rung.
 
->>> from repro.analysis.scaling import run_scaling, figure_scaling
->>> shapes = run_scaling(workloads=("radix",), tiles=(4, 16), jobs=4)
+>>> from repro.runner import sweep_shapes
+>>> shapes = sweep_shapes((4, 16), workloads=("radix",), jobs=4)
 >>> print(figure_scaling(shapes).render())
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.common.config import ScaleConfig
 from repro.core.stats import RunResult
 
 #: ``shapes[num_tiles][workload][protocol] -> RunResult``.
@@ -30,26 +27,6 @@ ShapeGrid = Dict[int, Dict[str, Dict[str, RunResult]]]
 
 #: Default machine-shape axis: quarter, paper, and 4x the paper machine.
 DEFAULT_TILES = (4, 16, 64)
-
-
-def run_scaling(workloads: Sequence[str] = ("radix",),
-                protocols: Optional[Sequence[str]] = None,
-                tiles: Sequence[int] = DEFAULT_TILES,
-                scale: Optional[ScaleConfig] = None,
-                jobs: int = 1,
-                store=None,
-                use_cache: bool = True,
-                progress=None) -> ShapeGrid:
-    """Sweep the scaling grid; returns ``shapes[tiles][workload][proto]``.
-
-    Thin veneer over :func:`repro.runner.sweep_shapes` with
-    scaling-experiment defaults (one workload, the paper protocol
-    ladder, the {4, 16, 64}-tile axis).
-    """
-    from repro.runner import sweep_shapes
-    return sweep_shapes(tiles, workloads=workloads, protocols=protocols,
-                        scale=scale, jobs=jobs, store=store,
-                        use_cache=use_cache, progress=progress)
 
 
 @dataclass
@@ -112,7 +89,8 @@ class ScalingFigure:
 def figure_scaling(shapes: ShapeGrid,
                    title: str = "Core-count scaling",
                    energy_model=None) -> ScalingFigure:
-    """Build the scaling figure from :func:`run_scaling` results.
+    """Build the scaling figure from :func:`repro.runner.sweep_shapes`
+    results.
 
     The energy line derives post hoc from each cell's recorded counters
     under ``energy_model`` (a preset name or config; default preset when
@@ -153,45 +131,3 @@ def figure_scaling(shapes: ShapeGrid,
         ("traffic", "Network traffic (flit-hops)"),
         ("energy", f"Total energy (nJ, {em.name} preset)"))
     return figure
-
-
-def scaling_summary(shapes: ShapeGrid) -> str:
-    """One-line-per-workload summary: DBypFull's advantage vs tiles.
-
-    Reports how the best rung's traffic saving over MESI moves as the
-    machine grows (when both rungs are in the sweep).
-    """
-    tiles = tuple(sorted(shapes))
-    lines = []
-    for workload in next(iter(shapes.values())):
-        points = []
-        for t in tiles:
-            protos = shapes[t].get(workload, {})
-            best = "DBypFull" if "DBypFull" in protos else None
-            if best is None or "MESI" not in protos:
-                continue
-            base = protos["MESI"].traffic_total()
-            saving = 1.0 - protos[best].traffic_total() / base if base else 0.0
-            points.append(f"{t}t: {saving:.1%}")
-        if points:
-            lines.append(f"- {workload} DBypFull traffic saving vs MESI: "
-                         + ", ".join(points))
-    return "\n".join(lines)
-
-
-def report_section(shapes: ShapeGrid) -> str:
-    """The markdown report section for swept scaling results."""
-    # Build the figure first: its completeness validation turns a
-    # ragged sweep into a clear error before any partial rendering.
-    figure = figure_scaling(shapes)
-    parts = ["## Core-count scaling (beyond the paper)\n",
-             "The paper's evaluation is a single 16-tile 4x4 machine; "
-             "this section sweeps the same workloads and protocol rungs "
-             "across machine shapes (total L2 capacity preserved up to "
-             "per-slice KB rounding, see "
-             "`repro.common.config.reshape_system`).\n"]
-    summary = scaling_summary(shapes)
-    if summary:
-        parts.append(summary + "\n")
-    parts.append("```\n" + figure.render() + "\n```")
-    return "\n".join(parts)

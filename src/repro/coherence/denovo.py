@@ -2,9 +2,8 @@
 
 ``DenovoSystem`` is a protocol core on top of
 :class:`~repro.coherence.kernel.CoherenceKernel`; the word-granular
-coherence state machine lives here and every per-rung behaviour is a
-policy object resolved from ``ProtocolConfig``
-(:mod:`repro.coherence.policies`).
+coherence state machine lives here, and every per-rung behaviour is a
+``ProtocolConfig`` flag the core copies into an attribute when built.
 
 Baseline DeNovo (Choi et al. [8], plus the thesis's write-combining
 extension):
@@ -20,21 +19,21 @@ extension):
 * write-combining table batching word registrations per line (32 entries,
   10,000-cycle timeout, flushed at releases/barriers/evictions).
 
-Optimizations (paper Section 3.1) and the policies they resolve to:
+Optimizations (paper Section 3.1), one flag each:
 
-* ``flex_l1`` -> :class:`TransferPolicy` — Flex: cache-sourced responses
-  return the communication region's words instead of the whole line;
-* ``l2_write_validate`` -> :class:`GranularityPolicy` +
-  ``l2_dirty_wb_only`` -> :class:`WritebackPolicy` — DValidateL2;
-* ``mem_to_l1`` -> :class:`MemTransferPolicy` — memory responses go to
-  the L1 and L2 in parallel, filtered by the L2's dirty-word mask;
-* ``flex_l2`` -> :class:`TransferPolicy` — Flex extended to memory: the
-  controller fetches only same-DRAM-row lines of the communication
-  region and drops non-region words (counted as Excess waste);
-* ``bypass_l2_response`` / ``bypass_l2_request`` ->
-  :class:`BypassPolicy` — annotated regions' memory responses skip the
-  L2 entirely; Bloom-filter-guarded requests go straight from the L1 to
-  the memory controller.
+* ``flex_l1`` — Flex: cache-sourced responses return the communication
+  region's words instead of the whole line;
+* ``l2_write_validate`` (an L2 write miss fetches nothing) and
+  ``l2_dirty_wb_only`` (L2->memory writebacks carry only the dirty
+  words) — DValidateL2;
+* ``mem_to_l1`` — memory responses go to the L1 and L2 in parallel,
+  filtered by the L2's dirty-word mask;
+* ``flex_l2`` — Flex extended to memory: the controller fetches only
+  same-DRAM-row lines of the communication region and drops non-region
+  words (counted as Excess waste);
+* ``bypass_l2_response`` / ``bypass_l2_request`` — annotated regions'
+  memory responses skip the L2 entirely; Bloom-filter-guarded requests
+  go straight from the L1 to the memory controller.
 
 Message continuations use the closure-free scheduling convention
 (``handler, *args`` with the arrival time appended as the last
@@ -174,8 +173,16 @@ class DenovoSystem(CoherenceKernel):
         self.stat_bypass_queries = 0
         self.stat_bloom_copies = 0
         self.stat_self_invalidated_words = 0
-        self._bypass_response = self.policies.bypass.response_enabled
-        if self.policies.bypass.request_enabled:
+        proto = ctx.proto
+        self._bypass_response = proto.bypass_l2_response
+        self._bypass_request = proto.bypass_l2_request
+        self._mem_to_l1 = proto.mem_to_l1
+        self._flex_l1 = proto.flex_l1
+        self._flex_l2 = proto.flex_l2
+        self._l2_dirty_wb_only = proto.l2_dirty_wb_only
+        self._l2_fetch_on_write = not proto.l2_write_validate
+        self._max_words = cfg.max_words_per_message
+        if self._bypass_request:
             self.slice_blooms = [
                 SliceFilterBank(cfg.bloom_filters_per_slice,
                                 cfg.bloom_entries, cfg.bloom_hashes,
@@ -265,12 +272,10 @@ class DenovoSystem(CoherenceKernel):
                               on_done=on_done)
         if line is None:
             self._protected[core].add(line_addr)
-        # bypasses() is False for every region when the response bypass
-        # is off, so only bypass rungs pay the region-table walk here.
+        # Only bypass rungs pay the region-table walk here.
         bypassed = (self._bypass_response
-                    and self.policies.bypass.bypasses(
-                        self.ctx.regions.find(addr)))
-        if bypassed and self.policies.bypass.request_enabled:
+                    and self.ctx.regions.should_bypass(addr))
+        if bypassed and self._bypass_request:
             self._bypass_request_path(request, at)
         else:
             self._send_req_ctl(
@@ -436,7 +441,7 @@ class DenovoSystem(CoherenceKernel):
         entry = self.l2[home].lookup(line_addr)
         if entry is None:
             entry = self._reserve_l2(home, line_addr)
-            if self.policies.granularity.l2_fetch_on_write:
+            if self._l2_fetch_on_write:
                 # Baseline L2 fetch-on-write: a write miss at the L2
                 # fetches the whole line from memory (store traffic).
                 self._fetch_line_for_write(entry, home, t)
@@ -675,8 +680,8 @@ class DenovoSystem(CoherenceKernel):
         subset reports -1 and takes the word path.
         """
         l2 = self.l2[home]
-        transfer = self.policies.transfer
-        region = transfer.cache_region(addr)
+        region = (self.ctx.regions.flex_region_for(addr) if self._flex_l1
+                  else None)
         if region is None:
             # ``addr``'s own line (whose slice is ``home``): one probe
             # per candidate word.
@@ -694,7 +699,7 @@ class DenovoSystem(CoherenceKernel):
         last_addr = -1
         lentry = None
         probes = 0
-        for word in transfer.region_words(region, addr):
+        for word in self._flex_words(region, addr):
             wline = word >> 4
             if home_tile(wline) != home:
                 continue   # the slice can only gather its own lines
@@ -763,8 +768,8 @@ class DenovoSystem(CoherenceKernel):
         """Words a cache-to-cache response carries from the owner L1,
         with their line as in :meth:`_gather_l2_words`."""
         l1_owner = self.l1[owner]
-        transfer = self.policies.transfer
-        region = transfer.cache_region(addr)
+        region = (self.ctx.regions.flex_region_for(addr) if self._flex_l1
+                  else None)
         if region is None:
             line_addr = addr >> 4
             line = l1_owner.lookup(line_addr, False)
@@ -779,7 +784,7 @@ class DenovoSystem(CoherenceKernel):
         last_addr = -1
         line = None
         probes = 0
-        for word in transfer.region_words(region, addr):
+        for word in self._flex_words(region, addr):
             wline = word >> 4
             if wline == last_addr:
                 probes += 1
@@ -810,9 +815,7 @@ class DenovoSystem(CoherenceKernel):
         ctx = self.ctx
         addr = req.addr
         line_addr = line_of(addr)
-        bypassed = (self._bypass_response
-                    and self.policies.bypass.bypasses(
-                        ctx.regions.find(addr)))
+        bypassed = self._bypass_response and ctx.regions.should_bypass(addr)
         req.went_to_memory = True
         req.t_home_depart = t
         req.served_by = SERVED_MEMORY
@@ -889,10 +892,10 @@ class DenovoSystem(CoherenceKernel):
         dram = ctx.dram_for(line_addr)
 
         # Which lines to fetch and which words to send.
-        transfer = self.policies.transfer
-        flex_region = transfer.memory_region(addr)
+        flex_region = (ctx.regions.flex_region_for(addr) if self._flex_l2
+                       else None)
         if flex_region is not None:
-            wanted = transfer.region_words(flex_region, addr)
+            wanted = self._flex_words(flex_region, addr)
             lines = []
             for word in wanted:
                 wline = line_of(word)
@@ -945,6 +948,15 @@ class DenovoSystem(CoherenceKernel):
         self._mc_respond(req, home, mc, send_words, fill_l2, t,
                          completes=completes)
 
+    def _flex_words(self, region, addr: int) -> List[int]:
+        """The Flex region's field words around ``addr``, requested word
+        first when it is not itself a field."""
+        max_words = self._max_words
+        words = region.flex_words(addr, max_words)
+        if addr not in words:
+            words = [addr] + words[:max_words - 1]
+        return words
+
     @staticmethod
     def _region_fields_on_line(region, line_addr: int) -> List[int]:
         """Communication-region field words falling on ``line_addr``."""
@@ -986,7 +998,7 @@ class DenovoSystem(CoherenceKernel):
         if not fill_l2:
             self._send_l1_leg(req, line_addr, words, insts, completes, mc,
                               t)
-        elif self.policies.mem_transfer.direct_to_l1:
+        elif self._mem_to_l1:
             # Parallel transfer to the L1 and the L2.
             self._send_l1_leg(req, line_addr, words, insts, completes, mc,
                               t)
@@ -1153,7 +1165,7 @@ class DenovoSystem(CoherenceKernel):
         entry = self.l2[home].lookup(line_addr)
         if entry is None:
             entry = self._reserve_l2(home, line_addr)
-            if self.policies.granularity.l2_fetch_on_write:
+            if self._l2_fetch_on_write:
                 self._fetch_line_for_write(entry, home, t)
         base = base_word(line_addr)
         word_state = entry.word_state
@@ -1219,7 +1231,10 @@ class DenovoSystem(CoherenceKernel):
             # DValidateL2 rung: only the dirty words travel; baseline
             # ships the whole line and unmodified words die as Waste
             # (Figure 5.1d, Mem Waste).
-            flags = self.policies.writeback.l2_flags(entry.word_dirty)
+            if self._l2_dirty_wb_only:
+                flags = [True] * sum(entry.word_dirty)
+            else:
+                flags = list(entry.word_dirty)
             self._send_wb(home, mc, at, flags, T.DEST_MEM,
                           self._wb_to_dram, line_addr)
         if self.slice_blooms and entry.in_bloom:

@@ -1,7 +1,7 @@
 """Shared coherence-kernel machinery (the hierarchy layer).
 
 :class:`CoherenceKernel` owns everything a protocol core needs
-regardless of its coherence policy:
+whichever protocol it runs:
 
 * the L1 and L2 tag+state arrays (one :class:`SetAssocCache` per tile,
   with the L2 slices shifting out the home-interleaving bits);
@@ -12,8 +12,6 @@ regardless of its coherence policy:
   store retirement (store-buffer-full stalls, barrier drains);
 * the waste-profiler touchpoints of the L1 fast path (load-hit use and
   memory-instance accounting);
-* the per-flag :class:`~repro.coherence.policies.PolicySet` resolved
-  from the run's ``ProtocolConfig``;
 * the explicit :meth:`stats` protocol consumed by ``System._collect``
   (replacing the old ``dir()``-scan over ``stat_*`` attributes).
 
@@ -31,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.cache.sa_cache import CacheLine, SetAssocCache
 from repro.common.addressing import OFFSET_MASK as _OFFSET_MASK
-from repro.coherence.policies import PolicySet, resolve_policies
 from repro.core.context import LoadRequest, SimContext
 
 
@@ -46,10 +43,6 @@ class CoherenceKernel:
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx
         cfg = ctx.config
-        # Cores consult the resolved policies, never ctx.proto's raw
-        # flags — that is the whole point of the policy layer.
-        self.policies: PolicySet = resolve_policies(ctx.proto, ctx.regions,
-                                                    cfg)
         num_tiles = cfg.num_tiles
         self.l1: List[SetAssocCache] = [
             SetAssocCache(cfg.l1_sets, cfg.l1_assoc, self.l1_line_cls)

@@ -3,21 +3,21 @@
 ``MesiSystem`` is a protocol core on top of
 :class:`~repro.coherence.kernel.CoherenceKernel`: the kernel owns the
 tag arrays, reservation/protection lifecycle and retire hooks; this
-module owns the line-granular MESI state machine and composes the
-policy objects that distinguish the MESI-side ladder rungs:
+module owns the line-granular MESI state machine and reads the
+``ProtocolConfig`` flags that distinguish the MESI-side rungs:
 
 * **MESI** — baseline: inclusive shared L2 with an in-cache directory,
   blocking transitions (requests to busy lines are NACKed), E state with
   silent E->M upgrade, Upgrade requests for S->M, fetch-on-write, directory
   unblock messages, and non-blocking writes through a 32-entry store buffer.
-* **MMemL1** (``mem_to_l1`` -> :class:`MemTransferPolicy`) — memory
-  responses go directly to the requesting L1; loads forward the line to
-  the L2 as a combined unblock+data message (profiled as load traffic,
-  per Section 3.3), and write fills skip the L2 entirely since the L1
-  writeback will overwrite them.
-* **MDirtyWB** (``dirty_wb_only`` -> :class:`WritebackPolicy`, beyond
-  the paper) — writebacks carry only the dirty words instead of the
-  whole line with dirty flags.
+* **MMemL1** (``mem_to_l1``) — memory responses go directly to the
+  requesting L1; loads forward the line to the L2 as a combined
+  unblock+data message (profiled as load traffic, per Section 3.3), and
+  write fills skip the L2 entirely since the L1 writeback will
+  overwrite them.
+* **MDirtyWB** (``dirty_wb_only``, beyond the paper) — L1 and
+  L2->memory writebacks carry only the dirty words instead of the whole
+  line with dirty flags.
 
 The protocol is line-granular; per-word dirty bits are tracked only for
 the waste profiler and the writeback Used/Waste split of Figure 5.1d.
@@ -80,6 +80,11 @@ class MesiL2Line(CacheLine):
         self.waiters: List[Callable[[int], None]] = []
 
 
+def _dirty_words_only(word_dirty: List[bool]) -> List[bool]:
+    """Writeback payload flags shipping just the dirty words."""
+    return [True] * sum(word_dirty)
+
+
 class MesiSystem(CoherenceKernel):
     """All L1s, L2 slices and the directory logic of one MESI machine."""
 
@@ -89,8 +94,11 @@ class MesiSystem(CoherenceKernel):
     def __init__(self, ctx: SimContext) -> None:
         super().__init__(ctx)
         cfg = ctx.config
-        self.mem_to_l1 = self.policies.mem_transfer.direct_to_l1
-        self._wb_l1_flags = self.policies.writeback.l1_flags
+        proto = ctx.proto
+        self.mem_to_l1 = proto.mem_to_l1
+        # Per-word payload flags of a writeback (L1 and L2->memory): one
+        # entry per word on the wire, True for a dirty (Used) word.
+        self._wb_flags = _dirty_words_only if proto.dirty_wb_only else list
         self.sbuf = [StoreBuffer(cfg.store_buffer_entries)
                      for _ in range(cfg.num_tiles)]
         # Deferred store words per (core, line): offsets written while the
@@ -240,7 +248,7 @@ class MesiSystem(CoherenceKernel):
         home = self._home_tile(line.line_addr)
         if line.state == L1_M:
             written = tuple(i for i, d in enumerate(line.word_dirty) if d)
-            self._send_wb(core, home, at, self._wb_l1_flags(line.word_dirty),
+            self._send_wb(core, home, at, self._wb_flags(line.word_dirty),
                           T.DEST_L2,
                           self._dir_dirty_wb, line.line_addr, core, written)
         elif line.state == L1_E:
@@ -336,7 +344,7 @@ class MesiSystem(CoherenceKernel):
         if was_m:
             written = tuple(i for i, d in enumerate(oline.word_dirty) if d)
             self._send_wb(owner, home, tt,
-                          self._wb_l1_flags(oline.word_dirty), T.DEST_L2,
+                          self._wb_flags(oline.word_dirty), T.DEST_L2,
                           self._dir_downgrade_data, entry, owner, core,
                           written)
         else:
@@ -785,7 +793,7 @@ class MesiSystem(CoherenceKernel):
                             entry.word_dirty[off] = True
                     entry.l2_dirty = True
                     self._send_wb(holder, home, at,
-                                  self._wb_l1_flags(line.word_dirty),
+                                  self._wb_flags(line.word_dirty),
                                   T.DEST_L2, self._ignore)
                 else:
                     self._send_overhead(T.OVH_ACK, holder, home, at)
@@ -798,9 +806,8 @@ class MesiSystem(CoherenceKernel):
         ctx.mem_prof.drop_copies(entry.mem_inst, invalidated=False)
         if entry.l2_dirty and entry.has_data:
             mc = ctx.mc_tile(line_addr)
-            flags = self.policies.writeback.l2_flags(entry.word_dirty)
-            self._send_wb(home, mc, at, flags, T.DEST_MEM,
-                          self._wb_to_dram, line_addr)
+            self._send_wb(home, mc, at, self._wb_flags(entry.word_dirty),
+                          T.DEST_MEM, self._wb_to_dram, line_addr)
 
     def _fill_l2_data(self, entry: MesiL2Line, home: int,
                       insts: List) -> None:

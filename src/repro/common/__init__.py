@@ -31,12 +31,6 @@ from repro.common.regions import (
     RegionAllocator,
     RegionTable,
 )
-from repro.common.registry import (
-    paper_ladder,
-    register_protocol,
-    registered_protocols,
-    unregister_protocol,
-)
 
 __all__ = [
     "LINE_BYTES", "WORD_BYTES", "WORDS_PER_LINE",
@@ -45,7 +39,5 @@ __all__ = [
     "DEFAULT_SCALE", "DEFAULT_SYSTEM", "PROTOCOL_ORDER", "PROTOCOLS",
     "ProtocolConfig", "ScaleConfig", "SystemConfig", "corner_tiles",
     "mc_tile_placement", "protocol", "reshape_system", "scaled_system",
-    "paper_ladder", "register_protocol", "registered_protocols",
-    "unregister_protocol",
     "FlexPattern", "Region", "RegionAllocator", "RegionTable",
 ]

@@ -8,12 +8,11 @@ proportionally scaled-down inputs that run quickly in pure Python.
 
 from __future__ import annotations
 
+import difflib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
-from repro.common.addressing import LINE_BYTES, WORD_BYTES, WORDS_PER_LINE
-from repro.common.registry import (
-    REGISTRY, Registry, paper_ladder, protocol, register_protocol)
+from repro.common.addressing import LINE_BYTES, WORD_BYTES
 
 #: Machine shapes the model is validated for: square meshes from 2x2
 #: (4 tiles) up to 8x8 (64 tiles).  The paper evaluates only 4x4.
@@ -59,7 +58,6 @@ class SystemConfig:
     dram_t_cl: int = 26
     dram_t_ras: int = 68
     dram_t_burst: int = 15         # data transfer time for a 64B line
-    mc_queue_depth: int = 64
 
     store_buffer_entries: int = 32          # non-blocking writes per core
     write_combine_entries: int = 32         # DeNovo write-combining table
@@ -191,11 +189,10 @@ def mc_tile_placement(mesh_width: int, num_mem_controllers: int = 4) -> tuple:
 class ProtocolConfig:
     """Feature flags selecting one protocol rung.
 
-    The flags are resolved into policy objects by
-    :func:`repro.coherence.policies.resolve_policies`; the protocol cores
-    consult the policies, never the raw flags, so a new rung is usually
-    just a new flag combination registered via
-    :func:`repro.common.registry.register_protocol`.
+    ``kind`` picks the protocol core (``MesiSystem`` or
+    ``DenovoSystem``); each core copies the flags it reads into
+    attributes when it is built.  A new rung is a new flag combination
+    in the ``PROTOCOLS`` table below.
     """
 
     name: str
@@ -248,9 +245,30 @@ def _denovo(name: str, **flags) -> ProtocolConfig:
     return ProtocolConfig(name=name, kind="denovo", **flags)
 
 
-# The nine protocol configurations of paper Sections 3.2-3.3, registered
-# as the ladder in the order they appear on every figure's x-axis.
-for _cfg in (
+def _lookup(table: dict, kind: str, name: str):
+    """``table[name]``, or a KeyError listing the known names and the
+    near misses of ``name``."""
+    try:
+        return table[name]
+    except KeyError:
+        pass
+    close = difflib.get_close_matches(name, list(table), n=2, cutoff=0.4)
+    if not close:
+        exact = {known.lower(): known for known in table}.get(name.lower())
+        close = [exact] if exact else []
+    hint = f"; did you mean {' or '.join(close)}?" if close else ""
+    raise KeyError(f"unknown {kind} {name!r}; known: {', '.join(table)}"
+                   f"{hint}") from None
+
+
+#: Every protocol rung by name.  The first nine are the paper's ladder
+#: (Sections 3.2-3.3) in the order of every figure's x-axis; the two
+#: after them go beyond the paper and run only when named:
+#: ``MDirtyWB`` is MESI with dirty-words-only writebacks (L1->L2 and
+#: L2->mem), and ``DWordHybrid`` is DeNovo with line-granular L2
+#: write-miss fills but word-granular L2->mem writebacks, the
+#: writeback half of DValidateL2.
+PROTOCOLS = {cfg.name: cfg for cfg in (
     _mesi("MESI"),
     _mesi("MMemL1", mem_to_l1=True),
     _denovo("DeNovo"),
@@ -266,33 +284,17 @@ for _cfg in (
     _denovo("DBypFull", l2_write_validate=True, l2_dirty_wb_only=True,
             mem_to_l1=True, flex_l1=True, flex_l2=True,
             bypass_l2_response=True, bypass_l2_request=True),
-):
-    register_protocol(_cfg, ladder=True)
-
-
-# Beyond-paper rungs: registered (runnable, listed) but off the paper
-# ladder so figure defaults stay paper-shaped.
-
-@register_protocol
-def _mdirty_wb() -> ProtocolConfig:
-    """MESI sending dirty-words-only writebacks (L1->L2 and L2->mem)."""
-    return _mesi("MDirtyWB", dirty_wb_only=True)
-
-
-@register_protocol
-def _dword_hybrid() -> ProtocolConfig:
-    """DeNovo with line-granularity L2 write-miss fills (fetch-on-write,
-    like the baseline) but word-granularity L2->mem writebacks (like
-    DValidateL2): isolates the writeback half of DValidateL2."""
-    return _denovo("DWordHybrid", l2_dirty_wb_only=True)
-
-
-#: Live name -> ProtocolConfig registry view (all rungs, registration
-#: order).  New rungs appear here as soon as they are registered.
-PROTOCOLS = REGISTRY
+    _mesi("MDirtyWB", dirty_wb_only=True),
+    _denovo("DWordHybrid", l2_dirty_wb_only=True),
+)}
 
 #: The paper's nine-rung ladder (every figure's x-axis order).
-PROTOCOL_ORDER = paper_ladder()
+PROTOCOL_ORDER = tuple(PROTOCOLS)[:9]
+
+
+def protocol(name: str) -> ProtocolConfig:
+    """Look up a protocol rung by name."""
+    return _lookup(PROTOCOLS, "protocol", name)
 
 
 @dataclass(frozen=True)
@@ -389,15 +391,12 @@ class EnergyModelConfig:
 
 
 #: Named technology presets for the energy model, resolved by the
-#: :mod:`repro.energy` subsystem and the ``python -m repro energy`` CLI
-#: the same way protocol rungs resolve through the protocol registry.
-ENERGY_MODELS = Registry("energy model")
-
-# Two process nodes.  The 22nm point scales dynamic energy by ~0.45x of
-# the 45nm point while leakage shrinks only ~0.65x — the classic
-# "leakage fraction grows as the node shrinks" trend — so the two
-# presets genuinely reorder EDP trade-offs rather than rescaling them.
-for _em in (
+#: :mod:`repro.energy` subsystem and the ``python -m repro energy`` CLI.
+#: Two process nodes.  The 22nm point scales dynamic energy by ~0.45x of
+#: the 45nm point while leakage shrinks only ~0.65x — the classic
+#: "leakage fraction grows as the node shrinks" trend — so the two
+#: presets genuinely reorder EDP trade-offs rather than rescaling them.
+ENERGY_MODELS = {em.name: em for em in (
     EnergyModelConfig(
         name="45nm", process_nm=45,
         core_cycle_pj=18.0,
@@ -422,21 +421,15 @@ for _em in (
         dram_access_pj=3000.0,
         core_leak_mw=55.0, l1_leak_mw=12.0, l2_leak_mw=30.0,
         noc_leak_mw=8.0, mc_leak_mw=20.0, dram_leak_mw=72.0),
-):
-    ENERGY_MODELS.register(_em)
+)}
 
 #: Preset used when callers don't pick one.
 DEFAULT_ENERGY_MODEL = "45nm"
 
 
 def energy_model(name: str) -> EnergyModelConfig:
-    """Look up a registered energy-model preset by name."""
-    return ENERGY_MODELS.get(name)
-
-
-def registered_energy_models() -> tuple:
-    """All registered preset names, in registration order."""
-    return ENERGY_MODELS.names()
+    """Look up an energy-model preset by name."""
+    return _lookup(ENERGY_MODELS, "energy model", name)
 
 
 DEFAULT_SYSTEM = SystemConfig()

@@ -14,8 +14,8 @@ from dataclasses import replace
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 from repro.common.config import (
-    ProtocolConfig, SystemConfig, protocol as protocol_by_name)
-from repro.common.registry import paper_ladder
+    PROTOCOL_ORDER, ProtocolConfig, SystemConfig,
+    protocol as protocol_by_name)
 from repro.core.stats import RunResult
 from repro.core.system import System
 from repro.workloads.trace import Workload
@@ -117,11 +117,10 @@ def simulate_all_protocols(
         config: Optional[SystemConfig] = None) -> Dict[str, RunResult]:
     """Run one workload under every protocol (figure x-axis order).
 
-    ``protocols`` defaults to the paper ladder from the protocol
-    registry; pass ``repro.common.registry.registered_protocols()`` to
-    include beyond-paper rungs.
+    ``protocols`` defaults to the paper ladder; pass
+    ``repro.common.config.PROTOCOLS`` to include beyond-paper rungs.
     """
-    names = list(protocols) if protocols is not None else list(paper_ladder())
+    names = list(protocols) if protocols is not None else list(PROTOCOL_ORDER)
     results: Dict[str, RunResult] = {}
     for proto in names:
         result = simulate(workload, proto, config)

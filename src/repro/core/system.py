@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.coherence import build_protocol_system
+from repro.coherence import DenovoSystem, MesiSystem
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.core.context import SimContext
 from repro.core.core import Core
@@ -47,9 +47,9 @@ class System:
         # same workload object is reused across protocol runs.
         self.regions = workload.regions.clone()
         self.ctx = SimContext(self.config, proto, self.regions)
-        # The protocol core comes from the kind registry (see
-        # repro.coherence.PROTOCOL_CORES), not a hard-coded if/else.
-        self.proto_sys = build_protocol_system(self.ctx)
+        # ProtocolConfig accepts only these two kinds.
+        core_cls = DenovoSystem if proto.kind == "denovo" else MesiSystem
+        self.proto_sys = core_cls(self.ctx)
         self.barrier = Barrier(self.ctx.queue, workload.num_cores,
                                release_cost=self.config.barrier_release_cost)
         self.ctx.barrier = self.barrier

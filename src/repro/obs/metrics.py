@@ -1,10 +1,9 @@
 """Unified metrics registry: counters, gauges and histograms.
 
 :class:`MetricsHub` is the one place every instrumented layer's event
-counts meet under a common schema.  It follows the registry pattern of
-:mod:`repro.common.registry` — insertion-ordered ``name -> metric``
-with duplicate-kind rejection and near-miss suggestions on failed
-lookups — but stores *instruments* instead of configs.
+counts meet under a common schema: an insertion-ordered ``name ->
+metric`` mapping with duplicate-kind rejection and near-miss
+suggestions on failed lookups.
 
 Two ways to feed a metric:
 

@@ -11,7 +11,7 @@ Subcommands::
     python -m repro energy  --preset 22nm --workloads radix
     python -m repro clean-cache
 
-``list`` prints every registered workload and protocol (including
+``list`` prints every workload and protocol rung (including
 beyond-paper rungs like ``MDirtyWB``/``DWordHybrid``).  Every
 grid-shaped subcommand shares the same selection flags
 (``--workloads/--protocols/--scale/--seed/--tiles``), the parallelism
@@ -23,9 +23,8 @@ value); ``scaling`` renders the core-count scaling figure over a
 multi-valued ``--tiles`` axis.  ``energy`` derives the per-rung energy
 breakdown and EDP table post hoc from stored results (cells already in
 the result store are never re-simulated) under one technology preset
-(``--preset``; default: every registered preset).  Protocol and preset
-names resolve through their registries; a misspelled ``--protocols`` or
-``--preset`` entry reports near-miss suggestions.
+(``--preset``; default: every preset).  A misspelled ``--protocols``
+or ``--preset`` entry reports near-miss suggestions.
 """
 
 from __future__ import annotations
@@ -37,10 +36,8 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.common.config import (
-    ENERGY_MODELS, ScaleConfig, registered_energy_models,
-    scaled_system)
-from repro.common.registry import (
-    paper_ladder, protocol as protocol_by_name, registered_protocols)
+    ENERGY_MODELS, PROTOCOL_ORDER, PROTOCOLS, ScaleConfig, energy_model,
+    protocol as protocol_by_name, scaled_system)
 from repro.runner.jobs import DEFAULT_SEED, expand_grid
 from repro.runner.pool import JobOutcome, sweep, sweep_grid, sweep_shapes
 from repro.runner.store import ResultStore
@@ -144,7 +141,7 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
     out = out if out is not None else sys.stdout
     jobs = _resolve_jobs(ns.jobs)
     workloads = tuple(ns.workloads) if ns.workloads else WORKLOAD_ORDER
-    protocols = tuple(ns.protocols) if ns.protocols else paper_ladder()
+    protocols = tuple(ns.protocols) if ns.protocols else PROTOCOL_ORDER
     tiles = _parse_tiles(ns)
     scale = SCALES[ns.scale]()
     specs = expand_grid(workloads, protocols, scale,
@@ -200,7 +197,7 @@ def cmd_energy(ns: argparse.Namespace, out=None) -> int:
         jobs=_resolve_jobs(ns.jobs), store=store,
         use_cache=not ns.fresh, progress=progress)
     finish()
-    presets = [ns.preset] if ns.preset else list(registered_energy_models())
+    presets = [ns.preset] if ns.preset else list(ENERGY_MODELS)
     for preset in presets:
         stats = energy_grid(grid, preset, config)
         print(figure_energy(grid, preset, config, stats=stats).render(),
@@ -244,13 +241,13 @@ def cmd_report(ns: argparse.Namespace, out=None) -> int:
 
 
 def _canonical_protocol(name: str) -> str:
-    """Resolve a case-insensitive protocol name to its registry key.
+    """Resolve a case-insensitive protocol name to its table key.
 
     ``--protocol denovo`` should work like ``--workload fft`` does;
-    exact-case lookups (and their near-miss suggestions) stay with the
-    registry itself.
+    exact-case lookups (and their near-miss suggestions) stay with
+    :func:`repro.common.config.protocol`.
     """
-    canonical = {n.lower(): n for n in registered_protocols()}
+    canonical = {n.lower(): n for n in PROTOCOLS}
     key = canonical.get(name.lower())
     if key is not None:
         return key
@@ -310,7 +307,7 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
     config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
               else scaled_system(scale))
     protocols = [_canonical_protocol(p)
-                 for p in (ns.protocols or paper_ladder())]
+                 for p in (ns.protocols or PROTOCOL_ORDER)]
     start = time.perf_counter()
     profiles = collect_stall_profiles(ns.workload, scale, protocols,
                                       config, seed=ns.seed)
@@ -341,7 +338,7 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
 
 
 def cmd_list(ns: argparse.Namespace, out=None) -> int:
-    """Print registered workloads and protocols (from the registries)."""
+    """Print every workload and protocol rung."""
     out = out if out is not None else sys.stdout
     print("workloads:", file=out)
     paper_workloads = set(WORKLOAD_ORDER)
@@ -351,10 +348,8 @@ def cmd_list(ns: argparse.Namespace, out=None) -> int:
         tag = "paper" if name in paper_workloads else "extra"
         print(f"  {name:<14s} {tag}", file=out)
     print("protocols:", file=out)
-    ladder = set(paper_ladder())
-    for name in registered_protocols():
-        proto = protocol_by_name(name)
-        tag = "paper-ladder" if name in ladder else "extra"
+    for name, proto in PROTOCOLS.items():
+        tag = "paper-ladder" if name in PROTOCOL_ORDER else "extra"
         flags = ", ".join(proto.enabled_flags()) or "-"
         print(f"  {name:<12s} {proto.kind:<7s} {tag:<13s} {flags}",
               file=out)
@@ -389,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags.add_argument(
         "--protocols", nargs="+", metavar="P",
         help="protocol configurations (default: the paper's nine-rung "
-             "ladder; see `python -m repro list` for every registered "
-             "rung)")
+             "ladder; see `python -m repro list` for every rung)")
     grid_flags.add_argument(
         "--scale", choices=sorted(SCALES), default="small",
         help="input-size scale (default: small)")
@@ -449,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preset", metavar="NAME",
         help=f"technology preset (default: all; known: "
-             f"{', '.join(registered_energy_models())})")
+             f"{', '.join(ENERGY_MODELS)})")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser(
@@ -513,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_stalls)
 
     p = sub.add_parser("list",
-                       help="print registered workloads and protocols")
+                       help="print every workload and protocol rung")
     p.set_defaults(func=cmd_list)
 
     p = sub.add_parser("clean-cache",
@@ -531,8 +525,8 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
             canonical_workload(name)
         except KeyError as exc:
             return str(exc.args[0])
-    # Protocols resolve through the registry; its KeyError carries
-    # near-miss suggestions ("did you mean ...?").
+    # A failed protocol lookup's KeyError carries near-miss
+    # suggestions ("did you mean ...?").
     for name in getattr(ns, "protocols", None) or ():
         try:
             protocol_by_name(name)
@@ -544,7 +538,7 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
     # Energy presets resolve the same way.
     if getattr(ns, "preset", None):
         try:
-            ENERGY_MODELS.get(ns.preset)
+            energy_model(ns.preset)
         except KeyError as exc:
             return str(exc.args[0])
     # Machine shapes: fail before sweeping, with the config's message.
@@ -583,7 +577,7 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
             return ("trace runs one machine shape at a time; pass a "
                     "single --tiles value")
     # Stalls runs one observed cell per rung: one shape, valid names
-    # (--protocols entries already resolved through the registry above).
+    # (--protocols entries already resolved above).
     if ns.command == "stalls":
         try:
             canonical_workload(ns.workload)

@@ -18,9 +18,7 @@ Key derivation is shared with the durable result store: every cell has
 * a **store key** — the config key tagged with the tile count (a
   readable ``-tN`` suffix, so shapes are distinguishable in a cache
   directory listing) plus the seed when it differs from the generators'
-  default; it names the cache file;
-* a **job key** — hash of the full spec, used for in-process memoization
-  (e.g. the experiment grid LRU).
+  default; it names the cache file.
 """
 
 from __future__ import annotations
@@ -29,10 +27,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from repro.common.config import (
-    DEFAULT_SCALE, ScaleConfig, SystemConfig, protocol, reshape_system,
-    scaled_system)
+    DEFAULT_SCALE, PROTOCOL_ORDER, ScaleConfig, SystemConfig, protocol,
+    reshape_system, scaled_system)
 from repro.common.hashing import config_items, stable_hash
-from repro.common.registry import paper_ladder
 from repro.workloads import WORKLOAD_ORDER, canonical_workload
 
 #: Default trace-generator seed (matches ``workloads.base.Generator``).
@@ -49,7 +46,8 @@ DEFAULT_SEED = 12345
 #: config again (one heap scheduler), so the payload changed shape
 #: once more.  v10: the engine field left the config too (one
 #: execution engine); results are unchanged, the payload shape is not.
-GRID_VERSION = 10
+#: v11: the unread ``mc_queue_depth`` field left the config.
+GRID_VERSION = 11
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:
@@ -95,12 +93,6 @@ class JobSpec:
             return key
         return f"{key}-s{self.seed}"
 
-    def job_key(self) -> str:
-        """Hash of the complete spec (for in-process memo keys)."""
-        return stable_hash([GRID_VERSION, self.workload, self.protocol,
-                            self.seed, config_items(self.scale),
-                            config_items(self.config)])
-
     def label(self) -> str:
         return f"{self.workload} x {self.protocol} @ {self.num_tiles}t"
 
@@ -113,8 +105,7 @@ def expand_grid(workloads: Optional[Sequence[str]] = None,
                 tiles: Optional[Sequence[int]] = None) -> Tuple[JobSpec, ...]:
     """The (workload x shape x protocol) grid as job specs.
 
-    Defaults mirror :func:`repro.analysis.experiments.run_grid`: paper
-    workload/protocol order, the fast ``small`` scale, and a system
+    Defaults: paper workload/protocol order, the fast ``small`` scale, and a system
     configuration shrunk in step with the scale.  ``tiles`` adds the
     machine-shape axis: each entry re-shapes the base configuration via
     :func:`repro.common.config.reshape_system`.  Specs are ordered
@@ -123,7 +114,7 @@ def expand_grid(workloads: Optional[Sequence[str]] = None,
     memoize the built trace per (workload, scale, num_cores, seed).
     """
     workloads = tuple(workloads) if workloads else WORKLOAD_ORDER
-    protocols = tuple(protocols) if protocols else paper_ladder()
+    protocols = tuple(protocols) if protocols else PROTOCOL_ORDER
     scale = scale if scale is not None else DEFAULT_SCALE
     base = config if config is not None else scaled_system(scale)
     configs = (tuple(reshape_system(base, t) for t in tiles) if tiles

@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.config import (
     ENERGY_MODELS, EnergyModelConfig, PROTOCOL_ORDER, ScaleConfig,
-    energy_model, registered_energy_models, scaled_system)
+    energy_model, scaled_system)
 from repro.core.simulator import simulate
 from repro.energy import COMPONENTS, EnergyStats, compute_energy
 from repro.network.traffic import split_flit_hops
@@ -184,7 +184,7 @@ class TestEnergyModel:
             stats.validate()
 
     def test_preset_registry_lookup_and_suggestions(self):
-        assert registered_energy_models() == ("45nm", "22nm")
+        assert tuple(ENERGY_MODELS) == ("45nm", "22nm")
         assert energy_model("45nm").process_nm == 45
         with pytest.raises(KeyError, match="did you mean"):
             energy_model("45mn")
@@ -231,7 +231,7 @@ class TestEnergyFigure:
         grid = {"radix": ladder_results}
         section = report_section(grid, config=CONFIG)
         assert section.startswith("## Energy and EDP")
-        for preset in registered_energy_models():
+        for preset in ENERGY_MODELS:
             assert f"[{preset}]" in section
             assert f"({preset} preset)" in edp_table(grid, preset, CONFIG)
         assert "DBypFull vs MESI" in section

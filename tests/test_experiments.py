@@ -1,10 +1,10 @@
-"""Tests for the experiment runner and aggregate metrics."""
+"""Tests for the grid sweep and the aggregate metrics."""
 
 import pytest
 
 from repro.analysis.experiments import (
-    average_exec_time_reduction, average_traffic_reduction, clear_cache,
-    exec_time_reduction, run_grid, traffic_reduction)
+    average_exec_time_reduction, average_traffic_reduction,
+    exec_time_reduction, traffic_reduction)
 from repro.common.config import ScaleConfig, scaled_system
 from repro.core.stats import RunResult
 
@@ -63,11 +63,11 @@ class TestAggregates:
 
 class TestRunGrid:
     def test_grid_runs_and_caches(self, tmp_path, monkeypatch):
+        from repro.runner import sweep_grid
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_cache()
         scale = ScaleConfig.tiny()
-        grid = run_grid(workloads=("LU",), protocols=("MESI", "DeNovo"),
-                        scale=scale)
+        grid = sweep_grid(workloads=("LU",), protocols=("MESI", "DeNovo"),
+                          scale=scale)
         assert set(grid) == {"LU"}
         assert set(grid["LU"]) == {"MESI", "DeNovo"}
         # Cached on disk, under the runner's shape-tagged store key.
@@ -76,11 +76,9 @@ class TestRunGrid:
                       config=scaled_system(scale)).store_key()
         assert key.startswith(config_key(scale, scaled_system(scale)))
         assert ResultStore().load("LU", "MESI", key) is not None
-        # Second call is served from cache (no simulation): just verify
-        # it returns equal numbers.
-        clear_cache()
-        again = run_grid(workloads=("LU",), protocols=("MESI", "DeNovo"),
-                         scale=scale)
+        # Second call is served from the store (no simulation): just
+        # verify it returns equal numbers.
+        again = sweep_grid(workloads=("LU",), protocols=("MESI", "DeNovo"),
+                           scale=scale)
         assert (again["LU"]["MESI"].traffic
                 == grid["LU"]["MESI"].traffic)
-        clear_cache()

@@ -1,22 +1,23 @@
-"""Unit tests for the coherence policy layer.
+"""Unit tests for how the protocol cores read a rung's flags.
 
-Covers each policy class in isolation, the flag -> policy resolution for
-every registered rung, and the policies composed end-to-end by both
-protocol cores (MESI and DeNovo), including the beyond-paper rungs
-MDirtyWB and DWordHybrid.
+Each core copies the ``ProtocolConfig`` flags it uses into attributes
+when it is built.  Covers those attributes for every rung, the
+writeback payload flags and the Flex word gathering they select, the
+L2 bypass, and the flags exercised end-to-end by both protocol cores
+(MESI and DeNovo), including the beyond-paper rungs MDirtyWB and
+DWordHybrid.
 """
 
 import pytest
 
-from tests.conftest import TINY_SYSTEM, loads, run_micro, stores
-from repro.coherence import build_protocol_system
-from repro.coherence.policies import (
-    BypassPolicy, TransferPolicy, WritebackPolicy, resolve_policies)
-from repro.common.addressing import WORDS_PER_LINE, line_of, words_of_line
-from repro.common.config import (
-    SystemConfig, protocol, scaled_system)
+from tests.conftest import (
+    TINY_SYSTEM, loads, micro_workload, run_micro, simple_region, stores)
+from repro.coherence import DenovoSystem, MesiSystem
+from repro.coherence.denovo import W_VALID
+from repro.common.addressing import WORDS_PER_LINE, words_of_line
+from repro.common.config import PROTOCOLS, protocol, scaled_system
 from repro.common.regions import FlexPattern, Region, RegionTable
-from repro.common.registry import registered_protocols
+from repro.core.system import System
 from repro.network import traffic as T
 
 
@@ -29,148 +30,173 @@ def flex_table(stride=8, fields=(0, 1), size=4096, bypass=False):
     return table
 
 
+def core(name, regions=None):
+    """The protocol core a ``name`` machine is built with."""
+    workload = micro_workload({}, regions=regions if regions is not None
+                              else flex_table())
+    return System(workload, protocol(name), TINY_SYSTEM).proto_sys
+
+
+def valid_l1_line(proto_sys, tile, line_addr):
+    """Install ``line_addr`` in ``tile``'s L1 with every word valid."""
+    line, _ = proto_sys.l1[tile].allocate(line_addr)
+    line.word_state[:] = [W_VALID] * WORDS_PER_LINE
+
+
+DIRTY = [True, False, True] + [False] * (WORDS_PER_LINE - 3)
+
+
 # ----------------------------------------------------------------------
-# Policy classes in isolation
+# Writeback payload flags (MESI; DeNovo L1 writebacks are always
+# dirty-words-only)
 # ----------------------------------------------------------------------
 
 class TestWritebackPolicy:
-    DIRTY = [True, False, True] + [False] * (WORDS_PER_LINE - 3)
-
     def test_full_line_flags_pass_through(self):
-        policy = WritebackPolicy(l1_dirty_only=False, l2_dirty_only=False)
-        assert policy.l1_flags(self.DIRTY) == self.DIRTY
-        assert policy.l2_flags(self.DIRTY) == self.DIRTY
+        assert core("MESI")._wb_flags(DIRTY) == DIRTY
 
     def test_dirty_only_ships_just_the_dirty_words(self):
-        policy = WritebackPolicy(l1_dirty_only=True, l2_dirty_only=True)
-        assert policy.l1_flags(self.DIRTY) == [True, True]
-        assert policy.l2_flags(self.DIRTY) == [True, True]
+        assert core("MDirtyWB")._wb_flags(DIRTY) == [True, True]
 
     def test_flags_are_copies_not_aliases(self):
-        policy = WritebackPolicy(l1_dirty_only=False, l2_dirty_only=False)
-        flags = policy.l1_flags(self.DIRTY)
+        flags = core("MESI")._wb_flags(DIRTY)
         flags[0] = False
-        assert self.DIRTY[0] is True
+        assert DIRTY[0] is True
 
+
+# ----------------------------------------------------------------------
+# Flex word gathering (DeNovo)
+# ----------------------------------------------------------------------
 
 class TestTransferPolicy:
     def test_line_granular_without_flex(self):
-        policy = TransferPolicy(regions=flex_table(), max_words=16,
-                                flex_l1=False, flex_l2=False)
-        assert policy.cache_candidates(37) == \
-            list(words_of_line(line_of(37)))
-        assert policy.memory_region(37) is None
+        denovo = core("DeNovo")
+        assert not denovo._flex_l1 and not denovo._flex_l2
+        valid_l1_line(denovo, 0, 2)
+        # Word 37 is a region field, but without Flex the cache-sourced
+        # response is the whole line.
+        assert denovo._gather_owner_words(0, 37) == \
+            (2, list(words_of_line(2)))
 
     def test_flex_l1_gathers_region_fields(self):
-        policy = TransferPolicy(regions=flex_table(stride=8, fields=(0, 1)),
-                                max_words=16, flex_l1=True, flex_l2=False)
+        flex = core("DFlexL1", flex_table(stride=8, fields=(0, 1)))
+        assert flex._flex_l1 and not flex._flex_l2
+        region = flex.ctx.regions.find(9)
         # Word 9 = element 1, field offset 1 -> fields {8, 9}.
-        assert policy.cache_candidates(9) == [8, 9]
-        assert policy.memory_region(9) is None
+        assert flex._flex_words(region, 9) == [8, 9]
+        valid_l1_line(flex, 0, 0)
+        assert flex._gather_owner_words(0, 9) == (-1, [8, 9])
 
     def test_flex_inserts_requested_word_when_off_field(self):
-        policy = TransferPolicy(regions=flex_table(stride=8, fields=(0, 1)),
-                                max_words=16, flex_l1=True, flex_l2=False)
+        flex = core("DFlexL1", flex_table(stride=8, fields=(0, 1)))
+        region = flex.ctx.regions.find(12)
         # Word 12 is element 1, offset 4 — not a used field; the
         # requested word must still lead the response.
-        candidates = policy.cache_candidates(12)
-        assert candidates[0] == 12
+        assert flex._flex_words(region, 12) == [12, 8, 9]
 
     def test_flex_l2_exposes_the_memory_region(self):
-        table = flex_table()
-        policy = TransferPolicy(regions=table, max_words=16,
-                                flex_l1=True, flex_l2=True)
-        region = policy.memory_region(9)
+        flex = core("DFlexL2")
+        assert flex._flex_l1 and flex._flex_l2
+        region = flex.ctx.regions.flex_region_for(9)
         assert region is not None
-        assert policy.region_words(region, 9) == [8, 9]
+        assert flex._flex_words(region, 9) == [8, 9]
 
     def test_falls_back_to_line_outside_flex_regions(self):
-        policy = TransferPolicy(regions=flex_table(size=64), max_words=16,
-                                flex_l1=True, flex_l2=False)
+        flex = core("DFlexL1", flex_table(size=64))
         outside = 4096
-        assert policy.cache_candidates(outside) == \
-            list(words_of_line(line_of(outside)))
-
-
-class TestBypassPolicy:
-    def region(self, bypass):
-        return Region(region_id=0, name="r", base_word=0, size_words=64,
-                      bypass_l2=bypass)
-
-    def test_disabled_never_bypasses(self):
-        policy = BypassPolicy(response_enabled=False, request_enabled=False)
-        assert not policy.bypasses(self.region(bypass=True))
-
-    def test_enabled_requires_annotated_region(self):
-        policy = BypassPolicy(response_enabled=True, request_enabled=False)
-        assert policy.bypasses(self.region(bypass=True))
-        assert not policy.bypasses(self.region(bypass=False))
-        assert not policy.bypasses(None)
+        valid_l1_line(flex, 0, outside // WORDS_PER_LINE)
+        assert flex._gather_owner_words(0, outside) == \
+            (outside // WORDS_PER_LINE, list(range(outside,
+                                                   outside + 16)))
 
 
 # ----------------------------------------------------------------------
-# Flag -> policy resolution per registered rung
+# L2 response bypass (DeNovo)
+# ----------------------------------------------------------------------
+
+class TestBypassPolicy:
+    def l2_holds_line_after_load(self, proto, bypass):
+        ops = {0: []}
+        loads(ops[0], 0)
+        _, system = run_micro(ops, proto=proto,
+                              regions=simple_region(bypass_l2=bypass))
+        denovo = system.proto_sys
+        return denovo.l2[denovo._home_tile(0)].lookup(0, False) is not None
+
+    def test_disabled_never_bypasses(self):
+        assert not core("DeNovo")._bypass_response
+        assert self.l2_holds_line_after_load("DeNovo", bypass=True)
+
+    def test_enabled_requires_annotated_region(self):
+        assert not self.l2_holds_line_after_load("DBypL2", bypass=True)
+        assert self.l2_holds_line_after_load("DBypL2", bypass=False)
+
+
+# ----------------------------------------------------------------------
+# Flags each rung's core reads
 # ----------------------------------------------------------------------
 
 class TestResolvePolicies:
-    def resolve(self, name):
-        return resolve_policies(protocol(name), flex_table(),
-                                SystemConfig())
-
     def test_mesi_baseline(self):
-        p = self.resolve("MESI")
-        assert not p.granularity.l2_fetch_on_write
-        assert not p.writeback.l1_dirty_only
-        assert not p.writeback.l2_dirty_only
-        assert not p.mem_transfer.direct_to_l1
-        assert not p.bypass.response_enabled
+        mesi = core("MESI")
+        assert not mesi.mem_to_l1
+        assert mesi._wb_flags is list
 
     def test_mmeml1_routes_memory_to_l1(self):
-        assert self.resolve("MMemL1").mem_transfer.direct_to_l1
+        assert core("MMemL1").mem_to_l1
 
     def test_mdirty_wb_filters_both_writeback_levels(self):
-        p = self.resolve("MDirtyWB")
-        assert p.writeback.l1_dirty_only and p.writeback.l2_dirty_only
+        # One flags callable serves the L1 and the L2->memory writebacks.
+        assert core("MDirtyWB")._wb_flags([True, False]) == [True]
 
     def test_denovo_baseline_fetches_on_l2_write_miss(self):
-        p = self.resolve("DeNovo")
-        assert p.granularity.l2_fetch_on_write
-        assert not p.writeback.l2_dirty_only
+        denovo = core("DeNovo")
+        assert denovo._l2_fetch_on_write
+        assert not denovo._l2_dirty_wb_only
 
     def test_dvalidatel2_write_validates_and_filters(self):
-        p = self.resolve("DValidateL2")
-        assert not p.granularity.l2_fetch_on_write
-        assert p.writeback.l2_dirty_only
+        denovo = core("DValidateL2")
+        assert not denovo._l2_fetch_on_write
+        assert denovo._l2_dirty_wb_only
 
     def test_dword_hybrid_keeps_line_fills_but_word_writebacks(self):
-        p = self.resolve("DWordHybrid")
-        assert p.granularity.l2_fetch_on_write     # line-granularity fills
-        assert p.writeback.l2_dirty_only           # word-granularity WBs
+        hybrid = core("DWordHybrid")
+        assert hybrid._l2_fetch_on_write          # line-granularity fills
+        assert hybrid._l2_dirty_wb_only           # word-granularity WBs
 
     def test_dbypfull_enables_both_bypasses(self):
-        p = self.resolve("DBypFull")
-        assert p.bypass.response_enabled and p.bypass.request_enabled
+        full = core("DBypFull")
+        assert full._bypass_response and full._bypass_request
+        assert full.slice_blooms and full.l1_blooms
 
     def test_flex_rungs_resolve_transfer_policy(self):
-        assert self.resolve("DFlexL1").transfer.flex_l1
-        assert not self.resolve("DFlexL1").transfer.flex_l2
-        assert self.resolve("DFlexL2").transfer.flex_l2
+        assert core("DFlexL1")._flex_l1
+        assert not core("DFlexL1")._flex_l2
+        assert core("DFlexL2")._flex_l2
 
-    @pytest.mark.parametrize("name", registered_protocols())
+    @pytest.mark.parametrize("name", tuple(PROTOCOLS))
     def test_every_registered_rung_resolves(self, name):
-        p = self.resolve(name)
-        # Only DeNovo rungs can fetch-on-write at the L2, and request
-        # bypass never resolves without response bypass.
-        if p.granularity.l2_fetch_on_write:
-            assert protocol(name).kind == "denovo"
-        assert p.bypass.request_enabled <= p.bypass.response_enabled
-        # The writeback flags API works for every rung's policy.
-        assert p.writeback.l1_flags([True, False]) in \
-            ([True, False], [True])
+        proto = protocol(name)
+        built = core(name)
+        if proto.kind == "mesi":
+            assert type(built) is MesiSystem
+            assert built.mem_to_l1 == proto.mem_to_l1
+            assert (built._wb_flags is list) == (not proto.dirty_wb_only)
+            return
+        assert type(built) is DenovoSystem
+        assert built._bypass_response == proto.bypass_l2_response
+        assert built._bypass_request == proto.bypass_l2_request
+        assert built._mem_to_l1 == proto.mem_to_l1
+        assert built._flex_l1 == proto.flex_l1
+        assert built._flex_l2 == proto.flex_l2
+        assert built._l2_dirty_wb_only == proto.l2_dirty_wb_only
+        assert built._l2_fetch_on_write == (not proto.l2_write_validate)
+        # Only the request bypass builds Bloom filters.
+        assert bool(built.slice_blooms) == proto.bypass_l2_request
 
 
 # ----------------------------------------------------------------------
-# Policies exercised through both protocol cores
+# Flags exercised through both protocol cores
 # ----------------------------------------------------------------------
 
 def _write_two_words_per_line(lines=4):
@@ -239,7 +265,7 @@ class TestCoresComposePolicies:
         assert result.exec_cycles > 0
         assert system.proto_sys.stats() == result.protocol_stats
 
-    @pytest.mark.parametrize("name", registered_protocols())
+    @pytest.mark.parametrize("name", tuple(PROTOCOLS))
     def test_stats_protocol_for_every_rung(self, name):
         ops = {0: []}
         stores(ops[0], 0, 1)
@@ -249,13 +275,3 @@ class TestCoresComposePolicies:
         assert isinstance(stats, dict)
         assert stats == result.protocol_stats
         assert all(isinstance(v, int) for v in stats.values())
-
-    def test_core_factory_rejects_unknown_kind(self):
-        class FakeProto:
-            kind = "token-coherence"
-
-        class FakeCtx:
-            proto = FakeProto()
-
-        with pytest.raises(KeyError, match="token-coherence"):
-            build_protocol_system(FakeCtx())

@@ -1,26 +1,21 @@
-"""Unit tests for the protocol registry."""
+"""Unit tests for the protocol table and its name lookup."""
 
 import pytest
 
-from repro.common.config import PROTOCOL_ORDER, ProtocolConfig, _denovo, _mesi
-from repro.common.registry import (
-    is_registered, paper_ladder, protocol, register_protocol,
-    registered_protocols, suggest, unregister_protocol)
+from repro.common.config import (
+    PROTOCOL_ORDER, PROTOCOLS, ProtocolConfig, protocol)
 
 
 class TestRegistryContents:
     def test_paper_ladder_is_the_nine_rungs_in_figure_order(self):
-        assert paper_ladder() == (
+        assert PROTOCOL_ORDER == (
             "MESI", "MMemL1", "DeNovo", "DFlexL1", "DValidateL2",
             "DMemL1", "DFlexL2", "DBypL2", "DBypFull")
-        assert PROTOCOL_ORDER == paper_ladder()
 
     def test_beyond_paper_rungs_registered_after_the_ladder(self):
-        names = registered_protocols()
-        assert names[:9] == paper_ladder()
-        assert "MDirtyWB" in names and "DWordHybrid" in names
-        assert "MDirtyWB" not in paper_ladder()
-        assert "DWordHybrid" not in paper_ladder()
+        names = tuple(PROTOCOLS)
+        assert names[:9] == PROTOCOL_ORDER
+        assert names[9:] == ("MDirtyWB", "DWordHybrid")
 
     def test_new_rung_flag_combinations(self):
         mdirty = protocol("MDirtyWB")
@@ -30,49 +25,10 @@ class TestRegistryContents:
         assert hybrid.l2_dirty_wb_only and not hybrid.l2_write_validate
 
     def test_order_stable_across_lookups(self):
-        assert registered_protocols() == registered_protocols()
+        assert tuple(PROTOCOLS) == tuple(PROTOCOLS)
         protocol("DBypFull")
-        assert registered_protocols()[:9] == paper_ladder()
-
-
-class TestRegistration:
-    def test_duplicate_name_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_protocol(_mesi("MESI"))
-
-    def test_replace_keeps_position(self):
-        before = registered_protocols()
-        register_protocol(_mesi("MESI"), replace=True)
-        assert registered_protocols() == before
-
-    def test_register_and_unregister_roundtrip(self):
-        cfg = _denovo("DTestRung", flex_l1=True)
-        try:
-            returned = register_protocol(cfg)
-            assert returned is cfg
-            assert is_registered("DTestRung")
-            assert protocol("DTestRung") is cfg
-            assert registered_protocols()[-1] == "DTestRung"
-            # Not on the paper ladder unless asked.
-            assert "DTestRung" not in paper_ladder()
-        finally:
-            unregister_protocol("DTestRung")
-        assert not is_registered("DTestRung")
-
-    def test_decorator_factory_form(self):
-        try:
-            @register_protocol
-            def _factory():
-                return _mesi("MDecorated")
-
-            assert is_registered("MDecorated")
-            assert protocol("MDecorated").kind == "mesi"
-        finally:
-            unregister_protocol("MDecorated")
-
-    def test_nameless_object_rejected(self):
-        with pytest.raises(TypeError):
-            register_protocol(object())
+        assert tuple(PROTOCOLS)[:9] == PROTOCOL_ORDER
+        assert all(PROTOCOLS[name].name == name for name in PROTOCOLS)
 
 
 class TestLookup:
@@ -85,11 +41,17 @@ class TestLookup:
             protocol("MESl")
 
     def test_suggest_finds_close_matches(self):
-        assert "MESI" in suggest("MESl")
-        assert "DBypFull" in suggest("dbypfull")
+        with pytest.raises(KeyError, match="did you mean MESI"):
+            protocol("MESl")
+        with pytest.raises(KeyError, match="did you mean DBypFull"):
+            protocol("dbypfull")
 
     def test_suggest_handles_hopeless_input(self):
-        assert suggest("qqqqqqqq") == []
+        with pytest.raises(KeyError) as info:
+            protocol("qqqqqqqq")
+        message = info.value.args[0]
+        assert message.startswith("unknown protocol 'qqqqqqqq'; known: MESI")
+        assert "did you mean" not in message
 
 
 class TestProtocolConfigValidation:
@@ -100,3 +62,7 @@ class TestProtocolConfigValidation:
     def test_dirty_wb_only_allowed_on_mesi(self):
         cfg = ProtocolConfig(name="ok", kind="mesi", dirty_wb_only=True)
         assert cfg.enabled_flags() == ("dirty_wb_only",)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="token-coherence"):
+            ProtocolConfig(name="x", kind="token-coherence")

@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-from repro.analysis import experiments
 from repro.common.config import ScaleConfig, SystemConfig, scaled_system
 from repro.runner import (
     DEFAULT_SEED, JobSpec, ResultStore, config_key, expand_grid,
@@ -40,31 +39,22 @@ def radix_result():
 
 class TestJobSpec:
     def test_keys_deterministic(self):
-        assert spec().job_key() == spec().job_key()
+        assert spec().config_key() == spec().config_key()
         assert spec().store_key() == spec().store_key()
-
-    def test_job_key_differs_by_every_axis(self):
-        base = spec()
-        assert base.job_key() != spec(protocol="DeNovo").job_key()
-        assert base.job_key() != spec(workload="LU").job_key()
-        assert base.job_key() != spec(seed=7).job_key()
-        other_cfg = JobSpec(workload="radix", protocol="MESI", scale=TINY,
-                            config=SystemConfig(l1_kb=64))
-        assert base.job_key() != other_cfg.job_key()
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-10 keys (the execution-engine axis was removed:
-        ``SystemConfig.engine`` left the config hash payload,
-        deliberately retiring the v9 keys).
+        the GRID_VERSION-11 keys (the unread
+        ``SystemConfig.mc_queue_depth`` left the config hash payload,
+        deliberately retiring the v10 keys).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "58a28c1bdaa29f66"
-        assert spec().store_key() == "0a93056dc1d5f228-t16"
+            scaled_system(DEFAULT_SCALE)) == "5493965ab0a56b36"
+        assert spec().store_key() == "794c4a47964edafa-t16"
 
     def test_config_key_differs_by_scale_and_system(self):
         base = config_key(ScaleConfig(), SystemConfig())
@@ -85,11 +75,10 @@ class TestJobSpec:
         assert small.store_key().endswith("-t16")
         assert big.store_key().endswith("-t64")
         assert small.config_key() != big.config_key()
-        assert small.job_key() != big.job_key()
 
     def test_workload_name_canonicalized(self):
         assert spec(workload="RADIX").workload == "radix"
-        assert spec(workload="RADIX").job_key() == spec().job_key()
+        assert spec(workload="RADIX") == spec()
 
     def test_unknown_names_fail_eagerly(self):
         with pytest.raises(KeyError):
@@ -283,7 +272,7 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# run_grid delegation and the bounded in-process LRU
+# Execution: trace memo, worker crashes, deterministic errors
 # ----------------------------------------------------------------------
 
 class TestExecution:
@@ -340,43 +329,6 @@ class TestExecution:
         specs = expand_grid(["stream"], ["MESI", "DeNovo"], TINY)
         with pytest.raises(ValueError, match="protocol bug"):
             run_jobs(specs, jobs=2, retries=1)
-
-
-class TestRunGridLRU:
-    def test_run_grid_memoizes_and_evicts_lru(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(experiments, "GRID_CACHE_MAX_ENTRIES", 2)
-        experiments.clear_cache()
-        try:
-            combos = [("MESI",), ("DeNovo",), ("MESI", "DeNovo")]
-            for protos in combos:
-                experiments.run_grid(workloads=("stream",), protocols=protos,
-                                     scale=TINY)
-            assert len(experiments._GRID_CACHE) == 2
-            # Oldest entry evicted: re-running it is a miss (served from
-            # disk), the newest is still memoized (same object back).
-            newest = experiments.run_grid(workloads=("stream",),
-                                          protocols=combos[-1], scale=TINY)
-            assert newest is experiments.run_grid(
-                workloads=("stream",), protocols=combos[-1], scale=TINY)
-        finally:
-            experiments.clear_cache()
-
-    def test_run_grid_parallel_matches_serial(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        experiments.clear_cache()
-        try:
-            serial = experiments.run_grid(
-                workloads=("stream",), protocols=("MESI", "DeNovo"),
-                scale=TINY, use_cache=False, jobs=1)
-            parallel = experiments.run_grid(
-                workloads=("stream",), protocols=("MESI", "DeNovo"),
-                scale=TINY, use_cache=False, jobs=2)
-            for proto in ("MESI", "DeNovo"):
-                assert (result_to_dict(serial["stream"][proto])
-                        == result_to_dict(parallel["stream"][proto]))
-        finally:
-            experiments.clear_cache()
 
 
 # ----------------------------------------------------------------------
