@@ -15,6 +15,7 @@ Profiles come from observed runs (``obs=ObsSession()``); use
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -105,15 +106,17 @@ def figure_stalls(profiles: List[dict], num_tiles: int,
 
 def collect_stall_profiles(workload: str, scale, protocols, config,
                            seed: Optional[int] = None) -> List[dict]:
-    """One attribution profile per protocol rung (observed runs).
+    """One attribution profile per protocol rung.
 
-    Observed runs are never cached (the result store holds plain
-    ``RunResult`` cells), so this simulates each rung; use the tiny
-    scale for interactive turnaround.  One trace build serves every
-    rung: a ``Workload`` cannot change, and an observed run neither
-    stores nor reuses a result on it.
+    One trace build serves every rung, and each rung makes one
+    ``simulate()`` call, in order.  A rung whose result ``simulate()``
+    would copy from a rung already observed here (the two run event for
+    event alike, see :func:`~repro.core.simulator.reused_from`) takes
+    that copy and a copy of that rung's profile under its own name.
+    Every other rung is observed; use the tiny scale for interactive
+    turnaround.
     """
-    from repro.core.simulator import simulate
+    from repro.core import simulator
     from repro.obs import ObsSession
     from repro.workloads import build_workload
 
@@ -121,11 +124,19 @@ def collect_stall_profiles(workload: str, scale, protocols, config,
     if seed is not None:
         kwargs["seed"] = seed
     built = build_workload(workload, scale, **kwargs)
+    observed: Dict[str, dict] = {}
     profiles = []
     for protocol in protocols:
-        obs = ObsSession(trace=False)
-        simulate(built, protocol, config, obs=obs)
-        profiles.append(obs.attrib.report())
+        source = simulator.reused_from(built, protocol, config)
+        if source in observed:
+            result = simulator.simulate(built, protocol, config)
+            profile = copy.deepcopy(observed[source])
+            profile["protocol"] = result.protocol
+        else:
+            obs = ObsSession(trace=False)
+            result = simulator.simulate(built, protocol, config, obs=obs)
+            profile = observed[result.protocol] = obs.attrib.report()
+        profiles.append(profile)
     return profiles
 
 

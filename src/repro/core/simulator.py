@@ -88,26 +88,26 @@ def simulate(workload: Workload,
     An unobserved run whose :func:`behaviour_key` equals that of a rung
     already simulated on this workload returns a copy of that rung's
     result under ``proto``'s name instead of simulating: the two runs
-    would be identical event for event.  Observed runs, and a repeat of
-    the rung that produced the stored result, always simulate.
+    would be identical event for event.  Every simulated run, observed
+    or not, stores its result for later rungs (observation never
+    changes a result).  An observed run, and a repeat of the rung that
+    produced the stored result, always simulate.
     """
     if isinstance(proto, str):
         proto = protocol_by_name(proto)
     config = config if config is not None else SystemConfig()
-    if obs is None:
-        key, stored = _stored(workload, proto, config)
-        if stored is not None:
-            result = copy.deepcopy(stored)
-            result.protocol = proto.name
-            return result
+    key, stored = _stored(workload, proto, config)
+    if obs is None and stored is not None:
+        result = copy.deepcopy(stored)
+        result.protocol = proto.name
+        return result
     result = System(workload, proto, config, obs=obs).run()
     # The finished machine is one large reference cycle (cores, protocol
     # handlers and barrier callbacks point at each other).  Free it now,
     # not whenever the collector next reaches its oldest generation, so
     # a sweep of many cells holds one machine at a time.
     gc.collect()
-    if obs is None:
-        workload.results.setdefault(key, copy.deepcopy(result))
+    workload.results.setdefault(key, copy.deepcopy(result))
     return result
 
 

@@ -66,7 +66,7 @@ class Workload:
     warmup_barriers: int = 0
     description: str = ""
     num_barriers: int = field(init=False, repr=False, compare=False)
-    #: unobserved run results by behaviour key, kept by
+    #: simulated run results by behaviour key, kept by
     #: :func:`repro.core.simulator.simulate` for reuse across rungs.
     results: Dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)

@@ -89,12 +89,20 @@ def test_report_shape_and_stalls_figure():
     assert "pass" in section
 
 
-def test_stall_profiles_share_one_trace_build(monkeypatch):
-    """``repro stalls`` builds the workload once for all its rungs, and
-    the profiles equal those of a fresh build per rung."""
+@pytest.mark.parametrize("protocols, machines", [
+    (["MESI", "DeNovo", "DBypFull"], 3),
+    # radix has no Flex pattern: DeNovo copies DFlexL1 (the reverse of
+    # the ladder's order) and DFlexL2 copies DMemL1.
+    (["DFlexL1", "DeNovo", "DMemL1", "DFlexL2"], 2),
+], ids=["observed", "copied"])
+def test_stall_profiles_share_one_trace_build(monkeypatch, protocols,
+                                              machines):
+    """``repro stalls`` builds the workload once for all its rungs and
+    a machine only for a rung no earlier rung runs alike; every profile,
+    copied or not, equals that of a fresh observed build per rung."""
     import repro.workloads as workloads
     from repro.analysis.stalls import collect_stall_profiles
-    protocols = ["MESI", "DeNovo", "DBypFull"]
+    from repro.core.system import System
     config = scaled_system(SCALE)
     fresh = []
     for proto in protocols:
@@ -103,16 +111,23 @@ def test_stall_profiles_share_one_trace_build(monkeypatch):
                                 num_cores=config.num_tiles),
                  proto, config, obs=obs)
         fresh.append(obs.attrib.report())
-    builds = []
+    builds, systems = [], []
     real_build = workloads.build_workload
+    real_init = System.__init__
 
     def counting_build(*args, **kwargs):
         builds.append(args)
         return real_build(*args, **kwargs)
 
+    def counting_init(self, *args, **kwargs):
+        systems.append(args[1])
+        real_init(self, *args, **kwargs)
+
     monkeypatch.setattr(workloads, "build_workload", counting_build)
+    monkeypatch.setattr(System, "__init__", counting_init)
     shared = collect_stall_profiles("radix", SCALE, protocols, config)
     assert len(builds) == 1
+    assert len(systems) == machines
     assert [p["protocol"] for p in shared] == protocols
     for got, want in zip(shared, fresh):
         assert got == want

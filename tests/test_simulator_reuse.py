@@ -130,13 +130,21 @@ def test_same_rung_twice_simulates_twice(runs):
     assert runs == ["DFlexL1", "DFlexL1"]
 
 
-def test_observed_runs_simulate_and_store_nothing(runs):
+def test_observed_run_stores_its_result_and_always_simulates(runs):
+    """An observed run leaves its result for later unobserved rungs,
+    but never takes a stored one: its observation needs the run."""
     workload = micro_workload(_plain_ops())
     simulator.simulate(workload, "DeNovo", TINY_SYSTEM, obs=ObsSession())
-    assert workload.results == {}
-    simulator.simulate(workload, "DFlexL1", TINY_SYSTEM)
+    assert [r.protocol for r in workload.results.values()] == ["DeNovo"]
+    assert simulator.reused_from(workload, "DFlexL1", TINY_SYSTEM) == "DeNovo"
+    copied = simulator.simulate(workload, "DFlexL1", TINY_SYSTEM)
+    assert runs == ["DeNovo"]
     simulator.simulate(workload, "DeNovo", TINY_SYSTEM, obs=ObsSession())
-    assert runs == ["DeNovo", "DFlexL1", "DeNovo"]
+    assert runs == ["DeNovo", "DeNovo"]
+    fresh = simulator.simulate(dataclasses.replace(workload), "DFlexL1",
+                               TINY_SYSTEM)
+    assert copied.protocol == "DFlexL1"
+    assert result_to_dict(copied) == result_to_dict(fresh)
 
 
 def test_flex_pattern_from_a_phase_update_counts(runs):

@@ -7,10 +7,12 @@ without running the simulator.
 import pytest
 
 from repro.common.config import ScaleConfig, scaled_system
+from repro.common.regions import Region, RegionTable
 from repro.workloads import (
     GENERATORS, WORKLOAD_ORDER, build_all, build_workload)
 from repro.workloads.barnes import BODY_STRIDE
-from repro.workloads.trace import OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE
+from repro.workloads.trace import (
+    OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE, Workload)
 
 SCALE = ScaleConfig.tiny()
 
@@ -181,3 +183,56 @@ class TestFFTStructure:
         # Transpose writes every dst word once; the following FFT phase
         # read-modify-writes them again.
         assert writes == SCALE.fft_points * 4 * 2
+
+
+def _phase_violations(workload):
+    """Data races and unannounced stores, phase by phase.
+
+    Returns ``(racy, uncovered)``: the (word, phase) pairs a core stores
+    while another core loads or stores the same word in that phase, and
+    the (word, phase) pairs stored outside every region named by
+    ``written_regions_at(phase)``.
+    """
+    storers, accessors = {}, {}
+    for core, trace in enumerate(workload.traces):
+        phase = 0
+        for kind, arg in trace:
+            if kind == OP_BARRIER:
+                phase += 1
+            elif kind in (OP_LOAD, OP_STORE):
+                accessors.setdefault((arg, phase), set()).add(core)
+                if kind == OP_STORE:
+                    storers.setdefault((arg, phase), set()).add(core)
+    racy = sorted(key for key, cores in storers.items()
+                  if len(cores | accessors[key]) > 1)
+    uncovered = []
+    for word, phase in storers:
+        region = workload.regions.find(word)
+        if (region is None or region.region_id
+                not in workload.written_regions_at(phase)):
+            uncovered.append((word, phase))
+    return racy, sorted(uncovered)
+
+
+class TestDataRaceFree:
+    """DeNovo's self-invalidation is correct only for data-race-free
+    programs whose written regions are announced at each barrier: a
+    core that reads a word another core wrote in an earlier phase
+    relies on that word's region being self-invalidated."""
+
+    @pytest.mark.parametrize("name", sorted(GENERATORS))
+    def test_no_race_and_every_store_announced(self, name):
+        racy, uncovered = _phase_violations(build_workload(name, SCALE))
+        assert racy == [], f"{name}: racy (word, phase) pairs {racy[:5]}"
+        assert uncovered == [], (
+            f"{name}: stores outside the phase's written regions "
+            f"{uncovered[:5]}")
+
+    def test_checker_sees_a_race_and_an_unannounced_store(self):
+        regions = RegionTable([Region(0, "a", 0, 16)])
+        workload = Workload(
+            name="racy", regions=regions,
+            traces=[[(OP_STORE, 3), (OP_BARRIER, 0)],
+                    [(OP_LOAD, 3), (OP_BARRIER, 0)]],
+            phase_written_regions=[frozenset()])
+        assert _phase_violations(workload) == ([(3, 0)], [(3, 0)])
