@@ -1,10 +1,10 @@
 """Ablation — Bloom filter geometry vs request-bypass effectiveness.
 
-DESIGN.md Section 9: the paper sizes its filters "idealized"; this
+The paper sizes its filters "idealized" (Sections 3.1 and 5.2.1); this
 ablation sweeps the geometry on radix and checks the expected monotone
 trend (bigger filters -> fewer false positives -> at least as many
-direct-to-memory requests) and the storage/benefit trade-off the paper
-discusses in Sections 3.1 and 5.2.1.
+direct-to-memory requests) behind the storage/benefit trade-off those
+sections discuss.
 """
 
 from dataclasses import replace
@@ -15,7 +15,6 @@ from repro.common.config import ScaleConfig, protocol, scaled_system
 from repro.core.simulator import simulate
 from repro.workloads import build_workload
 
-from conftest import emit
 
 SCALE = ScaleConfig.tiny()
 GEOMETRIES = ((32, 2), (128, 2), (512, 8))   # (entries, filters/slice)
@@ -34,21 +33,7 @@ def sweep():
     return out
 
 
-def test_bloom_geometry_sweep(sweep, benchmark):
-    def report():
-        lines = ["=== Bloom geometry ablation (radix, DBypFull) ===",
-                 f"{'entries':>8s} {'filters':>8s} {'direct%':>8s} "
-                 f"{'traffic':>10s}"]
-        for (entries, filters), result in sweep.items():
-            stats = result.protocol_stats
-            queries = max(stats.get("bypass_queries", 0), 1)
-            rate = stats.get("direct_requests", 0) / queries
-            lines.append(f"{entries:8d} {filters:8d} {rate:8.1%} "
-                         f"{result.traffic_total():10.0f}")
-        return "\n".join(lines)
-
-    emit(benchmark(report))
-
+def test_bloom_geometry_sweep(sweep):
     # Direct-request rate is monotone non-decreasing in filter size.
     rates = []
     for geometry in GEOMETRIES:

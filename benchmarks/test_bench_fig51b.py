@@ -3,12 +3,9 @@
 from repro.analysis.figures import figure_5_1b
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
-
-def test_figure_5_1b(grid, benchmark):
-    fig = benchmark(figure_5_1b, grid)
-    emit(fig.render())
+def test_figure_5_1b(grid):
+    fig = figure_5_1b(grid)
 
     # Flex cuts load traffic for barnes and kD-tree (paper: -32.4% /
     # -43.5% vs DeNovo for DFlexL1/DFlexL2).

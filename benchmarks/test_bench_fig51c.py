@@ -10,15 +10,13 @@ limits).
 from repro.analysis.figures import figure_5_1c
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
 DENOVO_PROTOS = ("DeNovo", "DFlexL1", "DValidateL2", "DMemL1", "DFlexL2",
                  "DBypL2", "DBypFull")
 
 
-def test_figure_5_1c(grid, benchmark):
-    fig = benchmark(figure_5_1c, grid)
-    emit(fig.render())
+def test_figure_5_1c(grid):
+    fig = figure_5_1c(grid)
 
     # L1 write-validate: no store response data reaches any DeNovo L1.
     for workload in WORKLOAD_ORDER:

@@ -11,16 +11,14 @@ import pytest
 from repro.analysis.figures import figure_5_1d
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
 DIRTY_ONLY_L2 = ("DeNovo", "DFlexL1", "DValidateL2", "DMemL1", "DFlexL2",
                  "DBypL2", "DBypFull")
 DIRTY_ONLY_MEM = ("DValidateL2", "DMemL1", "DFlexL2", "DBypL2", "DBypFull")
 
 
-def test_figure_5_1d(grid, benchmark):
-    fig = benchmark(figure_5_1d, grid)
-    emit(fig.render())
+def test_figure_5_1d(grid):
+    fig = figure_5_1d(grid)
 
     for workload in WORKLOAD_ORDER:
         # Dirty-words-only L1->L2: no clean words in writebacks.

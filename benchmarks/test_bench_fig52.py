@@ -1,31 +1,18 @@
 """F5.2 — execution time breakdown (Compute / On-chip / To MC / Mem /
 From MC / Sync), normalized to MESI.
 
-Paper shapes (Section 5.1): MMemL1 is a bit faster than MESI (average
--3.8%); the fully optimized DeNovo (DBypFull) is faster than MESI on
-average (paper: -10.5%); no protocol catastrophically regresses.
+Paper shapes (Section 5.1): MMemL1 is a bit faster than MESI and the
+fully optimized DeNovo (DBypFull) is faster than MESI on average (both
+averages are banded claims in ``repro.analysis.report.CLAIMS``); no
+protocol catastrophically regresses.
 """
 
-from repro.analysis.experiments import average_exec_time_reduction
 from repro.analysis.figures import figure_5_2
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
-
-def test_figure_5_2(grid, benchmark):
-    fig = benchmark(figure_5_2, grid)
-    emit(fig.render())
-
-    # MMemL1 cuts memory latency: never slower than MESI by more than
-    # noise, faster on average.
-    mmem = average_exec_time_reduction(grid, "MMemL1", "MESI")
-    assert mmem > -0.02, f"MMemL1 average exec reduction {mmem:.1%}"
-
-    # The fully optimized protocol is faster than MESI on average
-    # (paper: +10.5%).
-    best = average_exec_time_reduction(grid, "DBypFull", "MESI")
-    assert best > 0.0, f"DBypFull average exec reduction {best:.1%}"
+def test_figure_5_2(grid):
+    fig = figure_5_2(grid)
 
     # Every bar decomposes into the six paper categories.
     for workload in WORKLOAD_ORDER:

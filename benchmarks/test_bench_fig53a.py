@@ -8,12 +8,9 @@ Evict/Fetch waste that cannot be removed without hurting performance.
 from repro.analysis.figures import figure_5_3a
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
-
-def test_figure_5_3a(grid, benchmark):
-    fig = benchmark(figure_5_3a, grid)
-    emit(fig.render())
+def test_figure_5_3a(grid):
+    fig = figure_5_3a(grid)
 
     # Average L1 word reduction for the full stack (paper: 39.8%).
     totals = [fig.bar_total(w, "DBypFull") for w in WORKLOAD_ORDER]

@@ -8,14 +8,12 @@ bypass keeping streaming data out of the L2.
 from repro.analysis.figures import figure_5_3b
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
 BYPASS_APPS = ("fluidanimate", "FFT", "radix", "kD-tree")
 
 
-def test_figure_5_3b(grid, benchmark):
-    fig = benchmark(figure_5_3b, grid)
-    emit(fig.render())
+def test_figure_5_3b(grid):
+    fig = figure_5_3b(grid)
 
     # Bypass apps: DBypL2 moves far less data into the L2 than MESI.
     for workload in BYPASS_APPS:

@@ -11,12 +11,9 @@ from repro.analysis.figures import figure_5_3c
 from repro.waste.profiler import Category
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
-
-def test_figure_5_3c(grid, benchmark):
-    fig = benchmark(figure_5_3c, grid)
-    emit(fig.render())
+def test_figure_5_3c(grid):
+    fig = figure_5_3c(grid)
 
     # Only the L2-Flex protocols produce Excess waste, and only for the
     # Flex apps (barnes, kD-tree).
@@ -28,7 +25,7 @@ def test_figure_5_3c(grid, benchmark):
     # kD-tree demonstrates the effect strongly (paper: 66.1% of its
     # memory traffic).  At this scale barnes fits the L2 after warm-up
     # and generates no measured memory traffic at all, so its Excess is
-    # structurally zero (see EXPERIMENTS.md, "Known deviations").
+    # structurally zero.
     assert fig.segment("kD-tree", "DFlexL2", "Excess Waste") > 5.0
     for workload in ("fluidanimate", "LU", "FFT", "radix"):
         assert fig.segment(workload, "DFlexL2", "Excess Waste") == 0.0, (

@@ -1,6 +1,7 @@
 """H3 — protocol overhead traffic (paper Section 5.2.4).
 
-Paper: overhead is 13.6% of MESI's traffic / 12.1% of MMemL1's; within
+Paper: overhead is a sizeable share of MESI's and MMemL1's traffic (the
+MESI share is a banded claim in ``repro.analysis.report.CLAIMS``); within
 MESI's overhead, ~65.3% is directory unblock messages, ~26.1% writeback
 control, ~4.4% invalidations, ~4.3% acks.  DeNovo's overhead is
 negligible (NACKs only); DBypFull adds ~0.5% Bloom-copy traffic for the
@@ -11,40 +12,12 @@ from repro.analysis.experiments import average_overhead_fraction
 from repro.network import traffic as T
 from repro.workloads import WORKLOAD_ORDER
 
-from conftest import emit
 
 BYPASS_APPS = ("fluidanimate", "FFT", "radix", "kD-tree")
 
 
-def _report(grid) -> str:
-    lines = ["=== Overhead traffic (Section 5.2.4) ===",
-             f"MESI overhead fraction   paper 13.6%  measured "
-             f"{average_overhead_fraction(grid, 'MESI'):.1%}",
-             f"MMemL1 overhead fraction paper 12.1%  measured "
-             f"{average_overhead_fraction(grid, 'MMemL1'):.1%}",
-             f"DeNovo overhead fraction paper ~0%    measured "
-             f"{average_overhead_fraction(grid, 'DeNovo'):.1%}"]
-    # Decompose MESI overhead across all workloads.
-    subtotal = {k: 0.0 for k in T.OVH_BUCKETS}
-    for workload in WORKLOAD_ORDER:
-        for key in T.OVH_BUCKETS:
-            subtotal[key] += grid[workload]["MESI"].traffic_bucket(T.OVH,
-                                                                   key)
-    total = sum(subtotal.values()) or 1.0
-    lines.append("MESI overhead mix (paper: unblock 65.3%, wb-ctl 26.1%, "
-                 "inval 4.4%, ack 4.3%):")
-    for key in T.OVH_BUCKETS:
-        lines.append(f"  {key:8s} {subtotal[key] / total:6.1%}")
-    return "\n".join(lines)
-
-
-def test_overhead_traffic(grid, benchmark):
-    text = benchmark(_report, grid)
-    emit(text)
-
+def test_overhead_traffic(grid):
     mesi = average_overhead_fraction(grid, "MESI")
-    assert 0.05 < mesi < 0.30, f"MESI overhead {mesi:.1%}"
-
     mmem = average_overhead_fraction(grid, "MMemL1")
     assert mmem < mesi, "MMemL1 must shrink overhead (unblock+data)"
 

@@ -12,10 +12,8 @@ import pytest
 
 from repro.common.config import ScaleConfig, protocol, scaled_system
 from repro.core.simulator import simulate
-from repro.network import traffic as T
 from repro.workloads import build_workload
 
-from conftest import emit
 
 SCALE = ScaleConfig.tiny()
 TABLE_SIZES = (8, 32, 256)
@@ -32,21 +30,7 @@ def sweep():
     return out
 
 
-def test_write_combine_sweep(sweep, benchmark):
-    def report():
-        lines = ["=== Write-combining ablation (radix, DeNovo) ===",
-                 f"{'entries':>8s} {'registrations':>14s} "
-                 f"{'ST req ctl':>11s} {'traffic':>10s}"]
-        for size, result in sweep.items():
-            regs = result.protocol_stats.get("registrations", 0)
-            lines.append(
-                f"{size:8d} {regs:14d} "
-                f"{result.traffic_bucket(T.ST, T.REQ_CTL):11.0f} "
-                f"{result.traffic_total():10.0f}")
-        return "\n".join(lines)
-
-    emit(benchmark(report))
-
+def test_write_combine_sweep(sweep):
     # More table entries -> fewer registration messages (monotone).
     regs = [sweep[size].protocol_stats.get("registrations", 0)
             for size in TABLE_SIZES]

@@ -21,8 +21,8 @@ Grid = Dict[str, Dict[str, RunResult]]
 def traffic_reduction(grid: Grid, proto: str, baseline: str) -> Dict[str, float]:
     """Per-workload traffic reduction of ``proto`` relative to ``baseline``.
 
-    Positive = less traffic than the baseline (the paper reports e.g.
-    DBypFull at an average of 39.5% below MESI).
+    Positive = less traffic than the baseline (the paper's averages are
+    in ``repro.analysis.report.CLAIMS``).
     """
     out = {}
     for workload, protos in grid.items():

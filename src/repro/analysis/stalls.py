@@ -141,7 +141,7 @@ def collect_stall_profiles(workload: str, scale, protocols, config,
 
 
 def report_section(profiles: List[dict], num_tiles: int) -> str:
-    """Markdown report section around the figure (for EXPERIMENTS.md)."""
+    """Markdown section around the figure, for the report body."""
     audits_ok = all(p["audits"]["ok"] for p in profiles)
     parts = ["## Latency & stall attribution (beyond the paper)\n",
              "Per-core cycle accounting and per-request miss-latency "
