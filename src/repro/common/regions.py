@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.common.addressing import WORDS_PER_LINE, line_of
+from repro.common.addressing import WORDS_PER_LINE, align_up_words, line_of
 
 #: Sentinel for "no change" in RegionTable.update.
 _UNSET = object()
@@ -219,13 +219,10 @@ class RegionAllocator:
         self.table = RegionTable()
 
     def alloc(self, name: str, size_words: int, *, bypass_l2: bool = False,
-              flex: Optional[FlexPattern] = None,
-              align_words: int = WORDS_PER_LINE) -> Region:
-        base = self._next_word
-        if align_words > 1:
-            rem = base % align_words
-            if rem:
-                base += align_words - rem
+              flex: Optional[FlexPattern] = None) -> Region:
+        # Every region starts on a line, so no line holds words of two
+        # regions: DeNovo looks regions up per line.
+        base = align_up_words(self._next_word, WORDS_PER_LINE)
         region = Region(
             region_id=self._next_id, name=name, base_word=base,
             size_words=size_words, bypass_l2=bypass_l2, flex=flex)

@@ -13,12 +13,12 @@ Stall cycles are attributed to the paper's Figure 5.2 buckets: ``busy``
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.core.context import LoadRequest, SimContext
 from repro.core.stats import TimeStats
 from repro.engine.events import Barrier
-from repro.workloads.trace import OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE
+from repro.workloads.trace import OP_COMPUTE, OP_LOAD, OP_STORE, PackedTrace
 
 #: Max ops executed locally before yielding to the event queue; bounds the
 #: timing skew introduced by batching L1 hits.
@@ -28,11 +28,12 @@ BATCH_LIMIT = 64
 class Core:
     """One in-order core driving its trace through the protocol."""
 
-    def __init__(self, core_id: int, trace: Sequence, protocol_system,
+    def __init__(self, core_id: int, trace: PackedTrace, protocol_system,
                  ctx: SimContext, barrier: Barrier,
                  on_finish: Callable[[int, int], None]) -> None:
         self.core_id = core_id
-        self.trace = trace
+        #: the trace's raw packed words (``arg << 2 | kind``)
+        self.words = trace.words
         self.proto = protocol_system
         self.ctx = ctx
         self.barrier = barrier
@@ -50,32 +51,36 @@ class Core:
 
     def _run(self, at: int) -> None:
         # The hottest loop in the simulator: bind the per-op lookups
-        # (trace, program counter, protocol entry points, trace length,
-        # the load continuation) to locals so each op skips repeated
-        # attribute chains, and test the op kinds in trace frequency
-        # order (loads, then stores, then computes).  Busy cycles sum in
-        # a local that every exit adds to ``time.busy``; samplers and
-        # the warm-up reset run as separate events, so they always see
-        # the flushed total.  Re-entry and continuations go through the
-        # closure-free scheduler (bound method + args, no lambda per
-        # yield).
+        # (packed trace words, program counter, protocol entry points,
+        # trace length, the load continuation) to locals so each op
+        # skips repeated attribute chains, and test the kinds in trace
+        # frequency order (loads, then stores, then computes; the two
+        # kind bits leave only barriers).  Each word decodes with
+        # literals, ``op & 3`` the kind and ``op >> 2`` the argument
+        # (the layout in ``repro.workloads.trace``): a literal skips a
+        # global lookup per op.  Busy cycles sum in a local that every
+        # exit adds to ``time.busy``; samplers and the warm-up reset run
+        # as separate events, so they always see the flushed total.
+        # Re-entry and continuations go through the closure-free
+        # scheduler (bound method + args, no lambda per yield).
         queue = self.ctx.queue
         now = queue.now
         t = at if at >= now else now
         batch = 0
         busy = 0
-        trace = self.trace
-        trace_len = len(trace)
+        words = self.words
+        trace_len = len(words)
         core_id = self.core_id
         proto_load = self.proto.load
         proto_store = self.proto.store
         load_done = self._load_done
         pc = self.pc
         while pc < trace_len:
-            kind, arg = trace[pc]
+            op = words[pc]
+            kind = op & 3
             if kind == OP_LOAD:
                 busy += 1
-                done = proto_load(core_id, arg, t, load_done)
+                done = proto_load(core_id, op >> 2, t, load_done)
                 if done is None:
                     self.pc = pc
                     self.time.busy += busy
@@ -83,7 +88,7 @@ class Core:
                     return
                 t = done
             elif kind == OP_STORE:
-                if not proto_store(core_id, arg, t):
+                if not proto_store(core_id, op >> 2, t):
                     self.pc = pc
                     self.time.busy += busy
                     self._wait_start = t
@@ -92,6 +97,7 @@ class Core:
                 busy += 1
                 t += 1
             elif kind == OP_COMPUTE:
+                arg = op >> 2
                 busy += arg
                 t += arg
                 if arg > BATCH_LIMIT:
@@ -99,14 +105,12 @@ class Core:
                     self.time.busy += busy
                     queue.schedule_call(t, self._run, t)
                     return
-            elif kind == OP_BARRIER:
+            else:   # OP_BARRIER
                 self.pc = pc + 1
                 self.time.busy += busy
                 self._wait_start = t
                 self.proto.drain_barrier(core_id, t, self._drain_done)
                 return
-            else:
-                raise ValueError(f"unknown op kind {kind}")
             pc += 1
             batch += 1
             if batch >= BATCH_LIMIT:

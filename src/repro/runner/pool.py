@@ -35,7 +35,7 @@ from repro.core.simulator import reused_from, simulate
 from repro.core.stats import RunResult
 from repro.runner.jobs import DEFAULT_SEED, JobSpec, expand_grid
 from repro.runner.store import ResultStore
-from repro.workloads import build_workload
+from repro.workloads import Workload, build_workload
 
 Grid = Dict[str, Dict[str, RunResult]]
 
@@ -80,36 +80,34 @@ _WORKLOAD_MEMO: "dict" = {}
 _WORKLOAD_MEMO_MAX = 8
 
 
-def _timed_workload(name: str, scale: ScaleConfig, num_cores: int,
-                    seed: int):
-    """The memoized workload plus the seconds spent building it
-    (0.0 on a memo hit)."""
+def _memo_workload(name: str, scale: ScaleConfig, num_cores: int,
+                   seed: int) -> Workload:
+    """The workload for these build inputs, built on a memo miss."""
     key = (name, scale, num_cores, seed)
     workload = _WORKLOAD_MEMO.get(key)
     if workload is not None:
         # Refresh LRU position (dicts preserve insertion order).
         _WORKLOAD_MEMO.pop(key)
         _WORKLOAD_MEMO[key] = workload
-        return workload, 0.0
-    start = time.perf_counter()
+        return workload
     while len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_MAX:
         _WORKLOAD_MEMO.pop(next(iter(_WORKLOAD_MEMO)))
     workload = build_workload(name, scale, num_cores=num_cores, seed=seed)
     _WORKLOAD_MEMO[key] = workload
-    return workload, time.perf_counter() - start
+    return workload
 
 
 def _execute_timed(spec: JobSpec
-                   ) -> Tuple[RunResult, float, float, Optional[str]]:
-    """Simulate one cell; returns (result, sim_seconds, build_seconds,
-    reused_from).  A workload's rungs share the memoized build, so a
-    rung may reuse another's result (see :func:`simulate`)."""
-    workload, build_s = _timed_workload(spec.workload, spec.scale,
-                                        spec.config.num_tiles, spec.seed)
+                   ) -> Tuple[RunResult, float, Optional[str]]:
+    """Simulate one cell; returns (result, sim_seconds, reused_from).
+    A workload's rungs share the memoized build, so a rung may reuse
+    another's result (see :func:`simulate`)."""
+    workload = _memo_workload(spec.workload, spec.scale,
+                              spec.config.num_tiles, spec.seed)
     source = reused_from(workload, spec.protocol, spec.config)
     start = time.perf_counter()
     result = simulate(workload, spec.protocol, spec.config)
-    return result, time.perf_counter() - start, build_s, source
+    return result, time.perf_counter() - start, source
 
 
 def _pool_context():
@@ -167,7 +165,7 @@ def run_jobs(specs: Sequence[JobSpec],
     attempts = [0] * len(specs)
 
     def finish(index: int, timed: tuple) -> None:
-        result, elapsed, _build_s, source = timed
+        result, elapsed, source = timed
         outcomes[index] = JobOutcome(specs[index], result, elapsed,
                                      attempts[index], from_cache=False,
                                      reused_from=source)

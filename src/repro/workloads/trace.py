@@ -1,8 +1,7 @@
 """Memory-access trace representation.
 
 Workload generators emit one trace per core.  A trace is a flat
-sequence of ops encoded as tuples for speed (a ``Workload`` stores each
-trace as a tuple):
+sequence of ``(kind, arg)`` ops:
 
 * ``(OP_LOAD, word_addr)`` — a load; blocks the core on a miss;
 * ``(OP_STORE, word_addr)`` — a store; non-blocking up to buffer limits;
@@ -10,6 +9,18 @@ trace as a tuple):
   the paper's core model, so this is simply a busy-time advance);
 * ``(OP_BARRIER, 0)`` — global barrier (all cores synchronize; DeNovo
   self-invalidates and drains its write-combining table).
+
+Encoding: each op is stored as one signed 64-bit word (native byte
+order), ``arg << 2 | kind``.  The four kinds fill the low two bits
+exactly, so ``word & 3`` is the kind and ``word >> 2`` the argument,
+which must lie in ``0 .. MAX_ARG``.  :class:`TraceBuilder` appends
+words straight into an ``array('q')`` per core, and a
+:class:`Workload` holds each trace as an immutable :class:`PackedTrace`
+(8 bytes per op, where a ``(kind, arg)`` tuple takes about 96).
+Reading a ``PackedTrace`` yields the decoded ``(kind, arg)`` pairs; the
+core model reads the raw words through :attr:`PackedTrace.words`.  A
+workload given plain ``(kind, arg)`` sequences packs them once at
+construction, rejecting a bad op there rather than mid-run.
 
 ``Workload`` bundles per-core traces with the software region table and
 the per-phase metadata the protocols consume: the regions written in the
@@ -20,8 +31,10 @@ DPJ-style information software hands to hardware between phases).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro.common.regions import FlexPattern, Region, RegionTable
 
@@ -31,6 +44,93 @@ OP_COMPUTE = 2
 OP_BARRIER = 3
 
 Op = Tuple[int, int]
+
+#: Low bits of a packed word that hold the op kind.
+KIND_BITS = 2
+KIND_MASK = (1 << KIND_BITS) - 1
+#: Largest argument a signed 64-bit word holds above the kind bits.
+MAX_ARG = (1 << (63 - KIND_BITS)) - 1
+
+_ARG_NAMES = {OP_LOAD: "address", OP_STORE: "address",
+              OP_COMPUTE: "compute count", OP_BARRIER: "barrier argument"}
+
+
+class PackedTrace(Sequence[Op]):
+    """One core's trace: an immutable buffer of packed op words.
+
+    Indexing and iteration decode each word to a ``(kind, arg)`` pair;
+    :attr:`words` exposes the raw words.  Traces with equal words
+    compare equal.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self, words: Union[bytes, array, memoryview]) -> None:
+        buf = bytes(words)
+        if len(buf) % 8:
+            raise ValueError(
+                f"packed trace of {len(buf)} bytes is not whole 8-byte words")
+        self._buf = buf
+
+    @property
+    def words(self) -> memoryview:
+        """The raw ``arg << 2 | kind`` words, read-only."""
+        return memoryview(self._buf).cast("q")
+
+    def __len__(self) -> int:
+        return len(self._buf) >> 3
+
+    def __getitem__(self, index: int) -> Op:
+        word = self.words[index]
+        return word & KIND_MASK, word >> KIND_BITS
+
+    def __iter__(self) -> Iterator[Op]:
+        for word in self.words:
+            yield word & KIND_MASK, word >> KIND_BITS
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PackedTrace):
+            return self._buf == other._buf
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PackedTrace(<{len(self)} ops>)"
+
+
+def _bad_op(core: int, index: int, kind: int, arg: int) -> ValueError:
+    if kind not in _ARG_NAMES:
+        problem = f"unknown op kind {kind}"
+    elif arg < 0:
+        problem = f"negative {_ARG_NAMES[kind]} {arg}"
+    else:
+        problem = f"{_ARG_NAMES[kind]} {arg} exceeds {MAX_ARG}"
+    return ValueError(f"core {core}, op {index}: {problem}")
+
+
+def pack(ops: Iterable[Op], core: int = 0) -> PackedTrace:
+    """Pack ``(kind, arg)`` ops; a bad op raises ``ValueError`` naming
+    ``core`` and the op's index."""
+    words = array("q")
+    append = words.append
+    for index, (kind, arg) in enumerate(ops):
+        if kind not in _ARG_NAMES or not 0 <= arg <= MAX_ARG:
+            raise _bad_op(core, index, kind, arg)
+        append(arg << KIND_BITS | kind)
+    return PackedTrace(words)
+
+
+def _checked(core: int, trace) -> PackedTrace:
+    """``trace`` as a :class:`PackedTrace`: sequences of ops are packed,
+    and a packed trace is checked for negative arguments (the only bad
+    op a whole word can encode)."""
+    if not isinstance(trace, PackedTrace):
+        return pack(trace, core)
+    words = trace.words
+    if words and min(words) < 0:
+        index = next(i for i, word in enumerate(words) if word < 0)
+        word = words[index]
+        raise _bad_op(core, index, word & KIND_MASK, word >> KIND_BITS)
+    return trace
 
 
 @dataclass(frozen=True)
@@ -47,7 +147,9 @@ class Workload:
     """A complete multi-core workload: traces plus software metadata.
 
     A workload cannot change after construction (its fields cannot be
-    reassigned and its traces are tuples), so the results
+    reassigned and each trace is an immutable :class:`PackedTrace`;
+    ``traces`` given as ``(kind, arg)`` sequences are packed here, and
+    a bad op raises ``ValueError``), so the results
     ``simulate()`` keeps in ``results`` always describe this workload.
     Build a variant with ``dataclasses.replace``; the copy starts with
     no stored results.
@@ -55,7 +157,7 @@ class Workload:
 
     name: str
     regions: RegionTable
-    traces: Tuple[Tuple[Op, ...], ...]
+    traces: Tuple[PackedTrace, ...]
     #: regions written during the phase that ends at barrier *i* — DeNovo
     #: self-invalidates valid words of these regions at that barrier.
     phase_written_regions: Tuple[FrozenSet[int], ...] = ()
@@ -74,7 +176,8 @@ class Workload:
     def __post_init__(self) -> None:
         if not self.traces:
             raise ValueError("workload needs at least one core trace")
-        traces = tuple(tuple(t) for t in self.traces)
+        traces = tuple(_checked(core, trace)
+                       for core, trace in enumerate(self.traces))
         counts = {self._barrier_count(t) for t in traces}
         if len(counts) != 1:
             raise ValueError(f"cores disagree on barrier count: {counts}")
@@ -87,8 +190,9 @@ class Workload:
         object.__setattr__(self, "phase_written_regions", written)
 
     @staticmethod
-    def _barrier_count(trace: Sequence[Op]) -> int:
-        return sum(1 for kind, _arg in trace if kind == OP_BARRIER)
+    def _barrier_count(trace: PackedTrace) -> int:
+        return sum(1 for word in trace.words
+                   if word & KIND_MASK == OP_BARRIER)
 
     @property
     def num_cores(self) -> int:
@@ -98,8 +202,8 @@ class Workload:
         return sum(len(t) for t in self.traces)
 
     def memory_ops(self) -> int:
-        return sum(1 for t in self.traces for kind, _ in t
-                   if kind in (OP_LOAD, OP_STORE))
+        return sum(1 for t in self.traces for word in t.words
+                   if word & KIND_MASK in (OP_LOAD, OP_STORE))
 
     def written_regions_at(self, barrier_index: int) -> FrozenSet[int]:
         if barrier_index < len(self.phase_written_regions):
@@ -115,11 +219,13 @@ class TraceBuilder:
 
     Tracks which regions were written in the current phase across all
     cores, so the generator does not have to maintain that set by hand.
+    ``traces`` holds each core's packed words as an ``array('q')``;
+    ``PackedTrace(tb.traces[core])`` reads them as ops.
     """
 
     def __init__(self, num_cores: int, regions: RegionTable) -> None:
         self._regions = regions
-        self.traces: List[List[Op]] = [[] for _ in range(num_cores)]
+        self.traces: List[array] = [array("q") for _ in range(num_cores)]
         self._phase_written: set = set()
         self.phase_written_regions: List[FrozenSet[int]] = []
         self.phase_region_updates: Dict[int, List[RegionUpdate]] = {}
@@ -130,22 +236,22 @@ class TraceBuilder:
         return len(self.traces)
 
     def load(self, core: int, addr: int) -> None:
-        self.traces[core].append((OP_LOAD, addr))
+        self.traces[core].append(addr << KIND_BITS | OP_LOAD)
 
     def store(self, core: int, addr: int) -> None:
-        self.traces[core].append((OP_STORE, addr))
+        self.traces[core].append(addr << KIND_BITS | OP_STORE)
         region = self._regions.find(addr)
         if region is not None:
             self._phase_written.add(region.region_id)
 
     def compute(self, core: int, cycles: int) -> None:
         if cycles > 0:
-            self.traces[core].append((OP_COMPUTE, cycles))
+            self.traces[core].append(cycles << KIND_BITS | OP_COMPUTE)
 
     def barrier(self, updates: Optional[List[RegionUpdate]] = None) -> None:
         """End the current phase on every core."""
         for trace in self.traces:
-            trace.append((OP_BARRIER, 0))
+            trace.append(OP_BARRIER)
         self.phase_written_regions.append(frozenset(self._phase_written))
         if updates:
             self.phase_region_updates[self._barriers_emitted] = list(updates)
@@ -156,10 +262,12 @@ class TraceBuilder:
               description: str = "") -> Workload:
         # Ensure a final barrier so the last phase's stores are flushed
         # and self-invalidation state is consistent at end of simulation.
-        if any(not t or t[-1][0] != OP_BARRIER for t in self.traces):
+        if any(not t or t[-1] & KIND_MASK != OP_BARRIER
+               for t in self.traces):
             self.barrier()
         return Workload(
-            name=name, regions=self._regions, traces=self.traces,
+            name=name, regions=self._regions,
+            traces=[PackedTrace(words) for words in self.traces],
             phase_written_regions=self.phase_written_regions,
             phase_region_updates=self.phase_region_updates,
             warmup_barriers=warmup_barriers, description=description)

@@ -182,7 +182,9 @@ def test_replaced_workload_starts_empty_and_fields_are_frozen():
     assert len(workload.results) == 1
     assert dataclasses.replace(workload).results == {}
     assert isinstance(workload.traces, tuple)
-    assert all(isinstance(trace, tuple) for trace in workload.traces)
+    for trace in workload.traces:
+        with pytest.raises(TypeError):
+            trace[0] = (OP_STORE, 0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         workload.warmup_barriers = 1
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,11 +1,18 @@
 """Unit tests for the trace representation and builder."""
 
-import pytest
+import pickle
+import sys
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.common.config import ScaleConfig
 from repro.common.regions import FlexPattern, Region, RegionTable
+from repro.workloads import build_workload
 from repro.workloads.trace import (
-    OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE, RegionUpdate, TraceBuilder,
-    Workload)
+    MAX_ARG, OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE, PackedTrace,
+    RegionUpdate, TraceBuilder, Workload, pack)
 
 
 def table():
@@ -19,19 +26,21 @@ class TestTraceBuilder:
         tb.load(0, 5)
         tb.store(1, 10)
         tb.compute(0, 7)
-        assert tb.traces[0] == [(OP_LOAD, 5), (OP_COMPUTE, 7)]
-        assert tb.traces[1] == [(OP_STORE, 10)]
+        assert list(PackedTrace(tb.traces[0])) == [(OP_LOAD, 5),
+                                                   (OP_COMPUTE, 7)]
+        assert list(PackedTrace(tb.traces[1])) == [(OP_STORE, 10)]
 
     def test_zero_compute_skipped(self):
         tb = TraceBuilder(1, table())
         tb.compute(0, 0)
-        assert tb.traces[0] == []
+        assert list(PackedTrace(tb.traces[0])) == []
 
     def test_barrier_applied_to_all_cores(self):
         tb = TraceBuilder(3, table())
         tb.load(0, 5)
         tb.barrier()
-        assert all(t[-1] == (OP_BARRIER, 0) for t in tb.traces)
+        assert all(PackedTrace(t)[-1] == (OP_BARRIER, 0)
+                   for t in tb.traces)
 
     def test_written_regions_tracked_per_phase(self):
         tb = TraceBuilder(2, table())
@@ -89,3 +98,70 @@ class TestWorkload:
                      phase_region_updates={0: [update]})
         assert w.updates_at(0) == [update]
         assert w.updates_at(1) == []
+
+
+#: One op of any kind, with an argument anywhere in the packable range.
+any_op = st.tuples(st.sampled_from([OP_LOAD, OP_STORE, OP_COMPUTE,
+                                    OP_BARRIER]),
+                   st.one_of(st.integers(0, 2 ** 40),
+                             st.integers(0, MAX_ARG)))
+
+
+class TestPackedTrace:
+    @given(st.lists(any_op, max_size=50))
+    def test_pack_round_trips(self, ops):
+        trace = pack(ops)
+        assert len(trace) == len(ops)
+        assert list(trace) == ops
+        assert [trace[i] for i in range(-len(ops), len(ops))] == ops + ops
+        assert pickle.loads(pickle.dumps(trace)) == trace
+
+    def test_words_are_arg_shifted_over_kind(self):
+        trace = pack([(OP_LOAD, 5), (OP_STORE, 5), (OP_COMPUTE, 7),
+                      (OP_BARRIER, 0)])
+        assert trace.words.tolist() == [20, 21, 30, 3]
+        with pytest.raises(TypeError):
+            trace.words[0] = 0
+
+    def test_built_trace_stores_eight_bytes_per_op(self):
+        w = build_workload("radix", ScaleConfig.tiny())
+        assert w.total_ops() > 0
+        for trace in w.traces:
+            ops = sum(1 for _op in trace)
+            backing = trace.words.obj
+            assert isinstance(backing, bytes)
+            assert sys.getsizeof(backing) - sys.getsizeof(b"") == 8 * ops
+
+    def test_partial_word_rejected(self):
+        with pytest.raises(ValueError, match="8-byte words"):
+            PackedTrace(b"\0" * 12)
+
+
+class TestBadOpsFailAtConstruction:
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError,
+                           match="core 0, op 0: unknown op kind 7"):
+            Workload(name="bad", regions=table(),
+                     traces=[[(7, 0), (OP_BARRIER, 0)]])
+
+    def test_negative_address(self):
+        with pytest.raises(ValueError, match="core 1, op 1: negative address"):
+            Workload(name="bad", regions=table(),
+                     traces=[[(OP_BARRIER, 0)],
+                             [(OP_LOAD, 4), (OP_STORE, -3), (OP_BARRIER, 0)]])
+
+    def test_negative_compute_count(self):
+        with pytest.raises(ValueError, match="op 0: negative compute count"):
+            Workload(name="bad", regions=table(),
+                     traces=[[(OP_COMPUTE, -1), (OP_BARRIER, 0)]])
+
+    def test_argument_too_large(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            pack([(OP_LOAD, MAX_ARG + 1)])
+
+    def test_builder_negative_address(self):
+        tb = TraceBuilder(2, table())
+        tb.load(1, 8)
+        tb.load(1, -8)
+        with pytest.raises(ValueError, match="core 1, op 1: negative address"):
+            tb.build("bad")
