@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
-"""Observe one run: metrics hub, Chrome trace export, utilization timeline.
+"""Observe one run: run counters, Chrome trace export, utilization timeline.
 
-Attaches an ``ObsSession`` to a single simulation, then shows the three
-faces of the observability subsystem:
+Attaches an ``ObsSession`` to a single simulation, then shows:
 
-* the metrics hub's end-of-run totals (which reconcile exactly with the
-  ``RunResult`` energy counters),
+* the run's ``RunResult`` counters and the sampler's event overhead,
 * the exported Chrome trace-event JSON (open it in
   https://ui.perfetto.dev to see barrier phases and DRAM bank activity),
 * the per-tile link-utilization heat-strip timeline.
@@ -36,16 +34,16 @@ def main() -> None:
     print(f"observed run: {result.workload} / {result.protocol} — "
           f"{result.exec_cycles:,} cycles, {result.events:,} events")
 
-    print("\nmetrics hub totals (reconcile with RunResult):")
+    print("\nrun counters (measurement window):")
     for name in ("l1_probes", "l2_probes", "noc_packets", "noc_flit_hops",
-                 "dram_reads", "dram_writes", "engine_events"):
-        print(f"  {name:<16s} {obs.hub.total(name):>14,.0f}")
-    assert obs.hub.total("noc_flit_hops") == result.energy_counters[
-        "noc_flit_hops"], "hub must match the energy counters"
+                 "dram_reads", "dram_writes"):
+        print(f"  {name:<16s} {result.energy_counters[name]:>14,}")
+    print(f"  {'events':<16s} {result.events:>14,} "
+          f"(+{obs.overhead_events} sampler ticks)")
 
     obs.export(out_path)
     print(f"\nChrome trace: {len(obs.trace.events())} events, "
-          f"{len(obs.samples)} metric samples -> {out_path}")
+          f"{len(obs.samples)} samples -> {out_path}")
     print("(load it in https://ui.perfetto.dev or chrome://tracing)")
 
     print()

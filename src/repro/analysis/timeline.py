@@ -70,17 +70,10 @@ def figure_timeline(session, width: int = 64) -> TimelineFigure:
     strips: Dict[int, List[float]] = {
         tile: [0.0] * columns for tile in range(num_tiles)}
     if span > 0:
-        for tile in range(num_tiles):
-            label = f"tile={tile}"
-            prev = 0.0
-            for sample in samples:
-                values = sample["metrics"].get("tile_link_flits", {})
-                if label not in values:
-                    continue
-                value = values[label]
-                col = int((sample["cycle"] - first) / span * (columns - 1))
-                strips[tile][col] += value - prev
-                prev = value
+        for cycle, _events, tiles in session.intervals():
+            col = int((cycle - first) / span * (columns - 1))
+            for tile, flits in enumerate(tiles):
+                strips[tile][col] += flits
     return TimelineFigure(
         workload=str(session.meta.get("workload", "?")),
         protocol=str(session.meta.get("protocol", "?")),

@@ -176,16 +176,6 @@ class SliceFilterBank:
         self.stat_checks = 0
         self.stat_updates = 0
 
-    def register_metrics(self, hub, tile: int) -> None:
-        """Register this bank's counters into a ``repro.obs`` hub
-        (pull-based; called only when observability is enabled)."""
-        hub.add_pull("bloom_slice_checks", lambda b=self: b.stat_checks,
-                     help="membership queries against L2 slice filter "
-                          "banks", tile=tile)
-        hub.add_pull("bloom_slice_updates", lambda b=self: b.stat_updates,
-                     help="counter inserts/removes at L2 slice filter "
-                          "banks", tile=tile)
-
     def bit_projection(self, filter_index: int) -> bytes:
         return self._filters[filter_index].bit_projection()
 
@@ -258,17 +248,6 @@ class L1FilterShadow:
         self.stat_checks = 0
         self.stat_inserts = 0
         self.stat_installs = 0
-
-    def register_metrics(self, hub, tile: int) -> None:
-        """Register this shadow's counters into a ``repro.obs`` hub
-        (pull-based; called only when observability is enabled)."""
-        for stat, attr in (("checks", "stat_checks"),
-                           ("inserts", "stat_inserts"),
-                           ("installs", "stat_installs")):
-            hub.add_pull(f"bloom_shadow_{stat}",
-                         lambda s=self, a=attr: getattr(s, a),
-                         help=f"L1 shadow Bloom filter {stat}",
-                         tile=tile)
 
     def clear(self) -> None:
         """Barrier: wipe all shadow copies and validity bits (only the

@@ -201,24 +201,6 @@ class SetAssocCache(Generic[LineT]):
         self.stat_installs = 0
         self.stat_evictions = 0
 
-    def register_metrics(self, hub, level: str, tile: int) -> None:
-        """Register this array's counters into a ``repro.obs`` hub.
-
-        Pull-based: the hub samples the existing energy-model counters,
-        so nothing is added to the lookup/allocate hot path.  Called
-        only when an observability session is attached to the run.
-        """
-        for stat, attr in (("probes", "stat_probes"),
-                           ("installs", "stat_installs"),
-                           ("evictions", "stat_evictions")):
-            hub.add_pull(f"{level}_{stat}",
-                         lambda c=self, a=attr: getattr(c, a),
-                         help=f"{level.upper()} tag-array {stat}",
-                         tile=tile)
-        hub.add_pull(f"{level}_occupancy", self.occupancy, kind="gauge",
-                     help=f"resident lines per {level.upper()} array",
-                     tile=tile)
-
     def resident_lines(self) -> List[LineT]:
         """All resident lines (for end-of-simulation finalization)."""
         out: List[LineT] = []

@@ -227,20 +227,6 @@ class DenovoSystem(CoherenceKernel):
         for shadow in self.l1_blooms:
             shadow.reset_energy_counters()
 
-    def register_metrics(self, hub) -> None:
-        super().register_metrics(hub)
-        # Pre-create the instruments so the names exist (totalling 0)
-        # even on rungs without Bloom filters — energy_counters() always
-        # reports these keys, and the hub must reconcile with it.
-        for name in ("bloom_slice_checks", "bloom_slice_updates",
-                     "bloom_shadow_checks", "bloom_shadow_inserts",
-                     "bloom_shadow_installs"):
-            hub.counter(name, help="L2-bypass Bloom filter activity")
-        for tile, bank in enumerate(self.slice_blooms):
-            bank.register_metrics(hub, tile)
-        for tile, shadow in enumerate(self.l1_blooms):
-            shadow.register_metrics(hub, tile)
-
     # ------------------------------------------------------------------
     # Core-facing interface
     # ------------------------------------------------------------------

@@ -131,24 +131,6 @@ class CoherenceKernel:
         for cache in self.l2:
             cache.reset_energy_counters()
 
-    def register_metrics(self, hub) -> None:
-        """Register the kernel's counters into a ``repro.obs`` hub.
-
-        Pull-based over the same counters :meth:`energy_counters` and
-        :meth:`stats` report, so hub totals reconcile exactly with
-        ``RunResult``.  Protocol cores extend this with their own
-        structures (e.g. DeNovo's Bloom filters).  Called only when an
-        observability session is attached to the run.
-        """
-        for level, caches in (("l1", self.l1), ("l2", self.l2)):
-            for tile, cache in enumerate(caches):
-                cache.register_metrics(hub, level, tile)
-        for key in self.stats():
-            hub.add_pull(f"proto_{key}",
-                         lambda k=self, s=key: k.stats()[s],
-                         help=f"protocol counter {key} "
-                              "(RunResult.protocol_stats)")
-
     # ------------------------------------------------------------------
     # Retire hooks
     # ------------------------------------------------------------------

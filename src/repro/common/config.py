@@ -40,8 +40,6 @@ class SystemConfig:
     l1_assoc: int = 8
     l2_slice_kb: int = 256
     l2_assoc: int = 16
-    line_bytes: int = LINE_BYTES
-    word_bytes: int = WORD_BYTES
 
     link_bytes: int = 16           # mesh link width
     link_latency: int = 3          # cycles per hop
@@ -56,7 +54,6 @@ class SystemConfig:
     dram_t_rcd: int = 26
     dram_t_rp: int = 26
     dram_t_cl: int = 26
-    dram_t_ras: int = 68
     dram_t_burst: int = 15         # data transfer time for a 64B line
 
     store_buffer_entries: int = 32          # non-blocking writes per core
@@ -85,8 +82,17 @@ class SystemConfig:
         # Fails with a clear message when the controller count has no
         # placement on this mesh (e.g. 8 controllers on a 2x2).
         mc_tile_placement(width, self.num_mem_controllers)
-        if self.line_bytes % self.word_bytes:
-            raise ValueError("line size must be a whole number of words")
+
+    @property
+    def line_bytes(self) -> int:
+        """Fixed by the address layout (``common.addressing``): every
+        protocol moves 16-word lines, so the size is not a setting."""
+        return LINE_BYTES
+
+    @property
+    def word_bytes(self) -> int:
+        """Fixed by the address layout, like :attr:`line_bytes`."""
+        return WORD_BYTES
 
     @property
     def words_per_line(self) -> int:

@@ -146,6 +146,12 @@ class RegionTable:
     def __iter__(self):
         return iter(self._sorted)
 
+    def __eq__(self, other) -> bool:
+        """Tables holding the same regions, compared in address order."""
+        if isinstance(other, RegionTable):
+            return self._sorted == other._sorted
+        return NotImplemented
+
     def by_id(self, region_id: int) -> Region:
         return self._by_id[region_id]
 

@@ -81,8 +81,8 @@ def simulate(workload: Workload,
              obs=None) -> RunResult:
     """Simulate ``workload`` under ``proto`` and return the run result.
 
-    Pass ``obs=repro.obs.ObsSession()`` to collect metrics and a
-    structured trace from the run; the default (``None``) simulates
+    Pass ``obs=repro.obs.ObsSession()`` to collect interval samples,
+    stall attribution and a structured trace from the run; the default (``None``) simulates
     with zero observability overhead.
 
     An unobserved run whose :func:`behaviour_key` equals that of a rung

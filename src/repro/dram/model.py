@@ -128,27 +128,6 @@ class DramChannel:
                 "activates": self.activates - activates,
                 "precharges": self.precharges - precharges}
 
-    def register_metrics(self, hub, tile: int) -> None:
-        """Register this channel's counters into a ``repro.obs`` hub.
-
-        The command counters pull :meth:`window_commands` so the hub
-        reconciles with ``RunResult.energy_counters``' measurement
-        window; row hits/misses keep the whole-run ``dram_stats``
-        scope.  Pull-based — called only when observability is enabled.
-        """
-        for cmd in ("reads", "writes", "activates", "precharges"):
-            hub.add_pull(f"dram_{cmd}",
-                         lambda d=self, c=cmd: d.window_commands()[c],
-                         help=f"DRAM {cmd} in the measurement window",
-                         mc=tile)
-        hub.add_pull("dram_row_hits", lambda d=self: d.row_hits,
-                     help="row-buffer hits (whole run)", mc=tile)
-        hub.add_pull("dram_row_misses", lambda d=self: d.row_misses,
-                     help="row-buffer misses (whole run)", mc=tile)
-        hub.add_pull("dram_queue_depth", lambda d=self: d.queue_depth,
-                     kind="gauge", help="pending requests at the memory "
-                     "controller", mc=tile)
-
     # -- internals -----------------------------------------------------------
     def _next_seq(self) -> int:
         self._seq += 1

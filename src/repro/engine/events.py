@@ -24,6 +24,7 @@ contract is enforced by tuple comparison.
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Callable, List, Optional, Tuple
 
 #: Shared empty argument tuple for legacy zero-argument callbacks.
@@ -33,7 +34,7 @@ _NO_ARGS: Tuple = ()
 class EventQueue:
     """Deterministic discrete-event scheduler keyed by cycle time."""
 
-    __slots__ = ("_heap", "_seq", "now", "_events_run")
+    __slots__ = ("_heap", "_seq", "now")
 
     def __init__(self) -> None:
         # Heap entries are (when, seq, fn, args); comparisons never
@@ -41,7 +42,6 @@ class EventQueue:
         self._heap: List[tuple] = []
         self._seq = 0
         self.now = 0
-        self._events_run = 0
 
     def schedule_call(self, when: int, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at absolute cycle ``when`` (>= now).
@@ -74,45 +74,27 @@ class EventQueue:
 
         ``max_events`` bounds the *total* number of callbacks executed
         across all ``run`` calls on this queue and exists purely as a
-        safety net against protocol livelock bugs.  The unbounded path
-        carries no budget comparison at all; the bounded path counts a
-        plain integer down instead of comparing against infinity.
+        safety net against protocol livelock bugs; ``None`` means no
+        bound.  The loop counts a plain integer down.
         """
         heap = self._heap
         pop = heapq.heappop
-        events_run = self._events_run
-        try:
-            if max_events is None:
-                # Unbounded: no budget check on the hot loop.
-                while heap:
-                    when, _seq, fn, args = pop(heap)
-                    self.now = when
-                    events_run += 1
-                    fn(*args)
-                    # Same-cycle batch drain: events landing on the
-                    # current cycle skip the clock update.
-                    while heap and heap[0][0] == when:
-                        _w, _seq, fn, args = pop(heap)
-                        events_run += 1
-                        fn(*args)
-                return self.now
-            remaining = max_events - events_run
-            while heap and remaining > 0:
-                when, _seq, fn, args = pop(heap)
-                self.now = when
-                events_run += 1
+        remaining = (sys.maxsize if max_events is None
+                     else max_events - self.events_run)
+        while heap and remaining > 0:
+            when, _seq, fn, args = pop(heap)
+            self.now = when
+            remaining -= 1
+            fn(*args)
+            # Same-cycle batch drain: events landing on the current
+            # cycle skip the clock update.
+            while remaining > 0 and heap and heap[0][0] == when:
+                _w, _seq, fn, args = pop(heap)
                 remaining -= 1
                 fn(*args)
-                while remaining > 0 and heap and heap[0][0] == when:
-                    _w, _seq, fn, args = pop(heap)
-                    events_run += 1
-                    remaining -= 1
-                    fn(*args)
-        finally:
-            self._events_run = events_run
         if heap:
             raise RuntimeError(
-                f"event budget exhausted after {events_run} events "
+                f"event budget exhausted after {self.events_run} events "
                 f"at cycle {self.now}; likely a protocol livelock")
         return self.now
 
@@ -122,15 +104,9 @@ class EventQueue:
 
     @property
     def events_run(self) -> int:
-        return self._events_run
-
-    def register_metrics(self, hub) -> None:
-        """Register scheduler counters into a ``repro.obs`` hub
-        (pull-based; called only when observability is enabled)."""
-        hub.add_pull("engine_events", lambda q=self: q._events_run,
-                     help="events executed by the scheduler")
-        hub.add_pull("engine_pending", lambda q=self: q.pending,
-                     kind="gauge", help="events waiting in the queue")
+        """Callbacks executed so far: every scheduled entry leaves the
+        heap only through the pop in :meth:`run`."""
+        return self._seq - len(self._heap)
 
 
 class Barrier:

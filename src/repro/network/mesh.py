@@ -162,11 +162,3 @@ class Mesh:
         """Zero the observational counters (end of measurement warm-up)."""
         self.stat_packets = 0
         self.stat_flit_hops = 0
-
-    def register_metrics(self, hub) -> None:
-        """Register the NoC counters into a ``repro.obs`` hub
-        (pull-based; called only when observability is enabled)."""
-        hub.add_pull("noc_packets", lambda m=self: m.stat_packets,
-                     help="packets injected into the mesh")
-        hub.add_pull("noc_flit_hops", lambda m=self: m.stat_flit_hops,
-                     help="flit-hops crossed (the paper's traffic unit)")

@@ -52,7 +52,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.core.context import SERVED_L2, SERVED_NONE, SERVED_REMOTE_L1
-from repro.obs.metrics import LabelKey, label_key
 
 #: Lifecycle segments in chain order (see module docstring).
 SEGMENTS = ("req_noc", "home", "fwd_owner", "to_mc", "dram",
@@ -90,33 +89,11 @@ class AttribCollector:
     """Per-request lifecycle segments + per-core stall-cause cycles."""
 
     #: Cap on per-request span groups emitted to the trace ring buffer
-    #: (flow-linked in Perfetto); metrics keep counting past the cap.
+    #: (flow-linked in Perfetto); the accumulators keep counting past it.
     FLOW_SPAN_BUDGET = 256
 
-    def __init__(self, hub, trace=None) -> None:
-        self.hub = hub
+    def __init__(self, trace=None) -> None:
         self.trace = trace
-        self._seg_hist = hub.histogram(
-            "miss_segment_cycles",
-            "per-request lifecycle segment durations")
-        self._e2e_hist = hub.histogram(
-            "miss_latency_cycles",
-            "per-request end-to-end miss latency")
-        self._queue_hist = hub.histogram(
-            "dram_queue_wait_cycles",
-            "DRAM controller queue wait (arrival to service start)")
-        self._stall_counter = hub.counter(
-            "stall_cycles", "per-core stall cycles by cause")
-        self._retry_counter = hub.counter(
-            "miss_retries", "NACK/masked retries per request kind")
-        # Series keys, built once: the hot pushes below use the ``*_at``
-        # calls.  Stall keys are built per core as each cause occurs.
-        self._seg_keys: Dict[str, Dict[str, LabelKey]] = {
-            op: {seg: label_key(op=op, segment=seg) for seg in SEGMENTS}
-            for op in OPS}
-        self._op_keys: Dict[str, LabelKey] = {
-            op: label_key(op=op) for op in OPS}
-        self._stall_keys: List[Dict[str, LabelKey]] = []
         # Exact-integer accumulators: the benchmark's stalls pins digest
         # them bit-for-bit, and the conservation audits run over them.
         self.seg_count: Dict[str, Dict[str, int]] = {
@@ -147,7 +124,6 @@ class AttribCollector:
         self._system = system
         self.stalls = [dict.fromkeys(STALL_CAUSES, 0)
                        for _ in system.cores]
-        self._stall_keys = [{} for _ in system.cores]
         for core in system.cores:
             self._wrap_core(core)
         proto = system.proto_sys
@@ -162,11 +138,6 @@ class AttribCollector:
                              req.t_arrive_mc, req.t_leave_mc,
                              None, SERVED_NONE, req.retries)
             proto._l1_store_grant = store_grant
-        for core in system.cores:
-            self.hub.add_pull(
-                "compute_cycles", lambda c=core: c.time.busy,
-                kind="gauge", help="busy (compute + issue) cycles",
-                core=core.core_id)
 
     def _wrap_core(self, core) -> None:
         core_id = core.core_id
@@ -181,26 +152,18 @@ class AttribCollector:
             _inner(t)
             stall = t - wait_start
             if stall > 0:
-                self._add_stall(core_id, "write_buffer", stall)
+                self.stalls[core_id]["write_buffer"] += stall
 
         def barrier_release(t, _inner=core._barrier_release, _core=core):
             wait_start = _core._wait_start
             _inner(t)
             stall = t - wait_start
             if stall > 0:
-                self._add_stall(core_id, "barrier", stall)
+                self.stalls[core_id]["barrier"] += stall
 
         core._load_done = load_done
         core._store_stall_resume = store_resume
         core._barrier_release = barrier_release
-
-    def _add_stall(self, core, cause, stall) -> None:
-        self.stalls[core][cause] += stall
-        keys = self._stall_keys[core]
-        key = keys.get(cause)
-        if key is None:
-            key = keys[cause] = label_key(cause=cause, core=core)
-        self._stall_counter.inc_at(key, stall)
 
     # -- load completion ------------------------------------------------
     def _on_load_done(self, t, req, wait_start) -> None:
@@ -221,7 +184,7 @@ class AttribCollector:
             else:
                 cause = "l1_wait"
         if stall > 0:
-            self._add_stall(req.core, cause, stall)
+            self.stalls[req.core][cause] += stall
         # The coherence kernel's hit-after-retry dummies never entered
         # the protocol; they have no lifecycle to decompose.
         if (req.t_home_arrive is not None or req.went_to_memory
@@ -237,8 +200,6 @@ class AttribCollector:
                 retries) -> None:
         seg_count = self.seg_count[op]
         seg_sum = self.seg_sum[op]
-        keys = self._seg_keys[op]
-        observe = self._seg_hist.observe_at
         # (name, start, duration) per segment, kept only for the trace's
         # flow-linked spans: loads only (one outstanding blocking load
         # per core keeps its track overlap-free), up to the span budget.
@@ -265,7 +226,6 @@ class AttribCollector:
                 total += dur
                 seg_count[name] += 1
                 seg_sum[name] += dur
-                observe(keys[name], dur)
                 if spans is not None:
                     spans.append((name, prev, dur))
             prev = ts
@@ -274,7 +234,6 @@ class AttribCollector:
             total += dur
             seg_count["fill_noc"] += 1
             seg_sum["fill_noc"] += dur
-            observe(keys["fill_noc"], dur)
             if spans is not None:
                 spans.append(("fill_noc", prev, dur))
         e2e = t_done - t_issue
@@ -282,11 +241,8 @@ class AttribCollector:
             self.unbalanced += 1
         self.e2e_count[op] += 1
         self.e2e_sum[op] += e2e
-        op_key = self._op_keys[op]
-        self._e2e_hist.observe_at(op_key, e2e)
         if retries:
             self.retries[op] += retries
-            self._retry_counter.inc_at(op_key, retries)
         if spans is not None and len(spans) > 1:
             self._flow_budget -= 1
             flow_id = self._flow_next = self._flow_next + 1
@@ -299,15 +255,11 @@ class AttribCollector:
                                 phase=phase)
 
     # -- DRAM hook (driven by ObsSession._on_dram_service) ---------------
-    def on_dram_service(self, mc_key, is_write, arrival, start,
-                        done) -> None:
-        """One serviced DRAM command; ``mc_key`` is its controller's
-        ``label_key(mc=tile)``."""
+    def on_dram_service(self, is_write, arrival, start, done) -> None:
+        """One serviced DRAM command."""
         self.dram_observed["writes" if is_write else "reads"] += 1
-        wait = start - arrival
-        self.dram_queue_wait_sum += wait
+        self.dram_queue_wait_sum += start - arrival
         self.dram_service_sum += done - start
-        self._queue_hist.observe_at(mc_key, wait)
 
     # -- measurement window ----------------------------------------------
     def on_measure_reset(self) -> None:
@@ -329,9 +281,6 @@ class AttribCollector:
         self.dram_observed = {"reads": 0, "writes": 0}
         self.dram_queue_wait_sum = 0
         self.dram_service_sum = 0
-        for metric in (self._seg_hist, self._e2e_hist, self._queue_hist,
-                       self._stall_counter, self._retry_counter):
-            metric.clear()
 
     # -- audits -----------------------------------------------------------
     def audits(self) -> Dict[str, dict]:

@@ -1,10 +1,11 @@
-"""Periodic metrics sampling driven off the event queue.
+"""Periodic sampling driven off the event queue.
 
 :class:`PhaseSampler` schedules itself on the simulation's
 :class:`~repro.engine.events.EventQueue` every ``interval`` cycles and
-appends a full :meth:`MetricsHub.snapshot` to its time series —
-turning end-of-run totals into per-interval event-rate, occupancy and
-traffic curves.
+records three things per sample: the cycle, the events the queue has
+executed, and the flits each tile's router has forwarded.  Differences
+between consecutive samples are the per-interval event-rate and
+traffic curves the Chrome trace and the utilization timeline show.
 
 Sampling is purely observational: a tick reads counters and schedules
 nothing but its own successor, so interleaving sample events changes
@@ -20,23 +21,23 @@ otherwise never terminate).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from repro.engine.events import EventQueue
-from repro.obs.metrics import MetricsHub
 
 
 class PhaseSampler:
-    """Snapshot every hub metric into a time series every N cycles."""
+    """Record cycle, events executed and per-tile flits every N cycles."""
 
-    def __init__(self, queue: EventQueue, hub: MetricsHub,
+    def __init__(self, queue: EventQueue, tile_flits: Sequence[int],
                  interval: int = 5000) -> None:
         if interval <= 0:
             raise ValueError("sample interval must be positive")
         self.queue = queue
-        self.hub = hub
+        self.tile_flits = tile_flits
         self.interval = interval
-        #: One entry per sample: ``{"cycle": int, "metrics": snapshot}``.
+        #: One entry per sample: ``{"cycle": int, "events": int,
+        #: "tile_flits": [int per tile]}``, all cumulative.
         self.samples: List[Dict[str, object]] = []
         #: Scheduler events consumed by ticks (subtracted from the run's
         #: event count so observed runs match unobserved ones).
@@ -50,21 +51,23 @@ class PhaseSampler:
             self.queue.schedule_call(self.queue.now + self.interval,
                                      self._tick)
 
+    def _sample(self) -> Dict[str, object]:
+        return {"cycle": self.queue.now, "events": self.queue.events_run,
+                "tile_flits": list(self.tile_flits)}
+
     def sample_now(self) -> None:
         """Record one sample immediately (no scheduler event consumed).
 
-        Used for the final end-of-run sample after the queue drained.
+        Used for the final end-of-run sample after the queue drained; it
+        replaces a tick sample taken earlier in the same cycle.
         """
-        cycle = self.queue.now
-        if self.samples and self.samples[-1]["cycle"] == cycle:
-            return
-        self.samples.append({"cycle": cycle,
-                             "metrics": self.hub.snapshot()})
+        if self.samples and self.samples[-1]["cycle"] == self.queue.now:
+            self.samples.pop()
+        self.samples.append(self._sample())
 
     def _tick(self) -> None:
         self.ticks += 1
-        self.samples.append({"cycle": self.queue.now,
-                             "metrics": self.hub.snapshot()})
+        self.samples.append(self._sample())
         # Re-arm only while the simulation itself has work left; a
         # sampler that rescheduled unconditionally would keep the drain
         # loop spinning forever after the last real event.
@@ -73,23 +76,3 @@ class PhaseSampler:
                                      self._tick)
         else:
             self._armed = False
-
-    # -- series helpers -------------------------------------------------
-    def series(self, metric: str, label: str = "") -> List[tuple]:
-        """``[(cycle, value), ...]`` of one metric/label across samples."""
-        out = []
-        for sample in self.samples:
-            values = sample["metrics"].get(metric)
-            if values is not None and label in values:
-                out.append((sample["cycle"], values[label]))
-        return out
-
-    def deltas(self, metric: str, label: str = "") -> List[tuple]:
-        """Per-interval increments of a cumulative counter series."""
-        series = self.series(metric, label)
-        out = []
-        prev = 0.0
-        for cycle, value in series:
-            out.append((cycle, value - prev))
-            prev = value
-        return out

@@ -1,41 +1,40 @@
-"""One observed simulation: metrics + sampler + tracer, attached to a System.
+"""One observed simulation: sampler + tracer + attribution, on a System.
 
 :class:`ObsSession` is the opt-in front door of the observability
 subsystem.  Pass one to :func:`repro.core.simulator.simulate` (or
 ``System(..., obs=session)``) and it
 
-* has every instrumented layer register its observational counters
-  into a fresh :class:`~repro.obs.metrics.MetricsHub` (cache tag
-  arrays, Bloom banks, mesh, DRAM channels, protocol state machines,
-  waste profilers, the event engine);
-* arms a :class:`~repro.obs.sampler.PhaseSampler` that snapshots the
-  hub every ``sample_interval`` cycles into a time series;
-* installs tracing hooks — barrier-phase spans, per-bank DRAM activity
-  spans, per-tile link-flit attribution — into a
-  :class:`~repro.obs.trace.SimTrace` ring buffer, exported as Chrome
+* counts the flits each tile's router forwards (link-source
+  attribution) by rebinding the context's mesh helpers;
+* arms a :class:`~repro.obs.sampler.PhaseSampler` that records the
+  cycle, the events executed and those per-tile flits every
+  ``sample_interval`` cycles;
+* attaches an :class:`~repro.obs.attrib.AttribCollector` (latency and
+  stall attribution, the ``repro stalls`` payload);
+* installs tracing hooks — barrier-phase spans and per-bank DRAM
+  activity spans — into a :class:`~repro.obs.trace.SimTrace` ring
+  buffer, exported with the sampled counter tracks as Chrome
   trace-event JSON via :meth:`export`.
 
 **Zero overhead when disabled** is structural: with ``obs=None`` (the
 default everywhere) none of this code runs, no hook is installed and
-no hot-path branch exists.  When enabled, the hooks are pull-based or
-ride existing extension points (``Barrier.on_release``, the DRAM
-``on_service`` callback, rebinding the context's bound mesh helpers),
-and sampling events are pure reads — so an observed run produces a
-``RunResult`` bit-identical to an unobserved one (the sampler's own
-scheduler events are subtracted from the event count by ``System``).
+no hot-path branch exists.  When enabled, the hooks ride existing
+extension points (``Barrier.on_release``, the DRAM ``on_service``
+callback, rebinding the context's bound mesh helpers), and sampling
+events are pure reads — so an observed run produces a ``RunResult``
+bit-identical to an unobserved one (the sampler's own scheduler events
+are subtracted from the event count by ``System``).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.attrib import AttribCollector
-from repro.obs.metrics import MetricsHub, label_key
 from repro.obs.sampler import PhaseSampler
 from repro.obs.trace import SimTrace
-from repro.waste.profiler import CATEGORY_ORDER
 
 
 class TileFlits(Sequence):
@@ -63,20 +62,16 @@ class TileFlits(Sequence):
 
 
 class ObsSession:
-    """Metrics hub + phase sampler + tracer for one simulation run."""
+    """Phase sampler + tracer + stall attribution for one simulation run."""
 
     def __init__(self, *, sample_interval: int = 5000,
-                 trace: bool = True, trace_capacity: int = 65536,
-                 attrib: bool = True) -> None:
-        self.hub = MetricsHub()
+                 trace: bool = True, trace_capacity: int = 65536) -> None:
         self.trace: Optional[SimTrace] = (
             SimTrace(trace_capacity) if trace else None)
         self.sampler: Optional[PhaseSampler] = None
         self.sample_interval = sample_interval
-        #: Latency/stall attribution collector (``attrib=False`` turns
-        #: it off; the run stays bit-identical either way).
-        self.attrib: Optional[AttribCollector] = (
-            AttribCollector(self.hub, self.trace) if attrib else None)
+        #: Latency/stall attribution collector.
+        self.attrib = AttribCollector(self.trace)
         #: Flits forwarded per tile (link-source attribution), a
         #: :class:`TileFlits` over the mesh wrappers' counts once
         #: :meth:`attach` has run.
@@ -113,60 +108,28 @@ class ObsSession:
                          protocol=system.proto.name,
                          num_tiles=ctx.config.num_tiles)
 
-        # -- metrics: every instrumented layer registers its counters --
-        hub = self.hub
-        system.proto_sys.register_metrics(hub)
-        ctx.mesh.register_metrics(hub)
-        for tile, dram in sorted(ctx.drams.items()):
-            dram.register_metrics(hub, tile)
-        ctx.queue.register_metrics(hub)
-        # Waste profilers are swapped by the warm-up reset, so the pulls
-        # must resolve through ctx at read time, not bind the instances.
-        for level, attr in (("l1", "l1_prof"), ("l2", "l2_prof"),
-                            ("mem", "mem_prof")):
-            for cat in CATEGORY_ORDER:
-                hub.add_pull(
-                    "waste_words",
-                    lambda c=ctx, a=attr, k=cat: getattr(c, a).count(k),
-                    kind="gauge",
-                    help="word-level waste taxonomy (live verdicts)",
-                    level=level, category=cat.value)
-
         # -- per-tile link utilization: wrap the context's bound mesh
         # helpers (send_* read them per call, so rebinding after
         # construction is safe and costs nothing when no obs is given).
         self._wrap_mesh(ctx)
 
-        # -- latency/stall attribution ----------------------------------
-        if self.attrib is not None:
-            self.attrib.attach(system)
+        self.attrib.attach(system)
 
-        # -- sampler ----------------------------------------------------
-        self.sampler = PhaseSampler(ctx.queue, hub, self.sample_interval)
+        self.sampler = PhaseSampler(ctx.queue, self.tile_flits,
+                                    self.sample_interval)
         self.sampler.start()
 
         # -- tracing / DRAM hooks ---------------------------------------
         if self.trace is not None:
             system.barrier.on_release(partial(self._on_barrier, ctx.queue))
-        if self.trace is not None or self.attrib is not None:
-            service_hist = hub.histogram(
-                "dram_service_cycles",
-                "DRAM request service latency (service start to data out)")
-            for tile, dram in sorted(ctx.drams.items()):
-                dram.on_service = partial(self._on_dram_service, tile,
-                                          label_key(mc=tile), service_hist)
+        for tile, dram in sorted(ctx.drams.items()):
+            dram.on_service = partial(self._on_dram_service, tile)
 
     def _wrap_mesh(self, ctx) -> None:
         num_tiles = ctx.config.num_tiles
         pair_flits = [0] * (num_tiles * num_tiles)
         self.tile_flits = tile_flits = TileFlits(pair_flits,
                                                  ctx.mesh._links, num_tiles)
-        for tile in range(num_tiles):
-            self.hub.add_pull("tile_link_flits",
-                              lambda f=tile_flits, t=tile: f[t],
-                              help="flits forwarded by each tile's router "
-                                   "(link-source attribution)",
-                              tile=tile)
 
         # Each wrapper adds the packet's flits to its (src, dst) pair;
         # TileFlits expands the pairs over their routes when read.
@@ -204,12 +167,9 @@ class ObsSession:
         self._phases += 1
         self._phase_start = now
 
-    def _on_dram_service(self, tile, mc_key, hist, line_addr, is_write,
-                         bank, row_hit, arrival, start, done) -> None:
-        hist.observe_at(mc_key, done - start)
-        if self.attrib is not None:
-            self.attrib.on_dram_service(mc_key, is_write, arrival, start,
-                                        done)
+    def _on_dram_service(self, tile, line_addr, is_write, bank, row_hit,
+                         arrival, start, done) -> None:
+        self.attrib.on_dram_service(is_write, arrival, start, done)
         if self.trace is not None:
             self.trace.complete(
                 "write" if is_write else "read", "dram", start,
@@ -220,8 +180,7 @@ class ObsSession:
     # ------------------------------------------------------------------
     def on_measure_reset(self) -> None:
         """End of warm-up (called by ``System`` with the stats reset)."""
-        if self.attrib is not None:
-            self.attrib.on_measure_reset()
+        self.attrib.on_measure_reset()
 
     # ------------------------------------------------------------------
     def finish(self, system) -> None:
@@ -237,37 +196,41 @@ class ObsSession:
             self.sampler.sample_now()
 
     # -- export ---------------------------------------------------------
+    def intervals(self) -> List[Tuple[int, int, List[int]]]:
+        """``(cycle, events, per-tile flits)`` executed in each interval
+        between consecutive samples (the first from the run's start)."""
+        out = []
+        prev_events = 0
+        prev_tiles = [0] * len(self.tile_flits)
+        for sample in self.samples:
+            tiles = sample["tile_flits"]
+            out.append((sample["cycle"], sample["events"] - prev_events,
+                        [now - before
+                         for now, before in zip(tiles, prev_tiles)]))
+            prev_events = sample["events"]
+            prev_tiles = tiles
+        return out
+
     def _sample_counters(self) -> List[dict]:
-        """Chrome counter events derived from the sampler time series."""
+        """Chrome counter events derived from the sampled intervals.
+
+        The flit-hop track sums the per-tile flits: a route of ``h``
+        hops leaves ``h`` distinct routers, so the sum counts each
+        flit-hop once, and it never runs backwards across the warm-up
+        reset of the mesh's own counters.
+        """
         events: List[dict] = []
-        if self.sampler is None:
-            return events
-        prev_events = 0.0
-        prev_hops = 0.0
-        prev_tiles: Dict[str, float] = {}
-        for sample in self.sampler.samples:
-            cycle = sample["cycle"]
-            metrics = sample["metrics"]
-            engine = metrics.get("engine_events", {}).get("", 0.0)
+        for cycle, executed, tiles in self.intervals():
             events.append({"name": "events/interval", "ph": "C",
                            "ts": cycle, "pid": 0,
-                           "args": {"events": engine - prev_events}})
-            prev_events = engine
-            hops = metrics.get("noc_flit_hops", {}).get("", 0.0)
+                           "args": {"events": executed}})
             events.append({"name": "noc flit-hops/interval", "ph": "C",
                            "ts": cycle, "pid": 0,
-                           "args": {"flit_hops": hops - prev_hops}})
-            prev_hops = hops
-            tiles = metrics.get("tile_link_flits", {})
-            if tiles:
-                deltas = {
-                    f"t{label.split('=', 1)[1]}":
-                        value - prev_tiles.get(label, 0.0)
-                    for label, value in tiles.items()}
-                events.append({"name": "tile link flits/interval",
-                               "ph": "C", "ts": cycle, "pid": 0,
-                               "args": deltas})
-                prev_tiles = dict(tiles)
+                           "args": {"flit_hops": sum(tiles)}})
+            events.append({"name": "tile link flits/interval",
+                           "ph": "C", "ts": cycle, "pid": 0,
+                           "args": {f"t{tile}": flits
+                                    for tile, flits in enumerate(tiles)}})
         return events
 
     def chrome_trace(self) -> dict:

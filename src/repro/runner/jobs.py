@@ -46,8 +46,11 @@ DEFAULT_SEED = 12345
 #: config again (one heap scheduler), so the payload changed shape
 #: once more.  v10: the engine field left the config too (one
 #: execution engine); results are unchanged, the payload shape is not.
-#: v11: the unread ``mc_queue_depth`` field left the config.
-GRID_VERSION = 11
+#: v11: the unread ``mc_queue_depth`` field left the config.  v12: the
+#: unread ``dram_t_ras`` field left the config, and ``line_bytes`` /
+#: ``word_bytes`` became read-only properties over the fixed address
+#: layout; results are unchanged, the payload shape is not.
+GRID_VERSION = 12
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:

@@ -220,7 +220,8 @@ class TraceBuilder:
     Tracks which regions were written in the current phase across all
     cores, so the generator does not have to maintain that set by hand.
     ``traces`` holds each core's packed words as an ``array('q')``;
-    ``PackedTrace(tb.traces[core])`` reads them as ops.
+    ``PackedTrace(tb.traces[core])`` reads them as ops.  :meth:`build`
+    packs and releases them, leaving ``traces`` empty.
     """
 
     def __init__(self, num_cores: int, regions: RegionTable) -> None:
@@ -265,9 +266,14 @@ class TraceBuilder:
         if any(not t or t[-1] & KIND_MASK != OP_BARRIER
                for t in self.traces):
             self.barrier()
+        # Drop each core's array as soon as it is packed, so the build
+        # never holds every trace twice.
+        arrays, self.traces = self.traces, []
+        packed = []
+        while arrays:
+            packed.append(PackedTrace(arrays.pop(0)))
         return Workload(
-            name=name, regions=self._regions,
-            traces=[PackedTrace(words) for words in self.traces],
+            name=name, regions=self._regions, traces=packed,
             phase_written_regions=self.phase_written_regions,
             phase_region_updates=self.phase_region_updates,
             warmup_barriers=warmup_barriers, description=description)

@@ -20,7 +20,7 @@ import pytest
 
 from repro.common.config import PROTOCOL_ORDER, ScaleConfig, scaled_system
 from repro.core.simulator import simulate
-from repro.obs import AttribCollector, MetricsHub, ObsSession, SEGMENTS
+from repro.obs import AttribCollector, ObsSession, SEGMENTS
 from repro.runner.store import result_to_dict
 from repro.workloads import build_workload
 
@@ -138,7 +138,7 @@ def test_stall_profiles_share_one_trace_build(monkeypatch, protocols,
 # ----------------------------------------------------------------------
 
 def _bare_collector() -> AttribCollector:
-    return AttribCollector(MetricsHub())
+    return AttribCollector()
 
 
 class TestSegmentChain:

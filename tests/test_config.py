@@ -27,6 +27,19 @@ class TestSystemConfig:
         assert cfg.l2_slice_sets == 256
         assert cfg.max_words_per_message == 16
 
+    def test_line_and_word_size_are_not_settings(self):
+        """The address layout fixes 64-byte lines of 4-byte words; a
+        config cannot resize the caches away from what the protocols
+        move."""
+        with pytest.raises(TypeError):
+            SystemConfig(line_bytes=128)
+        with pytest.raises(TypeError):
+            SystemConfig(word_bytes=8)
+        cfg = SystemConfig()
+        assert (cfg.line_bytes, cfg.word_bytes) == (64, 4)
+        with pytest.raises(AttributeError):
+            cfg.line_bytes = 128
+
     def test_mesh_must_be_square(self):
         with pytest.raises(ValueError):
             SystemConfig(num_tiles=15)

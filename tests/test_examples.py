@@ -49,7 +49,7 @@ class TestExamples:
         out = tmp_path / "trace.json"
         proc = run_example("trace_timeline.py", "FFT", "DeNovo", str(out))
         assert proc.returncode == 0, proc.stderr
-        assert "metrics hub totals" in proc.stdout
+        assert "run counters (measurement window)" in proc.stdout
         assert "timeline: FFT / DeNovo" in proc.stdout
         assert out.exists()
         import json

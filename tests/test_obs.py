@@ -2,9 +2,9 @@
 
 The load-bearing guarantees:
 
-* **parity** — the metrics hub's totals reconcile exactly with the
-  legacy ``RunResult`` counters (``energy_counters`` /
-  ``protocol_stats``), because both read the same underlying state;
+* **parity** — the sampled series add up to the ``RunResult``
+  counters: the final events sample is the run's events plus the
+  sampler's own ticks, and the per-tile flits sum to the flit-hops;
 * **bit-identity** — an observed run returns a ``RunResult`` identical
   to an unobserved one (sampling events are subtracted, hooks are pure
   reads), so enabling observability can never perturb science;
@@ -18,13 +18,11 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.common.config import ScaleConfig, scaled_system
 from repro.core.simulator import simulate
 from repro.obs import (
-    Histogram, MetricsHub, ObsSession, PhaseSampler, SimTrace,
-    SweepTelemetry, label_key, load_telemetry)
+    ObsSession, PhaseSampler, SimTrace, SweepTelemetry, load_telemetry)
 from repro.workloads import build_workload
 
 
@@ -41,108 +39,6 @@ def tiny_cell():
 
 
 # ----------------------------------------------------------------------
-# MetricsHub unit behavior
-# ----------------------------------------------------------------------
-
-class TestMetricsHub:
-    def test_counter_and_gauge_push(self):
-        hub = MetricsHub()
-        hub.counter("retries").inc()
-        hub.counter("retries").inc(2, tile=3)
-        hub.gauge("depth").set(7)
-        assert hub.total("retries") == 3
-        assert hub.get("retries").snapshot() == {"": 1.0, "tile=3": 2.0}
-        assert hub.total("depth") == 7
-
-    def test_counters_only_go_up(self):
-        hub = MetricsHub()
-        with pytest.raises(ValueError):
-            hub.counter("n").inc(-1)
-        with pytest.raises(ValueError):
-            hub.counter("n").inc_at(label_key(tile=0), -1)
-
-    def test_kind_conflicts_rejected(self):
-        hub = MetricsHub()
-        hub.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            hub.gauge("x")
-        with pytest.raises(ValueError, match="already registered"):
-            hub.histogram("x")
-
-    def test_pull_sources_read_at_snapshot_time(self):
-        hub = MetricsHub()
-        state = {"n": 1}
-        hub.add_pull("live", lambda: state["n"])
-        assert hub.total("live") == 1
-        state["n"] = 42
-        assert hub.total("live") == 42   # not frozen at registration
-
-    def test_unknown_metric_suggests_near_misses(self):
-        hub = MetricsHub()
-        hub.counter("noc_flit_hops")
-        with pytest.raises(KeyError, match="noc_flit_hops"):
-            hub.get("noc_flit_hop")
-
-    def test_histogram_buckets_cumulative(self):
-        h = Histogram("lat", buckets=(10, 100))
-        h.observe(5)
-        h.observe(50)
-        h.observe(5000)
-        snap = h.snapshot()[""]
-        assert snap["count"] == 3
-        assert snap["sum"] == 5055
-        assert snap["buckets"] == {"10": 1.0, "100": 2.0}
-        assert h.total() == 3            # observation count, scalar
-
-    @given(bounds=st.sets(st.integers(-50, 50), min_size=1, max_size=8),
-           values=st.lists(st.integers(-60, 60), max_size=40))
-    def test_histogram_bins_match_cumulative_loop(self, bounds, values):
-        # Drawing values from a wider range than the bounds covers values
-        # below the first bound, above the last and equal to a bound.
-        h = Histogram("lat", buckets=bounds)
-        for v in values:
-            h.observe(v)
-        expected = {}
-        for bound in h.buckets:
-            n = 0
-            for v in values:
-                if v <= bound:
-                    n += 1
-            expected[str(bound)] = float(n)
-        if values:
-            snap = h.snapshot()[""]
-            assert snap["buckets"] == expected
-            assert all(type(n) is float for n in snap["buckets"].values())
-            assert snap["count"] == len(values)
-            assert snap["sum"] == sum(values)
-        else:
-            assert h.snapshot() == {}
-
-    def test_keys_do_not_depend_on_label_order(self):
-        hub = MetricsHub()
-        stalls = hub.counter("stall_cycles")
-        stalls.inc(5, cause="dram", core=3)
-        stalls.inc_at(label_key(core=3, cause="dram"), 7)
-        assert stalls.snapshot() == {"cause=dram,core=3": 12.0}
-        lat = hub.histogram("lat", buckets=(10, 100))
-        lat.observe(5, op="load", segment="dram")
-        lat.observe_at(label_key(segment="dram", op="load"), 50)
-        snap = lat.snapshot()
-        assert list(snap) == ["op=load,segment=dram"]
-        assert snap["op=load,segment=dram"]["count"] == 2
-        # The measurement reset clears pushed state; a later keyed push
-        # starts a fresh series.
-        stalls.clear()
-        lat.clear()
-        stalls.inc_at(label_key(cause="dram", core=3), 2)
-        lat.observe_at(label_key(op="load", segment="dram"), 500)
-        assert stalls.snapshot() == {"cause=dram,core=3": 2.0}
-        assert lat.snapshot()["op=load,segment=dram"] == {
-            "count": 1.0, "sum": 500.0,
-            "buckets": {"10": 0.0, "100": 0.0}}
-
-
-# ----------------------------------------------------------------------
 # Parity and bit-identity on a real cell
 # ----------------------------------------------------------------------
 
@@ -151,32 +47,21 @@ class TestObservedRunParity:
         base, result, _obs = tiny_cell
         assert dataclasses.asdict(base) == dataclasses.asdict(result)
 
-    def test_hub_matches_energy_counters(self, tiny_cell):
-        _base, result, obs = tiny_cell
-        for key, value in result.energy_counters.items():
-            assert key in obs.hub, f"no hub metric for counter {key}"
-            assert obs.hub.total(key) == value, key
-
-    def test_hub_matches_protocol_stats(self, tiny_cell):
-        _base, result, obs = tiny_cell
-        for key, value in result.protocol_stats.items():
-            assert obs.hub.total(f"proto_{key}") == value, key
-
     def test_sampler_produced_a_time_series(self, tiny_cell):
         _base, result, obs = tiny_cell
         assert len(obs.samples) > 2
         cycles = [s["cycle"] for s in obs.samples]
         assert cycles == sorted(cycles)
         # Cumulative counters are monotone across samples.
-        series = obs.sampler.series("engine_events")
-        values = [v for _c, v in series]
-        assert values == sorted(values)
+        for tile in range(len(obs.tile_flits)):
+            values = [s["tile_flits"][tile] for s in obs.samples]
+            assert values == sorted(values)
 
     def test_overhead_events_accounted(self, tiny_cell):
         _base, result, obs = tiny_cell
         assert obs.overhead_events == obs.sampler.ticks > 0
         # The subtraction happened: the engine ran events+ticks total.
-        assert obs.hub.total("engine_events") == (
+        assert obs.samples[-1]["events"] == (
             result.events + obs.overhead_events)
 
     def test_session_is_single_use(self, tiny_cell):
@@ -185,6 +70,55 @@ class TestObservedRunParity:
         with pytest.raises(RuntimeError, match="one run"):
             simulate(build_workload("radix", scale), "MESI",
                      scaled_system(scale), obs=obs)
+
+
+@pytest.mark.parametrize("name,proto", [("FFT", "DeNovo"), ("radix", "MESI"),
+                                        ("LU", "DBypFull")])
+def test_sampled_events_count_every_event(name, proto):
+    """The events series never falls and ends at every event the queue
+    ran: the run's own plus the sampler's ticks."""
+    scale = ScaleConfig.tiny()
+    obs = ObsSession(sample_interval=1000, trace=False)
+    result = simulate(build_workload(name, scale), proto,
+                      scaled_system(scale), obs=obs)
+    events = [s["events"] for s in obs.samples]
+    assert events == sorted(events)
+    assert events[-1] == result.events + obs.overhead_events
+    executed = [e for _cycle, e, _tiles in obs.intervals()]
+    assert all(e > 0 for e in executed[:-1])
+    assert sum(executed) == events[-1]
+
+
+def _flit_hop_track(obs):
+    return [e["args"]["flit_hops"] for e in obs.chrome_trace()["traceEvents"]
+            if e["name"] == "noc flit-hops/interval"]
+
+
+def test_flit_hop_track_sums_to_the_flit_hops():
+    """With warm-up off the mesh counter and the per-tile counts cover
+    the same window, so the track's intervals add up to the run's
+    flit-hops."""
+    scale = ScaleConfig.tiny()
+    workload = dataclasses.replace(build_workload("FFT", scale),
+                                   warmup_barriers=0)
+    obs = ObsSession(sample_interval=1000)
+    result = simulate(workload, "DeNovo", scaled_system(scale), obs=obs)
+    track = _flit_hop_track(obs)
+    assert len(track) == len(obs.samples) > 2
+    assert sum(track) == result.energy_counters["noc_flit_hops"]
+
+
+def test_flit_hop_track_never_negative_across_warmup_reset():
+    """The warm-up reset zeroes the mesh's counters mid-run; the track
+    reads the per-tile counts, which it does not touch."""
+    scale = ScaleConfig.tiny()
+    workload = build_workload("FFT", scale)
+    assert workload.warmup_barriers > 0
+    obs = ObsSession()
+    simulate(workload, "DeNovo", scaled_system(scale), obs=obs)
+    track = _flit_hop_track(obs)
+    assert track and min(track) >= 0
+    assert sum(track) == sum(obs.tile_flits)
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +188,7 @@ class TestPhaseSampler:
     def test_sampler_does_not_keep_queue_alive(self):
         from repro.engine.events import EventQueue
         queue = EventQueue()
-        hub = MetricsHub()
-        sampler = PhaseSampler(queue, hub, interval=10)
+        sampler = PhaseSampler(queue, [], interval=10)
         sampler.start()
         queue.schedule_call(100, lambda: None)
         queue.run()                      # must terminate
@@ -265,10 +198,14 @@ class TestPhaseSampler:
     def test_sample_now_dedupes_same_cycle(self):
         from repro.engine.events import EventQueue
         queue = EventQueue()
-        sampler = PhaseSampler(queue, MetricsHub(), interval=10)
+        flits = [0, 0]
+        sampler = PhaseSampler(queue, flits, interval=10)
         sampler.sample_now()
+        flits[1] = 3
         sampler.sample_now()
-        assert len(sampler.samples) == 1
+        # One sample per cycle, holding the latest counts.
+        assert sampler.samples == [
+            {"cycle": 0, "events": 0, "tile_flits": [0, 3]}]
         assert sampler.ticks == 0        # no scheduler events consumed
 
     def test_long_interval_run_bit_identical_to_unobserved(self):
@@ -284,8 +221,7 @@ class TestPhaseSampler:
                           obs=obs)
         assert dataclasses.asdict(result) == dataclasses.asdict(base)
         assert obs.overhead_events > 0
-        cycles = [cycle for cycle, _value
-                  in obs.sampler.series("engine_events")]
+        cycles = [sample["cycle"] for sample in obs.samples]
         assert len(cycles) > 1
         assert all(b - a <= interval for a, b in zip(cycles, cycles[1:]))
 
@@ -327,16 +263,14 @@ def test_tile_link_flits_cover_every_flit_hop(name, proto):
     scale = ScaleConfig.tiny()
     workload = dataclasses.replace(build_workload(name, scale),
                                    warmup_barriers=0)
-    obs = _LinkCountingSession(sample_interval=10 ** 9, trace=False,
-                               attrib=False)
+    obs = _LinkCountingSession(sample_interval=10 ** 9, trace=False)
     result = simulate(workload, proto, scaled_system(scale), obs=obs)
     tiles = list(obs.tile_flits)
     assert sum(tiles) == result.energy_counters["noc_flit_hops"] > 0
     n = len(tiles)
     assert tiles == [sum(obs.link_flits[tile * n:(tile + 1) * n])
                      for tile in range(n)]
-    assert obs.hub.get("tile_link_flits").snapshot() == {
-        f"tile={tile}": value for tile, value in enumerate(tiles)}
+    assert obs.samples[-1]["tile_flits"] == tiles
 
 
 # ----------------------------------------------------------------------

@@ -44,17 +44,17 @@ class TestJobSpec:
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-11 keys (the unread
-        ``SystemConfig.mc_queue_depth`` left the config hash payload,
-        deliberately retiring the v10 keys).
+        the GRID_VERSION-12 keys (the unread ``SystemConfig.dram_t_ras``
+        and the fixed ``line_bytes`` / ``word_bytes`` left the config
+        hash payload, deliberately retiring the v11 keys).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "5493965ab0a56b36"
-        assert spec().store_key() == "794c4a47964edafa-t16"
+            scaled_system(DEFAULT_SCALE)) == "b7ebc8f2beeadcbe"
+        assert spec().store_key() == "9533d4895addf6a7-t16"
 
     def test_config_key_differs_by_scale_and_system(self):
         base = config_key(ScaleConfig(), SystemConfig())

@@ -1,7 +1,9 @@
 """Unit tests for the trace representation and builder."""
 
+import dataclasses
 import pickle
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -60,6 +62,19 @@ class TestTraceBuilder:
         tb.barrier()
         assert tb.phase_region_updates == {0: [update]}
 
+    def test_build_holds_each_trace_once(self):
+        """Packing releases each core's array as soon as it is copied,
+        so building peaks well under twice the finished traces."""
+        build_workload("FFT", ScaleConfig.tiny())   # warm imports
+        tracemalloc.start()
+        try:
+            w = build_workload("FFT", ScaleConfig.tiny())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        traces = sum(len(t.words.obj) for t in w.traces)
+        assert peak <= 1.5 * traces
+
     def test_build_appends_final_barrier(self):
         tb = TraceBuilder(2, table())
         tb.load(0, 5)
@@ -98,6 +113,20 @@ class TestWorkload:
                      phase_region_updates={0: [update]})
         assert w.updates_at(0) == [update]
         assert w.updates_at(1) == []
+
+    def test_pickle_round_trip_and_rebuild_compare_equal(self):
+        w = build_workload("radix", ScaleConfig.tiny())
+        assert pickle.loads(pickle.dumps(w)) == w
+        assert build_workload("radix", ScaleConfig.tiny()) == w
+
+    def test_changed_region_annotation_compares_unequal(self):
+        w = build_workload("radix", ScaleConfig.tiny())
+        region = next(iter(w.regions))
+        changed = w.regions.clone()
+        changed.update(region.region_id, bypass_l2=not region.bypass_l2)
+        assert changed != w.regions
+        assert dataclasses.replace(w, regions=changed) != w
+        assert dataclasses.replace(w, regions=w.regions.clone()) == w
 
 
 #: One op of any kind, with an argument anywhere in the packable range.
