@@ -207,6 +207,3 @@ class SetAssocCache(Generic[LineT]):
         for tags in self._tags:
             out.extend(tags.values())
         return out
-
-    def occupancy(self) -> int:
-        return sum(len(tags) for tags in self._tags)

@@ -111,10 +111,6 @@ class DramChannel:
         self._enqueue(_Request(line_addr, True, self._queue.now, callback,
                                args, self._next_seq()))
 
-    @property
-    def queue_depth(self) -> int:
-        return len(self._pending)
-
     def reset_energy_counters(self) -> None:
         """Start the measurement window (end of warm-up)."""
         self._window_base = (self.reads, self.writes, self.activates,

@@ -4,21 +4,18 @@ A single event queue drives the whole simulated machine.  Components
 schedule callbacks at absolute cycle times; ties are broken by insertion
 order so the simulation is fully deterministic.
 
-The scheduler is allocation-light: the fast path is
-:meth:`EventQueue.schedule_call`, which takes a callable plus its
-arguments and stores them directly in the queue entry, so hot callers
-pass bound methods instead of allocating a closure per event.  The
-legacy :meth:`EventQueue.schedule` (zero-argument callback) is the same
-entry point with an empty argument tuple.
+The scheduler is allocation-light: its one entry point,
+:meth:`EventQueue.schedule_call`, takes a callable plus its arguments
+and stores them directly in the queue entry, so hot callers pass bound
+methods instead of allocating a closure per event.
 
 Determinism contract
 --------------------
 
 Events fire in ``(when, seq)`` order, where ``seq`` is the global
 schedule-call counter — identical streams of schedule calls produce
-identical execution orders, whichever of the two entry points each
-caller used.  Heap entries are ``(when, seq, fn, args)`` tuples; the
-contract is enforced by tuple comparison.
+identical execution orders.  Heap entries are ``(when, seq, fn, args)``
+tuples; the contract is enforced by tuple comparison.
 """
 
 from __future__ import annotations
@@ -26,9 +23,6 @@ from __future__ import annotations
 import heapq
 import sys
 from typing import Callable, List, Optional, Tuple
-
-#: Shared empty argument tuple for legacy zero-argument callbacks.
-_NO_ARGS: Tuple = ()
 
 
 class EventQueue:
@@ -46,28 +40,14 @@ class EventQueue:
     def schedule_call(self, when: int, fn: Callable, *args) -> None:
         """Run ``fn(*args)`` at absolute cycle ``when`` (>= now).
 
-        The allocation-light fast path: no closure per event, just the
-        bound method and its arguments in the heap entry.
+        No closure per event: the bound method and its arguments sit
+        in the heap entry.
         """
         if when < self.now:
             raise ValueError(f"cannot schedule event in the past "
                              f"({when} < {self.now})")
         heapq.heappush(self._heap, (when, self._seq, fn, args))
         self._seq += 1
-
-    def schedule(self, when: int, callback: Callable[[], None]) -> None:
-        """Run ``callback()`` at absolute cycle ``when`` (>= now)."""
-        if when < self.now:
-            raise ValueError(f"cannot schedule event in the past "
-                             f"({when} < {self.now})")
-        heapq.heappush(self._heap, (when, self._seq, callback, _NO_ARGS))
-        self._seq += 1
-
-    def after(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` cycles from now."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self.schedule(self.now + delay, callback)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue; return the final simulation time.

@@ -6,7 +6,7 @@ the system configuration — which carries the machine shape, so a sweep
 cell is a point on the (workload x protocol x shape) grid — and the
 trace-generator seed.  Specs are small frozen dataclasses so they
 pickle cheaply across the process-pool pipe — workers rebuild the
-(large) workload trace locally from the spec, sized to the spec's tile
+(large) workload trace locally, once per task, sized to the spec's tile
 count.
 
 Key derivation is shared with the durable result store: every cell has
@@ -113,8 +113,8 @@ def expand_grid(workloads: Optional[Sequence[str]] = None,
     machine-shape axis: each entry re-shapes the base configuration via
     :func:`repro.common.config.reshape_system`.  Specs are ordered
     workload-major, then shape, then protocol, so all protocol cells
-    sharing one (workload, shape) trace are adjacent — pool workers
-    memoize the built trace per (workload, scale, num_cores, seed).
+    sharing one (workload, shape) trace are adjacent; the runner builds
+    that trace once per task (:func:`repro.runner.pool.run_jobs`).
     """
     workloads = tuple(workloads) if workloads else WORKLOAD_ORDER
     protocols = tuple(protocols) if protocols else PROTOCOL_ORDER

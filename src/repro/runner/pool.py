@@ -1,20 +1,26 @@
 """Sweep execution: serially in-process, or across a process pool.
 
-The sweep is embarrassingly parallel: every (workload, protocol) cell is
-an independent pure-Python simulation.  :func:`run_jobs` runs
-:class:`~repro.runner.jobs.JobSpec`s serially in this process when
-``jobs <= 1`` and otherwise opens a ``ProcessPoolExecutor`` for the one
-call (fork context where available).  Only the small specs cross the
-pipe; workers rebuild workload traces locally (generators are seeded,
-so every rebuild is bit-identical) and memoize them per process, so a
-workload's protocol rungs share one trace build.
+Every (workload, protocol) cell is an independent pure-Python
+simulation, but the rungs of one workload share its trace build, and a
+rung whose optimisation never fires copies a lower rung's result
+(:func:`repro.core.simulator.simulate`).  So :func:`run_jobs` executes
+*tasks*: one trace build plus the rungs that can share its results,
+simulated in spec order.  Serially (``jobs <= 1``) a task is every cell
+of one (workload, scale, config, seed).  In a process pool (opened for
+the one call, fork context where available) that task is split by
+protocol kind: a rung only ever copies a rung of its own kind, so the
+split loses no reuse and gives the pool twice as many tasks to spread.
+Either way a cell's result and its ``reused_from`` do not depend on
+``jobs``.  Only the small specs cross the pipe; workers rebuild the
+trace locally (generators are seeded, so every rebuild is
+bit-identical), and no trace outlives its task.
 
 Crash handling: a worker dying (OOM-kill, segfaulting C extension,
-interpreter abort) breaks the pool and fails every in-flight future.
-Failed cells are retried once in a fresh pool, and whatever still fails
-runs serially in the parent as a last resort, so a sweep either
-completes every cell or raises the underlying error with its real
-traceback.
+interpreter abort) breaks the pool and fails every in-flight task.  A
+failed task counts one attempt against each of its cells; it is retried
+once in a fresh pool, and whatever still fails runs serially in the
+parent as a last resort, so a sweep either completes every cell or
+raises the underlying error with its real traceback.
 
 :func:`sweep` layers the durable result store on top (the parent writes
 every result); :func:`sweep_grid` returns the classic
@@ -24,18 +30,20 @@ consume.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
-from repro.common.config import ScaleConfig, SystemConfig
+from repro.common.config import ScaleConfig, SystemConfig, protocol
 from repro.core.simulator import reused_from, simulate
 from repro.core.stats import RunResult
 from repro.runner.jobs import DEFAULT_SEED, JobSpec, expand_grid
 from repro.runner.store import ResultStore
-from repro.workloads import Workload, build_workload
+from repro.workloads import build_workload
 
 Grid = Dict[str, Dict[str, RunResult]]
 
@@ -67,47 +75,48 @@ class JobOutcome:
 
 
 # ----------------------------------------------------------------------
-# Cell execution (in workers and in the parent)
+# Task execution (in workers and in the parent)
 # ----------------------------------------------------------------------
 
-#: Per-process memo of built workload traces, keyed by
-#: (name, scale, num_cores, seed) — the complete build input.  Specs
-#: arrive workload-major then shape-major, so all protocol cells of one
-#: (workload, shape) share a single build; a small LRU (rather than a
-#: single slot) keeps neighbouring shapes warm when completion order
-#: interleaves cells, without pinning unbounded trace memory.
-_WORKLOAD_MEMO: "dict" = {}
-_WORKLOAD_MEMO_MAX = 8
+#: Fresh-pool rounds a failed task gets before the parent runs it.
+RETRIES = 1
+
+#: One executed cell: (result, sim_seconds, reused_from).
+Timed = Tuple[RunResult, float, Optional[str]]
 
 
-def _memo_workload(name: str, scale: ScaleConfig, num_cores: int,
-                   seed: int) -> Workload:
-    """The workload for these build inputs, built on a memo miss."""
-    key = (name, scale, num_cores, seed)
-    workload = _WORKLOAD_MEMO.get(key)
-    if workload is not None:
-        # Refresh LRU position (dicts preserve insertion order).
-        _WORKLOAD_MEMO.pop(key)
-        _WORKLOAD_MEMO[key] = workload
-        return workload
-    while len(_WORKLOAD_MEMO) >= _WORKLOAD_MEMO_MAX:
-        _WORKLOAD_MEMO.pop(next(iter(_WORKLOAD_MEMO)))
-    workload = build_workload(name, scale, num_cores=num_cores, seed=seed)
-    _WORKLOAD_MEMO[key] = workload
-    return workload
+def _run_cells(specs: Sequence[JobSpec]) -> Iterator[Timed]:
+    """Build the specs' workload once and simulate them on it in order,
+    yielding one :data:`Timed` per cell.
+
+    The specs share workload, scale, config and seed, so a later rung
+    may copy an earlier one's result (see :func:`simulate`)."""
+    first = specs[0]
+    workload = build_workload(first.workload, first.scale,
+                              num_cores=first.num_tiles, seed=first.seed)
+    for spec in specs:
+        source = reused_from(workload, spec.protocol, spec.config)
+        start = time.perf_counter()
+        result = simulate(workload, spec.protocol, spec.config)
+        yield result, time.perf_counter() - start, source
 
 
-def _execute_timed(spec: JobSpec
-                   ) -> Tuple[RunResult, float, Optional[str]]:
-    """Simulate one cell; returns (result, sim_seconds, reused_from).
-    A workload's rungs share the memoized build, so a rung may reuse
-    another's result (see :func:`simulate`)."""
-    workload = _memo_workload(spec.workload, spec.scale,
-                              spec.config.num_tiles, spec.seed)
-    source = reused_from(workload, spec.protocol, spec.config)
-    start = time.perf_counter()
-    result = simulate(workload, spec.protocol, spec.config)
-    return result, time.perf_counter() - start, source
+def _run_task(specs: Sequence[JobSpec]) -> List[Timed]:
+    """Pool entry point: every cell of one task, returned together."""
+    return list(_run_cells(specs))
+
+
+def _tasks(specs: Sequence[JobSpec], by_kind: bool) -> List[List[int]]:
+    """Spec indices grouped into tasks, both in spec order: one task per
+    (workload, scale, config, seed), split by protocol kind when
+    ``by_kind`` (for the pool; see the module docstring)."""
+    tasks: Dict[tuple, List[int]] = {}
+    for i, spec in enumerate(specs):
+        key = (spec.workload, spec.scale, spec.config, spec.seed)
+        if by_kind:
+            key += (protocol(spec.protocol).kind,)
+        tasks.setdefault(key, []).append(i)
+    return list(tasks.values())
 
 
 def _pool_context():
@@ -119,75 +128,83 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def _run_pool_round(specs: Sequence[JobSpec], indices: Sequence[int],
+def _run_pool_round(specs: Sequence[JobSpec], tasks: List[List[int]],
                     jobs: int, attempts: List[int],
-                    finish: Callable[[int, tuple], None]) -> List[int]:
-    """Run ``indices`` in a fresh pool; returns the ones that failed.
+                    finish: Callable[[List[int], Iterable[Timed]], None]
+                    ) -> List[List[int]]:
+    """Run ``tasks`` in a fresh pool; returns the ones that failed.
 
-    A job error and a dead worker (``BrokenProcessPool``) both count as
-    a failure of the cell; the caller decides whether to retry.
+    A job error and a dead worker (``BrokenProcessPool``) both fail the
+    whole task and count one attempt against each of its cells; the
+    caller decides whether to retry.
     """
-    failed: List[int] = []
-    ex = ProcessPoolExecutor(max_workers=min(jobs, len(indices)),
+    failed: List[List[int]] = []
+    ex = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                              mp_context=_pool_context())
+    # Forked workers inherit this process's heap.  Frozen, it is skipped
+    # by their per-cell gc.collect() (see simulate), which would
+    # otherwise write to, and so copy, every inherited page.
+    gc.freeze()
     try:
-        futures = {ex.submit(_execute_timed, specs[i]): i for i in indices}
+        futures = {ex.submit(_run_task, [specs[i] for i in task]): task
+                   for task in tasks}
         for future in as_completed(futures):
-            i = futures[future]
-            attempts[i] += 1
+            task = futures[future]
+            for i in task:
+                attempts[i] += 1
             try:
                 timed = future.result()
             except Exception:
-                failed.append(i)
+                failed.append(task)
             else:
-                finish(i, timed)
+                finish(task, timed)
     finally:
         ex.shutdown(cancel_futures=True)
-    return failed
+        gc.unfreeze()
+    return sorted(failed)
 
 
 def run_jobs(specs: Sequence[JobSpec],
              jobs: int = 1,
-             retries: int = 1,
              notify: Optional[Callable[[int, JobOutcome], None]] = None,
              ) -> List[JobOutcome]:
     """Execute every spec, returning outcomes in input order.
 
-    ``jobs <= 1`` runs serially in-process (deterministic ordering — the
-    reference path).  Otherwise cells run in a process pool opened for
-    this call; cells that fail are retried ``retries`` times, each round
-    in a fresh pool, and then once serially here.  ``notify(index,
-    outcome)``, when given, fires as each cell completes (completion
-    order).
+    ``jobs <= 1`` runs the tasks serially in-process (deterministic
+    ordering — the reference path), and so does a sweep of only one
+    kind-split task.  Otherwise the kind-split tasks run in a process
+    pool opened for this call; a task that fails is retried
+    ``RETRIES`` times, each round in a fresh pool, and then once
+    serially here.  ``notify(index, outcome)``, when given, fires as
+    each cell completes; a pool task's cells complete together.
     """
     specs = list(specs)
     outcomes: List[Optional[JobOutcome]] = [None] * len(specs)
     attempts = [0] * len(specs)
 
-    def finish(index: int, timed: tuple) -> None:
-        result, elapsed, source = timed
-        outcomes[index] = JobOutcome(specs[index], result, elapsed,
-                                     attempts[index], from_cache=False,
+    def finish(task: List[int], timed: Iterable[Timed]) -> None:
+        for i, (result, elapsed, source) in zip(task, timed):
+            outcomes[i] = JobOutcome(specs[i], result, elapsed,
+                                     attempts[i], from_cache=False,
                                      reused_from=source)
-        if notify is not None:
-            notify(index, outcomes[index])
+            if notify is not None:
+                notify(i, outcomes[i])
 
-    remaining = list(range(len(specs)))
-    if jobs > 1 and len(specs) > 1:
-        for _round in range(retries + 1):
+    remaining = _tasks(specs, by_kind=False)
+    pooled = _tasks(specs, by_kind=True) if jobs > 1 else []
+    if len(pooled) > 1:
+        remaining = pooled
+        for _round in range(RETRIES + 1):
             if not remaining:
                 break
             remaining = _run_pool_round(specs, remaining, jobs, attempts,
                                         finish)
     # Serial path, and the last resort for pool stragglers: a
     # deterministic job error surfaces here with its real traceback.
-    try:
-        for i in remaining:
+    for task in remaining:
+        for i in task:
             attempts[i] += 1
-            finish(i, _execute_timed(specs[i]))
-    finally:
-        # Don't pin full workload traces in the parent after the sweep.
-        _WORKLOAD_MEMO.clear()
+        finish(task, _run_cells([specs[i] for i in task]))
     return outcomes  # type: ignore[return-value]
 
 
@@ -195,7 +212,6 @@ def sweep(specs: Sequence[JobSpec],
           jobs: int = 1,
           store: Optional[ResultStore] = None,
           use_cache: bool = True,
-          retries: int = 1,
           progress: Optional[ProgressFn] = None) -> List[JobOutcome]:
     """Run a sweep against the durable store.
 
@@ -230,8 +246,7 @@ def sweep(specs: Sequence[JobSpec],
             store.save(outcome.result, outcome.spec.store_key())
         report(pending[pending_index], outcome)
 
-    run_jobs([specs[i] for i in pending], jobs=jobs, retries=retries,
-             notify=notify)
+    run_jobs([specs[i] for i in pending], jobs=jobs, notify=notify)
     return outcomes  # type: ignore[return-value]
 
 
@@ -243,7 +258,6 @@ def sweep_grid(workloads: Optional[Sequence[str]] = None,
                jobs: int = 1,
                store: Optional[ResultStore] = None,
                use_cache: bool = True,
-               retries: int = 1,
                progress: Optional[ProgressFn] = None) -> Grid:
     """Sweep the (workload x protocol) grid; returns paper-order results.
 
@@ -253,7 +267,7 @@ def sweep_grid(workloads: Optional[Sequence[str]] = None,
     """
     specs = expand_grid(workloads, protocols, scale, config, seed=seed)
     outcomes = sweep(specs, jobs=jobs, store=store, use_cache=use_cache,
-                     retries=retries, progress=progress)
+                     progress=progress)
     grid: Grid = {}
     for outcome in outcomes:
         grid.setdefault(outcome.spec.workload, {})[
@@ -270,7 +284,6 @@ def sweep_shapes(tiles: Sequence[int],
                  jobs: int = 1,
                  store: Optional[ResultStore] = None,
                  use_cache: bool = True,
-                 retries: int = 1,
                  progress: Optional[ProgressFn] = None,
                  ) -> Dict[int, Grid]:
     """Sweep the (workload x shape x protocol) grid over a tiles axis.
@@ -282,7 +295,7 @@ def sweep_shapes(tiles: Sequence[int],
     specs = expand_grid(workloads, protocols, scale, config, seed=seed,
                         tiles=tiles)
     outcomes = sweep(specs, jobs=jobs, store=store, use_cache=use_cache,
-                     retries=retries, progress=progress)
+                     progress=progress)
     shapes: Dict[int, Grid] = {}
     for outcome in outcomes:
         spec = outcome.spec

@@ -111,11 +111,3 @@ class TestTiming:
         q.run()
         assert count[0] == 10
         assert ch.reads == 10
-
-    def test_queue_depth(self):
-        ch, q = make_channel()
-        ch.read(0, lambda t: None)
-        ch.read(1, lambda t: None)
-        assert ch.queue_depth == 2
-        q.run()
-        assert ch.queue_depth == 0

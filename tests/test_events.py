@@ -9,9 +9,9 @@ class TestEventQueue:
     def test_runs_in_time_order(self):
         q = EventQueue()
         order = []
-        q.schedule(10, lambda: order.append("b"))
-        q.schedule(5, lambda: order.append("a"))
-        q.schedule(20, lambda: order.append("c"))
+        q.schedule_call(10, lambda: order.append("b"))
+        q.schedule_call(5, lambda: order.append("a"))
+        q.schedule_call(20, lambda: order.append("c"))
         q.run()
         assert order == ["a", "b", "c"]
         assert q.now == 20
@@ -20,36 +20,32 @@ class TestEventQueue:
         q = EventQueue()
         order = []
         for i in range(5):
-            q.schedule(7, lambda i=i: order.append(i))
+            q.schedule_call(7, lambda i=i: order.append(i))
         q.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_after_is_relative(self):
         q = EventQueue()
         seen = []
-        q.schedule(10, lambda: q.after(5, lambda: seen.append(q.now)))
+        q.schedule_call(10, lambda: q.schedule_call(
+            q.now + 5, lambda: seen.append(q.now)))
         q.run()
         assert seen == [15]
 
     def test_rejects_past(self):
         q = EventQueue()
-        q.schedule(10, lambda: None)
+        q.schedule_call(10, lambda: None)
         q.run()
         with pytest.raises(ValueError):
-            q.schedule(5, lambda: None)
-
-    def test_rejects_negative_delay(self):
-        q = EventQueue()
-        with pytest.raises(ValueError):
-            q.after(-1, lambda: None)
+            q.schedule_call(5, lambda: None)
 
     def test_event_budget_raises(self):
         q = EventQueue()
 
         def recur():
-            q.after(1, recur)
+            q.schedule_call(q.now + 1, recur)
 
-        q.schedule(0, recur)
+        q.schedule_call(0, recur)
         with pytest.raises(RuntimeError, match="livelock"):
             q.run(max_events=100)
 
@@ -59,16 +55,16 @@ class TestEventQueue:
 
         def first():
             log.append(("first", q.now))
-            q.schedule(q.now + 3, lambda: log.append(("second", q.now)))
+            q.schedule_call(q.now + 3, lambda: log.append(("second", q.now)))
 
-        q.schedule(2, first)
+        q.schedule_call(2, first)
         q.run()
         assert log == [("first", 2), ("second", 5)]
 
     def test_counters(self):
         q = EventQueue()
-        q.schedule(0, lambda: None)
-        q.schedule(1, lambda: None)
+        q.schedule_call(0, lambda: None)
+        q.schedule_call(1, lambda: None)
         assert q.pending == 2
         q.run()
         assert q.pending == 0
@@ -144,19 +140,6 @@ class TestScheduleCall:
         q.run()
         assert seen == [(1, 2, 3)]
 
-    def test_interleaved_with_legacy_schedule_keeps_seq_order(self):
-        # Both entry points share one seq counter, so same-cycle events
-        # fire in overall scheduling order regardless of which API was
-        # used — the determinism contract of the engine rework.
-        q = EventQueue()
-        order = []
-        q.schedule(5, lambda: order.append("legacy0"))
-        q.schedule_call(5, order.append, "fast1")
-        q.schedule(5, lambda: order.append("legacy2"))
-        q.schedule_call(5, order.append, "fast3")
-        q.run()
-        assert order == ["legacy0", "fast1", "legacy2", "fast3"]
-
     def test_same_cycle_fifo(self):
         q = EventQueue()
         order = []
@@ -226,9 +209,12 @@ class TestBarrier:
         q = EventQueue()
         b = Barrier(q, participants=3, release_cost=10)
         released = []
-        q.schedule(0, lambda: b.arrive(0, lambda t: released.append((0, t))))
-        q.schedule(5, lambda: b.arrive(1, lambda t: released.append((1, t))))
-        q.schedule(9, lambda: b.arrive(2, lambda t: released.append((2, t))))
+        q.schedule_call(0, b.arrive, 0,
+                        lambda t: released.append((0, t)))
+        q.schedule_call(5, b.arrive, 1,
+                        lambda t: released.append((1, t)))
+        q.schedule_call(9, b.arrive, 2,
+                        lambda t: released.append((2, t)))
         q.run()
         assert len(released) == 3
         times = {t for _c, t in released}
@@ -238,7 +224,7 @@ class TestBarrier:
         q = EventQueue()
         b = Barrier(q, participants=2)
         released = []
-        q.schedule(0, lambda: b.arrive(0, lambda t: released.append(0)))
+        q.schedule_call(0, lambda: b.arrive(0, lambda t: released.append(0)))
         q.run()
         assert released == []
         assert b.waiting_count == 1
@@ -259,8 +245,8 @@ class TestBarrier:
                 b.arrive(core, round_two(core))
             return resume
 
-        q.schedule(0, lambda: b.arrive(0, round_one(0)))
-        q.schedule(0, lambda: b.arrive(1, round_one(1)))
+        q.schedule_call(0, lambda: b.arrive(0, round_one(0)))
+        q.schedule_call(0, lambda: b.arrive(1, round_one(1)))
         q.run()
         assert b.barriers_passed == 2
         assert [entry[1] for entry in log].count("r1") == 2
@@ -271,8 +257,8 @@ class TestBarrier:
         b = Barrier(q, participants=2, release_cost=1)
         hook_calls = []
         b.on_release(lambda: hook_calls.append(q.now))
-        q.schedule(0, lambda: b.arrive(0, lambda t: None))
-        q.schedule(4, lambda: b.arrive(1, lambda t: None))
+        q.schedule_call(0, lambda: b.arrive(0, lambda t: None))
+        q.schedule_call(4, lambda: b.arrive(1, lambda t: None))
         q.run()
         assert hook_calls == [5]
 

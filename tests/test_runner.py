@@ -5,10 +5,12 @@ from __future__ import annotations
 import json
 import os
 import threading
+import weakref
 
 import pytest
 
-from repro.common.config import ScaleConfig, SystemConfig, scaled_system
+from repro.common.config import (
+    PROTOCOL_ORDER, ScaleConfig, SystemConfig, scaled_system)
 from repro.runner import (
     DEFAULT_SEED, JobSpec, ResultStore, config_key, expand_grid,
     result_to_dict, run_jobs, sweep, sweep_grid)
@@ -272,27 +274,47 @@ class TestSweep:
 
 
 # ----------------------------------------------------------------------
-# Execution: trace memo, worker crashes, deterministic errors
+# Execution: tasks, worker crashes, deterministic errors
 # ----------------------------------------------------------------------
 
 class TestExecution:
     def test_serial_rungs_share_one_trace_build(self, monkeypatch):
-        """A workload's protocol rungs reuse one memoized trace, and the
-        memo is released once the sweep ends."""
+        """A workload's protocol rungs share one trace build, and no
+        built trace outlives the sweep."""
         from repro.runner import pool as pool_mod
         builds = []
+        built = []
         build = pool_mod.build_workload
 
         def counting_build(*args, **kwargs):
             builds.append(args[0])
-            return build(*args, **kwargs)
+            workload = build(*args, **kwargs)
+            built.append(weakref.ref(workload))
+            return workload
 
         monkeypatch.setattr(pool_mod, "build_workload", counting_build)
         specs = expand_grid(["stream"], ["MESI", "DeNovo", "DBypL2"], TINY)
         outcomes = run_jobs(specs, jobs=1)
         assert builds == ["stream"]
         assert [o.attempts for o in outcomes] == [1, 1, 1]
-        assert pool_mod._WORKLOAD_MEMO == {}
+        assert [ref() for ref in built] == [None]
+
+    def test_rung_reuse_does_not_depend_on_jobs(self):
+        """Pool tasks keep a workload's rungs together, so a parallel
+        sweep copies exactly the cells a serial one does, and every
+        result equals its serial result."""
+        specs = expand_grid(["LU", "stream"], PROTOCOL_ORDER, TINY)
+        serial = run_jobs(specs, jobs=1)
+        parallel = run_jobs(specs, jobs=2)
+
+        def reuse(outcomes):
+            return {(o.spec.workload, o.spec.protocol): o.reused_from
+                    for o in outcomes}
+
+        assert reuse(parallel) == reuse(serial)
+        assert sum(o.reused_from is not None for o in serial) == 5
+        for a, b in zip(parallel, serial):
+            assert result_to_dict(a.result) == result_to_dict(b.result)
 
     @pytest.mark.skipif(
         "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -311,7 +333,7 @@ class TestExecution:
 
         monkeypatch.setattr(pool_mod, "simulate", dies_in_workers)
         specs = expand_grid(["stream"], ["MESI", "DeNovo"], TINY)
-        outcomes = run_jobs(specs, jobs=2, retries=1)
+        outcomes = run_jobs(specs, jobs=2)
         assert [o.spec for o in outcomes] == list(specs)
         assert [o.attempts for o in outcomes] == [3, 3]
         serial = run_jobs(specs, jobs=1)
@@ -328,7 +350,7 @@ class TestExecution:
         monkeypatch.setattr(pool_mod, "simulate", broken)
         specs = expand_grid(["stream"], ["MESI", "DeNovo"], TINY)
         with pytest.raises(ValueError, match="protocol bug"):
-            run_jobs(specs, jobs=2, retries=1)
+            run_jobs(specs, jobs=2)
 
 
 # ----------------------------------------------------------------------
