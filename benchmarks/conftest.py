@@ -8,8 +8,9 @@ paper's orderings; the headline bands live in
 ``repro.analysis.report.CLAIMS``.  ``python -m repro report`` prints
 the same tables.
 
-A cold store is repopulated on demand; set ``REPRO_JOBS`` to shard that
-initial sweep across worker processes (same results, bit-identical).
+A cold store is repopulated on demand, sharded across one worker
+process per CPU; set ``REPRO_JOBS`` to choose another count (``1``
+sweeps serially).  Pool and serial sweeps are bit-identical.
 """
 
 import os
@@ -22,7 +23,7 @@ from repro.runner import sweep_grid
 @pytest.fixture(scope="session")
 def grid():
     """The full result grid at the default (small) scale."""
-    jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
+    jobs = int(os.environ.get("REPRO_JOBS") or os.cpu_count() or 1)
     results = sweep_grid(jobs=jobs)
     # Engine sanity gate: every cell's ``events`` mirrors the event
     # queue's ``events_run`` at collection time; a cell reporting zero

@@ -202,9 +202,9 @@ class SimContext:
                   handler: Callable, *args) -> int:
         """Response carrying ``len(handles)`` data words plus a header flit.
 
-        ``handles`` are the waste-profiler handles of the delivered words
-        (at the destination level); their verdicts decide Used vs Waste
-        at finalize time.
+        ``handles`` is the ``range`` of the delivered words' consecutive
+        waste-profiler handles (at the destination level); their
+        verdicts decide Used vs Waste at finalize time.
         """
         hops = self._hops(src, dst)
         self._add_response_ctl(major, hops)  # header flit

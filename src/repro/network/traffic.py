@@ -10,15 +10,16 @@ The paper's Figures 5.1a-d break network traffic into:
 * overhead sub-types (unblock, invalidation, ack, NACK, WB-control, bloom).
 
 Whether a delivered data word was Used or Waste is only known once the
-waste profiler classifies it (possibly at end of simulation), so data
-flit-hops are recorded against the words' profiler handles and resolved
-through the cache-level verdict pool by :meth:`TrafficLedger.finalize`.
+waste profiler classifies it (possibly at end of simulation).  So each
+data message is kept as one packed integer naming its consecutive
+profiler handles, and :meth:`TrafficLedger.finalize` resolves them
+through the cache-level verdict pool into exact integer word-hop totals.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.waste.profiler import C_USED
 
@@ -92,12 +93,46 @@ def split_flit_hops(breakdown: Dict[str, Dict[str, float]]):
     return data, control
 
 
-# Deferred data-word deliveries awaiting a used/waste verdict are stored
-# as (handles, per_word_flit_hops, major, dest) tuples — one element per
-# data *message*, referencing the payload's profiler handles, so the
-# hot path allocates nothing per word.  finalize() still resolves and
-# accumulates word by word, in arrival order, so the floating-point
-# bucket totals are bit-identical to the old one-tuple-per-word scheme.
+# A data message awaiting its words' verdicts is one int64 in
+# ``TrafficLedger._deferred``: ``start << 16 | words << 8 | hops << 2 |
+# code``, where ``start`` is its first profiler handle (its handles are
+# consecutive) and ``code`` is ``(major is ST) << 1 | (dest is L2)``.
+# The handle start takes the top bits, so a run too long for the record
+# overflows the array loudly instead of wrapping.
+_CODE_BITS = 2
+_HOPS_BITS = 6
+_WORDS_BITS = 8
+_HOPS_SHIFT = _CODE_BITS
+_WORDS_SHIFT = _HOPS_SHIFT + _HOPS_BITS
+_START_SHIFT = _WORDS_SHIFT + _WORDS_BITS
+_MAX_HOPS = (1 << _HOPS_BITS) - 1
+_MAX_WORDS = (1 << _WORDS_BITS) - 1
+#: The data buckets totalled in integer word-hops: entry ``2 * code``
+#: is a record code's Used words and ``2 * code + 1`` its Waste words;
+#: the writeback buckets follow from ``_WB_AT``.
+_WORD_HOP_KEYS = (
+    (LD, RESP_L1_USED), (LD, RESP_L1_WASTE),
+    (LD, RESP_L2_USED), (LD, RESP_L2_WASTE),
+    (ST, RESP_L1_USED), (ST, RESP_L1_WASTE),
+    (ST, RESP_L2_USED), (ST, RESP_L2_WASTE),
+    (WB, WB_L2_USED), (WB, WB_L2_WASTE),
+    (WB, WB_MEM_USED), (WB, WB_MEM_WASTE),
+)
+_WB_AT = 8
+
+
+def pack_data_record(start: int, n_words: int, hops: int, code: int) -> int:
+    """The deferred-ledger word of one data message."""
+    return ((start << _START_SHIFT) | (n_words << _WORDS_SHIFT)
+            | (hops << _HOPS_SHIFT) | code)
+
+
+def unpack_data_record(record: int):
+    """``(start, n_words, hops, code)`` of a deferred-ledger word."""
+    return (record >> _START_SHIFT,
+            (record >> _WORDS_SHIFT) & _MAX_WORDS,
+            (record >> _HOPS_SHIFT) & _MAX_HOPS,
+            record & 3)
 
 
 class TrafficLedger:
@@ -118,7 +153,8 @@ class TrafficLedger:
             WB: {b: 0.0 for b in WB_BUCKETS},
             OVH: {b: 0.0 for b in OVH_BUCKETS},
         }
-        self._deferred: List[tuple] = []
+        self._deferred = array("q")
+        self._word_hops = [0] * len(_WORD_HOP_KEYS)
         self._finalized = False
 
     # -- control traffic ------------------------------------------------
@@ -144,30 +180,38 @@ class TrafficLedger:
 
     # -- data traffic ---------------------------------------------------
     def add_data_words(self, major: str, dest: str, hops: int,
-                       handles: Sequence[int]) -> float:
+                       handles: range) -> float:
         """Record a data payload of ``len(handles)`` words over ``hops``.
 
-        Each word is charged ``hops / words_per_flit`` flit-hops against
-        its profiler handle; the unfilled remainder of the last flit is
-        charged to response control (per paper Section 5.2).  Returns the
-        number of data flits in the payload (for latency computation).
+        ``handles`` is the ``range`` of the words' consecutive profiler
+        handles.  Each word is charged ``hops / words_per_flit``
+        flit-hops against its handle; the unfilled remainder of the last
+        flit is charged to response control (per paper Section 5.2).
+        Returns the number of data flits in the payload (for latency
+        computation).
         """
         if major is not LD and major is not ST:
             self._check(major, (LD, ST))
         if dest not in (DEST_L1, DEST_L2):
             raise ValueError(f"data destination must be l1/l2, got {dest!r}")
+        if type(handles) is not range or handles.step != 1:
+            raise TypeError("data handles must be a range of consecutive "
+                            f"handles, got {handles!r}")
         n_words = len(handles)
         if n_words == 0:
             return 0
+        if n_words > _MAX_WORDS or hops > _MAX_HOPS:
+            raise ValueError(f"{n_words} words over {hops} hops does not "
+                             f"fit a deferred data record")
+        self._deferred.append(pack_data_record(
+            handles.start, n_words, hops,
+            (2 if major == ST else 0) | (1 if dest == DEST_L2 else 0)))
         words_per_flit = self.words_per_flit
         data_flits = -(-n_words // words_per_flit)
-        per_word = hops / words_per_flit
-        # One deferred record per message; the handle sequence is
-        # freshly built by every caller and never mutated afterwards.
-        self._deferred.append((handles, per_word, major, dest))
         slack_words = data_flits * words_per_flit - n_words
         if slack_words:
-            self._buckets[major][RESP_CTL] += slack_words * per_word
+            self._buckets[major][RESP_CTL] += (slack_words
+                                               * (hops / words_per_flit))
         return data_flits
 
     def add_wb_data_words(self, dest: str, hops: int, dirty_flags:
@@ -178,37 +222,42 @@ class TrafficLedger:
         n_words = len(dirty_flags)
         if n_words == 0:
             return 0
+        n_dirty = sum(dirty_flags)
+        word_hops = self._word_hops
+        at = _WB_AT if dest == DEST_L2 else _WB_AT + 2
+        word_hops[at] += n_dirty * hops
+        word_hops[at + 1] += (n_words - n_dirty) * hops
         words_per_flit = self.words_per_flit
         data_flits = -(-n_words // words_per_flit)
-        per_word = hops / words_per_flit
-        used_key = WB_L2_USED if dest == DEST_L2 else WB_MEM_USED
-        waste_key = WB_L2_WASTE if dest == DEST_L2 else WB_MEM_WASTE
-        wb_bucket = self._buckets[WB]
-        for dirty in dirty_flags:
-            wb_bucket[used_key if dirty else waste_key] += per_word
         slack_words = data_flits * words_per_flit - n_words
         if slack_words:
-            wb_bucket[WB_CONTROL] += slack_words * per_word
+            self._buckets[WB][WB_CONTROL] += (slack_words
+                                              * (hops / words_per_flit))
         return data_flits
 
     # -- resolution ------------------------------------------------------
     def finalize(self) -> None:
-        """Resolve deferred data verdicts through the verdict pool."""
+        """Resolve deferred data verdicts through the verdict pool.
+
+        Data traffic is totalled in integer word-hops and divided by
+        ``words_per_flit`` once per bucket.  With 4-word flits (16-byte
+        links, the only width any machine uses) every per-word charge is
+        a multiple of 1/4, which a double holds exactly, so these totals
+        equal a word-by-word float sum in any order.
+        """
         verdicts = self._verdicts
+        word_hops = self._word_hops
+        for record in self._deferred:
+            start, n_words, hops, code = unpack_data_record(record)
+            used = verdicts[start:start + n_words].count(C_USED)
+            word_hops[2 * code] += used * hops
+            word_hops[2 * code + 1] += (n_words - used) * hops
+        words_per_flit = self.words_per_flit
         buckets = self._buckets
-        for handles, flit_hops, major, dest in self._deferred:
-            major_bucket = buckets[major]
-            if dest == DEST_L1:
-                used_key, waste_key = RESP_L1_USED, RESP_L1_WASTE
-            else:
-                used_key, waste_key = RESP_L2_USED, RESP_L2_WASTE
-            # Word by word, in arrival order: the float bucket totals
-            # depend on the accumulation order.
-            for handle in handles:
-                key = (used_key if verdicts[handle] == C_USED
-                       else waste_key)
-                major_bucket[key] += flit_hops
-        self._deferred.clear()
+        for (major, key), total in zip(_WORD_HOP_KEYS, word_hops):
+            buckets[major][key] += total / words_per_flit
+        self._deferred = array("q")
+        self._word_hops = [0] * len(_WORD_HOP_KEYS)
         self._finalized = True
 
     # -- queries ---------------------------------------------------------

@@ -184,14 +184,19 @@ class ObsSession:
 
     # ------------------------------------------------------------------
     def finish(self, system) -> None:
-        """End of run: close the trailing phase span, take a last sample."""
-        now = system.ctx.queue.now
-        if self.trace is not None and now > self._phase_start:
+        """End of run: close the trailing phase span, take a last sample.
+
+        The last phase ends when the last core finishes; the queue's
+        clock may run past that (the sampler's final tick, or protocol
+        leftovers flushed after the cores stop).
+        """
+        end = max(core.finish_time or 0 for core in system.cores)
+        if self.trace is not None and end > self._phase_start:
             self.trace.complete(f"phase {self._phases}", "barrier",
-                                self._phase_start, now - self._phase_start,
+                                self._phase_start, end - self._phase_start,
                                 track="barrier phases")
             self._phases += 1
-            self._phase_start = now
+            self._phase_start = end
         if self.sampler is not None:
             self.sampler.sample_now()
 

@@ -20,15 +20,16 @@ receives exactly one terminal category.  Each instance is an integer
 **handle** into the run-lifetime :class:`WastePools`, one byte of verdict
 per handle (plus a reference count and an address for memory instances),
 so a tiny-grid cell's hundred thousand word instances cost no object
-each.  Traffic accounting keeps the handles of every delivered data word
-and resolves them through the pool after finalization.
+each.  A message's data words get consecutive handles, so traffic
+accounting keeps one packed integer per data message (its first handle
+and word count) and resolves them through the pool after finalization.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.common.addressing import WORDS_PER_LINE
 
@@ -65,7 +66,7 @@ C_UNEVICTED = _CODE[Category.UNEVICTED]
 C_EXCESS = _CODE[Category.EXCESS]
 
 _LINE_PENDING = array("b", bytes(WORDS_PER_LINE))
-_LINE_NO_REFS = array("i", [0] * WORDS_PER_LINE)
+_LINE_NO_REFS = array("h", [0] * WORDS_PER_LINE)
 
 
 class WastePools:
@@ -73,7 +74,8 @@ class WastePools:
 
     ``cache_cat`` holds the verdict of each cache-level handle (L1 and L2
     share it); ``mem_cat``/``mem_refs``/``mem_addr`` hold each memory
-    instance's verdict, on-chip copy count and word address.  The pools
+    instance's verdict, on-chip copy count (16-bit) and word address
+    (32-bit: a word address of 2**31 or more overflows loudly).  The pools
     outlive the profilers: ``SimContext.reset_stats()`` swaps in fresh
     profilers at the end of warm-up but keeps the pools, so a handle
     allocated during warm-up stays resolvable, and a verdict reached
@@ -85,8 +87,8 @@ class WastePools:
     def __init__(self) -> None:
         self.cache_cat = array("b")
         self.mem_cat = array("b")
-        self.mem_refs = array("i")
-        self.mem_addr = array("q")
+        self.mem_refs = array("h")
+        self.mem_addr = array("i")
 
 
 class CacheLevelProfiler:
@@ -223,37 +225,38 @@ class CacheLevelProfiler:
         self._active[line_key] = list(handles)
         return handles
 
-    def arrivals_words(self, unit: int, words, present_flags) -> List[int]:
-        """``on_arrival(unit, w, flag)`` over parallel word/flag lists."""
+    def arrivals_words(self, unit: int, words, present_flags) -> range:
+        """``on_arrival(unit, w, flag)`` over parallel word/flag lists.
+
+        The words get consecutive handles, returned as a ``range``.
+        """
         cat = self._cat
         counts = self._counts
         active = self._active
-        handles = []
-        append = handles.append
+        h0 = len(cat)
         self._total += len(words)
         last_key = -1
         row = None
         for word, present in zip(words, present_flags):
-            handle = len(cat)
             if present:
                 cat.append(C_FETCH)
                 counts[C_FETCH] += 1
-            else:
-                cat.append(PENDING)
-                line_key = ((word >> 4) << 6) | unit
-                if line_key != last_key:
-                    row = active.get(line_key)
-                    if row is None:
-                        row = active[line_key] = [None] * WORDS_PER_LINE
-                    last_key = line_key
-                slot = word & 15
-                old = row[slot]
-                if old is not None and cat[old] == PENDING:
-                    cat[old] = C_FETCH
-                    counts[C_FETCH] += 1
-                row[slot] = handle
-            append(handle)
-        return handles
+                continue
+            handle = len(cat)
+            cat.append(PENDING)
+            line_key = ((word >> 4) << 6) | unit
+            if line_key != last_key:
+                row = active.get(line_key)
+                if row is None:
+                    row = active[line_key] = [None] * WORDS_PER_LINE
+                last_key = line_key
+            slot = word & 15
+            old = row[slot]
+            if old is not None and cat[old] == PENDING:
+                cat[old] = C_FETCH
+                counts[C_FETCH] += 1
+            row[slot] = handle
+        return range(h0, len(cat))
 
     def on_use_words(self, unit: int, words) -> None:
         """``on_use(unit, w)`` for every word in ``words``."""
@@ -314,9 +317,6 @@ class CacheLevelProfiler:
     def total_words(self) -> int:
         return self._total
 
-    def waste_words(self) -> int:
-        return self._total - self._counts[C_USED]
-
     # -- internals -------------------------------------------------------------
     def _settle_row(self, row: List[Optional[int]], code: int) -> None:
         """Classify every pending handle of an active row as ``code``."""
@@ -343,7 +343,10 @@ class MemoryProfiler:
 
     Verdicts, copy counts and addresses live in the shared pools
     (instance identity); the pending-by-address index and the counters
-    belong to this profiler, i.e. to one measurement window.
+    belong to this profiler, i.e. to one measurement window.  The index
+    maps an address with one pending instance straight to its handle;
+    only an address with several (possible on the bypass rungs) holds a
+    set.
     """
 
     def __init__(self, pools: Optional[WastePools] = None) -> None:
@@ -352,7 +355,7 @@ class MemoryProfiler:
         self._refs = self.pools.mem_refs
         self._addr = self.pools.mem_addr
         self._counts: List[int] = [0] * len(_BY_CODE)
-        self._pending_by_addr: Dict[int, Set[int]] = {}
+        self._pending_by_addr: Dict[int, Union[int, Set[int]]] = {}
         self._total = 0
 
     # -- FSM events --------------------------------------------------------
@@ -360,8 +363,8 @@ class MemoryProfiler:
         """A word at ``addr`` was fetched from memory and sent on-chip."""
         cat = self._cat
         handle = len(cat)
-        self._refs.append(0)
         self._addr.append(addr)
+        self._refs.append(0)
         self._total += 1
         if l2_has_addr:
             # Figure 4.3: address already present in the L2 => Fetch waste.
@@ -369,19 +372,15 @@ class MemoryProfiler:
             self._counts[C_FETCH] += 1
             return handle
         cat.append(PENDING)
-        by_addr = self._pending_by_addr
-        pending = by_addr.get(addr)
-        if pending is None:
-            by_addr[addr] = pending = set()
-        pending.add(handle)
+        self._index(addr, handle)
         return handle
 
     def fetch_excess(self, addr: int) -> int:
         """A word read out of DRAM but dropped at the memory controller."""
         handle = len(self._cat)
+        self._addr.append(addr)
         self._cat.append(C_EXCESS)
         self._refs.append(0)
-        self._addr.append(addr)
         self._total += 1
         self._counts[C_EXCESS] += 1
         return handle
@@ -405,11 +404,11 @@ class MemoryProfiler:
     def on_store_addr(self, addr: int) -> None:
         """Any L1 stored to ``addr``: all pending instances become Write."""
         pending = self._pending_by_addr.pop(addr, None)
-        if not pending:
+        if pending is None:
             return
         cat = self._cat
         counts = self._counts
-        for handle in pending:
+        for handle in ((pending,) if type(pending) is int else pending):
             if cat[handle] == PENDING:
                 cat[handle] = C_WRITE
                 counts[C_WRITE] += 1
@@ -420,17 +419,18 @@ class MemoryProfiler:
         """``fetch(word, False)`` for one full line's words."""
         cat = self._cat
         h0 = len(cat)
+        self._addr.extend(range(base, base + WORDS_PER_LINE))
         cat.extend(_LINE_PENDING)
         self._refs.extend(_LINE_NO_REFS)
-        self._addr.extend(range(base, base + WORDS_PER_LINE))
         self._total += WORDS_PER_LINE
         by_addr = self._pending_by_addr
+        index = self._index
         handles = range(h0, h0 + WORDS_PER_LINE)
         for handle, addr in zip(handles, range(base, base + WORDS_PER_LINE)):
-            pending = by_addr.get(addr)
-            if pending is None:
-                by_addr[addr] = pending = set()
-            pending.add(handle)
+            if addr in by_addr:
+                index(addr, handle)
+            else:
+                by_addr[addr] = handle
         return handles
 
     def install_copies(self, handles) -> None:
@@ -457,7 +457,7 @@ class MemoryProfiler:
         cat = self._cat
         counts = self._counts
         for pending in self._pending_by_addr.values():
-            for handle in pending:
+            for handle in ((pending,) if type(pending) is int else pending):
                 if cat[handle] == PENDING:
                     cat[handle] = C_UNEVICTED
                     counts[C_UNEVICTED] += 1
@@ -478,15 +478,28 @@ class MemoryProfiler:
         return self._total
 
     # -- internals ------------------------------------------------------------
+    def _index(self, addr: int, handle: int) -> None:
+        """Add a pending instance to the pending-by-address index."""
+        by_addr = self._pending_by_addr
+        pending = by_addr.get(addr)
+        if pending is None:
+            by_addr[addr] = handle
+        elif type(pending) is int:
+            by_addr[addr] = {pending, handle}
+        else:
+            pending.add(handle)
+
     def _settle_pending(self, handle: int, code: int) -> None:
         """Classify a still-pending instance (callers check that it is
         pending first, so the verdict always lands)."""
         addr = self._addr[handle]
         by_addr = self._pending_by_addr
         pending = by_addr.get(addr)
-        if pending is not None:
+        if pending == handle:
+            del by_addr[addr]
+        elif pending is not None and type(pending) is not int:
             pending.discard(handle)
-            if not pending:
-                del by_addr[addr]
+            if len(pending) == 1:
+                by_addr[addr] = pending.pop()
         self._cat[handle] = code
         self._counts[code] += 1

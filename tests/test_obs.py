@@ -19,7 +19,7 @@ import json
 
 import pytest
 
-from repro.common.config import ScaleConfig, scaled_system
+from repro.common.config import ScaleConfig, protocol, scaled_system
 from repro.core.simulator import simulate
 from repro.obs import (
     ObsSession, PhaseSampler, SimTrace, SweepTelemetry, load_telemetry)
@@ -161,6 +161,21 @@ class TestTraceExport:
         # Phases are contiguous: each starts where the previous ended.
         for prev, cur in zip(phases, phases[1:]):
             assert cur["ts"] == prev["ts"] + prev["dur"]
+
+    def test_last_phase_ends_when_the_cores_finish(self):
+        """The trailing phase span closes at the last core's finish,
+        not at the sampler's last tick."""
+        from repro.core.system import System
+        scale = ScaleConfig.tiny()
+        obs = ObsSession()
+        system = System(build_workload("FFT", scale), protocol("DeNovo"),
+                        scaled_system(scale), obs=obs)
+        system.run()
+        finish = max(core.finish_time for core in system.cores)
+        assert system.ctx.queue.now > finish
+        ends = [e["ts"] + e["dur"] for e in obs.chrome_trace()["traceEvents"]
+                if e.get("cat") == "barrier"]
+        assert ends and max(ends) == finish
 
     def test_dram_spans_present(self, tiny_cell):
         _base, result, obs = tiny_cell

@@ -38,7 +38,8 @@ class TestProfileEntry:
             Category.FETCH, Category.WRITE, Category.EVICT,
             Category.INVALIDATE, Category.UNEVICTED]
         ledger = T.TrafficLedger(4, pools.cache_cat)
-        ledger.add_data_words(T.LD, T.DEST_L1, 4, handles)
+        assert handles == list(range(5))
+        ledger.add_data_words(T.LD, T.DEST_L1, 4, range(5))
         ledger.finalize()
         assert ledger.bucket(T.LD, T.RESP_L1_USED) == 0
         assert ledger.bucket(T.LD, T.RESP_L1_WASTE) == 5
@@ -129,7 +130,7 @@ class TestL1Fsm:
         p.on_use(0, 100)
         p.finalize()
         assert p.total_words() == 3
-        assert p.waste_words() == 2
+        assert p.total_words() - p.count(Category.USED) == 2
 
     def test_events_on_untracked_words_are_ignored(self):
         p = CacheLevelProfiler("L1")
@@ -244,6 +245,40 @@ class TestMemoryFsm:
         assert sum(p.counts().values()) == p.total_words() == 4
 
 
+    def test_two_pending_instances_of_one_address(self):
+        """A store marks every pending instance Write."""
+        p = MemoryProfiler()
+        a = p.fetch(7, l2_has_addr=False)
+        b = p.fetch(7, l2_has_addr=False)
+        p.on_store_addr(7)
+        assert p.category(a) is p.category(b) is Category.WRITE
+        assert p.count(Category.WRITE) == 2
+
+    def test_settling_one_instance_keeps_the_other_indexed(self):
+        p = MemoryProfiler()
+        a = p.fetch(7, l2_has_addr=False)
+        b = p.fetch(7, l2_has_addr=False)
+        p.install_copy(a)
+        p.drop_copy(a, invalidated=False)
+        assert p.category(a) is Category.EVICT
+        assert p.category(b) is None
+        p.on_store_addr(7)
+        assert p.category(b) is Category.WRITE
+        assert p.count(Category.WRITE) == 1
+
+    @pytest.mark.parametrize("addr", [2**31, 2**33])
+    def test_word_address_beyond_32_bits_fails_loudly(self, addr):
+        p = MemoryProfiler()
+        with pytest.raises(OverflowError):
+            p.fetch(addr, l2_has_addr=False)
+        with pytest.raises(OverflowError):
+            p.fetch_excess(addr)
+        with pytest.raises(OverflowError):
+            p.fetch_line(addr - 8)
+        assert p.total_words() == 0
+        assert len(p.pools.mem_cat) == len(p.pools.mem_refs) == 0
+
+
 class TestWarmupCrossing:
     """The pools outlive ``SimContext.reset_stats()``; profilers do not."""
 
@@ -274,7 +309,9 @@ class TestWarmupCrossing:
         assert ctx.l1_prof.count(Category.USED) == 0
 
         # The live ledger still resolves warm-up handles through the pool.
-        ctx.ledger.add_data_words(T.LD, T.DEST_L1, 2, [used, pending])
+        assert pending == used + 1
+        ctx.ledger.add_data_words(T.LD, T.DEST_L1, 2,
+                                  range(used, pending + 1))
         ctx.finalize()
         assert sum(ctx.mem_prof.counts().values()) == 1
         assert ctx.mem_prof.total_words() == 0
@@ -351,7 +388,22 @@ class TestBulkEqualsScalar:
     def _memory_state(p: MemoryProfiler):
         return (list(p.pools.mem_cat), list(p.pools.mem_refs),
                 list(p.pools.mem_addr), list(p._counts), p._total,
-                {addr: set(hs) for addr, hs in p._pending_by_addr.items()})
+                {addr: {hs} if isinstance(hs, int) else set(hs)
+                 for addr, hs in p._pending_by_addr.items()})
+
+    @pytest.mark.parametrize("older", [False, True])
+    @pytest.mark.parametrize("present", [
+        [False] * 5, [True] * 5, [False, True, False, True, True]])
+    def test_arrivals_words(self, older, present):
+        """The bulk call returns the scalar loop's handles as a range."""
+        words = [self.BASE + off for off in (9, 2, 3, 5, 15)]
+        bulk_p = self._cache_profiler(older)
+        scalar_p = self._cache_profiler(older)
+        got = bulk_p.arrivals_words(self.UNIT, words, present)
+        want = [scalar_p.on_arrival(self.UNIT, word, flag)
+                for word, flag in zip(words, present)]
+        assert type(got) is range and list(got) == want
+        assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
 
     @pytest.mark.parametrize("older", [False, True])
     def test_fetch_line(self, older):

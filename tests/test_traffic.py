@@ -1,9 +1,22 @@
 """Unit tests for the flit-hop traffic ledger."""
 
+import random
+
 import pytest
 
+from repro.common.config import SystemConfig
 from repro.network import traffic as T
-from repro.waste.profiler import CacheLevelProfiler, WastePools
+from repro.network.mesh import Mesh
+from repro.waste.profiler import (
+    C_EVICT, C_USED, C_WRITE, CacheLevelProfiler, WastePools)
+
+
+def span(handles):
+    """``handles``, which must be consecutive, as the ``range`` a data
+    message carries."""
+    first = handles[0]
+    assert list(handles) == list(range(first, first + len(handles)))
+    return range(first, first + len(handles))
 
 
 class Words:
@@ -68,7 +81,7 @@ class TestDataTraffic:
     def test_full_flit_all_used(self):
         words = Words()
         led = words.ledger()
-        handles = [words.used() for _ in range(4)]
+        handles = span([words.used() for _ in range(4)])
         flits = led.add_data_words(T.LD, T.DEST_L1, hops=2, handles=handles)
         assert flits == 1
         led.finalize()
@@ -78,7 +91,8 @@ class TestDataTraffic:
     def test_mixed_verdicts_split_fractionally(self):
         words = Words()
         led = words.ledger()
-        handles = [words.used(), words.used(), words.waste(), words.waste()]
+        handles = span([words.used(), words.used(), words.waste(),
+                        words.waste()])
         led.add_data_words(T.ST, T.DEST_L2, hops=4, handles=handles)
         led.finalize()
         assert led.bucket(T.ST, T.RESP_L2_USED) == pytest.approx(2.0)
@@ -89,7 +103,7 @@ class TestDataTraffic:
         words = Words()
         led = words.ledger()
         led.add_data_words(T.LD, T.DEST_L1, hops=2,
-                           handles=[words.used() for _ in range(5)])
+                           handles=span([words.used() for _ in range(5)]))
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(5 * 0.5)
         assert led.bucket(T.LD, T.RESP_CTL) == pytest.approx(3 * 0.5)
@@ -99,7 +113,8 @@ class TestDataTraffic:
         led = words.ledger()
         n, hops = 7, 3
         flits = led.add_data_words(T.LD, T.DEST_L1, hops=hops,
-                                   handles=[words.used()] * n)
+                                   handles=span([words.used()
+                                                 for _ in range(n)]))
         led.finalize()
         total = (led.bucket(T.LD, T.RESP_L1_USED)
                  + led.bucket(T.LD, T.RESP_CTL))
@@ -107,17 +122,93 @@ class TestDataTraffic:
 
     def test_empty_payload(self):
         led = T.TrafficLedger()
-        assert led.add_data_words(T.LD, T.DEST_L1, 3, []) == 0
+        assert led.add_data_words(T.LD, T.DEST_L1, 3, range(0)) == 0
 
     def test_verdict_resolved_at_finalize(self):
         """Handles classified after send still resolve correctly."""
         words = Words()
         led = words.ledger()
-        handle, word = words.pending()
-        led.add_data_words(T.LD, T.DEST_L1, hops=1, handles=[handle] * 4)
-        words.prof.on_use(0, word)
+        pending = [words.pending() for _ in range(4)]
+        led.add_data_words(T.LD, T.DEST_L1, hops=1,
+                           handles=span([handle for handle, _ in pending]))
+        for _, word in pending:
+            words.prof.on_use(0, word)
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(1.0)
+
+
+class TestDeferredRecords:
+    """Each data message is one packed int64 until finalize."""
+
+    @pytest.mark.parametrize("code", range(4))
+    def test_record_round_trips_at_its_limits(self, code):
+        hops = Mesh(SystemConfig(num_tiles=64)).hops(0, 63)
+        assert hops == 14
+        n_words = SystemConfig().max_words_per_message
+        start = 2**32 + 5
+        record = T.pack_data_record(start, n_words, hops, code)
+        assert T.unpack_data_record(record) == (start, n_words, hops, code)
+
+    def test_ledger_packs_the_message(self):
+        led = T.TrafficLedger()
+        n_words = SystemConfig().max_words_per_message
+        start = 2**32 + 5
+        flits = led.add_data_words(T.ST, T.DEST_L2, 14,
+                                   range(start, start + n_words))
+        assert flits == n_words // 4
+        assert [T.unpack_data_record(r) for r in led._deferred] == [
+            (start, n_words, 14, 3)]
+
+    @pytest.mark.parametrize("handles", [[0, 1, 2, 3], (0, 1),
+                                         range(0, 8, 2), range(3, 0, -1)])
+    def test_non_consecutive_handles_rejected(self, handles):
+        led = T.TrafficLedger()
+        with pytest.raises(TypeError):
+            led.add_data_words(T.LD, T.DEST_L1, 2, handles)
+
+    def test_oversized_message_rejected(self):
+        led = T.TrafficLedger()
+        with pytest.raises(ValueError):
+            led.add_data_words(T.LD, T.DEST_L1, 2, range(256))
+
+    def test_record_order_changes_no_bucket(self):
+        """Integer word-hop totals equal the word-by-word float sums, in
+        arrival order or any other."""
+        rng = random.Random(7)
+        pools = WastePools()
+        pools.cache_cat.extend(rng.choice((C_USED, C_WRITE, C_EVICT))
+                               for _ in range(4000))
+        messages = []
+        next_handle = 0
+        while next_handle < 3900:
+            n = rng.randint(1, 16)
+            messages.append((rng.choice((T.LD, T.ST)),
+                             rng.choice((T.DEST_L1, T.DEST_L2)),
+                             rng.randint(0, 14),
+                             range(next_handle, next_handle + n)))
+            next_handle += n
+        want = {T.LD: dict.fromkeys(T.LDST_BUCKETS, 0.0),
+                T.ST: dict.fromkeys(T.LDST_BUCKETS, 0.0)}
+        for major, dest, hops, handles in messages:
+            for handle in handles:
+                used = pools.cache_cat[handle] == C_USED
+                key = ((T.RESP_L1_USED if used else T.RESP_L1_WASTE)
+                       if dest == T.DEST_L1 else
+                       (T.RESP_L2_USED if used else T.RESP_L2_WASTE))
+                want[major][key] += hops / 4
+        breakdowns = []
+        for _ in range(3):
+            led = T.TrafficLedger(4, pools.cache_cat)
+            for major, dest, hops, handles in messages:
+                led.add_data_words(major, dest, hops, handles)
+            led.finalize()
+            breakdowns.append(led.breakdown())
+            rng.shuffle(messages)
+        for bd in breakdowns:
+            assert bd == breakdowns[0]
+            for major in (T.LD, T.ST):
+                for key in T.DATA_BUCKETS[major]:
+                    assert bd[major][key] == want[major][key]
 
 
 class TestWritebackTraffic:
@@ -142,6 +233,24 @@ class TestWritebackTraffic:
         led.finalize()
         assert led.bucket(T.WB, T.WB_CONTROL) == pytest.approx(1.0)
 
+    def test_word_hop_totals_equal_per_word_sums(self):
+        rng = random.Random(3)
+        led = T.TrafficLedger()
+        want = dict.fromkeys(T.WB_BUCKETS, 0.0)
+        for _ in range(500):
+            dest = rng.choice((T.DEST_L2, T.DEST_MEM))
+            hops = rng.randint(0, 14)
+            flags = [rng.random() < 0.5 for _ in range(rng.randint(1, 16))]
+            led.add_wb_data_words(dest, hops, flags)
+            for dirty in flags:
+                key = ((T.WB_L2_USED if dirty else T.WB_L2_WASTE)
+                       if dest == T.DEST_L2 else
+                       (T.WB_MEM_USED if dirty else T.WB_MEM_WASTE))
+                want[key] += hops / 4
+        led.finalize()
+        for key in T.DATA_BUCKETS[T.WB]:
+            assert led.bucket(T.WB, key) == want[key]
+
     def test_l1_destination_rejected(self):
         led = T.TrafficLedger()
         with pytest.raises(ValueError):
@@ -159,7 +268,8 @@ class TestFinalization:
         led = words.ledger()
         led.add_request_ctl(T.LD, 3)
         led.add_response_ctl(T.LD, 3)
-        led.add_data_words(T.LD, T.DEST_L1, 3, [words.used()] * 4)
+        led.add_data_words(T.LD, T.DEST_L1, 3,
+                           span([words.used() for _ in range(4)]))
         led.add_overhead(T.OVH_ACK, 1)
         led.finalize()
         assert led.total() == pytest.approx(3 + 3 + 3 + 1)
