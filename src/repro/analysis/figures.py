@@ -12,7 +12,7 @@ paper normalizes (Figures 5.1-5.3: "All bars are normalized to MESI").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.stats import RunResult, TIME_BUCKETS, TIME_LABELS
 from repro.network import traffic as T
@@ -243,48 +243,53 @@ ALL_FIGURES = {
 }
 
 
-def figures_from_store(which: Optional[Sequence[str]] = None,
-                       jobs: int = 1, **grid_kwargs) -> List[FigureTable]:
-    """Render figures from the runner's durable result store.
-
-    Missing grid cells are simulated first (sharded across ``jobs``
-    worker processes); ``grid_kwargs`` are forwarded to
-    :func:`repro.runner.sweep_grid` (workloads, protocols, scale, ...).
-    When no protocols are named, the sweep defaults to the paper ladder
-    (see ``repro.runner.jobs.expand_grid``), so figures keep the paper's
-    x-axis; beyond-paper rungs appear only when named.
-    """
-    from repro.runner import sweep_grid
-    grid = sweep_grid(jobs=jobs, **grid_kwargs)
-    ids = list(which) if which else list(ALL_FIGURES)
-    return [ALL_FIGURES[fig_id](grid) for fig_id in ids]
-
-
 # ----------------------------------------------------------------------
 # Tables 4.1 / 4.2 — configuration tables
 # ----------------------------------------------------------------------
 
-def table_4_1(config=None) -> str:
-    """Render the simulated-system parameter table (paper Table 4.1)."""
-    from repro.common.config import SystemConfig
-    cfg = config if config is not None else SystemConfig()
-    rows = [
-        ("Core", f"{cfg.core_ghz:g}GHz, in-order"),
+def _size_kb(kb: int) -> str:
+    return f"{kb // 1024}MB" if kb % 1024 == 0 else f"{kb}KB"
+
+
+def _table_4_1_rows(cfg) -> List[Tuple[str, Tuple[str, ...]]]:
+    """Table 4.1 for machine ``cfg``: each row's comma-separated fields."""
+    return [
+        ("Core", (f"{cfg.core_ghz:g}GHz", "in-order")),
         ("L1D Cache (private)",
-         f"{cfg.l1_kb}KB, {cfg.l1_assoc}-way set associative, "
-         f"{cfg.line_bytes} byte cache lines"),
+         (f"{cfg.l1_kb}KB", f"{cfg.l1_assoc}-way set associative",
+          f"{cfg.line_bytes} byte cache lines")),
         ("L2 Cache (shared)",
-         f"{cfg.l2_slice_kb}KB slices "
-         f"({cfg.l2_slice_kb * cfg.num_tiles // 1024}MB total), "
-         f"{cfg.l2_assoc}-way set associative, "
-         f"{cfg.line_bytes} byte cache lines"),
+         (f"{cfg.l2_slice_kb}KB slices "
+          f"({_size_kb(cfg.l2_slice_kb * cfg.num_tiles)} total)",
+          f"{cfg.l2_assoc}-way set associative",
+          f"{cfg.line_bytes} byte cache lines")),
         ("Network",
-         f"Mesh network, {cfg.link_bytes} byte links, "
-         f"{cfg.link_latency} cycle link latency"),
-        ("Memory Controller", "FR-FCFS scheduling, open page policy"),
-        ("DRAM", f"DDR3-1066, {cfg.dram_banks} banks, "
-                 f"{cfg.dram_ranks} ranks"),
+         (f"{cfg.mesh_width}x{cfg.mesh_width} mesh network",
+          f"{cfg.link_bytes} byte links",
+          f"{cfg.link_latency} cycle link latency")),
+        ("Memory Controller", ("FR-FCFS scheduling", "open page policy")),
+        ("DRAM", ("DDR3-1066", f"{cfg.dram_banks} banks",
+                  f"{cfg.dram_ranks} ranks")),
     ]
+
+
+def table_4_1(config=None) -> str:
+    """Render the simulated-system parameter table (paper Table 4.1).
+
+    A row of a ``config`` that differs from the paper's machine ends
+    with the paper's values of the fields that differ.
+    """
+    from repro.common.config import SystemConfig
+    paper = SystemConfig()
+    cfg = config if config is not None else paper
+    rows = []
+    for (name, fields), (_, ref) in zip(_table_4_1_rows(cfg),
+                                        _table_4_1_rows(paper)):
+        value = ", ".join(fields)
+        differ = [p for f, p in zip(fields, ref) if f != p]
+        if differ:
+            value += f" (paper: {', '.join(differ)})"
+        rows.append((name, value))
     width = max(len(name) for name, _ in rows)
     lines = ["=== Table 4.1: Simulated system parameters ==="]
     lines += [f"{name:<{width}}  {value}" for name, value in rows]

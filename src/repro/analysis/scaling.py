@@ -8,7 +8,8 @@ coherence ladder behave as the core count grows?
 :func:`repro.runner.sweep_shapes` sweeps a (workload x shape x protocol)
 grid; :func:`figure_scaling` turns the swept results into the scaling
 figure — execution time, flit-hop network traffic and energy vs. tile
-count, one line per protocol rung.
+count, one line per protocol rung.  ``python -m repro report --tiles
+4,16,64`` appends it to the report.
 
 >>> from repro.runner import sweep_shapes
 >>> shapes = sweep_shapes((4, 16), workloads=("radix",), jobs=4)
@@ -24,9 +25,6 @@ from repro.core.stats import RunResult
 
 #: ``shapes[num_tiles][workload][protocol] -> RunResult``.
 ShapeGrid = Dict[int, Dict[str, Dict[str, RunResult]]]
-
-#: Default machine-shape axis: quarter, paper, and 4x the paper machine.
-DEFAULT_TILES = (4, 16, 64)
 
 
 @dataclass

@@ -397,7 +397,7 @@ class EnergyModelConfig:
 
 
 #: Named technology presets for the energy model, resolved by the
-#: :mod:`repro.energy` subsystem and the ``python -m repro energy`` CLI.
+#: :mod:`repro.energy` subsystem and ``python -m repro report --preset``.
 #: Two process nodes.  The 22nm point scales dynamic energy by ~0.45x of
 #: the 45nm point while leakage shrinks only ~0.65x — the classic
 #: "leakage fraction grows as the node shrinks" trend — so the two

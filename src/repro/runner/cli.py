@@ -1,30 +1,30 @@
-"""``python -m repro`` — drive sweeps, figures and reports from a shell.
+"""``python -m repro`` — drive sweeps and the report from a shell.
 
 Subcommands::
 
     python -m repro list
-    python -m repro sweep   --workloads radix --protocols MESI DeNovo --jobs 8
-    python -m repro sweep   --tiles 4,16,64 --scale tiny
-    python -m repro figures --figures 5.1a 5.2
+    python -m repro sweep  --workloads radix --protocols MESI DeNovo --jobs 8
+    python -m repro sweep  --tiles 4,16,64 --scale tiny
     python -m repro report
-    python -m repro scaling --tiles 4,16,64 --workloads radix
-    python -m repro energy  --preset 22nm --workloads radix
+    python -m repro report --figures 5.1a 5.2 --preset 22nm
+    python -m repro report --tiles 4,16,64 --workloads radix
+    python -m repro trace  --workload fft -o trace.json
+    python -m repro stalls --workload radix
     python -m repro clean-cache
 
 ``list`` prints every workload and protocol rung (including
-beyond-paper rungs like ``MDirtyWB``/``DWordHybrid``).  Every
-grid-shaped subcommand shares the same selection flags
+beyond-paper rungs like ``MDirtyWB``/``DWordHybrid``).  ``sweep`` and
+``report`` share the same selection flags
 (``--workloads/--protocols/--scale/--seed/--tiles``), the parallelism
 flag (``--jobs``, 0 = one per CPU) and cache controls (``--cache-dir``,
 ``--fresh``).  ``sweep`` prints one progress line per completed cell
-and accepts a multi-valued ``--tiles`` machine-shape axis; ``figures``,
-``report`` and ``energy`` render one shape (a single ``--tiles``
-value); ``scaling`` renders the core-count scaling figure over a
-multi-valued ``--tiles`` axis.  ``energy`` derives the per-rung energy
-breakdown and EDP table post hoc from stored results (cells already in
-the result store are never re-simulated) under one technology preset
-(``--preset``; default: every preset).  A misspelled ``--protocols``
-or ``--preset`` entry reports near-miss suggestions.
+over every ``--tiles`` shape.  ``report`` renders the paper-vs-measured
+report from the result store, simulating only missing cells: the body
+describes the first ``--tiles`` shape, and two or more shapes append
+the core-count scaling figure over all of them.  ``--figures`` limits
+the paper-figure sections and ``--preset`` the energy section to one
+technology preset.  A misspelled ``--protocols`` or ``--preset`` entry
+reports near-miss suggestions.
 """
 
 from __future__ import annotations
@@ -111,28 +111,6 @@ def _grid_progress(ns: argparse.Namespace, store: ResultStore, out):
     return telemetry.printer(out), finish
 
 
-def _single_shape_config(ns: argparse.Namespace, scale: ScaleConfig):
-    """System config for one-shape commands (figures/report)."""
-    tiles = _parse_tiles(ns)
-    if tiles is None:
-        return None
-    if len(tiles) != 1:
-        raise ValueError(
-            f"{ns.command} renders one machine shape at a time; pass a "
-            f"single --tiles value (use `sweep`/`scaling` for a shape "
-            f"axis)")
-    return scaled_system(scale, num_tiles=tiles[0])
-
-
-def _grid(ns: argparse.Namespace, store: ResultStore, progress=None):
-    scale = SCALES[ns.scale]()
-    return sweep_grid(
-        workloads=ns.workloads, protocols=ns.protocols,
-        scale=scale, config=_single_shape_config(ns, scale), seed=ns.seed,
-        jobs=_resolve_jobs(ns.jobs), store=store,
-        use_cache=not ns.fresh, progress=progress)
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -164,79 +142,31 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
     return 0
 
 
-def cmd_scaling(ns: argparse.Namespace, out=None) -> int:
-    """Render the core-count scaling figure over a --tiles axis."""
-    out = out if out is not None else sys.stdout
-    from repro.analysis.scaling import DEFAULT_TILES, figure_scaling
-    tiles = _parse_tiles(ns) or DEFAULT_TILES
-    workloads = tuple(ns.workloads) if ns.workloads else ("radix",)
-    store = _make_store(ns)
-    progress, finish = _grid_progress(ns, store, sys.stderr)
-    scale = SCALES[ns.scale]()
-    shapes = sweep_shapes(
-        tiles, workloads=workloads, protocols=ns.protocols,
-        scale=scale, config=scaled_system(scale),
-        seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=store,
-        use_cache=not ns.fresh, progress=progress)
-    finish()
-    print(figure_scaling(shapes).render(), file=out)
-    return 0
-
-
-def cmd_energy(ns: argparse.Namespace, out=None) -> int:
-    """Derive per-rung energy/EDP from the (cached) grid, post hoc."""
-    out = out if out is not None else sys.stdout
-    from repro.analysis.energy import edp_table, energy_grid, figure_energy
-    scale = SCALES[ns.scale]()
-    config = _single_shape_config(ns, scale) or scaled_system(scale)
-    store = _make_store(ns)
-    progress, finish = _grid_progress(ns, store, sys.stderr)
-    grid = sweep_grid(
-        workloads=ns.workloads, protocols=ns.protocols,
-        scale=scale, config=config, seed=ns.seed,
-        jobs=_resolve_jobs(ns.jobs), store=store,
-        use_cache=not ns.fresh, progress=progress)
-    finish()
-    presets = [ns.preset] if ns.preset else list(ENERGY_MODELS)
-    for preset in presets:
-        stats = energy_grid(grid, preset, config)
-        print(figure_energy(grid, preset, config, stats=stats).render(),
-              file=out)
-        print(file=out)
-        print(edp_table(grid, preset, config, stats=stats), file=out)
-        print(file=out)
-    return 0
-
-
-def cmd_figures(ns: argparse.Namespace, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    from repro.analysis.figures import figures_from_store
-    scale = SCALES[ns.scale]()
-    store = _make_store(ns)
-    progress, finish = _grid_progress(ns, store, sys.stderr)
-    figures = figures_from_store(
-        ns.figures, jobs=_resolve_jobs(ns.jobs),
-        workloads=ns.workloads, protocols=ns.protocols,
-        scale=scale, config=_single_shape_config(ns, scale),
-        seed=ns.seed, store=store,
-        use_cache=not ns.fresh, progress=progress)
-    finish()
-    for figure in figures:
-        print(figure.render(), file=out)
-        print(file=out)
-    return 0
-
-
 def cmd_report(ns: argparse.Namespace, out=None) -> int:
+    """Render the report over the (cached) grid of the first shape,
+    plus the scaling figure when ``--tiles`` names several."""
     out = out if out is not None else sys.stdout
     from repro.analysis import report
     scale = SCALES[ns.scale]()
+    tiles = _parse_tiles(ns)
+    config = scaled_system(scale, num_tiles=tiles[0] if tiles else None)
     store = _make_store(ns)
     progress, finish = _grid_progress(ns, store, sys.stderr)
-    grid = _grid(ns, store, progress=progress)
+    selection = dict(
+        workloads=ns.workloads, protocols=ns.protocols, scale=scale,
+        seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=store,
+        use_cache=not ns.fresh, progress=progress)
+    shapes = None
+    if tiles and len(tiles) > 1:
+        shapes = sweep_shapes(tiles, config=scaled_system(scale),
+                              **selection)
+        grid = shapes[tiles[0]]
+    else:
+        grid = sweep_grid(config=config, **selection)
     finish()
-    config = _single_shape_config(ns, scale) or scaled_system(scale)
-    print(report.generate(grid, energy_config=config), file=out)
+    print(report.generate(grid, config=config, scale=scale,
+                          figures=ns.figures, preset=ns.preset,
+                          shapes=shapes), file=out)
     return 0
 
 
@@ -263,8 +193,7 @@ def cmd_trace(ns: argparse.Namespace, out=None) -> int:
     from repro.workloads import build_workload
     scale = SCALES[ns.scale]()
     tiles = _parse_tiles(ns)
-    config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
-              else scaled_system(scale))
+    config = scaled_system(scale, num_tiles=tiles[0] if tiles else None)
     workload = build_workload(ns.workload, scale,
                               num_cores=config.num_tiles, seed=ns.seed)
     protocol = _canonical_protocol(ns.protocol)
@@ -304,8 +233,7 @@ def cmd_stalls(ns: argparse.Namespace, out=None) -> int:
         collect_stall_profiles, figure_stalls, report_section)
     scale = SCALES[ns.scale]()
     tiles = _parse_tiles(ns)
-    config = (scaled_system(scale, num_tiles=tiles[0]) if tiles
-              else scaled_system(scale))
+    config = scaled_system(scale, num_tiles=tiles[0] if tiles else None)
     protocols = [_canonical_protocol(p)
                  for p in (ns.protocols or PROTOCOL_ORDER)]
     start = time.perf_counter()
@@ -395,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tiles", nargs="+", metavar="N",
         help="machine-shape axis: tile counts as comma- or "
              "space-separated square numbers, e.g. `--tiles 4,16,64` "
-             "(default: the paper's 16-tile 4x4 mesh; sweep/scaling "
-             "accept several shapes, figures/report exactly one)")
+             "(default: the paper's 16-tile 4x4 mesh; sweep simulates "
+             "every shape, report renders the first shape and appends "
+             "the core-count scaling figure over all of them)")
     grid_flags.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="parallel worker processes; 0 = one per CPU (default: 1)")
@@ -417,34 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="simulate the grid and persist results")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("figures", parents=[grid_flags],
-                       help="render paper figures from the (cached) grid")
+    p = sub.add_parser(
+        "report", parents=[grid_flags],
+        help="print the paper-vs-measured report from the (cached) grid")
     from repro.analysis.figures import ALL_FIGURES
     p.add_argument("--figures", nargs="+", choices=list(ALL_FIGURES),
                    metavar="FIG",
-                   help=f"figures to render (default: all; known: "
+                   help=f"paper figures to render (default: all; known: "
                         f"{', '.join(ALL_FIGURES)})")
-    p.set_defaults(func=cmd_figures)
-
-    p = sub.add_parser("report", parents=[grid_flags],
-                       help="print the full paper-vs-measured report")
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser(
-        "scaling", parents=[grid_flags],
-        help="render the core-count scaling figure (exec time, "
-             "traffic and energy vs tile count, one line per protocol)")
-    p.set_defaults(func=cmd_scaling)
-
-    p = sub.add_parser(
-        "energy", parents=[grid_flags],
-        help="derive the per-rung energy breakdown and EDP table from "
-             "stored results (no re-simulation for cached cells)")
     p.add_argument(
         "--preset", metavar="NAME",
-        help=f"technology preset (default: all; known: "
-             f"{', '.join(ENERGY_MODELS)})")
-    p.set_defaults(func=cmd_energy)
+        help=f"technology preset of the energy section (default: all; "
+             f"known: {', '.join(ENERGY_MODELS)})")
+    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "trace",
@@ -554,11 +468,6 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
                 scaled_system(scale, num_tiles=count)
             except ValueError as exc:
                 return f"--tiles {count}: {exc}"
-        if ns.command in ("figures", "report", "energy"):
-            try:
-                _single_shape_config(ns, scale)
-            except ValueError as exc:
-                return str(exc)
     # Trace runs a single cell: singular flags, one shape.
     if ns.command == "trace":
         try:
@@ -586,13 +495,11 @@ def _validate(ns: argparse.Namespace) -> Optional[str]:
         if tiles and len(tiles) != 1:
             return ("stalls runs one machine shape at a time; pass a "
                     "single --tiles value")
-    # Every figure and the report normalize to the MESI bar, so a grid
-    # without MESI would only fail after the whole sweep ran.
-    if ns.command in ("figures", "report", "energy"):
-        protocols = getattr(ns, "protocols", None)
-        if protocols and "MESI" not in protocols:
-            return (f"{ns.command} normalizes to the MESI baseline; "
-                    f"include MESI in --protocols")
+    # The report normalizes to the MESI bar, so a grid without MESI
+    # would only fail after the whole sweep ran.
+    if ns.command == "report" and ns.protocols and "MESI" not in ns.protocols:
+        return ("report normalizes to the MESI baseline; include MESI "
+                "in --protocols")
     return None
 
 

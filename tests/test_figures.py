@@ -112,6 +112,17 @@ class TestConfigTables:
         assert "FR-FCFS" in text
         assert "DDR3-1066, 8 banks, 2 ranks" in text
 
+    def test_table_4_1_names_the_paper_beside_a_scaled_machine(self):
+        assert "paper:" not in table_4_1(SystemConfig())
+        text = table_4_1(scaled_system(ScaleConfig(), num_tiles=4))
+        assert ("8KB, 8-way set associative, 64 byte cache lines "
+                "(paper: 32KB)") in text
+        assert ("32KB slices (128KB total), 16-way set associative, 64 "
+                "byte cache lines (paper: 256KB slices (4MB total))") in text
+        assert "2x2 mesh network, 16 byte links, 3 cycle link latency " \
+               "(paper: 4x4 mesh network)" in text
+        assert "0MB" not in text
+
     def test_table_4_2_paper_sizes(self):
         text = table_4_2(ScaleConfig.paper())
         assert "512x512 matrix" in text

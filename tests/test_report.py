@@ -42,6 +42,30 @@ class TestReport:
                     "Table 4.2"):
             assert fig in text, fig
 
+    def test_generate_renders_only_the_selected_sections(self, toy_grid):
+        text = report.generate(toy_grid, figures=["5.2"], preset="22nm")
+        assert "Figure 5.2" in text and "Figure 5.1a" not in text
+        assert "Figure E.1 [22nm]" in text and "45nm" not in text
+        assert "Core-count scaling" not in text
+
+    def test_claims_over_unswept_rungs_read_not_swept(self, toy_grid):
+        grid = {app: {p: protos[p] for p in ("MESI", "DeNovo")}
+                for app, protos in toy_grid.items()}
+        text = report.generate(grid)
+        row = _row(text, "Avg traffic reduction, DBypFull vs MESI")
+        assert row.endswith("| 39.5% | not swept | 25.0% .. 70.0% "
+                            "| not swept |")
+        assert "| not swept |" not in _row(
+            text, "Avg traffic reduction, DeNovo vs MESI")
+        assert "Per-workload DBypFull" not in text
+
+    def test_per_app_table_lists_swept_workloads_in_paper_order(
+            self, toy_grid):
+        grid = {app: toy_grid[app] for app in ("radix", "LU")}
+        rows = report.per_app_table(grid).splitlines()[2:]
+        assert [r.split(" | ")[0] for r in rows] == [
+            "| LU", "| radix", "| *paper range*"]
+
     def test_generate_reports_an_out_of_band_row(self, toy_grid):
         # Out-of-band rows are reported, not raised: `repro report` still
         # exits 0 on a grid that misses the paper.

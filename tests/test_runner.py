@@ -357,6 +357,24 @@ class TestExecution:
 # CLI
 # ----------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def radix_store(tmp_path_factory):
+    """A store holding tiny radix under the paper's ladder."""
+    directory = tmp_path_factory.mktemp("radix_store")
+    assert cli_main(["sweep", "--workloads", "radix", "--scale", "tiny",
+                     "--cache-dir", str(directory)]) == 0
+    return directory
+
+
+def _forbid_simulation(monkeypatch):
+    from repro.runner import pool as pool_mod
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("report re-simulated a stored cell")
+
+    monkeypatch.setattr(pool_mod, "simulate", no_simulation)
+
+
 class TestCLI:
     def test_sweep_prints_progress_and_persists(self, tmp_path, capsys):
         rc = cli_main(["sweep", "--workloads", "stream",
@@ -377,13 +395,14 @@ class TestCLI:
         assert "cached" in capsys.readouterr().out
 
     def test_figures_renders_selected_figure(self, tmp_path, capsys):
-        rc = cli_main(["figures", "--figures", "5.1a",
+        rc = cli_main(["report", "--figures", "5.1a",
                        "--workloads", "stream", "--protocols",
                        "MESI", "DeNovo", "--scale", "tiny",
                        "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Figure 5.1a" in out and "stream" in out
+        assert "Figure 5.1b" not in out and "Figure 5.3c" not in out
 
     def test_unknown_workload_is_a_clean_cli_error(self, capsys):
         rc = cli_main(["sweep", "--workloads", "radxi", "--scale", "tiny"])
@@ -396,7 +415,7 @@ class TestCLI:
         assert rc == 2
         err = capsys.readouterr().err
         assert "MESl" in err
-        assert "did you mean" in err and "MESI" in err
+        assert "did you mean MESI?" in err
 
     def test_list_prints_registered_workloads_and_protocols(self, capsys):
         rc = cli_main(["list"])
@@ -409,6 +428,16 @@ class TestCLI:
         for proto in ("MESI", "DBypFull", "MDirtyWB", "DWordHybrid"):
             assert proto in out
         assert "paper-ladder" in out and "extra" in out
+
+    def test_fresh_sweep_leaves_the_store_alone(self, tmp_path, capsys):
+        rc = cli_main(["sweep", "--workloads", "stream",
+                       "--protocols", "MDirtyWB", "DWordHybrid",
+                       "--scale", "tiny", "--fresh",
+                       "--cache-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "MDirtyWB" in out and "DWordHybrid" in out
+        assert len(ResultStore(tmp_path)) == 0
 
     def test_sweep_runs_beyond_paper_rungs(self, tmp_path, capsys):
         rc = cli_main(["sweep", "--workloads", "stream",
@@ -433,10 +462,10 @@ class TestCLI:
 
     def test_scaling_renders_figure_from_swept_results(self, tmp_path,
                                                        capsys):
-        rc = cli_main(["scaling", "--workloads", "stream",
+        rc = cli_main(["report", "--workloads", "stream",
                        "--protocols", "MESI", "DeNovo",
                        "--tiles", "4", "16", "--scale", "tiny",
-                       "--cache-dir", str(tmp_path)])
+                       "--jobs", "2", "--cache-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Core-count scaling" in out
@@ -449,38 +478,100 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "--tiles 15" in err and "mesh_width squared" in err
 
-    def test_figures_reject_multi_shape_tiles(self, capsys):
-        rc = cli_main(["figures", "--workloads", "stream",
-                       "--protocols", "MESI", "--tiles", "4,16",
-                       "--scale", "tiny"])
-        assert rc == 2
-        assert "one machine shape" in capsys.readouterr().err
+    def test_report_renders_first_shape_then_scaling_figure(
+            self, tmp_path, capsys):
+        """Several --tiles shapes: the body is the first shape's report,
+        followed by the scaling figure over every shape."""
+        grid = ["--workloads", "stream", "--protocols", "MESI", "DeNovo",
+                "--scale", "tiny", "--cache-dir", str(tmp_path)]
+        assert cli_main(["report", *grid, "--tiles", "4"]) == 0
+        first = capsys.readouterr().out.rstrip("\n")
+        assert cli_main(["report", *grid, "--tiles", "4,16"]) == 0
+        out = capsys.readouterr().out
+        assert "2x2 mesh network" in first
+        assert "Core-count scaling" not in first
+        assert out.startswith(first + "\n")
+        assert "Core-count scaling" in out[len(first):]
+        assert "16t (vs 4t)" in out
+        assert len(ResultStore(tmp_path)) == 4
 
     def test_figures_without_mesi_baseline_rejected(self, capsys):
         """Figures normalize to MESI; fail before sweeping, not after."""
-        rc = cli_main(["figures", "--workloads", "stream",
+        rc = cli_main(["report", "--workloads", "stream",
                        "--protocols", "DeNovo", "--scale", "tiny"])
         assert rc == 2
         assert "MESI" in capsys.readouterr().err
 
-    def test_energy_over_filled_store_simulates_nothing(self, tmp_path,
-                                                        monkeypatch, capsys):
-        """`energy` derives from stored results post hoc: once the store
-        holds the grid, it renders every preset without simulating."""
-        grid = ["--workloads", "radix", "--protocols", "MESI", "DBypFull",
-                "--scale", "tiny", "--cache-dir", str(tmp_path)]
-        assert cli_main(["sweep", *grid]) == 0
-        capsys.readouterr()
-        from repro.runner import pool as pool_mod
-
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("energy re-simulated a stored cell")
-
-        monkeypatch.setattr(pool_mod, "simulate", no_simulation)
-        rc = cli_main(["energy", *grid])
+    def test_energy_over_filled_store_simulates_nothing(
+            self, radix_store, monkeypatch, capsys):
+        """The report's energy section derives from stored results post
+        hoc: once the store holds the grid, it renders every preset
+        without simulating."""
+        _forbid_simulation(monkeypatch)
+        rc = cli_main(["report", "--workloads", "radix", "--protocols",
+                       "MESI", "DeNovo", "DBypFull", "--scale", "tiny",
+                       "--cache-dir", str(radix_store)])
         out = capsys.readouterr().out
         assert rc == 0
         assert "Figure E.1 [45nm]" in out and "Figure E.1 [22nm]" in out
+
+    def test_report_preset_selects_one_energy_section(
+            self, radix_store, monkeypatch, capsys):
+        _forbid_simulation(monkeypatch)
+        rc = cli_main(["report", "--workloads", "radix", "--protocols",
+                       "MESI", "DeNovo", "DBypFull", "--scale", "tiny",
+                       "--preset", "22nm", "--tiles", "16",
+                       "--cache-dir", str(radix_store)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "Figure E.1 [22nm]" in out and "(22nm preset)" in out
+        assert "45nm" not in out
+
+    def test_misspelled_preset_suggests_near_miss(self, capsys):
+        rc = cli_main(["report", "--preset", "45mn"])
+        assert rc == 2
+        assert "did you mean 45nm?" in capsys.readouterr().err
+
+    def test_report_on_a_protocol_subset(self, radix_store, capsys):
+        """Claims over rungs the grid lacks read `not swept`; without
+        DBypFull the per-workload table is left out."""
+        rc = cli_main(["report", "--scale", "tiny", "--workloads", "radix",
+                       "--protocols", "MESI", "DeNovo",
+                       "--cache-dir", str(radix_store)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        rows = {line.split(" (Section")[0][2:]: line.split(" | ")
+                for line in out.splitlines()
+                if line.startswith("| ") and "(Section" in line}
+        assert len(rows) == 10
+        denovo = rows["Avg traffic reduction, DeNovo vs MESI"]
+        assert denovo[2].endswith("%") and denovo[4] in ("yes |", "no |")
+        for label in ("Avg traffic reduction, DBypFull vs MESI",
+                      "MMemL1 overhead share of traffic"):
+            assert rows[label][2] == "not swept", label
+            assert rows[label][4] == "not swept |", label
+        assert "Per-workload DBypFull" not in out
+
+    def test_report_on_a_workload_subset(self, radix_store, capsys):
+        rc = cli_main(["report", "--scale", "tiny", "--workloads", "radix",
+                       "--cache-dir", str(radix_store)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        section = out.split("## Per-workload DBypFull traffic reduction")[1]
+        table = section.split("\n\n")[1].splitlines()
+        assert [row.split(" | ")[0] for row in table[2:]] == [
+            "| radix", "| *paper range*"]
+        assert "not swept" not in out
+
+    def test_report_tables_describe_the_simulated_machine(
+            self, radix_store, capsys):
+        rc = cli_main(["report", "--scale", "tiny", "--workloads", "radix",
+                       "--cache-dir", str(radix_store)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "Table 4.2: Application input sizes (scale=tiny)" in out
+        assert "L1D Cache (private)  2KB, 8-way" in out
+        assert "(64KB total)" in out and "0MB" not in out
 
     def test_clean_cache(self, tmp_path, capsys):
         cli_main(["sweep", "--workloads", "stream", "--protocols", "MESI",
@@ -502,7 +593,8 @@ class TestCLI:
         ["backends"], ["serve"], ["worker", "--connect", "127.0.0.1:1"],
         ["sweep", "--scheduler", "heap"], ["sweep", "--backend", "pool"],
         ["sweep", "--bind", "127.0.0.1:7421"],
-        ["sweep", "--engine", "compiled"], ["bench"]])
+        ["sweep", "--engine", "compiled"], ["bench"],
+        ["figures"], ["energy"], ["scaling"]])
     def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)
