@@ -24,7 +24,6 @@ from repro.common.config import (
     ScaleConfig,
     SystemConfig,
     energy_model,
-    mc_tile_placement,
     protocol,
     reshape_system,
     scaled_system,
@@ -40,7 +39,7 @@ __all__ = [
     "ENERGY_MODELS", "EnergyModelConfig", "EnergyStats",
     "PROTOCOLS", "PROTOCOL_ORDER", "ProtocolConfig", "RunResult",
     "ScaleConfig", "SystemConfig", "WORKLOAD_ORDER", "build_all",
-    "build_workload", "compute_energy", "energy_model",
-    "mc_tile_placement", "protocol", "reshape_system",
-    "scaled_system", "simulate", "simulate_all_protocols", "__version__",
+    "build_workload", "compute_energy", "energy_model", "protocol",
+    "reshape_system", "scaled_system", "simulate",
+    "simulate_all_protocols", "__version__",
 ]

@@ -84,12 +84,15 @@ def edp_table(grid: Grid, model: ModelLike = None,
         lines.append(f"-- {workload}")
         lines.append(header)
         for proto, cell in protos.items():
+            # Undefined for a run that used no L1 word: not free.
+            per_word = cell.energy_per_useful_word
             lines.append(
                 f"  {proto:<12s}"
                 f"{cell.total * 1e6:12.2f}"
                 f"{cell.edp:13.3e}"
                 f"{cell.ed2p:13.3e}"
-                f"{cell.energy_per_useful_word * 1e9:17.2f}")
+                + ("n/a".rjust(17) if per_word is None
+                   else f"{per_word * 1e9:17.2f}"))
     return "\n".join(lines)
 
 

@@ -14,9 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.coherence.kernel import L1_ASSOC, L2_ASSOC
+from repro.common.addressing import LINK_BYTES
+from repro.core.core import CORE_GHZ
 from repro.core.stats import RunResult, TIME_BUCKETS, TIME_LABELS
+from repro.dram.model import DRAM_BANKS, DRAM_RANKS
 from repro.network import traffic as T
+from repro.network.mesh import LINK_LATENCY
 from repro.waste.profiler import Category
+from repro.workloads.lu import LU_BLOCK
 
 Grid = Dict[str, Dict[str, RunResult]]
 
@@ -254,22 +260,22 @@ def _size_kb(kb: int) -> str:
 def _table_4_1_rows(cfg) -> List[Tuple[str, Tuple[str, ...]]]:
     """Table 4.1 for machine ``cfg``: each row's comma-separated fields."""
     return [
-        ("Core", (f"{cfg.core_ghz:g}GHz", "in-order")),
+        ("Core", (f"{CORE_GHZ:g}GHz", "in-order")),
         ("L1D Cache (private)",
-         (f"{cfg.l1_kb}KB", f"{cfg.l1_assoc}-way set associative",
+         (f"{cfg.l1_kb}KB", f"{L1_ASSOC}-way set associative",
           f"{cfg.line_bytes} byte cache lines")),
         ("L2 Cache (shared)",
          (f"{cfg.l2_slice_kb}KB slices "
           f"({_size_kb(cfg.l2_slice_kb * cfg.num_tiles)} total)",
-          f"{cfg.l2_assoc}-way set associative",
+          f"{L2_ASSOC}-way set associative",
           f"{cfg.line_bytes} byte cache lines")),
         ("Network",
          (f"{cfg.mesh_width}x{cfg.mesh_width} mesh network",
-          f"{cfg.link_bytes} byte links",
-          f"{cfg.link_latency} cycle link latency")),
+          f"{LINK_BYTES} byte links",
+          f"{LINK_LATENCY} cycle link latency")),
         ("Memory Controller", ("FR-FCFS scheduling", "open page policy")),
-        ("DRAM", ("DDR3-1066", f"{cfg.dram_banks} banks",
-                  f"{cfg.dram_ranks} ranks")),
+        ("DRAM", ("DDR3-1066", f"{DRAM_BANKS} banks",
+                  f"{DRAM_RANKS} ranks")),
     ]
 
 
@@ -304,7 +310,7 @@ def table_4_2(scale=None) -> str:
         ("fluidanimate", f"{sc.fluid_cells} cells "
                          f"(paper: simmedium)"),
         ("LU", f"{sc.lu_matrix}x{sc.lu_matrix} matrix, "
-               f"{sc.lu_block}x{sc.lu_block} blocks (paper: 512x512)"),
+               f"{LU_BLOCK}x{LU_BLOCK} blocks (paper: 512x512)"),
         ("FFT", f"{sc.fft_points} points (paper: 256K)"),
         ("radix", f"{sc.radix_keys} keys, {sc.radix_buckets} radix "
                   f"(paper: 4M keys, 1024 radix)"),

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.common.config import SystemConfig
 from repro.core.stats import RunResult
 
 #: ``shapes[num_tiles][workload][protocol] -> RunResult``.
@@ -92,18 +93,18 @@ def figure_scaling(shapes: ShapeGrid,
 
     The energy line derives post hoc from each cell's recorded counters
     under ``energy_model`` (a preset name or config; default preset when
-    omitted), with the machine's unit counts re-shaped to the cell's
-    tile count — how the coherence ladder's *energy* cost moves with the
+    omitted), with the unit counts of a machine of the cell's tile
+    count — how the coherence ladder's *energy* cost moves with the
     machine size is exactly the question the shape axis opens up.
     """
-    from repro.energy import compute_energy, resolve_model, shaped_config
+    from repro.energy import compute_energy, resolve_model
     if not shapes:
         raise ValueError("no swept shapes to render")
     em = resolve_model(energy_model)
     tiles = tuple(sorted(shapes))
     rows: Dict[str, Dict[str, Dict[int, Dict[str, float]]]] = {}
     for num_tiles in tiles:
-        config = shaped_config(num_tiles)
+        config = SystemConfig(num_tiles=num_tiles)
         for workload, protos in shapes[num_tiles].items():
             for proto, result in protos.items():
                 energy = compute_energy(result, em, config)

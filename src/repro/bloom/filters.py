@@ -12,6 +12,7 @@ The shadows share the slice hashes: an :class:`L1FilterShadow` is built
 from the slice banks and reuses each bank's H3 hash and filter-select
 objects, so a machine builds its hashes once per slice, not once per
 (core, slice) pair, and a projection unions into the shadow bit for bit.
+Every filter, counting or shadow, uses exactly one H3 hash.
 """
 
 from __future__ import annotations
@@ -66,16 +67,15 @@ class H3Hash:
 class BloomFilter:
     """Plain (1 bit per entry) Bloom filter used at the L1s."""
 
-    def __init__(self, entries: int, hashes: Sequence[H3Hash]) -> None:
+    def __init__(self, entries: int, h3: H3Hash) -> None:
         self._bits = bytearray(entries)
-        self._hashes = tuple(hashes)
+        self._hash = h3
 
     def insert(self, key: int) -> None:
-        for h in self._hashes:
-            self._bits[h(key)] = 1
+        self._bits[self._hash(key)] = 1
 
     def may_contain(self, key: int) -> bool:
-        return all(self._bits[h(key)] for h in self._hashes)
+        return self._bits[self._hash(key)] == 1
 
     def clear(self) -> None:
         self._bits[:] = bytes(len(self._bits))
@@ -105,24 +105,22 @@ class CountingBloomFilter:
 
     COUNTER_MAX = 255  # counters fit a byte, as bit_projection requires
 
-    def __init__(self, entries: int, hashes: Sequence[H3Hash]) -> None:
+    def __init__(self, entries: int, h3: H3Hash) -> None:
         self._counters = [0] * entries
-        self._hashes = tuple(hashes)
+        self._hash = h3
 
     def insert(self, key: int) -> None:
-        for h in self._hashes:
-            idx = h(key)
-            if self._counters[idx] < self.COUNTER_MAX:
-                self._counters[idx] += 1
+        idx = self._hash(key)
+        if self._counters[idx] < self.COUNTER_MAX:
+            self._counters[idx] += 1
 
     def remove(self, key: int) -> None:
-        for h in self._hashes:
-            idx = h(key)
-            if self._counters[idx] > 0:
-                self._counters[idx] -= 1
+        idx = self._hash(key)
+        if self._counters[idx] > 0:
+            self._counters[idx] -= 1
 
     def may_contain(self, key: int) -> bool:
-        return all(self._counters[h(key)] for h in self._hashes)
+        return self._counters[self._hash(key)] > 0
 
     def bit_projection(self) -> bytes:
         """1-bit view of the counters, the payload of a filter-copy reply."""
@@ -140,17 +138,15 @@ class SliceFilterBank:
     is then hashed again for the Bloom lookup within that filter.
     """
 
-    def __init__(self, num_filters: int, entries: int, num_hashes: int,
-                 seed: int) -> None:
+    def __init__(self, num_filters: int, entries: int, seed: int) -> None:
         if num_filters <= 0:
             raise ValueError("need at least one filter")
         self._num_filters = num_filters
         self._entries = entries
         # The L1 shadows of this slice reuse these hash objects.
-        self.hashes = tuple(H3Hash(entries, seed * 1000 + i)
-                            for i in range(num_hashes))
+        self.hash = H3Hash(entries, seed * 1000)
         self.select = H3Hash(num_filters, seed * 1000 + 997)
-        self._filters = [CountingBloomFilter(entries, self.hashes)
+        self._filters = [CountingBloomFilter(entries, self.hash)
                          for _ in range(num_filters)]
         # Energy-model event counters (observational only; consumed by
         # ``repro.energy`` — lookups and counter updates cost energy).
@@ -203,7 +199,7 @@ class L1FilterShadow:
     def __init__(self, banks: Sequence[SliceFilterBank]) -> None:
         self._selects = [bank.select for bank in banks]
         self._filters = [
-            [BloomFilter(bank.entries, bank.hashes)
+            [BloomFilter(bank.entries, bank.hash)
              for _ in range(bank.num_filters)]
             for bank in banks
         ]

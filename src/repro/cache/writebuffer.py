@@ -16,6 +16,11 @@ from typing import Dict, List, Optional, Set
 
 from repro.common.addressing import OFFSET_MASK, WORDS_PER_LINE
 
+#: Outstanding ownership requests per MESI core (non-blocking writes).
+STORE_BUFFER_ENTRIES = 32
+#: Cycles a DeNovo write-combining entry may wait before it is flushed.
+WRITE_COMBINE_TIMEOUT = 10_000
+
 
 class StoreBuffer:
     """Outstanding-ownership-request tracker for MESI non-blocking writes."""
@@ -27,10 +32,6 @@ class StoreBuffer:
             raise ValueError("capacity must be positive")
         self._capacity = capacity
         self._pending: Set[int] = set()   # line addresses with GETX in flight
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
 
     def is_full(self) -> bool:
         return len(self._pending) >= self._capacity
@@ -95,14 +96,6 @@ class WriteCombineTable:
         # creation time seen in that span.
         self._in_order = True
         self._newest = 0
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def timeout(self) -> int:
-        return self._timeout
 
     def is_full(self) -> bool:
         return len(self._entries) >= self._capacity

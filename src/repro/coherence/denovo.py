@@ -47,10 +47,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bloom.filters import L1FilterShadow, SliceFilterBank
 from repro.cache.sa_cache import CacheLine
-from repro.cache.writebuffer import WriteCombineEntry, WriteCombineTable
+from repro.cache.writebuffer import (
+    WRITE_COMBINE_TIMEOUT, WriteCombineEntry, WriteCombineTable)
 from repro.coherence.kernel import CoherenceKernel
 from repro.common.addressing import (
-    WORDS_PER_LINE, base_word, line_of, offset_of, words_of_line)
+    LINK_BYTES, WORDS_PER_FLIT, WORDS_PER_LINE, base_word, line_of,
+    offset_of, words_of_line)
 from repro.core.context import (
     NACK_RETRY_DELAY, SERVED_L2, SERVED_MEMORY, SERVED_REMOTE_L1,
     LoadRequest, SimContext)
@@ -58,6 +60,11 @@ from repro.network import traffic as T
 
 # Hot paths inline line_of/offset_of as ``addr >> 4`` / ``addr & 15``
 # (64-byte lines of 4-byte words; pinned in repro.common.addressing).
+
+#: A data message carries at most four flits (64 bytes) of words, which
+#: caps the words of one Flex response.
+MAX_DATA_FLITS = 4
+MAX_MESSAGE_WORDS = MAX_DATA_FLITS * WORDS_PER_FLIT
 
 # L1 per-word states.
 W_INVALID = 0
@@ -157,7 +164,7 @@ class DenovoSystem(CoherenceKernel):
         super().__init__(ctx)
         cfg = ctx.config
         self.wct = [WriteCombineTable(cfg.write_combine_entries,
-                                      cfg.write_combine_timeout)
+                                      WRITE_COMBINE_TIMEOUT)
                     for _ in range(cfg.num_tiles)]
         self._outstanding_regs = [0] * cfg.num_tiles
         # MSHR-style coalescing: lines with a fill in flight, mapped to
@@ -181,12 +188,10 @@ class DenovoSystem(CoherenceKernel):
         self._flex_l2 = proto.flex_l2
         self._l2_dirty_wb_only = proto.l2_dirty_wb_only
         self._l2_fetch_on_write = not proto.l2_write_validate
-        self._max_words = cfg.max_words_per_message
         if self._bypass_request:
             self.slice_blooms = [
                 SliceFilterBank(cfg.bloom_filters_per_slice,
-                                cfg.bloom_entries, cfg.bloom_hashes,
-                                seed=tile + 1)
+                                cfg.bloom_entries, seed=tile + 1)
                 for tile in range(cfg.num_tiles)]
             # Every L1 shadows every slice's filters with that slice's
             # hash objects, so projections union bit for bit.
@@ -849,7 +854,7 @@ class DenovoSystem(CoherenceKernel):
         filter_index = self.slice_blooms[home].filter_index(line_addr)
         # The 1-bit projection of one filter: entries/8 bytes of payload.
         payload_bytes = ctx.config.bloom_entries // 8
-        copy_flits = 1 + -(-payload_bytes // ctx.config.link_bytes)
+        copy_flits = 1 + -(-payload_bytes // LINK_BYTES)
         self._send_overhead(T.OVH_BLOOM, core, home, at,
                             self._bloom_at_l2, req, core, home,
                             filter_index, copy_flits)
@@ -937,10 +942,9 @@ class DenovoSystem(CoherenceKernel):
     def _flex_words(self, region, addr: int) -> List[int]:
         """The Flex region's field words around ``addr``, requested word
         first when it is not itself a field."""
-        max_words = self._max_words
-        words = region.flex_words(addr, max_words)
+        words = region.flex_words(addr, MAX_MESSAGE_WORDS)
         if addr not in words:
-            words = [addr] + words[:max_words - 1]
+            words = [addr] + words[:MAX_MESSAGE_WORDS - 1]
         return words
 
     @staticmethod

@@ -31,6 +31,10 @@ from repro.cache.sa_cache import CacheLine, SetAssocCache
 from repro.common.addressing import OFFSET_MASK as _OFFSET_MASK
 from repro.core.context import LoadRequest, SimContext
 
+#: Ways per L1 set and per L2-slice set (paper Table 4.1).
+L1_ASSOC = 8
+L2_ASSOC = 16
+
 
 class CoherenceKernel:
     """Shared tag arrays, transaction lifecycle and profiling hooks."""
@@ -45,7 +49,8 @@ class CoherenceKernel:
         cfg = ctx.config
         num_tiles = cfg.num_tiles
         self.l1: List[SetAssocCache] = [
-            SetAssocCache(cfg.l1_sets, cfg.l1_assoc, self.l1_line_cls)
+            SetAssocCache(cfg.l1_lines // L1_ASSOC, L1_ASSOC,
+                          self.l1_line_cls)
             for _ in range(num_tiles)]
         # Home interleaving (line % num_tiles) consumes the low
         # line-address bits only when the tile count is a power of two;
@@ -55,8 +60,8 @@ class CoherenceKernel:
         l2_shift = (num_tiles.bit_length() - 1
                     if num_tiles & (num_tiles - 1) == 0 else 0)
         self.l2: List[SetAssocCache] = [
-            SetAssocCache(cfg.l2_slice_sets, cfg.l2_assoc, self.l2_line_cls,
-                          index_shift=l2_shift)
+            SetAssocCache(cfg.l2_slice_lines // L2_ASSOC, L2_ASSOC,
+                          self.l2_line_cls, index_shift=l2_shift)
             for _ in range(num_tiles)]
         # Core-level callbacks fired after any retire (buffer-full stalls).
         self._retire_hooks: List[List[Callable[[int], None]]] = [

@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cache.sa_cache import CacheLine
-from repro.cache.writebuffer import StoreBuffer
+from repro.cache.writebuffer import STORE_BUFFER_ENTRIES, StoreBuffer
 from repro.coherence.kernel import CoherenceKernel
 from repro.common.addressing import base_word, line_of, offset_of
 from repro.core.context import (
@@ -99,7 +99,7 @@ class MesiSystem(CoherenceKernel):
         # Per-word payload flags of a writeback (L1 and L2->memory): one
         # entry per word on the wire, True for a dirty (Used) word.
         self._wb_flags = _dirty_words_only if proto.dirty_wb_only else list
-        self.sbuf = [StoreBuffer(cfg.store_buffer_entries)
+        self.sbuf = [StoreBuffer(STORE_BUFFER_ENTRIES)
                      for _ in range(cfg.num_tiles)]
         # Deferred store words per (core, line): offsets written while the
         # ownership request is in flight.

@@ -20,7 +20,6 @@ from repro.common.config import (
     ScaleConfig,
     SystemConfig,
     corner_tiles,
-    mc_tile_placement,
     protocol,
     reshape_system,
     scaled_system,
@@ -38,6 +37,6 @@ __all__ = [
     "words_of_line",
     "DEFAULT_SCALE", "DEFAULT_SYSTEM", "PROTOCOL_ORDER", "PROTOCOLS",
     "ProtocolConfig", "ScaleConfig", "SystemConfig", "corner_tiles",
-    "mc_tile_placement", "protocol", "reshape_system", "scaled_system",
+    "protocol", "reshape_system", "scaled_system",
     "FlexPattern", "Region", "RegionAllocator", "RegionTable",
 ]

@@ -2,7 +2,7 @@
 
 The simulator works on *word addresses* (one word = 4 bytes, matching the
 paper's word-level waste accounting).  A cache line is 64 bytes, i.e. 16
-words.  All helpers here are pure functions on integers so they can be used
+words, and a mesh link (one flit) is 16 bytes, i.e. 4 words.  All helpers here are pure functions on integers so they can be used
 from any subsystem without importing the configuration machinery.
 """
 
@@ -13,6 +13,9 @@ LINE_BYTES = 64
 WORDS_PER_LINE = LINE_BYTES // WORD_BYTES  # 16
 LINE_SHIFT = 4  # log2(WORDS_PER_LINE)
 OFFSET_MASK = WORDS_PER_LINE - 1
+#: Mesh link width: one flit per cycle per link (paper Table 4.1).
+LINK_BYTES = 16
+WORDS_PER_FLIT = LINK_BYTES // WORD_BYTES  # 4
 
 
 def line_of(word_addr: int) -> int:
@@ -41,11 +44,6 @@ def words_of_line(line_addr: int):
     """Iterate over the 16 word addresses of line ``line_addr``."""
     base = line_addr << LINE_SHIFT
     return range(base, base + WORDS_PER_LINE)
-
-
-def bytes_to_words(num_bytes: int) -> int:
-    """Number of whole words needed to hold ``num_bytes`` (rounded up)."""
-    return -(-num_bytes // WORD_BYTES)
 
 
 def span_lines(word_addr: int, num_words: int):

@@ -1,8 +1,15 @@
 """System, protocol and scaling configuration.
 
-``SystemConfig`` mirrors the paper's Table 4.1.  ``ProtocolConfig`` encodes
-the feature flags that distinguish the nine protocol configurations of
-Section 3.  ``ScaleConfig`` lets callers pick the paper's full input sizes or
+``SystemConfig`` holds the machine axes something varies: the tile
+count, the cache and Bloom-filter capacities that ``scaled_system``
+shrinks with the inputs, and the write-combining table size of the
+Section 5.2.2 ablation.  The rest of the paper's Table 4.1 machine is
+fixed, and each fixed parameter is a constant in the module that models
+it (link width in ``common.addressing``, link latency in
+``network.mesh``, DRAM timings in ``dram.model``, associativities in
+``coherence.kernel``, ...).  ``ProtocolConfig`` encodes the feature
+flags that distinguish the nine protocol configurations of Section 3.
+``ScaleConfig`` lets callers pick the paper's full input sizes or
 proportionally scaled-down inputs that run quickly in pure Python.
 """
 
@@ -22,56 +29,27 @@ MAX_MESH_WIDTH = 8
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Hardware parameters of the simulated tiled CMP (paper Table 4.1).
+    """The varied axes of the simulated tiled CMP (paper Table 4.1).
 
-    The machine *shape* — ``num_tiles``, the mesh and the
-    memory-controller placement — is a first-class axis: ``mesh_width``
-    is derived from ``num_tiles`` (pass 0, the default, to auto-derive),
-    and ``num_mem_controllers`` is validated against the mesh via
-    :func:`mc_tile_placement`.  Any square mesh from 2x2 to 8x8 works;
-    the paper's machine is the default 16-tile 4x4.
+    The machine *shape* is ``num_tiles``: ``mesh_width`` is its square
+    root, and the four memory controllers sit on the mesh corners.  Any
+    square mesh from 2x2 to 8x8 works; the paper's machine is the
+    default 16-tile 4x4.  Every other Table 4.1 parameter is fixed.
     """
 
     num_tiles: int = 16
-    mesh_width: int = 0            # 0 = derive from num_tiles
-    core_ghz: float = 2.0
 
     l1_kb: int = 32
-    l1_assoc: int = 8
     l2_slice_kb: int = 256
-    l2_assoc: int = 16
 
-    link_bytes: int = 16           # mesh link width
-    link_latency: int = 3          # cycles per hop
-    max_data_flits: int = 4        # at most 64B of data per packet
-
-    num_mem_controllers: int = 4   # one per corner tile
-    dram_banks: int = 8
-    dram_ranks: int = 2
-
-    # DDR3-1066 style timings expressed in 2GHz core cycles (approximate,
-    # following DRAMSim2 defaults scaled to the core clock).
-    dram_t_rcd: int = 26
-    dram_t_rp: int = 26
-    dram_t_cl: int = 26
-    dram_t_burst: int = 15         # data transfer time for a 64B line
-
-    store_buffer_entries: int = 32          # non-blocking writes per core
     write_combine_entries: int = 32         # DeNovo write-combining table
-    write_combine_timeout: int = 10_000     # cycles
-
-    barrier_release_cost: int = 50          # barrier communication cycles
 
     # Bloom filter geometry for "L2 Request Bypass" (paper Section 4.4).
     bloom_entries: int = 512
     bloom_filters_per_slice: int = 32
-    bloom_hashes: int = 1
 
     def __post_init__(self) -> None:
         width = self.mesh_width
-        if width == 0:
-            width = math.isqrt(self.num_tiles)
-            object.__setattr__(self, "mesh_width", width)
         if width * width != self.num_tiles:
             raise ValueError("num_tiles must be mesh_width squared")
         if not (MIN_MESH_WIDTH <= width <= MAX_MESH_WIDTH):
@@ -79,9 +57,10 @@ class SystemConfig:
                 f"mesh_width must be between {MIN_MESH_WIDTH} and "
                 f"{MAX_MESH_WIDTH} (got {width}); the model is validated "
                 f"for 2x2 through 8x8 meshes")
-        # Fails with a clear message when the controller count has no
-        # placement on this mesh (e.g. 8 controllers on a 2x2).
-        mc_tile_placement(width, self.num_mem_controllers)
+
+    @property
+    def mesh_width(self) -> int:
+        return math.isqrt(self.num_tiles)
 
     @property
     def line_bytes(self) -> int:
@@ -95,45 +74,21 @@ class SystemConfig:
         return WORD_BYTES
 
     @property
-    def words_per_line(self) -> int:
-        return self.line_bytes // self.word_bytes
-
-    @property
-    def words_per_flit(self) -> int:
-        return self.link_bytes // self.word_bytes
-
-    @property
     def l1_lines(self) -> int:
         return self.l1_kb * 1024 // self.line_bytes
-
-    @property
-    def l1_sets(self) -> int:
-        return self.l1_lines // self.l1_assoc
 
     @property
     def l2_slice_lines(self) -> int:
         return self.l2_slice_kb * 1024 // self.line_bytes
 
-    @property
-    def l2_slice_sets(self) -> int:
-        return self.l2_slice_lines // self.l2_assoc
-
-    @property
-    def max_words_per_message(self) -> int:
-        return self.max_data_flits * self.words_per_flit
-
     def mc_placement(self) -> tuple:
         """Tile ids hosting this machine's memory controllers."""
-        return mc_tile_placement(self.mesh_width, self.num_mem_controllers)
+        return corner_tiles(self.mesh_width)
 
 
 def corner_tiles(mesh_width: int) -> tuple:
-    """Tile ids of the four mesh corners.
-
-    The paper's machine places its four memory controllers here; the
-    general placement (other controller counts, validation) lives in
-    :func:`mc_tile_placement`.
-    """
+    """Tile ids of the four mesh corners, where the memory controllers
+    sit."""
     if mesh_width < 2:
         raise ValueError(
             f"a {mesh_width}x{mesh_width} mesh has no four distinct "
@@ -145,50 +100,6 @@ def corner_tiles(mesh_width: int) -> tuple:
         mesh_width * last,
         mesh_width * last + last,
     )
-
-
-def mc_tile_placement(mesh_width: int, num_mem_controllers: int = 4) -> tuple:
-    """Tile ids of the memory controllers on a ``mesh_width``-wide mesh.
-
-    Generalizes the paper's corner placement to any square mesh from
-    2x2 to 8x8 and controller counts of 1, 2, 4 or 8:
-
-    * 1 — tile 0;
-    * 2 — two opposite corners (maximal separation);
-    * 4 — the four corners (the paper's 4x4 machine);
-    * 8 — the four corners plus the four edge midpoints (needs at
-      least a 3x3 mesh for the midpoints to be distinct tiles).
-
-    Raises :class:`ValueError` for any combination with no valid
-    placement, so degenerate shapes fail loudly instead of silently
-    duplicating controller tiles.
-    """
-    if mesh_width < 2:
-        raise ValueError(
-            f"memory-controller placement needs at least a 2x2 mesh, "
-            f"got {mesh_width}x{mesh_width}")
-    corners = corner_tiles(mesh_width)
-    if num_mem_controllers == 1:
-        return (0,)
-    if num_mem_controllers == 2:
-        return (corners[0], corners[3])
-    if num_mem_controllers == 4:
-        return corners
-    if num_mem_controllers == 8:
-        if mesh_width < 3:
-            raise ValueError(
-                "8 memory controllers need at least a 3x3 mesh (the "
-                "edge midpoints coincide with corners on a 2x2)")
-        last = mesh_width - 1
-        mid = mesh_width // 2
-        midpoints = (mid,                        # top edge
-                     mesh_width * mid,           # left edge
-                     mesh_width * mid + last,    # right edge
-                     mesh_width * last + mid)    # bottom edge
-        return corners + midpoints
-    raise ValueError(
-        f"num_mem_controllers must be 1, 2, 4 or 8 "
-        f"(got {num_mem_controllers})")
 
 
 @dataclass(frozen=True)
@@ -231,10 +142,6 @@ class ProtocolConfig:
             raise ValueError("flex_l2 requires flex_l1")
         if self.bypass_l2_request and not self.bypass_l2_response:
             raise ValueError("request bypass requires response bypass")
-
-    @property
-    def is_denovo(self) -> bool:
-        return self.kind == "denovo"
 
     def enabled_flags(self) -> tuple:
         """Names of the optimization flags this rung turns on."""
@@ -318,7 +225,6 @@ class ScaleConfig:
     # size of the L2"): FFT 2x, radix 1.5x, kD-tree 1.4x the 128KB L2.
     name: str = "small"
     lu_matrix: int = 96           # paper: 512 (16x16 blocks kept)
-    lu_block: int = 16
     fft_points: int = 16384       # paper: 256K
     radix_keys: int = 24576       # paper: 4M
     radix_buckets: int = 1024     # paper: 1024 (kept: > L1 lines matters)
@@ -337,7 +243,7 @@ class ScaleConfig:
     def tiny() -> "ScaleConfig":
         """Very small inputs for unit tests."""
         return ScaleConfig(
-            name="tiny", lu_matrix=32, lu_block=16, fft_points=1024,
+            name="tiny", lu_matrix=32, fft_points=1024,
             radix_keys=2048, radix_buckets=256, barnes_bodies=128,
             fluid_cells=128, kdtree_triangles=256)
 
@@ -467,8 +373,8 @@ def reshape_system(base: SystemConfig, num_tiles: int) -> SystemConfig:
     slice_kb = max(1, (2 * total_kb + num_tiles) // (2 * num_tiles))
     filters = max(1, (2 * base.bloom_filters_per_slice * base.num_tiles
                       + num_tiles) // (2 * num_tiles))
-    return replace(base, num_tiles=num_tiles, mesh_width=0,
-                   l2_slice_kb=slice_kb, bloom_filters_per_slice=filters)
+    return replace(base, num_tiles=num_tiles, l2_slice_kb=slice_kb,
+                   bloom_filters_per_slice=filters)
 
 
 def scaled_system(scale: ScaleConfig, base: SystemConfig = DEFAULT_SYSTEM,

@@ -107,11 +107,10 @@ class SimContext:
         # ledger over it belong to one measurement window.
         self.pools = WastePools()
         self._open_window()
-        # Memory-controller tiles: the paper's four corners by default,
-        # generalized by the config for other shapes/controller counts.
+        # Memory-controller tiles: the four mesh corners.
         self.mc_tiles = config.mc_placement()
         self.drams: Dict[int, DramChannel] = {
-            tile: DramChannel(config, self.queue) for tile in self.mc_tiles}
+            tile: DramChannel(self.queue) for tile in self.mc_tiles}
         self._l2_free: List[int] = [0] * config.num_tiles
         self.barrier: Optional[Barrier] = None   # wired by System
         # -- precomputed placement tables -------------------------------
@@ -136,8 +135,7 @@ class SimContext:
     def _open_window(self) -> None:
         """Fresh traffic and waste accounting over the run's pools."""
         pools = self.pools
-        ledger = self.ledger = TrafficLedger(self.config.words_per_flit,
-                                             pools.cache_cat)
+        ledger = self.ledger = TrafficLedger(pools.cache_cat)
         self.l1_prof = CacheLevelProfiler("L1", pools)
         self.l2_prof = CacheLevelProfiler("L2", pools)
         self.mem_prof = MemoryProfiler(pools)

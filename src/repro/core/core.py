@@ -24,6 +24,10 @@ from repro.workloads.trace import OP_COMPUTE, OP_LOAD, OP_STORE, PackedTrace
 #: timing skew introduced by batching L1 hits.
 BATCH_LIMIT = 64
 
+#: Core clock (paper Table 4.1).  The simulation counts cycles; only the
+#: energy model converts them to seconds.
+CORE_GHZ = 2.0
+
 
 class Core:
     """One in-order core driving its trace through the protocol."""

@@ -50,8 +50,7 @@ class System:
         # ProtocolConfig accepts only these two kinds.
         core_cls = DenovoSystem if proto.kind == "denovo" else MesiSystem
         self.proto_sys = core_cls(self.ctx)
-        self.barrier = Barrier(self.ctx.queue, workload.num_cores,
-                               release_cost=self.config.barrier_release_cost)
+        self.barrier = Barrier(self.ctx.queue, workload.num_cores)
         self.ctx.barrier = self.barrier
         self.barrier.on_release(self._on_barrier_release)
         self._finished = 0

@@ -1,8 +1,8 @@
 """DDR3-style DRAM timing model with an FR-FCFS memory controller.
 
 This stands in for DRAMSim2 in the paper's stack.  Each corner-tile memory
-controller owns one single-channel DIMM with ``ranks * banks`` banks and an
-open-page row-buffer policy.  Requests are scheduled first-ready
+controller owns one single-channel DDR3-1066 DIMM with ``DRAM_RANKS *
+DRAM_BANKS`` banks and an open-page row-buffer policy.  Requests are scheduled first-ready
 first-come-first-served: row-buffer hits are served before older row misses.
 
 Per the paper's assumption (Section 3.1, "Dirty-Words-Only Writeback"), the
@@ -16,11 +16,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.config import SystemConfig
 from repro.engine.events import EventQueue
 
 #: Lines per 8KB DRAM row (64-byte lines).
 LINES_PER_ROW = 128
+
+#: Banks per rank and ranks per DIMM (paper Table 4.1).
+DRAM_BANKS = 8
+DRAM_RANKS = 2
+
+#: DDR3-1066 timings in 2GHz core cycles (approximate, following
+#: DRAMSim2 defaults scaled to the core clock): row activate to column
+#: command, precharge, CAS latency, and the data burst of a 64B line.
+T_RCD = 26
+T_RP = 26
+T_CL = 26
+T_BURST = 15
 
 
 @dataclass(slots=True)
@@ -44,10 +55,9 @@ class _Request:
 class DramChannel:
     """One memory channel: FR-FCFS queue in front of banked DRAM."""
 
-    def __init__(self, config: SystemConfig, queue: EventQueue) -> None:
-        self._config = config
+    def __init__(self, queue: EventQueue) -> None:
         self._queue = queue
-        self._num_banks = config.dram_banks * config.dram_ranks
+        self._num_banks = DRAM_BANKS * DRAM_RANKS
         self._banks: List[_Bank] = [_Bank() for _ in range(self._num_banks)]
         self._pending: List[_Request] = []
         self._bus_free = 0
@@ -162,26 +172,15 @@ class DramChannel:
         if pending:
             # The next request cannot start before the shared data bus
             # frees (polling sooner only burns events), which is exactly
-            # ``done`` — so the completion callback and the follow-on
-            # dispatch fuse into a single wakeup.  The two used to be
-            # back-to-back heap entries at the same cycle (consecutive
-            # seqs, nothing can interleave), so running them in sequence
-            # from one event preserves the global firing order exactly.
-            wake = now + 1
-            if self._bus_free > wake:
-                wake = self._bus_free
-            if wake == done:
-                self._dispatch_scheduled = True
-                self._queue.schedule_call(done, self._serviced,
-                                          request.callback, request.args)
-            else:
-                # Degenerate timing configs (zero-latency DRAM) can pull
-                # the bus-free poll off the completion cycle; keep the
-                # pre-fusion two-event shape for those.
-                if request.callback is not None:
-                    self._queue.schedule_call(done, request.callback,
-                                              *request.args, done)
-                self._schedule_dispatch(wake)
+            # ``done`` (at least ``now + T_CL + T_BURST``) — so the
+            # completion callback and the follow-on dispatch fuse into a
+            # single wakeup.  The two used to be back-to-back
+            # heap entries at the same cycle (consecutive seqs, nothing
+            # can interleave), so running them in sequence from one
+            # event preserves the global firing order exactly.
+            self._dispatch_scheduled = True
+            self._queue.schedule_call(done, self._serviced,
+                                      request.callback, request.args)
         elif request.callback is not None:
             self._queue.schedule_call(done, request.callback,
                                       *request.args, done)
@@ -225,7 +224,6 @@ class DramChannel:
         return oldest_ready
 
     def _service(self, request: _Request, now: int) -> int:
-        cfg = self._config
         bank_index = self.bank_of(request.line_addr)
         bank = self._banks[bank_index]
         row = self.row_of(request.line_addr)
@@ -233,21 +231,21 @@ class DramChannel:
         row_hit = bank.open_row == row
         if row_hit:
             self.row_hits += 1
-            access = cfg.dram_t_cl
+            access = T_CL
         elif bank.open_row is None:
             self.row_misses += 1
             self.activates += 1
-            access = cfg.dram_t_rcd + cfg.dram_t_cl
+            access = T_RCD + T_CL
         else:
             self.row_misses += 1
             self.activates += 1
             self.precharges += 1
-            access = cfg.dram_t_rp + cfg.dram_t_rcd + cfg.dram_t_cl
+            access = T_RP + T_RCD + T_CL
         bank.open_row = row
         # Bank access latencies overlap across banks; only the data burst
         # serializes on the shared channel bus.
         data_start = max(ready + access, self._bus_free)
-        done = data_start + cfg.dram_t_burst
+        done = data_start + T_BURST
         bank.busy_until = done
         self._bus_free = done
         if request.is_write:

@@ -13,10 +13,9 @@ from repro.energy.model import (
     EnergyStats,
     compute_energy,
     resolve_model,
-    shaped_config,
 )
 
 __all__ = [
     "COMPONENTS", "COMPONENT_LABELS", "EnergyStats",
-    "compute_energy", "resolve_model", "shaped_config",
+    "compute_energy", "resolve_model",
 ]

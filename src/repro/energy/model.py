@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.common.config import (
-    DEFAULT_ENERGY_MODEL, EnergyModelConfig, SystemConfig, energy_model,
-    reshape_system)
+    DEFAULT_ENERGY_MODEL, EnergyModelConfig, SystemConfig, energy_model)
+from repro.core.core import CORE_GHZ
 from repro.core.stats import RunResult
 from repro.network.traffic import split_flit_hops
 
@@ -94,9 +94,10 @@ class EnergyStats:
         return self.total * self.exec_seconds ** 2
 
     @property
-    def energy_per_useful_word(self) -> float:
-        """Joules per word the cores actually read (L1 Used words)."""
-        return self.total / self.useful_words if self.useful_words else 0.0
+    def energy_per_useful_word(self) -> Optional[float]:
+        """Joules per word the cores actually read (L1 Used words), or
+        None for a run that used no L1 word, where it is undefined."""
+        return self.total / self.useful_words if self.useful_words else None
 
     def validate(self) -> None:
         """Raise :class:`ValueError` on NaN/negative/non-finite energy."""
@@ -124,27 +125,14 @@ def resolve_model(model: Union[str, EnergyModelConfig, None]
     return model
 
 
-def shaped_config(num_tiles: int,
-                  base: Optional[SystemConfig] = None) -> SystemConfig:
-    """A machine shape for energy accounting when only tiles are known.
-
-    Energy needs the unit counts (tiles, L2 slices, routers, memory
-    controllers) and the clock; when a caller has a ``RunResult`` keyed
-    only by tile count (e.g. the scaling figure), re-shaping the default
-    machine supplies them.
-    """
-    base = base if base is not None else SystemConfig()
-    return reshape_system(base, num_tiles)
-
-
 def compute_energy(result: RunResult,
                    model: Union[str, EnergyModelConfig, None] = None,
                    config: Optional[SystemConfig] = None) -> EnergyStats:
     """Derive the energy breakdown of one finished run.
 
-    ``config`` supplies unit counts and the core clock; it defaults to
-    the paper's 16-tile machine and only needs to match the run's
-    *shape* (tile/controller counts), not its cache sizing.  Results
+    ``config`` supplies the unit counts; it defaults to the paper's
+    16-tile machine and only needs to match the run's *shape* (its
+    tile count), not its cache sizing.  Results
     predating the energy counters (old cache files) yield zero L1/L2/
     Bloom dynamic energy but still account core, NoC, MC, DRAM and
     leakage, all of which derive from fields every result has.
@@ -152,7 +140,7 @@ def compute_energy(result: RunResult,
     em = resolve_model(model)
     cfg = config if config is not None else SystemConfig()
     counters = result.energy_counters
-    exec_seconds = result.exec_cycles / (cfg.core_ghz * 1e9)
+    exec_seconds = result.exec_cycles / (CORE_GHZ * 1e9)
 
     detail: Dict[str, float] = {}
 
@@ -222,7 +210,7 @@ def compute_energy(result: RunResult,
 
     # Leakage: per-unit power x unit count x execution time.
     tiles = cfg.num_tiles
-    mcs = cfg.num_mem_controllers
+    mcs = len(cfg.mc_placement())
     static = {
         "core": em.core_leak_mw * tiles * _MW * exec_seconds,
         "l1": em.l1_leak_mw * tiles * _MW * exec_seconds,

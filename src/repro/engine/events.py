@@ -89,19 +89,23 @@ class EventQueue:
         return self._seq - len(self._heap)
 
 
+#: Barrier communication cycles between the last arrival and the release.
+BARRIER_RELEASE_COST = 50
+
+
 class Barrier:
     """All-core barrier synchronization.
 
     Cores call :meth:`arrive` with a continuation; once every participant
     has arrived, all continuations are released at the same cycle (plus a
-    fixed communication cost — ``System`` threads this in from
-    ``SystemConfig.barrier_release_cost``).  ``on_release`` hooks let
+    fixed communication cost, :data:`BARRIER_RELEASE_COST` on the
+    simulated machine).  ``on_release`` hooks let
     protocols attach barrier-time work (DeNovo self-invalidation,
     Bloom-filter clears).
     """
 
     def __init__(self, queue: EventQueue, participants: int,
-                 release_cost: int = 50) -> None:
+                 release_cost: int = BARRIER_RELEASE_COST) -> None:
         if participants <= 0:
             raise ValueError("need at least one participant")
         self._queue = queue

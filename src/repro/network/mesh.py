@@ -5,7 +5,7 @@ once per link it crosses.  With deterministic XY routing the hop count is
 the Manhattan distance between the source and destination tiles, which lets
 traffic accounting be exact without simulating individual routers.
 
-Latency is modelled as ``hops * link_latency + (flits - 1)`` (pipelined
+Latency is modelled as ``hops * LINK_LATENCY + (flits - 1)`` (pipelined
 serialization) plus optional per-link queueing captured by a busy-until
 table, which adds contention back-pressure without per-flit simulation.
 
@@ -22,6 +22,9 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.common.config import SystemConfig
+
+#: Cycles per hop (paper Table 4.1).
+LINK_LATENCY = 3
 
 #: Per-width shared topology tables, built once and reused by every
 #: Mesh instance of that width (route caches were previously grown
@@ -72,7 +75,6 @@ class Mesh:
     def __init__(self, config: SystemConfig, model_contention: bool = True) -> None:
         self._width = config.mesh_width
         self._num_tiles = self._width * self._width
-        self._link_latency = config.link_latency
         self._model_contention = model_contention
         self._routes, self._links, self._hops = _topology(self._width)
         # busy-until time per directed link, indexed by the link int
@@ -85,15 +87,6 @@ class Mesh:
         # zero links in both accountings).
         self.stat_packets = 0
         self.stat_flit_hops = 0
-
-    def coords(self, tile: int) -> Tuple[int, int]:
-        """(x, y) coordinates of ``tile``."""
-        return tile % self._width, tile // self._width
-
-    def tile_at(self, x: int, y: int) -> int:
-        if not (0 <= x < self._width and 0 <= y < self._width):
-            raise ValueError(f"({x},{y}) outside {self._width}x{self._width} mesh")
-        return y * self._width + x
 
     def hops(self, src: int, dst: int) -> int:
         """Manhattan distance between two tiles (0 if the same tile)."""
@@ -129,21 +122,17 @@ class Mesh:
         hops = len(links)
         self.stat_flit_hops += total_flits * hops
         if not self._model_contention:
-            return hops, hops * self._link_latency + total_flits - 1
+            return hops, hops * LINK_LATENCY + total_flits - 1
         time = now
         link_free = self._link_free
-        link_latency = self._link_latency
         for link in links:
             free_at = link_free[link]
             start = time if time >= free_at else free_at
             link_free[link] = start + total_flits
-            time = start + link_latency
+            time = start + LINK_LATENCY
         # pipelined serialization: trailing flits follow the header.
         time += total_flits - 1
         return hops, time - now
-
-    def reset_contention(self) -> None:
-        self._link_free[:] = [0] * (self._num_tiles * self._num_tiles)
 
     def count_packet(self, src: int, dst: int, total_flits: int = 1) -> int:
         """Count a packet whose delivery is not latency-simulated.

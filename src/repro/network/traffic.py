@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional
 
+from repro.common.addressing import WORDS_PER_FLIT
 from repro.waste.profiler import C_USED
 
 #: Major traffic categories.
@@ -143,9 +144,7 @@ class TrafficLedger:
     words' handles index.
     """
 
-    def __init__(self, words_per_flit: int = 4,
-                 verdicts: Optional[array] = None) -> None:
-        self.words_per_flit = words_per_flit
+    def __init__(self, verdicts: Optional[array] = None) -> None:
         self._verdicts = verdicts if verdicts is not None else array("b")
         self._buckets: Dict[str, Dict[str, float]] = {
             LD: {b: 0.0 for b in LDST_BUCKETS},
@@ -184,7 +183,7 @@ class TrafficLedger:
         """Record a data payload of ``len(handles)`` words over ``hops``.
 
         ``handles`` is the ``range`` of the words' consecutive profiler
-        handles.  Each word is charged ``hops / words_per_flit``
+        handles.  Each word is charged ``hops / WORDS_PER_FLIT``
         flit-hops against its handle; the unfilled remainder of the last
         flit is charged to response control (per paper Section 5.2).
         Returns the number of data flits in the payload (for latency
@@ -206,12 +205,11 @@ class TrafficLedger:
         self._deferred.append(pack_data_record(
             handles.start, n_words, hops,
             (2 if major == ST else 0) | (1 if dest == DEST_L2 else 0)))
-        words_per_flit = self.words_per_flit
-        data_flits = -(-n_words // words_per_flit)
-        slack_words = data_flits * words_per_flit - n_words
+        data_flits = -(-n_words // WORDS_PER_FLIT)
+        slack_words = data_flits * WORDS_PER_FLIT - n_words
         if slack_words:
             self._buckets[major][RESP_CTL] += (slack_words
-                                               * (hops / words_per_flit))
+                                               * (hops / WORDS_PER_FLIT))
         return data_flits
 
     def add_wb_data_words(self, dest: str, hops: int, dirty_flags:
@@ -227,12 +225,11 @@ class TrafficLedger:
         at = _WB_AT if dest == DEST_L2 else _WB_AT + 2
         word_hops[at] += n_dirty * hops
         word_hops[at + 1] += (n_words - n_dirty) * hops
-        words_per_flit = self.words_per_flit
-        data_flits = -(-n_words // words_per_flit)
-        slack_words = data_flits * words_per_flit - n_words
+        data_flits = -(-n_words // WORDS_PER_FLIT)
+        slack_words = data_flits * WORDS_PER_FLIT - n_words
         if slack_words:
             self._buckets[WB][WB_CONTROL] += (slack_words
-                                              * (hops / words_per_flit))
+                                              * (hops / WORDS_PER_FLIT))
         return data_flits
 
     # -- resolution ------------------------------------------------------
@@ -240,10 +237,11 @@ class TrafficLedger:
         """Resolve deferred data verdicts through the verdict pool.
 
         Data traffic is totalled in integer word-hops and divided by
-        ``words_per_flit`` once per bucket.  With 4-word flits (16-byte
-        links, the only width any machine uses) every per-word charge is
-        a multiple of 1/4, which a double holds exactly, so these totals
-        equal a word-by-word float sum in any order.
+        ``WORDS_PER_FLIT`` once per bucket.  A flit is a fixed 4 words
+        (16-byte links, ``common.addressing.LINK_BYTES``), a power of
+        two, so every per-word charge is a multiple of 1/4, which a
+        double holds exactly, and these totals equal a word-by-word
+        float sum in any order.
         """
         verdicts = self._verdicts
         word_hops = self._word_hops
@@ -252,10 +250,9 @@ class TrafficLedger:
             used = verdicts[start:start + n_words].count(C_USED)
             word_hops[2 * code] += used * hops
             word_hops[2 * code + 1] += (n_words - used) * hops
-        words_per_flit = self.words_per_flit
         buckets = self._buckets
         for (major, key), total in zip(_WORD_HOP_KEYS, word_hops):
-            buckets[major][key] += total / words_per_flit
+            buckets[major][key] += total / WORDS_PER_FLIT
         self._deferred = array("q")
         self._word_hops = [0] * len(_WORD_HOP_KEYS)
         self._finalized = True

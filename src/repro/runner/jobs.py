@@ -13,8 +13,7 @@ Key derivation is shared with the durable result store: every cell has
 
 * a **config key** — hash of (scale, system) only, shared by all cells
   of one grid sweep.  The key payload hashes every ``SystemConfig``
-  field, so the machine shape (``num_tiles``/``mesh_width``) enters
-  every key;
+  field, so the machine shape (``num_tiles``) enters every key;
 * a **store key** — the config key tagged with the tile count (a
   readable ``-tN`` suffix, so shapes are distinguishable in a cache
   directory listing) plus the seed when it differs from the generators'
@@ -49,8 +48,14 @@ DEFAULT_SEED = 12345
 #: v11: the unread ``mc_queue_depth`` field left the config.  v12: the
 #: unread ``dram_t_ras`` field left the config, and ``line_bytes`` /
 #: ``word_bytes`` became read-only properties over the fixed address
-#: layout; results are unchanged, the payload shape is not.
-GRID_VERSION = 12
+#: layout; results are unchanged, the payload shape is not.  v13: the
+#: 17 fields no code varied (clock, associativities, link, DRAM,
+#: buffer, barrier and Bloom-hash parameters) left the config for
+#: constants in the modules that model them, and ``mesh_width`` became
+#: a property of ``num_tiles``; results are unchanged, the payload is
+#: not.  Those constants are not in the payload, so editing one needs
+#: a bump here, just as a protocol change does.
+GRID_VERSION = 13
 
 
 def config_key(scale: ScaleConfig, config: SystemConfig) -> str:

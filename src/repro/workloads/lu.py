@@ -22,6 +22,10 @@ from typing import List
 from repro.common.config import ScaleConfig
 from repro.workloads.base import DOUBLE_WORDS, Generator, core_grid
 
+#: Block edge in doubles: 16x16 blocks at every input scale, as in the
+#: paper.
+LU_BLOCK = 16
+
 
 class LUGenerator(Generator):
     name = "LU"
@@ -29,7 +33,7 @@ class LUGenerator(Generator):
     def __init__(self, scale: ScaleConfig, **kwargs) -> None:
         super().__init__(scale, **kwargs)
         self.n = scale.lu_matrix
-        self.b = scale.lu_block
+        self.b = LU_BLOCK
         if self.n % self.b:
             raise ValueError("matrix size must be a multiple of block size")
         self.nblocks = self.n // self.b

@@ -57,12 +57,6 @@ class TestSpanAndAlign:
     def test_span_three_lines(self):
         assert A.span_lines(15, 18) == [0, 1, 2]
 
-    def test_bytes_to_words_rounds_up(self):
-        assert A.bytes_to_words(1) == 1
-        assert A.bytes_to_words(4) == 1
-        assert A.bytes_to_words(5) == 2
-        assert A.bytes_to_words(64) == 16
-
     def test_align_up_already_aligned(self):
         assert A.align_up_words(32, 16) == 32
 

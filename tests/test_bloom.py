@@ -16,8 +16,8 @@ from repro.workloads import build_workload
 line_addrs = st.integers(min_value=0, max_value=2**34)
 
 
-def hashes(entries=512, n=1, seed=7):
-    return [H3Hash(entries, seed + i) for i in range(n)]
+def h3(entries=512, seed=7):
+    return H3Hash(entries, seed)
 
 
 class TestH3Hash:
@@ -80,32 +80,32 @@ class TestH3Tables:
 
 class TestBloomFilter:
     def test_insert_query(self):
-        f = BloomFilter(512, hashes())
+        f = BloomFilter(512, h3())
         f.insert(42)
         assert f.may_contain(42)
 
     def test_clear(self):
-        f = BloomFilter(512, hashes())
+        f = BloomFilter(512, h3())
         f.insert(42)
         f.clear()
         assert not f.may_contain(42)
 
     def test_union_bits(self):
-        src = CountingBloomFilter(512, hashes())
+        src = CountingBloomFilter(512, h3())
         src.insert(42)
-        dst = BloomFilter(512, hashes())
+        dst = BloomFilter(512, h3())
         dst.union_bits(src.bit_projection())
         assert dst.may_contain(42)
 
     def test_union_size_mismatch(self):
-        f = BloomFilter(512, hashes())
+        f = BloomFilter(512, h3())
         with pytest.raises(ValueError):
             f.union_bits([0] * 100)
 
     @settings(max_examples=30)
     @given(st.sets(line_addrs, min_size=1, max_size=100))
     def test_no_false_negatives(self, keys):
-        f = BloomFilter(512, hashes())
+        f = BloomFilter(512, h3())
         for key in keys:
             f.insert(key)
         assert all(f.may_contain(key) for key in keys)
@@ -113,14 +113,14 @@ class TestBloomFilter:
 
 class TestCountingBloomFilter:
     def test_insert_remove(self):
-        f = CountingBloomFilter(512, hashes())
+        f = CountingBloomFilter(512, h3())
         f.insert(42)
         f.remove(42)
         assert not f.may_contain(42)
 
     def test_counting_survives_shared_removal(self):
         """Two inserts need two removals before the bit clears."""
-        f = CountingBloomFilter(512, hashes())
+        f = CountingBloomFilter(512, h3())
         f.insert(42)
         f.insert(42)
         f.remove(42)
@@ -129,7 +129,7 @@ class TestCountingBloomFilter:
         assert not f.may_contain(42)
 
     def test_bit_projection_is_one_bit_per_entry(self):
-        f = CountingBloomFilter(512, hashes())
+        f = CountingBloomFilter(512, h3())
         for _ in range(CountingBloomFilter.COUNTER_MAX + 10):
             f.insert(42)
         f.insert(7)
@@ -139,14 +139,14 @@ class TestCountingBloomFilter:
         assert list(projection) == [1 if c else 0 for c in f._counters]
 
     def test_remove_at_zero_is_safe(self):
-        f = CountingBloomFilter(512, hashes())
+        f = CountingBloomFilter(512, h3())
         f.remove(42)
         assert not f.may_contain(42)
 
     @settings(max_examples=20)
     @given(st.sets(line_addrs, min_size=2, max_size=60))
     def test_removal_keeps_other_keys(self, keys):
-        f = CountingBloomFilter(1024, hashes(1024))
+        f = CountingBloomFilter(1024, h3(1024))
         keys = sorted(keys)
         for key in keys:
             f.insert(key)
@@ -157,28 +157,27 @@ class TestCountingBloomFilter:
 
 class TestSliceFilterBank:
     def test_tracks_lines(self):
-        bank = SliceFilterBank(num_filters=32, entries=512, num_hashes=1,
-                               seed=1)
+        bank = SliceFilterBank(num_filters=32, entries=512, seed=1)
         for line in range(0, 1000, 17):
             bank.insert(line)
         for line in range(0, 1000, 17):
             assert bank.may_contain(line)
 
     def test_remove(self):
-        bank = SliceFilterBank(32, 512, 1, seed=1)
+        bank = SliceFilterBank(32, 512, seed=1)
         bank.insert(100)
         bank.remove(100)
         assert not bank.may_contain(100)
 
     def test_filter_index_stable(self):
-        bank = SliceFilterBank(32, 512, 1, seed=1)
+        bank = SliceFilterBank(32, 512, seed=1)
         assert bank.filter_index(77) == bank.filter_index(77)
         assert 0 <= bank.filter_index(77) < 32
 
     def test_false_positive_rate_reasonable(self):
         """512 entries x 32 filters: ~1k inserted lines should leave the
         overwhelming majority of other lines negative."""
-        bank = SliceFilterBank(32, 512, 1, seed=3)
+        bank = SliceFilterBank(32, 512, seed=3)
         inserted = set(range(0, 4096, 4))
         for line in inserted:
             bank.insert(line)
@@ -190,7 +189,7 @@ class TestSliceFilterBank:
 
 class TestL1FilterShadow:
     def make_pair(self):
-        bank = SliceFilterBank(32, 512, 1, seed=5)
+        bank = SliceFilterBank(32, 512, seed=5)
         shadow = L1FilterShadow([bank])
         return bank, shadow
     def test_copy_semantics(self):
@@ -240,7 +239,7 @@ class TestL1FilterShadow:
 
     def test_two_slices_with_different_seeds(self):
         """Each slice's shadow indexes and hashes like that slice's bank."""
-        banks = [SliceFilterBank(32, 512, 1, seed=s) for s in (1, 2)]
+        banks = [SliceFilterBank(32, 512, seed=s) for s in (1, 2)]
         shadow = L1FilterShadow(banks)
         lines = range(0, 4000, 7)
         assert any(banks[0].filter_index(line) != banks[1].filter_index(line)
@@ -270,7 +269,7 @@ class TestL1FilterShadow:
 
 
 def test_dbypfull_builds_hashes_once_per_slice(monkeypatch):
-    """A DBypFull machine builds (hashes + select) per slice, no more, and
+    """A DBypFull machine builds (hash + select) per slice, no more, and
     every L1 shadow reuses its slice bank's hash objects."""
     built = []
     original = H3Hash.__init__
@@ -284,7 +283,7 @@ def test_dbypfull_builds_hashes_once_per_slice(monkeypatch):
                               num_cores=config.num_tiles)
     monkeypatch.setattr(filters.H3Hash, "__init__", counting_init)
     system = System(workload, protocol("DBypFull"), config)
-    assert len(built) == config.num_tiles * (config.bloom_hashes + 1)
+    assert len(built) == config.num_tiles * 2
     proto_sys = system.proto_sys
     banks = proto_sys.slice_blooms
     assert len(banks) == len(proto_sys.l1_blooms) == config.num_tiles
@@ -292,5 +291,4 @@ def test_dbypfull_builds_hashes_once_per_slice(monkeypatch):
         for s, bank in enumerate(banks):
             assert shadow._selects[s] is bank.select
             for f in shadow._filters[s]:
-                assert len(f._hashes) == len(bank.hashes)
-                assert all(a is b for a, b in zip(f._hashes, bank.hashes))
+                assert f._hash is bank.hash

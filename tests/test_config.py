@@ -1,10 +1,26 @@
 """Unit tests for system/protocol/scale configuration."""
 
+from dataclasses import fields
+
 import pytest
 
+from repro.coherence.kernel import L1_ASSOC, L2_ASSOC
 from repro.common.config import (
     DEFAULT_SYSTEM, PROTOCOL_ORDER, PROTOCOLS, ProtocolConfig, ScaleConfig,
     SystemConfig, corner_tiles, protocol, scaled_system)
+
+#: Table 4.1 parameters that are constants of the modules modelling
+#: them, not ``SystemConfig`` fields, with a value the paper's machine
+#: does not have.
+FIXED_PARAMETERS = {
+    "mesh_width": 3, "core_ghz": 3.0, "l1_assoc": 4, "l2_assoc": 8,
+    "link_bytes": 32, "link_latency": 1, "max_data_flits": 8,
+    "num_mem_controllers": 8, "dram_banks": 4, "dram_ranks": 1,
+    "dram_t_rcd": 10, "dram_t_rp": 10, "dram_t_cl": 10,
+    "dram_t_burst": 8, "store_buffer_entries": 16,
+    "write_combine_timeout": 100, "barrier_release_cost": 0,
+    "bloom_hashes": 2,
+}
 
 
 class TestSystemConfig:
@@ -14,18 +30,17 @@ class TestSystemConfig:
         assert cfg.l1_kb == 32
         assert cfg.l2_slice_kb == 256
         assert cfg.line_bytes == 64
-        assert cfg.link_bytes == 16
-        assert cfg.link_latency == 3
+        assert cfg.mesh_width == 4
+        assert [f.name for f in fields(SystemConfig)] == [
+            "num_tiles", "l1_kb", "l2_slice_kb", "write_combine_entries",
+            "bloom_entries", "bloom_filters_per_slice"]
 
     def test_derived_geometry(self):
         cfg = SystemConfig()
-        assert cfg.words_per_line == 16
-        assert cfg.words_per_flit == 4
         assert cfg.l1_lines == 512            # 32KB / 64B
-        assert cfg.l1_sets == 64              # 512 / 8-way
+        assert cfg.l1_lines // L1_ASSOC == 64     # 8-way sets
         assert cfg.l2_slice_lines == 4096     # 256KB / 64B
-        assert cfg.l2_slice_sets == 256
-        assert cfg.max_words_per_message == 16
+        assert cfg.l2_slice_lines // L2_ASSOC == 256
 
     def test_line_and_word_size_are_not_settings(self):
         """The address layout fixes 64-byte lines of 4-byte words; a
@@ -39,6 +54,12 @@ class TestSystemConfig:
         assert (cfg.line_bytes, cfg.word_bytes) == (64, 4)
         with pytest.raises(AttributeError):
             cfg.line_bytes = 128
+        # Nor are the other fixed Table 4.1 parameters.
+        for name, value in FIXED_PARAMETERS.items():
+            with pytest.raises(TypeError):
+                SystemConfig(**{name: value})
+        with pytest.raises(AttributeError):
+            cfg.mesh_width = 3
 
     def test_mesh_must_be_square(self):
         with pytest.raises(ValueError):
@@ -69,7 +90,7 @@ class TestProtocolConfigs:
 
     def test_denovo_baseline(self):
         p = protocol("DeNovo")
-        assert p.is_denovo
+        assert p.kind == "denovo"
         assert not (p.flex_l1 or p.l2_write_validate or p.mem_to_l1)
 
     def test_dflexl1_only_adds_flex(self):
@@ -126,6 +147,8 @@ class TestScaleConfig:
         assert sc.radix_keys == 4_000_000
         assert sc.radix_buckets == 1024
         assert sc.barnes_bodies == 16_384
+        with pytest.raises(TypeError):       # 16x16 at every scale
+            ScaleConfig(lu_block=8)
 
     def test_paper_scale_keeps_paper_caches(self):
         cfg = scaled_system(ScaleConfig.paper())

@@ -2,16 +2,17 @@
 
 import pytest
 
-from repro.common.config import SystemConfig
-from repro.dram.model import LINES_PER_ROW, DramChannel
+from repro.dram.model import (
+    DRAM_BANKS, DRAM_RANKS, LINES_PER_ROW, T_BURST, T_CL, T_RCD, T_RP,
+    DramChannel)
 from repro.engine.events import EventQueue
 
-CFG = SystemConfig()
+BANKS = DRAM_BANKS * DRAM_RANKS
 
 
 def make_channel():
     q = EventQueue()
-    return DramChannel(CFG, q), q
+    return DramChannel(q), q
 
 
 class TestAddressMapping:
@@ -27,8 +28,8 @@ class TestAddressMapping:
     def test_rows_interleave_across_banks(self):
         ch, _ = make_channel()
         banks = {ch.bank_of(row * LINES_PER_ROW)
-                 for row in range(CFG.dram_banks * CFG.dram_ranks)}
-        assert len(banks) == CFG.dram_banks * CFG.dram_ranks
+                 for row in range(BANKS)}
+        assert len(banks) == BANKS
 
 
 class TestTiming:
@@ -37,7 +38,7 @@ class TestTiming:
         done = []
         ch.read(0, done.append)
         q.run()
-        assert done[0] == CFG.dram_t_rcd + CFG.dram_t_cl + CFG.dram_t_burst
+        assert done[0] == T_RCD + T_CL + T_BURST
 
     def test_row_hit_is_faster(self):
         ch, q = make_channel()
@@ -48,7 +49,7 @@ class TestTiming:
         q.run()
         first = times[0]
         second_latency = times[1] - first
-        assert second_latency == CFG.dram_t_cl + CFG.dram_t_burst
+        assert second_latency == T_CL + T_BURST
         assert ch.row_hits == 1 and ch.row_misses == 1
 
     def test_row_conflict_pays_precharge(self):
@@ -56,13 +57,13 @@ class TestTiming:
         times = []
         ch.read(0, times.append)
         q.run()
-        conflict_line = LINES_PER_ROW * CFG.dram_banks * CFG.dram_ranks
+        conflict_line = LINES_PER_ROW * BANKS
         assert ch.bank_of(conflict_line) == ch.bank_of(0)
         ch.read(conflict_line, times.append)
         q.run()
         latency = times[1] - times[0]
-        assert latency == (CFG.dram_t_rp + CFG.dram_t_rcd + CFG.dram_t_cl
-                           + CFG.dram_t_burst)
+        assert latency == (T_RP + T_RCD + T_CL
+                           + T_BURST)
 
     def test_fr_fcfs_prefers_row_hit(self):
         """A younger row-hit request is served before an older row miss."""
@@ -71,7 +72,7 @@ class TestTiming:
         ch.read(0, lambda t: order.append("warm"))
         q.run()
         # Enqueue a row miss (different row, same bank) then a row hit.
-        same_bank_other_row = LINES_PER_ROW * CFG.dram_banks * CFG.dram_ranks
+        same_bank_other_row = LINES_PER_ROW * BANKS
         ch.read(same_bank_other_row, lambda t: order.append("miss"))
         ch.read(1, lambda t: order.append("hit"))
         q.run()
@@ -89,7 +90,7 @@ class TestTiming:
         ch, q = make_channel()
         same = []
         ch.read(0, same.append)
-        conflict = LINES_PER_ROW * CFG.dram_banks * CFG.dram_ranks
+        conflict = LINES_PER_ROW * BANKS
         ch.read(conflict, same.append)
         q.run()
         serial_span = max(same)

@@ -15,6 +15,7 @@ import pytest
 from repro.common.config import (
     ENERGY_MODELS, EnergyModelConfig, PROTOCOL_ORDER, ScaleConfig,
     energy_model, scaled_system)
+from repro.core.core import CORE_GHZ
 from repro.core.simulator import simulate
 from repro.energy import COMPONENTS, EnergyStats, compute_energy
 from repro.network.traffic import split_flit_hops
@@ -135,11 +136,24 @@ class TestEnergyModel:
     def test_derived_metrics(self, ladder_results):
         stats = compute_energy(ladder_results["MESI"], "45nm", CONFIG)
         assert stats.exec_seconds == pytest.approx(
-            ladder_results["MESI"].exec_cycles / (CONFIG.core_ghz * 1e9))
+            ladder_results["MESI"].exec_cycles / (CORE_GHZ * 1e9))
         assert stats.edp == pytest.approx(stats.total * stats.exec_seconds)
         assert stats.ed2p == pytest.approx(
             stats.total * stats.exec_seconds ** 2)
         assert stats.energy_per_useful_word > 0
+
+    def test_energy_per_useful_word_undefined_without_used_words(self):
+        """A run whose cores use no L1 word has no energy per useful
+        word: the table says n/a rather than a free 0.00."""
+        from repro.analysis.energy import edp_table
+        result = simulate(build_workload("stream", SCALE), "MESI", CONFIG)
+        assert result.used_words("l1") == 0
+        stats = compute_energy(result, "45nm", CONFIG)
+        assert stats.total > 0
+        assert stats.energy_per_useful_word is None
+        row = edp_table({"stream": {"MESI": result}}, "45nm",
+                        CONFIG).splitlines()[-1]
+        assert row.startswith("  MESI") and row.endswith(" n/a")
 
     def test_presets_scale_dynamic_energy(self, ladder_results):
         result = ladder_results["MESI"]

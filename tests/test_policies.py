@@ -14,6 +14,7 @@ from tests.conftest import (
     TINY_SYSTEM, loads, micro_workload, run_micro, simple_region, stores)
 from repro.coherence import DenovoSystem, MesiSystem
 from repro.coherence.denovo import W_VALID
+from repro.coherence.kernel import L1_ASSOC
 from repro.common.addressing import WORDS_PER_LINE, words_of_line
 from repro.common.config import PROTOCOLS, protocol, scaled_system
 from repro.common.regions import FlexPattern, Region, RegionTable
@@ -204,8 +205,8 @@ def _write_two_words_per_line(lines=4):
     the same L1 set, forcing dirty evictions in the tiny system."""
     ops = []
     cache_lines = TINY_SYSTEM.l1_kb * 1024 // TINY_SYSTEM.line_bytes
-    sets = cache_lines // TINY_SYSTEM.l1_assoc
-    span = sets * WORDS_PER_LINE * (TINY_SYSTEM.l1_assoc + lines)
+    sets = cache_lines // L1_ASSOC
+    span = sets * WORDS_PER_LINE * (L1_ASSOC + lines)
     for i in range(lines * 8):
         base = (i * sets) * WORDS_PER_LINE % span
         stores(ops, base, base + 1)

@@ -37,7 +37,7 @@ class TestProfileEntry:
         assert [p.category(h) for h in handles] == [
             Category.FETCH, Category.WRITE, Category.EVICT,
             Category.INVALIDATE, Category.UNEVICTED]
-        ledger = T.TrafficLedger(4, pools.cache_cat)
+        ledger = T.TrafficLedger(pools.cache_cat)
         assert handles == list(range(5))
         ledger.add_data_words(T.LD, T.DEST_L1, 4, range(5))
         ledger.finalize()

@@ -46,17 +46,17 @@ class TestJobSpec:
 
     def test_store_key_is_pinned(self):
         """Cache keys must never change *silently*.  Pinned literals:
-        the GRID_VERSION-12 keys (the unread ``SystemConfig.dram_t_ras``
-        and the fixed ``line_bytes`` / ``word_bytes`` left the config
-        hash payload, deliberately retiring the v11 keys).
+        the GRID_VERSION-13 keys (the 17 fixed Table 4.1 fields and
+        the ``mesh_width`` field left the config hash payload,
+        deliberately retiring the v12 keys).
         If this fails, the hash payload or serialization changed and
         every stored result silently became unreachable; bump
         GRID_VERSION deliberately and re-pin instead."""
         from repro.common.config import DEFAULT_SCALE, scaled_system
         assert config_key(
             DEFAULT_SCALE,
-            scaled_system(DEFAULT_SCALE)) == "b7ebc8f2beeadcbe"
-        assert spec().store_key() == "9533d4895addf6a7-t16"
+            scaled_system(DEFAULT_SCALE)) == "bccf400e3d422889"
+        assert spec().store_key() == "cb8981dcb833a24d-t16"
 
     def test_config_key_differs_by_scale_and_system(self):
         base = config_key(ScaleConfig(), SystemConfig())
@@ -376,6 +376,23 @@ def _forbid_simulation(monkeypatch):
 
 
 class TestCLI:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_telemetry_names_lu_rung_reuse(self, tmp_path, jobs):
+        """LU has no Flex pattern and no bypass region, so the three
+        rungs that add only those optimisations reuse a lower rung's
+        result, and the telemetry sidecar says which: the same cells
+        serially and in a process pool."""
+        rc = cli_main(["sweep", "--scale", "tiny", "--workloads", "LU",
+                       "--jobs", jobs, "--progress",
+                       "--cache-dir", str(tmp_path)])
+        assert rc == 0
+        cells = json.loads((tmp_path / "telemetry.json").read_text())[
+            "cells"]
+        reused = {c["protocol"]: c["reused_from"] for c in cells
+                  if c["reused_from"] is not None}
+        assert reused == {"DFlexL1": "DeNovo", "DFlexL2": "DMemL1",
+                          "DBypL2": "DMemL1"}
+
     def test_sweep_prints_progress_and_persists(self, tmp_path, capsys):
         rc = cli_main(["sweep", "--workloads", "stream",
                        "--protocols", "MESI", "DeNovo",

@@ -1,6 +1,7 @@
 """Machine-shape layer tests: partitioning, mesh, placement, end-to-end.
 
-The machine shape (tile count / mesh / MC placement) is a sweep axis;
+The machine shape (the tile count, which fixes the mesh and the corner
+MC placement) is a sweep axis;
 these tests pin the pieces every layer relies on at non-default shapes:
 workload partition helpers cover their index space exactly once for any
 core count, the mesh topology is self-consistent on 2x2 through 8x8,
@@ -12,11 +13,12 @@ non-power-of-two — machines.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coherence.kernel import L2_ASSOC
 from repro.common.config import (
     PROTOCOL_ORDER, ScaleConfig, SystemConfig, corner_tiles,
-    mc_tile_placement, reshape_system, scaled_system)
+    reshape_system, scaled_system)
 from repro.core.simulator import simulate
-from repro.network.mesh import Mesh
+from repro.network.mesh import LINK_LATENCY, Mesh
 from repro.workloads import build_workload, core_grid
 from repro.workloads.base import Generator
 from repro.workloads.lu import LUGenerator
@@ -96,12 +98,6 @@ def mesh_of(width: int, contention=False) -> Mesh:
 
 class TestMeshShapes:
     @pytest.mark.parametrize("width", MESH_WIDTHS)
-    def test_coords_roundtrip(self, width):
-        m = mesh_of(width)
-        for tile in range(width * width):
-            assert m.tile_at(*m.coords(tile)) == tile
-
-    @pytest.mark.parametrize("width", MESH_WIDTHS)
     def test_route_matches_hops_everywhere(self, width):
         m = mesh_of(width)
         tiles = range(width * width)
@@ -111,8 +107,8 @@ class TestMeshShapes:
                 assert route[0] == a and route[-1] == b
                 assert len(route) == m.hops(a, b) + 1
                 for here, there in zip(route, route[1:]):
-                    hx, hy = m.coords(here)
-                    tx, ty = m.coords(there)
+                    hy, hx = divmod(here, width)
+                    ty, tx = divmod(there, width)
                     assert abs(hx - tx) + abs(hy - ty) == 1
 
     @pytest.mark.parametrize("width", MESH_WIDTHS)
@@ -128,10 +124,9 @@ class TestMeshShapes:
     @pytest.mark.parametrize("width", MESH_WIDTHS)
     def test_latency_consistent_with_hops(self, width):
         m = mesh_of(width, contention=False)
-        link = SystemConfig(num_tiles=width * width).link_latency
         for b in range(width * width):
             expected = (Mesh.LOCAL_LATENCY if b == 0
-                        else m.hops(0, b) * link + 3)
+                        else m.hops(0, b) * LINK_LATENCY + 3)
             assert m.latency(0, b, 4, now=0) == expected
 
     @pytest.mark.parametrize("width", MESH_WIDTHS)
@@ -149,43 +144,27 @@ class TestMeshShapes:
 
 class TestMcPlacement:
     @pytest.mark.parametrize("width", (2, 3, 4, 5, 8))
-    @pytest.mark.parametrize("count", (1, 2, 4))
-    def test_placement_is_distinct_and_in_range(self, width, count):
-        tiles = mc_tile_placement(width, count)
-        assert len(tiles) == count == len(set(tiles))
-        assert all(0 <= t < width * width for t in tiles)
-
-    @pytest.mark.parametrize("width", (3, 4, 8))
-    def test_eight_controllers(self, width):
-        tiles = mc_tile_placement(width, 8)
-        assert len(tiles) == 8 == len(set(tiles))
+    def test_placement_is_distinct_and_in_range(self, width):
+        tiles = SystemConfig(num_tiles=width * width).mc_placement()
+        assert len(tiles) == 4 == len(set(tiles))
         assert all(0 <= t < width * width for t in tiles)
 
     def test_paper_machine_placement_is_the_four_corners(self):
-        assert mc_tile_placement(4, 4) == corner_tiles(4) == (0, 3, 12, 15)
+        assert SystemConfig().mc_placement() == corner_tiles(4) \
+            == (0, 3, 12, 15)
 
     def test_degenerate_mesh_rejected(self):
         """corner_tiles(1) used to return duplicate tile ids silently."""
         for width in (0, 1):
             with pytest.raises(ValueError):
                 corner_tiles(width)
-            with pytest.raises(ValueError):
-                mc_tile_placement(width, 4)
-
-    def test_eight_controllers_need_3x3(self):
-        with pytest.raises(ValueError):
-            mc_tile_placement(2, 8)
-
-    def test_unsupported_count_rejected(self):
-        with pytest.raises(ValueError):
-            mc_tile_placement(4, 3)
 
     def test_system_config_validates_controller_count(self):
-        with pytest.raises(ValueError):
+        """The controller count is fixed at the four corners, so no
+        config can ask for another."""
+        with pytest.raises(TypeError):
             SystemConfig(num_tiles=4, num_mem_controllers=8)
-        # ... and a valid non-default combination constructs.
-        cfg = SystemConfig(num_tiles=36, num_mem_controllers=8)
-        assert len(cfg.mc_placement()) == 8
+        assert len(SystemConfig(num_tiles=36).mc_placement()) == 4
 
 
 class TestShapeConfig:
@@ -200,7 +179,8 @@ class TestShapeConfig:
             SystemConfig(num_tiles=num_tiles)
 
     def test_explicit_mismatched_width_rejected(self):
-        with pytest.raises(ValueError):
+        """The width follows from the tile count; it is not a setting."""
+        with pytest.raises(TypeError):
             SystemConfig(num_tiles=16, mesh_width=3)
 
     @pytest.mark.parametrize("num_tiles", (4, 9, 64))
@@ -214,10 +194,11 @@ class TestShapeConfig:
         # most half a KB per slice (e.g. 128KB over 9 slices -> 14KB).
         shaped_total = shaped.l2_slice_kb * shaped.num_tiles
         assert 2 * abs(shaped_total - total) <= num_tiles
-        assert shaped.l2_slice_sets >= 1
+        assert shaped.l2_slice_lines // L2_ASSOC >= 1
         # Per-core resources are untouched.
         assert shaped.l1_kb == base.l1_kb
-        assert shaped.store_buffer_entries == base.store_buffer_entries
+        assert (shaped.write_combine_entries
+                == base.write_combine_entries)
 
     def test_reshape_to_same_shape_is_identity(self):
         base = scaled_system(ScaleConfig.tiny())

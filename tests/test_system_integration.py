@@ -8,12 +8,13 @@ from repro.common.config import (
     PROTOCOL_ORDER, ScaleConfig, SystemConfig, protocol, scaled_system)
 from repro.core.simulator import simulate, simulate_all_protocols
 from repro.core.system import System
+from repro.engine.events import BARRIER_RELEASE_COST
 from repro.network import traffic as T
 from repro.waste.profiler import Category
 from repro.workloads import build_workload
 from repro.workloads.trace import OP_BARRIER, OP_LOAD, OP_STORE
 
-from tests.conftest import TINY_SYSTEM, micro_workload, run_micro
+from tests.conftest import TINY_SYSTEM, micro_workload
 
 SCALE = ScaleConfig.tiny()
 CFG = scaled_system(SCALE)
@@ -122,26 +123,23 @@ class TestCrossProtocolShapes:
 
 
 class TestBarrierReleaseCost:
-    """SystemConfig.barrier_release_cost must reach the Barrier."""
+    """Every barrier costs the machine BARRIER_RELEASE_COST cycles."""
 
-    def _run(self, cost):
-        from dataclasses import replace
+    def _system(self):
         ops = {0: [(OP_STORE, 0), (OP_BARRIER, 0), (OP_LOAD, 0)]}
-        cfg = replace(TINY_SYSTEM, barrier_release_cost=cost)
-        return run_micro(ops, config=cfg)
+        return System(micro_workload(ops), protocol("MESI"), TINY_SYSTEM)
 
     def test_threaded_through_system(self):
-        _, system = self._run(123)
-        assert system.barrier._release_cost == 123
-        assert system.config.barrier_release_cost == 123
+        assert self._system().barrier._release_cost == BARRIER_RELEASE_COST
 
     def test_cost_shows_up_in_execution_time(self):
-        cheap, _ = self._run(0)
-        dear, _ = self._run(5000)
-        assert dear.exec_cycles > cheap.exec_cycles
+        cheap, dear = self._system(), self._system()
+        cheap.barrier._release_cost = 0
+        dear.barrier._release_cost = 5000
+        assert dear.run().exec_cycles > cheap.run().exec_cycles
 
     def test_default_matches_paper_value(self):
-        assert SystemConfig().barrier_release_cost == 50
+        assert BARRIER_RELEASE_COST == 50
 
 
 class TestBeyondPaperRungs:
@@ -172,6 +170,6 @@ class TestSimulateApi:
 
     def test_core_count_mismatch_rejected(self):
         w = build_workload("radix", SCALE)
-        bad = SystemConfig(num_tiles=4, mesh_width=2)
+        bad = SystemConfig(num_tiles=4)
         with pytest.raises(ValueError):
             System(w, protocol("MESI"), bad)

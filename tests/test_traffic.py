@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.coherence.denovo import MAX_MESSAGE_WORDS
 from repro.common.config import SystemConfig
 from repro.network import traffic as T
 from repro.network.mesh import Mesh
@@ -29,7 +30,7 @@ class Words:
         self._next = 0
 
     def ledger(self):
-        return T.TrafficLedger(4, self.pools.cache_cat)
+        return T.TrafficLedger(self.pools.cache_cat)
 
     def pending(self):
         word = self._next
@@ -144,14 +145,14 @@ class TestDeferredRecords:
     def test_record_round_trips_at_its_limits(self, code):
         hops = Mesh(SystemConfig(num_tiles=64)).hops(0, 63)
         assert hops == 14
-        n_words = SystemConfig().max_words_per_message
+        n_words = MAX_MESSAGE_WORDS
         start = 2**32 + 5
         record = T.pack_data_record(start, n_words, hops, code)
         assert T.unpack_data_record(record) == (start, n_words, hops, code)
 
     def test_ledger_packs_the_message(self):
         led = T.TrafficLedger()
-        n_words = SystemConfig().max_words_per_message
+        n_words = MAX_MESSAGE_WORDS
         start = 2**32 + 5
         flits = led.add_data_words(T.ST, T.DEST_L2, 14,
                                    range(start, start + n_words))
@@ -198,7 +199,7 @@ class TestDeferredRecords:
                 want[major][key] += hops / 4
         breakdowns = []
         for _ in range(3):
-            led = T.TrafficLedger(4, pools.cache_cat)
+            led = T.TrafficLedger(pools.cache_cat)
             for major, dest, hops, handles in messages:
                 led.add_data_words(major, dest, hops, handles)
             led.finalize()
