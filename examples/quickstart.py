@@ -14,6 +14,7 @@ from repro.analysis.report import CLAIMS
 from repro.common.config import scaled_system
 from repro.network import traffic as T
 from repro.waste.profiler import Category
+from repro.workloads.trace import OP_LOAD, OP_STORE
 
 
 def describe(result) -> None:
@@ -33,7 +34,9 @@ def main() -> None:
     scale = ScaleConfig.tiny()          # fast demo; ScaleConfig() is fuller
     config = scaled_system(scale)
     workload = build_workload("radix", scale)
-    print(f"workload: radix — {workload.memory_ops():,} memory ops, "
+    memory_ops = sum(kind in (OP_LOAD, OP_STORE)
+                     for trace in workload.traces for kind, _arg in trace)
+    print(f"workload: radix — {memory_ops:,} memory ops, "
           f"{workload.num_barriers} barriers, 16 cores")
 
     mesi = simulate(workload, "MESI", config)

@@ -149,7 +149,8 @@ def report_section(profiles: List[dict], num_tiles: int) -> str:
              "(`python -m repro stalls`).  Conservation audits "
              f"{'pass' if audits_ok else 'FAIL'}: segments sum to "
              "end-to-end latency, compute + stalls equal total cycles, "
-             "DRAM segments reconcile with `dram_stats`.\n",
+             "DRAM segments reconcile with the measurement window's "
+             "DRAM reads and writes.\n",
              "```\n" + figure_stalls(profiles, num_tiles).render()
              + "\n```"]
     return "\n".join(parts)

@@ -168,10 +168,6 @@ class SliceFilterBank:
         self.stat_checks += 1
         return self._filters[self.filter_index(line_addr)].may_contain(line_addr)
 
-    def reset_energy_counters(self) -> None:
-        self.stat_checks = 0
-        self.stat_updates = 0
-
     def bit_projection(self, filter_index: int) -> bytes:
         return self._filters[filter_index].bit_projection()
 
@@ -239,11 +235,6 @@ class L1FilterShadow:
             raise RuntimeError("querying an uncopied filter; fetch it first")
         self.stat_checks += 1
         return self._filters[slice_id][index].may_contain(line_addr)
-
-    def reset_energy_counters(self) -> None:
-        self.stat_checks = 0
-        self.stat_inserts = 0
-        self.stat_installs = 0
 
     def clear(self) -> None:
         """Barrier: wipe all shadow copies and validity bits (only the

@@ -195,12 +195,6 @@ class SetAssocCache(Generic[LineT]):
             self.stat_evictions += 1
         return line
 
-    def reset_energy_counters(self) -> None:
-        """Zero the observational counters (end of measurement warm-up)."""
-        self.stat_probes = 0
-        self.stat_installs = 0
-        self.stat_evictions = 0
-
     def resident_lines(self) -> List[LineT]:
         """All resident lines (for end-of-simulation finalization)."""
         out: List[LineT] = []

@@ -225,13 +225,6 @@ class DenovoSystem(CoherenceKernel):
         )
         return counters
 
-    def reset_energy_counters(self) -> None:
-        super().reset_energy_counters()
-        for bank in self.slice_blooms:
-            bank.reset_energy_counters()
-        for shadow in self.l1_blooms:
-            shadow.reset_energy_counters()
-
     # ------------------------------------------------------------------
     # Core-facing interface
     # ------------------------------------------------------------------

@@ -129,13 +129,6 @@ class CoherenceKernel:
                 counters[f"{prefix}_evictions"] += cache.stat_evictions
         return counters
 
-    def reset_energy_counters(self) -> None:
-        """Zero the energy event counters (end of measurement warm-up)."""
-        for cache in self.l1:
-            cache.reset_energy_counters()
-        for cache in self.l2:
-            cache.reset_energy_counters()
-
     # ------------------------------------------------------------------
     # Retire hooks
     # ------------------------------------------------------------------

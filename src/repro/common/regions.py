@@ -152,9 +152,6 @@ class RegionTable:
             return self._sorted == other._sorted
         return NotImplemented
 
-    def by_id(self, region_id: int) -> Region:
-        return self._by_id[region_id]
-
     def get(self, region_id: int) -> Optional[Region]:
         return self._by_id.get(region_id)
 
@@ -236,7 +233,3 @@ class RegionAllocator:
         self._next_id += 1
         self._next_word = base + size_words
         return region
-
-    @property
-    def high_water_word(self) -> int:
-        return self._next_word

@@ -106,7 +106,7 @@ class SimContext:
         # Word-instance storage for the whole run; the profilers and the
         # ledger over it belong to one measurement window.
         self.pools = WastePools()
-        self._open_window()
+        self.reset_stats()
         # Memory-controller tiles: the four mesh corners.
         self.mc_tiles = config.mc_placement()
         self.drams: Dict[int, DramChannel] = {
@@ -132,8 +132,19 @@ class SimContext:
         self._count_packet = self.mesh.count_packet
         self._schedule_call = self.queue.schedule_call
 
-    def _open_window(self) -> None:
-        """Fresh traffic and waste accounting over the run's pools."""
+    def reset_stats(self) -> None:
+        """Open a fresh traffic and waste window over the run's pools.
+
+        Called at construction and again by ``System`` after the warm-up
+        period.  Cache contents and protocol state are untouched.  The
+        pools stay, so every warm-up handle remains resolvable; the fresh
+        cache profilers start with no active words, so later events on
+        words brought in during warm-up find nothing to classify, while a
+        warm-up memory instance still held on chip is classified, and
+        counted, by the live memory profiler when its verdict comes.
+        Energy event counters are not reset here: the components count
+        from cycle 0 and ``System`` subtracts its warm-up snapshot.
+        """
         pools = self.pools
         ledger = self.ledger = TrafficLedger(pools.cache_cat)
         self.l1_prof = CacheLevelProfiler("L1", pools)
@@ -233,27 +244,6 @@ class SimContext:
         if handler is not None:
             self._schedule_call(arrive, handler, *args, arrive)
         return arrive
-
-    # -- statistics reset (warm-up support) -------------------------------
-    def reset_stats(self) -> None:
-        """Swap in fresh traffic/waste accounting after the warm-up period.
-
-        Cache contents and protocol state are untouched.  The pools stay,
-        so every warm-up handle remains resolvable; the fresh cache
-        profilers start with no active words, so later events on words
-        brought in during warm-up find nothing to classify, while a
-        warm-up memory instance still held on chip is classified, and
-        counted, by the live memory profiler when its verdict comes.
-        """
-        self._open_window()
-        # Energy counters follow the same measurement window as the
-        # ledger: NoC flit-hops must reconcile with the post-warm-up
-        # traffic totals, and DRAM/MC energy events with the window's
-        # command counts.  (The coherence kernel's counters are reset by
-        # ``System`` right after this call, for the same reason.)
-        self.mesh.reset_energy_counters()
-        for dram in self.drams.values():
-            dram.reset_energy_counters()
 
     def finalize(self) -> None:
         self.l1_prof.finalize()

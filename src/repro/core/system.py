@@ -55,6 +55,9 @@ class System:
         self.barrier.on_release(self._on_barrier_release)
         self._finished = 0
         self._measure_start = 0
+        # Cumulative energy counts at the end of warm-up; components
+        # count from cycle 0 and are never reset.
+        self._energy_base: Dict[str, int] = {}
         self.cores = [
             Core(i, workload.traces[i], self.proto_sys, self.ctx,
                  self.barrier, self._core_finished)
@@ -85,12 +88,12 @@ class System:
                 kwargs["bypass_l2"] = update.bypass_l2
             if kwargs:
                 self.regions.update(update.region_id, **kwargs)
-        # End of warm-up: reset all statistics.
+        # End of warm-up: open the measurement window.
         if (self.workload.warmup_barriers
                 and self.barrier.barriers_passed
                 == self.workload.warmup_barriers):
             self.ctx.reset_stats()
-            self.proto_sys.reset_energy_counters()
+            self._energy_base = self._counters()
             for core in self.cores:
                 core.reset_time()
                 # The cores resume right after this hook and will charge
@@ -102,6 +105,32 @@ class System:
             # conservation audits compare like-scoped totals.
             if self.obs is not None:
                 self.obs.on_measure_reset()
+
+    # ------------------------------------------------------------------
+
+    def _dram_stats(self) -> Dict[str, int]:
+        """Whole-run DRAM statistics summed over the channels."""
+        drams = self.ctx.drams.values()
+        return {key: sum(getattr(dram, key) for dram in drams)
+                for key in ("reads", "writes", "row_hits", "row_misses",
+                            "activates", "precharges")}
+
+    def _counters(self) -> Dict[str, int]:
+        """Cumulative energy event counts since cycle 0."""
+        counters = self.proto_sys.energy_counters()
+        counters["noc_packets"] = self.ctx.mesh.stat_packets
+        counters["noc_flit_hops"] = self.ctx.mesh.stat_flit_hops
+        dram = self._dram_stats()
+        for key in ("reads", "writes", "activates", "precharges"):
+            counters[f"dram_{key}"] = dram[key]
+        return counters
+
+    def window_counters(self) -> Dict[str, int]:
+        """Energy event counts in the measurement window: since the
+        warm-up barrier, or the whole run for a workload without one."""
+        base = self._energy_base
+        return {key: count - base.get(key, 0)
+                for key, count in self._counters().items()}
 
     # ------------------------------------------------------------------
 
@@ -131,26 +160,6 @@ class System:
         exec_cycles -= self._measure_start
         # Explicit stats() protocol (no dir()-scan over stat_* attributes).
         proto_stats = self.proto_sys.stats()
-        dram_stats: Dict[str, int] = {"reads": 0, "writes": 0,
-                                      "row_hits": 0, "row_misses": 0,
-                                      "activates": 0, "precharges": 0}
-        for dram in self.ctx.drams.values():
-            dram_stats["reads"] += dram.reads
-            dram_stats["writes"] += dram.writes
-            dram_stats["row_hits"] += dram.row_hits
-            dram_stats["row_misses"] += dram.row_misses
-            dram_stats["activates"] += dram.activates
-            dram_stats["precharges"] += dram.precharges
-        energy_counters = self.proto_sys.energy_counters()
-        energy_counters["noc_packets"] = self.ctx.mesh.stat_packets
-        energy_counters["noc_flit_hops"] = self.ctx.mesh.stat_flit_hops
-        # DRAM/MC energy events, scoped to the measurement window
-        # (dram_stats above keeps its long-standing whole-run scope).
-        for key in ("reads", "writes", "activates", "precharges"):
-            energy_counters[f"dram_{key}"] = 0
-        for dram in self.ctx.drams.values():
-            for key, count in dram.window_commands().items():
-                energy_counters[f"dram_{key}"] += count
         return RunResult(
             workload=self.workload.name,
             protocol=self.proto.name,
@@ -166,6 +175,7 @@ class System:
             events=self.ctx.queue.events_run
             - (self.obs.overhead_events if self.obs is not None else 0),
             protocol_stats=proto_stats,
-            dram_stats=dram_stats,
-            energy_counters=energy_counters,
+            # dram_stats keeps its long-standing whole-run scope.
+            dram_stats=self._dram_stats(),
+            energy_counters=self.window_counters(),
         )

@@ -14,7 +14,7 @@ memory controller after the read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.engine.events import EventQueue
 
@@ -63,7 +63,8 @@ class DramChannel:
         self._bus_free = 0
         self._dispatch_scheduled = False
         self._seq = 0
-        # statistics
+        # statistics, cumulative from cycle 0 (``System`` subtracts its
+        # warm-up snapshot for the measurement window)
         self.reads = 0
         self.writes = 0
         self.row_hits = 0
@@ -73,12 +74,6 @@ class DramChannel:
         # issue a PRECHARGE first.  Observational only.
         self.activates = 0
         self.precharges = 0
-        # Measurement-window baseline: the cumulative stats above cover
-        # the whole run (warm-up included, the long-standing dram_stats
-        # convention), but energy must follow the post-warm-up window
-        # like every other component, so the warm-up reset snapshots the
-        # counts and window_commands() reports the difference.
-        self._window_base = (0, 0, 0, 0)
         # Observability hook: when set (by repro.obs.ObsSession), fired
         # once per serviced request as ``on_service(line_addr, is_write,
         # bank, row_hit, arrival, start, done)``.  ``arrival`` is when
@@ -120,19 +115,6 @@ class DramChannel:
         """Write a (possibly word-masked) line; fire-and-forget by default."""
         self._enqueue(_Request(line_addr, True, self._queue.now, callback,
                                args, self._next_seq()))
-
-    def reset_energy_counters(self) -> None:
-        """Start the measurement window (end of warm-up)."""
-        self._window_base = (self.reads, self.writes, self.activates,
-                             self.precharges)
-
-    def window_commands(self) -> Dict[str, int]:
-        """Command counts since the last :meth:`reset_energy_counters`."""
-        reads, writes, activates, precharges = self._window_base
-        return {"reads": self.reads - reads,
-                "writes": self.writes - writes,
-                "activates": self.activates - activates,
-                "precharges": self.precharges - precharges}
 
     # -- internals -----------------------------------------------------------
     def _next_seq(self) -> int:

@@ -16,8 +16,7 @@ Conservation properties the audit tests rely on:
   (``result.traffic``), split into data and control via
   :func:`repro.network.traffic.split_flit_hops`;
 * DRAM energy events are exactly the FR-FCFS model's command counts
-  over the measurement window (``energy_counters["dram_*"]``; for
-  results predating those counters, the whole-run ``dram_stats``).
+  over the measurement window (``energy_counters["dram_*"]``).
 
 Costs are relative-fidelity estimates (see ``EnergyModelConfig``), so
 compare rungs, shapes and presets — don't quote absolute joules.
@@ -132,10 +131,10 @@ def compute_energy(result: RunResult,
 
     ``config`` supplies the unit counts; it defaults to the paper's
     16-tile machine and only needs to match the run's *shape* (its
-    tile count), not its cache sizing.  Results
-    predating the energy counters (old cache files) yield zero L1/L2/
-    Bloom dynamic energy but still account core, NoC, MC, DRAM and
-    leakage, all of which derive from fields every result has.
+    tile count), not its cache sizing.  Cache, Bloom, MC and DRAM events
+    come from ``result.energy_counters``, scoped to the measurement
+    window; a counter the run did not record (MESI has no Bloom
+    filters) charges nothing.
     """
     em = resolve_model(model)
     cfg = config if config is not None else SystemConfig()
@@ -189,19 +188,13 @@ def compute_energy(result: RunResult,
 
     # MC + DRAM: the FR-FCFS model's command counts over the
     # measurement window (every other component is window-scoped, so
-    # warm-up DRAM traffic must not leak into the breakdown).  Old
-    # results without the window counters fall back to the whole-run
-    # dram_stats — the best available approximation.
-    dram = result.dram_stats
-    accesses = (get("dram_reads", dram.get("reads", 0))
-                + get("dram_writes", dram.get("writes", 0)))
+    # warm-up DRAM traffic must not leak into the breakdown).
+    accesses = get("dram_reads", 0) + get("dram_writes", 0)
     dyn_mc = charge("mc_requests", accesses, em.mc_request_pj)
     dyn_dram = (
-        charge("dram_activates",
-               get("dram_activates", dram.get("activates", 0)),
+        charge("dram_activates", get("dram_activates", 0),
                em.dram_activate_pj)
-        + charge("dram_precharges",
-                 get("dram_precharges", dram.get("precharges", 0)),
+        + charge("dram_precharges", get("dram_precharges", 0),
                  em.dram_precharge_pj)
         + charge("dram_accesses", accesses, em.dram_access_pj))
 

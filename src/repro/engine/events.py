@@ -137,7 +137,3 @@ class Barrier:
             hook()
         for _cid, resume_fn in waiting:
             resume_fn(release_time)
-
-    @property
-    def waiting_count(self) -> int:
-        return len(self._waiting)

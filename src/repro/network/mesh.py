@@ -146,8 +146,3 @@ class Mesh:
         self.stat_packets += 1
         self.stat_flit_hops += total_flits * hops
         return hops
-
-    def reset_energy_counters(self) -> None:
-        """Zero the observational counters (end of measurement warm-up)."""
-        self.stat_packets = 0
-        self.stat_flit_hops = 0

@@ -20,7 +20,7 @@ from repro.obs.attrib import (
     SEGMENT_LABELS, SEGMENTS, STALL_CAUSES, STALL_LABELS, AttribCollector)
 from repro.obs.sampler import PhaseSampler
 from repro.obs.session import ObsSession
-from repro.obs.telemetry import SIDECAR_NAME, SweepTelemetry, load_telemetry
+from repro.obs.telemetry import SweepTelemetry, load_telemetry
 from repro.obs.trace import SimTrace
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "PhaseSampler",
     "SEGMENT_LABELS",
     "SEGMENTS",
-    "SIDECAR_NAME",
     "STALL_CAUSES",
     "STALL_LABELS",
     "SimTrace",

@@ -43,8 +43,9 @@ holds exactly per core — the second conservation audit.
 
 **DRAM reconciliation**: the extended ``on_service`` hook splits queue
 wait (service start − controller arrival) from array service and
-counts serviced commands, which must equal the channel's
-``window_commands()`` in the measurement window — the third audit.
+counts serviced commands, which must equal the channels' reads and
+writes in the measurement window (``System.window_counters()``) — the
+third audit.
 """
 
 from __future__ import annotations
@@ -265,9 +266,9 @@ class AttribCollector:
     def on_measure_reset(self) -> None:
         """End of warm-up: restart attribution with the other stats.
 
-        Called by ``System`` in the same event as ``ctx.reset_stats()``
-        and the cores' ``reset_time()``, so every conservation audit
-        compares like-scoped windows.
+        Called by ``System`` in the same event as ``ctx.reset_stats()``,
+        its warm-up counter snapshot and the cores' ``reset_time()``, so
+        every conservation audit compares like-scoped windows.
         """
         for op in OPS:
             self.seg_count[op] = dict.fromkeys(SEGMENTS, 0)
@@ -307,11 +308,9 @@ class AttribCollector:
                              "busy": core.time.busy, "stalled": stalled,
                              "total": total})
         cycles = {"ok": cycles_ok, "per_core": per_core}
-        window = {"reads": 0, "writes": 0}
-        for dram in system.ctx.drams.values():
-            commands = dram.window_commands()
-            window["reads"] += commands["reads"]
-            window["writes"] += commands["writes"]
+        counters = system.window_counters()
+        window = {"reads": counters["dram_reads"],
+                  "writes": counters["dram_writes"]}
         dram = {"ok": self.dram_observed == window,
                 "observed": dict(self.dram_observed),
                 "window_commands": window}

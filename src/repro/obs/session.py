@@ -221,8 +221,8 @@ class ObsSession:
 
         The flit-hop track sums the per-tile flits: a route of ``h``
         hops leaves ``h`` distinct routers, so the sum counts each
-        flit-hop once, and it never runs backwards across the warm-up
-        reset of the mesh's own counters.
+        flit-hop once.  Like the mesh's own counters, the samples run
+        from cycle 0 through warm-up and are never reset.
         """
         events: List[dict] = []
         for cycle, executed, tiles in self.intervals():

@@ -30,9 +30,6 @@ from typing import Dict, List, Optional
 #: Bump when the sidecar layout changes incompatibly.
 SCHEMA_VERSION = 1
 
-#: Default sidecar file name inside the result-store directory.
-SIDECAR_NAME = "telemetry.json"
-
 
 class SweepTelemetry:
     """Collects ``JobOutcome`` streams into live progress + a sidecar."""

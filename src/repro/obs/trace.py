@@ -2,7 +2,7 @@
 
 :class:`SimTrace` is an opt-in ring-buffer tracer.  Instrumentation
 hooks record *spans* (named intervals: barrier phases, DRAM bank
-activity), *instants* and *counter samples* in simulated-cycle time;
+activity) and *flows* linking them, in simulated-cycle time;
 :meth:`SimTrace.chrome` serializes the buffer as the Chrome
 trace-event JSON format, so ``trace.json`` loads directly in Perfetto
 (https://ui.perfetto.dev) or ``chrome://tracing``.  Cycle timestamps
@@ -17,9 +17,8 @@ with metadata events at export time.
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict, deque
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 #: Chrome trace-event JSON "process" id used for all simulator tracks.
 TRACE_PID = 0
@@ -59,20 +58,6 @@ class SimTrace:
         if args:
             event["args"] = args
         self._append(event)
-
-    def instant(self, name: str, cat: str, ts: int,
-                track: str = "sim", args: Optional[dict] = None) -> None:
-        """One instant event (``ph: "i"``)."""
-        event = {"name": name, "cat": cat, "ph": "i", "s": "t", "ts": ts,
-                 "pid": TRACE_PID, "tid": self.track(track)}
-        if args:
-            event["args"] = args
-        self._append(event)
-
-    def counter(self, name: str, ts: int, values: Dict[str, float]) -> None:
-        """One counter sample (``ph: "C"``): stacked series in Perfetto."""
-        self._append({"name": name, "ph": "C", "ts": ts, "pid": TRACE_PID,
-                      "args": dict(values)})
 
     def flow(self, name: str, cat: str, ts: int, flow_id: int,
              track: str = "sim", phase: str = "s") -> None:
@@ -125,12 +110,6 @@ class SimTrace:
         return {"traceEvents": metadata + self.events(),
                 "displayTimeUnit": "ms",
                 "otherData": other}
-
-    def export(self, path, other_data: Optional[dict] = None) -> None:
-        """Write the Chrome trace JSON to ``path``."""
-        with open(path, "w") as fh:
-            json.dump(self.chrome(other_data), fh, indent=1)
-            fh.write("\n")
 
     def __len__(self) -> int:
         return len(self._events)

@@ -86,9 +86,9 @@ def result_from_dict(data: dict) -> RunResult:
         time=data["time"],
         exec_cycles=data["exec_cycles"],
         events=data["events"],
-        protocol_stats=data.get("protocol_stats", {}),
-        dram_stats=data.get("dram_stats", {}),
-        energy_counters=data.get("energy_counters", {}),
+        protocol_stats=data["protocol_stats"],
+        dram_stats=data["dram_stats"],
+        energy_counters=data["energy_counters"],
     )
 
 

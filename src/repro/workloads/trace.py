@@ -198,13 +198,6 @@ class Workload:
     def num_cores(self) -> int:
         return len(self.traces)
 
-    def total_ops(self) -> int:
-        return sum(len(t) for t in self.traces)
-
-    def memory_ops(self) -> int:
-        return sum(1 for t in self.traces for word in t.words
-                   if word & KIND_MASK in (OP_LOAD, OP_STORE))
-
     def written_regions_at(self, barrier_index: int) -> FrozenSet[int]:
         if barrier_index < len(self.phase_written_regions):
             return self.phase_written_regions[barrier_index]

@@ -9,7 +9,8 @@ The load-bearing guarantees:
 * **conservation** — the three audits hold exactly on every rung:
   lifecycle segments sum to end-to-end latency, per-core
   ``compute + stalls == TimeStats.total()``, and the observed DRAM
-  commands reconcile with the channels' ``window_commands()``.
+  commands reconcile with the channels' reads and writes in the
+  measurement window (``System.window_counters()``).
 """
 
 import json

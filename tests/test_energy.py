@@ -14,9 +14,10 @@ import pytest
 
 from repro.common.config import (
     ENERGY_MODELS, EnergyModelConfig, PROTOCOL_ORDER, ScaleConfig,
-    energy_model, scaled_system)
+    energy_model, protocol, scaled_system)
 from repro.core.core import CORE_GHZ
 from repro.core.simulator import simulate
+from repro.core.system import System
 from repro.energy import COMPONENTS, EnergyStats, compute_energy
 from repro.network.traffic import split_flit_hops
 from repro.runner.store import result_from_dict, result_to_dict
@@ -53,7 +54,7 @@ class TestConservation:
     def test_mesh_counter_reconciles_with_ledger_per_rung(
             self, ladder_results):
         """The mesh's independent flit-hop count matches the ledger —
-        including after radix's warm-up reset."""
+        including across radix's warm-up."""
         for proto, result in ladder_results.items():
             assert result.energy_counters["noc_flit_hops"] == pytest.approx(
                 result.traffic_total(), abs=1e-9), proto
@@ -92,23 +93,51 @@ class TestConservation:
         """Radix warms up a full iteration; the warm-up's DRAM fetches
         must not be charged energy (MESI refetches nothing after
         warm-up, so its window command counts are far below the run
-        totals)."""
+        totals), while a run without warm-up is charged every event."""
         result = ladder_results["MESI"]
         counters = result.energy_counters
         whole_run = result.dram_stats["reads"] + result.dram_stats["writes"]
         window = counters["dram_reads"] + counters["dram_writes"]
         assert window < whole_run
-        # A workload without warm-up charges every command.
+        # A run without warm-up charges every event: each of the 17
+        # counters equals the components' own count, in order.
         import dataclasses
-        scale = ScaleConfig.tiny()
-        workload = dataclasses.replace(build_workload("stream", scale),
+        workload = dataclasses.replace(build_workload("radix", SCALE),
                                        warmup_barriers=0)
-        r = simulate(workload, "MESI", scaled_system(scale))
-        assert (r.energy_counters["dram_reads"]
-                + r.energy_counters["dram_writes"]
-                == r.dram_stats["reads"] + r.dram_stats["writes"])
-        assert (r.energy_counters["dram_activates"]
-                == r.dram_stats["activates"])
+        system = System(workload, protocol("DBypFull"), CONFIG)
+        result = system.run()
+        core = system.proto_sys
+        own = {}
+        for prefix, caches in (("l1", core.l1), ("l2", core.l2)):
+            for event in ("probes", "installs", "evictions"):
+                own[f"{prefix}_{event}"] = sum(
+                    getattr(cache, f"stat_{event}") for cache in caches)
+        for prefix, filters, events in (
+                ("bloom_slice", core.slice_blooms, ("checks", "updates")),
+                ("bloom_shadow", core.l1_blooms,
+                 ("checks", "inserts", "installs"))):
+            for event in events:
+                own[f"{prefix}_{event}"] = sum(
+                    getattr(f, f"stat_{event}") for f in filters)
+        own["noc_packets"] = system.ctx.mesh.stat_packets
+        own["noc_flit_hops"] = system.ctx.mesh.stat_flit_hops
+        for key in ("reads", "writes", "activates", "precharges"):
+            own[f"dram_{key}"] = sum(getattr(dram, key)
+                                     for dram in system.ctx.drams.values())
+        assert len(own) == 17
+        assert own["bloom_shadow_checks"] > 0
+        assert list(result.energy_counters.items()) == list(own.items())
+
+    def test_components_count_from_cycle_zero(self):
+        """Nothing resets a component's counters at the warm-up barrier:
+        the mesh and the L1s keep counting, and only the reported
+        window leaves the warm-up out."""
+        system = System(build_workload("radix", SCALE), protocol("MESI"),
+                        CONFIG)
+        counters = system.run().energy_counters
+        assert system.ctx.mesh.stat_packets > counters["noc_packets"]
+        assert (sum(cache.stat_probes for cache in system.proto_sys.l1)
+                > counters["l1_probes"])
 
     def test_counters_present_and_sane(self, ladder_results):
         for proto, result in ladder_results.items():
@@ -172,17 +201,6 @@ class TestEnergyModel:
         derived = compute_energy(restored, "45nm", CONFIG)
         assert derived.total == pytest.approx(direct.total)
         assert derived.components() == direct.components()
-
-    def test_pre_counter_results_still_account_partial_energy(
-            self, ladder_results):
-        """Old cache files (no energy_counters) degrade gracefully."""
-        data = result_to_dict(ladder_results["MESI"])
-        del data["energy_counters"]
-        stats = compute_energy(result_from_dict(data), "45nm", CONFIG)
-        stats.validate()
-        assert stats.dynamic["noc"] > 0      # from traffic
-        assert stats.dynamic["dram"] > 0     # from dram_stats
-        assert stats.dynamic["l1"] >= 0
 
     def test_validation_rejects_nan_and_negative(self):
         stats = EnergyStats(

@@ -227,7 +227,10 @@ class TestBarrier:
         q.schedule_call(0, lambda: b.arrive(0, lambda t: released.append(0)))
         q.run()
         assert released == []
-        assert b.waiting_count == 1
+        q.schedule_call(q.now,
+                        lambda: b.arrive(1, lambda t: released.append(1)))
+        q.run()
+        assert sorted(released) == [0, 1]
 
     def test_multiple_rounds(self):
         q = EventQueue()

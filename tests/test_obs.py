@@ -109,8 +109,9 @@ def test_flit_hop_track_sums_to_the_flit_hops():
 
 
 def test_flit_hop_track_never_negative_across_warmup_reset():
-    """The warm-up reset zeroes the mesh's counters mid-run; the track
-    reads the per-tile counts, which it does not touch."""
+    """The track runs through FFT's warm-up barrier, where the
+    measurement window opens; the per-tile counts it reads, like the
+    mesh's own counters, count from cycle 0 and are never reset."""
     scale = ScaleConfig.tiny()
     workload = build_workload("FFT", scale)
     assert workload.warmup_barriers > 0
@@ -188,7 +189,7 @@ class TestTraceExport:
     def test_ring_buffer_drops_oldest(self):
         trace = SimTrace(capacity=4)
         for i in range(10):
-            trace.instant(f"e{i}", "t", ts=i)
+            trace.complete(f"e{i}", "t", ts=i, dur=1)
         events = trace.events()
         assert len(events) == 4
         assert trace.dropped == 6

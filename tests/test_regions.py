@@ -105,19 +105,19 @@ class TestRegionTable:
     def test_update_annotations(self):
         t = RegionTable([Region(0, "a", 0, 64)])
         t.update(0, bypass_l2=True)
-        assert t.by_id(0).bypass_l2
+        assert t.get(0).bypass_l2
         assert t.find(10).bypass_l2
         flex = FlexPattern(4, (0,))
         t.update(0, flex=flex)
-        assert t.by_id(0).flex is flex
-        assert t.by_id(0).bypass_l2   # earlier update preserved
+        assert t.get(0).flex is flex
+        assert t.get(0).bypass_l2   # earlier update preserved
 
     def test_clone_isolates_updates(self):
         t = RegionTable([Region(0, "a", 0, 64)])
         c = t.clone()
         c.update(0, bypass_l2=True)
-        assert not t.by_id(0).bypass_l2
-        assert c.by_id(0).bypass_l2
+        assert not t.get(0).bypass_l2
+        assert c.get(0).bypass_l2
 
     @given(st.lists(st.integers(min_value=1, max_value=50),
                     min_size=1, max_size=20))
@@ -126,7 +126,7 @@ class TestRegionTable:
         for i, size in enumerate(sizes):
             alloc.alloc(f"r{i}", size)
         table = alloc.table
-        top = alloc.high_water_word + 32
+        top = max(r.end_word for r in table) + 32
         for addr in range(0, top, 7):
             expected = next((r for r in table if r.contains(addr)), None)
             assert table.find(addr) is expected

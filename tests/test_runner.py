@@ -146,6 +146,16 @@ class TestResultStore:
         path.write_text(json.dumps(result_to_dict(radix_result)))
         assert store.load("radix", "MESI", "k") is None
 
+    def test_cell_without_energy_counters_is_none(self, store,
+                                                  radix_result):
+        """A cell missing a result field is re-simulated, not patched
+        up with empty counters."""
+        path = store.save(radix_result, "k")
+        envelope = json.loads(path.read_text())
+        del envelope["result"]["energy_counters"]
+        path.write_text(json.dumps(envelope))
+        assert store.load("radix", "MESI", "k") is None
+
     def test_loaded_waste_keys_are_categories(self, store, radix_result):
         from repro.waste.profiler import Category
         store.save(radix_result, "k")

@@ -103,8 +103,9 @@ class TestWorkload:
             [(OP_LOAD, 3), (OP_BARRIER, 0)],
         ])
         assert w.num_cores == 2
-        assert w.total_ops() == 6
-        assert w.memory_ops() == 3
+        assert sum(len(t) for t in w.traces) == 6
+        assert sum(kind in (OP_LOAD, OP_STORE)
+                   for t in w.traces for kind, _arg in t) == 3
 
     def test_updates_at(self):
         update = RegionUpdate(1, flex=FlexPattern(4, (0,)))
@@ -154,7 +155,7 @@ class TestPackedTrace:
 
     def test_built_trace_stores_eight_bytes_per_op(self):
         w = build_workload("radix", ScaleConfig.tiny())
-        assert w.total_ops() > 0
+        assert sum(len(t) for t in w.traces) > 0
         for trace in w.traces:
             ops = sum(1 for _op in trace)
             backing = trace.words.obj
