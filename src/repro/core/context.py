@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.common.addressing import WORDS_PER_LINE, align_up_words
 from repro.common.config import ProtocolConfig, SystemConfig
 from repro.common.regions import RegionTable
 from repro.dram.model import LINES_PER_ROW, DramChannel
@@ -106,6 +107,11 @@ class SimContext:
         # Word-instance storage for the whole run; the profilers and the
         # ledger over it belong to one measurement window.
         self.pools = WastePools()
+        # The regions lie densely from word 0, so the memory profiler's
+        # pending index covers every word up to the last region's line.
+        self._mem_span = align_up_words(
+            max((region.end_word for region in regions), default=0),
+            WORDS_PER_LINE)
         self.reset_stats()
         # Memory-controller tiles: the four mesh corners.
         self.mc_tiles = config.mc_placement()
@@ -149,7 +155,7 @@ class SimContext:
         ledger = self.ledger = TrafficLedger(pools.cache_cat)
         self.l1_prof = CacheLevelProfiler("L1", pools)
         self.l2_prof = CacheLevelProfiler("L2", pools)
-        self.mem_prof = MemoryProfiler(pools)
+        self.mem_prof = MemoryProfiler(pools, self._mem_span)
         # The send helpers call the live window's ledger methods.
         self._add_request_ctl = ledger.add_request_ctl
         self._add_response_ctl = ledger.add_response_ctl

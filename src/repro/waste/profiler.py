@@ -23,13 +23,17 @@ so a tiny-grid cell's hundred thousand word instances cost no object
 each.  A message's data words get consecutive handles, so traffic
 accounting keeps one packed integer per data message (its first handle
 and word count) and resolves them through the pool after finalization.
+The profilers' live state is flat arrays too: a cache level keeps one
+``array('q')`` row of 16 handles per resident line, and the memory
+level one ``array('i')`` entry per word of the run's regions, so
+neither holds a boxed int per tracked word.
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set
 
 from repro.common.addressing import WORDS_PER_LINE
 
@@ -68,6 +72,14 @@ C_EXCESS = _CODE[Category.EXCESS]
 _LINE_PENDING = array("b", bytes(WORDS_PER_LINE))
 _LINE_NO_REFS = array("h", [0] * WORDS_PER_LINE)
 
+#: An empty slot of a cache profiler's active row, and of the memory
+#: profiler's pending index.
+NO_HANDLE = -1
+#: Pending-index entry of an address whose instances are in the side dict.
+_SPILLED = -2
+_EMPTY_ROW = array("q", [NO_HANDLE] * WORDS_PER_LINE)
+_NO_LINE = array("i", [NO_HANDLE] * WORDS_PER_LINE)
+
 
 class WastePools:
     """Run-lifetime storage behind every word-instance handle.
@@ -80,6 +92,12 @@ class WastePools:
     profilers at the end of warm-up but keeps the pools, so a handle
     allocated during warm-up stays resolvable, and a verdict reached
     after the reset is counted by the profiler that settles it.
+
+    A warm-up memory instance still pending at the reset is not in the
+    live profiler's pending index: a store to its address after the
+    reset leaves it pending, the drop of its last copy counts it Evict
+    (or Invalidate) in the live window, and if nothing settles it no
+    window counts it Unevicted (see :class:`MemoryProfiler`).
     """
 
     __slots__ = ("cache_cat", "mem_cat", "mem_refs", "mem_addr")
@@ -107,18 +125,20 @@ class CacheLevelProfiler:
         self._cat = self.pools.cache_cat
         # Active handles are stored per cache *line*: the key is
         # ``(line << 6) | unit`` (unit ids fit in 6 bits, <= 64 tiles)
-        # and the value a 16-slot row of per-word handles.  Line-granular
-        # protocol events then cost one dict operation per line instead
-        # of 16, and an int key hashes for free where a tuple would be
-        # allocated and hashed on every FSM event.
-        self._active: Dict[int, List[Optional[int]]] = {}
+        # and the value a 16-slot ``array('q')`` of per-word handles,
+        # NO_HANDLE in an empty slot.  Line-granular protocol events then
+        # cost one dict operation per line instead of 16, an int key
+        # hashes for free where a tuple would be allocated and hashed on
+        # every FSM event, and a resident line costs one array of 16
+        # machine words, not a list of 16 boxed ints.
+        self._active: Dict[int, array] = {}
         self._counts: List[int] = [0] * len(_BY_CODE)
         self._total = 0
 
-    def _row_for(self, line_key: int) -> List[Optional[int]]:
+    def _row_for(self, line_key: int) -> array:
         row = self._active.get(line_key)
         if row is None:
-            row = self._active[line_key] = [None] * WORDS_PER_LINE
+            row = self._active[line_key] = _EMPTY_ROW[:]
         return row
 
     # -- FSM events --------------------------------------------------------
@@ -140,7 +160,7 @@ class CacheLevelProfiler:
         row = self._row_for(((word >> 4) << 6) | unit)
         slot = word & 15
         old = row[slot]
-        if old is not None and cat[old] == PENDING:
+        if old >= 0 and cat[old] == PENDING:
             # Defensive: an unclassified copy being silently replaced by a
             # new fill counts as Fetch waste for the old copy.
             cat[old] = C_FETCH
@@ -154,7 +174,7 @@ class CacheLevelProfiler:
         if row is None:
             return
         handle = row[word & 15]
-        if handle is not None and self._cat[handle] == PENDING:
+        if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_USED
             self._counts[C_USED] += 1
 
@@ -164,7 +184,7 @@ class CacheLevelProfiler:
         if row is None:
             return
         handle = row[word & 15]
-        if handle is not None and self._cat[handle] == PENDING:
+        if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_WRITE
             self._counts[C_WRITE] += 1
 
@@ -174,12 +194,12 @@ class CacheLevelProfiler:
             return
         slot = word & 15
         handle = row[slot]
-        if handle is None:
+        if handle < 0:
             return
         if self._cat[handle] == PENDING:
             self._cat[handle] = C_EVICT
             self._counts[C_EVICT] += 1
-        row[slot] = None
+        row[slot] = NO_HANDLE
 
     def on_invalidate(self, unit: int, word: int) -> None:
         if self.level == "L2":
@@ -189,12 +209,12 @@ class CacheLevelProfiler:
             return
         slot = word & 15
         handle = row[slot]
-        if handle is None:
+        if handle < 0:
             return
         if self._cat[handle] == PENDING:
             self._cat[handle] = C_INVALIDATE
             self._counts[C_INVALIDATE] += 1
-        row[slot] = None
+        row[slot] = NO_HANDLE
 
     # -- bulk line-granular events --------------------------------------
     # One call and one active-dict operation per 16-word line instead of
@@ -206,7 +226,7 @@ class CacheLevelProfiler:
         """``on_arrival(unit, word, False)`` for one full line's words.
 
         The handles of one line are consecutive, so they are returned as
-        a ``range``; the active row is a separate list whose slots the
+        a ``range``; the active row is a separate array whose slots the
         later events clear.
         """
         cat = self._cat
@@ -218,11 +238,11 @@ class CacheLevelProfiler:
         if old_row is not None:
             counts = self._counts
             for old in old_row:
-                if old is not None and cat[old] == PENDING:
+                if old >= 0 and cat[old] == PENDING:
                     cat[old] = C_FETCH
                     counts[C_FETCH] += 1
         handles = range(h0, h0 + WORDS_PER_LINE)
-        self._active[line_key] = list(handles)
+        self._active[line_key] = array("q", handles)
         return handles
 
     def arrivals_words(self, unit: int, words, present_flags) -> range:
@@ -248,11 +268,11 @@ class CacheLevelProfiler:
             if line_key != last_key:
                 row = active.get(line_key)
                 if row is None:
-                    row = active[line_key] = [None] * WORDS_PER_LINE
+                    row = active[line_key] = _EMPTY_ROW[:]
                 last_key = line_key
             slot = word & 15
             old = row[slot]
-            if old is not None and cat[old] == PENDING:
+            if old >= 0 and cat[old] == PENDING:
                 cat[old] = C_FETCH
                 counts[C_FETCH] += 1
             row[slot] = handle
@@ -273,7 +293,7 @@ class CacheLevelProfiler:
             if row is None:
                 continue
             handle = row[word & 15]
-            if handle is not None and cat[handle] == PENDING:
+            if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = C_USED
                 counts[C_USED] += 1
 
@@ -318,12 +338,12 @@ class CacheLevelProfiler:
         return self._total
 
     # -- internals -------------------------------------------------------------
-    def _settle_row(self, row: List[Optional[int]], code: int) -> None:
+    def _settle_row(self, row: array, code: int) -> None:
         """Classify every pending handle of an active row as ``code``."""
         cat = self._cat
         settled = 0
         for handle in row:
-            if handle is not None and cat[handle] == PENDING:
+            if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = code
                 settled += 1
         self._counts[code] += settled
@@ -344,18 +364,32 @@ class MemoryProfiler:
     Verdicts, copy counts and addresses live in the shared pools
     (instance identity); the pending-by-address index and the counters
     belong to this profiler, i.e. to one measurement window.  The index
-    maps an address with one pending instance straight to its handle;
-    only an address with several (possible on the bypass rungs) holds a
-    set.
+    is an ``array('i')`` over word addresses ``0 .. span - 1`` (the
+    run's regions, laid out densely from word 0): each entry is the one
+    pending instance's handle, ``NO_HANDLE``, or a marker for an address
+    with several pending instances (possible on the bypass rungs), whose
+    handles sit in a set in a side dict.  An address outside the span
+    (a profiler built without regions, as unit tests do) is indexed in
+    the side dict alone; the array never grows.
+
+    Only instances this window fetched are indexed.  After the warm-up
+    ``reset_stats()`` a store to an address whose warm-up instance is
+    still pending leaves that instance pending: the live index never
+    held it.  A later drop of its last copy counts it Evict (or
+    Invalidate), not Write, and if nothing settles it, it is never
+    counted Unevicted.
     """
 
-    def __init__(self, pools: Optional[WastePools] = None) -> None:
+    def __init__(self, pools: Optional[WastePools] = None,
+                 span: int = 0) -> None:
         self.pools = pools if pools is not None else WastePools()
         self._cat = self.pools.mem_cat
         self._refs = self.pools.mem_refs
         self._addr = self.pools.mem_addr
         self._counts: List[int] = [0] * len(_BY_CODE)
-        self._pending_by_addr: Dict[int, Union[int, Set[int]]] = {}
+        self._span = span
+        self._pending_by_addr = array("i", [NO_HANDLE]) * span
+        self._spill: Dict[int, Set[int]] = {}
         self._total = 0
 
     # -- FSM events --------------------------------------------------------
@@ -403,12 +437,19 @@ class MemoryProfiler:
 
     def on_store_addr(self, addr: int) -> None:
         """Any L1 stored to ``addr``: all pending instances become Write."""
-        pending = self._pending_by_addr.pop(addr, None)
-        if pending is None:
-            return
+        if 0 <= addr < self._span:
+            by_addr = self._pending_by_addr
+            pending = by_addr[addr]
+            if pending == NO_HANDLE:
+                return
+            by_addr[addr] = NO_HANDLE
+            handles = (self._spill.pop(addr) if pending == _SPILLED
+                       else (pending,))
+        else:
+            handles = self._spill.pop(addr, ())
         cat = self._cat
         counts = self._counts
-        for handle in ((pending,) if type(pending) is int else pending):
+        for handle in handles:
             if cat[handle] == PENDING:
                 cat[handle] = C_WRITE
                 counts[C_WRITE] += 1
@@ -419,18 +460,20 @@ class MemoryProfiler:
         """``fetch(word, False)`` for one full line's words."""
         cat = self._cat
         h0 = len(cat)
-        self._addr.extend(range(base, base + WORDS_PER_LINE))
+        end = base + WORDS_PER_LINE
+        self._addr.extend(range(base, end))
         cat.extend(_LINE_PENDING)
         self._refs.extend(_LINE_NO_REFS)
         self._total += WORDS_PER_LINE
-        by_addr = self._pending_by_addr
-        index = self._index
         handles = range(h0, h0 + WORDS_PER_LINE)
-        for handle, addr in zip(handles, range(base, base + WORDS_PER_LINE)):
-            if addr in by_addr:
+        by_addr = self._pending_by_addr
+        if 0 <= base and end <= self._span and by_addr[base:end] == _NO_LINE:
+            # No word of the line is pending: one slice store.
+            by_addr[base:end] = array("i", handles)
+        else:
+            index = self._index
+            for handle, addr in zip(handles, range(base, end)):
                 index(addr, handle)
-            else:
-                by_addr[addr] = handle
         return handles
 
     def install_copies(self, handles) -> None:
@@ -454,14 +497,22 @@ class MemoryProfiler:
                 settle(handle, code)
 
     def finalize(self) -> None:
+        """Classify every instance still in the index as Unevicted."""
         cat = self._cat
-        counts = self._counts
-        for pending in self._pending_by_addr.values():
-            for handle in ((pending,) if type(pending) is int else pending):
+        unevicted = 0
+        for handle in self._pending_by_addr:
+            if handle >= 0 and cat[handle] == PENDING:
+                cat[handle] = C_UNEVICTED
+                unevicted += 1
+        for pending in self._spill.values():
+            for handle in pending:
                 if cat[handle] == PENDING:
                     cat[handle] = C_UNEVICTED
-                    counts[C_UNEVICTED] += 1
-        self._pending_by_addr.clear()
+                    unevicted += 1
+        self._counts[C_UNEVICTED] += unevicted
+        self._span = 0
+        self._pending_by_addr = array("i")
+        self._spill.clear()
 
     # -- queries ---------------------------------------------------------
     def category(self, handle: int) -> Optional[Category]:
@@ -480,26 +531,36 @@ class MemoryProfiler:
     # -- internals ------------------------------------------------------------
     def _index(self, addr: int, handle: int) -> None:
         """Add a pending instance to the pending-by-address index."""
-        by_addr = self._pending_by_addr
-        pending = by_addr.get(addr)
-        if pending is None:
-            by_addr[addr] = handle
-        elif type(pending) is int:
-            by_addr[addr] = {pending, handle}
-        else:
-            pending.add(handle)
+        if 0 <= addr < self._span:
+            by_addr = self._pending_by_addr
+            pending = by_addr[addr]
+            if pending == NO_HANDLE:
+                by_addr[addr] = handle
+                return
+            if pending != _SPILLED:
+                by_addr[addr] = _SPILLED
+                self._spill[addr] = {pending, handle}
+                return
+        self._spill.setdefault(addr, set()).add(handle)
 
     def _settle_pending(self, handle: int, code: int) -> None:
         """Classify a still-pending instance (callers check that it is
-        pending first, so the verdict always lands)."""
+        pending first, so the verdict always lands).  An instance the
+        index does not hold (fetched before this window) leaves the
+        index as it is."""
         addr = self._addr[handle]
         by_addr = self._pending_by_addr
-        pending = by_addr.get(addr)
-        if pending == handle:
-            del by_addr[addr]
-        elif pending is not None and type(pending) is not int:
+        in_span = 0 <= addr < self._span
+        # An address outside the span is always looked up in the side dict.
+        current = by_addr[addr] if in_span else _SPILLED
+        if current == handle:
+            by_addr[addr] = NO_HANDLE
+        elif current == _SPILLED and addr in self._spill:
+            pending = self._spill[addr]
             pending.discard(handle)
-            if len(pending) == 1:
+            if in_span and len(pending) == 1:
                 by_addr[addr] = pending.pop()
+            if not pending:
+                del self._spill[addr]
         self._cat[handle] = code
         self._counts[code] += 1

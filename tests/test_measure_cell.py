@@ -1,0 +1,42 @@
+"""Smoke test: ``tools/measure_cell.py`` measures one tiny cell."""
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+from repro.common.config import ScaleConfig, scaled_system
+from repro.core.simulator import simulate
+from repro.runner.store import result_to_dict
+from repro.workloads import build_workload
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "measure_cell.py"
+
+
+def test_measure_cell_prints_events_digest_time_and_top_sites():
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--workload", "stream",
+         "--protocol", "MESI", "--scale", "tiny", "--top", "3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    fields = dict(line.split(" ", 1) for line in lines[:6])
+    assert fields["cell"] == "stream x MESI @ tiny seed 12345"
+
+    scale = ScaleConfig.tiny()
+    config = scaled_system(scale)
+    result = simulate(build_workload("stream", scale,
+                                     num_cores=config.num_tiles),
+                      "MESI", config)
+    text = json.dumps(result_to_dict(result), sort_keys=True,
+                      separators=(",", ":"))
+    assert int(fields["events"]) == result.events
+    assert fields["digest"] == hashlib.sha256(text.encode()).hexdigest()
+    for key in ("build_cpu_s", "sim_cpu_s", "peak_rss_mib"):
+        assert float(fields[key]) >= 0.0
+
+    assert lines[6].startswith("tracemalloc live_at_finalize_mib ")
+    sites = lines[7:]
+    assert [site.split(".")[0].strip() for site in sites] == ["1", "2", "3"]
+    assert all(" MiB " in site and ".py:" in site for site in sites)

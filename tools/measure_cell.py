@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Measure one simulated cell: events, result digest, CPU time, peak RSS.
+
+Builds one workload at the given scale, simulates it under one protocol
+rung on the machine ``scaled_system`` gives that scale, and prints:
+
+* ``events`` -- the run's ``RunResult.events``;
+* ``digest`` -- sha256 of ``result_to_dict`` serialized as sorted,
+  compact JSON, so two commits that simulate identically print the same;
+* ``build_cpu_s`` / ``sim_cpu_s`` -- process CPU time of the trace build
+  and of the simulation;
+* ``peak_rss_mib`` -- this process's peak resident set after the run
+  (``ru_maxrss``), so run each measurement in a fresh process.
+
+With ``--top N`` the cell is built and simulated a second time under
+``tracemalloc``; just before ``SimContext.finalize`` a snapshot is
+taken and the N largest allocation sites (by line) are listed with the
+live heap and the traced peak.  The traced run is slower and its
+numbers do not change the untraced ones above, which are printed first.
+
+Run from anywhere (the script puts this checkout's ``src`` first on the
+import path)::
+
+    python tools/measure_cell.py --workload kD-tree --protocol MESI \\
+        --scale paper --top 15
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import resource
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from repro.common.config import ScaleConfig, scaled_system  # noqa: E402
+from repro.core.context import SimContext  # noqa: E402
+from repro.core.simulator import simulate  # noqa: E402
+from repro.runner.jobs import DEFAULT_SEED  # noqa: E402
+from repro.runner.store import result_to_dict  # noqa: E402
+from repro.workloads import build_workload  # noqa: E402
+
+SCALES = {
+    "tiny": ScaleConfig.tiny,
+    "small": ScaleConfig,
+    "paper": ScaleConfig.paper,
+}
+MIB = 1024.0 * 1024.0
+
+
+def result_digest(result) -> str:
+    text = json.dumps(result_to_dict(result), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_cell(ns: argparse.Namespace):
+    """Build and simulate the cell; return (result, build_s, sim_s)."""
+    scale = SCALES[ns.scale]()
+    config = scaled_system(scale)
+    start = time.process_time()
+    workload = build_workload(ns.workload, scale,
+                              num_cores=config.num_tiles, seed=ns.seed)
+    built = time.process_time()
+    result = simulate(workload, ns.protocol, config)
+    done = time.process_time()
+    return result, built - start, done - built
+
+
+def top_sites(ns: argparse.Namespace) -> None:
+    """Simulate the cell again under tracemalloc and list the ``ns.top``
+    largest allocation sites live just before ``SimContext.finalize``."""
+    snapshots = []
+    finalize = SimContext.finalize
+
+    def snapshot_then_finalize(ctx):
+        snapshots.append(tracemalloc.take_snapshot())
+        finalize(ctx)
+
+    SimContext.finalize = snapshot_then_finalize
+    tracemalloc.start()
+    try:
+        run_cell(ns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        SimContext.finalize = finalize
+    stats = snapshots[0].statistics("lineno")
+    live = sum(stat.size for stat in stats)
+    print(f"tracemalloc live_at_finalize_mib {live / MIB:.1f} "
+          f"peak_mib {peak / MIB:.1f}")
+    for rank, stat in enumerate(stats[:ns.top], 1):
+        frame = stat.traceback[0]
+        path = Path(frame.filename)
+        if path.is_relative_to(ROOT):
+            path = path.relative_to(ROOT)
+        print(f"{rank:3d}. {stat.size / MIB:8.1f} MiB {stat.count:9d} blocks"
+              f"  {path}:{frame.lineno}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Measure one cell: events, digest, CPU time, peak RSS.")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--protocol", required=True)
+    parser.add_argument("--scale", choices=sorted(SCALES), default="small")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--top", type=int, default=0, metavar="N",
+                        help="also list the N largest allocation sites "
+                             "before finalize (second, traced run)")
+    ns = parser.parse_args(argv)
+    if ns.top < 0:
+        parser.error("--top must be non-negative")
+
+    result, build_s, sim_s = run_cell(ns)
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"cell {ns.workload} x {ns.protocol} @ {ns.scale} seed {ns.seed}")
+    print(f"events {result.events}")
+    print(f"digest {result_digest(result)}")
+    print(f"build_cpu_s {build_s:.2f}")
+    print(f"sim_cpu_s {sim_s:.2f}")
+    print(f"peak_rss_mib {peak_rss:.1f}")
+    sys.stdout.flush()
+    if ns.top:
+        del result
+        gc.collect()
+        top_sites(ns)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
