@@ -1,9 +1,12 @@
-"""Set-associative cache arrays with per-word state.
+"""Set-associative cache arrays with per-word line metadata.
 
 Both protocols need word-granular bookkeeping (DeNovo for coherence, MESI
 for the waste profiler and dirty-word writeback accounting), so every line
-carries per-word state, dirty flags and memory-instance references.  The
-line class is parameterized so each protocol can attach its own fields.
+carries per-word dirty flags and memory-instance references.  They are
+bit masks over the line's 16 words (bit ``i`` is word ``i``), not lists,
+so a resident line holds a few ints rather than three 16-slot lists.  The
+line class is parameterized so each protocol can attach its own fields
+(DeNovo's per-word Valid/Registered masks, MESI's directory state).
 """
 
 from __future__ import annotations
@@ -13,39 +16,97 @@ from typing import (
 
 from repro.common.addressing import WORDS_PER_LINE
 
-#: Shared templates for one-slice-assignment word resets.
-_ZERO_WORDS = (0,) * WORDS_PER_LINE
-_CLEAN_WORDS = (False,) * WORDS_PER_LINE
-_NO_INSTS = (None,) * WORDS_PER_LINE
+#: The mask with every word of a line set.
+FULL_MASK = (1 << WORDS_PER_LINE) - 1
+
+
+#: The offsets set in each byte value, for the low and the high byte.
+_LOW_OFFSETS = tuple(tuple(off for off in range(8) if byte >> off & 1)
+                     for byte in range(256))
+_HIGH_OFFSETS = tuple(tuple(off + 8 for off in low) for low in _LOW_OFFSETS)
+
+
+def mask_offsets(mask: int) -> Tuple[int, ...]:
+    """The word offsets set in ``mask`` (a line mask), ascending."""
+    return _LOW_OFFSETS[mask & 255] + _HIGH_OFFSETS[mask >> 8]
 
 
 class CacheLine:
     """One cache line: tag plus per-word metadata.
 
-    ``word_state`` holds protocol-defined small integers; ``word_dirty``
-    marks words modified locally; ``mem_inst`` references the memory-level
-    waste-profiler instance each word copy derives from (or None for words
-    produced locally by stores).
+    ``word_dirty`` is the mask of words modified locally.  ``inst_mask``
+    is the mask of words whose copy derives from a memory-level
+    waste-profiler instance; word ``i``'s instance handle is
+    ``mem_inst[i]`` and only the masked offsets are meaningful.  Words
+    produced locally by stores have no instance.
+
+    ``mem_inst`` is normally a ``range`` of 16 handles, offset-indexed:
+    one fill's instances are consecutive handles, so the range is the
+    fill's first handle, and every copy of that fill (an L2 line and the
+    L1 lines it served) shares the one immutable object.  A line whose
+    instances are not one such range (words of two fills, or a Flex fill
+    whose words have gaps) falls back to a private 16-slot list.
+
+    A last-writer stamp per word (a planned correctness oracle) would
+    move with exactly the same fills, writebacks and forwards as
+    ``mem_inst``; it must ride the same (range, mask) assignments.
     """
 
-    __slots__ = ("line_addr", "word_state", "word_dirty", "mem_inst")
+    __slots__ = ("line_addr", "word_dirty", "inst_mask", "mem_inst")
 
     def __init__(self, line_addr: int) -> None:
         self.line_addr = line_addr
-        self.word_state: List[int] = [0] * WORDS_PER_LINE
-        self.word_dirty: List[bool] = [False] * WORDS_PER_LINE
-        self.mem_inst: List[Optional[object]] = [None] * WORDS_PER_LINE
+        self.word_dirty = 0
+        self.inst_mask = 0
+        self.mem_inst = None
 
     def reset_words(self) -> None:
-        self.word_state[:] = _ZERO_WORDS
-        self.word_dirty[:] = _CLEAN_WORDS
-        self.mem_inst[:] = _NO_INSTS
+        self.word_dirty = 0
+        self.inst_mask = 0
+        self.mem_inst = None
 
-    def any_dirty(self) -> bool:
-        return any(self.word_dirty)
+    # -- memory instances ------------------------------------------------
+    def inst(self, off: int) -> Optional[int]:
+        """Word ``off``'s instance handle, or None."""
+        return self.mem_inst[off] if self.inst_mask >> off & 1 else None
 
-    def dirty_offsets(self) -> List[int]:
-        return [i for i, d in enumerate(self.word_dirty) if d]
+    def inst_handles(self):
+        """The handles of every word with an instance, in offset order."""
+        mask = self.inst_mask
+        if mask == FULL_MASK:
+            return self.mem_inst
+        insts = self.mem_inst
+        return [insts[off] for off in mask_offsets(mask)]
+
+    def set_line_insts(self, insts) -> None:
+        """Take a whole line's instances: ``insts`` is offset-indexed
+        (a fill's ``range``, shared as is, or None for none)."""
+        self.mem_inst = insts
+        self.inst_mask = FULL_MASK if insts is not None else 0
+
+    def add_inst(self, off: int, handle: int) -> None:
+        """Word ``off`` now holds a copy of instance ``handle``."""
+        mask = self.inst_mask
+        insts = self.mem_inst
+        if not mask:
+            self.mem_inst = range(handle - off, handle - off + WORDS_PER_LINE)
+        elif insts.__class__ is list:
+            insts[off] = handle
+        elif insts[off] != handle:
+            # Not the range the line's other instances belong to.
+            insts = self.mem_inst = list(insts)
+            insts[off] = handle
+        self.inst_mask = mask | 1 << off
+
+    def take_insts(self, mask: int) -> List[int]:
+        """Drop the instances of the words in ``mask``; return the
+        handles of those that had one, in offset order."""
+        held = self.inst_mask & mask
+        if not held:
+            return []
+        insts = self.mem_inst
+        self.inst_mask ^= held
+        return [insts[off] for off in mask_offsets(held)]
 
 
 LineT = TypeVar("LineT", bound=CacheLine)
@@ -55,7 +116,7 @@ class SetAssocCache(Generic[LineT]):
     """LRU set-associative cache indexed by line address."""
 
     __slots__ = ("_num_sets", "_assoc", "_index_shift", "_line_factory",
-                 "_tags", "_lru", "_lines", "stat_probes", "stat_installs",
+                 "_sets", "_lines", "_mru", "stat_probes", "stat_installs",
                  "stat_evictions")
 
     def __init__(self, num_sets: int, assoc: int,
@@ -75,13 +136,18 @@ class SetAssocCache(Generic[LineT]):
         self._assoc = assoc
         self._index_shift = index_shift
         self._line_factory = line_factory
-        # Per set: line_addr -> line, plus LRU order (front = MRU).
-        self._tags: List[Dict[int, LineT]] = [dict() for _ in range(num_sets)]
-        self._lru: List[List[int]] = [[] for _ in range(num_sets)]
-        # Flat line_addr -> line mirror of every per-set dict, so the
-        # hot lookup path resolves residency with one dict get and only
-        # computes the set index when it must touch the LRU order.
+        # Per set: line_addr -> line in LRU order (first = LRU, last =
+        # MRU); a touch moves the line to the end.
+        self._sets: List[Dict[int, LineT]] = [dict() for _ in range(num_sets)]
+        # Flat line_addr -> line mirror of every set, so the hot lookup
+        # path resolves residency with one dict get and only computes
+        # the set index when it must touch the LRU order.
         self._lines: Dict[int, LineT] = {}
+        # The line last touched or installed: while it stays resident it
+        # is the MRU of its set, so touching it again changes no order
+        # (and most accesses touch the line the previous one did).  A
+        # line is only ever re-inserted by ``allocate``, which resets it.
+        self._mru = -1
         # Energy-model event counters (purely observational: they feed
         # ``repro.energy`` per-event cost tables and never influence
         # timing or replacement decisions).
@@ -106,18 +172,22 @@ class SetAssocCache(Generic[LineT]):
     def set_index(self, line_addr: int) -> int:
         return (line_addr >> self._index_shift) % self._num_sets
 
+    def lru_order(self, line_addr: int) -> Iterable[int]:
+        """The resident line addresses of ``line_addr``'s set, least
+        recently used first (a live view: do not change the set while
+        iterating)."""
+        return self._sets[(line_addr >> self._index_shift)
+                          % self._num_sets].keys()
+
     def lookup(self, line_addr: int, touch: bool = True) -> Optional[LineT]:
         """Return the resident line or None; by default refresh LRU."""
         self.stat_probes += 1
         line = self._lines.get(line_addr)
-        if line is not None and touch:
-            idx = (line_addr >> self._index_shift) % self._num_sets
-            order = self._lru[idx]
-            # Hot case: the line is already most-recently-used, so the
-            # remove/insert pair would be a no-op list rebuild.
-            if order[0] != line_addr:
-                order.remove(line_addr)
-                order.insert(0, line_addr)
+        if line is not None and touch and line_addr != self._mru:
+            ways = self._sets[(line_addr >> self._index_shift)
+                              % self._num_sets]
+            ways[line_addr] = ways.pop(line_addr)
+            self._mru = line_addr
         return line
 
     def can_claim(self, line_addr: int, pinned: Iterable[int]) -> bool:
@@ -149,11 +219,10 @@ class SetAssocCache(Generic[LineT]):
         Returns None when the set has a free way or the line is already
         resident.
         """
-        idx = (line_addr >> self._index_shift) % self._num_sets
-        tags = self._tags[idx]
-        if line_addr in tags or len(tags) < self._assoc:
+        ways = self._sets[(line_addr >> self._index_shift) % self._num_sets]
+        if line_addr in ways or len(ways) < self._assoc:
             return None
-        return tags[self._lru[idx][-1]]
+        return next(iter(ways.values()))
 
     def allocate(self, line_addr: int) -> Tuple[LineT, Optional[LineT]]:
         """Insert ``line_addr`` (MRU); return ``(line, evicted_line)``.
@@ -163,41 +232,36 @@ class SetAssocCache(Generic[LineT]):
         line is already resident it is refreshed and returned with no
         victim.
         """
-        idx = (line_addr >> self._index_shift) % self._num_sets
-        tags = self._tags[idx]
-        order = self._lru[idx]
-        existing = tags.get(line_addr)
+        ways = self._sets[(line_addr >> self._index_shift) % self._num_sets]
+        self._mru = line_addr
+        existing = ways.pop(line_addr, None)
         if existing is not None:
-            if order[0] != line_addr:
-                order.remove(line_addr)
-                order.insert(0, line_addr)
+            ways[line_addr] = existing
             return existing, None
         victim: Optional[LineT] = None
-        if len(tags) >= self._assoc:
-            victim_addr = order.pop()
-            victim = tags.pop(victim_addr)
+        if len(ways) >= self._assoc:
+            victim_addr = next(iter(ways))
+            victim = ways.pop(victim_addr)
             del self._lines[victim_addr]
             self.stat_evictions += 1
         line = self._line_factory(line_addr)
-        tags[line_addr] = line
+        ways[line_addr] = line
         self._lines[line_addr] = line
-        order.insert(0, line_addr)
         self.stat_installs += 1
         return line, victim
 
     def remove(self, line_addr: int) -> Optional[LineT]:
         """Remove a line without replacement (invalidation/recall)."""
-        idx = (line_addr >> self._index_shift) % self._num_sets
-        line = self._tags[idx].pop(line_addr, None)
+        line = self._sets[(line_addr >> self._index_shift)
+                          % self._num_sets].pop(line_addr, None)
         if line is not None:
             del self._lines[line_addr]
-            self._lru[idx].remove(line_addr)
             self.stat_evictions += 1
         return line
 
     def resident_lines(self) -> List[LineT]:
         """All resident lines (for end-of-simulation finalization)."""
         out: List[LineT] = []
-        for tags in self._tags:
-            out.extend(tags.values())
+        for ways in self._sets:
+            out.extend(ways.values())
         return out

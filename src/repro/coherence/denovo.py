@@ -46,7 +46,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.bloom.filters import L1FilterShadow, SliceFilterBank
-from repro.cache.sa_cache import CacheLine
+from repro.cache.sa_cache import FULL_MASK, CacheLine, mask_offsets
 from repro.cache.writebuffer import (
     WRITE_COMBINE_TIMEOUT, WriteCombineEntry, WriteCombineTable)
 from repro.coherence.kernel import CoherenceKernel
@@ -66,23 +66,19 @@ from repro.network import traffic as T
 MAX_DATA_FLITS = 4
 MAX_MESSAGE_WORDS = MAX_DATA_FLITS * WORDS_PER_FLIT
 
-# L1 per-word states.
-W_INVALID = 0
-W_VALID = 1
-W_REG = 2      # registered: this core owns the latest value
-
-# L2 per-word states.
-L2W_INVALID = 0
-L2W_VALID = 1
-L2W_REG = 2    # some L1 owns the word; L2 data (if any) is stale
-
+# Per-word state is two bit masks per line (bit i is word i), at both
+# levels: ``valid`` holds every word that is not Invalid and ``reg`` the
+# Registered words, a subset of ``valid``.  So a word is Invalid outside
+# ``valid``, Registered in ``reg`` and Valid in ``valid & ~reg``.  An L1
+# word is Registered when this core owns the latest value; an L2 word
+# when some L1 owns it (the L2's data, if any, is stale).
+#
 # A data response carries either words of one line in offset order (a
 # whole line when it has all 16) or, under Flex, a word list that may
 # span lines.  A whole line goes through the profilers' line calls and
-# installs by slice assignment; partial lines and Flex lists go word by
-# word.  Both cache levels code Invalid as 0 and Valid as 1, so the
-# helpers below serve L1 and L2 lines alike.
-_ALL_VALID = (W_VALID,) * WORDS_PER_LINE
+# a memory fill of one installs its instance range as is; partial lines
+# and Flex lists go word by word.  The helpers below serve L1 and L2
+# lines alike.
 
 
 def _whole_line(words: List[int]) -> int:
@@ -95,63 +91,93 @@ def _whole_line(words: List[int]) -> int:
     return -1
 
 
-def _arrivals(prof, unit: int, line: Optional[CacheLine], words):
+def _arrivals(prof, unit: int, line: Optional["DenovoL1Line"], words):
     """Profile one line's ``words`` arriving at cache ``unit``.
 
     ``line`` is the unit's copy of that line, or None.  A whole line
     the unit holds none of costs one ``arrivals_line`` call; otherwise
     each word is flagged by whether the unit already holds it.
     """
-    if line is None or not any(line.word_state):
+    held = line.valid if line is not None else 0
+    if not held:
         if len(words) == WORDS_PER_LINE:
             return prof.arrivals_line(unit, words[0])
         return prof.arrivals_words(unit, words, [False] * len(words))
-    state = line.word_state
     return prof.arrivals_words(unit, words,
-                               [state[w & 15] != W_INVALID for w in words])
+                               [held >> (w & 15) & 1 == 1 for w in words])
 
 
-def _install(line: CacheLine, words, insts, mem_prof) -> None:
+def _install(line: "DenovoL1Line", words, insts, mem_prof) -> None:
     """Install one line's ``words`` where ``line`` holds them Invalid.
 
-    A whole line landing on an all-Invalid line is three slice
-    assignments.  Otherwise only the Invalid words fill: a line that a
-    store write-validated while the fill was in flight keeps its
-    Registered words.
+    ``insts`` holds each word's memory instance (or None), in the order
+    of ``words``.  A memory fill's whole line (its instances a
+    ``range``) landing on an all-Invalid line takes the range as is.
+    Otherwise only the Invalid words fill: a line that a store
+    write-validated while the fill was in flight keeps its Registered
+    words.
     """
-    state = line.word_state
-    if len(words) == WORDS_PER_LINE and not any(state):
-        state[:] = _ALL_VALID
-        line.mem_inst[:] = insts
+    held = line.valid
+    if (not held and len(words) == WORDS_PER_LINE
+            and insts.__class__ is range):
+        line.valid = FULL_MASK
+        line.set_line_insts(insts)
         mem_prof.install_copies(insts)
         return
-    mem_inst = line.mem_inst
     install = mem_prof.install_copy
+    valid = held
     for word, inst in zip(words, insts):
-        off = word & 15
-        if state[off] == W_INVALID:
-            state[off] = W_VALID
-            mem_inst[off] = inst
-            if inst is not None:
-                install(inst)
+        bit = 1 << (word & 15)
+        if held & bit:
+            continue
+        valid |= bit
+        if inst is None:
+            line.inst_mask &= ~bit
+        else:
+            line.add_inst(word & 15, inst)
+            install(inst)
+    line.valid = valid
+
+
+def _fill_word(line: "DenovoL1Line", off: int, inst: Optional[int],
+               install) -> None:
+    """Word ``off`` of ``line``, Invalid, fills with a copy of ``inst``
+    (None for a word with no memory instance): one word of
+    :func:`_install`, for fills that go word by word."""
+    line.valid |= 1 << off
+    if inst is None:
+        line.inst_mask &= ~(1 << off)
+    else:
+        line.add_inst(off, inst)
+        install(inst)
 
 
 class DenovoL1Line(CacheLine):
-    __slots__ = ()
+    """A DeNovo line: ``valid`` and ``reg`` word masks (see above)."""
+
+    __slots__ = ("valid", "reg")
+
+    def __init__(self, line_addr: int) -> None:
+        super().__init__(line_addr)
+        self.valid = 0
+        self.reg = 0
 
 
-class DenovoL2Line(CacheLine):
+class DenovoL2Line(DenovoL1Line):
+    """An L2 line.  ``owners[off]`` names the registrant of a word in
+    ``reg``; the list is made at the line's first registration, and a
+    slot outside ``reg`` is stale."""
+
     __slots__ = ("owners", "in_bloom")
 
     def __init__(self, line_addr: int) -> None:
         super().__init__(line_addr)
-        self.owners: List[Optional[int]] = [None] * WORDS_PER_LINE
+        self.owners: Optional[List[int]] = None
         self.in_bloom = False
 
-    def dirty_mask_offsets(self) -> List[int]:
+    def dirty_mask(self) -> int:
         """Words the memory controller must not return from DRAM."""
-        return [i for i in range(WORDS_PER_LINE)
-                if self.word_dirty[i] or self.word_state[i] == L2W_REG]
+        return self.word_dirty | self.reg
 
 
 class DenovoSystem(CoherenceKernel):
@@ -232,14 +258,14 @@ class DenovoSystem(CoherenceKernel):
     def load(self, core: int, addr: int, at: int,
              on_done: Callable[[int, LoadRequest], None]) -> Optional[int]:
         line_addr = addr >> 4
+        off = addr & 15
         line = self.l1[core].lookup(line_addr)
-        if line is not None and line.word_state[addr & 15] != W_INVALID:
+        if line is not None and line.valid >> off & 1:
             # Hottest path in the protocol: _profile_load_hit inlined.
             ctx = self.ctx
             ctx.l1_prof.on_use(core, addr)
-            inst = line.mem_inst[addr & 15]
-            if inst is not None:
-                ctx.mem_prof.on_load(inst)
+            if line.inst_mask >> off & 1:
+                ctx.mem_prof.on_load(line.mem_inst[off])
             return at + 1
         waiters = self._inflight_fills[core].get(line_addr)
         if waiters is not None:
@@ -273,7 +299,7 @@ class DenovoSystem(CoherenceKernel):
         if line is None:
             # Write-validate: allocate without fetching.
             line = self._allocate_l1(core, line_addr)
-        already_owned = line.word_state[addr & 15] == W_REG
+        already_owned = line.reg >> (addr & 15) & 1
         self._apply_store_word(core, line, addr)
         if already_owned:
             return True
@@ -313,21 +339,25 @@ class DenovoSystem(CoherenceKernel):
     def on_barrier(self, written_regions: Set[int]) -> None:
         """Barrier-time work: self-invalidation and Bloom shadow clears."""
         ctx = self.ctx
+        find = ctx.regions.find
+        l1_invalidate = ctx.l1_prof.on_invalidate
+        mem_drop = ctx.mem_prof.drop_copy
         for core in range(ctx.config.num_tiles):
             for line in self.l1[core].resident_lines():
-                region = ctx.regions.find(base_word(line.line_addr))
+                clean = line.valid & ~line.reg
+                if not clean:
+                    continue
+                base = base_word(line.line_addr)
+                region = find(base)
                 if region is None or region.region_id not in written_regions:
                     continue
-                for off in range(WORDS_PER_LINE):
-                    if line.word_state[off] == W_VALID:
-                        word = base_word(line.line_addr) + off
-                        ctx.l1_prof.on_invalidate(core, word)
-                        inst = line.mem_inst[off]
-                        if inst is not None:
-                            ctx.mem_prof.drop_copy(inst, invalidated=True)
-                            line.mem_inst[off] = None
-                        line.word_state[off] = W_INVALID
-                        self.stat_self_invalidated_words += 1
+                offsets = mask_offsets(clean)
+                for off in offsets:
+                    l1_invalidate(core, base + off)
+                for inst in line.take_insts(clean):
+                    mem_drop(inst, invalidated=True)
+                line.valid = line.reg
+                self.stat_self_invalidated_words += len(offsets)
         for shadow in self.l1_blooms:
             shadow.clear()
 
@@ -344,17 +374,18 @@ class DenovoSystem(CoherenceKernel):
 
     def _apply_store_word(self, core: int, line: DenovoL1Line,
                           addr: int) -> None:
-        off = addr & 15
+        bit = 1 << (addr & 15)
         ctx = self.ctx
         ctx.l1_prof.on_write(core, addr)
         ctx.mem_prof.on_store_addr(addr)
-        inst = line.mem_inst[off]
-        if inst is not None:
+        if line.inst_mask & bit:
             # The local copy no longer derives from the memory instance.
-            ctx.mem_prof.drop_copy(inst, invalidated=False)
-            line.mem_inst[off] = None
-        line.word_state[off] = W_REG
-        line.word_dirty[off] = True
+            line.inst_mask ^= bit
+            ctx.mem_prof.drop_copy(line.mem_inst[addr & 15],
+                                   invalidated=False)
+        line.valid |= bit
+        line.reg |= bit
+        line.word_dirty |= bit
 
     def _evict_l1_line(self, core: int, line: DenovoL1Line) -> None:
         """Evict an L1 line: profile, then write back dirty words only."""
@@ -362,24 +393,23 @@ class DenovoSystem(CoherenceKernel):
         at = ctx.queue.now
         line_addr = line.line_addr
         ctx.l1_prof.on_evict_line(core, base_word(line_addr))
-        ctx.mem_prof.drop_copies(line.mem_inst, invalidated=False)
+        ctx.mem_prof.drop_copies(line.inst_handles(), invalidated=False)
         pending = self.wct[core].pop(line_addr)
-        dirty_offsets = line.dirty_offsets()
-        if not dirty_offsets:
+        dirty = line.word_dirty
+        if not dirty:
             return
         home = self._home_tile(line_addr)
         pending_mask = pending.word_mask if pending is not None else 0
         # Paper: eviction with pending registrations sends two messages —
         # a plain writeback for already-registered words and a combined
         # writeback+register for pending ones; both profiled as WB traffic.
-        plain = [o for o in dirty_offsets if not pending_mask >> o & 1]
-        combined = [o for o in dirty_offsets if pending_mask >> o & 1]
-        for offsets in (plain, combined):
+        for offsets in (dirty & ~pending_mask, dirty & pending_mask):
             if not offsets:
                 continue
+            n_words = offsets.bit_count()
             self._send_wb(
-                core, home, at, [True] * len(offsets), T.DEST_L2,
-                self._l2_accept_wb, core, line_addr, tuple(offsets))
+                core, home, at, n_words, n_words, T.DEST_L2,
+                self._l2_accept_wb, core, line_addr, offsets)
         if self.l1_blooms:
             self.l1_blooms[core].note_writeback(home, line_addr)
 
@@ -433,40 +463,31 @@ class DenovoSystem(CoherenceKernel):
         # not install stale ownership: keep only words the core still
         # holds registered (the eviction's writeback covers the rest).
         held_line = self.l1[core].lookup(line_addr, touch=False)
-        if held_line is None:
-            mask = 0
-        else:
-            held_state = held_line.word_state
-            pending = mask
-            while pending:
-                low = pending & -pending
-                if held_state[low.bit_length() - 1] != W_REG:
-                    mask &= ~low
-                pending &= pending - 1
+        mask = mask & held_line.reg if held_line is not None else 0
         if mask == 0:
             self._send_resp_ctl(T.ST, home, core, t, self._reg_ack, core)
             return
         base = base_word(line_addr)
-        word_state = entry.word_state
+        reg = entry.reg
+        valid = entry.valid
         owners = entry.owners
-        word_dirty = entry.word_dirty
+        if owners is None:
+            owners = entry.owners = [core] * WORDS_PER_LINE
         l2_on_write = ctx.l2_prof.on_write
-        pending = mask
-        while pending:
-            off = (pending & -pending).bit_length() - 1
-            pending &= pending - 1
+        for off in mask_offsets(mask):
             word = base + off
-            old_owner = (owners[off]
-                         if word_state[off] == L2W_REG else None)
-            if old_owner is not None and old_owner != core:
-                self.stat_reg_invalidations += 1
-                self._invalidate_remote_word(home, old_owner, word, t)
-            if word_state[off] == L2W_VALID:
+            if reg >> off & 1:
+                old_owner = owners[off]
+                if old_owner != core:
+                    self.stat_reg_invalidations += 1
+                    self._invalidate_remote_word(home, old_owner, word, t)
+            elif valid >> off & 1:
                 # The L2's copy is now stale; it dies as Write waste.
                 l2_on_write(home, word)
-            word_state[off] = L2W_REG
             owners[off] = core
-            word_dirty[off] = False
+        entry.valid = valid | mask
+        entry.reg = reg | mask
+        entry.word_dirty &= ~mask
         if self.slice_blooms and not entry.in_bloom:
             self.slice_blooms[home].insert(line_addr)
             entry.in_bloom = True
@@ -497,15 +518,15 @@ class DenovoSystem(CoherenceKernel):
         line = self.l1[owner].lookup(line_of(word), touch=False)
         if line is None:
             return
-        off = word & 15
-        if line.word_state[off] != W_INVALID:
+        bit = 1 << (word & 15)
+        if line.valid & bit:
             ctx.l1_prof.on_invalidate(owner, word)
-            inst = line.mem_inst[off]
-            if inst is not None:
+            for inst in line.take_insts(bit):
                 ctx.mem_prof.drop_copy(inst, invalidated=True)
-                line.mem_inst[off] = None
-            line.word_state[off] = W_INVALID
-            line.word_dirty[off] = False
+            keep = ~bit
+            line.valid &= keep
+            line.reg &= keep
+            line.word_dirty &= keep
 
     def _fetch_line_for_write(self, entry: DenovoL2Line, home: int,
                               t: int) -> None:
@@ -525,10 +546,11 @@ class DenovoSystem(CoherenceKernel):
         ctx = self.ctx
         words = words_of_line(entry.line_addr)
         l2_entries = _arrivals(ctx.l2_prof, home, entry, words)
-        if any(entry.word_state):
+        held = entry.valid
+        if held:
             fetch = ctx.mem_prof.fetch
-            insts = [fetch(word, state != L2W_INVALID)
-                     for word, state in zip(words, entry.word_state)]
+            insts = [fetch(word, held >> (word & 15) & 1 == 1)
+                     for word in words]
         else:
             insts = ctx.mem_prof.fetch_line(words[0])
         self._send_data(T.ST, T.DEST_L2, mc, home, tt, l2_entries,
@@ -554,22 +576,18 @@ class DenovoSystem(CoherenceKernel):
         entry = self.l2[home].lookup(line_addr)
 
         if entry is not None:
-            state = entry.word_state[off]
-            if state == L2W_REG:
-                owner = entry.owners[off]
-                if owner is not None and owner != req.core:
+            bit = 1 << off
+            if entry.reg & bit:
+                if entry.owners[off] != req.core:
                     self._forward_to_owner(req, entry, home, t)
                     return
-                if owner == req.core:
-                    # The requestor itself was the registrant but lost the
-                    # line; heal: the writeback (if any) made the L2 copy
-                    # dirty-valid.
-                    if entry.word_dirty[off]:
-                        entry.word_state[off] = L2W_VALID
-                    else:
-                        entry.word_state[off] = L2W_INVALID
-                    entry.owners[off] = None
-            if entry.word_state[off] == L2W_VALID:
+                # The requestor itself was the registrant but lost the
+                # line; heal: the writeback (if any) made the L2 copy
+                # dirty-valid.
+                entry.reg ^= bit
+                if not entry.word_dirty & bit:
+                    entry.valid ^= bit
+            if entry.valid & ~entry.reg & bit:
                 self._respond_from_l2(req, entry, home, t)
                 return
         self._load_miss_to_memory(req, entry, home, t)
@@ -612,11 +630,14 @@ class DenovoSystem(CoherenceKernel):
         l1_line = l1.lookup(line_addr, False)
         l1.stat_probes += n - 1
         src_cache.stat_probes += n
-        if n == WORDS_PER_LINE:
-            insts = src_line.mem_inst[:]
+        held = src_line.inst_mask
+        mem_inst = src_line.mem_inst
+        if (n == WORDS_PER_LINE and held == FULL_MASK
+                and mem_inst.__class__ is range):
+            insts = mem_inst    # whole line, one fill: share the range
         else:
-            mem_inst = src_line.mem_inst
-            insts = [mem_inst[w & 15] for w in words]
+            insts = [mem_inst[w & 15] if held >> (w & 15) & 1 else None
+                     for w in words]
         return _arrivals(self.ctx.l1_prof, core, l1_line, words), insts
 
     @staticmethod
@@ -642,13 +663,13 @@ class DenovoSystem(CoherenceKernel):
                 l1_line = l1.lookup(wline, False)
                 l1_addr = wline
             flags.append(l1_line is not None
-                         and l1_line.word_state[word & 15] != W_INVALID)
+                         and l1_line.valid >> (word & 15) & 1 == 1)
             if wline == src_addr:
                 src_probes += 1
             else:
                 src_line = src_cache.lookup(wline, False)
                 src_addr = wline
-            insts.append(src_line.mem_inst[word & 15]
+            insts.append(src_line.inst(word & 15)
                          if src_line is not None else None)
         l1.stat_probes += l1_probes
         src_cache.stat_probes += src_probes
@@ -675,9 +696,8 @@ class DenovoSystem(CoherenceKernel):
             if lentry is None:
                 return -1, []
             base = line_addr << 4
-            state = lentry.word_state
-            return line_addr, [base + off for off in range(WORDS_PER_LINE)
-                               if state[off] == L2W_VALID]
+            return line_addr, [base + off for off in
+                               mask_offsets(lentry.valid & ~lentry.reg)]
         home_tile = self._home_tile
         out = []
         last_addr = -1
@@ -694,7 +714,7 @@ class DenovoSystem(CoherenceKernel):
                 last_addr = wline
             if lentry is None:
                 continue
-            if lentry.word_state[word & 15] == L2W_VALID:
+            if (lentry.valid & ~lentry.reg) >> (word & 15) & 1:
                 out.append(word)
         l2.stat_probes += probes
         return _whole_line(out), out
@@ -712,7 +732,7 @@ class DenovoSystem(CoherenceKernel):
         line_addr = line_of(req.addr)
         oline = self.l1[owner].lookup(line_addr, touch=False)
         off = offset_of(req.addr)
-        if oline is None or oline.word_state[off] == W_INVALID:
+        if oline is None or not oline.valid >> off & 1:
             # Stale registration: the owner's eviction writeback and a
             # late in-flight registration raced at the home.  Heal the
             # L2 state (the writeback data is the latest value) so the
@@ -720,11 +740,10 @@ class DenovoSystem(CoherenceKernel):
             home_entry = self.l2[self._home_tile(line_addr)].lookup(
                 line_addr, touch=False)
             if (home_entry is not None
-                    and home_entry.word_state[off] == L2W_REG
+                    and home_entry.reg >> off & 1
                     and home_entry.owners[off] == owner):
-                home_entry.word_state[off] = L2W_VALID
-                home_entry.word_dirty[off] = True
-                home_entry.owners[off] = None
+                home_entry.reg ^= 1 << off
+                home_entry.word_dirty |= 1 << off
             self.stat_nacks += 1
             self._send_overhead(
                 T.OVH_NACK, owner, req.core, tt,
@@ -761,9 +780,8 @@ class DenovoSystem(CoherenceKernel):
             if line is None:
                 return -1, []
             base = line_addr << 4
-            state = line.word_state
-            return line_addr, [base + off for off in range(WORDS_PER_LINE)
-                               if state[off] != W_INVALID]
+            return line_addr, [base + off
+                               for off in mask_offsets(line.valid)]
         out = []
         last_addr = -1
         line = None
@@ -777,7 +795,7 @@ class DenovoSystem(CoherenceKernel):
                 last_addr = wline
             if line is None:
                 continue
-            if line.word_state[word & 15] != W_INVALID:
+            if line.valid >> (word & 15) & 1:
                 out.append(word)
         l1_owner.stat_probes += probes
         return _whole_line(out), out
@@ -804,15 +822,14 @@ class DenovoSystem(CoherenceKernel):
         req.t_home_depart = t
         req.served_by = SERVED_MEMORY
         mc = ctx.mc_tile(line_addr)
-        dirty_offsets = (tuple(entry.dirty_mask_offsets())
-                         if entry is not None else ())
+        dirty_mask = entry.dirty_mask() if entry is not None else 0
         if not bypassed and entry is None:
             entry = self._reserve_l2(home, line_addr)
         fill_l2 = not bypassed
 
         self._send_req_ctl(
             T.LD, home, mc, t,
-            self._mc_load, req, home, mc, dirty_offsets, fill_l2)
+            self._mc_load, req, home, mc, dirty_mask, fill_l2)
 
     def _bypass_request_path(self, req: LoadRequest, at: int) -> None:
         """L2 Request Bypass: consult the L1 Bloom shadow, maybe go direct."""
@@ -837,7 +854,7 @@ class DenovoSystem(CoherenceKernel):
         mc = ctx.mc_tile(line_addr)
         self._send_req_ctl(
             T.LD, core, mc, at,
-            self._mc_load, req, home, mc, (), False)
+            self._mc_load, req, home, mc, 0, False)
 
     def _fetch_bloom_copy(self, req: LoadRequest, core: int, home: int,
                           line_addr: int, at: int) -> None:
@@ -866,9 +883,11 @@ class DenovoSystem(CoherenceKernel):
         self._bypass_request_path(req, tt)
 
     def _mc_load(self, req: LoadRequest, home: int, mc: int,
-                 dirty_offsets: Tuple[int, ...], fill_l2: bool,
-                 arrive: int) -> None:
-        """Memory controller handling of a load: fetch, filter, respond."""
+                 dirty_mask: int, fill_l2: bool, arrive: int) -> None:
+        """Memory controller handling of a load: fetch, filter, respond.
+
+        ``dirty_mask`` holds the words of the requested line that are
+        dirty on chip, which the controller must not return."""
         ctx = self.ctx
         req.t_arrive_mc = arrive
         addr = req.addr
@@ -897,7 +916,6 @@ class DenovoSystem(CoherenceKernel):
         else:
             lines = [line_addr]
             wanted_set = None    # the whole line
-        masked = {base_word(line_addr) + off for off in dirty_offsets}
 
         # One response message per fetched line, sent as soon as that
         # line's read completes (the controller streams; waiting for the
@@ -906,20 +924,25 @@ class DenovoSystem(CoherenceKernel):
         # completes the load; prefetch-line responses just install.
         for fetched_line in lines:
             dram.read(fetched_line, self._mc_respond_line, req, home, mc,
-                      fill_l2, wanted_set, masked, line_addr, fetched_line)
+                      fill_l2, wanted_set,
+                      dirty_mask if fetched_line == line_addr else 0,
+                      line_addr, fetched_line)
 
     def _mc_respond_line(self, req: LoadRequest, home: int, mc: int,
                          fill_l2: bool, wanted_set: Optional[Set[int]],
-                         masked: Set[int], line_addr: int,
+                         masked: int, line_addr: int,
                          fetched_line: int, t: int) -> None:
+        """One fetched line's response; ``masked`` holds its words that
+        are dirty on chip."""
         words = words_of_line(fetched_line)
         if wanted_set is None:
-            send_words = [word for word in words if word not in masked]
+            send_words = [word for word in words
+                          if not masked >> (word & 15) & 1]
         else:
             send_words = []
             fetch_excess = self.ctx.mem_prof.fetch_excess
             for word in words:
-                if word in masked:
+                if masked >> (word & 15) & 1:
                     continue
                 if word in wanted_set:
                     send_words.append(word)
@@ -969,9 +992,9 @@ class DenovoSystem(CoherenceKernel):
         entry = l2_cache.lookup(line_addr, False)
         l2_cache.stat_probes += len(words) - 1
         fetch = ctx.mem_prof.fetch
-        if entry is not None and any(entry.word_state):
-            state = entry.word_state
-            insts = [fetch(word, state[word & 15] != L2W_INVALID)
+        held = entry.valid if entry is not None else 0
+        if held:
+            insts = [fetch(word, held >> (word & 15) & 1 == 1)
                      for word in words]
         elif len(words) == WORDS_PER_LINE:
             insts = ctx.mem_prof.fetch_line(words[0])
@@ -1104,17 +1127,13 @@ class DenovoSystem(CoherenceKernel):
                         line = self._allocate_l1(core, wline)
                     else:
                         continue   # prefetched line has no room; drop it
-                off = word & 15
-                if line.word_state[off] == W_INVALID:
-                    line.word_state[off] = W_VALID
-                    line.mem_inst[off] = inst
-                    if inst is not None:
-                        install(inst)
+                if not line.valid >> (word & 15) & 1:
+                    _fill_word(line, word & 15, inst, install)
         if not completes:
             return
         self._protected[core].discard(req_line)
         line = l1.lookup(req_line, touch=False)
-        if line is None or line.word_state[req.addr & 15] == W_INVALID:
+        if line is None or not line.valid >> (req.addr & 15) & 1:
             # The needed word did not arrive (e.g. masked at the memory
             # controller because it was dirty on-chip): retry through L2.
             self._retry_gets(req, t)
@@ -1140,9 +1159,10 @@ class DenovoSystem(CoherenceKernel):
             self._evict_l2_line(home, auto_victim)
         return line
 
-    def _l2_accept_wb(self, core: int, line_addr: int,
-                      offsets: Tuple[int, ...], t: int) -> None:
-        """Dirty words from an L1 writeback arrive at the home slice."""
+    def _l2_accept_wb(self, core: int, line_addr: int, offsets: int,
+                      t: int) -> None:
+        """Dirty words (mask ``offsets``) from an L1 writeback arrive at
+        the home slice."""
         ctx = self.ctx
         home = self._home_tile(line_addr)
         entry = self.l2[home].lookup(line_addr)
@@ -1151,23 +1171,17 @@ class DenovoSystem(CoherenceKernel):
             if self._l2_fetch_on_write:
                 self._fetch_line_for_write(entry, home, t)
         base = base_word(line_addr)
-        word_state = entry.word_state
-        word_dirty = entry.word_dirty
-        owners = entry.owners
-        mem_inst = entry.mem_inst
+        # A clean Valid L2 copy the writeback overwrites dies as Write.
+        overwritten = offsets & entry.valid & ~entry.reg & ~entry.word_dirty
         l2_on_write = ctx.l2_prof.on_write
+        for off in mask_offsets(overwritten):
+            l2_on_write(home, base + off)
+        entry.valid |= offsets
+        entry.reg &= ~offsets
+        entry.word_dirty |= offsets
         mem_drop = ctx.mem_prof.drop_copy
-        for off in offsets:
-            word = base + off
-            if (word_state[off] == L2W_VALID
-                    and not word_dirty[off]):
-                l2_on_write(home, word)
-            word_state[off] = L2W_VALID
-            word_dirty[off] = True
-            owners[off] = None
-            if mem_inst[off] is not None:
-                mem_drop(mem_inst[off], invalidated=False)
-                mem_inst[off] = None
+        for inst in entry.take_insts(offsets):
+            mem_drop(inst, invalidated=False)
         if self.slice_blooms and not entry.in_bloom:
             self.slice_blooms[home].insert(line_addr)
             entry.in_bloom = True
@@ -1179,46 +1193,47 @@ class DenovoSystem(CoherenceKernel):
         line_addr = entry.line_addr
         base = base_word(line_addr)
         # Recall registered words from their owners; the owners write the
-        # dirty data straight to memory.
-        owners = {entry.owners[off] for off in range(WORDS_PER_LINE)
-                  if entry.word_state[off] == L2W_REG
-                  and entry.owners[off] is not None}
+        # dirty data straight to memory.  The recalls go out in the
+        # iteration order of this set (built in offset order), which
+        # link contention makes visible in the results.
+        registered = mask_offsets(entry.reg)
+        owner_of = entry.owners
+        owners = {owner_of[off] for off in registered}
         for owner in owners:
             self._send_overhead(T.OVH_INVAL, home, owner, at)
             oline = self.l1[owner].lookup(line_addr, touch=False)
             if oline is None:
                 continue
-            recalled = [off for off in range(WORDS_PER_LINE)
-                        if entry.owners[off] == owner
-                        and oline.word_state[off] == W_REG]
+            recalled = 0
+            for off in registered:
+                if owner_of[off] == owner:
+                    recalled |= 1 << off
+            recalled &= oline.reg
             if recalled:
                 mc = ctx.mc_tile(line_addr)
-                self._send_wb(owner, mc, at, [True] * len(recalled),
+                n_words = recalled.bit_count()
+                self._send_wb(owner, mc, at, n_words, n_words,
                               T.DEST_MEM, self._wb_to_dram, line_addr)
-            for off in range(WORDS_PER_LINE):
-                if oline.word_state[off] != W_INVALID:
-                    word = base + off
-                    ctx.l1_prof.on_invalidate(owner, word)
-                    inst = oline.mem_inst[off]
-                    if inst is not None:
-                        ctx.mem_prof.drop_copy(inst, invalidated=True)
-                oline.word_state[off] = W_INVALID
-                oline.word_dirty[off] = False
-                oline.mem_inst[off] = None
+            held = oline.valid
+            for off in mask_offsets(held):
+                ctx.l1_prof.on_invalidate(owner, base + off)
+            for inst in oline.take_insts(held):
+                ctx.mem_prof.drop_copy(inst, invalidated=True)
+            oline.valid = oline.reg = oline.word_dirty = oline.inst_mask = 0
             self.wct[owner].pop(line_addr)
         # Profile the L2 copies and write dirty words back.
         ctx.l2_prof.on_evict_line(home, base)
-        ctx.mem_prof.drop_copies(entry.mem_inst, invalidated=False)
-        if entry.any_dirty():
+        ctx.mem_prof.drop_copies(entry.inst_handles(), invalidated=False)
+        dirty = entry.word_dirty
+        if dirty:
             mc = ctx.mc_tile(line_addr)
             # DValidateL2 rung: only the dirty words travel; baseline
             # ships the whole line and unmodified words die as Waste
             # (Figure 5.1d, Mem Waste).
-            if self._l2_dirty_wb_only:
-                flags = [True] * sum(entry.word_dirty)
-            else:
-                flags = list(entry.word_dirty)
-            self._send_wb(home, mc, at, flags, T.DEST_MEM,
+            n_dirty = dirty.bit_count()
+            self._send_wb(home, mc, at,
+                          n_dirty if self._l2_dirty_wb_only
+                          else WORDS_PER_LINE, n_dirty, T.DEST_MEM,
                           self._wb_to_dram, line_addr)
         if self.slice_blooms and entry.in_bloom:
             self.slice_blooms[home].remove(line_addr)

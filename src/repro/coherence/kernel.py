@@ -177,8 +177,7 @@ class CoherenceKernel:
 
     def _find_unprotected_victim(self, core: int, line_addr: int):
         cache = self.l1[core]
-        idx = cache.set_index(line_addr)
-        for candidate in reversed(cache._lru[idx]):
+        for candidate in cache.lru_order(line_addr):
             if candidate not in self._protected[core]:
                 return cache.lookup(candidate, touch=False)
         raise RuntimeError(
@@ -195,9 +194,9 @@ class CoherenceKernel:
     def _profile_load_hit(self, core: int, line, addr: int) -> None:
         ctx = self.ctx
         ctx.l1_prof.on_use(core, addr)
-        inst = line.mem_inst[addr & _OFFSET_MASK]
-        if inst is not None:
-            ctx.mem_prof.on_load(inst)
+        off = addr & _OFFSET_MASK
+        if line.inst_mask >> off & 1:
+            ctx.mem_prof.on_load(line.mem_inst[off])
 
     def _retry_load(self, core: int, addr: int, at: int,
                     on_done: Callable[[int, LoadRequest], None]) -> None:

@@ -21,6 +21,9 @@ module owns the line-granular MESI state machine and reads the
 
 The protocol is line-granular; per-word dirty bits are tracked only for
 the waste profiler and the writeback Used/Waste split of Figure 5.1d.
+MESI lines carry no per-word coherence state, and a line's memory
+instances are always a whole fill's (the ``range`` a memory fetch
+returns, shared by every copy) or none.
 
 Message continuations use the closure-free scheduling convention
 (``handler, *args`` with the arrival time appended as the last
@@ -30,12 +33,12 @@ remaining closures sit on rare blocked/waiter paths.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
-from repro.cache.sa_cache import CacheLine
+from repro.cache.sa_cache import CacheLine, mask_offsets
 from repro.cache.writebuffer import STORE_BUFFER_ENTRIES, StoreBuffer
 from repro.coherence.kernel import CoherenceKernel
-from repro.common.addressing import base_word, line_of, offset_of
+from repro.common.addressing import WORDS_PER_LINE, base_word, line_of
 from repro.core.context import (
     NACK_RETRY_DELAY, SERVED_L2, SERVED_MEMORY, SERVED_REMOTE_L1,
     LoadRequest, SimContext, StoreRequest)
@@ -64,6 +67,13 @@ class MesiL1Line(CacheLine):
 
 
 class MesiL2Line(CacheLine):
+    """An L2 line with its directory entry.
+
+    ``sharers`` stays a set, not a tile bit mask: invalidations and
+    recalls go out in the set's iteration order, and link contention
+    makes that order visible in the results (ascending tile order
+    changes the tiny barnes cells)."""
+
     __slots__ = ("dir_state", "owner", "sharers", "busy", "has_data",
                  "l2_dirty", "waiters")
 
@@ -76,13 +86,19 @@ class MesiL2Line(CacheLine):
         self.has_data = False
         self.l2_dirty = False
         # Requests held back while the line is mid-transition (the
-        # "blocking directory" of GEMS: hold back or NACK).
-        self.waiters: List[Callable[[int], None]] = []
+        # "blocking directory" of GEMS: hold back or NACK); a list made
+        # on first use.
+        self.waiters: Optional[List[Callable[[int], None]]] = None
 
 
-def _dirty_words_only(word_dirty: List[bool]) -> List[bool]:
-    """Writeback payload flags shipping just the dirty words."""
-    return [True] * sum(word_dirty)
+def _whole_line(word_dirty: int) -> int:
+    """Writeback payload words when the whole line ships."""
+    return WORDS_PER_LINE
+
+
+def _dirty_words_only(word_dirty: int) -> int:
+    """Writeback payload words when just the dirty words ship."""
+    return word_dirty.bit_count()
 
 
 class MesiSystem(CoherenceKernel):
@@ -96,14 +112,15 @@ class MesiSystem(CoherenceKernel):
         cfg = ctx.config
         proto = ctx.proto
         self.mem_to_l1 = proto.mem_to_l1
-        # Per-word payload flags of a writeback (L1 and L2->memory): one
-        # entry per word on the wire, True for a dirty (Used) word.
-        self._wb_flags = _dirty_words_only if proto.dirty_wb_only else list
+        # Words on the wire of a writeback (L1 and L2->memory), from
+        # the line's dirty mask; the dirty words are the Used ones.
+        self._wb_words = (_dirty_words_only if proto.dirty_wb_only
+                          else _whole_line)
         self.sbuf = [StoreBuffer(STORE_BUFFER_ENTRIES)
                      for _ in range(cfg.num_tiles)]
-        # Deferred store words per (core, line): offsets written while the
-        # ownership request is in flight.
-        self._pending_words: List[Dict[int, Set[int]]] = [
+        # Deferred store words per (core, line): the mask of offsets
+        # written while the ownership request is in flight.
+        self._pending_words: List[Dict[int, int]] = [
             dict() for _ in range(cfg.num_tiles)]
         self._store_reqs: List[Dict[int, StoreRequest]] = [
             dict() for _ in range(cfg.num_tiles)]
@@ -142,9 +159,9 @@ class MesiSystem(CoherenceKernel):
             # Hottest path in the protocol: _profile_load_hit inlined.
             ctx = self.ctx
             ctx.l1_prof.on_use(core, addr)
-            inst = line.mem_inst[addr & 15]
-            if inst is not None:
-                ctx.mem_prof.on_load(inst)
+            off = addr & 15
+            if line.inst_mask >> off & 1:
+                ctx.mem_prof.on_load(line.mem_inst[off])
             return at + 1
         if line is not None and line.state == L1_PENDING:
             self._wait_on_line(core, line_addr, addr, at, on_done)
@@ -169,7 +186,7 @@ class MesiSystem(CoherenceKernel):
         sbuf = self.sbuf[core]
         line = self.l1[core].lookup(line_addr)
         if sbuf.has(line_addr):
-            self._pending_words[core][line_addr].add(addr & 15)
+            self._pending_words[core][line_addr] |= 1 << (addr & 15)
             return True
         if line is not None and line.state in (L1_E, L1_M):
             line.state = L1_M   # silent E->M upgrade
@@ -181,7 +198,7 @@ class MesiSystem(CoherenceKernel):
             return False
         is_upgrade = line is not None and line.state == L1_S
         sbuf.insert(line_addr)
-        self._pending_words[core][line_addr] = {addr & 15}
+        self._pending_words[core][line_addr] = 1 << (addr & 15)
         request = StoreRequest(core=core, line_addr=line_addr, t_issue=at)
         self._store_reqs[core][line_addr] = request
         if line is None:
@@ -231,7 +248,7 @@ class MesiSystem(CoherenceKernel):
         ctx = self.ctx
         ctx.l1_prof.on_write(core, addr)
         ctx.mem_prof.on_store_addr(addr)
-        line.word_dirty[addr & 15] = True
+        line.word_dirty |= 1 << (addr & 15)
 
     def _reserve_line(self, core: int, line_addr: int) -> MesiL1Line:
         self._protected[core].add(line_addr)
@@ -244,12 +261,12 @@ class MesiSystem(CoherenceKernel):
         ctx = self.ctx
         at = ctx.queue.now
         ctx.l1_prof.on_evict_line(core, base_word(line.line_addr))
-        ctx.mem_prof.drop_copies(line.mem_inst, invalidated=False)
+        ctx.mem_prof.drop_copies(line.inst_handles(), invalidated=False)
         home = self._home_tile(line.line_addr)
         if line.state == L1_M:
-            written = tuple(i for i, d in enumerate(line.word_dirty) if d)
-            self._send_wb(core, home, at, self._wb_flags(line.word_dirty),
-                          T.DEST_L2,
+            written = line.word_dirty
+            self._send_wb(core, home, at, self._wb_words(written),
+                          written.bit_count(), T.DEST_L2,
                           self._dir_dirty_wb, line.line_addr, core, written)
         elif line.state == L1_E:
             # Clean writeback: control-only PUTX, counted as overhead.
@@ -272,7 +289,7 @@ class MesiSystem(CoherenceKernel):
         t = ctx.l2_service_time(home, arrive)
         entry = self.l2[home].lookup(line_addr)
         if entry is not None and entry.busy:
-            entry.waiters.append(lambda tt: self._dir_gets(req, tt))
+            self._hold(entry, lambda tt: self._dir_gets(req, tt))
             return
         if entry is not None and entry.has_data and entry.owner is None:
             self._dir_gets_hit(req, entry, home, t)
@@ -304,7 +321,7 @@ class MesiSystem(CoherenceKernel):
         ctx.l2_prof.on_use_line(home, base)
         core = req.core
         l1_entries = ctx.l1_prof.arrivals_line(core, base)
-        insts = list(entry.mem_inst)
+        insts = entry.mem_inst
         state = L1_E if grant_e else L1_S
         req.served_by = SERVED_L2
         req.t_fill_send = t
@@ -335,16 +352,16 @@ class MesiSystem(CoherenceKernel):
         oline.state = L1_S
         core = req.core
         l1_entries = ctx.l1_prof.arrivals_line(core, base_word(line_addr))
-        insts = list(oline.mem_inst)
+        insts = oline.mem_inst
         req.served_by = SERVED_REMOTE_L1
         req.t_fill_send = tt
         self._send_data(
             T.LD, T.DEST_L1, owner, core, tt, l1_entries,
             self._l1_load_fill, req, L1_S, insts, home, False)
         if was_m:
-            written = tuple(i for i, d in enumerate(oline.word_dirty) if d)
-            self._send_wb(owner, home, tt,
-                          self._wb_flags(oline.word_dirty), T.DEST_L2,
+            written = oline.word_dirty
+            self._send_wb(owner, home, tt, self._wb_words(written),
+                          written.bit_count(), T.DEST_L2,
                           self._dir_downgrade_data, entry, owner, core,
                           written)
         else:
@@ -353,16 +370,15 @@ class MesiSystem(CoherenceKernel):
                 self._dir_downgrade_clean, entry, owner, core)
 
     def _dir_downgrade_data(self, entry: MesiL2Line, owner: int,
-                            requestor: int, written: Tuple[int, ...],
-                            t: int) -> None:
+                            requestor: int, written: int, t: int) -> None:
+        """The owner's dirty words (mask ``written``) reach the L2."""
         ctx = self.ctx
         home = self._home_tile(entry.line_addr)
         base = base_word(entry.line_addr)
         l2_on_write = ctx.l2_prof.on_write
-        word_dirty = entry.word_dirty
-        for off in written:
-            word_dirty[off] = True
+        for off in mask_offsets(written):
             l2_on_write(home, base + off)
+        entry.word_dirty |= written
         entry.l2_dirty = True
         self._dir_downgrade_clean(entry, owner, requestor, t)
 
@@ -387,8 +403,7 @@ class MesiSystem(CoherenceKernel):
         t = ctx.l2_service_time(home, arrive)
         entry = self.l2[home].lookup(line_addr)
         if entry is not None and entry.busy:
-            entry.waiters.append(
-                lambda tt: self._dir_getx(req, upgrade, tt))
+            self._hold(entry, lambda tt: self._dir_getx(req, upgrade, tt))
             return
         if entry is None or not entry.has_data and entry.owner is None:
             self._dir_miss_to_memory_store(req, line_addr, home, t)
@@ -418,7 +433,7 @@ class MesiSystem(CoherenceKernel):
             ctx.l2_prof.on_use_line(home, base)
             core = req.core
             l1_entries = ctx.l1_prof.arrivals_line(core, base)
-            insts = list(entry.mem_inst)
+            insts = entry.mem_inst
             self._send_data(
                 T.ST, T.DEST_L1, home, core, t, l1_entries,
                 self._l1_store_grant, req, home, acks_needed, l1_entries,
@@ -456,7 +471,7 @@ class MesiSystem(CoherenceKernel):
             return
         core = req.core
         l1_entries = ctx.l1_prof.arrivals_line(core, base_word(line_addr))
-        insts = list(oline.mem_inst)
+        insts = oline.mem_inst
         self._invalidate_l1_copy(owner, oline)
         self.l1[owner].remove(line_addr)
         entry.owner = core
@@ -483,7 +498,7 @@ class MesiSystem(CoherenceKernel):
     def _invalidate_l1_copy(self, core: int, line: MesiL1Line) -> None:
         ctx = self.ctx
         ctx.l1_prof.on_invalidate_line(core, base_word(line.line_addr))
-        ctx.mem_prof.drop_copies(line.mem_inst, invalidated=True)
+        ctx.mem_prof.drop_copies(line.inst_handles(), invalidated=True)
 
     # ------------------------------------------------------------------
     # Memory path
@@ -519,7 +534,7 @@ class MesiSystem(CoherenceKernel):
             self._mc_respond_via_l2(req, entry, home, mc, t, insts)
 
     def _mc_respond_via_l2(self, req: LoadRequest, entry: MesiL2Line,
-                           home: int, mc: int, t: int, insts: List) -> None:
+                           home: int, mc: int, t: int, insts: range) -> None:
         """Baseline MESI: memory -> L2 -> L1."""
         ctx = self.ctx
         line_addr = entry.line_addr
@@ -528,7 +543,7 @@ class MesiSystem(CoherenceKernel):
                         self._load_at_l2, req, entry, home, insts)
 
     def _load_at_l2(self, req: LoadRequest, entry: MesiL2Line, home: int,
-                    insts: List, tt: int) -> None:
+                    insts: range, tt: int) -> None:
         ctx = self.ctx
         line_addr = entry.line_addr
         self._fill_l2_data(entry, home, insts)
@@ -544,12 +559,11 @@ class MesiSystem(CoherenceKernel):
         req.t_fill_send = tt
         self._send_data(
             T.LD, T.DEST_L1, home, core, tt, l1_entries,
-            self._l1_load_fill, req, state, list(entry.mem_inst), home,
-            True)
+            self._l1_load_fill, req, state, entry.mem_inst, home, True)
 
     def _mc_respond_direct_l1(self, req: LoadRequest, entry: MesiL2Line,
                               home: int, mc: int, t: int,
-                              insts: List) -> None:
+                              insts: range) -> None:
         """MMemL1: memory -> L1, then unblock+data L1 -> L2."""
         ctx = self.ctx
         line_addr = entry.line_addr
@@ -568,7 +582,7 @@ class MesiSystem(CoherenceKernel):
                         insts)
 
     def _load_direct_at_l1(self, req: LoadRequest, entry: MesiL2Line,
-                           home: int, state: int, insts: List,
+                           home: int, state: int, insts: range,
                            tt: int) -> None:
         ctx = self.ctx
         line_addr = entry.line_addr
@@ -580,7 +594,7 @@ class MesiSystem(CoherenceKernel):
         self._send_data(T.LD, T.DEST_L2, req.core, home, tt, l2_entries,
                         self._direct_fill_at_l2, entry, home, insts)
 
-    def _direct_fill_at_l2(self, entry: MesiL2Line, home: int, insts: List,
+    def _direct_fill_at_l2(self, entry: MesiL2Line, home: int, insts: range,
                            _t: int) -> None:
         self._fill_l2_data(entry, home, insts)
         self._clear_busy(entry)
@@ -629,7 +643,7 @@ class MesiSystem(CoherenceKernel):
                             self._store_at_l2, req, entry, home, insts)
 
     def _store_at_l2(self, req: StoreRequest, entry: MesiL2Line, home: int,
-                     insts: List, t3: int) -> None:
+                     insts: range, t3: int) -> None:
         ctx = self.ctx
         line_addr = entry.line_addr
         self._fill_l2_data(entry, home, insts)
@@ -641,22 +655,26 @@ class MesiSystem(CoherenceKernel):
         self._send_data(
             T.ST, T.DEST_L1, home, core, t3, l1_entries,
             self._l1_store_grant, req, home, 0, l1_entries,
-            list(entry.mem_inst), False)
+            entry.mem_inst, False)
 
     # ------------------------------------------------------------------
     # L1 fill / completion
     # ------------------------------------------------------------------
 
     def _install_l1_fill(self, core: int, line_addr: int, state: int,
-                         insts: List) -> None:
+                         insts: Optional[range]) -> None:
+        """Install a whole line whose instances are ``insts`` (a fill's
+        range, or None)."""
         line = self._allocate_l1(core, line_addr)
         line.reset_words()
         line.state = state
-        line.mem_inst[:] = insts
-        self.ctx.mem_prof.install_copies(insts)
+        if insts is not None:
+            line.set_line_insts(insts)
+            self.ctx.mem_prof.install_copies(insts)
 
-    def _l1_load_fill(self, req: LoadRequest, state: int, insts: List,
-                      home: int, from_memory: bool, t: int) -> None:
+    def _l1_load_fill(self, req: LoadRequest, state: int,
+                      insts: Optional[range], home: int,
+                      from_memory: bool, t: int) -> None:
         line_addr = line_of(req.addr)
         self._install_l1_fill(req.core, line_addr, state, insts)
         self._complete_load(req, t)
@@ -664,6 +682,13 @@ class MesiSystem(CoherenceKernel):
         self._send_overhead(
             T.OVH_UNBLOCK, req.core, home, t,
             self._dir_unblock, home, line_addr)
+
+    @staticmethod
+    def _hold(entry: MesiL2Line, waiter: Callable[[int], None]) -> None:
+        """Hold a request back until ``entry``'s transition ends."""
+        if entry.waiters is None:
+            entry.waiters = []
+        entry.waiters.append(waiter)
 
     def _clear_busy(self, entry: MesiL2Line) -> None:
         """End a transition: release the line and replay one held request."""
@@ -691,10 +716,14 @@ class MesiSystem(CoherenceKernel):
     def _l1_store_grant(self, req: StoreRequest, home: int,
                         acks_needed: int, data_entries, insts,
                         unblock_ctl_only: bool, t: int) -> None:
-        """Data/grant arrived at the L1; finish the store transaction."""
+        """Data/grant arrived at the L1; finish the store transaction.
+
+        A data-less grant (an upgrade) carries no ``data_entries``; a
+        data grant installs the line with instances ``insts`` (a fill's
+        range, or None)."""
         core = req.core
         line_addr = req.line_addr
-        if insts is not None:
+        if data_entries is not None:
             self._install_l1_fill(core, line_addr, L1_M, insts)
         else:
             line = self.l1[core].lookup(line_addr, touch=False)
@@ -702,9 +731,9 @@ class MesiSystem(CoherenceKernel):
                 line.state = L1_M
         line = self.l1[core].lookup(line_addr, touch=False)
         # Apply the deferred store words.
-        offsets = self._pending_words[core].pop(line_addr, set())
+        offsets = self._pending_words[core].pop(line_addr, 0)
         base = base_word(line_addr)
-        for off in sorted(offsets):
+        for off in mask_offsets(offsets):
             if line is not None:
                 self._apply_store_word(core, line, base + off)
         # Ack latency: completion waits for the last invalidation ack; we
@@ -754,9 +783,8 @@ class MesiSystem(CoherenceKernel):
 
     def _find_l2_victim(self, home: int, line_addr: int) -> Optional[MesiL2Line]:
         cache = self.l2[home]
-        idx = cache.set_index(line_addr)
         fallback = None
-        for candidate in reversed(cache._lru[idx]):
+        for candidate in cache.lru_order(line_addr):
             entry = cache.lookup(candidate, touch=False)
             if entry.busy:
                 continue
@@ -774,7 +802,7 @@ class MesiSystem(CoherenceKernel):
         # Requests held back on this line must be replayed: they will
         # re-dispatch against the (now absent) line and miss to memory.
         if entry.waiters:
-            waiters, entry.waiters = entry.waiters, []
+            waiters, entry.waiters = entry.waiters, None
             schedule_call = self._schedule_call
             for waiter in waiters:
                 schedule_call(at + 1, waiter, at + 1)
@@ -788,13 +816,11 @@ class MesiSystem(CoherenceKernel):
             self._send_overhead(T.OVH_INVAL, home, holder, at)
             if line is not None and line.state != L1_PENDING:
                 if line.state == L1_M:
-                    for off, d in enumerate(line.word_dirty):
-                        if d:
-                            entry.word_dirty[off] = True
+                    dirty = line.word_dirty
+                    entry.word_dirty |= dirty
                     entry.l2_dirty = True
-                    self._send_wb(holder, home, at,
-                                  self._wb_flags(line.word_dirty),
-                                  T.DEST_L2, self._ignore)
+                    self._send_wb(holder, home, at, self._wb_words(dirty),
+                                  dirty.bit_count(), T.DEST_L2, self._ignore)
                 else:
                     self._send_overhead(T.OVH_ACK, holder, home, at)
                 self._invalidate_l1_copy(holder, line)
@@ -803,30 +829,33 @@ class MesiSystem(CoherenceKernel):
                 self._send_overhead(T.OVH_ACK, holder, home, at)
         # Profile L2 eviction.
         ctx.l2_prof.on_evict_line(home, base_word(line_addr))
-        ctx.mem_prof.drop_copies(entry.mem_inst, invalidated=False)
+        ctx.mem_prof.drop_copies(entry.inst_handles(), invalidated=False)
         if entry.l2_dirty and entry.has_data:
             mc = ctx.mc_tile(line_addr)
-            self._send_wb(home, mc, at, self._wb_flags(entry.word_dirty),
-                          T.DEST_MEM, self._wb_to_dram, line_addr)
+            dirty = entry.word_dirty
+            self._send_wb(home, mc, at, self._wb_words(dirty),
+                          dirty.bit_count(), T.DEST_MEM, self._wb_to_dram,
+                          line_addr)
 
     def _fill_l2_data(self, entry: MesiL2Line, home: int,
-                      insts: List) -> None:
+                      insts: range) -> None:
         entry.has_data = True
-        entry.mem_inst[:] = insts
+        entry.set_line_insts(insts)
         self.ctx.mem_prof.install_copies(insts)
 
-    def _dir_dirty_wb(self, line_addr: int, core: int,
-                      written: Tuple[int, ...], t: int) -> None:
-        """A PUTX with data arrived at the directory."""
+    def _dir_dirty_wb(self, line_addr: int, core: int, written: int,
+                      t: int) -> None:
+        """A PUTX with data (dirty mask ``written``) arrived at the
+        directory."""
         ctx = self.ctx
         home = self._home_tile(line_addr)
         entry = self.l2[home].lookup(line_addr, touch=False)
         if entry is not None:
             base = base_word(line_addr)
             l2_on_write = ctx.l2_prof.on_write
-            for off in written:
-                entry.word_dirty[off] = True
+            for off in mask_offsets(written):
                 l2_on_write(home, base + off)
+            entry.word_dirty |= written
             entry.l2_dirty = True
             entry.has_data = True
             if entry.owner == core:

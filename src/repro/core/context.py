@@ -229,12 +229,15 @@ class SimContext:
         self._schedule_call(arrive, handler, *args, arrive)
         return arrive
 
-    def send_wb(self, src: int, dst: int, at: int, dirty_flags: List[bool],
-                dest_level: str, handler: Callable, *args) -> int:
-        """Writeback message: control flit + data words flagged dirty/clean."""
+    def send_wb(self, src: int, dst: int, at: int, n_words: int,
+                n_dirty: int, dest_level: str, handler: Callable,
+                *args) -> int:
+        """Writeback message: control flit + ``n_words`` data words, of
+        which ``n_dirty`` are dirty."""
         hops = self._hops(src, dst)
         self._add_wb_control(hops)  # header flit
-        data_flits = self._add_wb_data_words(dest_level, hops, dirty_flags)
+        data_flits = self._add_wb_data_words(dest_level, hops, n_words,
+                                             n_dirty)
         total_flits = 1 + int(data_flits)
         arrive = at + self._latency(src, dst, total_flits, at)
         self._schedule_call(arrive, handler, *args, arrive)

@@ -19,7 +19,7 @@ through the cache-level verdict pool into exact integer word-hop totals.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.addressing import WORDS_PER_FLIT
 from repro.waste.profiler import C_USED
@@ -212,15 +212,14 @@ class TrafficLedger:
                                                * (hops / WORDS_PER_FLIT))
         return data_flits
 
-    def add_wb_data_words(self, dest: str, hops: int, dirty_flags:
-                          List[bool]) -> float:
-        """Writeback payload; dirty words are Used, clean words Waste."""
+    def add_wb_data_words(self, dest: str, hops: int, n_words: int,
+                          n_dirty: int) -> float:
+        """Writeback payload of ``n_words`` words; the ``n_dirty`` dirty
+        words are Used, the clean ones Waste."""
         if dest not in (DEST_L2, DEST_MEM):
             raise ValueError(f"writeback destination must be l2/mem")
-        n_words = len(dirty_flags)
         if n_words == 0:
             return 0
-        n_dirty = sum(dirty_flags)
         word_hops = self._word_hops
         at = _WB_AT if dest == DEST_L2 else _WB_AT + 2
         word_hops[at] += n_dirty * hops

@@ -10,13 +10,15 @@ sequence of ``(kind, arg)`` ops:
 * ``(OP_BARRIER, 0)`` — global barrier (all cores synchronize; DeNovo
   self-invalidates and drains its write-combining table).
 
-Encoding: each op is stored as one signed 64-bit word (native byte
+Encoding: each op is stored as one unsigned 32-bit word (native byte
 order), ``arg << 2 | kind``.  The four kinds fill the low two bits
 exactly, so ``word & 3`` is the kind and ``word >> 2`` the argument,
-which must lie in ``0 .. MAX_ARG``.  :class:`TraceBuilder` appends
-words straight into an ``array('q')`` per core, and a
-:class:`Workload` holds each trace as an immutable :class:`PackedTrace`
-(8 bytes per op, where a ``(kind, arg)`` tuple takes about 96).
+which must lie in ``0 .. MAX_ARG`` (2**30 - 1: word addresses are
+32-bit already, and the regions are laid out from word 0).
+:class:`TraceBuilder` appends words straight into an ``array('I')`` per
+core, and a :class:`Workload` holds each trace as an immutable
+:class:`PackedTrace` (4 bytes per op, where a ``(kind, arg)`` tuple
+takes about 96).
 Reading a ``PackedTrace`` yields the decoded ``(kind, arg)`` pairs; the
 core model reads the raw words through :attr:`PackedTrace.words`.  A
 workload given plain ``(kind, arg)`` sequences packs them once at
@@ -48,8 +50,11 @@ Op = Tuple[int, int]
 #: Low bits of a packed word that hold the op kind.
 KIND_BITS = 2
 KIND_MASK = (1 << KIND_BITS) - 1
-#: Largest argument a signed 64-bit word holds above the kind bits.
-MAX_ARG = (1 << (63 - KIND_BITS)) - 1
+#: Largest argument an unsigned 32-bit word holds above the kind bits.
+MAX_ARG = (1 << (32 - KIND_BITS)) - 1
+#: Array type code of a packed word, and its size in bytes.
+WORD_TYPE = "I"
+WORD_BYTES = array(WORD_TYPE).itemsize
 
 _ARG_NAMES = {OP_LOAD: "address", OP_STORE: "address",
               OP_COMPUTE: "compute count", OP_BARRIER: "barrier argument"}
@@ -67,18 +72,19 @@ class PackedTrace(Sequence[Op]):
 
     def __init__(self, words: Union[bytes, array, memoryview]) -> None:
         buf = bytes(words)
-        if len(buf) % 8:
+        if len(buf) % WORD_BYTES:
             raise ValueError(
-                f"packed trace of {len(buf)} bytes is not whole 8-byte words")
+                f"packed trace of {len(buf)} bytes is not whole "
+                f"{WORD_BYTES}-byte words")
         self._buf = buf
 
     @property
     def words(self) -> memoryview:
         """The raw ``arg << 2 | kind`` words, read-only."""
-        return memoryview(self._buf).cast("q")
+        return memoryview(self._buf).cast(WORD_TYPE)
 
     def __len__(self) -> int:
-        return len(self._buf) >> 3
+        return len(self._buf) // WORD_BYTES
 
     def __getitem__(self, index: int) -> Op:
         word = self.words[index]
@@ -110,7 +116,7 @@ def _bad_op(core: int, index: int, kind: int, arg: int) -> ValueError:
 def pack(ops: Iterable[Op], core: int = 0) -> PackedTrace:
     """Pack ``(kind, arg)`` ops; a bad op raises ``ValueError`` naming
     ``core`` and the op's index."""
-    words = array("q")
+    words = array(WORD_TYPE)
     append = words.append
     for index, (kind, arg) in enumerate(ops):
         if kind not in _ARG_NAMES or not 0 <= arg <= MAX_ARG:
@@ -120,16 +126,10 @@ def pack(ops: Iterable[Op], core: int = 0) -> PackedTrace:
 
 
 def _checked(core: int, trace) -> PackedTrace:
-    """``trace`` as a :class:`PackedTrace`: sequences of ops are packed,
-    and a packed trace is checked for negative arguments (the only bad
-    op a whole word can encode)."""
+    """``trace`` as a :class:`PackedTrace`: sequences of ops are packed
+    (every unsigned word already encodes a valid op)."""
     if not isinstance(trace, PackedTrace):
         return pack(trace, core)
-    words = trace.words
-    if words and min(words) < 0:
-        index = next(i for i, word in enumerate(words) if word < 0)
-        word = words[index]
-        raise _bad_op(core, index, word & KIND_MASK, word >> KIND_BITS)
     return trace
 
 
@@ -212,14 +212,17 @@ class TraceBuilder:
 
     Tracks which regions were written in the current phase across all
     cores, so the generator does not have to maintain that set by hand.
-    ``traces`` holds each core's packed words as an ``array('q')``;
+    ``traces`` holds each core's packed words as an ``array('I')``;
     ``PackedTrace(tb.traces[core])`` reads them as ops.  :meth:`build`
-    packs and releases them, leaving ``traces`` empty.
+    packs and releases them, leaving ``traces`` empty.  An op whose
+    argument does not fit a word raises the ``ValueError`` that
+    :func:`pack` gives, naming the core and the op.
     """
 
     def __init__(self, num_cores: int, regions: RegionTable) -> None:
         self._regions = regions
-        self.traces: List[array] = [array("q") for _ in range(num_cores)]
+        self.traces: List[array] = [array(WORD_TYPE)
+                                    for _ in range(num_cores)]
         self._phase_written: set = set()
         self.phase_written_regions: List[FrozenSet[int]] = []
         self.phase_region_updates: Dict[int, List[RegionUpdate]] = {}
@@ -229,18 +232,34 @@ class TraceBuilder:
     def num_cores(self) -> int:
         return len(self.traces)
 
+    # Each append is inlined in its op's method (trace builds make
+    # millions of calls); an op that does not fit a word overflows.
+
     def load(self, core: int, addr: int) -> None:
-        self.traces[core].append(addr << KIND_BITS | OP_LOAD)
+        trace = self.traces[core]
+        try:
+            trace.append(addr << KIND_BITS | OP_LOAD)
+        except OverflowError:
+            raise _bad_op(core, len(trace), OP_LOAD, addr) from None
 
     def store(self, core: int, addr: int) -> None:
-        self.traces[core].append(addr << KIND_BITS | OP_STORE)
+        trace = self.traces[core]
+        try:
+            trace.append(addr << KIND_BITS | OP_STORE)
+        except OverflowError:
+            raise _bad_op(core, len(trace), OP_STORE, addr) from None
         region = self._regions.find(addr)
         if region is not None:
             self._phase_written.add(region.region_id)
 
     def compute(self, core: int, cycles: int) -> None:
         if cycles > 0:
-            self.traces[core].append(cycles << KIND_BITS | OP_COMPUTE)
+            trace = self.traces[core]
+            try:
+                trace.append(cycles << KIND_BITS | OP_COMPUTE)
+            except OverflowError:
+                raise _bad_op(core, len(trace), OP_COMPUTE,
+                              cycles) from None
 
     def barrier(self, updates: Optional[List[RegionUpdate]] = None) -> None:
         """End the current phase on every core."""

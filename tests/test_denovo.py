@@ -44,7 +44,7 @@ class TestLineFill:
     def test_whole_line_fill_keeps_write_validated_words(self):
         """A whole-line fill that lands on a line a store write-validated
         while the fill was in flight fills only the Invalid words."""
-        from repro.coherence.denovo import W_REG, W_VALID
+        from repro.cache.sa_cache import FULL_MASK
         from repro.common.config import protocol
         from repro.core.system import System
         from tests.conftest import micro_workload
@@ -59,15 +59,17 @@ class TestLineFill:
             proto.store(req.core, 83, t)
             fill(req, line_addr, words, insts, completes, t)
             line = proto.l1[req.core].lookup(5, touch=False)
-            seen.append((list(words), list(line.word_state),
-                         list(line.mem_inst), list(insts)))
+            seen.append((list(words), line.valid, line.reg,
+                         [line.inst(off) for off in range(16)],
+                         list(insts)))
 
         proto._l1_load_fill = store_then_fill
         result = system.run()
         assert result.protocol_stats["registrations"] == 1
-        [(words, state, mem_inst, insts)] = seen
+        [(words, valid, reg, mem_inst, insts)] = seen
         assert words == list(range(80, 96))    # one whole line
-        assert state == [W_VALID] * 3 + [W_REG] + [W_VALID] * 12
+        assert valid == FULL_MASK              # every word present ...
+        assert reg == 1 << 3                   # ... word 83 Registered
         assert mem_inst[3] is None         # the stored word has no copy
         assert mem_inst[:3] + mem_inst[4:] == list(insts[:3]) + list(
             insts[4:])

@@ -12,8 +12,8 @@ import pytest
 
 from tests.conftest import (
     TINY_SYSTEM, loads, micro_workload, run_micro, simple_region, stores)
+from repro.cache.sa_cache import FULL_MASK
 from repro.coherence import DenovoSystem, MesiSystem
-from repro.coherence.denovo import W_VALID
 from repro.coherence.kernel import L1_ASSOC
 from repro.common.addressing import WORDS_PER_LINE, words_of_line
 from repro.common.config import PROTOCOLS, protocol, scaled_system
@@ -41,28 +41,30 @@ def core(name, regions=None):
 def valid_l1_line(proto_sys, tile, line_addr):
     """Install ``line_addr`` in ``tile``'s L1 with every word valid."""
     line, _ = proto_sys.l1[tile].allocate(line_addr)
-    line.word_state[:] = [W_VALID] * WORDS_PER_LINE
+    line.valid = FULL_MASK
 
 
-DIRTY = [True, False, True] + [False] * (WORDS_PER_LINE - 3)
+#: Dirty mask of words 0 and 2.
+DIRTY = 0b101
 
 
 # ----------------------------------------------------------------------
-# Writeback payload flags (MESI; DeNovo L1 writebacks are always
+# Writeback payload size (MESI; DeNovo L1 writebacks are always
 # dirty-words-only)
 # ----------------------------------------------------------------------
 
 class TestWritebackPolicy:
     def test_full_line_flags_pass_through(self):
-        assert core("MESI")._wb_flags(DIRTY) == DIRTY
+        assert core("MESI")._wb_words(DIRTY) == WORDS_PER_LINE
 
     def test_dirty_only_ships_just_the_dirty_words(self):
-        assert core("MDirtyWB")._wb_flags(DIRTY) == [True, True]
+        assert core("MDirtyWB")._wb_words(DIRTY) == 2
 
-    def test_flags_are_copies_not_aliases(self):
-        flags = core("MESI")._wb_flags(DIRTY)
-        flags[0] = False
-        assert DIRTY[0] is True
+    def test_payload_counts_follow_the_dirty_mask(self):
+        mesi, dirty_only = core("MESI"), core("MDirtyWB")
+        for mask in (0, 1, DIRTY, 0x8001, FULL_MASK):
+            assert mesi._wb_words(mask) == WORDS_PER_LINE
+            assert dirty_only._wb_words(mask) == bin(mask).count("1")
 
 
 # ----------------------------------------------------------------------
@@ -141,14 +143,14 @@ class TestResolvePolicies:
     def test_mesi_baseline(self):
         mesi = core("MESI")
         assert not mesi.mem_to_l1
-        assert mesi._wb_flags is list
+        assert mesi._wb_words(0) == WORDS_PER_LINE
 
     def test_mmeml1_routes_memory_to_l1(self):
         assert core("MMemL1").mem_to_l1
 
     def test_mdirty_wb_filters_both_writeback_levels(self):
-        # One flags callable serves the L1 and the L2->memory writebacks.
-        assert core("MDirtyWB")._wb_flags([True, False]) == [True]
+        # One payload callable serves the L1 and the L2->memory writebacks.
+        assert core("MDirtyWB")._wb_words(0b01) == 1
 
     def test_denovo_baseline_fetches_on_l2_write_miss(self):
         denovo = core("DeNovo")
@@ -182,7 +184,8 @@ class TestResolvePolicies:
         if proto.kind == "mesi":
             assert type(built) is MesiSystem
             assert built.mem_to_l1 == proto.mem_to_l1
-            assert (built._wb_flags is list) == (not proto.dirty_wb_only)
+            assert (built._wb_words(0) == WORDS_PER_LINE) == (
+                not proto.dirty_wb_only)
             return
         assert type(built) is DenovoSystem
         assert built._bypass_response == proto.bypass_l2_response

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.sa_cache import CacheLine, SetAssocCache
+from repro.cache.sa_cache import CacheLine, SetAssocCache, mask_offsets
 
 
 class TestBasics:
@@ -34,6 +34,17 @@ class TestBasics:
         c.lookup(0, touch=False)   # 0 stays LRU
         _line, victim = c.allocate(2)
         assert victim.line_addr == 0
+
+    def test_touch_after_another_install_refreshes(self):
+        """A repeated touch of one line skips the reorder only while no
+        other line has become its set's MRU."""
+        c = SetAssocCache(num_sets=1, assoc=2)
+        c.allocate(0)
+        c.lookup(0)
+        c.allocate(1)          # 1 is now MRU
+        c.lookup(0)            # 0 must become MRU again
+        _line, victim = c.allocate(2)
+        assert victim.line_addr == 1
 
     def test_allocate_existing_refreshes(self):
         c = SetAssocCache(num_sets=1, assoc=2)
@@ -134,25 +145,106 @@ class TestCanClaim:
 class TestCacheLine:
     def test_fresh_line_state(self):
         line = CacheLine(5)
-        assert not line.any_dirty()
-        assert line.dirty_offsets() == []
+        assert line.word_dirty == 0
+        assert line.inst_mask == 0
+        assert [line.inst(off) for off in range(16)] == [None] * 16
 
     def test_dirty_tracking(self):
         line = CacheLine(5)
-        line.word_dirty[3] = True
-        line.word_dirty[7] = True
-        assert line.any_dirty()
-        assert line.dirty_offsets() == [3, 7]
+        line.word_dirty |= 1 << 3
+        line.word_dirty |= 1 << 7
+        assert line.word_dirty
+        assert mask_offsets(line.word_dirty) == (3, 7)
 
     def test_reset_words(self):
         line = CacheLine(5)
-        line.word_state[0] = 2
-        line.word_dirty[0] = True
-        line.mem_inst[0] = object()
+        line.word_dirty |= 1
+        line.add_inst(0, 42)
+        assert line.inst(0) == 42
         line.reset_words()
-        assert line.word_state[0] == 0
-        assert not line.word_dirty[0]
-        assert line.mem_inst[0] is None
+        assert not line.word_dirty & 1
+        assert line.inst(0) is None
+        assert line.inst_mask == 0
+
+
+class LruModel:
+    """Per-set lists in LRU order (front = MRU), the structure the
+    ordered dicts replaced, with the same probe/install/evict counts."""
+
+    def __init__(self, num_sets, assoc, shift):
+        self.sets = [[] for _ in range(num_sets)]
+        self.num_sets, self.assoc, self.shift = num_sets, assoc, shift
+        self.probes = self.installs = self.evictions = 0
+
+    def order(self, addr):
+        return self.sets[(addr >> self.shift) % self.num_sets]
+
+    def lookup(self, addr, touch):
+        self.probes += 1
+        order = self.order(addr)
+        if addr not in order:
+            return None
+        if touch:
+            order.remove(addr)
+            order.insert(0, addr)
+        return addr
+
+    def allocate(self, addr):
+        order = self.order(addr)
+        if addr in order:
+            order.remove(addr)
+            order.insert(0, addr)
+            return addr, None
+        victim = None
+        if len(order) >= self.assoc:
+            victim = order.pop()
+            self.evictions += 1
+        order.insert(0, addr)
+        self.installs += 1
+        return addr, victim
+
+    def remove(self, addr):
+        order = self.order(addr)
+        if addr not in order:
+            return None
+        order.remove(addr)
+        self.evictions += 1
+        return addr
+
+
+class TestLruReference:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2),
+           st.lists(st.tuples(
+               st.sampled_from(["lookup", "peek", "allocate", "remove",
+                                "victim"]),
+               st.integers(0, 5)), min_size=10, max_size=60))
+    def test_matches_list_model(self, num_sets, assoc, shift, ops):
+        """Residency, LRU order, victims and the energy counters match
+        the per-set LRU lists, touch after touch."""
+        c = SetAssocCache(num_sets, assoc, index_shift=shift)
+        m = LruModel(num_sets, assoc, shift)
+
+        def addr_of(line):
+            return None if line is None else line.line_addr
+
+        for name, addr in ops:
+            if name in ("lookup", "peek"):
+                touch = name == "lookup"
+                assert addr_of(c.lookup(addr, touch)) == m.lookup(addr, touch)
+            elif name == "allocate":
+                line, victim = c.allocate(addr)
+                assert (line.line_addr, addr_of(victim)) == m.allocate(addr)
+            elif name == "remove":
+                assert addr_of(c.remove(addr)) == m.remove(addr)
+            else:
+                order = m.order(addr)
+                want = (order[-1] if addr not in order
+                        and len(order) >= assoc else None)
+                assert addr_of(c.victim_for(addr)) == want
+            assert list(c.lru_order(addr)) == m.order(addr)[::-1]
+            assert (c.stat_probes, c.stat_installs, c.stat_evictions) == (
+                m.probes, m.installs, m.evictions)
 
 
 class TestCacheProperties:

@@ -133,7 +133,7 @@ class TestWorkload:
 #: One op of any kind, with an argument anywhere in the packable range.
 any_op = st.tuples(st.sampled_from([OP_LOAD, OP_STORE, OP_COMPUTE,
                                     OP_BARRIER]),
-                   st.one_of(st.integers(0, 2 ** 40),
+                   st.one_of(st.integers(0, 2 ** 20),
                              st.integers(0, MAX_ARG)))
 
 
@@ -153,18 +153,23 @@ class TestPackedTrace:
         with pytest.raises(TypeError):
             trace.words[0] = 0
 
-    def test_built_trace_stores_eight_bytes_per_op(self):
+    def test_built_trace_stores_four_bytes_per_op(self):
         w = build_workload("radix", ScaleConfig.tiny())
         assert sum(len(t) for t in w.traces) > 0
         for trace in w.traces:
             ops = sum(1 for _op in trace)
             backing = trace.words.obj
             assert isinstance(backing, bytes)
-            assert sys.getsizeof(backing) - sys.getsizeof(b"") == 8 * ops
+            assert sys.getsizeof(backing) - sys.getsizeof(b"") == 4 * ops
 
     def test_partial_word_rejected(self):
-        with pytest.raises(ValueError, match="8-byte words"):
-            PackedTrace(b"\0" * 12)
+        with pytest.raises(ValueError, match="4-byte words"):
+            PackedTrace(b"\0" * 6)
+
+    def test_largest_argument_round_trips(self):
+        trace = pack([(OP_STORE, MAX_ARG), (OP_COMPUTE, 1)])
+        assert list(trace) == [(OP_STORE, MAX_ARG), (OP_COMPUTE, 1)]
+        assert MAX_ARG == 2 ** 30 - 1
 
 
 class TestBadOpsFailAtConstruction:
@@ -192,6 +197,17 @@ class TestBadOpsFailAtConstruction:
     def test_builder_negative_address(self):
         tb = TraceBuilder(2, table())
         tb.load(1, 8)
-        tb.load(1, -8)
         with pytest.raises(ValueError, match="core 1, op 1: negative address"):
-            tb.build("bad")
+            tb.load(1, -8)
+
+    @pytest.mark.parametrize("method,what", [
+        ("load", "address"), ("store", "address"),
+        ("compute", "compute count")])
+    def test_builder_argument_too_large(self, method, what):
+        tb = TraceBuilder(2, table())
+        tb.compute(0, 3)
+        with pytest.raises(ValueError,
+                           match=f"core 0, op 1: {what} {MAX_ARG + 1} "
+                                 f"exceeds {MAX_ARG}"):
+            getattr(tb, method)(0, MAX_ARG + 1)
+        assert len(tb.traces[0]) == 1     # nothing was appended

@@ -215,22 +215,21 @@ class TestDeferredRecords:
 class TestWritebackTraffic:
     def test_dirty_clean_split(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_L2, hops=2,
-                              dirty_flags=[True, True, False, False])
+        led.add_wb_data_words(T.DEST_L2, hops=2, n_words=4, n_dirty=2)
         led.finalize()
         assert led.bucket(T.WB, T.WB_L2_USED) == pytest.approx(1.0)
         assert led.bucket(T.WB, T.WB_L2_WASTE) == pytest.approx(1.0)
 
     def test_mem_destination(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_MEM, hops=4, dirty_flags=[True] * 16)
+        led.add_wb_data_words(T.DEST_MEM, hops=4, n_words=16, n_dirty=16)
         led.finalize()
         assert led.bucket(T.WB, T.WB_MEM_USED) == pytest.approx(16.0)
         assert led.bucket(T.WB, T.WB_MEM_WASTE) == 0
 
     def test_partial_flit_slack_to_control(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_MEM, hops=4, dirty_flags=[True] * 3)
+        led.add_wb_data_words(T.DEST_MEM, hops=4, n_words=3, n_dirty=3)
         led.finalize()
         assert led.bucket(T.WB, T.WB_CONTROL) == pytest.approx(1.0)
 
@@ -242,7 +241,7 @@ class TestWritebackTraffic:
             dest = rng.choice((T.DEST_L2, T.DEST_MEM))
             hops = rng.randint(0, 14)
             flags = [rng.random() < 0.5 for _ in range(rng.randint(1, 16))]
-            led.add_wb_data_words(dest, hops, flags)
+            led.add_wb_data_words(dest, hops, len(flags), sum(flags))
             for dirty in flags:
                 key = ((T.WB_L2_USED if dirty else T.WB_L2_WASTE)
                        if dest == T.DEST_L2 else
@@ -255,7 +254,7 @@ class TestWritebackTraffic:
     def test_l1_destination_rejected(self):
         led = T.TrafficLedger()
         with pytest.raises(ValueError):
-            led.add_wb_data_words(T.DEST_L1, 1, [True])
+            led.add_wb_data_words(T.DEST_L1, 1, 1, 1)
 
 
 class TestFinalization:
