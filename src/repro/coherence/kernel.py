@@ -70,8 +70,6 @@ class CoherenceKernel:
         self._protected: List[Set[int]] = [set() for _ in range(num_tiles)]
         # Fast-path bindings: the hot message entry points and scheduler,
         # bound once so per-access code skips the ctx attribute chains.
-        # Profiler methods must NOT be bound here — ctx.reset_stats()
-        # swaps the profiler objects after warm-up.
         self._send_req_ctl = ctx.send_req_ctl
         self._send_resp_ctl = ctx.send_resp_ctl
         self._send_data = ctx.send_data

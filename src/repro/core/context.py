@@ -104,15 +104,18 @@ class SimContext:
         self.regions = regions
         self.queue = EventQueue()
         self.mesh = Mesh(config)
-        # Word-instance storage for the whole run; the profilers and the
-        # ledger over it belong to one measurement window.
-        self.pools = WastePools()
+        # One ledger and one waste profiler per level count the whole
+        # run over its word-instance pools; mark_window() opens the
+        # measurement window at the end of warm-up.
+        self.pools = pools = WastePools()
+        self.ledger = TrafficLedger(pools)
+        self.l1_prof = CacheLevelProfiler("L1", pools)
+        self.l2_prof = CacheLevelProfiler("L2", pools)
         # The regions lie densely from word 0, so the memory profiler's
         # pending index covers every word up to the last region's line.
-        self._mem_span = align_up_words(
+        self.mem_prof = MemoryProfiler(pools, align_up_words(
             max((region.end_word for region in regions), default=0),
-            WORDS_PER_LINE)
-        self.reset_stats()
+            WORDS_PER_LINE))
         # Memory-controller tiles: the four mesh corners.
         self.mc_tiles = config.mc_placement()
         self.drams: Dict[int, DramChannel] = {
@@ -130,39 +133,33 @@ class SimContext:
             for i in range(self._mc_period)]
         self._dram_table = [self.drams[t] for t in self._mc_table]
         # -- hot-path bindings ------------------------------------------
-        # The mesh, queue and their methods live for the whole run; the
-        # ledger is swapped by reset_stats(), which rebinds.
+        # The mesh, queue, ledger and their methods live for the whole run.
         self._hops = self.mesh.hops
         self._latency = self.mesh.latency
         self._traverse = self.mesh.traverse
         self._count_packet = self.mesh.count_packet
         self._schedule_call = self.queue.schedule_call
-
-    def reset_stats(self) -> None:
-        """Open a fresh traffic and waste window over the run's pools.
-
-        Called at construction and again by ``System`` after the warm-up
-        period.  Cache contents and protocol state are untouched.  The
-        pools stay, so every warm-up handle remains resolvable; the fresh
-        cache profilers start with no active words, so later events on
-        words brought in during warm-up find nothing to classify, while a
-        warm-up memory instance still held on chip is classified, and
-        counted, by the live memory profiler when its verdict comes.
-        Energy event counters are not reset here: the components count
-        from cycle 0 and ``System`` subtracts its warm-up snapshot.
-        """
-        pools = self.pools
-        ledger = self.ledger = TrafficLedger(pools.cache_cat)
-        self.l1_prof = CacheLevelProfiler("L1", pools)
-        self.l2_prof = CacheLevelProfiler("L2", pools)
-        self.mem_prof = MemoryProfiler(pools, self._mem_span)
-        # The send helpers call the live window's ledger methods.
+        ledger = self.ledger
         self._add_request_ctl = ledger.add_request_ctl
         self._add_response_ctl = ledger.add_response_ctl
         self._add_data_words = ledger.add_data_words
         self._add_wb_control = ledger.add_wb_control
         self._add_wb_data_words = ledger.add_wb_data_words
         self._add_overhead = ledger.add_overhead
+
+    def mark_window(self) -> None:
+        """Open the measurement window: called once by ``System`` at the
+        end of warm-up.  Cache contents and protocol state are untouched,
+        and no object is replaced: the ledger and each profiler record
+        where the window starts, and report the window alone (the cache
+        levels count their handles from the mark on; the memory level's
+        rule is stated on :class:`MemoryProfiler`).  Energy event
+        counters are the same idiom, kept by ``System``.
+        """
+        self.ledger.mark()
+        self.l1_prof.mark()
+        self.l2_prof.mark()
+        self.mem_prof.mark()
 
     # -- placement ------------------------------------------------------
     def home_tile(self, line_addr: int) -> int:

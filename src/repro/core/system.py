@@ -92,7 +92,7 @@ class System:
         if (self.workload.warmup_barriers
                 and self.barrier.barriers_passed
                 == self.workload.warmup_barriers):
-            self.ctx.reset_stats()
+            self.ctx.mark_window()
             self._energy_base = self._counters()
             for core in self.cores:
                 core.reset_time()

@@ -13,7 +13,12 @@ Whether a delivered data word was Used or Waste is only known once the
 waste profiler classifies it (possibly at end of simulation).  So each
 data message is kept as one packed integer naming its consecutive
 profiler handles, and :meth:`TrafficLedger.finalize` resolves them
-through the cache-level verdict pool into exact integer word-hop totals.
+through the destination level's verdict pool into exact integer
+word-hop totals.
+
+One ledger charges the whole run; :meth:`TrafficLedger.mark` opens the
+measurement window at the end of warm-up, and ``finalize`` reports the
+window alone (see there).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from array import array
 from typing import Dict, Optional
 
 from repro.common.addressing import WORDS_PER_FLIT
-from repro.waste.profiler import C_USED
+from repro.waste.profiler import C_USED, WastePools
 
 #: Major traffic categories.
 LD = "LD"
@@ -136,25 +141,43 @@ def unpack_data_record(record: int):
             record & 3)
 
 
+def _zero_buckets() -> Dict[str, Dict[str, float]]:
+    return {
+        LD: {b: 0.0 for b in LDST_BUCKETS},
+        ST: {b: 0.0 for b in LDST_BUCKETS},
+        WB: {b: 0.0 for b in WB_BUCKETS},
+        OVH: {b: 0.0 for b in OVH_BUCKETS},
+    }
+
+
 class TrafficLedger:
     """Accumulates flit-hops per (major, bucket) with deferred data verdicts.
 
-    ``verdicts`` is the cache-level verdict pool
-    (:attr:`repro.waste.profiler.WastePools.cache_cat`) that the data
-    words' handles index.
+    A data record's handles index the verdict pool of its destination
+    level, ``pools.l1_cat`` or ``pools.l2_cat``
+    (:class:`repro.waste.profiler.WastePools`).
     """
 
-    def __init__(self, verdicts: Optional[array] = None) -> None:
-        self._verdicts = verdicts if verdicts is not None else array("b")
-        self._buckets: Dict[str, Dict[str, float]] = {
-            LD: {b: 0.0 for b in LDST_BUCKETS},
-            ST: {b: 0.0 for b in LDST_BUCKETS},
-            WB: {b: 0.0 for b in WB_BUCKETS},
-            OVH: {b: 0.0 for b in OVH_BUCKETS},
-        }
+    def __init__(self, pools: Optional[WastePools] = None) -> None:
+        pools = pools if pools is not None else WastePools()
+        # Indexed by a record code's destination bit (1 is the L2).
+        self._verdicts = (pools.l1_cat, pools.l2_cat)
+        self._buckets = _zero_buckets()
         self._deferred = array("q")
         self._word_hops = [0] * len(_WORD_HOP_KEYS)
+        # The window's mark: the first window record and the control
+        # buckets and writeback word-hops charged before it.
+        self._first_record = 0
+        self._marked_buckets = _zero_buckets()
+        self._marked_word_hops = [0] * len(_WORD_HOP_KEYS)
         self._finalized = False
+
+    def mark(self) -> None:
+        """Open the measurement window: charges from here on count."""
+        self._first_record = len(self._deferred)
+        self._marked_buckets = {major: dict(buckets)
+                                for major, buckets in self._buckets.items()}
+        self._marked_word_hops = self._word_hops[:]
 
     # -- control traffic ------------------------------------------------
     def add_request_ctl(self, major: str, hops: int) -> None:
@@ -233,27 +256,38 @@ class TrafficLedger:
 
     # -- resolution ------------------------------------------------------
     def finalize(self) -> None:
-        """Resolve deferred data verdicts through the verdict pool.
+        """Resolve the window's data verdicts through the verdict pools.
 
+        The window is everything from :meth:`mark` on: the data records
+        from the first window record, and the control buckets and
+        writeback word-hops minus their values at the mark.
         Data traffic is totalled in integer word-hops and divided by
         ``WORDS_PER_FLIT`` once per bucket.  A flit is a fixed 4 words
         (16-byte links, ``common.addressing.LINK_BYTES``), a power of
         two, so every per-word charge is a multiple of 1/4, which a
-        double holds exactly, and these totals equal a word-by-word
-        float sum in any order.
+        double holds exactly: each difference is exact, and these
+        totals equal a word-by-word float sum in any order.
         """
         verdicts = self._verdicts
-        word_hops = self._word_hops
-        for record in self._deferred:
+        word_hops = [total - marked for total, marked
+                     in zip(self._word_hops, self._marked_word_hops)]
+        for record in memoryview(self._deferred)[self._first_record:]:
             start, n_words, hops, code = unpack_data_record(record)
-            used = verdicts[start:start + n_words].count(C_USED)
+            used = verdicts[code & 1].count(C_USED, start, start + n_words)
             word_hops[2 * code] += used * hops
             word_hops[2 * code + 1] += (n_words - used) * hops
         buckets = self._buckets
+        for major, marked in self._marked_buckets.items():
+            totals = buckets[major]
+            for key, charged in marked.items():
+                totals[key] -= charged
         for (major, key), total in zip(_WORD_HOP_KEYS, word_hops):
             buckets[major][key] += total / WORDS_PER_FLIT
         self._deferred = array("q")
         self._word_hops = [0] * len(_WORD_HOP_KEYS)
+        self._first_record = 0
+        self._marked_buckets = _zero_buckets()
+        self._marked_word_hops = [0] * len(_WORD_HOP_KEYS)
         self._finalized = True
 
     # -- queries ---------------------------------------------------------

@@ -1,6 +1,6 @@
-"""``repro.obs`` — observability: sampling, tracing, fleet telemetry.
+"""``repro.obs`` — observability: sampling and tracing.
 
-Three coordinated parts, all opt-in and zero-overhead when unused:
+Two coordinated parts, both opt-in and zero-overhead when unused:
 
 * :class:`ObsSession` (:mod:`repro.obs.session`) — the per-run front
   door: ``simulate(workload, proto, config, obs=ObsSession())``.  It
@@ -10,17 +10,13 @@ Three coordinated parts, all opt-in and zero-overhead when unused:
   attributes miss latency and core stalls;
 * :class:`SimTrace` (:mod:`repro.obs.trace`) — structured span tracing
   exported, with the sampled counter tracks, as Chrome trace-event
-  JSON (Perfetto / ``chrome://tracing``);
-* :class:`SweepTelemetry` (:mod:`repro.obs.telemetry`) — per-cell
-  fleet telemetry over the runner's ``ProgressFn``, persisted as a
-  ``telemetry.json`` sidecar in the result store.
+  JSON (Perfetto / ``chrome://tracing``).
 """
 
 from repro.obs.attrib import (
     SEGMENT_LABELS, SEGMENTS, STALL_CAUSES, STALL_LABELS, AttribCollector)
 from repro.obs.sampler import PhaseSampler
 from repro.obs.session import ObsSession
-from repro.obs.telemetry import SweepTelemetry, load_telemetry
 from repro.obs.trace import SimTrace
 
 __all__ = [
@@ -32,6 +28,4 @@ __all__ = [
     "STALL_CAUSES",
     "STALL_LABELS",
     "SimTrace",
-    "SweepTelemetry",
-    "load_telemetry",
 ]

@@ -266,9 +266,11 @@ class AttribCollector:
     def on_measure_reset(self) -> None:
         """End of warm-up: restart attribution with the other stats.
 
-        Called by ``System`` in the same event as ``ctx.reset_stats()``,
+        Called by ``System`` in the same event as ``ctx.mark_window()``,
         its warm-up counter snapshot and the cores' ``reset_time()``, so
-        every conservation audit compares like-scoped windows.
+        every conservation audit compares like-scoped windows.  It resets
+        its tallies instead of marking them, because the cores charge
+        the warm-up barrier's wait after this hook runs.
         """
         for op in OPS:
             self.seg_count[op] = dict.fromkeys(SEGMENTS, 0)

@@ -74,41 +74,24 @@ def _parse_tiles(ns: argparse.Namespace) -> Optional[Tuple[int, ...]]:
     return tuple(values) or None
 
 
-def _progress_printer(out):
+def _progress_printer(out, clock=time.perf_counter):
+    """A ``ProgressFn`` printing one line per completed cell, with an
+    ETA from the mean wall time per cell so far (which absorbs cache
+    hits and parallelism without modelling either)."""
+    start = clock()
+
     def progress(outcome: JobOutcome, done: int, total: int) -> None:
         spec = outcome.spec
         retried = (f"  (attempt {outcome.attempts})"
                    if outcome.attempts > 1 else "")
+        remaining = total - done
+        eta = (f"  eta {(clock() - start) / done * remaining:.1f}s"
+               if remaining > 0 else "")
         print(f"[{done:3d}/{total}] {spec.workload:<14s} "
               f"{spec.protocol:<12s} {spec.num_tiles:3d}t "
-              f"{outcome.status()}{retried}",
+              f"{outcome.status()}{retried}{eta}",
               file=out, flush=True)
     return progress
-
-
-def _grid_progress(ns: argparse.Namespace, store: ResultStore, out):
-    """``(ProgressFn, finish)`` for one grid command.
-
-    Without ``--progress`` this is the legacy per-cell printer and a
-    no-op finish.  With ``--progress`` the callback routes through a
-    :class:`~repro.obs.telemetry.SweepTelemetry` collector — live lines
-    gain ETA estimates, and ``finish()`` persists the per-cell timing
-    sidecar (``telemetry.json``) next to the results.
-    """
-    if not getattr(ns, "progress", False):
-        return _progress_printer(out), lambda: None
-    from repro.obs import SweepTelemetry
-    telemetry = SweepTelemetry(command=ns.command)
-
-    def finish() -> None:
-        path = telemetry.write(store.sidecar_path())
-        print(f"telemetry: {telemetry.done}/{telemetry.total or 0} cells, "
-              f"{telemetry.cache_hits} cached, "
-              f"{telemetry.sim_seconds:.2f}s simulated in "
-              f"{telemetry.wall_seconds():.2f}s wall -> {path}",
-              file=out, flush=True)
-
-    return telemetry.printer(out), finish
 
 
 # ----------------------------------------------------------------------
@@ -131,12 +114,10 @@ def cmd_sweep(ns: argparse.Namespace, out=None) -> int:
           f"{shapes} = {len(specs)} cells, scale={ns.scale}, jobs={jobs}",
           file=out, flush=True)
     store = _make_store(ns)
-    progress, finish = _grid_progress(ns, store, out)
     start = time.perf_counter()
     sweep(specs, jobs=jobs, store=store, use_cache=not ns.fresh,
-          progress=progress)
+          progress=_progress_printer(out))
     elapsed = time.perf_counter() - start
-    finish()
     print(f"sweep: {len(specs)} cells in {elapsed:.2f}s "
           f"(results in {store.directory})", file=out, flush=True)
     return 0
@@ -150,12 +131,10 @@ def cmd_report(ns: argparse.Namespace, out=None) -> int:
     scale = SCALES[ns.scale]()
     tiles = _parse_tiles(ns)
     config = scaled_system(scale, num_tiles=tiles[0] if tiles else None)
-    store = _make_store(ns)
-    progress, finish = _grid_progress(ns, store, sys.stderr)
     selection = dict(
         workloads=ns.workloads, protocols=ns.protocols, scale=scale,
-        seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=store,
-        use_cache=not ns.fresh, progress=progress)
+        seed=ns.seed, jobs=_resolve_jobs(ns.jobs), store=_make_store(ns),
+        use_cache=not ns.fresh, progress=_progress_printer(sys.stderr))
     shapes = None
     if tiles and len(tiles) > 1:
         shapes = sweep_shapes(tiles, config=scaled_system(scale),
@@ -163,7 +142,6 @@ def cmd_report(ns: argparse.Namespace, out=None) -> int:
         grid = shapes[tiles[0]]
     else:
         grid = sweep_grid(config=config, **selection)
-    finish()
     print(report.generate(grid, config=config, scale=scale,
                           figures=ns.figures, preset=ns.preset,
                           shapes=shapes), file=out)
@@ -336,11 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid_flags.add_argument(
         "--fresh", action="store_true",
         help="ignore and do not update the on-disk result store")
-    grid_flags.add_argument(
-        "--progress", action="store_true",
-        help="live per-cell progress with ETA, plus a telemetry.json "
-             "sidecar (per-cell wall time, attempts, cache hits) in "
-             "the result-store directory")
 
     p = sub.add_parser("sweep", parents=[grid_flags],
                        help="simulate the grid and persist results")

@@ -34,12 +34,6 @@ from repro.waste.profiler import Category
 #: Current on-disk schema.
 SCHEMA_VERSION = 1
 
-#: The sweep-telemetry sidecar: a non-result file that lives next to
-#: the cells and is excluded from :meth:`ResultStore.entries`, so
-#: ``clear``/``__len__`` and any cache accounting never mistake it for
-#: a cell.
-TELEMETRY_SIDECAR = "telemetry.json"
-
 _tmp_counter = itertools.count()
 
 
@@ -106,11 +100,6 @@ class ResultStore:
     def path_for(self, workload: str, protocol: str, key: str) -> Path:
         return self.directory / f"{workload}_{protocol}_{key}.json"
 
-    def sidecar_path(self) -> Path:
-        """Path of the sweep-telemetry sidecar next to the cells (not a
-        cell: :meth:`entries` excludes it)."""
-        return self.directory / TELEMETRY_SIDECAR
-
     def save(self, result: RunResult, key: str) -> Path:
         """Atomically persist one result; returns the cell's path."""
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -156,8 +145,7 @@ class ResultStore:
             return iter(())
         return iter(sorted(
             p for p in self.directory.iterdir()
-            if (p.suffix == ".json" or p.name.endswith(".tmp"))
-            and p.name != TELEMETRY_SIDECAR))
+            if p.suffix == ".json" or p.name.endswith(".tmp")))
 
     def clear(self) -> int:
         """Delete every stored cell; returns the number removed."""

@@ -27,6 +27,11 @@ The profilers' live state is flat arrays too: a cache level keeps one
 ``array('q')`` row of 16 handles per resident line, and the memory
 level one ``array('i')`` entry per word of the run's regions, so
 neither holds a boxed int per tracked word.
+
+One profiler per level counts for the whole run.  The measurement
+window (everything after warm-up) is a mark, not a fresh object:
+``mark()`` records the level's first window handle, and a cache level's
+counts are the histogram of its pool from that handle on.
 """
 
 from __future__ import annotations
@@ -55,8 +60,8 @@ CATEGORY_ORDER = (
 )
 
 #: Verdict codes stored in the pools: 0 is pending, otherwise the
-#: category's position in ``Category`` plus one.  The profilers' counter
-#: lists are indexed by the same codes.
+#: category's position in ``Category`` plus one.  The memory profiler's
+#: counter lists are indexed by the same codes.
 _CATEGORIES = tuple(Category)
 _CODE = {cat: code for code, cat in enumerate(_CATEGORIES, 1)}
 _BY_CODE = (None,) + _CATEGORIES
@@ -69,7 +74,7 @@ C_EVICT = _CODE[Category.EVICT]
 C_UNEVICTED = _CODE[Category.UNEVICTED]
 C_EXCESS = _CODE[Category.EXCESS]
 
-_LINE_PENDING = array("b", bytes(WORDS_PER_LINE))
+_LINE_PENDING = bytes(WORDS_PER_LINE)
 _LINE_NO_REFS = array("h", [0] * WORDS_PER_LINE)
 
 #: An empty slot of a cache profiler's active row, and of the memory
@@ -84,27 +89,22 @@ _NO_LINE = array("i", [NO_HANDLE] * WORDS_PER_LINE)
 class WastePools:
     """Run-lifetime storage behind every word-instance handle.
 
-    ``cache_cat`` holds the verdict of each cache-level handle (L1 and L2
-    share it); ``mem_cat``/``mem_refs``/``mem_addr`` hold each memory
-    instance's verdict, on-chip copy count (16-bit) and word address
-    (32-bit: a word address of 2**31 or more overflows loudly).  The pools
-    outlive the profilers: ``SimContext.reset_stats()`` swaps in fresh
-    profilers at the end of warm-up but keeps the pools, so a handle
-    allocated during warm-up stays resolvable, and a verdict reached
-    after the reset is counted by the profiler that settles it.
-
-    A warm-up memory instance still pending at the reset is not in the
-    live profiler's pending index: a store to its address after the
-    reset leaves it pending, the drop of its last copy counts it Evict
-    (or Invalidate) in the live window, and if nothing settles it no
-    window counts it Unevicted (see :class:`MemoryProfiler`).
+    ``l1_cat`` and ``l2_cat`` hold the verdict of each L1 and L2 handle,
+    one pool per level, so a level's handles from its window mark on are
+    exactly its window's words; ``mem_cat``/``mem_refs``/``mem_addr`` hold
+    each memory instance's verdict, on-chip copy count (16-bit) and word
+    address (32-bit: a word address of 2**31 or more overflows loudly).
+    Verdicts are one byte each in a ``bytearray``, whose ``count(code,
+    start)`` histograms a window without copying it.  The traffic ledger
+    resolves its data records through the two cache pools.
     """
 
-    __slots__ = ("cache_cat", "mem_cat", "mem_refs", "mem_addr")
+    __slots__ = ("l1_cat", "l2_cat", "mem_cat", "mem_refs", "mem_addr")
 
     def __init__(self) -> None:
-        self.cache_cat = array("b")
-        self.mem_cat = array("b")
+        self.l1_cat = bytearray()
+        self.l2_cat = bytearray()
+        self.mem_cat = bytearray()
         self.mem_refs = array("h")
         self.mem_addr = array("i")
 
@@ -112,8 +112,14 @@ class WastePools:
 class CacheLevelProfiler:
     """Implements the L1 (Figure 4.1) and L2 (Figure 4.2) waste FSMs.
 
-    One profiler instance covers every cache unit of a level; the *active*
-    handle for each ``(unit, word)`` is the most recent pending arrival.
+    One profiler instance covers every cache unit of a level for the
+    whole run; the *active* handle for each ``(unit, word)`` is the most
+    recent pending arrival.  The FSM keeps no counters: ``counts()`` is
+    the histogram of the level's pool from the window's first handle.
+    That is exact.  Verdicts are final, so a window handle counts once;
+    ``finalize`` settles every window handle still pending; and a warm-up
+    handle, which may still be settled after the mark (its row stays
+    active), lies before the window's first handle and is never counted.
     """
 
     def __init__(self, level: str,
@@ -122,7 +128,8 @@ class CacheLevelProfiler:
             raise ValueError("level must be 'L1' or 'L2'")
         self.level = level
         self.pools = pools if pools is not None else WastePools()
-        self._cat = self.pools.cache_cat
+        self._cat = (self.pools.l1_cat if level == "L1"
+                     else self.pools.l2_cat)
         # Active handles are stored per cache *line*: the key is
         # ``(line << 6) | unit`` (unit ids fit in 6 bits, <= 64 tiles)
         # and the value a 16-slot ``array('q')`` of per-word handles,
@@ -132,8 +139,12 @@ class CacheLevelProfiler:
         # every FSM event, and a resident line costs one array of 16
         # machine words, not a list of 16 boxed ints.
         self._active: Dict[int, array] = {}
-        self._counts: List[int] = [0] * len(_BY_CODE)
-        self._total = 0
+        # First handle of the measurement window.
+        self._start = 0
+
+    def mark(self) -> None:
+        """Open the measurement window: count handles from here on."""
+        self._start = len(self._cat)
 
     def _row_for(self, line_key: int) -> array:
         row = self._active.get(line_key)
@@ -151,10 +162,8 @@ class CacheLevelProfiler:
         """
         cat = self._cat
         handle = len(cat)
-        self._total += 1
         if already_present:
             cat.append(C_FETCH)
-            self._counts[C_FETCH] += 1
             return handle
         cat.append(PENDING)
         row = self._row_for(((word >> 4) << 6) | unit)
@@ -164,7 +173,6 @@ class CacheLevelProfiler:
             # Defensive: an unclassified copy being silently replaced by a
             # new fill counts as Fetch waste for the old copy.
             cat[old] = C_FETCH
-            self._counts[C_FETCH] += 1
         row[slot] = handle
         return handle
 
@@ -176,7 +184,6 @@ class CacheLevelProfiler:
         handle = row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_USED
-            self._counts[C_USED] += 1
 
     def on_write(self, unit: int, word: int) -> None:
         """The word was overwritten before being used."""
@@ -186,7 +193,6 @@ class CacheLevelProfiler:
         handle = row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_WRITE
-            self._counts[C_WRITE] += 1
 
     def on_evict(self, unit: int, word: int) -> None:
         row = self._active.get(((word >> 4) << 6) | unit)
@@ -198,7 +204,6 @@ class CacheLevelProfiler:
             return
         if self._cat[handle] == PENDING:
             self._cat[handle] = C_EVICT
-            self._counts[C_EVICT] += 1
         row[slot] = NO_HANDLE
 
     def on_invalidate(self, unit: int, word: int) -> None:
@@ -213,7 +218,6 @@ class CacheLevelProfiler:
             return
         if self._cat[handle] == PENDING:
             self._cat[handle] = C_INVALIDATE
-            self._counts[C_INVALIDATE] += 1
         row[slot] = NO_HANDLE
 
     # -- bulk line-granular events --------------------------------------
@@ -232,15 +236,12 @@ class CacheLevelProfiler:
         cat = self._cat
         h0 = len(cat)
         cat.extend(_LINE_PENDING)
-        self._total += WORDS_PER_LINE
         line_key = (base << 2) | unit
         old_row = self._active.get(line_key)
         if old_row is not None:
-            counts = self._counts
             for old in old_row:
                 if old >= 0 and cat[old] == PENDING:
                     cat[old] = C_FETCH
-                    counts[C_FETCH] += 1
         handles = range(h0, h0 + WORDS_PER_LINE)
         self._active[line_key] = array("q", handles)
         return handles
@@ -251,16 +252,13 @@ class CacheLevelProfiler:
         The words get consecutive handles, returned as a ``range``.
         """
         cat = self._cat
-        counts = self._counts
         active = self._active
         h0 = len(cat)
-        self._total += len(words)
         last_key = -1
         row = None
         for word, present in zip(words, present_flags):
             if present:
                 cat.append(C_FETCH)
-                counts[C_FETCH] += 1
                 continue
             handle = len(cat)
             cat.append(PENDING)
@@ -274,7 +272,6 @@ class CacheLevelProfiler:
             old = row[slot]
             if old >= 0 and cat[old] == PENDING:
                 cat[old] = C_FETCH
-                counts[C_FETCH] += 1
             row[slot] = handle
         return range(h0, len(cat))
 
@@ -282,7 +279,6 @@ class CacheLevelProfiler:
         """``on_use(unit, w)`` for every word in ``words``."""
         cat = self._cat
         active = self._active
-        counts = self._counts
         last_key = -1
         row = None
         for word in words:
@@ -295,7 +291,6 @@ class CacheLevelProfiler:
             handle = row[word & 15]
             if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = C_USED
-                counts[C_USED] += 1
 
     def on_use_line(self, unit: int, base: int) -> None:
         """``on_use`` over one full line's words."""
@@ -323,30 +318,29 @@ class CacheLevelProfiler:
             self._settle_row(row, C_UNEVICTED)
         self._active.clear()
 
-    # -- queries -------------------------------------------------------------
+    # -- queries: the window's handles ----------------------------------------
     def category(self, handle: int) -> Optional[Category]:
         """The verdict of ``handle`` (None while it is pending)."""
         return _BY_CODE[self._cat[handle]]
 
     def count(self, category: Category) -> int:
-        return self._counts[_CODE[category]]
+        return self._cat.count(_CODE[category], self._start)
 
     def counts(self) -> Dict[Category, int]:
-        return {cat: self._counts[code] for cat, code in _CODE.items()}
+        cat, start = self._cat, self._start
+        return {category: cat.count(code, start)
+                for category, code in _CODE.items()}
 
     def total_words(self) -> int:
-        return self._total
+        return len(self._cat) - self._start
 
     # -- internals -------------------------------------------------------------
     def _settle_row(self, row: array, code: int) -> None:
         """Classify every pending handle of an active row as ``code``."""
         cat = self._cat
-        settled = 0
         for handle in row:
             if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = code
-                settled += 1
-        self._counts[code] += settled
 
 
 class MemoryProfiler:
@@ -362,22 +356,27 @@ class MemoryProfiler:
     network.
 
     Verdicts, copy counts and addresses live in the shared pools
-    (instance identity); the pending-by-address index and the counters
-    belong to this profiler, i.e. to one measurement window.  The index
-    is an ``array('i')`` over word addresses ``0 .. span - 1`` (the
-    run's regions, laid out densely from word 0): each entry is the one
-    pending instance's handle, ``NO_HANDLE``, or a marker for an address
-    with several pending instances (possible on the bypass rungs), whose
-    handles sit in a set in a side dict.  An address outside the span
-    (a profiler built without regions, as unit tests do) is indexed in
-    the side dict alone; the array never grows.
+    (instance identity); the pending-by-address index and the settle
+    counters belong to this profiler, which lives for the whole run.
+    The index is an ``array('i')`` over word addresses ``0 .. span - 1``
+    (the run's regions, laid out densely from word 0): each entry is the
+    one pending instance's handle, ``NO_HANDLE``, or a marker for an
+    address with several pending instances (possible on the bypass
+    rungs), whose handles sit in a set in a side dict.  An address
+    outside the span (a profiler built without regions, as unit tests
+    do) is indexed in the side dict alone; the array never grows.
 
-    Only instances this window fetched are indexed.  After the warm-up
-    ``reset_stats()`` a store to an address whose warm-up instance is
-    still pending leaves that instance pending: the live index never
-    held it.  A later drop of its last copy counts it Evict (or
-    Invalidate), not Write, and if nothing settles it, it is never
-    counted Unevicted.
+    The window rule, which over-counts the window (ROADMAP item 2): the
+    window's counts are the settle counters minus their values at
+    ``mark()``, so a warm-up instance that a load or a last drop settles
+    after the mark is counted in the window, which never fetched it.
+    A store after the mark settles, and ``finalize`` counts Unevicted,
+    only instances with ``handle >= start`` (the window's first handle):
+    a store leaves a pending warm-up instance pending and drops it from
+    the index, so a later last drop counts it Evict (or Invalidate),
+    not Write, and if nothing settles it no count includes it.  The
+    fidelity fix deletes the two ``>= start`` conditions and counts a
+    histogram of ``mem_cat`` from the mark, as the cache levels do.
     """
 
     def __init__(self, pools: Optional[WastePools] = None,
@@ -386,11 +385,20 @@ class MemoryProfiler:
         self._cat = self.pools.mem_cat
         self._refs = self.pools.mem_refs
         self._addr = self.pools.mem_addr
+        # Settles since cycle 0, by verdict code, and their values at the
+        # window's mark.
         self._counts: List[int] = [0] * len(_BY_CODE)
+        self._marked: List[int] = [0] * len(_BY_CODE)
+        # First handle of the measurement window.
+        self._start = 0
         self._span = span
         self._pending_by_addr = array("i", [NO_HANDLE]) * span
         self._spill: Dict[int, Set[int]] = {}
-        self._total = 0
+
+    def mark(self) -> None:
+        """Open the measurement window (see the class docstring)."""
+        self._start = len(self._cat)
+        self._marked = self._counts[:]
 
     # -- FSM events --------------------------------------------------------
     def fetch(self, addr: int, l2_has_addr: bool) -> int:
@@ -399,7 +407,6 @@ class MemoryProfiler:
         handle = len(cat)
         self._addr.append(addr)
         self._refs.append(0)
-        self._total += 1
         if l2_has_addr:
             # Figure 4.3: address already present in the L2 => Fetch waste.
             cat.append(C_FETCH)
@@ -415,7 +422,6 @@ class MemoryProfiler:
         self._addr.append(addr)
         self._cat.append(C_EXCESS)
         self._refs.append(0)
-        self._total += 1
         self._counts[C_EXCESS] += 1
         return handle
 
@@ -436,7 +442,8 @@ class MemoryProfiler:
             self._settle_pending(handle, C_USED)
 
     def on_store_addr(self, addr: int) -> None:
-        """Any L1 stored to ``addr``: all pending instances become Write."""
+        """Any L1 stored to ``addr``: its pending instances become Write
+        (after the mark only the window's; see the class docstring)."""
         if 0 <= addr < self._span:
             by_addr = self._pending_by_addr
             pending = by_addr[addr]
@@ -449,8 +456,10 @@ class MemoryProfiler:
             handles = self._spill.pop(addr, ())
         cat = self._cat
         counts = self._counts
+        start = self._start
         for handle in handles:
-            if cat[handle] == PENDING:
+            # Item 2's defect: a warm-up instance stays pending.
+            if handle >= start and cat[handle] == PENDING:
                 cat[handle] = C_WRITE
                 counts[C_WRITE] += 1
 
@@ -464,7 +473,6 @@ class MemoryProfiler:
         self._addr.extend(range(base, end))
         cat.extend(_LINE_PENDING)
         self._refs.extend(_LINE_NO_REFS)
-        self._total += WORDS_PER_LINE
         handles = range(h0, h0 + WORDS_PER_LINE)
         by_addr = self._pending_by_addr
         if 0 <= base and end <= self._span and by_addr[base:end] == _NO_LINE:
@@ -497,16 +505,18 @@ class MemoryProfiler:
                 settle(handle, code)
 
     def finalize(self) -> None:
-        """Classify every instance still in the index as Unevicted."""
+        """Classify every window instance still in the index as
+        Unevicted (item 2's defect: a warm-up instance stays pending)."""
         cat = self._cat
+        start = self._start
         unevicted = 0
         for handle in self._pending_by_addr:
-            if handle >= 0 and cat[handle] == PENDING:
+            if handle >= start and cat[handle] == PENDING:
                 cat[handle] = C_UNEVICTED
                 unevicted += 1
         for pending in self._spill.values():
             for handle in pending:
-                if cat[handle] == PENDING:
+                if handle >= start and cat[handle] == PENDING:
                     cat[handle] = C_UNEVICTED
                     unevicted += 1
         self._counts[C_UNEVICTED] += unevicted
@@ -520,13 +530,16 @@ class MemoryProfiler:
         return _BY_CODE[self._cat[handle]]
 
     def count(self, category: Category) -> int:
-        return self._counts[_CODE[category]]
+        code = _CODE[category]
+        return self._counts[code] - self._marked[code]
 
     def counts(self) -> Dict[Category, int]:
-        return {cat: self._counts[code] for cat, code in _CODE.items()}
+        counts, marked = self._counts, self._marked
+        return {cat: counts[code] - marked[code]
+                for cat, code in _CODE.items()}
 
     def total_words(self) -> int:
-        return self._total
+        return len(self._cat) - self._start
 
     # -- internals ------------------------------------------------------------
     def _index(self, addr: int, handle: int) -> None:
@@ -546,8 +559,8 @@ class MemoryProfiler:
     def _settle_pending(self, handle: int, code: int) -> None:
         """Classify a still-pending instance (callers check that it is
         pending first, so the verdict always lands).  An instance the
-        index does not hold (fetched before this window) leaves the
-        index as it is."""
+        index no longer holds (a warm-up instance whose address a store
+        after the mark cleared) leaves the index as it is."""
         addr = self._addr[handle]
         by_addr = self._pending_by_addr
         in_span = 0 <= addr < self._span

@@ -13,6 +13,10 @@ workload, where ``simulate()`` returns a lower rung's result for rungs
 the kernel's annotations never exercise.  So the snapshot also checks
 every reused result against an independent simulation.
 
+The window conservation audit runs every cell through ``System`` on its
+own (no rung reuse) and checks each waste level's window: its counts
+against the words it received after warm-up.
+
 The per-cell event count additionally gets its own dedicated assertion:
 the hot-path engine rework (closure-free ``schedule_call``, same-cycle
 batch draining) must provably schedule the *identical event stream*,
@@ -30,9 +34,12 @@ from typing import Dict
 
 import pytest
 
-from repro.common.config import PROTOCOL_ORDER, ScaleConfig, scaled_system
+from repro.common.config import (
+    PROTOCOL_ORDER, ScaleConfig, protocol, scaled_system)
 from repro.core.simulator import simulate
+from repro.core.system import System
 from repro.runner.store import result_to_dict
+from repro.waste.profiler import PENDING
 from repro.workloads import WORKLOAD_ORDER, build_workload
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "grid_tiny.json"
@@ -84,3 +91,38 @@ def test_grid_cell_event_counts_pinned(workload_name):
             f"{workload_name} x {proto}: {events} events run, golden "
             f"pinned {expected} — the scheduler is not executing the "
             f"same event stream")
+
+
+#: Memory words counted in the window beyond the words it fetched: the
+#: warm-up instances a load or a last drop settled after the mark
+#: (ROADMAP item 2).  Every other cell counts exactly what it fetched.
+#: The fidelity fix must change these pins on purpose.
+CARRIED_WARMUP_INSTANCES = {
+    ("fluidanimate", "MESI"): 183, ("fluidanimate", "MMemL1"): 196,
+    ("fluidanimate", "DeNovo"): 24, ("fluidanimate", "DFlexL1"): 24,
+    ("radix", "DeNovo"): 10, ("radix", "DFlexL1"): 10,
+    ("kD-tree", "DBypL2"): 120, ("kD-tree", "DBypFull"): 120,
+}
+
+
+@pytest.mark.parametrize("workload_name", WORKLOAD_ORDER)
+def test_window_conservation(workload_name):
+    """In every cell, each cache level gives every window word a verdict
+    and counts exactly its window words; the memory level over-counts
+    by the pinned carried instances."""
+    workload = build_workload(workload_name, SCALE)
+    for proto in PROTOCOL_ORDER:
+        system = System(workload, protocol(proto), CONFIG)
+        result = system.run()
+        cell = f"{workload_name} x {proto}"
+        assert result_to_dict(result) == GOLDEN[workload_name][proto], cell
+        ctx = system.ctx
+        for prof, pool in ((ctx.l1_prof, ctx.pools.l1_cat),
+                           (ctx.l2_prof, ctx.pools.l2_cat)):
+            window_start = len(pool) - prof.total_words()
+            assert pool.count(PENDING, window_start) == 0, cell
+            assert sum(prof.counts().values()) == prof.total_words(), cell
+        mem = ctx.mem_prof
+        assert (sum(mem.counts().values()) - mem.total_words()
+                == CARRIED_WARMUP_INSTANCES.get((workload_name, proto), 0)
+                ), cell

@@ -6,8 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.common.config import ScaleConfig, scaled_system
-from repro.core.simulator import simulate
+from repro.common.config import ScaleConfig, protocol, scaled_system
+from repro.core.system import System
 from repro.runner.store import result_to_dict
 from repro.workloads import build_workload
 
@@ -26,9 +26,10 @@ def test_measure_cell_prints_events_digest_time_and_top_sites():
 
     scale = ScaleConfig.tiny()
     config = scaled_system(scale)
-    result = simulate(build_workload("stream", scale,
-                                     num_cores=config.num_tiles),
-                      "MESI", config)
+    system = System(build_workload("stream", scale,
+                                   num_cores=config.num_tiles),
+                    protocol("MESI"), config)
+    result = system.run()
     text = json.dumps(result_to_dict(result), sort_keys=True,
                       separators=(",", ":"))
     assert int(fields["events"]) == result.events
@@ -36,7 +37,17 @@ def test_measure_cell_prints_events_digest_time_and_top_sites():
     for key in ("build_cpu_s", "sim_cpu_s", "peak_rss_mib"):
         assert float(fields[key]) >= 0.0
 
-    assert lines[6].startswith("tracemalloc live_at_finalize_mib ")
-    sites = lines[7:]
+    ctx = system.ctx
+    levels = (("l1", ctx.l1_prof), ("l2", ctx.l2_prof), ("mem", ctx.mem_prof))
+    for line, (level, prof) in zip(lines[6:9], levels):
+        name, _, window, _, counted, _, excess, share = line.split()
+        assert name == f"{level}_words"
+        assert int(window) == prof.total_words() > 0
+        assert int(counted) == sum(prof.counts().values())
+        assert int(excess) == int(counted) - int(window)
+        assert share.startswith("(") and share.endswith("%)")
+
+    assert lines[9].startswith("tracemalloc live_at_finalize_mib ")
+    sites = lines[10:]
     assert [site.split(".")[0].strip() for site in sites] == ["1", "2", "3"]
     assert all(" MiB " in site and ".py:" in site for site in sites)

@@ -9,9 +9,7 @@ The load-bearing guarantees:
   to an unobserved one (sampling events are subtracted, hooks are pure
   reads), so enabling observability can never perturb science;
 * **trace round-trip** — the exported Chrome trace-event JSON is valid,
-  Perfetto-shaped and time-ordered;
-* **telemetry reconciliation** — every cell in the ``telemetry.json``
-  sidecar resolves to a stored result.
+  Perfetto-shaped and time-ordered.
 """
 
 import dataclasses
@@ -21,8 +19,7 @@ import pytest
 
 from repro.common.config import ScaleConfig, protocol, scaled_system
 from repro.core.simulator import simulate
-from repro.obs import (
-    ObsSession, PhaseSampler, SimTrace, SweepTelemetry, load_telemetry)
+from repro.obs import ObsSession, PhaseSampler, SimTrace
 from repro.workloads import build_workload
 
 
@@ -315,71 +312,6 @@ class TestTimeline:
 
 
 # ----------------------------------------------------------------------
-# Fleet telemetry
-# ----------------------------------------------------------------------
-
-class TestSweepTelemetry:
-    def test_sidecar_reconciles_with_store(self, tmp_path):
-        from repro.runner.jobs import expand_grid
-        from repro.runner.pool import sweep
-        from repro.runner.store import ResultStore
-        store = ResultStore(tmp_path / "cache")
-        specs = expand_grid(["radix"], ["MESI", "DeNovo"],
-                            ScaleConfig.tiny())
-        telemetry = SweepTelemetry(command="sweep")
-        sweep(specs, jobs=1, store=store, progress=telemetry.progress)
-        path = telemetry.write(store.sidecar_path())
-        data = load_telemetry(path)
-        assert data["schema_version"] == 1
-        assert data["completed_cells"] == data["total_cells"] == 2
-        assert len(data["cells"]) == 2
-        for cell in data["cells"]:
-            # Every telemetry record must resolve to a stored result.
-            result = store.load(cell["workload"], cell["protocol"],
-                                cell["store_key"])
-            assert result is not None
-            assert result.protocol == cell["protocol"]
-            assert cell["elapsed_s"] >= 0
-            assert not cell["from_cache"]
-
-    def test_cache_hits_marked_on_second_sweep(self, tmp_path):
-        from repro.runner.jobs import expand_grid
-        from repro.runner.pool import sweep
-        from repro.runner.store import ResultStore
-        store = ResultStore(tmp_path / "cache")
-        specs = expand_grid(["radix"], ["MESI"], ScaleConfig.tiny())
-        sweep(specs, jobs=1, store=store)
-        telemetry = SweepTelemetry()
-        sweep(specs, jobs=1, store=store, progress=telemetry.progress)
-        assert telemetry.cache_hits == 1
-        assert telemetry.cells[0]["from_cache"]
-
-    def test_sidecar_excluded_from_store_entries(self, tmp_path):
-        from repro.runner.store import ResultStore
-        store = ResultStore(tmp_path / "cache")
-        telemetry = SweepTelemetry()
-        telemetry.write(store.sidecar_path())
-        assert len(store) == 0
-        assert list(store.entries()) == []
-
-    def test_eta_estimate(self):
-        clock = iter([0.0, 10.0, 10.0, 20.0, 20.0]).__next__
-        telemetry = SweepTelemetry(clock=clock, wall=lambda: 0.0)
-
-        class Spec:
-            workload, protocol, num_tiles, seed = "w", "p", 16, 1
-            def store_key(self):
-                return "k"
-
-        class Outcome:
-            spec = Spec()
-            elapsed, attempts, from_cache = 1.0, 1, False
-
-        telemetry.record(Outcome(), 1, 4)
-        assert telemetry.eta_seconds() == pytest.approx(30.0)
-
-
-# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 
@@ -490,18 +422,6 @@ class TestCli:
         rc = main(["stalls", "--protocols", "MESl"])
         assert rc == 2
         assert "MESI" in capsys.readouterr().err  # did-you-mean hint
-
-    def test_progress_flag_writes_sidecar(self, tmp_path, capsys):
-        from repro.runner.cli import main
-        cache = tmp_path / "cache"
-        rc = main(["sweep", "--workloads", "radix", "--protocols", "MESI",
-                   "--scale", "tiny", "--cache-dir", str(cache),
-                   "--progress"])
-        assert rc == 0
-        data = load_telemetry(cache / "telemetry.json")
-        assert data["schema_version"] == 1
-        assert data["completed_cells"] == data["total_cells"] == 1
-        assert "telemetry:" in capsys.readouterr().out
 
     def test_disabled_path_writes_no_sidecar(self, tmp_path):
         from repro.runner.cli import main

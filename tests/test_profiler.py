@@ -62,7 +62,7 @@ class TestProfileEntry:
         assert [p.category(h) for h in handles] == [
             Category.FETCH, Category.WRITE, Category.EVICT,
             Category.INVALIDATE, Category.UNEVICTED]
-        ledger = T.TrafficLedger(pools.cache_cat)
+        ledger = T.TrafficLedger(pools)
         assert handles == list(range(5))
         ledger.add_data_words(T.LD, T.DEST_L1, 4, range(5))
         ledger.finalize()
@@ -305,7 +305,9 @@ class TestMemoryFsm:
 
 
 class TestWarmupCrossing:
-    """The pools outlive ``SimContext.reset_stats()``; profilers do not."""
+    """One ledger and one profiler per level count the whole run;
+    ``SimContext.mark_window()`` opens the measurement window without
+    replacing any of them."""
 
     def test_handle_settled_after_reset_counts_in_live_window(self):
         from repro.common.config import SystemConfig, protocol
@@ -314,30 +316,36 @@ class TestWarmupCrossing:
 
         ctx = SimContext(SystemConfig(num_tiles=4), protocol("MESI"),
                          RegionTable())
-        warm_mem = ctx.mem_prof
-        inst = warm_mem.fetch(100, l2_has_addr=False)
-        warm_mem.install_copy(inst)
+        objects = (ctx.ledger, ctx.l1_prof, ctx.l2_prof, ctx.mem_prof)
+        inst = ctx.mem_prof.fetch(100, l2_has_addr=False)
+        ctx.mem_prof.install_copy(inst)
         used = ctx.l1_prof.on_arrival(0, 100, already_present=False)
         ctx.l1_prof.on_use(0, 100)
         pending = ctx.l1_prof.on_arrival(0, 200, already_present=False)
+        late = ctx.l1_prof.on_arrival(0, 300, already_present=False)
 
-        ctx.reset_stats()
-        assert ctx.mem_prof is not warm_mem
-        # The warm-up instance is settled by, and counted in, the live
-        # window's profiler only.
+        ctx.mark_window()
+        assert all(now is then for now, then in zip(
+            (ctx.ledger, ctx.l1_prof, ctx.l2_prof, ctx.mem_prof), objects))
+        # A warm-up memory instance settled after the mark is counted in
+        # the window (ROADMAP item 2's over-count).
         ctx.mem_prof.on_load(inst)
         assert ctx.mem_prof.count(Category.USED) == 1
-        assert warm_mem.count(Category.USED) == 0
         assert ctx.mem_prof.category(inst) is Category.USED
-        # The live cache profiler holds no warm-up words.
-        ctx.l1_prof.on_use(0, 200)
+        # A warm-up cache word keeps its active row, so it may still be
+        # settled, but the window never counts it.
+        ctx.l1_prof.on_use(0, 300)
+        assert ctx.l1_prof.category(late) is Category.USED
         assert ctx.l1_prof.count(Category.USED) == 0
+        assert ctx.l1_prof.total_words() == 0
 
-        # The live ledger still resolves warm-up handles through the pool.
+        # The ledger resolves warm-up handles through the pool.
         assert pending == used + 1
         ctx.ledger.add_data_words(T.LD, T.DEST_L1, 2,
                                   range(used, pending + 1))
         ctx.finalize()
+        assert ctx.l1_prof.category(pending) is Category.UNEVICTED
+        assert sum(ctx.l1_prof.counts().values()) == 0
         assert sum(ctx.mem_prof.counts().values()) == 1
         assert ctx.mem_prof.total_words() == 0
         assert ctx.ledger.bucket(T.LD, T.RESP_L1_USED) == 0.5
@@ -345,8 +353,8 @@ class TestWarmupCrossing:
 
     @staticmethod
     def _context_with_pending_warmup_instance(addr: int):
-        """A context over one 256-word region whose warm-up window left
-        a memory instance at ``addr`` pending with one on-chip copy."""
+        """A context over one 256-word region whose warm-up left a
+        memory instance at ``addr`` pending with one on-chip copy."""
         from repro.common.config import SystemConfig, protocol
         from repro.common.regions import Region, RegionTable
         from repro.core.context import SimContext
@@ -356,22 +364,23 @@ class TestWarmupCrossing:
         assert len(ctx.mem_prof._pending_by_addr) == 256
         inst = ctx.mem_prof.fetch(addr, l2_has_addr=False)
         ctx.mem_prof.install_copy(inst)
-        ctx.reset_stats()
+        ctx.mark_window()
         assert len(ctx.mem_prof._pending_by_addr) == 256
-        assert pending_by_addr(ctx.mem_prof) == {}
+        assert pending_by_addr(ctx.mem_prof) == {addr: {inst}}
         return ctx, inst
 
-    # The live index never held a warm-up instance, so a store after the
-    # reset does not reach it.  Pinned as the current behaviour: a
-    # fidelity fix that changes it must re-pin these cases on purpose.
+    # Only window instances are settled by a store or counted Unevicted.
+    # Pinned as the current behaviour (ROADMAP item 2): a fidelity fix
+    # that changes it must re-pin these cases on purpose.
     @pytest.mark.parametrize("addr", [100, 300])   # in, beyond the span
     def test_store_after_reset_leaves_warmup_instance_pending(self, addr):
         ctx, inst = self._context_with_pending_warmup_instance(addr)
         ctx.mem_prof.on_store_addr(addr)
         assert ctx.mem_prof.category(inst) is None
         assert ctx.mem_prof.count(Category.WRITE) == 0
+        assert pending_by_addr(ctx.mem_prof) == {}
         # Its last copy leaving counts it Evict, not Write; settling an
-        # instance the index never held leaves the index as it was.
+        # instance the index no longer holds leaves the index as it was.
         ctx.mem_prof.drop_copy(inst, invalidated=False)
         assert ctx.mem_prof.category(inst) is Category.EVICT
         assert ctx.mem_prof.count(Category.EVICT) == 1
@@ -381,6 +390,7 @@ class TestWarmupCrossing:
     def test_unsettled_warmup_instance_is_never_unevicted(self, addr):
         ctx, inst = self._context_with_pending_warmup_instance(addr)
         live = ctx.mem_prof.fetch(addr, l2_has_addr=False)
+        assert pending_by_addr(ctx.mem_prof) == {addr: {inst, live}}
         ctx.finalize()
         assert ctx.mem_prof.category(live) is Category.UNEVICTED
         assert ctx.mem_prof.category(inst) is None
@@ -410,7 +420,7 @@ class TestBulkEqualsScalar:
     def _cache_state(p: CacheLevelProfiler):
         # The scalar evict/invalidate leave an emptied row where the
         # line calls drop it; no event tells the two apart.
-        return (list(p.pools.cache_cat), list(p._counts), p._total,
+        return (list(p.pools.l1_cat), p.counts(), p.total_words(),
                 active_rows(p))
 
     @pytest.mark.parametrize("older", [False, True])
@@ -454,7 +464,7 @@ class TestBulkEqualsScalar:
     @staticmethod
     def _memory_state(p: MemoryProfiler):
         return (list(p.pools.mem_cat), list(p.pools.mem_refs),
-                list(p.pools.mem_addr), list(p._counts), p._total,
+                list(p.pools.mem_addr), p.counts(), p.total_words(),
                 pending_by_addr(p))
 
     @pytest.mark.parametrize("older", [False, True])
@@ -519,7 +529,11 @@ class TestBulkEqualsScalar:
 # -- reference models ---------------------------------------------------
 # Dict-of-sets versions of the two FSMs, written for clarity, not speed:
 # random op sequences must leave the array-backed profilers with the
-# same verdicts, counters and pending state.
+# same verdicts, window counts and pending state.  A window mark makes
+# the models count afresh; the memory model indexes every pending
+# instance but lets a store or the final sweep settle only the window's
+# (ROADMAP item 2's rule), and the cache model counts each verdict of a
+# window handle as it lands, where the profiler counts a histogram.
 
 SPAN = 64               # words the memory index covers (four lines)
 FAR = 2**31 - 16        # last line base a 32-bit word address allows
@@ -528,10 +542,11 @@ FAR = 2**31 - 16        # last line base a 32-bit word address allows
 class MemoryModel:
     def __init__(self) -> None:
         self.cat, self.refs, self.addr = [], [], []
-        self.open_window()
+        self.pending = {}
+        self.mark()
 
-    def open_window(self) -> None:
-        self.pending, self.counts, self.total = {}, {}, 0
+    def mark(self) -> None:
+        self.start, self.counts, self.total = len(self.cat), {}, 0
 
     def _new(self, addr, code) -> int:
         self.cat.append(code)
@@ -576,26 +591,33 @@ class MemoryModel:
 
     def on_store_addr(self, addr):
         for handle in self.pending.pop(addr, ()):
-            self.cat[handle] = C_WRITE
-            self.counts[C_WRITE] = self.counts.get(C_WRITE, 0) + 1
+            if handle >= self.start:
+                self.cat[handle] = C_WRITE
+                self.counts[C_WRITE] = self.counts.get(C_WRITE, 0) + 1
 
     def finalize(self):
         for handles in self.pending.values():
             for handle in handles:
-                self.cat[handle] = C_UNEVICTED
-                self.counts[C_UNEVICTED] = (
-                    self.counts.get(C_UNEVICTED, 0) + 1)
+                if handle >= self.start:
+                    self.cat[handle] = C_UNEVICTED
+                    self.counts[C_UNEVICTED] = (
+                        self.counts.get(C_UNEVICTED, 0) + 1)
         self.pending = {}
 
 
 class CacheModel:
     def __init__(self) -> None:
-        self.cat, self.active, self.counts, self.total = [], {}, {}, 0
+        self.cat, self.active = [], {}
+        self.mark()
 
-    def _mark(self, handle, code) -> None:
+    def mark(self) -> None:
+        self.start, self.counts, self.total = len(self.cat), {}, 0
+
+    def _settle(self, handle, code) -> None:
         if handle is not None and self.cat[handle] == 0:
             self.cat[handle] = code
-            self.counts[code] = self.counts.get(code, 0) + 1
+            if handle >= self.start:
+                self.counts[code] = self.counts.get(code, 0) + 1
 
     def on_arrival(self, unit, word, present):
         self.total += 1
@@ -604,25 +626,25 @@ class CacheModel:
         if present:
             self.counts[C_FETCH] = self.counts.get(C_FETCH, 0) + 1
         else:
-            self._mark(self.active.get((unit, word)), C_FETCH)
+            self._settle(self.active.get((unit, word)), C_FETCH)
             self.active[unit, word] = handle
         return handle
 
     def on_use(self, unit, word):
-        self._mark(self.active.get((unit, word)), C_USED)
+        self._settle(self.active.get((unit, word)), C_USED)
 
     def on_write(self, unit, word):
-        self._mark(self.active.get((unit, word)), C_WRITE)
+        self._settle(self.active.get((unit, word)), C_WRITE)
 
     def on_evict(self, unit, word):
-        self._mark(self.active.pop((unit, word), None), C_EVICT)
+        self._settle(self.active.pop((unit, word), None), C_EVICT)
 
     def on_invalidate(self, unit, word):
-        self._mark(self.active.pop((unit, word), None), C_INVALIDATE)
+        self._settle(self.active.pop((unit, word), None), C_INVALIDATE)
 
     def finalize(self):
         for handle in self.active.values():
-            self._mark(handle, C_UNEVICTED)
+            self._settle(handle, C_UNEVICTED)
         self.active = {}
 
     def rows(self):
@@ -653,7 +675,7 @@ _mem_ops = st.lists(st.one_of(
     st.tuples(st.just("on_load"), _pick),
     st.tuples(st.just("on_store_addr"), _mem_addr),
     st.tuples(st.just("on_store_addr"), _any_addr),
-    st.tuples(st.just("window")),
+    st.tuples(st.just("mark")),
 ), min_size=20, max_size=80)
 
 _unit = st.integers(0, 2)
@@ -669,6 +691,7 @@ _cache_ops = st.lists(st.one_of(
     st.tuples(st.just("arrivals_words"), _unit,
               st.lists(st.tuples(_word, st.booleans()), max_size=6)),
     st.tuples(st.just("on_use_words"), _unit, st.lists(_word, max_size=6)),
+    st.tuples(st.just("mark")),
     st.tuples(st.just("finalize")),
 ), min_size=20, max_size=60)
 
@@ -688,7 +711,8 @@ class TestReferenceModel:
     """The array-backed profilers behave as the dict-of-sets models.
 
     Return values are compared after every op; the whole state (pools,
-    counters, pending index or active rows) at each window's end."""
+    window counts, pending index or active rows) at each mark and at
+    the end."""
 
     @staticmethod
     def _check_memory(p: MemoryProfiler, m: MemoryModel) -> None:
@@ -709,13 +733,12 @@ class TestReferenceModel:
     @MODEL_SETTINGS
     @given(_mem_ops)
     def test_memory_profiler(self, ops):
-        pools = WastePools()
-        p, m = MemoryProfiler(pools, SPAN), MemoryModel()
+        p, m = MemoryProfiler(WastePools(), SPAN), MemoryModel()
         for name, *args in ops:
-            if name == "window":
+            if name == "mark":
                 self._check_memory(p, m)
-                p = MemoryProfiler(pools, SPAN)
-                m.open_window()
+                p.mark()
+                m.mark()
             elif name in ("fetch", "fetch_excess", "fetch_line",
                           "on_store_addr"):
                 got = getattr(p, name)(*args)
@@ -778,7 +801,7 @@ class TestReferenceModel:
                     m.on_use(args[0], word)
             else:
                 assert getattr(p, name)(*args) == getattr(m, name)(*args)
-        assert list(p.pools.cache_cat) == m.cat
+        assert list(getattr(p.pools, f"{level.lower()}_cat")) == m.cat
         assert p.total_words() == m.total
         assert {cat: n for cat, n in p.counts().items() if n} == {
             _BY_CODE[code]: n for code, n in m.counts.items()}

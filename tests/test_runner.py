@@ -397,22 +397,35 @@ def _forbid_simulation(monkeypatch):
 
 
 class TestCLI:
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_sweep_telemetry_names_lu_rung_reuse(self, tmp_path, jobs):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_names_lu_rung_reuse(self, tmp_path, jobs):
         """LU has no Flex pattern and no bypass region, so the three
         rungs that add only those optimisations reuse a lower rung's
-        result, and the telemetry sidecar says which: the same cells
+        result, and ``sweep()``'s outcomes say which: the same cells
         serially and in a process pool."""
-        rc = cli_main(["sweep", "--scale", "tiny", "--workloads", "LU",
-                       "--jobs", jobs, "--progress",
-                       "--cache-dir", str(tmp_path)])
-        assert rc == 0
-        cells = json.loads((tmp_path / "telemetry.json").read_text())[
-            "cells"]
-        reused = {c["protocol"]: c["reused_from"] for c in cells
-                  if c["reused_from"] is not None}
+        outcomes = sweep(expand_grid(["LU"], PROTOCOL_ORDER, TINY),
+                         jobs=jobs, store=ResultStore(tmp_path))
+        reused = {o.spec.protocol: o.reused_from for o in outcomes
+                  if o.reused_from is not None}
         assert reused == {"DFlexL1": "DeNovo", "DFlexL2": "DMemL1",
                           "DBypL2": "DMemL1"}
+
+    def test_progress_printer_eta(self):
+        """The ETA is the mean wall time per completed cell so far times
+        the cells left; the last cell prints none."""
+        import io
+        from repro.runner.cli import _progress_printer
+        from repro.runner.pool import JobOutcome
+        out = io.StringIO()
+        progress = _progress_printer(out, clock=iter([0.0, 10.0,
+                                                      40.0]).__next__)
+        cell = JobOutcome(spec("stream"), None, 1.0, 1, False)
+        progress(cell, 1, 4)
+        progress(cell, 4, 4)
+        first, last = out.getvalue().splitlines()
+        assert first.startswith("[  1/4] stream")
+        assert first.endswith("  eta 30.0s")
+        assert last.startswith("[  4/4]") and "eta" not in last
 
     def test_sweep_prints_progress_and_persists(self, tmp_path, capsys):
         rc = cli_main(["sweep", "--workloads", "stream",
@@ -427,10 +440,11 @@ class TestCLI:
     def test_sweep_cached_second_run(self, tmp_path, capsys):
         args = ["sweep", "--workloads", "stream", "--protocols", "MESI",
                 "--scale", "tiny", "--cache-dir", str(tmp_path)]
+        line = "[  1/1] stream         MESI          16t cached"
         cli_main(args)
-        capsys.readouterr()
+        assert line not in capsys.readouterr().out
         cli_main(args)
-        assert "cached" in capsys.readouterr().out
+        assert line in capsys.readouterr().out
 
     def test_figures_renders_selected_figure(self, tmp_path, capsys):
         rc = cli_main(["report", "--figures", "5.1a",
@@ -632,7 +646,7 @@ class TestCLI:
         ["sweep", "--scheduler", "heap"], ["sweep", "--backend", "pool"],
         ["sweep", "--bind", "127.0.0.1:7421"],
         ["sweep", "--engine", "compiled"], ["bench"],
-        ["figures"], ["energy"], ["scaling"]])
+        ["figures"], ["energy"], ["scaling"], ["sweep", "--progress"]])
     def test_removed_commands_and_flags_are_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(argv)

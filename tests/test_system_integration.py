@@ -95,6 +95,36 @@ class TestWarmupReset:
         result = System(w, protocol("MESI"), TINY_SYSTEM).run()
         assert result.traffic_major(T.LD) > 0
 
+    @pytest.mark.parametrize("proto", ["MESI", "DeNovo"])
+    def test_one_ledger_and_profiler_set_for_the_whole_run(self, proto):
+        """The warm-up barrier marks the window; it replaces no ledger
+        or profiler, so each one counted since cycle 0."""
+        ops = {0: [(OP_LOAD, 80), (OP_BARRIER, 0), (OP_LOAD, 160),
+                   (OP_BARRIER, 0)]}
+        w = dataclasses.replace(micro_workload(ops), warmup_barriers=1)
+        system = System(w, protocol(proto), TINY_SYSTEM)
+        ctx = system.ctx
+
+        def objects():
+            return (ctx.ledger, ctx.l1_prof, ctx.l2_prof, ctx.mem_prof)
+
+        before = objects()
+        marks = []
+        mark_window = ctx.mark_window
+
+        def recording_mark():
+            marks.append(system.barrier.barriers_passed)
+            mark_window()
+            marks.append(objects())
+
+        ctx.mark_window = recording_mark
+        system.run()
+        assert marks[0] == 1
+        assert all(now is then for now, then in zip(marks[1], before))
+        assert all(now is then for now, then in zip(objects(), before))
+        # The warm-up load's words are in the pools but not the window.
+        assert len(ctx.pools.l1_cat) > ctx.l1_prof.total_words() > 0
+
 
 class TestCrossProtocolShapes:
     """Relative orderings that must hold on any workload."""

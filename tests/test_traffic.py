@@ -21,16 +21,16 @@ def span(handles):
 
 
 class Words:
-    """Cache-level handles with chosen verdicts, plus a ledger over
-    their verdict pool."""
+    """Cache-level handles of one level with chosen verdicts, plus a
+    ledger over the run's verdict pools."""
 
-    def __init__(self):
+    def __init__(self, level="L1"):
         self.pools = WastePools()
-        self.prof = CacheLevelProfiler("L1", self.pools)
+        self.prof = CacheLevelProfiler(level, self.pools)
         self._next = 0
 
     def ledger(self):
-        return T.TrafficLedger(self.pools.cache_cat)
+        return T.TrafficLedger(self.pools)
 
     def pending(self):
         word = self._next
@@ -90,7 +90,7 @@ class TestDataTraffic:
         assert led.bucket(T.LD, T.RESP_L1_WASTE) == 0
 
     def test_mixed_verdicts_split_fractionally(self):
-        words = Words()
+        words = Words("L2")
         led = words.ledger()
         handles = span([words.used(), words.used(), words.waste(),
                         words.waste()])
@@ -177,8 +177,9 @@ class TestDeferredRecords:
         arrival order or any other."""
         rng = random.Random(7)
         pools = WastePools()
-        pools.cache_cat.extend(rng.choice((C_USED, C_WRITE, C_EVICT))
-                               for _ in range(4000))
+        for verdicts in (pools.l1_cat, pools.l2_cat):
+            verdicts.extend(rng.choice((C_USED, C_WRITE, C_EVICT))
+                            for _ in range(4000))
         messages = []
         next_handle = 0
         while next_handle < 3900:
@@ -191,15 +192,16 @@ class TestDeferredRecords:
         want = {T.LD: dict.fromkeys(T.LDST_BUCKETS, 0.0),
                 T.ST: dict.fromkeys(T.LDST_BUCKETS, 0.0)}
         for major, dest, hops, handles in messages:
+            verdicts = pools.l1_cat if dest == T.DEST_L1 else pools.l2_cat
             for handle in handles:
-                used = pools.cache_cat[handle] == C_USED
+                used = verdicts[handle] == C_USED
                 key = ((T.RESP_L1_USED if used else T.RESP_L1_WASTE)
                        if dest == T.DEST_L1 else
                        (T.RESP_L2_USED if used else T.RESP_L2_WASTE))
                 want[major][key] += hops / 4
         breakdowns = []
         for _ in range(3):
-            led = T.TrafficLedger(pools.cache_cat)
+            led = T.TrafficLedger(pools)
             for major, dest, hops, handles in messages:
                 led.add_data_words(major, dest, hops, handles)
             led.finalize()
@@ -210,6 +212,52 @@ class TestDeferredRecords:
             for major in (T.LD, T.ST):
                 for key in T.DATA_BUCKETS[major]:
                     assert bd[major][key] == want[major][key]
+
+
+class TestWindow:
+    """One ledger charges the whole run; ``mark()`` opens the window."""
+
+    @staticmethod
+    def _charge(led, handles, salt):
+        """Some of every kind of charge; ``salt`` varies the amounts."""
+        led.add_request_ctl(T.LD, 3 + salt)
+        led.add_response_ctl(T.ST, 0.75 * (1 + salt))
+        led.add_wb_control(2 + salt)
+        led.add_overhead(T.OVH_INVAL, 1 + salt, flits=2)
+        led.add_data_words(T.LD, T.DEST_L1, 5 + salt, handles[0])
+        led.add_data_words(T.ST, T.DEST_L2, 2 + salt, handles[1])
+        led.add_wb_data_words(T.DEST_L2, 3 + salt, 5, 2)
+        led.add_wb_data_words(T.DEST_MEM, 4 + salt, 16, 9 + salt)
+
+    def test_charges_before_the_mark_are_excluded_exactly(self):
+        pools = WastePools()
+        pools.l1_cat.extend([C_USED, C_EVICT] * 8)
+        pools.l2_cat.extend([C_WRITE, C_USED, C_USED] * 4)
+        warm = (range(0, 6), range(0, 5))
+        window = (range(6, 16), range(5, 12))
+        marked = T.TrafficLedger(pools)
+        self._charge(marked, warm, salt=1)
+        marked.mark()
+        self._charge(marked, window, salt=2)
+        marked.finalize()
+        fresh = T.TrafficLedger(pools)
+        self._charge(fresh, window, salt=2)
+        fresh.finalize()
+        assert marked.breakdown() == fresh.breakdown()
+        assert marked.total() > 0
+
+    def test_l2_destination_record_resolves_through_l2_pool(self):
+        pools = WastePools()
+        pools.l1_cat.extend([C_EVICT] * 4)
+        pools.l2_cat.extend([C_USED, C_USED, C_USED, C_WRITE])
+        led = T.TrafficLedger(pools)
+        led.add_data_words(T.LD, T.DEST_L2, 4, range(4))
+        led.add_data_words(T.LD, T.DEST_L1, 4, range(4))
+        led.finalize()
+        assert led.bucket(T.LD, T.RESP_L2_USED) == 3
+        assert led.bucket(T.LD, T.RESP_L2_WASTE) == 1
+        assert led.bucket(T.LD, T.RESP_L1_USED) == 0
+        assert led.bucket(T.LD, T.RESP_L1_WASTE) == 4
 
 
 class TestWritebackTraffic:

@@ -10,7 +10,12 @@ rung on the machine ``scaled_system`` gives that scale, and prints:
 * ``build_cpu_s`` / ``sim_cpu_s`` -- process CPU time of the trace build
   and of the simulation;
 * ``peak_rss_mib`` -- this process's peak resident set after the run
-  (``ru_maxrss``), so run each measurement in a fresh process.
+  (``ru_maxrss``), so run each measurement in a fresh process;
+* ``l1_words`` / ``l2_words`` / ``mem_words`` -- each waste level's
+  window words (``total_words()``: the words it received after warm-up)
+  and counted words (the sum of its window counts), with the excess.
+  The cache levels count exactly their window words; the memory level
+  also counts warm-up instances settled in the window (ROADMAP item 2).
 
 With ``--top N`` the cell is built and simulated a second time under
 ``tracemalloc``; just before ``SimContext.finalize`` a snapshot is
@@ -62,17 +67,36 @@ def result_digest(result) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def window_words(ctx: SimContext):
+    """``(level, window words, counted words)`` of each waste level."""
+    return [(name, prof.total_words(), sum(prof.counts().values()))
+            for name, prof in (("l1", ctx.l1_prof), ("l2", ctx.l2_prof),
+                               ("mem", ctx.mem_prof))]
+
+
 def run_cell(ns: argparse.Namespace):
-    """Build and simulate the cell; return (result, build_s, sim_s)."""
+    """Build and simulate the cell; return (result, build_s, sim_s,
+    window_words)."""
     scale = SCALES[ns.scale]()
     config = scaled_system(scale)
-    start = time.process_time()
-    workload = build_workload(ns.workload, scale,
-                              num_cores=config.num_tiles, seed=ns.seed)
-    built = time.process_time()
-    result = simulate(workload, ns.protocol, config)
-    done = time.process_time()
-    return result, built - start, done - built
+    levels = []
+    finalize = SimContext.finalize
+
+    def finalize_then_count(ctx):
+        finalize(ctx)
+        levels.extend(window_words(ctx))
+
+    SimContext.finalize = finalize_then_count
+    try:
+        start = time.process_time()
+        workload = build_workload(ns.workload, scale,
+                                  num_cores=config.num_tiles, seed=ns.seed)
+        built = time.process_time()
+        result = simulate(workload, ns.protocol, config)
+        done = time.process_time()
+    finally:
+        SimContext.finalize = finalize
+    return result, built - start, done - built, levels
 
 
 def top_sites(ns: argparse.Namespace) -> None:
@@ -120,7 +144,7 @@ def main(argv=None) -> int:
     if ns.top < 0:
         parser.error("--top must be non-negative")
 
-    result, build_s, sim_s = run_cell(ns)
+    result, build_s, sim_s, levels = run_cell(ns)
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"cell {ns.workload} x {ns.protocol} @ {ns.scale} seed {ns.seed}")
     print(f"events {result.events}")
@@ -128,6 +152,11 @@ def main(argv=None) -> int:
     print(f"build_cpu_s {build_s:.2f}")
     print(f"sim_cpu_s {sim_s:.2f}")
     print(f"peak_rss_mib {peak_rss:.1f}")
+    for name, window, counted in levels:
+        excess = counted - window
+        share = 100.0 * excess / window if window else 0.0
+        print(f"{name}_words window {window} counted {counted} "
+              f"excess {excess:+d} ({share:+.1f}%)")
     sys.stdout.flush()
     if ns.top:
         del result
