@@ -312,6 +312,32 @@ class TestTimeline:
 
 
 # ----------------------------------------------------------------------
+# Sweep progress reporting
+# ----------------------------------------------------------------------
+
+class TestSweepTelemetry:
+    def test_cache_hits_marked_on_second_sweep(self, tmp_path):
+        """The second sweep of a stored cell reports it to the progress
+        callback, and returns it, as served from the cache."""
+        from repro.runner.jobs import expand_grid
+        from repro.runner.pool import sweep
+        from repro.runner.store import ResultStore
+        store = ResultStore(tmp_path / "cache")
+        specs = expand_grid(["radix"], ["MESI"], ScaleConfig.tiny())
+        first = sweep(specs, jobs=1, store=store)
+        assert not first[0].from_cache
+        seen = []
+        second = sweep(specs, jobs=1, store=store,
+                       progress=lambda outcome, done, total:
+                       seen.append((outcome, done, total)))
+        assert [(o.from_cache, done, total) for o, done, total in seen] \
+            == [(True, 1, 1)]
+        assert second[0].from_cache
+        assert second[0].status() == "cached"
+        assert second[0].result == first[0].result
+
+
+# ----------------------------------------------------------------------
 # CLI integration
 # ----------------------------------------------------------------------
 
