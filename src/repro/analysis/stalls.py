@@ -110,10 +110,11 @@ def collect_stall_profiles(workload: str, scale, protocols, config,
 
     One trace build serves every rung, and each rung makes one
     ``simulate()`` call, in order.  A rung whose result ``simulate()``
-    would copy from a rung already observed here (the two run event for
-    event alike, see :func:`~repro.core.simulator.reused_from`) takes
-    that copy and a copy of that rung's profile under its own name.
-    Every other rung is observed; use the tiny scale for interactive
+    would copy from a rung already observed here (no flag the two rungs
+    differ on acted in that rung's run, so the two run event for event
+    alike, see :func:`~repro.core.simulator.reused_from`) takes that
+    copy and a copy of that rung's profile under its own name.  Every
+    other rung is observed; use the tiny scale for interactive
     turnaround.
     """
     from repro.core import simulator

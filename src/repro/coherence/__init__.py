@@ -8,7 +8,8 @@
   MESI) and :class:`DenovoSystem` (word-granular DeNovo), each a state
   machine on the kernel.  ``ProtocolConfig.kind`` picks the core, and
   each core copies the rung's optimisation flags it reads into
-  attributes when it is built.
+  attributes when it is built and records which of them acted in the
+  run (``CoherenceKernel.acted``).
 """
 
 from repro.coherence.denovo import DenovoSystem

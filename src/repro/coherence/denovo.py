@@ -35,6 +35,14 @@ Optimizations (paper Section 3.1), one flag each:
   memory responses skip the L2 entirely; Bloom-filter-guarded requests
   go straight from the L1 to the memory controller.
 
+Every read of a flag attribute witnesses the flag (see
+``CoherenceKernel.acted``): ``bypass_l2_response`` acts at an address
+in a ``bypass_l2`` region (in ``load`` only with request bypass, whose
+branch it gates there), ``flex_l1``/``flex_l2`` at an address with a
+Flex pattern, ``mem_to_l1`` at a memory response bound for the L2,
+``l2_write_validate`` at an L2 write miss and ``l2_dirty_wb_only`` at
+an L2 writeback with clean words.
+
 Message continuations use the closure-free scheduling convention
 (``handler, *args`` with the arrival time appended as the last
 argument); the hot load/store/registration/fill paths allocate no
@@ -186,6 +194,13 @@ class DenovoSystem(CoherenceKernel):
     l1_line_cls = DenovoL1Line
     l2_line_cls = DenovoL2Line
 
+    WITNESSED = frozenset((
+        "mem_to_l1", "l2_write_validate", "l2_dirty_wb_only", "flex_l1",
+        "flex_l2", "bypass_l2_response"))
+    # Request bypass builds the Bloom banks, whose counters are part of
+    # the result.
+    ALWAYS_ACTING = frozenset(("bypass_l2_request",))
+
     def __init__(self, ctx: SimContext) -> None:
         super().__init__(ctx)
         cfg = ctx.config
@@ -282,10 +297,10 @@ class DenovoSystem(CoherenceKernel):
                               on_done=on_done)
         if line is None:
             self._protected[core].add(line_addr)
-        # Only bypass rungs pay the region-table walk here.
-        bypassed = (self._bypass_response
-                    and self.ctx.regions.should_bypass(addr))
-        if bypassed and self._bypass_request:
+        # Without request bypass both branches send the request to the
+        # L2, so only request bypass makes this a read of the response
+        # bypass flag.
+        if self._bypass_request and self._bypasses(addr):
             self._bypass_request_path(request, at)
         else:
             self._send_req_ctl(
@@ -455,6 +470,7 @@ class DenovoSystem(CoherenceKernel):
         entry = self.l2[home].lookup(line_addr)
         if entry is None:
             entry = self._reserve_l2(home, line_addr)
+            self.acted.add("l2_write_validate")
             if self._l2_fetch_on_write:
                 # Baseline L2 fetch-on-write: a write miss at the L2
                 # fetches the whole line from memory (store traffic).
@@ -685,8 +701,7 @@ class DenovoSystem(CoherenceKernel):
         subset reports -1 and takes the word path.
         """
         l2 = self.l2[home]
-        region = (self.ctx.regions.flex_region_for(addr) if self._flex_l1
-                  else None)
+        region = self._flex_region(addr, self._flex_l1, "flex_l1")
         if region is None:
             # ``addr``'s own line (whose slice is ``home``): one probe
             # per candidate word.
@@ -771,8 +786,7 @@ class DenovoSystem(CoherenceKernel):
         """Words a cache-to-cache response carries from the owner L1,
         with their line as in :meth:`_gather_l2_words`."""
         l1_owner = self.l1[owner]
-        region = (self.ctx.regions.flex_region_for(addr) if self._flex_l1
-                  else None)
+        region = self._flex_region(addr, self._flex_l1, "flex_l1")
         if region is None:
             line_addr = addr >> 4
             line = l1_owner.lookup(line_addr, False)
@@ -817,7 +831,7 @@ class DenovoSystem(CoherenceKernel):
         ctx = self.ctx
         addr = req.addr
         line_addr = line_of(addr)
-        bypassed = self._bypass_response and ctx.regions.should_bypass(addr)
+        bypassed = self._bypasses(addr)
         req.went_to_memory = True
         req.t_home_depart = t
         req.served_by = SERVED_MEMORY
@@ -895,8 +909,7 @@ class DenovoSystem(CoherenceKernel):
         dram = ctx.dram_for(line_addr)
 
         # Which lines to fetch and which words to send.
-        flex_region = (ctx.regions.flex_region_for(addr) if self._flex_l2
-                       else None)
+        flex_region = self._flex_region(addr, self._flex_l2, "flex_l2")
         if flex_region is not None:
             wanted = self._flex_words(flex_region, addr)
             lines = []
@@ -955,6 +968,27 @@ class DenovoSystem(CoherenceKernel):
         self._mc_respond(req, home, mc, send_words, fill_l2, t,
                          completes=completes)
 
+    def _bypasses(self, addr: int) -> bool:
+        """Whether a load of ``addr`` bypasses the L2.  Witnesses
+        ``bypass_l2_response``, which acts at an address in a
+        ``bypass_l2`` region."""
+        if self._bypass_response or "bypass_l2_response" not in self.acted:
+            if self.ctx.regions.should_bypass(addr):
+                self.acted.add("bypass_l2_response")
+                return self._bypass_response
+        return False
+
+    def _flex_region(self, addr: int, on: bool, flag: str):
+        """``addr``'s Flex region when the rung's ``flag`` is ``on``,
+        else None.  Witnesses ``flag``, which acts at an address in a
+        region with a Flex pattern."""
+        if on or flag not in self.acted:
+            region = self.ctx.regions.flex_region_for(addr)
+            if region is not None:
+                self.acted.add(flag)
+                return region if on else None
+        return None
+
     def _flex_words(self, region, addr: int) -> List[int]:
         """The Flex region's field words around ``addr``, requested word
         first when it is not itself a field."""
@@ -1004,7 +1038,9 @@ class DenovoSystem(CoherenceKernel):
         if not fill_l2:
             self._send_l1_leg(req, line_addr, words, insts, completes, mc,
                               t)
-        elif self._mem_to_l1:
+            return
+        self.acted.add("mem_to_l1")
+        if self._mem_to_l1:
             # Parallel transfer to the L1 and the L2.
             self._send_l1_leg(req, line_addr, words, insts, completes, mc,
                               t)
@@ -1168,6 +1204,7 @@ class DenovoSystem(CoherenceKernel):
         entry = self.l2[home].lookup(line_addr)
         if entry is None:
             entry = self._reserve_l2(home, line_addr)
+            self.acted.add("l2_write_validate")
             if self._l2_fetch_on_write:
                 self._fetch_line_for_write(entry, home, t)
         base = base_word(line_addr)
@@ -1231,6 +1268,8 @@ class DenovoSystem(CoherenceKernel):
             # ships the whole line and unmodified words die as Waste
             # (Figure 5.1d, Mem Waste).
             n_dirty = dirty.bit_count()
+            if n_dirty < WORDS_PER_LINE:
+                self.acted.add("l2_dirty_wb_only")
             self._send_wb(home, mc, at,
                           n_dirty if self._l2_dirty_wb_only
                           else WORDS_PER_LINE, n_dirty, T.DEST_MEM,

@@ -13,7 +13,8 @@ whichever protocol it runs:
 * the waste-profiler touchpoints of the L1 fast path (load-hit use and
   memory-instance accounting);
 * the explicit :meth:`stats` protocol consumed by ``System._collect``
-  (replacing the old ``dir()``-scan over ``stat_*`` attributes).
+  (replacing the old ``dir()``-scan over ``stat_*`` attributes);
+* the run's acted flags (:attr:`CoherenceKernel.acted`).
 
 Protocol cores (:class:`~repro.coherence.mesi.MesiSystem`,
 :class:`~repro.coherence.denovo.DenovoSystem`) subclass the kernel and
@@ -25,7 +26,7 @@ repeated attribute chains.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.cache.sa_cache import CacheLine, SetAssocCache
 from repro.common.addressing import OFFSET_MASK as _OFFSET_MASK
@@ -44,8 +45,20 @@ class CoherenceKernel:
     l1_line_cls = CacheLine
     l2_line_cls = CacheLine
 
+    #: The ``ProtocolConfig`` flags the core witnesses: at every read of
+    #: such a flag's attribute it adds the flag to :attr:`acted` when
+    #: the flag's other value would have taken the other branch, judged
+    #: from the run's own state.
+    WITNESSED: FrozenSet[str] = frozenset()
+    #: Flags that count as acted in every run, whatever their value.
+    ALWAYS_ACTING: FrozenSet[str] = frozenset()
+
     def __init__(self, ctx: SimContext) -> None:
         self.ctx = ctx
+        # Flags that acted so far.  A run in which none of the flags two
+        # rungs differ on acted is, event for event, the other rung's
+        # run (``simulate()`` copies its result).
+        self.acted: Set[str] = set(self.ALWAYS_ACTING)
         cfg = ctx.config
         num_tiles = cfg.num_tiles
         self.l1: List[SetAssocCache] = [

@@ -19,6 +19,10 @@ module owns the line-granular MESI state machine and reads the
   L2->memory writebacks carry only the dirty words instead of the whole
   line with dirty flags.
 
+Both flags are witnessed (see ``CoherenceKernel.acted``): ``mem_to_l1``
+acts at every memory response and ``dirty_wb_only`` at every writeback
+of a line with clean words.
+
 The protocol is line-granular; per-word dirty bits are tracked only for
 the waste profiler and the writeback Used/Waste split of Figure 5.1d.
 MESI lines carry no per-word coherence state, and a line's memory
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.cache.sa_cache import CacheLine, mask_offsets
+from repro.cache.sa_cache import FULL_MASK, CacheLine, mask_offsets
 from repro.cache.writebuffer import STORE_BUFFER_ENTRIES, StoreBuffer
 from repro.coherence.kernel import CoherenceKernel
 from repro.common.addressing import WORDS_PER_LINE, base_word, line_of
@@ -91,31 +95,20 @@ class MesiL2Line(CacheLine):
         self.waiters: Optional[List[Callable[[int], None]]] = None
 
 
-def _whole_line(word_dirty: int) -> int:
-    """Writeback payload words when the whole line ships."""
-    return WORDS_PER_LINE
-
-
-def _dirty_words_only(word_dirty: int) -> int:
-    """Writeback payload words when just the dirty words ship."""
-    return word_dirty.bit_count()
-
-
 class MesiSystem(CoherenceKernel):
     """All L1s, L2 slices and the directory logic of one MESI machine."""
 
     l1_line_cls = MesiL1Line
     l2_line_cls = MesiL2Line
 
+    WITNESSED = frozenset(("mem_to_l1", "dirty_wb_only"))
+
     def __init__(self, ctx: SimContext) -> None:
         super().__init__(ctx)
         cfg = ctx.config
         proto = ctx.proto
         self.mem_to_l1 = proto.mem_to_l1
-        # Words on the wire of a writeback (L1 and L2->memory), from
-        # the line's dirty mask; the dirty words are the Used ones.
-        self._wb_words = (_dirty_words_only if proto.dirty_wb_only
-                          else _whole_line)
+        self._dirty_wb_only = proto.dirty_wb_only
         self.sbuf = [StoreBuffer(STORE_BUFFER_ENTRIES)
                      for _ in range(cfg.num_tiles)]
         # Deferred store words per (core, line): the mask of offsets
@@ -528,6 +521,7 @@ class MesiSystem(CoherenceKernel):
                         home: int, mc: int, t: int) -> None:
         req.t_leave_mc = t
         insts = self.ctx.mem_prof.fetch_line(base_word(entry.line_addr))
+        self.acted.add("mem_to_l1")
         if self.mem_to_l1:
             self._mc_respond_direct_l1(req, entry, home, mc, t, insts)
         else:
@@ -624,6 +618,7 @@ class MesiSystem(CoherenceKernel):
         line_addr = entry.line_addr
         base = base_word(line_addr)
         insts = ctx.mem_prof.fetch_line(base)
+        self.acted.add("mem_to_l1")
         if self.mem_to_l1:
             # Write fill skips the L2 entirely: the writeback will
             # overwrite it (Section 3.3).
@@ -836,6 +831,16 @@ class MesiSystem(CoherenceKernel):
             self._send_wb(home, mc, at, self._wb_words(dirty),
                           dirty.bit_count(), T.DEST_MEM, self._wb_to_dram,
                           line_addr)
+
+    def _wb_words(self, dirty: int) -> int:
+        """Words on the wire of a writeback (L1 and L2->memory) of a line
+        whose dirty mask is ``dirty``; the dirty words are the Used
+        ones.  Witnesses ``dirty_wb_only``, which acts when the line
+        has clean words."""
+        if dirty == FULL_MASK:
+            return WORDS_PER_LINE
+        self.acted.add("dirty_wb_only")
+        return dirty.bit_count() if self._dirty_wb_only else WORDS_PER_LINE
 
     def _fill_l2_data(self, entry: MesiL2Line, home: int,
                       insts: range) -> None:

@@ -145,9 +145,12 @@ class ProtocolConfig:
 
     def enabled_flags(self) -> tuple:
         """Names of the optimization flags this rung turns on."""
-        return tuple(f.name for f in fields(self)
-                     if f.name not in ("name", "kind")
-                     and getattr(self, f.name))
+        return tuple(flag for flag in PROTOCOL_FLAGS if getattr(self, flag))
+
+
+#: Every optimization flag of ``ProtocolConfig``, in field order.
+PROTOCOL_FLAGS = tuple(f.name for f in fields(ProtocolConfig)
+                       if f.name not in ("name", "kind"))
 
 
 def _mesi(name: str, **flags) -> ProtocolConfig:

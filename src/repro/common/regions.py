@@ -119,14 +119,23 @@ class RegionTable:
     """Region lookup table held by every cache controller.
 
     Regions may not overlap.  Lookups by address use binary search over the
-    sorted region bases; lookups by id are direct.
+    sorted region bases; lookups by id are direct.  The table counts the
+    regions that carry a Flex pattern and those marked ``bypass_l2``,
+    through every :meth:`update`, so an annotation lookup on a table
+    without that annotation returns at once.
     """
 
     def __init__(self, regions: Iterable[Region] = ()) -> None:
         self._by_id: Dict[int, Region] = {}
         self._sorted: List[Region] = []
+        self._n_flex = 0
+        self._n_bypass = 0
         for region in regions:
             self.add(region)
+
+    def _count(self, region: Region, sign: int) -> None:
+        self._n_flex += sign * (region.flex is not None)
+        self._n_bypass += sign * bool(region.bypass_l2)
 
     def add(self, region: Region) -> None:
         if region.region_id in self._by_id:
@@ -139,6 +148,7 @@ class RegionTable:
         self._by_id[region.region_id] = region
         self._sorted.append(region)
         self._sorted.sort(key=lambda r: r.base_word)
+        self._count(region, 1)
 
     def __len__(self) -> int:
         return len(self._by_id)
@@ -174,6 +184,8 @@ class RegionTable:
         out = RegionTable()
         out._by_id = dict(self._by_id)
         out._sorted = list(self._sorted)
+        out._n_flex = self._n_flex
+        out._n_bypass = self._n_bypass
         return out
 
     def update(self, region_id: int, *, flex=_UNSET, bypass_l2=_UNSET) -> Region:
@@ -195,13 +207,19 @@ class RegionTable:
         new = _replace(old, **changes)
         self._by_id[region_id] = new
         self._sorted[self._sorted.index(old)] = new
+        self._count(old, -1)
+        self._count(new, 1)
         return new
 
     def should_bypass(self, word_addr: int) -> bool:
+        if not self._n_bypass:
+            return False
         region = self.find(word_addr)
         return region is not None and region.bypass_l2
 
     def flex_region_for(self, word_addr: int) -> Optional[Region]:
+        if not self._n_flex:
+            return None
         region = self.find(word_addr)
         if region is not None and region.flex is not None:
             return region

@@ -210,7 +210,9 @@ class TrafficLedger:
         flit-hops against its handle; the unfilled remainder of the last
         flit is charged to response control (per paper Section 5.2).
         Returns the number of data flits in the payload (for latency
-        computation).
+        computation).  Handles that end past the destination level's
+        verdict pool (a stale range, or the other level's handles) raise
+        ``ValueError``.
         """
         if major is not LD and major is not ST:
             self._check(major, (LD, ST))
@@ -222,12 +224,16 @@ class TrafficLedger:
         n_words = len(handles)
         if n_words == 0:
             return 0
+        to_l2 = 1 if dest == DEST_L2 else 0
+        if handles.stop > len(self._verdicts[to_l2]):
+            raise ValueError(f"data handles {handles!r} end past the "
+                             f"{dest} pool")
         if n_words > _MAX_WORDS or hops > _MAX_HOPS:
             raise ValueError(f"{n_words} words over {hops} hops does not "
                              f"fit a deferred data record")
         self._deferred.append(pack_data_record(
             handles.start, n_words, hops,
-            (2 if major == ST else 0) | (1 if dest == DEST_L2 else 0)))
+            (2 if major == ST else 0) | to_l2))
         data_flits = -(-n_words // WORDS_PER_FLIT)
         slack_words = data_flits * WORDS_PER_FLIT - n_words
         if slack_words:

@@ -168,7 +168,8 @@ class Workload:
     warmup_barriers: int = 0
     description: str = ""
     num_barriers: int = field(init=False, repr=False, compare=False)
-    #: simulated run results by behaviour key, kept by
+    #: simulated runs by (rung, machine): each run's result and the
+    #: flags that acted in it, kept by
     #: :func:`repro.core.simulator.simulate` for reuse across rungs.
     results: Dict[tuple, object] = field(
         default_factory=dict, init=False, repr=False, compare=False)

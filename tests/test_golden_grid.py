@@ -9,9 +9,10 @@ counters and the event count.
 
 ``tools/gen_golden_grid.py`` simulates every cell on its own freshly
 built workload, while these tests run a kernel's nine rungs on one
-workload, where ``simulate()`` returns a lower rung's result for rungs
-the kernel's annotations never exercise.  So the snapshot also checks
-every reused result against an independent simulation.
+workload, where ``simulate()`` returns a lower rung's result for a rung
+whose added flags never acted in that rung's run.  So the snapshot also
+checks every reused result against an independent simulation, and the
+same memoized grid pins which cells reuse.
 
 The window conservation audit runs every cell through ``System`` on its
 own (no rung reuse) and checks each waste level's window: its counts
@@ -30,13 +31,14 @@ explain why in the commit message.
 
 import json
 from pathlib import Path
-from typing import Dict
+from typing import Dict, List
+from unittest import mock
 
 import pytest
 
 from repro.common.config import (
     PROTOCOL_ORDER, ScaleConfig, protocol, scaled_system)
-from repro.core.simulator import simulate
+from repro.core.simulator import reused_from, simulate
 from repro.core.system import System
 from repro.runner.store import result_to_dict
 from repro.waste.profiler import PENDING
@@ -48,20 +50,72 @@ GOLDEN = json.loads(GOLDEN_PATH.read_text())["grid"]
 SCALE = ScaleConfig.tiny()
 CONFIG = scaled_system(SCALE)
 
-# Each workload's cells are simulated once and shared by the bit-identity
-# and event-count tests (simulation is deterministic, so this is pure
-# memoization, not state leakage between tests).
+#: Tiny-grid cells that copy a lower rung's result, and that rung: the
+#: rungs whose added flags never acted in that rung's run.
+REUSED = {
+    ("fluidanimate", "DFlexL1"): "DeNovo",
+    ("fluidanimate", "DFlexL2"): "DMemL1",
+    ("fluidanimate", "DBypL2"): "DMemL1",
+    ("LU", "DFlexL1"): "DeNovo",
+    ("LU", "DValidateL2"): "DeNovo",
+    ("LU", "DFlexL2"): "DMemL1",
+    ("LU", "DBypL2"): "DMemL1",
+    ("FFT", "DFlexL1"): "DeNovo",
+    ("FFT", "DValidateL2"): "DeNovo",
+    ("FFT", "DFlexL2"): "DMemL1",
+    ("radix", "DFlexL1"): "DeNovo",
+    ("radix", "DFlexL2"): "DMemL1",
+    ("barnes", "DBypL2"): "DFlexL2",
+    ("kD-tree", "DValidateL2"): "DeNovo",
+}
+
+# Each workload's cells are simulated once and shared by the bit-identity,
+# event-count and reuse tests (simulation is deterministic, so this is
+# pure memoization, not state leakage between tests).
 _RESULTS: Dict[str, Dict[str, dict]] = {}
+#: Per workload: each cell's ``reused_from`` and the rungs ``System.run``
+#: simulated, in order.
+_REUSED: Dict[str, Dict[str, str]] = {}
+_RUNS: Dict[str, List[str]] = {}
 
 
 def _grid_results(workload_name: str) -> Dict[str, dict]:
     cells = _RESULTS.get(workload_name)
     if cells is None:
         workload = build_workload(workload_name, SCALE)
-        cells = _RESULTS[workload_name] = {
-            proto: result_to_dict(simulate(workload, proto, CONFIG))
-            for proto in PROTOCOL_ORDER}
+        runs = _RUNS[workload_name] = []
+        reused = _REUSED[workload_name] = {}
+        run = System.run
+
+        def counting_run(self, *args, **kwargs):
+            runs.append(self.proto.name)
+            return run(self, *args, **kwargs)
+
+        cells = {}
+        with mock.patch.object(System, "run", counting_run):
+            for proto in PROTOCOL_ORDER:
+                source = reused_from(workload, proto, CONFIG)
+                if source is not None:
+                    reused[proto] = source
+                cells[proto] = result_to_dict(
+                    simulate(workload, proto, CONFIG))
+        _RESULTS[workload_name] = cells
     return cells
+
+
+def test_tiny_grid_reuses_exactly_the_inert_rungs():
+    """A cold tiny grid copies the 14 cells whose added flags never
+    acted in a lower rung's run, and simulates the other 40."""
+    reused = {}
+    runs = 0
+    for name in WORKLOAD_ORDER:
+        _grid_results(name)
+        reused.update({(name, proto): source
+                       for proto, source in _REUSED[name].items()})
+        assert set(_RUNS[name]) == set(PROTOCOL_ORDER) - set(_REUSED[name])
+        runs += len(_RUNS[name])
+    assert reused == REUSED
+    assert runs == 54 - len(REUSED) == 40
 
 
 def test_golden_covers_the_full_paper_grid():

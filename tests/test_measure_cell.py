@@ -6,7 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.common.config import ScaleConfig, protocol, scaled_system
+from repro.common.config import (
+    PROTOCOL_FLAGS, ScaleConfig, protocol, scaled_system)
 from repro.core.system import System
 from repro.runner.store import result_to_dict
 from repro.workloads import build_workload
@@ -15,13 +16,15 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "measure_cell.py"
 
 
 def test_measure_cell_prints_events_digest_time_and_top_sites():
+    """The printed figures equal those of a direct ``System`` run,
+    acted flags included."""
     proc = subprocess.run(
         [sys.executable, str(TOOL), "--workload", "stream",
          "--protocol", "MESI", "--scale", "tiny", "--top", "3"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    fields = dict(line.split(" ", 1) for line in lines[:6])
+    fields = dict(line.split(" ", 1) for line in lines[:7])
     assert fields["cell"] == "stream x MESI @ tiny seed 12345"
 
     scale = ScaleConfig.tiny()
@@ -34,12 +37,16 @@ def test_measure_cell_prints_events_digest_time_and_top_sites():
                       separators=(",", ":"))
     assert int(fields["events"]) == result.events
     assert fields["digest"] == hashlib.sha256(text.encode()).hexdigest()
+    acted = system.proto_sys.acted
+    assert acted, "a cell that reads no memory is no check"
+    assert fields["acted_flags"].split() == [
+        flag for flag in PROTOCOL_FLAGS if flag in acted]
     for key in ("build_cpu_s", "sim_cpu_s", "peak_rss_mib"):
         assert float(fields[key]) >= 0.0
 
     ctx = system.ctx
     levels = (("l1", ctx.l1_prof), ("l2", ctx.l2_prof), ("mem", ctx.mem_prof))
-    for line, (level, prof) in zip(lines[6:9], levels):
+    for line, (level, prof) in zip(lines[7:10], levels):
         name, _, window, _, counted, _, excess, share = line.split()
         assert name == f"{level}_words"
         assert int(window) == prof.total_words() > 0
@@ -47,7 +54,7 @@ def test_measure_cell_prints_events_digest_time_and_top_sites():
         assert int(excess) == int(counted) - int(window)
         assert share.startswith("(") and share.endswith("%)")
 
-    assert lines[9].startswith("tracemalloc live_at_finalize_mib ")
-    sites = lines[10:]
+    assert lines[10].startswith("tracemalloc live_at_finalize_mib ")
+    sites = lines[11:]
     assert [site.split(".")[0].strip() for site in sites] == ["1", "2", "3"]
     assert all(" MiB " in site and ".py:" in site for site in sites)

@@ -2,19 +2,27 @@
 
 Hypothesis generates small random multi-core traces; every protocol must
 complete them and satisfy the accounting invariants regardless of the
-interleaving of loads, stores and barriers.
+interleaving of loads, stores and barriers.  With random region
+annotations and phase updates added, every result ``simulate()`` copies
+from another rung must equal a direct simulation.
 """
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+import dataclasses
 
-from repro.common.config import protocol
+import pytest
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from repro.common.config import PROTOCOLS, protocol
+from repro.common.regions import FlexPattern, Region
+from repro.core import simulator
 from repro.core.system import System
 from repro.network import traffic as T
+from repro.runner.store import result_to_dict
 from repro.waste.profiler import Category
+from repro.workloads import RegionUpdate
 from repro.workloads.trace import OP_BARRIER, OP_COMPUTE, OP_LOAD, OP_STORE
 
-from tests.conftest import TINY_SYSTEM, micro_workload
+from tests.conftest import TINY_SYSTEM, make_region_table, micro_workload
 
 # Addresses spread over 64 lines so evictions and sharing both occur in
 # the tiny 1KB L1s.
@@ -84,3 +92,63 @@ class TestRandomWorkloads:
         """A single core never suffers Invalidate waste under MESI."""
         result = run({5: trace}, "MESI")
         assert result.l1_waste[Category.INVALIDATE] == 0
+
+
+# ----------------------------------------------------------------------
+# Rung reuse: a copied result equals a direct simulation
+# ----------------------------------------------------------------------
+
+#: The micro traces' 1024 words, split into two regions.
+HALF = 512
+
+flex_pattern = st.one_of(st.none(), st.builds(
+    lambda stride, offsets, prefetch: FlexPattern(
+        stride, tuple(sorted({o % stride for o in offsets})), prefetch),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=0, max_value=7), min_size=1,
+             max_size=4),
+    st.integers(min_value=0, max_value=2)))
+
+
+@st.composite
+def annotated_workloads(draw):
+    """Two phases of random traces over two regions, each with a random
+    Flex pattern and ``bypass_l2`` mark, and random updates of both at
+    the barrier between the phases."""
+    first, second = draw(workload_ops), draw(workload_ops)
+    ops = {core: first.get(core, []) + [(OP_BARRIER, 0)]
+           + second.get(core, []) for core in set(first) | set(second)}
+    regions = make_region_table(*(
+        Region(region_id=rid, name=f"r{rid}", base_word=rid * HALF,
+               size_words=HALF, bypass_l2=draw(st.booleans()),
+               flex=draw(flex_pattern))
+        for rid in (0, 1)))
+    updates = [RegionUpdate(rid, flex=draw(flex_pattern),
+                            bypass_l2=draw(st.one_of(st.none(),
+                                                     st.booleans())))
+               for rid in draw(st.lists(st.sampled_from((0, 1)),
+                                        max_size=2, unique=True))]
+    workload = micro_workload(ops, regions=regions,
+                              written_regions=[frozenset({0, 1})] * 2)
+    return dataclasses.replace(workload, phase_region_updates={0: updates})
+
+
+class TestRungReuse:
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(annotated_workloads(), st.permutations(list(PROTOCOLS)))
+    def test_every_copy_equals_a_direct_run(self, workload, order):
+        """Every rung, MESI and DeNovo, in a random order: each result
+        ``simulate()`` copies equals a direct ``System`` run."""
+        copies = 0
+        for name in order:
+            source = simulator.reused_from(workload, name, TINY_SYSTEM)
+            result = simulator.simulate(workload, name, TINY_SYSTEM)
+            assert result.protocol == name
+            if source is None:
+                continue
+            copies += 1
+            direct = System(workload, protocol(name), TINY_SYSTEM).run()
+            assert result_to_dict(result) == result_to_dict(direct), (
+                f"{name} copied from {source}")
+        event(f"copies: {copies}")

@@ -119,6 +119,24 @@ class TestRegionTable:
         assert not t.get(0).bypass_l2
         assert c.get(0).bypass_l2
 
+    def test_annotation_lookups_follow_updates_and_clones(self):
+        """The table's count of annotated regions, which lets a lookup
+        on a table without the annotation return at once, follows every
+        update, and a clone keeps it."""
+        t = RegionTable([Region(0, "a", 0, 64), Region(1, "b", 64, 64)])
+        flex = FlexPattern(4, (0,))
+        assert t.flex_region_for(70) is None and not t.should_bypass(70)
+        t.update(1, flex=flex, bypass_l2=True)
+        assert t.flex_region_for(70) is t.get(1)
+        assert t.should_bypass(70) and not t.should_bypass(10)
+        c = t.clone()
+        t.update(1, flex=None, bypass_l2=False)
+        assert t.flex_region_for(70) is None and not t.should_bypass(70)
+        assert c.flex_region_for(70) is c.get(1) and c.should_bypass(70)
+        c.update(0, bypass_l2=True)
+        c.update(1, bypass_l2=False)
+        assert c.should_bypass(10) and not c.should_bypass(70)
+
     @given(st.lists(st.integers(min_value=1, max_value=50),
                     min_size=1, max_size=20))
     def test_find_matches_linear_scan(self, sizes):

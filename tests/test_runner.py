@@ -333,7 +333,7 @@ class TestExecution:
                     for o in outcomes}
 
         assert reuse(parallel) == reuse(serial)
-        assert sum(o.reused_from is not None for o in serial) == 5
+        assert sum(o.reused_from is not None for o in serial) == 8
         for a, b in zip(parallel, serial):
             assert result_to_dict(a.result) == result_to_dict(b.result)
 
@@ -401,14 +401,16 @@ class TestCLI:
     def test_sweep_names_lu_rung_reuse(self, tmp_path, jobs):
         """LU has no Flex pattern and no bypass region, so the three
         rungs that add only those optimisations reuse a lower rung's
-        result, and ``sweep()``'s outcomes say which: the same cells
-        serially and in a process pool."""
+        result; L2 write-validate and dirty-words-only L2 writebacks
+        never act in tiny LU's DeNovo run, so DValidateL2 reuses it
+        too.  ``sweep()``'s outcomes say which: the same cells serially
+        and in a process pool."""
         outcomes = sweep(expand_grid(["LU"], PROTOCOL_ORDER, TINY),
                          jobs=jobs, store=ResultStore(tmp_path))
         reused = {o.spec.protocol: o.reused_from for o in outcomes
                   if o.reused_from is not None}
-        assert reused == {"DFlexL1": "DeNovo", "DFlexL2": "DMemL1",
-                          "DBypL2": "DMemL1"}
+        assert reused == {"DFlexL1": "DeNovo", "DValidateL2": "DeNovo",
+                          "DFlexL2": "DMemL1", "DBypL2": "DMemL1"}
 
     def test_progress_printer_eta(self):
         """The ETA is the mean wall time per completed cell so far times

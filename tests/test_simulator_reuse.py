@@ -1,45 +1,36 @@
 """Result reuse across rungs in :func:`repro.core.simulator.simulate`.
 
-A rung whose added optimisation the workload never exercises (Flex
-without a Flex pattern, L2 response bypass without a ``bypass_l2``
-region) runs event for event like a lower rung, so ``simulate()``
-returns a copy of that rung's result.  These tests pin which cells
-reuse, that a copy equals a fresh simulation, and every case that must
-still simulate.  The reused cells' values are also checked by
-``tests/test_golden_grid.py``, whose snapshot simulates every cell.
+Each protocol core records which of its rung's flags acted in a run: at
+some read of the flag, its other value would have taken the other
+branch.  A later rung of the same kind on the same machine that differs
+from a simulated one only in flags that never acted in that run runs
+event for event like it, so ``simulate()`` returns a copy of its
+result.  These tests check that a copy equals a fresh simulation, every
+case that must still simulate, and that every flag is witnessed.
+``tests/test_golden_grid.py`` pins which tiny-grid cells reuse and
+checks their values against a snapshot that simulates every cell.
 """
 
 import dataclasses
+import itertools
+from dataclasses import fields
 
 import pytest
 
 import repro.core.simulator as simulator
-from repro.common.config import PROTOCOL_ORDER, ScaleConfig, scaled_system
+from repro.coherence import DenovoSystem, MesiSystem
+from repro.common.config import (
+    PROTOCOL_FLAGS, PROTOCOL_ORDER, ProtocolConfig, ScaleConfig, protocol)
 from repro.common.regions import FlexPattern, Region
-from repro.core.stats import RunResult
 from repro.core.system import System
 from repro.obs import ObsSession
 from repro.runner.jobs import expand_grid
 from repro.runner.pool import run_jobs
 from repro.runner.store import result_to_dict
-from repro.workloads import WORKLOAD_ORDER, RegionUpdate, build_workload
+from repro.workloads import RegionUpdate
 from repro.workloads.trace import OP_BARRIER, OP_LOAD, OP_STORE
 
 from tests.conftest import TINY_SYSTEM, make_region_table, micro_workload
-
-#: Tiny-grid cells that reuse a lower rung's result, and that rung.
-REUSED = {
-    ("fluidanimate", "DFlexL1"): "DeNovo",
-    ("fluidanimate", "DFlexL2"): "DMemL1",
-    ("LU", "DFlexL1"): "DeNovo",
-    ("LU", "DFlexL2"): "DMemL1",
-    ("LU", "DBypL2"): "DMemL1",
-    ("FFT", "DFlexL1"): "DeNovo",
-    ("FFT", "DFlexL2"): "DMemL1",
-    ("radix", "DFlexL1"): "DeNovo",
-    ("radix", "DFlexL2"): "DMemL1",
-    ("barnes", "DBypL2"): "DFlexL2",
-}
 
 
 @pytest.fixture
@@ -54,43 +45,6 @@ def runs(monkeypatch):
 
     monkeypatch.setattr(System, "run", counting_run)
     return calls
-
-
-class _StubSystem:
-    """Stands in for ``System`` where only the reuse decision matters:
-    reuse reads the workload's annotations, never a simulated value."""
-
-    built = []
-
-    def __init__(self, workload, proto, config, obs=None):
-        self.workload, self.proto = workload, proto
-
-    def run(self):
-        self.built.append((self.workload.name, self.proto.name))
-        return RunResult(workload=self.workload.name,
-                         protocol=self.proto.name, traffic={},
-                         l1_waste={}, l2_waste={}, mem_waste={}, time={},
-                         exec_cycles=0, events=0)
-
-
-def test_tiny_grid_reuses_exactly_the_annotation_free_rungs(monkeypatch):
-    scale = ScaleConfig.tiny()
-    config = scaled_system(scale)
-    monkeypatch.setattr(simulator, "System", _StubSystem)
-    monkeypatch.setattr(_StubSystem, "built", [])
-    reused = {}
-    for name in WORKLOAD_ORDER:
-        workload = build_workload(name, scale)
-        for proto in PROTOCOL_ORDER:
-            source = simulator.reused_from(workload, proto, config)
-            result = simulator.simulate(workload, proto, config)
-            assert result.protocol == proto
-            if source is not None:
-                reused[(name, proto)] = source
-    assert reused == REUSED
-    simulated = {(w, p) for w in WORKLOAD_ORDER for p in PROTOCOL_ORDER}
-    assert set(_StubSystem.built) == simulated - set(REUSED)
-    assert len(_StubSystem.built) == 54 - 10
 
 
 def _plain_ops():
@@ -135,7 +89,8 @@ def test_observed_run_stores_its_result_and_always_simulates(runs):
     but never takes a stored one: its observation needs the run."""
     workload = micro_workload(_plain_ops())
     simulator.simulate(workload, "DeNovo", TINY_SYSTEM, obs=ObsSession())
-    assert [r.protocol for r in workload.results.values()] == ["DeNovo"]
+    assert [stored.result.protocol
+            for stored in workload.results.values()] == ["DeNovo"]
     assert simulator.reused_from(workload, "DFlexL1", TINY_SYSTEM) == "DeNovo"
     copied = simulator.simulate(workload, "DFlexL1", TINY_SYSTEM)
     assert runs == ["DeNovo"]
@@ -196,6 +151,45 @@ def test_sweep_marks_reused_cells():
                                     ScaleConfig.tiny()))
     marks = {o.spec.protocol: o.status() for o in outcomes
              if o.reused_from is not None}
-    assert marks == {"DFlexL1": "= DeNovo", "DFlexL2": "= DMemL1",
-                     "DBypL2": "= DMemL1"}
+    assert marks == {"DFlexL1": "= DeNovo", "DValidateL2": "= DeNovo",
+                     "DFlexL2": "= DMemL1", "DBypL2": "= DMemL1"}
     assert outcomes[0].status().endswith("s")
+
+
+def test_untouched_flex_region_still_reuses(runs):
+    """A Flex pattern on a region no load reaches never acts: DFlexL1
+    copies DeNovo, and the copy equals a fresh simulation."""
+    regions = make_region_table(
+        Region(region_id=0, name="data", base_word=0, size_words=4096),
+        Region(region_id=1, name="cold", base_word=4096, size_words=4096,
+               flex=FlexPattern(4, (0, 1))))
+    workload = micro_workload(_plain_ops(), regions=regions)
+    simulator.simulate(workload, "DeNovo", TINY_SYSTEM)
+    copied = simulator.simulate(workload, "DFlexL1", TINY_SYSTEM)
+    assert runs == ["DeNovo"]
+    fresh = System(workload, protocol("DFlexL1"), TINY_SYSTEM).run()
+    assert result_to_dict(copied) == result_to_dict(fresh)
+
+
+@pytest.mark.parametrize("kind, core_cls", [("mesi", MesiSystem),
+                                            ("denovo", DenovoSystem)])
+def test_every_flag_a_rung_can_set_is_witnessed(kind, core_cls):
+    """Reuse trusts a core's record of acted flags, so every flag some
+    rung of the kind can turn on must be witnessed by its core or
+    always count as acted.  A new flag read without a witness fails
+    here instead of letting ``simulate()`` copy across it."""
+    assert PROTOCOL_FLAGS == tuple(
+        f.name for f in fields(ProtocolConfig)
+        if isinstance(f.default, bool))
+    settable = set()
+    for values in itertools.product((False, True),
+                                    repeat=len(PROTOCOL_FLAGS)):
+        flags = dict(zip(PROTOCOL_FLAGS, values))
+        try:
+            ProtocolConfig(name="probe", kind=kind, **flags)
+        except ValueError:
+            continue
+        settable.update(flag for flag, on in flags.items() if on)
+    covered = core_cls.WITNESSED | core_cls.ALWAYS_ACTING
+    assert settable - covered == set()
+    assert covered <= settable

@@ -151,14 +151,31 @@ class TestDeferredRecords:
         assert T.unpack_data_record(record) == (start, n_words, hops, code)
 
     def test_ledger_packs_the_message(self):
-        led = T.TrafficLedger()
+        """A start past 32 bits packs too (see the round trip above);
+        the ledger takes only handles inside its destination pool."""
+        pools = WastePools()
         n_words = MAX_MESSAGE_WORDS
-        start = 2**32 + 5
+        start = 5
+        pools.l2_cat.extend(bytes(start + n_words))
+        led = T.TrafficLedger(pools)
         flits = led.add_data_words(T.ST, T.DEST_L2, 14,
                                    range(start, start + n_words))
         assert flits == n_words // 4
         assert [T.unpack_data_record(r) for r in led._deferred] == [
             (start, n_words, 14, 3)]
+
+    def test_handles_past_the_destination_pool_rejected(self):
+        """A stale range used to finalize to 4.0 flit-hops of L2 Waste."""
+        with pytest.raises(ValueError, match="past the l2 pool"):
+            T.TrafficLedger().add_data_words(T.LD, T.DEST_L2, 4,
+                                             range(100, 104))
+
+    def test_other_levels_handles_rejected(self):
+        words = Words("L1")
+        led = words.ledger()
+        handles = span([words.used() for _ in range(4)])
+        with pytest.raises(ValueError, match="past the l2 pool"):
+            led.add_data_words(T.LD, T.DEST_L2, 1, handles)
 
     @pytest.mark.parametrize("handles", [[0, 1, 2, 3], (0, 1),
                                          range(0, 8, 2), range(3, 0, -1)])
@@ -168,8 +185,10 @@ class TestDeferredRecords:
             led.add_data_words(T.LD, T.DEST_L1, 2, handles)
 
     def test_oversized_message_rejected(self):
-        led = T.TrafficLedger()
-        with pytest.raises(ValueError):
+        pools = WastePools()
+        pools.l1_cat.extend(bytes(256))
+        led = T.TrafficLedger(pools)
+        with pytest.raises(ValueError, match="does not fit"):
             led.add_data_words(T.LD, T.DEST_L1, 2, range(256))
 
     def test_record_order_changes_no_bucket(self):

@@ -7,6 +7,10 @@ rung on the machine ``scaled_system`` gives that scale, and prints:
 * ``events`` -- the run's ``RunResult.events``;
 * ``digest`` -- sha256 of ``result_to_dict`` serialized as sorted,
   compact JSON, so two commits that simulate identically print the same;
+* ``acted_flags`` -- the ``ProtocolConfig`` flags that acted in the run,
+  in field order (``-`` for none).  ``simulate()`` copies this run's
+  result to a later rung of the same kind only when every flag the two
+  rungs differ on is missing here;
 * ``build_cpu_s`` / ``sim_cpu_s`` -- process CPU time of the trace build
   and of the simulation;
 * ``peak_rss_mib`` -- this process's peak resident set after the run
@@ -46,7 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 sys.path.insert(0, str(SRC))
 
-from repro.common.config import ScaleConfig, scaled_system  # noqa: E402
+from repro.common.config import (  # noqa: E402
+    PROTOCOL_FLAGS, ScaleConfig, protocol, scaled_system)
 from repro.core.context import SimContext  # noqa: E402
 from repro.core.simulator import simulate  # noqa: E402
 from repro.runner.jobs import DEFAULT_SEED  # noqa: E402
@@ -76,7 +81,7 @@ def window_words(ctx: SimContext):
 
 def run_cell(ns: argparse.Namespace):
     """Build and simulate the cell; return (result, build_s, sim_s,
-    window_words)."""
+    window_words, acted_flags)."""
     scale = SCALES[ns.scale]()
     config = scaled_system(scale)
     levels = []
@@ -96,7 +101,9 @@ def run_cell(ns: argparse.Namespace):
         done = time.process_time()
     finally:
         SimContext.finalize = finalize
-    return result, built - start, done - built, levels
+    acted = workload.results[(protocol(ns.protocol), config)].acted
+    return (result, built - start, done - built, levels,
+            [flag for flag in PROTOCOL_FLAGS if flag in acted])
 
 
 def top_sites(ns: argparse.Namespace) -> None:
@@ -144,11 +151,12 @@ def main(argv=None) -> int:
     if ns.top < 0:
         parser.error("--top must be non-negative")
 
-    result, build_s, sim_s, levels = run_cell(ns)
+    result, build_s, sim_s, levels, acted = run_cell(ns)
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"cell {ns.workload} x {ns.protocol} @ {ns.scale} seed {ns.seed}")
     print(f"events {result.events}")
     print(f"digest {result_digest(result)}")
+    print(f"acted_flags {' '.join(acted) or '-'}")
     print(f"build_cpu_s {build_s:.2f}")
     print(f"sim_cpu_s {sim_s:.2f}")
     print(f"peak_rss_mib {peak_rss:.1f}")
