@@ -4,12 +4,13 @@ Job keys and cache-file names must be identical across processes and
 Python versions, so hashing goes through a canonical JSON serialization
 (never ``hash()``, which is salted per process).  Dataclass configs are
 flattened to sorted ``(field, value)`` pairs before hashing so field
-declaration order never leaks into the key.
+declaration order never leaks into the key.  ``hashlib`` (and with it
+OpenSSL) loads with the first key, so a command that never computes one
+does not map it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, is_dataclass
 
@@ -33,5 +34,7 @@ def stable_hash(payload, length: int = KEY_LENGTH) -> str:
     result, so bump the store's ``GRID_VERSION`` instead if the payload
     shape must change.
     """
+    import hashlib
+
     blob = json.dumps(payload)
     return hashlib.sha256(blob.encode()).hexdigest()[:length]

@@ -16,6 +16,7 @@ annotation the paper's optimizations consume:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -118,8 +119,10 @@ class Region:
 class RegionTable:
     """Region lookup table held by every cache controller.
 
-    Regions may not overlap.  Lookups by address use binary search over the
-    sorted region bases; lookups by id are direct.  The table counts the
+    Regions may not overlap.  Lookups by address bisect a list of the
+    sorted region bases and read the parallel list of their ends (base
+    and size never change, so only :meth:`add` rebuilds the two lists);
+    lookups by id are direct.  The table counts the
     regions that carry a Flex pattern and those marked ``bypass_l2``,
     through every :meth:`update`, so an annotation lookup on a table
     without that annotation returns at once.
@@ -128,6 +131,8 @@ class RegionTable:
     def __init__(self, regions: Iterable[Region] = ()) -> None:
         self._by_id: Dict[int, Region] = {}
         self._sorted: List[Region] = []
+        self._bases: List[int] = []
+        self._ends: List[int] = []
         self._n_flex = 0
         self._n_bypass = 0
         for region in regions:
@@ -148,6 +153,9 @@ class RegionTable:
         self._by_id[region.region_id] = region
         self._sorted.append(region)
         self._sorted.sort(key=lambda r: r.base_word)
+        # New lists, not in-place edits: clones share them.
+        self._bases = [r.base_word for r in self._sorted]
+        self._ends = [r.end_word for r in self._sorted]
         self._count(region, 1)
 
     def __len__(self) -> int:
@@ -167,16 +175,9 @@ class RegionTable:
 
     def find(self, word_addr: int) -> Optional[Region]:
         """Region containing ``word_addr``, or None."""
-        lo, hi = 0, len(self._sorted) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            region = self._sorted[mid]
-            if word_addr < region.base_word:
-                hi = mid - 1
-            elif word_addr >= region.end_word:
-                lo = mid + 1
-            else:
-                return region
+        i = bisect_right(self._bases, word_addr) - 1
+        if i >= 0 and word_addr < self._ends[i]:
+            return self._sorted[i]
         return None
 
     def clone(self) -> "RegionTable":
@@ -184,6 +185,8 @@ class RegionTable:
         out = RegionTable()
         out._by_id = dict(self._by_id)
         out._sorted = list(self._sorted)
+        out._bases = self._bases
+        out._ends = self._ends
         out._n_flex = self._n_flex
         out._n_bypass = self._n_bypass
         return out

@@ -13,7 +13,9 @@ split loses no reuse and gives the pool twice as many tasks to spread.
 Either way a cell's result and its ``reused_from`` do not depend on
 ``jobs``.  Only the small specs cross the pipe; workers rebuild the
 trace locally (generators are seeded, so every rebuild is
-bit-identical), and no trace outlives its task.
+bit-identical), and no trace outlives its task.  ``multiprocessing``
+and ``concurrent.futures`` load with the first pool, so a serial sweep
+and the commands that never sweep do not pay for them.
 
 Crash handling: a worker dying (OOM-kill, segfaulting C extension,
 interpreter abort) breaks the pool and fails every in-flight task.  A
@@ -31,9 +33,7 @@ consume.
 from __future__ import annotations
 
 import gc
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
@@ -120,6 +120,8 @@ def _tasks(specs: Sequence[JobSpec], by_kind: bool) -> List[List[int]]:
 
 
 def _pool_context():
+    import multiprocessing
+
     # fork skips re-importing the simulator in every worker and is
     # available on every POSIX platform; fall back to the default
     # (spawn) elsewhere.
@@ -138,6 +140,8 @@ def _run_pool_round(specs: Sequence[JobSpec], tasks: List[List[int]],
     whole task and count one attempt against each of its cells; the
     caller decides whether to retry.
     """
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     failed: List[List[int]] = []
     ex = ProcessPoolExecutor(max_workers=min(jobs, len(tasks)),
                              mp_context=_pool_context())

@@ -137,17 +137,34 @@ class TestRegionTable:
         c.update(1, bypass_l2=False)
         assert c.should_bypass(10) and not c.should_bypass(70)
 
-    @given(st.lists(st.integers(min_value=1, max_value=50),
-                    min_size=1, max_size=20))
-    def test_find_matches_linear_scan(self, sizes):
-        alloc = RegionAllocator()
-        for i, size in enumerate(sizes):
-            alloc.alloc(f"r{i}", size)
-        table = alloc.table
-        top = max(r.end_word for r in table) + 32
-        for addr in range(0, top, 7):
-            expected = next((r for r in table if r.contains(addr)), None)
-            assert table.find(addr) is expected
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=40),
+                              st.integers(min_value=1, max_value=40)),
+                    min_size=1, max_size=20),
+           st.randoms(use_true_random=False),
+           st.lists(st.integers(min_value=0, max_value=2000), max_size=30))
+    def test_find_matches_linear_scan(self, layout, rnd, words):
+        """Regions added in any order, adjacent or apart, are found at
+        every boundary word and at random words exactly as a scan finds
+        them; so are a clone's, after an annotation update and an added
+        region that the original must not see."""
+        regions, base = [], 0
+        for i, (gap, size) in enumerate(layout):
+            base += gap
+            regions.append(Region(i, f"r{i}", base, size))
+            base += size
+        rnd.shuffle(regions)
+        table = RegionTable(regions)
+        clone = table.clone()
+        clone.update(regions[0].region_id, bypass_l2=True)
+        clone.add(Region(len(layout), "extra", base + 1, 8))
+        probes = set(words)
+        for r in clone:
+            probes.update((r.base_word - 1, r.base_word,
+                           r.end_word - 1, r.end_word))
+        for t in (table, clone):
+            for addr in probes:
+                expected = next((r for r in t if r.contains(addr)), None)
+                assert t.find(addr) is expected
 
 
 class TestRegionAllocator:
