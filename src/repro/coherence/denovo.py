@@ -355,8 +355,8 @@ class DenovoSystem(CoherenceKernel):
         """Barrier-time work: self-invalidation and Bloom shadow clears."""
         ctx = self.ctx
         find = ctx.regions.find
-        l1_invalidate = ctx.l1_prof.on_invalidate
-        mem_drop = ctx.mem_prof.drop_copy
+        l1_invalidate = ctx.l1_prof.on_invalidate_mask
+        mem_drop = ctx.mem_prof.drop_copies
         for core in range(ctx.config.num_tiles):
             for line in self.l1[core].resident_lines():
                 clean = line.valid & ~line.reg
@@ -366,13 +366,10 @@ class DenovoSystem(CoherenceKernel):
                 region = find(base)
                 if region is None or region.region_id not in written_regions:
                     continue
-                offsets = mask_offsets(clean)
-                for off in offsets:
-                    l1_invalidate(core, base + off)
-                for inst in line.take_insts(clean):
-                    mem_drop(inst, invalidated=True)
+                l1_invalidate(core, base, clean)
+                mem_drop(line.take_insts(clean), invalidated=True)
                 line.valid = line.reg
-                self.stat_self_invalidated_words += len(offsets)
+                self.stat_self_invalidated_words += clean.bit_count()
         for shadow in self.l1_blooms:
             shadow.clear()
 
@@ -1252,10 +1249,9 @@ class DenovoSystem(CoherenceKernel):
                 self._send_wb(owner, mc, at, n_words, n_words,
                               T.DEST_MEM, self._wb_to_dram, line_addr)
             held = oline.valid
-            for off in mask_offsets(held):
-                ctx.l1_prof.on_invalidate(owner, base + off)
-            for inst in oline.take_insts(held):
-                ctx.mem_prof.drop_copy(inst, invalidated=True)
+            ctx.l1_prof.on_invalidate_mask(owner, base, held)
+            ctx.mem_prof.drop_copies(oline.take_insts(held),
+                                     invalidated=True)
             oline.valid = oline.reg = oline.word_dirty = oline.inst_mask = 0
             self.wct[owner].pop(line_addr)
         # Profile the L2 copies and write dirty words back.

@@ -103,12 +103,13 @@ class Region:
         if rel < 0 or rel >= self.size_words:
             raise ValueError("address outside region")
         first = self.flex.element_index(rel)
+        end = self.end_word
         words: List[int] = []
         last_element = (self.size_words - 1) // self.flex.stride_words
         for element in range(first, min(first + 1 + self.flex.prefetch_elements,
                                         last_element + 1)):
             for word in self.flex.words_for_element(self.base_word, element):
-                if word >= self.end_word:
+                if word >= end:
                     continue
                 words.append(word)
                 if len(words) == max_words:

@@ -23,10 +23,13 @@ so a tiny-grid cell's hundred thousand word instances cost no object
 each.  A message's data words get consecutive handles, so traffic
 accounting keeps one packed integer per data message (its first handle
 and word count) and resolves them through the pool after finalization.
-The profilers' live state is flat arrays too: a cache level keeps one
-``array('q')`` row of 16 handles per resident line, and the memory
+The profilers' live state is flat too: a cache level keeps one row of
+16 handles per resident line (the fill's own ``range`` of handles, or
+an ``array('q')`` once single words arrive into it), and the memory
 level one ``array('i')`` entry per word of the run's regions, so
-neither holds a boxed int per tracked word.
+neither holds a boxed int per tracked word.  A whole line's fill,
+eviction or invalidation settles its 16 verdicts, and installs or
+drops its 16 copy counts, with one ``bytes`` operation each.
 
 One profiler per level counts for the whole run.  The measurement
 window (everything after warm-up) is a mark, not a fresh object:
@@ -38,8 +41,9 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
+from repro.cache.sa_cache import FULL_MASK, mask_offsets
 from repro.common.addressing import WORDS_PER_LINE
 
 
@@ -75,7 +79,14 @@ C_UNEVICTED = _CODE[Category.UNEVICTED]
 C_EXCESS = _CODE[Category.EXCESS]
 
 _LINE_PENDING = bytes(WORDS_PER_LINE)
-_LINE_NO_REFS = array("h", [0] * WORDS_PER_LINE)
+#: One verdict byte per code, to fill a row's pending bytes with.
+_CODE_BYTE = tuple(bytes((code,)) for code in range(len(_BY_CODE)))
+
+#: ``bytes.translate`` tables that add one copy to, and take one copy
+#: from, each count of a slice of ``WastePools.mem_refs``.  Their
+#: entries at 255 and 0 are never used: the callers raise first.
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
+_MINUS_ONE = b"\xff" + bytes(range(255))
 
 #: An empty slot of a cache profiler's active row, and of the memory
 #: profiler's pending index.
@@ -92,10 +103,13 @@ class WastePools:
     ``l1_cat`` and ``l2_cat`` hold the verdict of each L1 and L2 handle,
     one pool per level, so a level's handles from its window mark on are
     exactly its window's words; ``mem_cat``/``mem_refs``/``mem_addr`` hold
-    each memory instance's verdict, on-chip copy count (16-bit) and word
-    address (32-bit: a word address of 2**31 or more overflows loudly).
-    Verdicts are one byte each in a ``bytearray``, whose ``count(code,
-    start)`` histograms a window without copying it.  The traffic ledger
+    each memory instance's verdict, on-chip copy count and word address
+    (32-bit: a word address of 2**31 or more overflows loudly).
+    Verdicts and copy counts are one byte each in a ``bytearray``:
+    ``count(code, start)`` histograms a window without copying it, and a
+    line's 16 bytes change with one slice operation.  A copy count is at
+    most one per L1 plus one for the L2 (65 on an 8x8 machine); a count
+    past 255 or below 0 raises ``ValueError``.  The traffic ledger
     resolves its data records through the two cache pools.
     """
 
@@ -105,7 +119,7 @@ class WastePools:
         self.l1_cat = bytearray()
         self.l2_cat = bytearray()
         self.mem_cat = bytearray()
-        self.mem_refs = array("h")
+        self.mem_refs = bytearray()
         self.mem_addr = array("i")
 
 
@@ -132,13 +146,21 @@ class CacheLevelProfiler:
                      else self.pools.l2_cat)
         # Active handles are stored per cache *line*: the key is
         # ``(line << 6) | unit`` (unit ids fit in 6 bits, <= 64 tiles)
-        # and the value a 16-slot ``array('q')`` of per-word handles,
-        # NO_HANDLE in an empty slot.  Line-granular protocol events then
-        # cost one dict operation per line instead of 16, an int key
-        # hashes for free where a tuple would be allocated and hashed on
-        # every FSM event, and a resident line costs one array of 16
-        # machine words, not a list of 16 boxed ints.
-        self._active: Dict[int, array] = {}
+        # and the value a row of 16 per-word handles.  Line-granular
+        # protocol events then cost one dict operation per line instead
+        # of 16, and an int key hashes for free where a tuple would be
+        # allocated and hashed on every FSM event.
+        #
+        # Only a slot's pending handle matters: a settled handle acts as
+        # an empty slot in every event, so a word evicted or invalidated
+        # alone is settled and its slot left as it is.  A row that
+        # ``arrivals_line`` makes is the fill's own ``range`` of 16
+        # handles, shared, not copied; its pending handles are then
+        # exactly the line's active ones, so it settles as one slice of
+        # the pool.  Every other row is a 16-slot ``array('q')``,
+        # NO_HANDLE in an empty slot; a single word arriving into a range
+        # row first copies it into one.
+        self._active: Dict[int, Sequence[int]] = {}
         # First handle of the measurement window.
         self._start = 0
 
@@ -147,9 +169,12 @@ class CacheLevelProfiler:
         self._start = len(self._cat)
 
     def _row_for(self, line_key: int) -> array:
+        """The line's active row as an array, to store a handle in."""
         row = self._active.get(line_key)
         if row is None:
             row = self._active[line_key] = _EMPTY_ROW[:]
+        elif row.__class__ is range:
+            row = self._active[line_key] = array("q", row)
         return row
 
     # -- FSM events --------------------------------------------------------
@@ -195,30 +220,26 @@ class CacheLevelProfiler:
             self._cat[handle] = C_WRITE
 
     def on_evict(self, unit: int, word: int) -> None:
+        """The word left the cache (its settled handle stays in the row,
+        where it acts as an empty slot)."""
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        slot = word & 15
-        handle = row[slot]
-        if handle < 0:
-            return
-        if self._cat[handle] == PENDING:
+        handle = row[word & 15]
+        if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_EVICT
-        row[slot] = NO_HANDLE
 
     def on_invalidate(self, unit: int, word: int) -> None:
+        """The word was invalidated (its settled handle stays in the
+        row, where it acts as an empty slot)."""
         if self.level == "L2":
             raise RuntimeError("the L2 FSM has no invalidate transition")
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        slot = word & 15
-        handle = row[slot]
-        if handle < 0:
-            return
-        if self._cat[handle] == PENDING:
+        handle = row[word & 15]
+        if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_INVALIDATE
-        row[slot] = NO_HANDLE
 
     # -- bulk line-granular events --------------------------------------
     # One call and one active-dict operation per 16-word line instead of
@@ -230,8 +251,7 @@ class CacheLevelProfiler:
         """``on_arrival(unit, word, False)`` for one full line's words.
 
         The handles of one line are consecutive, so they are returned as
-        a ``range``; the active row is a separate array whose slots the
-        later events clear.
+        a ``range``, which is also the line's new active row.
         """
         cat = self._cat
         h0 = len(cat)
@@ -239,11 +259,8 @@ class CacheLevelProfiler:
         line_key = (base << 2) | unit
         old_row = self._active.get(line_key)
         if old_row is not None:
-            for old in old_row:
-                if old >= 0 and cat[old] == PENDING:
-                    cat[old] = C_FETCH
-        handles = range(h0, h0 + WORDS_PER_LINE)
-        self._active[line_key] = array("q", handles)
+            self._settle_row(old_row, C_FETCH)
+        handles = self._active[line_key] = range(h0, h0 + WORDS_PER_LINE)
         return handles
 
     def arrivals_words(self, unit: int, words, present_flags) -> range:
@@ -252,7 +269,7 @@ class CacheLevelProfiler:
         The words get consecutive handles, returned as a ``range``.
         """
         cat = self._cat
-        active = self._active
+        row_for = self._row_for
         h0 = len(cat)
         last_key = -1
         row = None
@@ -264,9 +281,7 @@ class CacheLevelProfiler:
             cat.append(PENDING)
             line_key = ((word >> 4) << 6) | unit
             if line_key != last_key:
-                row = active.get(line_key)
-                if row is None:
-                    row = active[line_key] = _EMPTY_ROW[:]
+                row = row_for(line_key)
                 last_key = line_key
             slot = word & 15
             old = row[slot]
@@ -312,6 +327,23 @@ class CacheLevelProfiler:
         if row is not None:
             self._settle_row(row, C_INVALIDATE)
 
+    def on_invalidate_mask(self, unit: int, base: int, mask: int) -> None:
+        """``on_invalidate`` over the words of the line at ``base`` whose
+        bits are set in ``mask`` (bit ``i`` is word ``base + i``)."""
+        if mask == FULL_MASK:
+            self.on_invalidate_line(unit, base)
+            return
+        if self.level == "L2":
+            raise RuntimeError("the L2 FSM has no invalidate transition")
+        row = self._active.get((base << 2) | unit)
+        if row is None:
+            return
+        cat = self._cat
+        for slot in mask_offsets(mask):
+            handle = row[slot]
+            if handle >= 0 and cat[handle] == PENDING:
+                cat[handle] = C_INVALIDATE
+
     def finalize(self) -> None:
         """Classify all still-resident pending words as Unevicted."""
         for row in self._active.values():
@@ -335,9 +367,16 @@ class CacheLevelProfiler:
         return len(self._cat) - self._start
 
     # -- internals -------------------------------------------------------------
-    def _settle_row(self, row: array, code: int) -> None:
+    def _settle_row(self, row: Sequence[int], code: int) -> None:
         """Classify every pending handle of an active row as ``code``."""
         cat = self._cat
+        if row.__class__ is range:
+            # One fill's consecutive handles (see ``__init__``).
+            start, stop = row.start, row.stop
+            seg = cat[start:stop]
+            if PENDING in seg:
+                cat[start:stop] = seg.replace(b"\0", _CODE_BYTE[code])
+            return
         for handle in row:
             if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = code
@@ -426,14 +465,16 @@ class MemoryProfiler:
         return handle
 
     def install_copy(self, handle: int) -> None:
-        """A cache installed a copy of this instance."""
+        """A cache installed a copy of this instance (past 255 copies
+        raises ``ValueError``)."""
         self._refs[handle] += 1
 
     def drop_copy(self, handle: int, *, invalidated: bool) -> None:
-        """A cache lost its copy (eviction or invalidation)."""
+        """A cache lost its copy (eviction or invalidation); dropping a
+        copy that was never installed raises ``ValueError``."""
         refs = self._refs
         refs[handle] -= 1
-        if refs[handle] <= 0 and self._cat[handle] == PENDING:
+        if not refs[handle] and self._cat[handle] == PENDING:
             self._settle_pending(
                 handle, C_INVALIDATE if invalidated else C_EVICT)
 
@@ -472,7 +513,7 @@ class MemoryProfiler:
         end = base + WORDS_PER_LINE
         self._addr.extend(range(base, end))
         cat.extend(_LINE_PENDING)
-        self._refs.extend(_LINE_NO_REFS)
+        self._refs.extend(_LINE_PENDING)
         handles = range(h0, h0 + WORDS_PER_LINE)
         by_addr = self._pending_by_addr
         if 0 <= base and end <= self._span and by_addr[base:end] == _NO_LINE:
@@ -485,23 +526,53 @@ class MemoryProfiler:
         return handles
 
     def install_copies(self, handles) -> None:
-        """``install_copy`` for every non-None handle in ``handles``."""
+        """``install_copy`` for every non-None handle in ``handles``.
+
+        A ``range`` (a fill's line) is one ``translate`` of its counts,
+        which raises before changing any if one is already 255.
+        """
         refs = self._refs
+        if handles.__class__ is range:
+            start, stop = handles.start, handles.stop
+            seg = refs[start:stop]
+            if 255 in seg:
+                raise ValueError("a memory instance has 255 on-chip copies")
+            refs[start:stop] = seg.translate(_PLUS_ONE)
+            return
         for handle in handles:
             if handle is not None:
                 refs[handle] += 1
 
     def drop_copies(self, handles, *, invalidated: bool) -> None:
-        """``drop_copy`` for every non-None handle in ``handles``."""
+        """``drop_copy`` for every non-None handle in ``handles``.
+
+        A ``range`` (a fill's line) is one ``translate`` of its counts,
+        which raises before changing any if one is already 0; then only
+        the words whose count reached 0 are looked at.
+        """
         code = C_INVALIDATE if invalidated else C_EVICT
         cat = self._cat
         refs = self._refs
         settle = self._settle_pending
+        if handles.__class__ is range:
+            start, stop = handles.start, handles.stop
+            seg = refs[start:stop]
+            if 0 in seg:
+                raise ValueError("a memory instance has no on-chip copy "
+                                 "to drop")
+            seg = refs[start:stop] = seg.translate(_MINUS_ONE)
+            off = seg.find(0)
+            while off >= 0:
+                handle = start + off
+                if cat[handle] == PENDING:
+                    settle(handle, code)
+                off = seg.find(0, off + 1)
+            return
         for handle in handles:
             if handle is None:
                 continue
             refs[handle] -= 1
-            if refs[handle] <= 0 and cat[handle] == PENDING:
+            if not refs[handle] and cat[handle] == PENDING:
                 settle(handle, code)
 
     def finalize(self) -> None:

@@ -8,17 +8,48 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.network import traffic as T
 from repro.waste.profiler import (
     _BY_CODE, C_EVICT, C_EXCESS, C_FETCH, C_INVALIDATE, C_UNEVICTED, C_USED,
-    C_WRITE, NO_HANDLE, CacheLevelProfiler, Category, MemoryProfiler,
-    WastePools)
+    C_WRITE, NO_HANDLE, PENDING, CacheLevelProfiler, Category,
+    MemoryProfiler, WastePools)
+
+
+MODEL_SETTINGS = settings(max_examples=100, deadline=None,
+                          suppress_health_check=[HealthCheck.too_slow])
+
+#: The scalar event each line call loops over the line's words, for a
+#: profiler or a reference model.
+_SCALAR_OF_LINE = {
+    "arrivals_line": lambda p, unit, word: p.on_arrival(unit, word, False),
+    "on_use_line": lambda p, unit, word: p.on_use(unit, word),
+    "on_evict_line": lambda p, unit, word: p.on_evict(unit, word),
+    "on_invalidate_line": lambda p, unit, word: p.on_invalidate(unit, word),
+}
 
 
 def active_rows(p: CacheLevelProfiler):
-    """``{line_key: [handle or None] * 16}`` for every row that holds a
-    handle (an emptied row and a dropped one look the same)."""
-    return {key: [None if handle == NO_HANDLE else handle
-                  for handle in row]
-            for key, row in p._active.items()
-            if any(handle != NO_HANDLE for handle in row)}
+    """``{line_key: [pending handle or None] * 16}`` for every row that
+    holds a pending handle.
+
+    A row's pending handles are all of its future behaviour: a settled
+    handle in a slot acts as an empty one in every event, so an emptied
+    row, a dropped one and a fill's ``range`` whose words were settled
+    one by one all look the same.
+    """
+    cat = p._cat
+    view = {}
+    for key, row in p._active.items():
+        slots = [handle if handle >= 0 and cat[handle] == PENDING else None
+                 for handle in row]
+        if any(handle is not None for handle in slots):
+            view[key] = slots
+    return view
+
+
+def row_forms_ok(p: CacheLevelProfiler) -> bool:
+    """Every active row is a 16-slot ``array('q')`` or a fill's
+    16-handle unit-step ``range``."""
+    return all((type(row) is array and row.typecode == "q"
+                or type(row) is range and row.step == 1)
+               and len(row) == 16 for row in p._active.values())
 
 
 def pending_by_addr(p: MemoryProfiler):
@@ -183,6 +214,9 @@ class TestL2Fsm:
         p = CacheLevelProfiler("L2")
         with pytest.raises(RuntimeError):
             p.on_invalidate(3, 100)
+        for mask in (1, 0xFFFF):
+            with pytest.raises(RuntimeError):
+                p.on_invalidate_mask(3, 96, mask)
 
     def test_level_validation(self):
         with pytest.raises(ValueError):
@@ -290,6 +324,60 @@ class TestMemoryFsm:
         p.on_store_addr(7)
         assert p.category(b) is Category.WRITE
         assert p.count(Category.WRITE) == 1
+
+    def test_installing_past_255_copies_raises(self):
+        """A copy count is one byte; the scalar call, a list and a
+        fill's range all raise rather than wrap, and change nothing."""
+        p = MemoryProfiler()
+        line = p.fetch_line(0)
+        for _ in range(254):
+            p.install_copies(line)
+        p.install_copy(line[3])
+        with pytest.raises(ValueError):
+            p.install_copy(line[3])
+        with pytest.raises(ValueError):
+            p.install_copies([line[3]])
+        # One full count stops the whole line.
+        with pytest.raises(ValueError):
+            p.install_copies(line)
+        assert list(p.pools.mem_refs) == [254] * 3 + [255] + [254] * 12
+        p.install_copies(line[4:])
+        assert list(p.pools.mem_refs) == [254] * 3 + [255] * 13
+
+    def test_dropping_a_copy_never_installed_raises(self):
+        """The scalar call, a list and a fill's range all raise rather
+        than count below zero, and settle nothing."""
+        p = MemoryProfiler()
+        line = p.fetch_line(0)
+        with pytest.raises(ValueError):
+            p.drop_copy(line[0], invalidated=False)
+        with pytest.raises(ValueError):
+            p.drop_copies([line[0]], invalidated=True)
+        p.install_copies(line[1:])
+        # One word without a copy stops the whole line.
+        with pytest.raises(ValueError):
+            p.drop_copies(line, invalidated=False)
+        assert list(p.pools.mem_refs) == [0] + [1] * 15
+        assert all(p.category(handle) is None for handle in line)
+        p.drop_copies(line[1:], invalidated=True)
+        assert p.count(Category.INVALIDATE) == 15
+        assert p.category(line[0]) is None
+
+    def test_line_drop_settles_only_words_that_lose_their_last_copy(self):
+        p = MemoryProfiler()
+        line = p.fetch_line(0)
+        p.install_copies(line)
+        p.install_copies(line)
+        p.on_load(line[1])
+        p.drop_copy(line[2], invalidated=False)
+        p.drop_copies(line, invalidated=True)
+        assert p.category(line[0]) is None
+        assert p.category(line[1]) is Category.USED
+        assert p.category(line[2]) is Category.INVALIDATE
+        assert p.count(Category.INVALIDATE) == 1
+        p.drop_copies(line[3:], invalidated=False)
+        assert p.count(Category.EVICT) == 13
+        assert list(p.pools.mem_refs) == [1, 1] + [0] * 14
 
     @pytest.mark.parametrize("addr", [2**31, 2**33])
     def test_word_address_beyond_32_bits_fails_loudly(self, addr):
@@ -424,14 +512,7 @@ class TestBulkEqualsScalar:
                 active_rows(p))
 
     @pytest.mark.parametrize("older", [False, True])
-    @pytest.mark.parametrize("bulk, scalar", [
-        ("arrivals_line", lambda p, unit, word: p.on_arrival(unit, word,
-                                                             False)),
-        ("on_use_line", lambda p, unit, word: p.on_use(unit, word)),
-        ("on_evict_line", lambda p, unit, word: p.on_evict(unit, word)),
-        ("on_invalidate_line",
-         lambda p, unit, word: p.on_invalidate(unit, word)),
-    ])
+    @pytest.mark.parametrize("bulk, scalar", list(_SCALAR_OF_LINE.items()))
     def test_cache_line_calls(self, bulk, scalar, older):
         bulk_p = self._cache_profiler(older)
         scalar_p = self._cache_profiler(older)
@@ -479,6 +560,88 @@ class TestBulkEqualsScalar:
         want = [scalar_p.on_arrival(self.UNIT, word, flag)
                 for word, flag in zip(words, present)]
         assert type(got) is range and list(got) == want
+        assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+
+    @pytest.mark.parametrize("older", [False, True])
+    @pytest.mark.parametrize("mask", [0, 1 << 9, 0b1010000000100110, 0xFFFF])
+    def test_on_invalidate_mask(self, older, mask):
+        for fill in (False, True):
+            bulk_p = self._cache_profiler(older)
+            scalar_p = self._cache_profiler(older)
+            if fill:
+                # A range row, one of its words already settled.
+                for p in (bulk_p, scalar_p):
+                    p.arrivals_line(self.UNIT, self.BASE)
+                    p.on_use(self.UNIT, self.BASE + 5)
+            bulk_p.on_invalidate_mask(self.UNIT, self.BASE, mask)
+            for off in range(16):
+                if mask >> off & 1:
+                    scalar_p.on_invalidate(self.UNIT, self.BASE + off)
+            assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+            for p in (bulk_p, scalar_p):
+                p.on_arrival(self.UNIT, self.BASE + 9, already_present=False)
+                p.finalize()
+            assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+
+    @MODEL_SETTINGS
+    @given(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["arrivals_line", "on_use_line",
+                                   "on_evict_line", "on_invalidate_line"]),
+                  st.integers(0, 1)),
+        st.tuples(st.just("on_invalidate_mask"), st.integers(0, 1),
+                  st.integers(0, 0xFFFF)),
+        st.tuples(st.sampled_from(["on_arrival", "on_use", "on_write",
+                                   "on_evict", "on_invalidate"]),
+                  st.integers(0, 1), st.integers(0, 15), st.booleans()),
+        st.tuples(st.just("arrivals_words"), st.integers(0, 1),
+                  st.lists(st.tuples(st.integers(0, 15), st.booleans()),
+                           max_size=5)),
+        st.tuples(st.just("on_use_words"), st.integers(0, 1),
+                  st.lists(st.integers(0, 15), max_size=5)),
+        st.tuples(st.just("finalize"))), max_size=25))
+    def test_range_rows(self, ops):
+        """Single-word events mixed into a fill's ``range`` row, and the
+        row's settles, against the scalar events alone."""
+        bulk_p = self._cache_profiler(older=True)
+        scalar_p = self._cache_profiler(older=True)
+        base = self.BASE
+        for name, *args in [("arrivals_line", 0)] + ops:
+            if name == "finalize":
+                bulk_p.finalize()
+                scalar_p.finalize()
+                continue
+            unit = self.UNIT + args[0]
+            if name in _SCALAR_OF_LINE:
+                got = getattr(bulk_p, name)(unit, base)
+                want = [_SCALAR_OF_LINE[name](scalar_p, unit, word)
+                        for word in range(base, base + 16)]
+                if name == "arrivals_line":
+                    assert list(got) == want
+            elif name == "on_invalidate_mask":
+                bulk_p.on_invalidate_mask(unit, base, args[1])
+                for off in range(16):
+                    if args[1] >> off & 1:
+                        scalar_p.on_invalidate(unit, base + off)
+            elif name == "arrivals_words":
+                words = [base + off for off, _ in args[1]]
+                flags = [flag for _, flag in args[1]]
+                got = bulk_p.arrivals_words(unit, words, flags)
+                assert list(got) == [scalar_p.on_arrival(unit, word, flag)
+                                     for word, flag in zip(words, flags)]
+            elif name == "on_use_words":
+                words = [base + off for off in args[1]]
+                bulk_p.on_use_words(unit, words)
+                for word in words:
+                    scalar_p.on_use(unit, word)
+            else:
+                word = base + args[1]
+                extra = [args[2]] if name == "on_arrival" else []
+                assert (getattr(bulk_p, name)(unit, word, *extra)
+                        == getattr(scalar_p, name)(unit, word, *extra))
+            assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
+            assert row_forms_ok(bulk_p)
+        for p in (bulk_p, scalar_p):
+            p.finalize()
         assert self._cache_state(bulk_p) == self._cache_state(scalar_p)
 
     @pytest.mark.parametrize("older", [False, True])
@@ -577,13 +740,36 @@ class MemoryModel:
     def fetch_line(self, base):
         return [self.fetch(addr, False) for addr in range(base, base + 16)]
 
+    # A copy count is one byte: a call that would take it past 255 or
+    # below 0 raises and changes nothing.  A list of handles is the
+    # calls in turn; a fill's range checks every count first.
     def install_copy(self, handle):
+        if self.refs[handle] == 255:
+            raise ValueError("past 255 copies")
         self.refs[handle] += 1
 
     def drop_copy(self, handle, invalidated):
+        if self.refs[handle] == 0:
+            raise ValueError("no copy to drop")
         self.refs[handle] -= 1
-        if self.refs[handle] <= 0 and self.cat[handle] == 0:
+        if self.refs[handle] == 0 and self.cat[handle] == 0:
             self._settle(handle, C_INVALIDATE if invalidated else C_EVICT)
+
+    def install_copies(self, handles):
+        if type(handles) is range and 255 in self.refs[handles.start:
+                                                         handles.stop]:
+            raise ValueError("past 255 copies")
+        for handle in handles:
+            if handle is not None:
+                self.install_copy(handle)
+
+    def drop_copies(self, handles, invalidated):
+        if type(handles) is range and 0 in self.refs[handles.start:
+                                                       handles.stop]:
+            raise ValueError("no copy to drop")
+        for handle in handles:
+            if handle is not None:
+                self.drop_copy(handle, invalidated)
 
     def on_load(self, handle):
         if self.cat[handle] == 0:
@@ -648,10 +834,14 @@ class CacheModel:
         self.active = {}
 
     def rows(self):
+        """The active handles still pending, as ``active_rows`` shows
+        a profiler's."""
         view = {}
         for (unit, word), handle in self.active.items():
-            row = view.setdefault(((word >> 4) << 6) | unit, [None] * 16)
-            row[word & 15] = handle
+            if self.cat[handle] == 0:
+                row = view.setdefault(((word >> 4) << 6) | unit,
+                                      [None] * 16)
+                row[word & 15] = handle
         return view
 
 
@@ -672,6 +862,10 @@ _mem_ops = st.lists(st.one_of(
     st.tuples(st.just("drop_copy"), _pick, st.booleans()),
     st.tuples(st.just("drop_copies"), st.lists(_pick, max_size=4),
               st.booleans()),
+    # A fill's range: one that fetch_line returned, or any 16 handles.
+    st.tuples(st.just("install_line"), _pick, st.booleans()),
+    st.tuples(st.just("install_line"), _pick, st.booleans()),
+    st.tuples(st.just("drop_line"), _pick, st.booleans(), st.booleans()),
     st.tuples(st.just("on_load"), _pick),
     st.tuples(st.just("on_store_addr"), _mem_addr),
     st.tuples(st.just("on_store_addr"), _any_addr),
@@ -688,6 +882,8 @@ _cache_ops = st.lists(st.one_of(
     st.tuples(st.sampled_from(["arrivals_line", "on_use_line",
                                "on_evict_line", "on_invalidate_line"]),
               _unit, _cache_line),
+    st.tuples(st.just("on_invalidate_mask"), _unit, _cache_line,
+              st.integers(0, 0xFFFF)),
     st.tuples(st.just("arrivals_words"), _unit,
               st.lists(st.tuples(_word, st.booleans()), max_size=6)),
     st.tuples(st.just("on_use_words"), _unit, st.lists(_word, max_size=6)),
@@ -695,16 +891,6 @@ _cache_ops = st.lists(st.one_of(
     st.tuples(st.just("finalize")),
 ), min_size=20, max_size=60)
 
-#: The scalar event each line call loops over the line's words.
-_SCALAR_OF_LINE = {
-    "arrivals_line": lambda m, unit, word: m.on_arrival(unit, word, False),
-    "on_use_line": CacheModel.on_use,
-    "on_evict_line": CacheModel.on_evict,
-    "on_invalidate_line": CacheModel.on_invalidate,
-}
-
-MODEL_SETTINGS = settings(max_examples=100, deadline=None,
-                          suppress_health_check=[HealthCheck.too_slow])
 
 
 class TestReferenceModel:
@@ -730,10 +916,24 @@ class TestReferenceModel:
                 assert p._pending_by_addr[addr] < NO_HANDLE
                 assert len(pending) >= 2
 
+    @staticmethod
+    def _same_or_both_raise(call, model_call) -> None:
+        """Run one copy-count op on the profiler and on the model: the
+        model raising ``ValueError`` means the profiler must too."""
+        try:
+            model_call()
+        except ValueError:
+            with pytest.raises(ValueError):
+                call()
+        else:
+            call()
+
     @MODEL_SETTINGS
     @given(_mem_ops)
     def test_memory_profiler(self, ops):
         p, m = MemoryProfiler(WastePools(), SPAN), MemoryModel()
+        both = self._same_or_both_raise
+        lines = []
         for name, *args in ops:
             if name == "mark":
                 self._check_memory(p, m)
@@ -743,31 +943,50 @@ class TestReferenceModel:
                           "on_store_addr"):
                 got = getattr(p, name)(*args)
                 want = getattr(m, name)(*args)
-                assert (list(got) if name == "fetch_line" else got) == want
+                if name == "fetch_line":
+                    assert list(got) == want
+                    lines.append(got)
+                else:
+                    assert got == want
+            elif name in ("install_line", "drop_line"):
+                pick, fetched, *invalidated = args
+                if fetched and lines:
+                    line = lines[pick % len(lines)]
+                elif len(m.cat) >= 16:
+                    start = pick % (len(m.cat) - 15)
+                    line = range(start, start + 16)
+                else:
+                    continue
+                if name == "install_line":
+                    both(lambda: p.install_copies(line),
+                         lambda: m.install_copies(line))
+                else:
+                    both(lambda: p.drop_copies(
+                        line, invalidated=invalidated[0]),
+                         lambda: m.drop_copies(line, invalidated[0]))
             elif m.cat:
                 picks = [i % len(m.cat) for i in
                          (args[0] if isinstance(args[0], list) else [args[0]])]
-                if name in ("install_copy", "on_load"):
-                    getattr(p, name)(picks[0])
-                    getattr(m, name)(picks[0])
+                if name == "on_load":
+                    p.on_load(picks[0])
+                    m.on_load(picks[0])
+                elif name == "install_copy":
+                    both(lambda: p.install_copy(picks[0]),
+                         lambda: m.install_copy(picks[0]))
                 elif name == "drop_copy":
-                    p.drop_copy(picks[0], invalidated=args[1])
-                    m.drop_copy(picks[0], args[1])
+                    both(lambda: p.drop_copy(picks[0], invalidated=args[1]),
+                         lambda: m.drop_copy(picks[0], args[1]))
                 else:
                     # Bulk calls skip None slots (locally written words).
                     handles = [h if i % 5 else None
                                for h, i in zip(picks, args[0])]
                     if name == "install_copies":
-                        p.install_copies(handles)
+                        both(lambda: p.install_copies(handles),
+                             lambda: m.install_copies(handles))
                     else:
-                        p.drop_copies(handles, invalidated=args[1])
-                    for handle in handles:
-                        if handle is None:
-                            continue
-                        if name == "install_copies":
-                            m.install_copy(handle)
-                        else:
-                            m.drop_copy(handle, args[1])
+                        both(lambda: p.drop_copies(
+                            handles, invalidated=args[1]),
+                             lambda: m.drop_copies(handles, args[1]))
             # The index never grows to fit an address past the span.
             assert len(p._pending_by_addr) == SPAN
         self._check_memory(p, m)
@@ -799,12 +1018,18 @@ class TestReferenceModel:
                 p.on_use_words(*args)
                 for word in args[1]:
                     m.on_use(args[0], word)
+            elif name == "on_invalidate_mask":
+                unit, base, mask = args
+                p.on_invalidate_mask(unit, base, mask)
+                for off in range(16):
+                    if mask >> off & 1:
+                        m.on_invalidate(unit, base + off)
             else:
                 assert getattr(p, name)(*args) == getattr(m, name)(*args)
         assert list(getattr(p.pools, f"{level.lower()}_cat")) == m.cat
         assert p.total_words() == m.total
         assert {cat: n for cat, n in p.counts().items() if n} == {
             _BY_CODE[code]: n for code, n in m.counts.items()}
+        # Each slot's still-pending handle, whatever the row's form.
         assert active_rows(p) == m.rows()
-        assert all(type(row) is array and row.typecode == "q"
-                   and len(row) == 16 for row in p._active.values())
+        assert row_forms_ok(p)
