@@ -18,6 +18,7 @@ Every filter, counting or shadow, uses exactly one H3 hash.
 from __future__ import annotations
 
 import random
+from array import array
 from typing import Sequence
 
 
@@ -30,7 +31,12 @@ class H3Hash:
     Evaluation is table-driven: the per-bit XOR is precomputed into one
     256-entry table per key byte, so a hash costs six table lookups
     instead of up to 48 bit tests (bit-for-bit identical results).
+    Each table is an ``array('I')`` of its 32-bit values, 1 KiB, where a
+    tuple of boxed ints took about 10 KiB: a bypass machine builds 32
+    hashes, one filter hash and one select hash per slice.
     """
+
+    __slots__ = ("_table_size", "_rows", "_byte_tables")
 
     KEY_BITS = 48
 
@@ -50,7 +56,7 @@ class H3Hash:
             for value in range(1, 256):
                 low = value & -value
                 table[value] = table[value ^ low] ^ rows[low.bit_length() - 1]
-            self._byte_tables.append(tuple(table))
+            self._byte_tables.append(array("I", table))
 
     def __call__(self, key: int) -> int:
         t = self._byte_tables
@@ -66,6 +72,8 @@ class H3Hash:
 
 class BloomFilter:
     """Plain (1 bit per entry) Bloom filter used at the L1s."""
+
+    __slots__ = ("_bits", "_hash")
 
     def __init__(self, entries: int, h3: H3Hash) -> None:
         self._bits = bytearray(entries)
@@ -88,7 +96,7 @@ class BloomFilter:
         # One entry per byte, each 0 or 1, so a bytewise OR is an OR of
         # the two buffers read as integers.
         self._bits[:] = (int.from_bytes(self._bits, "little")
-                         | int.from_bytes(bytes(bits), "little")
+                         | int.from_bytes(bits, "little")
                          ).to_bytes(n, "little")
 
     @property
@@ -103,10 +111,12 @@ _NONZERO_TO_ONE = bytes([0]) + bytes([1]) * 255
 class CountingBloomFilter:
     """Counting (8-bit saturating) Bloom filter used at the L2 slices."""
 
-    COUNTER_MAX = 255  # counters fit a byte, as bit_projection requires
+    __slots__ = ("_counters", "_hash")
+
+    COUNTER_MAX = 255  # counters fill a byte of a bytearray
 
     def __init__(self, entries: int, h3: H3Hash) -> None:
-        self._counters = [0] * entries
+        self._counters = bytearray(entries)
         self._hash = h3
 
     def insert(self, key: int) -> None:
@@ -122,9 +132,9 @@ class CountingBloomFilter:
     def may_contain(self, key: int) -> bool:
         return self._counters[self._hash(key)] > 0
 
-    def bit_projection(self) -> bytes:
+    def bit_projection(self) -> bytearray:
         """1-bit view of the counters, the payload of a filter-copy reply."""
-        return bytes(self._counters).translate(_NONZERO_TO_ONE)
+        return self._counters.translate(_NONZERO_TO_ONE)
 
     @property
     def size(self) -> int:
@@ -168,7 +178,7 @@ class SliceFilterBank:
         self.stat_checks += 1
         return self._filters[self.filter_index(line_addr)].may_contain(line_addr)
 
-    def bit_projection(self, filter_index: int) -> bytes:
+    def bit_projection(self, filter_index: int) -> bytearray:
         return self._filters[filter_index].bit_projection()
 
     @property

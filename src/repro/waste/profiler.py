@@ -18,18 +18,21 @@ L2-Flex filtering.
 Classification is *first event wins*: a word instance starts pending and
 receives exactly one terminal category.  Each instance is an integer
 **handle** into the run-lifetime :class:`WastePools`, one byte of verdict
-per handle (plus a reference count and an address for memory instances),
-so a tiny-grid cell's hundred thousand word instances cost no object
-each.  A message's data words get consecutive handles, so traffic
-accounting keeps one packed integer per data message (its first handle
-and word count) and resolves them through the pool after finalization.
-The profilers' live state is flat too: a cache level keeps one row of
-16 handles per resident line (the fill's own ``range`` of handles, or
-an ``array('q')`` once single words arrive into it), and the memory
-level one ``array('i')`` entry per word of the run's regions, so
-neither holds a boxed int per tracked word.  A whole line's fill,
-eviction or invalidation settles its 16 verdicts, and installs or
-drops its 16 copy counts, with one ``bytes`` operation each.
+per handle (plus a one-byte reference count for memory instances), so a
+tiny-grid cell's hundred thousand word instances cost no object each.
+A message's data words get consecutive handles, so traffic accounting
+keeps one packed integer per data message (its first handle and word
+count) and resolves them through the pool after finalization.  The
+profilers' live state is flat too: a cache level keeps one row per
+resident line (the fill's first handle, one int, or a 16-slot
+``array('q')`` once single words arrive into it), and the memory level
+one ``array('i')`` entry per word of the run's regions, so neither
+holds a boxed int per tracked word.  Both are lazy: a settled handle
+left in a row or in the index acts as an empty slot, so settling an
+instance writes its verdict byte and nothing else, and no pool keeps
+an instance's address.  A whole line's fill, eviction or invalidation
+settles its 16 verdicts, and installs or drops its 16 copy counts,
+with one ``bytes`` operation each.
 
 One profiler per level counts for the whole run.  The measurement
 window (everything after warm-up) is a mark, not a fresh object:
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import enum
 from array import array
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set, Union
 
 from repro.cache.sa_cache import FULL_MASK, mask_offsets
 from repro.common.addressing import WORDS_PER_LINE
@@ -93,8 +96,14 @@ _MINUS_ONE = b"\xff" + bytes(range(255))
 NO_HANDLE = -1
 #: Pending-index entry of an address whose instances are in the side dict.
 _SPILLED = -2
+#: The first word address the memory profiler refuses.
+_ADDR_LIMIT = 1 << 31
 _EMPTY_ROW = array("q", [NO_HANDLE] * WORDS_PER_LINE)
 _NO_LINE = array("i", [NO_HANDLE] * WORDS_PER_LINE)
+
+
+def _too_wide(addr: int) -> OverflowError:
+    return OverflowError(f"word address {addr:#x} needs more than 31 bits")
 
 
 class WastePools:
@@ -102,9 +111,10 @@ class WastePools:
 
     ``l1_cat`` and ``l2_cat`` hold the verdict of each L1 and L2 handle,
     one pool per level, so a level's handles from its window mark on are
-    exactly its window's words; ``mem_cat``/``mem_refs``/``mem_addr`` hold
-    each memory instance's verdict, on-chip copy count and word address
-    (32-bit: a word address of 2**31 or more overflows loudly).
+    exactly its window's words; ``mem_cat``/``mem_refs`` hold each memory
+    instance's verdict and on-chip copy count.  No pool keeps an
+    instance's address: only the memory profiler's pending index maps
+    addresses to instances, and only while they may still be pending.
     Verdicts and copy counts are one byte each in a ``bytearray``:
     ``count(code, start)`` histograms a window without copying it, and a
     line's 16 bytes change with one slice operation.  A copy count is at
@@ -113,14 +123,13 @@ class WastePools:
     resolves its data records through the two cache pools.
     """
 
-    __slots__ = ("l1_cat", "l2_cat", "mem_cat", "mem_refs", "mem_addr")
+    __slots__ = ("l1_cat", "l2_cat", "mem_cat", "mem_refs")
 
     def __init__(self) -> None:
         self.l1_cat = bytearray()
         self.l2_cat = bytearray()
         self.mem_cat = bytearray()
         self.mem_refs = bytearray()
-        self.mem_addr = array("i")
 
 
 class CacheLevelProfiler:
@@ -134,6 +143,8 @@ class CacheLevelProfiler:
     ``finalize`` settles every window handle still pending; and a warm-up
     handle, which may still be settled after the mark (its row stays
     active), lies before the window's first handle and is never counted.
+    The active rows are lazy (a settled handle acts as an empty slot),
+    and a whole line's fill is kept as one int, its first handle.
     """
 
     def __init__(self, level: str,
@@ -154,13 +165,13 @@ class CacheLevelProfiler:
         # Only a slot's pending handle matters: a settled handle acts as
         # an empty slot in every event, so a word evicted or invalidated
         # alone is settled and its slot left as it is.  A row that
-        # ``arrivals_line`` makes is the fill's own ``range`` of 16
-        # handles, shared, not copied; its pending handles are then
-        # exactly the line's active ones, so it settles as one slice of
-        # the pool.  Every other row is a 16-slot ``array('q')``,
-        # NO_HANDLE in an empty slot; a single word arriving into a range
-        # row first copies it into one.
-        self._active: Dict[int, Sequence[int]] = {}
+        # ``arrivals_line`` makes is the fill's first handle, one int:
+        # the fill's 16 handles are consecutive, slot ``i`` holds the
+        # first plus ``i``, and the row settles as one slice of the pool.
+        # Every other row is a 16-slot ``array('q')``, NO_HANDLE in an
+        # empty slot; a single word arriving into an int row first
+        # copies the fill's handles into one.
+        self._active: Dict[int, Union[int, array]] = {}
         # First handle of the measurement window.
         self._start = 0
 
@@ -173,8 +184,9 @@ class CacheLevelProfiler:
         row = self._active.get(line_key)
         if row is None:
             row = self._active[line_key] = _EMPTY_ROW[:]
-        elif row.__class__ is range:
-            row = self._active[line_key] = array("q", row)
+        elif row.__class__ is int:
+            row = self._active[line_key] = array(
+                "q", range(row, row + WORDS_PER_LINE))
         return row
 
     # -- FSM events --------------------------------------------------------
@@ -206,7 +218,7 @@ class CacheLevelProfiler:
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        handle = row[word & 15]
+        handle = row + (word & 15) if row.__class__ is int else row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_USED
 
@@ -215,7 +227,7 @@ class CacheLevelProfiler:
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        handle = row[word & 15]
+        handle = row + (word & 15) if row.__class__ is int else row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_WRITE
 
@@ -225,7 +237,7 @@ class CacheLevelProfiler:
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        handle = row[word & 15]
+        handle = row + (word & 15) if row.__class__ is int else row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_EVICT
 
@@ -237,7 +249,7 @@ class CacheLevelProfiler:
         row = self._active.get(((word >> 4) << 6) | unit)
         if row is None:
             return
-        handle = row[word & 15]
+        handle = row + (word & 15) if row.__class__ is int else row[word & 15]
         if handle >= 0 and self._cat[handle] == PENDING:
             self._cat[handle] = C_INVALIDATE
 
@@ -251,7 +263,7 @@ class CacheLevelProfiler:
         """``on_arrival(unit, word, False)`` for one full line's words.
 
         The handles of one line are consecutive, so they are returned as
-        a ``range``, which is also the line's new active row.
+        a ``range``; the line's new active row is the first of them.
         """
         cat = self._cat
         h0 = len(cat)
@@ -260,8 +272,8 @@ class CacheLevelProfiler:
         old_row = self._active.get(line_key)
         if old_row is not None:
             self._settle_row(old_row, C_FETCH)
-        handles = self._active[line_key] = range(h0, h0 + WORDS_PER_LINE)
-        return handles
+        self._active[line_key] = h0
+        return range(h0, h0 + WORDS_PER_LINE)
 
     def arrivals_words(self, unit: int, words, present_flags) -> range:
         """``on_arrival(unit, w, flag)`` over parallel word/flag lists.
@@ -303,7 +315,8 @@ class CacheLevelProfiler:
                 last_key = line_key
             if row is None:
                 continue
-            handle = row[word & 15]
+            handle = (row + (word & 15) if row.__class__ is int
+                      else row[word & 15])
             if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = C_USED
 
@@ -340,7 +353,7 @@ class CacheLevelProfiler:
             return
         cat = self._cat
         for slot in mask_offsets(mask):
-            handle = row[slot]
+            handle = row + slot if row.__class__ is int else row[slot]
             if handle >= 0 and cat[handle] == PENDING:
                 cat[handle] = C_INVALIDATE
 
@@ -367,15 +380,15 @@ class CacheLevelProfiler:
         return len(self._cat) - self._start
 
     # -- internals -------------------------------------------------------------
-    def _settle_row(self, row: Sequence[int], code: int) -> None:
+    def _settle_row(self, row: Union[int, array], code: int) -> None:
         """Classify every pending handle of an active row as ``code``."""
         cat = self._cat
-        if row.__class__ is range:
+        if row.__class__ is int:
             # One fill's consecutive handles (see ``__init__``).
-            start, stop = row.start, row.stop
-            seg = cat[start:stop]
+            stop = row + WORDS_PER_LINE
+            seg = cat[row:stop]
             if PENDING in seg:
-                cat[start:stop] = seg.replace(b"\0", _CODE_BYTE[code])
+                cat[row:stop] = seg.replace(b"\0", _CODE_BYTE[code])
             return
         for handle in row:
             if handle >= 0 and cat[handle] == PENDING:
@@ -394,16 +407,25 @@ class MemoryProfiler:
     the memory controller drops the word before it ever reaches the
     network.
 
-    Verdicts, copy counts and addresses live in the shared pools
-    (instance identity); the pending-by-address index and the settle
-    counters belong to this profiler, which lives for the whole run.
-    The index is an ``array('i')`` over word addresses ``0 .. span - 1``
-    (the run's regions, laid out densely from word 0): each entry is the
-    one pending instance's handle, ``NO_HANDLE``, or a marker for an
-    address with several pending instances (possible on the bypass
-    rungs), whose handles sit in a set in a side dict.  An address
-    outside the span (a profiler built without regions, as unit tests
-    do) is indexed in the side dict alone; the array never grows.
+    Verdicts and copy counts live in the shared pools (instance
+    identity); the pending-by-address index and the settle counters
+    belong to this profiler, which lives for the whole run.  The index
+    is an ``array('i')`` over word addresses ``0 .. span - 1`` (the
+    run's regions, laid out densely from word 0): each entry is an
+    instance's handle, ``NO_HANDLE``, or a marker for an address with
+    several pending instances (possible on the bypass rungs), whose
+    handles sit in a set in a side dict.  An address outside the span
+    (a profiler built without regions, as unit tests do) is indexed in
+    the side dict alone; the array never grows.  A word address of
+    2**31 or more raises ``OverflowError`` (trace words hold 30-bit
+    addresses, so only a caller's bug makes one).
+
+    The index is lazy, as the cache levels' active rows are: settling an
+    instance writes its verdict and nothing else, and a settled handle
+    left in the index acts as an empty entry.  Indexing a new instance
+    overwrites a settled array entry, and first drops the settled
+    handles of its address's spill set; a set left with none goes back
+    to the array entry.  So the index needs no instance's address.
 
     The window rule, which over-counts the window (ROADMAP item 2): the
     window's counts are the settle counters minus their values at
@@ -423,7 +445,6 @@ class MemoryProfiler:
         self.pools = pools if pools is not None else WastePools()
         self._cat = self.pools.mem_cat
         self._refs = self.pools.mem_refs
-        self._addr = self.pools.mem_addr
         # Settles since cycle 0, by verdict code, and their values at the
         # window's mark.
         self._counts: List[int] = [0] * len(_BY_CODE)
@@ -442,9 +463,10 @@ class MemoryProfiler:
     # -- FSM events --------------------------------------------------------
     def fetch(self, addr: int, l2_has_addr: bool) -> int:
         """A word at ``addr`` was fetched from memory and sent on-chip."""
+        if addr >= _ADDR_LIMIT:
+            raise _too_wide(addr)
         cat = self._cat
         handle = len(cat)
-        self._addr.append(addr)
         self._refs.append(0)
         if l2_has_addr:
             # Figure 4.3: address already present in the L2 => Fetch waste.
@@ -457,8 +479,9 @@ class MemoryProfiler:
 
     def fetch_excess(self, addr: int) -> int:
         """A word read out of DRAM but dropped at the memory controller."""
+        if addr >= _ADDR_LIMIT:
+            raise _too_wide(addr)
         handle = len(self._cat)
-        self._addr.append(addr)
         self._cat.append(C_EXCESS)
         self._refs.append(0)
         self._counts[C_EXCESS] += 1
@@ -508,21 +531,29 @@ class MemoryProfiler:
 
     def fetch_line(self, base: int) -> range:
         """``fetch(word, False)`` for one full line's words."""
+        end = base + WORDS_PER_LINE
+        if end > _ADDR_LIMIT:
+            raise _too_wide(end - 1)
         cat = self._cat
         h0 = len(cat)
-        end = base + WORDS_PER_LINE
-        self._addr.extend(range(base, end))
         cat.extend(_LINE_PENDING)
         self._refs.extend(_LINE_PENDING)
         handles = range(h0, h0 + WORDS_PER_LINE)
         by_addr = self._pending_by_addr
-        if 0 <= base and end <= self._span and by_addr[base:end] == _NO_LINE:
-            # No word of the line is pending: one slice store.
-            by_addr[base:end] = array("i", handles)
-        else:
-            index = self._index
-            for handle, addr in zip(handles, range(base, end)):
-                index(addr, handle)
+        if 0 <= base and end <= self._span:
+            entries = by_addr[base:end]
+            old = entries[0]
+            old_end = old + WORDS_PER_LINE
+            # No word of the line is indexed, or only one earlier fill's
+            # words, all settled: one slice store.
+            if entries == _NO_LINE or (
+                    old >= 0 and PENDING not in cat[old:old_end]
+                    and entries == array("i", range(old, old_end))):
+                by_addr[base:end] = array("i", handles)
+                return handles
+        index = self._index
+        for handle, addr in zip(handles, range(base, end)):
+            index(addr, handle)
         return handles
 
     def install_copies(self, handles) -> None:
@@ -614,37 +645,33 @@ class MemoryProfiler:
 
     # -- internals ------------------------------------------------------------
     def _index(self, addr: int, handle: int) -> None:
-        """Add a pending instance to the pending-by-address index."""
+        """Add a pending instance to the pending-by-address index (see
+        the class docstring for what a settled handle in it means)."""
+        cat = self._cat
+        spill = self._spill
         if 0 <= addr < self._span:
             by_addr = self._pending_by_addr
-            pending = by_addr[addr]
-            if pending == NO_HANDLE:
+            current = by_addr[addr]
+            if current != _SPILLED:
+                if current == NO_HANDLE or cat[current] != PENDING:
+                    by_addr[addr] = handle
+                else:
+                    by_addr[addr] = _SPILLED
+                    spill[addr] = {current, handle}
+                return
+            pending = {h for h in spill[addr] if cat[h] == PENDING}
+            if not pending:
+                del spill[addr]
                 by_addr[addr] = handle
                 return
-            if pending != _SPILLED:
-                by_addr[addr] = _SPILLED
-                self._spill[addr] = {pending, handle}
-                return
-        self._spill.setdefault(addr, set()).add(handle)
+        else:
+            pending = {h for h in spill.get(addr, ()) if cat[h] == PENDING}
+        pending.add(handle)
+        spill[addr] = pending
 
     def _settle_pending(self, handle: int, code: int) -> None:
         """Classify a still-pending instance (callers check that it is
-        pending first, so the verdict always lands).  An instance the
-        index no longer holds (a warm-up instance whose address a store
-        after the mark cleared) leaves the index as it is."""
-        addr = self._addr[handle]
-        by_addr = self._pending_by_addr
-        in_span = 0 <= addr < self._span
-        # An address outside the span is always looked up in the side dict.
-        current = by_addr[addr] if in_span else _SPILLED
-        if current == handle:
-            by_addr[addr] = NO_HANDLE
-        elif current == _SPILLED and addr in self._spill:
-            pending = self._spill[addr]
-            pending.discard(handle)
-            if in_span and len(pending) == 1:
-                by_addr[addr] = pending.pop()
-            if not pending:
-                del self._spill[addr]
+        pending first, so the verdict always lands); the index keeps the
+        settled handle, which acts as an empty entry."""
         self._cat[handle] = code
         self._counts[code] += 1

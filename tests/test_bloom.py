@@ -1,6 +1,7 @@
 """Unit tests for the Bloom filter structures (paper Section 4.4)."""
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,7 +64,9 @@ class TestH3Tables:
         assert len(h._byte_tables) == H3Hash.KEY_BITS // 8
         for b, table in enumerate(h._byte_tables):
             rows = h._rows[b * 8:(b + 1) * 8]
-            assert table == tuple(xor_of_rows(rows, v) for v in range(256))
+            assert type(table) is array and table.typecode == "I"
+            assert tuple(table) == tuple(xor_of_rows(rows, v)
+                                         for v in range(256))
 
     @pytest.mark.parametrize("size", SIZES)
     @pytest.mark.parametrize("seed", SEEDS)

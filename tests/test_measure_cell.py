@@ -8,30 +8,46 @@ from pathlib import Path
 
 from repro.common.config import (
     PROTOCOL_FLAGS, ScaleConfig, protocol, scaled_system)
+from repro.core.context import SimContext
 from repro.core.system import System
+from repro.waste.profiler import PENDING
 from repro.runner.store import result_to_dict
 from repro.workloads import build_workload
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "measure_cell.py"
 
 
-def test_measure_cell_prints_events_digest_time_and_top_sites():
+def test_measure_cell_prints_events_digest_time_and_top_sites(monkeypatch):
     """The printed figures equal those of a direct ``System`` run,
-    acted flags included."""
+    acted flags and the side dict before finalize included.  A bypass
+    rung on kD-tree keeps several pending instances of some addresses,
+    so the side dict is not empty."""
     proc = subprocess.run(
-        [sys.executable, str(TOOL), "--workload", "stream",
-         "--protocol", "MESI", "--scale", "tiny", "--top", "3"],
+        [sys.executable, str(TOOL), "--workload", "kD-tree",
+         "--protocol", "DBypFull", "--scale", "tiny", "--top", "3"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     fields = dict(line.split(" ", 1) for line in lines[:7])
-    assert fields["cell"] == "stream x MESI @ tiny seed 12345"
+    assert fields["cell"] == "kD-tree x DBypFull @ tiny seed 12345"
 
     scale = ScaleConfig.tiny()
     config = scaled_system(scale)
-    system = System(build_workload("stream", scale,
+    system = System(build_workload("kD-tree", scale,
                                    num_cores=config.num_tiles),
-                    protocol("MESI"), config)
+                    protocol("DBypFull"), config)
+    side_dict = []
+    finalize = SimContext.finalize
+
+    def count_side_dict_then_finalize(ctx):
+        cat = ctx.mem_prof.pools.mem_cat
+        sets = ctx.mem_prof._spill.values()
+        side_dict.extend((len(sets), sum(map(len, sets)), sum(
+            cat[handle] == PENDING for handles in sets
+            for handle in handles)))
+        finalize(ctx)
+
+    monkeypatch.setattr(SimContext, "finalize", count_side_dict_then_finalize)
     result = system.run()
     text = json.dumps(result_to_dict(result), sort_keys=True,
                       separators=(",", ":"))
@@ -54,7 +70,14 @@ def test_measure_cell_prints_events_digest_time_and_top_sites():
         assert int(excess) == int(counted) - int(window)
         assert share.startswith("(") and share.endswith("%)")
 
-    assert lines[10].startswith("tracemalloc live_at_finalize_mib ")
-    sites = lines[11:]
+    addrs, handles, pending = side_dict
+    assert lines[10].split() == [
+        "mem_index", "spilled_addrs", str(addrs), "handles", str(handles),
+        "pending", str(pending)]
+    # Lazy deletion leaves settled handles in some sets.
+    assert 0 < pending < handles
+
+    assert lines[11].startswith("tracemalloc live_at_finalize_mib ")
+    sites = lines[12:]
     assert [site.split(".")[0].strip() for site in sites] == ["1", "2", "3"]
     assert all(" MiB " in site and ".py:" in site for site in sites)

@@ -31,12 +31,14 @@ def active_rows(p: CacheLevelProfiler):
 
     A row's pending handles are all of its future behaviour: a settled
     handle in a slot acts as an empty one in every event, so an emptied
-    row, a dropped one and a fill's ``range`` whose words were settled
+    row, a dropped one and a fill's int row whose words were settled
     one by one all look the same.
     """
     cat = p._cat
     view = {}
     for key, row in p._active.items():
+        if type(row) is int:
+            row = range(row, row + 16)
         slots = [handle if handle >= 0 and cat[handle] == PENDING else None
                  for handle in row]
         if any(handle is not None for handle in slots):
@@ -45,21 +47,26 @@ def active_rows(p: CacheLevelProfiler):
 
 
 def row_forms_ok(p: CacheLevelProfiler) -> bool:
-    """Every active row is a 16-slot ``array('q')`` or a fill's
-    16-handle unit-step ``range``."""
-    return all((type(row) is array and row.typecode == "q"
-                or type(row) is range and row.step == 1)
+    """Every active row is a fill's first handle (an int) or a 16-slot
+    ``array('q')``."""
+    return all(type(row) is int and row >= 0
+               or type(row) is array and row.typecode == "q"
                and len(row) == 16 for row in p._active.values())
 
 
 def pending_by_addr(p: MemoryProfiler):
-    """``{addr: set of handles}`` over the pending index: the array
-    entries and the side dict's sets."""
+    """``{addr: set of pending handles}`` over the pending index: the
+    array entries and the side dict's sets.  A settled handle left in
+    the index acts as an empty entry, so it is skipped, as
+    ``active_rows`` skips a row's settled handles."""
+    cat = p._cat
     view = {addr: {handle}
             for addr, handle in enumerate(p._pending_by_addr)
-            if handle >= 0}
-    for addr, pending in p._spill.items():
-        view[addr] = set(pending)
+            if handle >= 0 and cat[handle] == PENDING}
+    for addr, handles in p._spill.items():
+        pending = {handle for handle in handles if cat[handle] == PENDING}
+        if pending:
+            view[addr] = pending
     return view
 
 
@@ -325,6 +332,72 @@ class TestMemoryFsm:
         assert p.category(b) is Category.WRITE
         assert p.count(Category.WRITE) == 1
 
+    def test_refetch_after_settle_reuses_the_array_entry(self):
+        """A settled handle left in the index acts as an empty entry:
+        the next instance of its address overwrites it in the array and
+        never goes to the side dict, for a word and for a line."""
+        p = MemoryProfiler(WastePools(), span=32)
+        a = p.fetch(7, l2_has_addr=False)
+        p.on_load(a)
+        assert p._pending_by_addr[7] == a
+        b = p.fetch(7, l2_has_addr=False)
+        assert p._pending_by_addr[7] == b
+        # One earlier fill's 16 handles, all settled: one slice store.
+        line = p.fetch_line(16)
+        p.install_copies(line)
+        p.drop_copies(line, invalidated=False)
+        again = p.fetch_line(16)
+        assert list(p._pending_by_addr[16:32]) == list(again)
+        # A line whose one word is still pending spills that word only.
+        p.install_copies(again)
+        p.drop_copies(again[1:], invalidated=True)
+        third = p.fetch_line(16)
+        assert p._spill == {16: {again[0], third[0]}}
+        assert list(p._pending_by_addr[17:32]) == list(third[1:])
+        p.on_store_addr(7)
+        p.on_store_addr(16)
+        assert p.category(a) is Category.USED
+        assert p.category(b) is Category.WRITE
+        assert p.category(again[0]) is p.category(third[0]) is Category.WRITE
+        assert p.count(Category.WRITE) == 3
+
+    def test_line_fill_keeps_a_pending_word_among_settled_ones(self):
+        """Sixteen consecutive settled handles in a line's first entry
+        are no slice-store licence unless they fill the whole line."""
+        p = MemoryProfiler(WastePools(), span=64)
+        kept = p.fetch(3, l2_has_addr=False)
+        for addr in [0] + list(range(32, 47)):
+            p.on_load(p.fetch(addr, l2_has_addr=False))
+        line = p.fetch_line(0)
+        assert p._spill == {3: {kept, line[3]}}
+        p.on_store_addr(3)
+        assert p.category(kept) is p.category(line[3]) is Category.WRITE
+
+    @pytest.mark.parametrize("addr", [5, 40])   # in, beyond the span
+    def test_spill_set_drops_settled_handles_when_indexed(self, addr):
+        """Settling leaves a spill set as it is; the next instance of its
+        address drops the settled handles, and an in-span set left with
+        none goes back to the array entry."""
+        p = MemoryProfiler(WastePools(), span=32)
+        a, b, c = (p.fetch(addr, l2_has_addr=False) for _ in range(3))
+        assert p._spill == {addr: {a, b, c}}
+        p.on_load(a)
+        assert p._spill == {addr: {a, b, c}}
+        d = p.fetch(addr, l2_has_addr=False)
+        assert p._spill == {addr: {b, c, d}}
+        for handle in (b, c, d):
+            p.on_load(handle)
+        e = p.fetch(addr, l2_has_addr=False)
+        if addr < 32:
+            assert p._spill == {}
+            assert p._pending_by_addr[addr] == e
+        else:
+            assert p._spill == {addr: {e}}
+        p.on_store_addr(addr)
+        assert p.category(e) is Category.WRITE
+        assert p.count(Category.WRITE) == 1
+        assert p.count(Category.USED) == 4
+
     def test_installing_past_255_copies_raises(self):
         """A copy count is one byte; the scalar call, a list and a
         fill's range all raise rather than wrap, and change nothing."""
@@ -545,8 +618,7 @@ class TestBulkEqualsScalar:
     @staticmethod
     def _memory_state(p: MemoryProfiler):
         return (list(p.pools.mem_cat), list(p.pools.mem_refs),
-                list(p.pools.mem_addr), p.counts(), p.total_words(),
-                pending_by_addr(p))
+                p.counts(), p.total_words(), pending_by_addr(p))
 
     @pytest.mark.parametrize("older", [False, True])
     @pytest.mark.parametrize("present", [
@@ -569,7 +641,7 @@ class TestBulkEqualsScalar:
             bulk_p = self._cache_profiler(older)
             scalar_p = self._cache_profiler(older)
             if fill:
-                # A range row, one of its words already settled.
+                # A fill's int row, one of its words already settled.
                 for p in (bulk_p, scalar_p):
                     p.arrivals_line(self.UNIT, self.BASE)
                     p.on_use(self.UNIT, self.BASE + 5)
@@ -600,7 +672,7 @@ class TestBulkEqualsScalar:
                   st.lists(st.integers(0, 15), max_size=5)),
         st.tuples(st.just("finalize"))), max_size=25))
     def test_range_rows(self, ops):
-        """Single-word events mixed into a fill's ``range`` row, and the
+        """Single-word events mixed into a fill's int row, and the
         row's settles, against the scalar events alone."""
         bulk_p = self._cache_profiler(older=True)
         scalar_p = self._cache_profiler(older=True)
@@ -904,17 +976,14 @@ class TestReferenceModel:
     def _check_memory(p: MemoryProfiler, m: MemoryModel) -> None:
         assert list(p.pools.mem_cat) == m.cat
         assert list(p.pools.mem_refs) == m.refs
-        assert list(p.pools.mem_addr) == m.addr
         assert p.total_words() == m.total
         assert {cat: n for cat, n in p.counts().items() if n} == {
             _BY_CODE[code]: n for code, n in m.counts.items()}
         assert pending_by_addr(p) == m.pending
-        # An address in the span goes to the side dict only while it
-        # holds two or more pending instances.
-        for addr, pending in p._spill.items():
-            if addr < SPAN:
-                assert p._pending_by_addr[addr] < NO_HANDLE
-                assert len(pending) >= 2
+        # An address in the span is in the side dict only while its
+        # array entry is the spill marker, and the other way round.
+        for addr, entry in enumerate(p._pending_by_addr):
+            assert (addr in p._spill) == (entry < NO_HANDLE)
 
     @staticmethod
     def _same_or_both_raise(call, model_call) -> None:

@@ -19,7 +19,12 @@ rung on the machine ``scaled_system`` gives that scale, and prints:
   window words (``total_words()``: the words it received after warm-up)
   and counted words (the sum of its window counts), with the excess.
   The cache levels count exactly their window words; the memory level
-  also counts warm-up instances settled in the window (ROADMAP item 2).
+  also counts warm-up instances settled in the window (ROADMAP item 2);
+* ``mem_index`` -- the memory profiler's pending-index side dict just
+  before finalize: the addresses it holds, the handles in their sets
+  and how many of those are still pending.  The index is lazy (a
+  settled handle stays until its address is indexed again), so the
+  difference is what lazy deletion leaves behind.
 
 With ``--top N`` the cell is built and simulated a second time under
 ``tracemalloc``; just before ``SimContext.finalize`` a snapshot is
@@ -79,15 +84,27 @@ def window_words(ctx: SimContext):
                                ("mem", ctx.mem_prof))]
 
 
+def side_dict(ctx: SimContext):
+    """``(addresses, handles, pending handles)`` of the memory
+    profiler's pending-index side dict."""
+    prof = ctx.mem_prof
+    cat = prof.pools.mem_cat
+    sets = prof._spill.values()
+    return (len(sets), sum(len(handles) for handles in sets),
+            sum(not cat[handle] for handles in sets for handle in handles))
+
+
 def run_cell(ns: argparse.Namespace):
     """Build and simulate the cell; return (result, build_s, sim_s,
-    window_words, acted_flags)."""
+    window_words, side_dict, acted_flags)."""
     scale = SCALES[ns.scale]()
     config = scaled_system(scale)
     levels = []
+    index = []
     finalize = SimContext.finalize
 
     def finalize_then_count(ctx):
+        index.extend(side_dict(ctx))
         finalize(ctx)
         levels.extend(window_words(ctx))
 
@@ -102,7 +119,7 @@ def run_cell(ns: argparse.Namespace):
     finally:
         SimContext.finalize = finalize
     acted = workload.results[(protocol(ns.protocol), config)].acted
-    return (result, built - start, done - built, levels,
+    return (result, built - start, done - built, levels, index,
             [flag for flag in PROTOCOL_FLAGS if flag in acted])
 
 
@@ -151,7 +168,7 @@ def main(argv=None) -> int:
     if ns.top < 0:
         parser.error("--top must be non-negative")
 
-    result, build_s, sim_s, levels, acted = run_cell(ns)
+    result, build_s, sim_s, levels, index, acted = run_cell(ns)
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(f"cell {ns.workload} x {ns.protocol} @ {ns.scale} seed {ns.seed}")
     print(f"events {result.events}")
@@ -165,6 +182,7 @@ def main(argv=None) -> int:
         share = 100.0 * excess / window if window else 0.0
         print(f"{name}_words window {window} counted {counted} "
               f"excess {excess:+d} ({share:+.1f}%)")
+    print("mem_index spilled_addrs {} handles {} pending {}".format(*index))
     sys.stdout.flush()
     if ns.top:
         del result
