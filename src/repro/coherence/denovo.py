@@ -518,12 +518,8 @@ class DenovoSystem(CoherenceKernel):
         complete the store; DeNovo's only *overhead* messages are NACKs
         and Bloom traffic, per Section 5.1).
         """
-        ctx = self.ctx
-        hops = ctx.mesh.hops(home, owner)
-        ctx.ledger.add_request_ctl(T.ST, hops)
-        arrive = t + ctx._latency(home, owner, 1, t)
-        ctx.queue.schedule_call(arrive, self._invalidate_word_at_owner,
-                                owner, word, arrive)
+        self._send_req_ctl(T.ST, home, owner, t,
+                           self._invalidate_word_at_owner, owner, word)
 
     def _invalidate_word_at_owner(self, owner: int, word: int,
                                   _tt: int) -> None:

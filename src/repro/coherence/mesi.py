@@ -867,10 +867,10 @@ class MesiSystem(CoherenceKernel):
                 entry.owner = None
                 entry.dir_state = DIR_IDLE
             entry.sharers.discard(core)
-        # Writeback ack (control, WB category); fire-and-forget, so the
-        # mesh never sees it through traverse() — count it explicitly to
-        # keep the energy-model flit-hop counter ledger-exact.
-        ctx.ledger.add_wb_control(ctx._count_packet(home, core))
+        # Writeback ack (control, WB category); fire-and-forget, so it
+        # is never routed — the ledger counts it on the mesh to keep the
+        # energy-model flit-hop counter ledger-exact.
+        ctx.send_wb_ack(home, core)
 
     def _dir_clean_wb(self, line_addr: int, core: int, t: int) -> None:
         home = self._home_tile(line_addr)

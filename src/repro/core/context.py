@@ -1,25 +1,25 @@
 """Shared simulation context handed to the coherence protocols.
 
 ``SimContext`` owns the clock, mesh, traffic ledger, waste profilers, DRAM
-channels and region table, and exposes the message-send helpers both
-protocols use.  Every network message goes through one of the ``send_*``
-helpers so flit-hop accounting and latency stay consistent with the
-paper's methodology (Section 5.2): control flits are one flit; data
-payloads are charged per word with unfilled tail-flit slack credited to
-response control.
+channels and region table.  Its message-send helpers ``send_req_ctl``,
+``send_resp_ctl``, ``send_data``, ``send_wb``, ``send_overhead`` and
+``send_wb_ack`` are the traffic ledger's own bound methods
+(:class:`repro.network.traffic.TrafficLedger`): each routes its packet
+once, charges its flit-hops by the paper's rule (Section 5.2) and queues
+its delivery, so every network message is charged and timed by the same
+code.
 
-The helpers are closure-free: each takes ``handler, *args`` and hands
-them straight to :meth:`EventQueue.schedule_call`, which invokes
-``handler(*args, arrive_time)`` — the arrival time is always the last
-argument.  Callers pass bound methods plus their state instead of
-allocating a lambda per message, which keeps the per-event cost flat on
-the hottest loop in the simulator.
+The helpers are closure-free: each takes ``handler, *args`` and
+delivers ``handler(*args, arrive_time)`` — the arrival time is always
+the last argument.  Callers pass bound methods plus their state instead
+of allocating a lambda per message, which keeps the per-event cost flat
+on the hottest loop in the simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.common.addressing import WORDS_PER_LINE, align_up_words
 from repro.common.config import ProtocolConfig, SystemConfig
@@ -102,13 +102,13 @@ class SimContext:
         self.config = config
         self.proto = proto
         self.regions = regions
-        self.queue = EventQueue()
-        self.mesh = Mesh(config)
+        self.queue = queue = EventQueue()
+        self.mesh = mesh = Mesh(config)
         # One ledger and one waste profiler per level count the whole
         # run over its word-instance pools; mark_window() opens the
         # measurement window at the end of warm-up.
         self.pools = pools = WastePools()
-        self.ledger = TrafficLedger(pools)
+        self.ledger = ledger = TrafficLedger(pools, mesh, queue)
         self.l1_prof = CacheLevelProfiler("L1", pools)
         self.l2_prof = CacheLevelProfiler("L2", pools)
         # The regions lie densely from word 0, so the memory profiler's
@@ -132,20 +132,15 @@ class SimContext:
             self.mc_tiles[(i // LINES_PER_ROW) % len(self.mc_tiles)]
             for i in range(self._mc_period)]
         self._dram_table = [self.drams[t] for t in self._mc_table]
-        # -- hot-path bindings ------------------------------------------
-        # The mesh, queue, ledger and their methods live for the whole run.
-        self._hops = self.mesh.hops
-        self._latency = self.mesh.latency
-        self._traverse = self.mesh.traverse
-        self._count_packet = self.mesh.count_packet
-        self._schedule_call = self.queue.schedule_call
-        ledger = self.ledger
-        self._add_request_ctl = ledger.add_request_ctl
-        self._add_response_ctl = ledger.add_response_ctl
-        self._add_data_words = ledger.add_data_words
-        self._add_wb_control = ledger.add_wb_control
-        self._add_wb_data_words = ledger.add_wb_data_words
-        self._add_overhead = ledger.add_overhead
+        # -- the send path ----------------------------------------------
+        # The ledger's send methods, bound once: protocol code calls
+        # them under these names.
+        self.send_req_ctl = ledger.send_req_ctl
+        self.send_resp_ctl = ledger.send_resp_ctl
+        self.send_data = ledger.send_data
+        self.send_wb = ledger.send_wb
+        self.send_overhead = ledger.send_overhead
+        self.send_wb_ack = ledger.send_wb_ack
 
     def mark_window(self) -> None:
         """Open the measurement window: called once by ``System`` at the
@@ -186,70 +181,6 @@ class SimContext:
         start = arrival if arrival >= free else free
         l2_free[tile] = start + L2_OCCUPANCY
         return start + L2_ACCESS_LATENCY
-
-    # -- message helpers ----------------------------------------------------
-    # Each returns the arrival time of the message at its destination
-    # and schedules ``handler(*args, arrive)``.
-
-    def send_req_ctl(self, major: str, src: int, dst: int, at: int,
-                     handler: Callable, *args) -> int:
-        """One-control-flit request (GETS/GETX/registration/memory req)."""
-        hops, delay = self._traverse(src, dst, 1, at)
-        self._add_request_ctl(major, hops)
-        arrive = at + delay
-        self._schedule_call(arrive, handler, *args, arrive)
-        return arrive
-
-    def send_resp_ctl(self, major: str, src: int, dst: int, at: int,
-                      handler: Callable, *args) -> int:
-        """One-control-flit response (ack/grant)."""
-        hops, delay = self._traverse(src, dst, 1, at)
-        self._add_response_ctl(major, hops)
-        arrive = at + delay
-        self._schedule_call(arrive, handler, *args, arrive)
-        return arrive
-
-    def send_data(self, major: str, dest_level: str, src: int, dst: int,
-                  at: int, handles: Sequence[int],
-                  handler: Callable, *args) -> int:
-        """Response carrying ``len(handles)`` data words plus a header flit.
-
-        ``handles`` is the ``range`` of the delivered words' consecutive
-        waste-profiler handles (at the destination level); their
-        verdicts decide Used vs Waste at finalize time.
-        """
-        hops = self._hops(src, dst)
-        self._add_response_ctl(major, hops)  # header flit
-        data_flits = self._add_data_words(major, dest_level, hops, handles)
-        total_flits = 1 + int(data_flits)
-        arrive = at + self._latency(src, dst, total_flits, at)
-        self._schedule_call(arrive, handler, *args, arrive)
-        return arrive
-
-    def send_wb(self, src: int, dst: int, at: int, n_words: int,
-                n_dirty: int, dest_level: str, handler: Callable,
-                *args) -> int:
-        """Writeback message: control flit + ``n_words`` data words, of
-        which ``n_dirty`` are dirty."""
-        hops = self._hops(src, dst)
-        self._add_wb_control(hops)  # header flit
-        data_flits = self._add_wb_data_words(dest_level, hops, n_words,
-                                             n_dirty)
-        total_flits = 1 + int(data_flits)
-        arrive = at + self._latency(src, dst, total_flits, at)
-        self._schedule_call(arrive, handler, *args, arrive)
-        return arrive
-
-    def send_overhead(self, subtype: str, src: int, dst: int, at: int,
-                      handler: Optional[Callable] = None, *args,
-                      flits: int = 1) -> int:
-        """Coherence-overhead message (inv/ack/unblock/NACK/bloom)."""
-        hops, delay = self._traverse(src, dst, flits, at)
-        self._add_overhead(subtype, hops, flits)
-        arrive = at + delay
-        if handler is not None:
-            self._schedule_call(arrive, handler, *args, arrive)
-        return arrive
 
     def finalize(self) -> None:
         self.l1_prof.finalize()

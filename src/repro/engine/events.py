@@ -12,10 +12,17 @@ methods instead of allocating a closure per event.
 Determinism contract
 --------------------
 
-Events fire in ``(when, seq)`` order, where ``seq`` is the global
-schedule-call counter — identical streams of schedule calls produce
+Events fire in ``(when, seq)`` order, where ``seq`` is the queue's one
+sequence counter — identical streams of schedule calls produce
 identical execution orders.  Heap entries are ``(when, seq, fn, args)``
 tuples; the contract is enforced by tuple comparison.
+
+The queue has two writers.  :meth:`EventQueue.schedule_call` is one;
+the network send path (``repro.network.traffic.TrafficLedger.send_*``)
+is the other: it pushes its delivery entries onto ``_heap`` itself,
+taking each ``seq`` from ``_seq`` and rejecting a time before ``now``
+exactly as ``schedule_call`` does, so a send and a ``schedule_call``
+for the same cycle fire in call order.  ``_heap`` is never replaced.
 """
 
 from __future__ import annotations

@@ -1,4 +1,17 @@
-"""Flit-hop traffic accounting with deferred used/waste attribution.
+"""The network send path: flit-hop traffic accounting with deferred
+used/waste attribution.
+
+Every network message goes through one ``TrafficLedger.send_*`` method
+(``SimContext`` exposes them under the same names).  The method works
+out the packet's flit count from its payload (``1 + ceil(words / 4)``),
+routes it once through the ``route`` hook (``Mesh.traverse``: hop count
+and delivery latency), charges its flit-hops here, and pushes the
+delivery event onto the event queue's heap itself.  The charging rules
+follow the paper's methodology (Section 5.2): a control packet is one
+flit; a data payload is charged per word, with the unfilled tail-flit
+slack credited to response (or writeback) control.  So the rules and
+the packed data-record format below live in this one module, and a
+message costs one Python frame for the send and one for the route.
 
 The paper's Figures 5.1a-d break network traffic into:
 
@@ -24,9 +37,13 @@ window alone (see there).
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional
+from heapq import heappush
+from typing import Callable, Dict, Optional
 
 from repro.common.addressing import WORDS_PER_FLIT
+from repro.common.config import SystemConfig
+from repro.engine.events import EventQueue
+from repro.network.mesh import Mesh
 from repro.waste.profiler import C_USED, WastePools
 
 #: Major traffic categories.
@@ -141,6 +158,16 @@ def unpack_data_record(record: int):
             record & 3)
 
 
+def _check_major(major: str) -> None:
+    if major not in (LD, ST):
+        raise ValueError(f"major {major!r} not in {(LD, ST)}")
+
+
+def _in_the_past(arrive: int, now: int) -> None:
+    raise ValueError(f"cannot schedule event in the past "
+                     f"({arrive} < {now})")
+
+
 def _zero_buckets() -> Dict[str, Dict[str, float]]:
     return {
         LD: {b: 0.0 for b in LDST_BUCKETS},
@@ -151,15 +178,35 @@ def _zero_buckets() -> Dict[str, Dict[str, float]]:
 
 
 class TrafficLedger:
-    """Accumulates flit-hops per (major, bucket) with deferred data verdicts.
+    """Sends packets and accumulates their flit-hops per (major, bucket),
+    with deferred data verdicts.
 
-    A data record's handles index the verdict pool of its destination
-    level, ``pools.l1_cat`` or ``pools.l2_cat``
+    The five routed ``send_*`` methods, plus ``send_wb_ack`` for the one
+    packet that is charged but never delivered, are the simulator's
+    whole send path.  A ledger routes on ``mesh`` and queues each
+    delivery on ``queue``; one
+    built without them (unit tests) routes on a default 16-tile mesh into
+    a queue of its own.  A data record's handles index the verdict pool
+    of its destination level, ``pools.l1_cat`` or ``pools.l2_cat``
     (:class:`repro.waste.profiler.WastePools`).
     """
 
-    def __init__(self, pools: Optional[WastePools] = None) -> None:
+    def __init__(self, pools: Optional[WastePools] = None,
+                 mesh: Optional[Mesh] = None,
+                 queue: Optional[EventQueue] = None) -> None:
         pools = pools if pools is not None else WastePools()
+        mesh = mesh if mesh is not None else Mesh(SystemConfig())
+        queue = queue if queue is not None else EventQueue()
+        #: The route hook, ``route(src, dst, flits, at) -> (hops,
+        #: delay)``: every routed packet calls it exactly once, so an
+        #: observer that rebinds it (``repro.obs.session``) sees every
+        #: flit-hop but those of unrouted packets.
+        self.route = mesh.traverse
+        #: The unrouted-packet count, ``count_packet(src, dst) -> hops``:
+        #: the hook for packets that are charged but never delivered.
+        self.count_packet = mesh.count_packet
+        self._queue = queue
+        self._heap = queue._heap
         # Indexed by a record code's destination bit (1 is the L2).
         self._verdicts = (pools.l1_cat, pools.l2_cat)
         self._buckets = _zero_buckets()
@@ -179,86 +226,168 @@ class TrafficLedger:
                                 for major, buckets in self._buckets.items()}
         self._marked_word_hops = self._word_hops[:]
 
-    # -- control traffic ------------------------------------------------
-    def add_request_ctl(self, major: str, hops: int) -> None:
-        """One request control flit crossing ``hops`` links."""
+    # -- the send path ----------------------------------------------------
+    # Each send routes its packet once, charges it, and pushes the
+    # delivery ``handler(*args, arrive)`` onto the queue's heap with the
+    # queue's own sequence counter (the second writer named by
+    # ``repro.engine.events``' determinism contract); it returns
+    # ``arrive``.  The push is written out in each method rather than
+    # shared, so a message costs one Python frame here and one in the
+    # route.
+
+    def send_req_ctl(self, major: str, src: int, dst: int, at: int,
+                     handler: Callable, *args) -> int:
+        """One request control flit (GETS/GETX/registration/memory
+        request)."""
+        hops, delay = self.route(src, dst, 1, at)
         if major is not LD and major is not ST:
-            self._check(major, (LD, ST))
+            _check_major(major)
         self._buckets[major][REQ_CTL] += hops
+        arrive = at + delay
+        queue = self._queue
+        if arrive < queue.now:
+            _in_the_past(arrive, queue.now)
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(self._heap, (arrive, seq, handler, args + (arrive,)))
+        return arrive
 
-    def add_response_ctl(self, major: str, flit_hops: float) -> None:
-        """Response header flit-hops (plus unfilled data-flit remainders)."""
+    def send_resp_ctl(self, major: str, src: int, dst: int, at: int,
+                      handler: Callable, *args) -> int:
+        """One response control flit (ack/grant)."""
+        hops, delay = self.route(src, dst, 1, at)
         if major is not LD and major is not ST:
-            self._check(major, (LD, ST))
-        self._buckets[major][RESP_CTL] += flit_hops
+            _check_major(major)
+        self._buckets[major][RESP_CTL] += hops
+        arrive = at + delay
+        queue = self._queue
+        if arrive < queue.now:
+            _in_the_past(arrive, queue.now)
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(self._heap, (arrive, seq, handler, args + (arrive,)))
+        return arrive
 
-    def add_wb_control(self, flit_hops: float) -> None:
-        self._buckets[WB][WB_CONTROL] += flit_hops
-
-    def add_overhead(self, subtype: str, hops: int, flits: int = 1) -> None:
-        if subtype not in OVH_BUCKETS:
-            raise ValueError(f"unknown overhead subtype {subtype!r}")
-        self._buckets[OVH][subtype] += hops * flits
-
-    # -- data traffic ---------------------------------------------------
-    def add_data_words(self, major: str, dest: str, hops: int,
-                       handles: range) -> float:
-        """Record a data payload of ``len(handles)`` words over ``hops``.
+    def send_data(self, major: str, dest: str, src: int, dst: int,
+                  at: int, handles: range, handler: Callable, *args) -> int:
+        """A header flit plus a payload of ``len(handles)`` data words.
 
         ``handles`` is the ``range`` of the words' consecutive profiler
-        handles.  Each word is charged ``hops / WORDS_PER_FLIT``
-        flit-hops against its handle; the unfilled remainder of the last
-        flit is charged to response control (per paper Section 5.2).
-        Returns the number of data flits in the payload (for latency
-        computation).  Handles that end past the destination level's
-        verdict pool (a stale range, or the other level's handles) raise
-        ``ValueError``.
+        handles at the destination level.  The header flit is response
+        control.  Each word is charged ``hops / WORDS_PER_FLIT``
+        flit-hops against its handle, Used or Waste by the handle's
+        verdict at finalize; the unfilled remainder of the last flit is
+        response control too (paper Section 5.2).  Handles that end past
+        the destination level's verdict pool (a stale range, or the
+        other level's handles) raise ``ValueError``.
         """
         if major is not LD and major is not ST:
-            self._check(major, (LD, ST))
-        if dest not in (DEST_L1, DEST_L2):
+            _check_major(major)
+        if dest == DEST_L1:
+            to_l2 = 0
+        elif dest == DEST_L2:
+            to_l2 = 1
+        else:
             raise ValueError(f"data destination must be l1/l2, got {dest!r}")
         if type(handles) is not range or handles.step != 1:
             raise TypeError("data handles must be a range of consecutive "
                             f"handles, got {handles!r}")
         n_words = len(handles)
-        if n_words == 0:
-            return 0
-        to_l2 = 1 if dest == DEST_L2 else 0
-        if handles.stop > len(self._verdicts[to_l2]):
+        if n_words and handles.stop > len(self._verdicts[to_l2]):
             raise ValueError(f"data handles {handles!r} end past the "
                              f"{dest} pool")
-        if n_words > _MAX_WORDS or hops > _MAX_HOPS:
-            raise ValueError(f"{n_words} words over {hops} hops does not "
-                             f"fit a deferred data record")
-        self._deferred.append(pack_data_record(
-            handles.start, n_words, hops,
-            (2 if major == ST else 0) | to_l2))
         data_flits = -(-n_words // WORDS_PER_FLIT)
-        slack_words = data_flits * WORDS_PER_FLIT - n_words
-        if slack_words:
-            self._buckets[major][RESP_CTL] += (slack_words
-                                               * (hops / WORDS_PER_FLIT))
-        return data_flits
+        hops, delay = self.route(src, dst, 1 + data_flits, at)
+        buckets = self._buckets[major]
+        if n_words:
+            if n_words > _MAX_WORDS or hops > _MAX_HOPS:
+                raise ValueError(f"{n_words} words over {hops} hops does "
+                                 f"not fit a deferred data record")
+            # pack_data_record, written out.
+            self._deferred.append(
+                (handles.start << _START_SHIFT) | (n_words << _WORDS_SHIFT)
+                | (hops << _HOPS_SHIFT) | (2 if major is ST else 0) | to_l2)
+            slack_words = data_flits * WORDS_PER_FLIT - n_words
+            if slack_words:
+                buckets[RESP_CTL] += hops + slack_words * (
+                    hops / WORDS_PER_FLIT)
+            else:
+                buckets[RESP_CTL] += hops
+        else:
+            buckets[RESP_CTL] += hops
+        arrive = at + delay
+        queue = self._queue
+        if arrive < queue.now:
+            _in_the_past(arrive, queue.now)
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(self._heap, (arrive, seq, handler, args + (arrive,)))
+        return arrive
 
-    def add_wb_data_words(self, dest: str, hops: int, n_words: int,
-                          n_dirty: int) -> float:
-        """Writeback payload of ``n_words`` words; the ``n_dirty`` dirty
-        words are Used, the clean ones Waste."""
-        if dest not in (DEST_L2, DEST_MEM):
-            raise ValueError(f"writeback destination must be l2/mem")
-        if n_words == 0:
-            return 0
-        word_hops = self._word_hops
-        at = _WB_AT if dest == DEST_L2 else _WB_AT + 2
-        word_hops[at] += n_dirty * hops
-        word_hops[at + 1] += (n_words - n_dirty) * hops
+    def send_wb(self, src: int, dst: int, at: int, n_words: int,
+                n_dirty: int, dest: str, handler: Callable, *args) -> int:
+        """A writeback: a control flit plus ``n_words`` data words.
+
+        The ``n_dirty`` dirty words are Used, the clean ones Waste; the
+        header flit and the last flit's unfilled remainder are writeback
+        control.
+        """
+        if dest == DEST_L2:
+            word_at = _WB_AT
+        elif dest == DEST_MEM:
+            word_at = _WB_AT + 2
+        else:
+            raise ValueError(f"writeback destination must be l2/mem, "
+                             f"got {dest!r}")
         data_flits = -(-n_words // WORDS_PER_FLIT)
-        slack_words = data_flits * WORDS_PER_FLIT - n_words
-        if slack_words:
-            self._buckets[WB][WB_CONTROL] += (slack_words
-                                              * (hops / WORDS_PER_FLIT))
-        return data_flits
+        hops, delay = self.route(src, dst, 1 + data_flits, at)
+        buckets = self._buckets[WB]
+        if n_words:
+            word_hops = self._word_hops
+            word_hops[word_at] += n_dirty * hops
+            word_hops[word_at + 1] += (n_words - n_dirty) * hops
+            slack_words = data_flits * WORDS_PER_FLIT - n_words
+            if slack_words:
+                buckets[WB_CONTROL] += hops + slack_words * (
+                    hops / WORDS_PER_FLIT)
+            else:
+                buckets[WB_CONTROL] += hops
+        else:
+            buckets[WB_CONTROL] += hops
+        arrive = at + delay
+        queue = self._queue
+        if arrive < queue.now:
+            _in_the_past(arrive, queue.now)
+        seq = queue._seq
+        queue._seq = seq + 1
+        heappush(self._heap, (arrive, seq, handler, args + (arrive,)))
+        return arrive
+
+    def send_overhead(self, subtype: str, src: int, dst: int, at: int,
+                      handler: Optional[Callable] = None, *args,
+                      flits: int = 1) -> int:
+        """A coherence-overhead packet of ``flits`` flits
+        (inv/ack/unblock/NACK/bloom); no delivery when ``handler`` is
+        None."""
+        hops, delay = self.route(src, dst, flits, at)
+        buckets = self._buckets[OVH]
+        if subtype not in buckets:
+            raise ValueError(f"unknown overhead subtype {subtype!r}")
+        buckets[subtype] += hops * flits
+        arrive = at + delay
+        if handler is not None:
+            queue = self._queue
+            if arrive < queue.now:
+                _in_the_past(arrive, queue.now)
+            seq = queue._seq
+            queue._seq = seq + 1
+            heappush(self._heap, (arrive, seq, handler, args + (arrive,)))
+        return arrive
+
+    def send_wb_ack(self, src: int, dst: int) -> None:
+        """MESI's clean-writeback ack: one writeback-control flit that is
+        counted on the mesh but never routed or delivered."""
+        self._buckets[WB][WB_CONTROL] += self.count_packet(src, dst)
 
     # -- resolution ------------------------------------------------------
     def finalize(self) -> None:
@@ -315,10 +444,6 @@ class TrafficLedger:
         return {m: dict(bs) for m, bs in self._buckets.items()}
 
     # -- helpers -----------------------------------------------------------
-    def _check(self, major: str, allowed) -> None:
-        if major not in allowed:
-            raise ValueError(f"major {major!r} not in {allowed}")
-
     def _require_finalized(self) -> None:
         if not self._finalized:
             raise RuntimeError("TrafficLedger.finalize() has not been called")

@@ -5,7 +5,8 @@ subsystem.  Pass one to :func:`repro.core.simulator.simulate` (or
 ``System(..., obs=session)``) and it
 
 * counts the flits each tile's router forwards (link-source
-  attribution) by rebinding the context's mesh helpers;
+  attribution) by rebinding the traffic ledger's route and
+  packet-count hooks;
 * arms a :class:`~repro.obs.sampler.PhaseSampler` that records the
   cycle, the events executed and those per-tile flits every
   ``sample_interval`` cycles;
@@ -20,7 +21,7 @@ subsystem.  Pass one to :func:`repro.core.simulator.simulate` (or
 default everywhere) none of this code runs, no hook is installed and
 no hot-path branch exists.  When enabled, the hooks ride existing
 extension points (``Barrier.on_release``, the DRAM ``on_service``
-callback, rebinding the context's bound mesh helpers), and sampling
+callback, rebinding the ledger's route and packet-count hooks), and sampling
 events are pure reads — so an observed run produces a ``RunResult``
 bit-identical to an unobserved one (the sampler's own scheduler events
 are subtracted from the event count by ``System``).
@@ -108,9 +109,10 @@ class ObsSession:
                          protocol=system.proto.name,
                          num_tiles=ctx.config.num_tiles)
 
-        # -- per-tile link utilization: wrap the context's bound mesh
-        # helpers (send_* read them per call, so rebinding after
-        # construction is safe and costs nothing when no obs is given).
+        # -- per-tile link utilization: wrap the ledger's route and
+        # packet-count hooks (the send path reads them per call, so
+        # rebinding after construction is safe and costs nothing when no
+        # obs is given).
         self._wrap_mesh(ctx)
 
         self.attrib.attach(system)
@@ -132,31 +134,26 @@ class ObsSession:
                                                  ctx.mesh._links, num_tiles)
 
         # Each wrapper adds the packet's flits to its (src, dst) pair;
-        # TileFlits expands the pairs over their routes when read.
-        real_traverse = ctx._traverse
+        # TileFlits expands the pairs over their routes when read.  The
+        # ledger's send path calls its route hook once per routed packet
+        # and its count hook once per unrouted one.
+        ledger = ctx.ledger
+        real_route = ledger.route
 
-        def traverse(src, dst, total_flits, now, _real=real_traverse,
-                     _pairs=pair_flits, _n=num_tiles):
+        def route(src, dst, total_flits, now, _real=real_route,
+                  _pairs=pair_flits, _n=num_tiles):
             _pairs[src * _n + dst] += total_flits
             return _real(src, dst, total_flits, now)
 
-        real_latency = ctx._latency
-
-        def latency(src, dst, total_flits, now, _real=real_latency,
-                    _pairs=pair_flits, _n=num_tiles):
-            _pairs[src * _n + dst] += total_flits
-            return _real(src, dst, total_flits, now)
-
-        real_count = ctx._count_packet
+        real_count = ledger.count_packet
 
         def count_packet(src, dst, total_flits=1, _real=real_count,
                          _pairs=pair_flits, _n=num_tiles):
             _pairs[src * _n + dst] += total_flits
             return _real(src, dst, total_flits)
 
-        ctx._traverse = traverse
-        ctx._latency = latency
-        ctx._count_packet = count_packet
+        ledger.route = route
+        ledger.count_packet = count_packet
 
     # -- trace hooks ----------------------------------------------------
     def _on_barrier(self, queue) -> None:

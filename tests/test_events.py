@@ -3,6 +3,7 @@
 import pytest
 
 from repro.engine.events import Barrier, EventQueue
+from repro.network import traffic as T
 
 
 class TestEventQueue:
@@ -202,6 +203,36 @@ class TestScheduleCall:
         q.run()   # max_events=None: the unbounded path
         assert len(hits) == 100
         assert q.events_run == 100
+
+
+class TestSendPathWriter:
+    """The network send path is the queue's second writer: its pushes
+    share ``schedule_call``'s sequence counter."""
+
+    @pytest.mark.parametrize("send_first", [True, False])
+    def test_send_and_schedule_call_fire_in_call_order(self, send_first):
+        q = EventQueue()
+        led = T.TrafficLedger(queue=q)
+        led.route = lambda src, dst, flits, at: (0, 5)
+        order = []
+
+        def record(name, t):
+            order.append((name, t, q.now))
+
+        def send():
+            assert led.send_req_ctl(T.LD, 0, 0, 0, record, "send") == 5
+
+        def call():
+            q.schedule_call(5, record, "call", 5)
+
+        steps = [send, call] if send_first else [call, send]
+        for step in steps:
+            step()
+        assert q.pending == 2
+        q.run()
+        names = ["send", "call"] if send_first else ["call", "send"]
+        assert order == [(name, 5, 5) for name in names]
+        assert q.events_run == 2
 
 
 class TestBarrier:

@@ -260,9 +260,9 @@ class _LinkCountingSession(ObsSession):
                 return real(src, dst, total_flits, *rest)
             return wrapped
 
-        ctx._traverse = per_link(ctx._traverse)
-        ctx._latency = per_link(ctx._latency)
-        ctx._count_packet = per_link(ctx._count_packet)
+        ledger = ctx.ledger
+        ledger.route = per_link(ledger.route)
+        ledger.count_packet = per_link(ledger.count_packet)
 
 
 @pytest.mark.parametrize("proto", ["MESI", "DeNovo", "DBypFull"])

@@ -12,6 +12,10 @@ from repro.waste.profiler import (
     MemoryProfiler, WastePools)
 
 
+def _sink(*_args):
+    """A delivery handler that does nothing."""
+
+
 MODEL_SETTINGS = settings(max_examples=100, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 
@@ -102,7 +106,8 @@ class TestProfileEntry:
             Category.INVALIDATE, Category.UNEVICTED]
         ledger = T.TrafficLedger(pools)
         assert handles == list(range(5))
-        ledger.add_data_words(T.LD, T.DEST_L1, 4, range(5))
+        ledger.route = lambda src, dst, flits, at: (4, 1)
+        ledger.send_data(T.LD, T.DEST_L1, 0, 1, 0, range(5), _sink)
         ledger.finalize()
         assert ledger.bucket(T.LD, T.RESP_L1_USED) == 0
         assert ledger.bucket(T.LD, T.RESP_L1_WASTE) == 5
@@ -502,8 +507,9 @@ class TestWarmupCrossing:
 
         # The ledger resolves warm-up handles through the pool.
         assert pending == used + 1
-        ctx.ledger.add_data_words(T.LD, T.DEST_L1, 2,
-                                  range(used, pending + 1))
+        assert ctx.mesh.hops(0, 3) == 2
+        ctx.send_data(T.LD, T.DEST_L1, 0, 3, 0, range(used, pending + 1),
+                      _sink)
         ctx.finalize()
         assert ctx.l1_prof.category(pending) is Category.UNEVICTED
         assert sum(ctx.l1_prof.counts().values()) == 0

@@ -1,4 +1,9 @@
-"""Unit tests for the flit-hop traffic ledger."""
+"""Unit tests for the flit-hop traffic ledger's charging rules.
+
+Each charge goes through a ``send_*`` method; a fake route fixes the
+hop count, so a test states the charge it expects per link crossed.
+``tests/test_send_path.py`` checks the same methods on a real mesh.
+"""
 
 import random
 
@@ -18,6 +23,41 @@ def span(handles):
     first = handles[0]
     assert list(handles) == list(range(first, first + len(handles)))
     return range(first, first + len(handles))
+
+
+def _sink(*_args):
+    """A delivery handler that does nothing."""
+
+
+class FixedRoute:
+    """A fake route: every packet crosses ``hops`` links and arrives a
+    cycle later; ``flits`` lists each packet's flit count."""
+
+    def __init__(self, hops):
+        self.hops = hops
+        self.flits = []
+
+    def __call__(self, src, dst, flits, at):
+        self.flits.append(flits)
+        return self.hops, 1
+
+
+def routed(led, hops):
+    """Route ``led``'s next packets over ``hops`` links; the route."""
+    led.route = route = FixedRoute(hops)
+    return route
+
+
+def send_data(led, major, dest, hops, handles):
+    """One data message of ``handles`` over ``hops`` links; its flits."""
+    route = routed(led, hops)
+    led.send_data(major, dest, 0, 1, 0, handles, _sink)
+    return route.flits[-1]
+
+
+def send_wb(led, dest, hops, n_words, n_dirty):
+    routed(led, hops)
+    led.send_wb(0, 1, 0, n_words, n_dirty, dest, _sink)
 
 
 class Words:
@@ -51,22 +91,40 @@ class Words:
 class TestControlTraffic:
     def test_request_ctl(self):
         led = T.TrafficLedger()
-        led.add_request_ctl(T.LD, hops=3)
-        led.add_request_ctl(T.LD, hops=2)
+        routed(led, 3)
+        led.send_req_ctl(T.LD, 0, 1, 0, _sink)
+        route = routed(led, 2)
+        led.send_req_ctl(T.LD, 0, 1, 0, _sink)
         led.finalize()
         assert led.bucket(T.LD, T.REQ_CTL) == 5
+        assert route.flits == [1]
 
     def test_request_ctl_rejects_wb(self):
         led = T.TrafficLedger()
+        routed(led, 1)
         with pytest.raises(ValueError):
-            led.add_request_ctl(T.WB, hops=1)
+            led.send_req_ctl(T.WB, 0, 1, 0, _sink)
+
+    def test_response_ctl(self):
+        led = T.TrafficLedger()
+        route = routed(led, 3)
+        led.send_resp_ctl(T.ST, 0, 1, 0, _sink)
+        with pytest.raises(ValueError):
+            led.send_resp_ctl(T.OVH, 0, 1, 0, _sink)
+        led.finalize()
+        assert led.bucket(T.ST, T.RESP_CTL) == 3
+        assert route.flits[0] == 1
 
     def test_overhead_subtypes(self):
         led = T.TrafficLedger()
-        led.add_overhead(T.OVH_UNBLOCK, hops=2)
-        led.add_overhead(T.OVH_NACK, hops=3)
-        led.add_overhead(T.OVH_BLOOM, hops=2, flits=5)
+        routed(led, 2)
+        led.send_overhead(T.OVH_UNBLOCK, 0, 1, 0)
+        routed(led, 3)
+        led.send_overhead(T.OVH_NACK, 0, 1, 0)
+        route = routed(led, 2)
+        led.send_overhead(T.OVH_BLOOM, 0, 1, 0, flits=5)
         led.finalize()
+        assert route.flits == [5]
         assert led.bucket(T.OVH, T.OVH_UNBLOCK) == 2
         assert led.bucket(T.OVH, T.OVH_NACK) == 3
         assert led.bucket(T.OVH, T.OVH_BLOOM) == 10
@@ -74,8 +132,18 @@ class TestControlTraffic:
 
     def test_unknown_overhead_rejected(self):
         led = T.TrafficLedger()
+        routed(led, 1)
         with pytest.raises(ValueError):
-            led.add_overhead("mystery", hops=1)
+            led.send_overhead("mystery", 0, 1, 0)
+
+    def test_unrouted_wb_ack_is_writeback_control(self):
+        led = T.TrafficLedger()
+        led.route = None   # never routed
+        led.count_packet = lambda src, dst: 3
+        led.send_wb_ack(0, 1)
+        led.finalize()
+        assert led.bucket(T.WB, T.WB_CONTROL) == 3
+        assert led.total() == 3
 
 
 class TestDataTraffic:
@@ -83,39 +151,41 @@ class TestDataTraffic:
         words = Words()
         led = words.ledger()
         handles = span([words.used() for _ in range(4)])
-        flits = led.add_data_words(T.LD, T.DEST_L1, hops=2, handles=handles)
-        assert flits == 1
+        flits = send_data(led, T.LD, T.DEST_L1, 2, handles)
+        assert flits == 1 + 1
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(2.0)
         assert led.bucket(T.LD, T.RESP_L1_WASTE) == 0
+        assert led.bucket(T.LD, T.RESP_CTL) == 2   # the header flit
 
     def test_mixed_verdicts_split_fractionally(self):
         words = Words("L2")
         led = words.ledger()
         handles = span([words.used(), words.used(), words.waste(),
                         words.waste()])
-        led.add_data_words(T.ST, T.DEST_L2, hops=4, handles=handles)
+        send_data(led, T.ST, T.DEST_L2, 4, handles)
         led.finalize()
         assert led.bucket(T.ST, T.RESP_L2_USED) == pytest.approx(2.0)
         assert led.bucket(T.ST, T.RESP_L2_WASTE) == pytest.approx(2.0)
 
     def test_unfilled_tail_goes_to_resp_ctl(self):
-        """5 words over 2 hops: 2 data flits; 3 unfilled slots -> resp ctl."""
+        """5 words over 2 hops: 2 data flits; 3 unfilled slots -> resp
+        ctl, beside the header flit."""
         words = Words()
         led = words.ledger()
-        led.add_data_words(T.LD, T.DEST_L1, hops=2,
-                           handles=span([words.used() for _ in range(5)]))
+        send_data(led, T.LD, T.DEST_L1, 2,
+                  span([words.used() for _ in range(5)]))
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L1_USED) == pytest.approx(5 * 0.5)
-        assert led.bucket(T.LD, T.RESP_CTL) == pytest.approx(3 * 0.5)
+        assert led.bucket(T.LD, T.RESP_CTL) == pytest.approx(2 + 3 * 0.5)
 
     def test_data_plus_slack_equals_flits_times_hops(self):
         words = Words()
         led = words.ledger()
         n, hops = 7, 3
-        flits = led.add_data_words(T.LD, T.DEST_L1, hops=hops,
-                                   handles=span([words.used()
-                                                 for _ in range(n)]))
+        flits = send_data(led, T.LD, T.DEST_L1, hops,
+                          span([words.used() for _ in range(n)]))
+        assert flits == 1 + 2
         led.finalize()
         total = (led.bucket(T.LD, T.RESP_L1_USED)
                  + led.bucket(T.LD, T.RESP_CTL))
@@ -123,15 +193,18 @@ class TestDataTraffic:
 
     def test_empty_payload(self):
         led = T.TrafficLedger()
-        assert led.add_data_words(T.LD, T.DEST_L1, 3, range(0)) == 0
+        assert send_data(led, T.LD, T.DEST_L1, 3, range(0)) == 1
+        assert len(led._deferred) == 0
+        led.finalize()
+        assert led.total() == led.bucket(T.LD, T.RESP_CTL) == 3
 
     def test_verdict_resolved_at_finalize(self):
         """Handles classified after send still resolve correctly."""
         words = Words()
         led = words.ledger()
         pending = [words.pending() for _ in range(4)]
-        led.add_data_words(T.LD, T.DEST_L1, hops=1,
-                           handles=span([handle for handle, _ in pending]))
+        send_data(led, T.LD, T.DEST_L1, 1,
+                  span([handle for handle, _ in pending]))
         for _, word in pending:
             words.prof.on_use(0, word)
         led.finalize()
@@ -158,38 +231,47 @@ class TestDeferredRecords:
         start = 5
         pools.l2_cat.extend(bytes(start + n_words))
         led = T.TrafficLedger(pools)
-        flits = led.add_data_words(T.ST, T.DEST_L2, 14,
-                                   range(start, start + n_words))
-        assert flits == n_words // 4
+        flits = send_data(led, T.ST, T.DEST_L2, 14,
+                          range(start, start + n_words))
+        assert flits == 1 + n_words // 4
         assert [T.unpack_data_record(r) for r in led._deferred] == [
             (start, n_words, 14, 3)]
 
     def test_handles_past_the_destination_pool_rejected(self):
         """A stale range used to finalize to 4.0 flit-hops of L2 Waste."""
         with pytest.raises(ValueError, match="past the l2 pool"):
-            T.TrafficLedger().add_data_words(T.LD, T.DEST_L2, 4,
-                                             range(100, 104))
+            send_data(T.TrafficLedger(), T.LD, T.DEST_L2, 4,
+                      range(100, 104))
 
     def test_other_levels_handles_rejected(self):
         words = Words("L1")
         led = words.ledger()
         handles = span([words.used() for _ in range(4)])
         with pytest.raises(ValueError, match="past the l2 pool"):
-            led.add_data_words(T.LD, T.DEST_L2, 1, handles)
+            send_data(led, T.LD, T.DEST_L2, 1, handles)
 
     @pytest.mark.parametrize("handles", [[0, 1, 2, 3], (0, 1),
                                          range(0, 8, 2), range(3, 0, -1)])
     def test_non_consecutive_handles_rejected(self, handles):
         led = T.TrafficLedger()
         with pytest.raises(TypeError):
-            led.add_data_words(T.LD, T.DEST_L1, 2, handles)
+            send_data(led, T.LD, T.DEST_L1, 2, handles)
 
     def test_oversized_message_rejected(self):
         pools = WastePools()
         pools.l1_cat.extend(bytes(256))
         led = T.TrafficLedger(pools)
         with pytest.raises(ValueError, match="does not fit"):
-            led.add_data_words(T.LD, T.DEST_L1, 2, range(256))
+            send_data(led, T.LD, T.DEST_L1, 2, range(256))
+
+    def test_bad_major_or_destination_rejected(self):
+        words = Words()
+        led = words.ledger()
+        handles = span([words.used() for _ in range(4)])
+        with pytest.raises(ValueError, match="major"):
+            send_data(led, T.WB, T.DEST_L1, 2, handles)
+        with pytest.raises(ValueError, match="destination"):
+            send_data(led, T.LD, T.DEST_MEM, 2, handles)
 
     def test_record_order_changes_no_bucket(self):
         """Integer word-hop totals equal the word-by-word float sums, in
@@ -222,7 +304,7 @@ class TestDeferredRecords:
         for _ in range(3):
             led = T.TrafficLedger(pools)
             for major, dest, hops, handles in messages:
-                led.add_data_words(major, dest, hops, handles)
+                send_data(led, major, dest, hops, handles)
             led.finalize()
             breakdowns.append(led.breakdown())
             rng.shuffle(messages)
@@ -239,14 +321,18 @@ class TestWindow:
     @staticmethod
     def _charge(led, handles, salt):
         """Some of every kind of charge; ``salt`` varies the amounts."""
-        led.add_request_ctl(T.LD, 3 + salt)
-        led.add_response_ctl(T.ST, 0.75 * (1 + salt))
-        led.add_wb_control(2 + salt)
-        led.add_overhead(T.OVH_INVAL, 1 + salt, flits=2)
-        led.add_data_words(T.LD, T.DEST_L1, 5 + salt, handles[0])
-        led.add_data_words(T.ST, T.DEST_L2, 2 + salt, handles[1])
-        led.add_wb_data_words(T.DEST_L2, 3 + salt, 5, 2)
-        led.add_wb_data_words(T.DEST_MEM, 4 + salt, 16, 9 + salt)
+        routed(led, 3 + salt)
+        led.send_req_ctl(T.LD, 0, 1, 0, _sink)
+        routed(led, 1 + salt)
+        led.send_resp_ctl(T.ST, 0, 1, 0, _sink)
+        led.count_packet = lambda src, dst: 2 + salt
+        led.send_wb_ack(0, 1)
+        routed(led, 1 + salt)
+        led.send_overhead(T.OVH_INVAL, 0, 1, 0, flits=2)
+        send_data(led, T.LD, T.DEST_L1, 5 + salt, handles[0])
+        send_data(led, T.ST, T.DEST_L2, 2 + salt, handles[1])
+        send_wb(led, T.DEST_L2, 3 + salt, 5, 2)
+        send_wb(led, T.DEST_MEM, 4 + salt, 16, 9 + salt)
 
     def test_charges_before_the_mark_are_excluded_exactly(self):
         pools = WastePools()
@@ -270,8 +356,8 @@ class TestWindow:
         pools.l1_cat.extend([C_EVICT] * 4)
         pools.l2_cat.extend([C_USED, C_USED, C_USED, C_WRITE])
         led = T.TrafficLedger(pools)
-        led.add_data_words(T.LD, T.DEST_L2, 4, range(4))
-        led.add_data_words(T.LD, T.DEST_L1, 4, range(4))
+        send_data(led, T.LD, T.DEST_L2, 4, range(4))
+        send_data(led, T.LD, T.DEST_L1, 4, range(4))
         led.finalize()
         assert led.bucket(T.LD, T.RESP_L2_USED) == 3
         assert led.bucket(T.LD, T.RESP_L2_WASTE) == 1
@@ -282,23 +368,25 @@ class TestWindow:
 class TestWritebackTraffic:
     def test_dirty_clean_split(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_L2, hops=2, n_words=4, n_dirty=2)
+        send_wb(led, T.DEST_L2, hops=2, n_words=4, n_dirty=2)
         led.finalize()
         assert led.bucket(T.WB, T.WB_L2_USED) == pytest.approx(1.0)
         assert led.bucket(T.WB, T.WB_L2_WASTE) == pytest.approx(1.0)
+        assert led.bucket(T.WB, T.WB_CONTROL) == 2   # the header flit
 
     def test_mem_destination(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_MEM, hops=4, n_words=16, n_dirty=16)
+        send_wb(led, T.DEST_MEM, hops=4, n_words=16, n_dirty=16)
         led.finalize()
         assert led.bucket(T.WB, T.WB_MEM_USED) == pytest.approx(16.0)
         assert led.bucket(T.WB, T.WB_MEM_WASTE) == 0
 
     def test_partial_flit_slack_to_control(self):
         led = T.TrafficLedger()
-        led.add_wb_data_words(T.DEST_MEM, hops=4, n_words=3, n_dirty=3)
+        send_wb(led, T.DEST_MEM, hops=4, n_words=3, n_dirty=3)
         led.finalize()
-        assert led.bucket(T.WB, T.WB_CONTROL) == pytest.approx(1.0)
+        # The header flit, then one unfilled word slot.
+        assert led.bucket(T.WB, T.WB_CONTROL) == pytest.approx(4 + 1.0)
 
     def test_word_hop_totals_equal_per_word_sums(self):
         rng = random.Random(3)
@@ -308,7 +396,7 @@ class TestWritebackTraffic:
             dest = rng.choice((T.DEST_L2, T.DEST_MEM))
             hops = rng.randint(0, 14)
             flags = [rng.random() < 0.5 for _ in range(rng.randint(1, 16))]
-            led.add_wb_data_words(dest, hops, len(flags), sum(flags))
+            send_wb(led, dest, hops, len(flags), sum(flags))
             for dirty in flags:
                 key = ((T.WB_L2_USED if dirty else T.WB_L2_WASTE)
                        if dest == T.DEST_L2 else
@@ -321,7 +409,7 @@ class TestWritebackTraffic:
     def test_l1_destination_rejected(self):
         led = T.TrafficLedger()
         with pytest.raises(ValueError):
-            led.add_wb_data_words(T.DEST_L1, 1, 1, 1)
+            send_wb(led, T.DEST_L1, 1, 1, 1)
 
 
 class TestFinalization:
@@ -333,18 +421,21 @@ class TestFinalization:
     def test_totals(self):
         words = Words()
         led = words.ledger()
-        led.add_request_ctl(T.LD, 3)
-        led.add_response_ctl(T.LD, 3)
-        led.add_data_words(T.LD, T.DEST_L1, 3,
-                           span([words.used() for _ in range(4)]))
-        led.add_overhead(T.OVH_ACK, 1)
+        routed(led, 3)
+        led.send_req_ctl(T.LD, 0, 1, 0, _sink)
+        # A header flit and a full data flit, 3 flit-hops each.
+        send_data(led, T.LD, T.DEST_L1, 3,
+                  span([words.used() for _ in range(4)]))
+        routed(led, 1)
+        led.send_overhead(T.OVH_ACK, 0, 1, 0)
         led.finalize()
         assert led.total() == pytest.approx(3 + 3 + 3 + 1)
         assert led.major_total(T.LD) == pytest.approx(9)
 
     def test_breakdown_is_copy(self):
         led = T.TrafficLedger()
-        led.add_request_ctl(T.LD, 1)
+        routed(led, 1)
+        led.send_req_ctl(T.LD, 0, 1, 0, _sink)
         led.finalize()
         bd = led.breakdown()
         bd[T.LD][T.REQ_CTL] = 999
